@@ -26,7 +26,7 @@ from .geometry import (
     bistatic_angle,
 )
 from .ofdm import OfdmNumerology
-from .pilots import PatternStats, PilotPattern, pattern_stats
+from .pilots import PilotPattern, pattern_stats
 
 
 class SingularPatternError(ValueError):
@@ -188,14 +188,12 @@ class CrbReport:
         crb_vel_ms2: variance bound on bistatic velocity [(m/s)^2].
         rmse_bound_ran_m: sqrt of crb_ran_m2 [m].
         rmse_bound_vel_ms: sqrt of crb_vel_ms2 [m/s].
-        efim: the 2x2 equivalent information matrix (doppler, delay).
     """
 
     crb_ran_m2: float
     crb_vel_ms2: float
     rmse_bound_ran_m: float
     rmse_bound_vel_ms: float
-    efim: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,14 +204,23 @@ class CrbReport:
         }
 
 
-def _crb_from_stats(
+def crb(
     params: SensingChannelParams,
-    st: PatternStats,
+    pattern: PilotPattern,
     numerology: OfdmNumerology,
-    beta: float,
-    efim_matrix: np.ndarray,
+    beta: float = 0.0,
 ) -> CrbReport:
-    q_det = st.q_n2 * st.q_m2 - st.q_nm**2
+    """Range/velocity variance bounds for an arbitrary pilot pattern.
+
+    The diagonal of the inverse of the equivalent information (see
+    ``efim``), converted to range and velocity units. ``beta`` is the
+    true bistatic angle; it only rescales the velocity bound through
+    1/cos^2(beta/2).
+    """
+    if params.noise_var <= 0 or params.gain_sq <= 0:
+        raise ValueError("bounds require positive noise variance and gain")
+    st = pattern_stats(pattern)
+    q_det = st.q_det
     if q_det <= 0:
         raise SingularPatternError(
             "pilot cells are collinear; range/velocity bounds are infinite"
@@ -237,26 +244,6 @@ def _crb_from_stats(
         crb_vel_ms2=crb_vel,
         rmse_bound_ran_m=math.sqrt(crb_ran),
         rmse_bound_vel_ms=math.sqrt(crb_vel),
-        efim=efim_matrix,
-    )
-
-
-def crb(
-    params: SensingChannelParams,
-    pattern: PilotPattern,
-    numerology: OfdmNumerology,
-    beta: float = 0.0,
-) -> CrbReport:
-    """Range/velocity variance bounds for an arbitrary pilot pattern.
-
-    ``beta`` is the true bistatic angle; it only rescales the velocity
-    bound through 1/cos^2(beta/2).
-    """
-    if params.noise_var <= 0 or params.gain_sq <= 0:
-        raise ValueError("bounds require positive noise variance and gain")
-    st = pattern_stats(pattern)
-    return _crb_from_stats(
-        params, st, numerology, beta, efim(params, pattern, numerology)
     )
 
 
@@ -309,16 +296,11 @@ def crb_periodic_closed_form(
         * lam**2
         / (32.0 * math.pi**2 * ts**2 * math.cos(beta / 2.0) ** 2)
     )
-    scale = 8.0 * math.pi**2 * params.gain_sq / params.noise_var
-    q_n2 = big_k * (big_k + 2) * size * n_p**2 / 12.0
-    q_m2 = big_l * (big_l + 2) * size * m_p**2 / 12.0
-    efim_matrix = scale * np.array([[ts**2 * q_m2, 0.0], [0.0, df**2 * q_n2]])
     return CrbReport(
         crb_ran_m2=crb_ran,
         crb_vel_ms2=crb_vel,
         rmse_bound_ran_m=math.sqrt(crb_ran),
         rmse_bound_vel_ms=math.sqrt(crb_vel),
-        efim=efim_matrix,
     )
 
 
@@ -391,6 +373,25 @@ def rate_upper_bound(
     )
 
 
+def _phasor(
+    params: SensingChannelParams,
+    numerology: OfdmNumerology,
+    n: np.ndarray,
+    m: np.ndarray,
+) -> np.ndarray:
+    """exp(j 2 pi (f_d m T_s - tau n df)) at subcarrier n, symbol m.
+
+    The phase is accumulated in cycles and reduced modulo one before
+    conversion to radians, so its accuracy does not depend on the index
+    magnitude and delay/Doppler aliasing identities hold exactly.
+    """
+    cycles = (
+        params.f_d * numerology.symbol_duration_s * m
+        - params.tau * numerology.subcarrier_spacing_hz * n
+    )
+    return np.exp(2j * np.pi * np.mod(cycles, 1.0))
+
+
 def mean_response(
     params: SensingChannelParams,
     pattern: PilotPattern,
@@ -402,14 +403,8 @@ def mean_response(
     ``symbols`` are the pilot symbol values in pattern cell order
     (unit modulus expected); defaults to all ones.
     """
-    n = pattern.cells[:, 0].astype(float)
-    m = pattern.cells[:, 1].astype(float)
-    ts = numerology.symbol_duration_s
-    df = numerology.subcarrier_spacing_hz
-    phase = 2.0 * math.pi * (params.f_d * ts * m - params.tau * df * n)
-    if symbols is None:
-        symbols = np.ones(pattern.size, dtype=complex)
-    return params.alpha * np.exp(1j * phase) * symbols
+    jac = mean_response_jacobian(params, pattern, numerology, symbols)
+    return params.alpha * jac[:, 0]
 
 
 def mean_response_jacobian(
@@ -431,10 +426,9 @@ def mean_response_jacobian(
     m = pattern.cells[:, 1].astype(float)
     ts = numerology.symbol_duration_s
     df = numerology.subcarrier_spacing_hz
-    phase = 2.0 * math.pi * (params.f_d * ts * m - params.tau * df * n)
-    if symbols is None:
-        symbols = np.ones(pattern.size, dtype=complex)
-    carrier = np.exp(1j * phase) * symbols
+    carrier = _phasor(params, numerology, n, m)
+    if symbols is not None:
+        carrier = carrier * symbols
     jac = np.empty((pattern.size, 4), dtype=complex)
     jac[:, 0] = carrier
     jac[:, 1] = 1j * carrier

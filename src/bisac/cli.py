@@ -17,11 +17,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .bounds import SensingChannelParams, crb
-from .estimator import PeriodogramConfig, estimate
+from .estimator import estimate
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
     DEFAULT_RATE_RHOS,
@@ -40,6 +41,9 @@ _PROFILES = {
     "full": {"fft": 4096, "trials": 1000},
 }
 
+# flags that set the ExperimentConfig field of the same name
+_FIELD_FLAGS = ("snr_grid_db", "trials_per_point", "seed", "workers", "out")
+
 
 def _parse_snr_grid(text: str) -> tuple:
     if ":" in text:
@@ -54,60 +58,59 @@ def _parse_snr_grid(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--np", dest="stride_n", type=int, metavar="N_P",
+    parser.add_argument("--np", dest="stride_n", type=_positive_int, metavar="N_P",
                         help="pilot stride along subcarriers")
-    parser.add_argument("--mp", dest="stride_m", type=int, metavar="M_P",
+    parser.add_argument("--mp", dest="stride_m", type=_positive_int, metavar="M_P",
                         help="pilot stride along symbols")
-    parser.add_argument("--fft", type=int, help="FFT size for both axes")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per SNR point")
-    parser.add_argument("--snr-db", type=_parse_snr_grid, metavar="A:B:STEP",
+    parser.add_argument("--fft", type=_positive_int, help="FFT size for both axes")
+    parser.add_argument("--trials", dest="trials_per_point", type=_positive_int,
+                        help="Monte Carlo trials per SNR point")
+    parser.add_argument("--snr-db", dest="snr_grid_db", type=_parse_snr_grid,
+                        metavar="A:B:STEP",
                         help="SNR grid: a:b:step or comma list or single value")
-    parser.add_argument("--workers", type=int, help="parallel worker processes")
+    parser.add_argument("--workers", type=_positive_int, help="parallel worker processes")
     parser.add_argument("--profile", choices=sorted(_PROFILES),
                         help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials")
     parser.add_argument("--out", metavar="FILE", help="output path (default stdout)")
 
 
 def _build_config(args) -> ExperimentConfig:
+    """The config file's values, overridden by a profile, then by flags."""
     spec = {}
     if args.config:
         with open(args.config) as fh:
             spec = json.load(fh)
     config = ExperimentConfig.from_json_dict(spec)
 
-    fft_n, fft_m = config.fft.fft_n, config.fft.fft_m
-    trials = config.trials_per_point
-    if args.profile:
-        fft_n = fft_m = _PROFILES[args.profile]["fft"]
-        trials = _PROFILES[args.profile]["trials"]
-    if args.fft:
-        fft_n = fft_m = args.fft
-    if args.trials:
-        trials = args.trials
-
-    pattern = config.pattern
-    if args.stride_n or args.stride_m:
-        n_p = args.stride_n or (pattern.periodic[0] if pattern.periodic else 1)
-        m_p = args.stride_m or (pattern.periodic[1] if pattern.periodic else 1)
-        pattern = make_periodic(
-            config.numerology.n_subcarriers, config.numerology.n_symbols, n_p, m_p
+    changes = {}
+    fft = args.fft
+    if args.profile is not None:
+        profile = _PROFILES[args.profile]
+        fft = profile["fft"] if fft is None else fft
+        changes["trials_per_point"] = profile["trials"]
+    if fft is not None:
+        changes["fft"] = replace(config.fft, fft_n=fft, fft_m=fft)
+    if args.stride_n is not None or args.stride_m is not None:
+        n_p, m_p = config.pattern.periodic or (1, 1)
+        changes["pattern"] = make_periodic(
+            config.numerology.n_subcarriers,
+            config.numerology.n_symbols,
+            n_p if args.stride_n is None else args.stride_n,
+            m_p if args.stride_m is None else args.stride_m,
         )
-
-    return ExperimentConfig(
-        numerology=config.numerology,
-        pattern=pattern,
-        snr_grid_db=args.snr_db if args.snr_db else config.snr_grid_db,
-        trials_per_point=trials,
-        ensemble=config.ensemble,
-        fft=PeriodogramConfig(fft_n, fft_m, config.fft.interpolate),
-        seed=args.seed if args.seed is not None else config.seed,
-        workers=args.workers if args.workers else config.workers,
-        ecrb_draws=config.ecrb_draws,
-        out=args.out if args.out else config.out,
-    )
+    for name in _FIELD_FLAGS:
+        if getattr(args, name) is not None:
+            changes[name] = getattr(args, name)
+    return replace(config, **changes)
 
 
 def _emit(text: str, out_path) -> None:
@@ -120,7 +123,7 @@ def _emit(text: str, out_path) -> None:
 
 def _cmd_crb(args) -> int:
     config = _build_config(args)
-    snr_db = args.snr_db[0] if args.snr_db else config.snr_grid_db[0]
+    snr_db = config.snr_grid_db[0]
     if args.beta_deg is not None:
         beta = math.radians(args.beta_deg)
     else:
@@ -145,7 +148,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table1(args) -> int:
     config = _build_config(args)
-    snr_db = args.snr_db[0] if args.snr_db else 5.0
+    snr_db = args.snr_grid_db[0] if args.snr_grid_db else 5.0
     rows = run_table1(config, snr_db=snr_db, draws=args.draws)
     text = rows_to_csv(
         rows, ("n_p", "m_p", "pilot_count", "sqrt_crb_ran_m", "ecrb_vel_ms")
@@ -165,7 +168,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
-    snr_db = args.snr_db[0] if args.snr_db else config.snr_grid_db[0]
+    snr_db = config.snr_grid_db[0]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 0, 0]))
     scenario, truth = sample_scenario(config.ensemble, rng)
     params = SensingChannelParams.from_snr_db(snr_db, tau=truth.tau, f_d=truth.f_d)
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
 
     p_table = sub.add_parser("table1", help="bound table over stride pairs")
     _add_common(p_table)
-    p_table.add_argument("--draws", type=int, default=None,
+    p_table.add_argument("--draws", type=_positive_int, default=None,
                          help="geometry draws for the velocity bound")
     p_table.set_defaults(func=_cmd_table1)
 

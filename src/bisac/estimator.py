@@ -28,10 +28,10 @@ from .sim import FrameGrid
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
-    """FFT sizes (powers of two) and interpolation switch."""
+    """FFT sizes (powers of two, default the desk profile's) and interpolation switch."""
 
-    fft_n: int = 4096
-    fft_m: int = 4096
+    fft_n: int = 1024
+    fft_m: int = 1024
     interpolate: bool = True
 
     def __post_init__(self):

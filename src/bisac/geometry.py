@@ -1,4 +1,4 @@
-"""Bistatic sensing geometry.
+r"""Bistatic sensing geometry.
 
 Deterministic conversions between a Cartesian scenario description
 (transmitter, receiver, target, velocity) and the sensing parameters a

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class ExperimentConfig:
     snr_grid_db: tuple = (20.0,)
     trials_per_point: int = 200
     ensemble: ScenarioEnsemble = field(default_factory=ScenarioEnsemble)
-    fft: PeriodogramConfig = field(default_factory=lambda: PeriodogramConfig(1024, 1024))
+    fft: PeriodogramConfig = field(default_factory=PeriodogramConfig)
     seed: int = 0
     workers: int = 1
     ecrb_draws: int = 100_000
@@ -61,14 +61,20 @@ class ExperimentConfig:
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
         if not self.snr_grid_db:
             raise ValueError("snr grid must be nonempty")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer (no wall-clock seeding)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        # the seed is mandatory: there is no wall-clock seeding
+        for name, low in (("trials_per_point", 1), ("seed", 0), ("workers", 1),
+                          ("ecrb_draws", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        grid = (self.numerology.n_subcarriers, self.numerology.n_symbols)
+        if (self.pattern.n_grid, self.pattern.m_grid) != grid:
+            raise ValueError(
+                f"pattern grid {self.pattern.n_grid}x{self.pattern.m_grid} does not "
+                f"match the numerology grid {grid[0]}x{grid[1]}"
+            )
         if self.ensemble.carrier_hz != self.numerology.carrier_hz:
-            self.ensemble.carrier_hz = self.numerology.carrier_hz
+            self.ensemble = replace(self.ensemble, carrier_hz=self.numerology.carrier_hz)
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,11 +83,7 @@ class ExperimentConfig:
             "snr_grid_db": list(self.snr_grid_db),
             "trials_per_point": self.trials_per_point,
             "ensemble": self.ensemble.to_json_dict(),
-            "fft": {
-                "fft_n": self.fft.fft_n,
-                "fft_m": self.fft.fft_m,
-                "interpolate": self.fft.interpolate,
-            },
+            "fft": asdict(self.fft),
             "seed": self.seed,
             "workers": self.workers,
             "ecrb_draws": self.ecrb_draws,
@@ -90,45 +92,38 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        numerology = OfdmNumerology.from_json_dict(d.get("numerology", {}))
-        pattern_spec = d.get("pattern", {"periodic": [2, 1]})
-        if "periodic" in pattern_spec:
-            n_p, m_p = (int(v) for v in pattern_spec["periodic"])
-            pattern = make_periodic(
-                numerology.n_subcarriers, numerology.n_symbols, n_p, m_p
-            )
-        else:
-            pattern = PilotPattern(
-                n_grid=numerology.n_subcarriers,
-                m_grid=numerology.n_symbols,
-                cells=np.asarray(pattern_spec["cells"]),
-            )
-        fft_spec = d.get("fft", {})
-        fft = PeriodogramConfig(
-            fft_n=int(fft_spec.get("fft_n", 1024)),
-            fft_m=int(fft_spec.get("fft_m", 1024)),
-            interpolate=bool(fft_spec.get("interpolate", True)),
-        )
-        ensemble = ScenarioEnsemble.from_json_dict(
-            d.get("ensemble", {}), carrier_hz=numerology.carrier_hz
-        )
-        kw = {}
-        for key in ("snr_grid_db", "trials_per_point", "seed", "workers",
-                    "ecrb_draws", "out"):
-            if key in d:
-                kw[key] = d[key]
-        if "trials_per_point" in kw:
-            kw["trials_per_point"] = int(kw["trials_per_point"])
-        for key in ("seed", "workers", "ecrb_draws"):
-            if key in kw:
-                kw[key] = int(kw[key])
+        """Parse a config; unknown keys at any level raise ValueError.
+
+        A pattern takes its grid from the numerology; an explicit N or M
+        must agree with it.
+        """
+        rest = dict(d)
+        _reject_unknown(rest, [f.name for f in fields(cls)], "config")
+        num_spec = rest.pop("numerology", {})
+        pattern_spec = rest.pop("pattern", {"periodic": [2, 1]})
+        fft_spec = rest.pop("fft", {})
+        ens_spec = rest.pop("ensemble", {})
+        _reject_unknown(num_spec, OfdmNumerology().to_json_dict(), "numerology")
+        _reject_unknown(pattern_spec, ("N", "M", "periodic", "cells"), "pattern")
+        _reject_unknown(fft_spec, [f.name for f in fields(PeriodogramConfig)], "fft")
+        _reject_unknown(ens_spec, ScenarioEnsemble().to_json_dict(), "ensemble")
+        numerology = OfdmNumerology.from_json_dict(num_spec)
+        grid = {"N": numerology.n_subcarriers, "M": numerology.n_symbols}
         return cls(
             numerology=numerology,
-            pattern=pattern,
-            ensemble=ensemble,
-            fft=fft,
-            **kw,
+            pattern=PilotPattern.from_json_dict({**grid, **pattern_spec}),
+            fft=PeriodogramConfig(**fft_spec),
+            ensemble=ScenarioEnsemble.from_json_dict(
+                ens_spec, carrier_hz=numerology.carrier_hz
+            ),
+            **rest,
         )
+
+
+def _reject_unknown(spec: dict, known, where: str) -> None:
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -211,17 +206,15 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         for trial_idx in range(trials)
     ]
     if config.workers == 1:
-        outcomes = map(_run_trial, tasks)
+        outcomes = list(map(_run_trial, tasks))
     else:
-        executor = ProcessPoolExecutor(max_workers=config.workers)
         chunk = max(1, len(tasks) // (config.workers * 4))
-        outcomes = executor.map(_run_trial, tasks, chunksize=chunk)
+        with ProcessPoolExecutor(max_workers=config.workers) as executor:
+            outcomes = list(executor.map(_run_trial, tasks, chunksize=chunk))
     for snr_idx, trial_idx, sd, sv, ok in outcomes:
         sq_d[snr_idx, trial_idx] = sd
         sq_v[snr_idx, trial_idx] = sv
         valid[snr_idx, trial_idx] = ok
-    if config.workers > 1:
-        executor.shutdown()
 
     rows = []
     for snr_idx, snr_db in enumerate(config.snr_grid_db):

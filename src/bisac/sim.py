@@ -7,10 +7,9 @@ waveform, CP insertion or ICI is modeled, which is exact as long as the
 delay stays within the cyclic prefix (violations are flagged, not
 rejected, so aliasing behavior can be studied).
 
-Channel phases are accumulated in cycles and reduced modulo one before
-conversion to radians. This keeps phase accuracy independent of the grid
-index magnitude and makes delay/Doppler aliasing identities exact on
-pilot cells.
+Channel phases come from the phase kernel shared with the bounds, which
+reduces them modulo one cycle before conversion to radians, so
+delay/Doppler aliasing identities are exact on pilot cells.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SensingChannelParams
+from .bounds import SensingChannelParams, _phasor
 from .geometry import ScenarioEnsemble, derive_ground_truth
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
@@ -35,20 +34,14 @@ class IsiWarning(UserWarning):
 
 @dataclass
 class FrameGrid:
-    """One N x M complex grid with its role in the chain.
+    """One N x M complex grid of a transmitted or received frame.
 
-    Roles: "transmitted", "channel", "received". Transmitted grids carry
-    unit-modulus cells; ``pilot_mask`` marks the cells known to the
-    receiver.
+    Transmitted grids carry unit-modulus cells; ``pilot_mask`` marks the
+    cells known to the receiver.
     """
 
     values: np.ndarray
-    role: str
     pilot_mask: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
 
 
 def generate_frame(
@@ -66,9 +59,7 @@ def generate_frame(
     )
     re = (1 - 2 * (idx & 1)) * _SQRT_HALF
     im = (1 - 2 * (idx >> 1)) * _SQRT_HALF
-    return FrameGrid(
-        values=re + 1j * im, role="transmitted", pilot_mask=pattern.mask()
-    )
+    return FrameGrid(values=re + 1j * im, pilot_mask=pattern.mask())
 
 
 def channel_response(
@@ -76,16 +67,11 @@ def channel_response(
 ) -> np.ndarray:
     """Noiseless channel coefficients on the full grid, shape (N, M).
 
-    H[n, m] = gain * exp(j 2 pi (f_d m T_s - tau n df)), with the phase
-    reduced modulo one cycle per cell before exponentiation.
+    H[n, m] = gain * bounds._phasor at subcarrier n, symbol m.
     """
     n = np.arange(numerology.n_subcarriers, dtype=float)[:, None]
     m = np.arange(numerology.n_symbols, dtype=float)[None, :]
-    cycles = (
-        params.f_d * numerology.symbol_duration_s * m
-        - params.tau * numerology.subcarrier_spacing_hz * n
-    )
-    return params.alpha * np.exp(2j * np.pi * np.mod(cycles, 1.0))
+    return params.alpha * _phasor(params, numerology, n, m)
 
 
 def apply_channel(
@@ -118,7 +104,7 @@ def apply_channel(
             + 1j * rng.standard_normal(received.shape)
         )
         received = received + noise
-    return FrameGrid(values=received, role="received", pilot_mask=frame.pilot_mask)
+    return FrameGrid(values=received, pilot_mask=frame.pilot_mask)
 
 
 def sample_scenario(ensemble: ScenarioEnsemble, seed) -> tuple:
@@ -150,7 +136,10 @@ def write_grid(values: np.ndarray, path) -> None:
 def read_grid(path) -> np.ndarray:
     """Read a grid written by write_grid."""
     with open(path, "rb") as fh:
-        rows, cols = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError("grid file header is shorter than 8 bytes")
+        rows, cols = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(), dtype=np.complex128)
     if data.size != rows * cols:
         raise ValueError("grid file payload does not match header")

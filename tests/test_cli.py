@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bisac.cli
 from bisac import (
     OfdmNumerology,
     ScenarioEnsemble,
@@ -26,6 +27,30 @@ class TestSnrGridParsing:
 
     def test_single_value(self):
         assert _parse_snr_grid("5") == (5.0,)
+
+
+class TestUsageErrors:
+    def test_zero_trials_exits_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(bisac.cli, "run_sweep", no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--trials", "0", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("crb", "--trials"), ("crb", "--workers"), ("crb", "--fft"),
+        ("crb", "--np"), ("crb", "--mp"), ("table1", "--draws"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_count_flags_need_positive_integers(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestCrbCommand:

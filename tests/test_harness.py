@@ -6,6 +6,7 @@ import pytest
 from bisac import (
     ExperimentConfig,
     PeriodogramConfig,
+    ScenarioEnsemble,
     make_periodic,
     run_rate_table,
     run_sweep,
@@ -57,6 +58,37 @@ class TestConfig:
     def test_ensemble_carrier_follows_numerology(self):
         cfg = small_config()
         assert cfg.ensemble.carrier_hz == cfg.numerology.carrier_hz
+
+    def test_callers_ensemble_left_unchanged(self):
+        ensemble = ScenarioEnsemble(carrier_hz=28e9)
+        cfg = small_config(ensemble=ensemble)
+        assert cfg.ensemble.carrier_hz == 30e9
+        assert ensemble.carrier_hz == 28e9
+
+    def test_unknown_key_rejected_by_name(self):
+        d = small_config().to_json_dict()
+        d["trial_per_point"] = d.pop("trials_per_point")
+        with pytest.raises(ValueError, match="trial_per_point"):
+            ExperimentConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("section", ["numerology", "pattern", "fft", "ensemble"])
+    def test_unknown_nested_key_rejected_by_name(self, section):
+        d = small_config().to_json_dict()
+        d[section]["bogus_key"] = 1
+        with pytest.raises(ValueError, match="bogus_key"):
+            ExperimentConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("grid", [{"N": 64}, {"M": 40}, {"N": 50, "M": 70}])
+    def test_pattern_grid_must_match_numerology(self, grid):
+        d = small_config().to_json_dict()
+        d["pattern"] = dict({"periodic": [2, 1]}, **grid)
+        with pytest.raises(ValueError, match="numerology"):
+            ExperimentConfig.from_json_dict(d)
+
+    def test_fft_default_is_desk_profile(self):
+        assert PeriodogramConfig() == PeriodogramConfig(1024, 1024)
+        assert ExperimentConfig().fft == PeriodogramConfig()
+        assert ExperimentConfig.from_json_dict({}).fft == PeriodogramConfig()
 
 
 class TestRunSweep:

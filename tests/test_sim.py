@@ -185,6 +185,13 @@ class TestGridFile:
         # row-major in the subcarrier axis, (re, im) interleaved
         assert floats == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 
+    @pytest.mark.parametrize("size", [0, 4, 7])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<II", 2, 2)[:size])
+        with pytest.raises(ValueError, match="header"):
+            read_grid(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<II", 2, 2) + b"\x00" * 16)
