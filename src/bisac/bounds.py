@@ -332,6 +332,17 @@ def ecrb_vel(
     seed. Degenerate draws (target on a terminal, or exactly on the
     baseline segment where the bound diverges) are skipped and counted.
     """
+    cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
+    base = crb(params, pattern, numerology, beta=0.0)
+    value = _ecrb_mean(base.crb_vel_ms2, cos_half)
+    return EcrbVelocity(value_ms=value, draws=draws, skipped=skipped)
+
+
+def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
+    """cos(beta/2) of the nondegenerate seeded target draws, and the skip count.
+
+    Independent of pattern and noise level: one draw serves every bound.
+    """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
@@ -345,13 +356,15 @@ def ecrb_vel(
     betas[ok] = bistatic_angle(d_tx[ok], d_rx[ok], baseline)
     cos_half = np.cos(betas / 2.0)
     ok &= cos_half > 1e-12
-
-    base = crb(params, pattern, numerology, beta=0.0)
-    values = math.sqrt(base.crb_vel_ms2) / cos_half[ok]
     skipped = draws - int(ok.sum())
     if skipped == draws:
         raise SingularPatternError("all ensemble draws were degenerate")
-    return EcrbVelocity(value_ms=float(values.mean()), draws=draws, skipped=skipped)
+    return cos_half[ok], skipped
+
+
+def _ecrb_mean(crb_vel_ms2: float, cos_half: np.ndarray) -> float:
+    """Mean of sqrt(crb_vel / cos^2(beta/2)) over the drawn geometry [m/s]."""
+    return float((math.sqrt(crb_vel_ms2) / cos_half).mean())
 
 
 def rate_upper_bound(

@@ -22,19 +22,21 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import SensingChannelParams, crb
-from .estimator import estimate
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
     DEFAULT_RATE_RHOS,
     ExperimentConfig,
+    RateRow,
+    TableRow,
     rows_to_csv,
     run_rate_table,
     run_sweep,
     run_table1,
+    simulate_trial,
     write_manifest,
 )
-from .pilots import make_periodic
-from .sim import apply_channel, generate_frame, sample_scenario, write_grid
+from .pilots import PatternError, make_periodic
+from .sim import write_grid
 
 _PROFILES = {
     "desk": {"fft": 1024, "trials": 200},
@@ -121,8 +123,7 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_crb(args) -> int:
-    config = _build_config(args)
+def _cmd_crb(config, args) -> int:
     snr_db = config.snr_grid_db[0]
     if args.beta_deg is not None:
         beta = math.radians(args.beta_deg)
@@ -131,12 +132,11 @@ def _cmd_crb(args) -> int:
     params = SensingChannelParams.from_snr_db(snr_db)
     report = crb(params, config.pattern, config.numerology, beta=beta)
     payload = dict(report.to_json_dict(), snr_db=snr_db, beta_rad=beta)
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.out)
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _build_config(args)
+def _cmd_sweep(config, args) -> int:
     result = run_sweep(config)
     out = config.out or "sweep.csv"
     with open(out, "w") as fh:
@@ -146,37 +146,25 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
-    config = _build_config(args)
+def _cmd_table1(config, args) -> int:
     snr_db = args.snr_grid_db[0] if args.snr_grid_db else 5.0
     rows = run_table1(config, snr_db=snr_db, draws=args.draws)
-    text = rows_to_csv(
-        rows, ("n_p", "m_p", "pilot_count", "sqrt_crb_ran_m", "ecrb_vel_ms")
-    )
-    _emit(text, args.out)
+    _emit(rows_to_csv(rows, TableRow), config.out)
     return 0
 
 
-def _cmd_rates(args) -> int:
-    config = _build_config(args)
+def _cmd_rates(config, args) -> int:
     rhos = tuple(float(v) for v in args.rhos.split(",")) if args.rhos else DEFAULT_RATE_RHOS
     rows = run_rate_table(config, rhos=rhos, snr_comm_db=args.snr_comm_db)
-    text = rows_to_csv(rows, ("rho", "rate_bps"))
-    _emit(text, args.out)
+    _emit(rows_to_csv(rows, RateRow), config.out)
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _build_config(args)
-    snr_db = config.snr_grid_db[0]
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 0, 0]))
-    scenario, truth = sample_scenario(config.ensemble, rng)
-    params = SensingChannelParams.from_snr_db(snr_db, tau=truth.tau, f_d=truth.f_d)
-    frame = generate_frame(config.numerology, config.pattern, rng)
-    received = apply_channel(frame, params, config.numerology, rng)
-
+def _cmd_simulate(config, args) -> int:
+    """Trial 0 of SNR point 0 of the sweep over the same config."""
+    truth, frame, received, outcome = simulate_trial(config, 0, 0)
     payload = {
-        "snr_db": snr_db,
+        "snr_db": config.snr_grid_db[0],
         "truth": {
             "d_bis_m": truth.d_bis,
             "v_bis_ms": truth.v_bis,
@@ -186,17 +174,13 @@ def _cmd_simulate(args) -> int:
             "theta_rad": truth.theta,
         },
     }
-    try:
-        result = estimate(
-            received, frame, config.pattern, config.numerology, config.fft,
-            baseline=scenario.baseline, theta=truth.theta,
-        )
-        payload["estimate"] = result.to_json_dict()
-        payload["valid"] = True
-    except GeometryError as exc:
+    if isinstance(outcome, GeometryError):
         payload["estimate"] = None
         payload["valid"] = False
-        payload["error"] = str(exc)
+        payload["error"] = str(outcome)
+    else:
+        payload["estimate"] = outcome.to_json_dict()
+        payload["valid"] = True
 
     if args.dump_surface:
         from .estimator import ls_channel_estimate, periodogram_2d
@@ -207,7 +191,7 @@ def _cmd_simulate(args) -> int:
         write_grid(surface.astype(np.complex128), args.dump_surface)
         payload["surface_file"] = args.dump_surface
 
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.out)
     return 0
 
 
@@ -248,7 +232,17 @@ def main(argv=None) -> int:
     p_sim.set_defaults(func=_cmd_simulate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    command = sub.choices[args.command]
+    # a bad config value, or a pattern the receiver cannot use (raised
+    # before any trial runs), is a usage error
+    try:
+        config = _build_config(args)
+    except ValueError as exc:
+        command.error(str(exc))
+    try:
+        return args.func(config, args)
+    except PatternError as exc:
+        command.error(str(exc))
 
 
 if __name__ == "__main__":

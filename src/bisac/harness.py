@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .bounds import SensingChannelParams, crb, ecrb_vel, rate_upper_bound
+from .bounds import SensingChannelParams, _ecrb_geometry, _ecrb_mean, crb, rate_upper_bound
 from .estimator import PeriodogramConfig, estimate
 from .geometry import GeometryError, ScenarioEnsemble
 from .ofdm import OfdmNumerology
@@ -25,14 +25,6 @@ from .pilots import PilotPattern, make_periodic
 from .sim import apply_channel, generate_frame, sample_scenario
 
 CSV_SCHEMA_VERSION = 1
-SWEEP_COLUMNS = (
-    "snr_db",
-    "rmse_range_m",
-    "rmse_vel_ms",
-    "sqrt_crb_ran_m",
-    "ecrb_vel_ms",
-    "valid_trial_fraction",
-)
 
 # Stream tags for per-purpose seed derivation.
 _TRIAL_STREAM = 0
@@ -136,55 +128,67 @@ class SweepRow:
     valid_trial_fraction: float
 
 
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                _fmt(getattr(row, col)) for col in SWEEP_COLUMNS
-            )
-        return buf.getvalue()
+        return rows_to_csv(self.rows, SweepRow)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tuple:
+    """Trial ``trial_idx`` of SNR point ``snr_idx`` of ``run_sweep(config)``.
 
-
-def _trial_seed(seed: int, snr_idx: int, trial_idx: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seed, _TRIAL_STREAM, snr_idx, trial_idx])
-
-
-def _run_trial(args) -> tuple:
-    """One Monte Carlo trial; returns (snr_idx, trial_idx, sq_err_d, sq_err_v, valid)."""
-    config, snr_idx, trial_idx = args
-    snr_db = config.snr_grid_db[snr_idx]
-    rng = np.random.default_rng(_trial_seed(config.seed, snr_idx, trial_idx))
+    Returns (truth, frame, received, outcome); outcome is the
+    EstimationResult, or the GeometryError that made the trial invalid.
+    Raises PatternError if the pilot pattern is not periodic.
+    """
+    config.pattern.periodic_strides()
+    seed = np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
+    rng = np.random.default_rng(seed)
     scenario, truth = sample_scenario(config.ensemble, rng)
+    snr_db = config.snr_grid_db[snr_idx]
     params = SensingChannelParams.from_snr_db(snr_db, tau=truth.tau, f_d=truth.f_d)
     frame = generate_frame(config.numerology, config.pattern, rng)
     received = apply_channel(frame, params, config.numerology, rng)
     try:
-        result = estimate(
-            received,
-            frame,
-            config.pattern,
-            config.numerology,
-            config.fft,
-            baseline=scenario.baseline,
-            theta=truth.theta,
+        outcome = estimate(
+            received, frame, config.pattern, config.numerology, config.fft,
+            baseline=scenario.baseline, theta=truth.theta,
         )
-    except GeometryError:
-        return snr_idx, trial_idx, np.nan, np.nan, False
-    err_d = result.d_bis_hat - truth.d_bis
-    err_v = result.v_bis_hat - truth.v_bis
+    except GeometryError as exc:
+        outcome = exc
+    return truth, frame, received, outcome
+
+
+def _run_trial(args) -> tuple:
+    """One Monte Carlo trial; returns (sq_err_d, sq_err_v, valid)."""
+    truth, _, _, outcome = simulate_trial(*args)
+    if isinstance(outcome, GeometryError):
+        return np.nan, np.nan, False
+    err_d = outcome.d_bis_hat - truth.d_bis
+    err_v = outcome.v_bis_hat - truth.v_bis
     if not (np.isfinite(err_d) and np.isfinite(err_v)):
-        return snr_idx, trial_idx, np.nan, np.nan, False
-    return snr_idx, trial_idx, err_d**2, err_v**2, True
+        return np.nan, np.nan, False
+    return err_d**2, err_v**2, True
+
+
+def _bound_columns(config: ExperimentConfig, cases, draws: int) -> list:
+    """(sqrt_crb_ran_m, ecrb_vel_ms) per (params, pattern) case.
+
+    Every case averages over one geometry draw on the config's ECRB stream,
+    so the cases differ only by pattern and noise level.
+    """
+    seed = np.random.SeedSequence([config.seed, _ECRB_STREAM])
+    cos_half, _ = _ecrb_geometry(config.ensemble, draws, seed)
+    columns = []
+    for params, pattern in cases:
+        report = crb(params, pattern, config.numerology, beta=0.0)
+        columns.append((report.rmse_bound_ran_m, _ecrb_mean(report.crb_vel_ms2, cos_half)))
+    return columns
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -193,13 +197,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     RMSE is computed over valid trials only (geometry failures and
     non-finite estimates are excluded); the valid fraction is reported
     alongside. Deterministic per master seed for any worker count.
+    Raises PatternError before any trial if the pilot pattern is not periodic.
     """
+    config.pattern.periodic_strides()
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
-    sq_d = np.full((n_snr, trials), np.nan)
-    sq_v = np.full((n_snr, trials), np.nan)
-    valid = np.zeros((n_snr, trials), dtype=bool)
-
     tasks = [
         (config, snr_idx, trial_idx)
         for snr_idx in range(n_snr)
@@ -211,25 +213,15 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         chunk = max(1, len(tasks) // (config.workers * 4))
         with ProcessPoolExecutor(max_workers=config.workers) as executor:
             outcomes = list(executor.map(_run_trial, tasks, chunksize=chunk))
-    for snr_idx, trial_idx, sd, sv, ok in outcomes:
-        sq_d[snr_idx, trial_idx] = sd
-        sq_v[snr_idx, trial_idx] = sv
-        valid[snr_idx, trial_idx] = ok
+    # map yields outcomes in task order, whatever order the trials finish in
+    sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*outcomes))
 
+    cases = [(SensingChannelParams.from_snr_db(snr_db), config.pattern)
+             for snr_db in config.snr_grid_db]
+    bounds = _bound_columns(config, cases, config.ecrb_draws)
     rows = []
     for snr_idx, snr_db in enumerate(config.snr_grid_db):
-        params = SensingChannelParams.from_snr_db(snr_db)
-        report = crb(params, config.pattern, config.numerology, beta=0.0)
-        # one geometry stream for the whole curve, so the bound columns
-        # scale exactly with the noise level across SNR points
-        ecrb = ecrb_vel(
-            config.ensemble,
-            params,
-            config.pattern,
-            config.numerology,
-            draws=config.ecrb_draws,
-            seed=np.random.SeedSequence([config.seed, _ECRB_STREAM]),
-        )
+        sqrt_crb_ran, ecrb = bounds[snr_idx]
         mask = valid[snr_idx]
         if mask.any():
             rmse_d = float(np.sqrt(np.mean(sq_d[snr_idx][mask])))
@@ -242,8 +234,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 snr_db=snr_db,
                 rmse_range_m=rmse_d,
                 rmse_vel_ms=rmse_v,
-                sqrt_crb_ran_m=report.rmse_bound_ran_m,
-                ecrb_vel_ms=ecrb.value_ms,
+                sqrt_crb_ran_m=sqrt_crb_ran,
+                ecrb_vel_ms=ecrb,
                 valid_trial_fraction=float(mask.mean()),
             )
         )
@@ -272,32 +264,21 @@ def run_table1(
     """
     draws = config.ecrb_draws if draws is None else draws
     params = SensingChannelParams.from_snr_db(snr_db)
-    rows = []
-    for n_p, m_p in pairs:
-        pattern = make_periodic(
-            config.numerology.n_subcarriers, config.numerology.n_symbols, n_p, m_p
+    num = config.numerology
+    patterns = [
+        make_periodic(num.n_subcarriers, num.n_symbols, n_p, m_p) for n_p, m_p in pairs
+    ]
+    bounds = _bound_columns(config, [(params, p) for p in patterns], draws)
+    return tuple(
+        TableRow(
+            n_p=n_p,
+            m_p=m_p,
+            pilot_count=pattern.size,
+            sqrt_crb_ran_m=sqrt_crb_ran,
+            ecrb_vel_ms=ecrb,
         )
-        report = crb(params, pattern, config.numerology, beta=0.0)
-        # shared geometry stream across rows: differences are then purely
-        # pattern-driven
-        ecrb = ecrb_vel(
-            config.ensemble,
-            params,
-            pattern,
-            config.numerology,
-            draws=draws,
-            seed=np.random.SeedSequence([config.seed, _ECRB_STREAM]),
-        )
-        rows.append(
-            TableRow(
-                n_p=n_p,
-                m_p=m_p,
-                pilot_count=pattern.size,
-                sqrt_crb_ran_m=report.rmse_bound_ran_m,
-                ecrb_vel_ms=ecrb.value_ms,
-            )
-        )
-    return tuple(rows)
+        for (n_p, m_p), pattern, (sqrt_crb_ran, ecrb) in zip(pairs, patterns, bounds)
+    )
 
 
 @dataclass(frozen=True)
@@ -318,12 +299,14 @@ def run_rate_table(
     )
 
 
-def rows_to_csv(rows, columns) -> str:
+def rows_to_csv(rows, row_type) -> str:
+    """CSV with one column per field of the row dataclass; floats to 12 digits."""
+    columns = [f.name for f in fields(row_type)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow(_fmt(v) if isinstance(v, float) else str(v)
+        writer.writerow(f"{v:.12g}" if isinstance(v, float) else str(v)
                         for v in (getattr(row, col) for col in columns))
     return buf.getvalue()
 

@@ -36,18 +36,16 @@ class IsiWarning(UserWarning):
 class FrameGrid:
     """One N x M complex grid of a transmitted or received frame.
 
-    Transmitted grids carry unit-modulus cells; ``pilot_mask`` marks the
-    cells known to the receiver.
+    Transmitted grids carry unit-modulus cells.
     """
 
     values: np.ndarray
-    pilot_mask: np.ndarray | None = None
 
 
 def generate_frame(
     numerology: OfdmNumerology, pattern: PilotPattern, seed
 ) -> FrameGrid:
-    """Draw a full frame of Gray-mapped QPSK symbols, pilots flagged.
+    """Draw a full frame of Gray-mapped QPSK symbols.
 
     Every cell is unit modulus; the same seed reproduces the same grid.
     """
@@ -59,7 +57,7 @@ def generate_frame(
     )
     re = (1 - 2 * (idx & 1)) * _SQRT_HALF
     im = (1 - 2 * (idx >> 1)) * _SQRT_HALF
-    return FrameGrid(values=re + 1j * im, pilot_mask=pattern.mask())
+    return FrameGrid(values=re + 1j * im)
 
 
 def channel_response(
@@ -89,9 +87,11 @@ def apply_channel(
     if frame.values.shape != (numerology.n_subcarriers, numerology.n_symbols):
         raise ValueError("frame shape does not match numerology")
     if params.tau > numerology.cp_duration_s:
+        # the text leaves the delay out, so the default filter prints the
+        # warning once per call site and process rather than once per trial
         warnings.warn(
-            f"delay {params.tau:.3g} s exceeds the cyclic prefix "
-            f"{numerology.cp_duration_s:.3g} s; ISI is not modeled",
+            f"delay exceeds the cyclic prefix {numerology.cp_duration_s:.3g} s; "
+            "ISI is not modeled",
             IsiWarning,
             stacklevel=2,
         )
@@ -104,7 +104,7 @@ def apply_channel(
             + 1j * rng.standard_normal(received.shape)
         )
         received = received + noise
-    return FrameGrid(values=received, pilot_mask=frame.pilot_mask)
+    return FrameGrid(values=received)
 
 
 def sample_scenario(ensemble: ScenarioEnsemble, seed) -> tuple:

@@ -5,13 +5,16 @@ import pytest
 
 import bisac.cli
 from bisac import (
+    ExperimentConfig,
     OfdmNumerology,
+    PeriodogramConfig,
     ScenarioEnsemble,
     SensingChannelParams,
     crb,
     derive_ground_truth,
     make_periodic,
     read_grid,
+    run_sweep,
 )
 from bisac.cli import _parse_snr_grid, main
 
@@ -52,8 +55,42 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--fft", "100"], "power of two"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_config_value_errors(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crb", *args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_receiver_needs_periodic_pattern(self, command, tmp_path, capsys):
+        cfg_file = tmp_path / "cells.json"
+        cfg_file.write_text(json.dumps({
+            "pattern": {"cells": [[0, 0], [2, 3], [5, 7]]},
+            "trials_per_point": 1,
+        }))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_file), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "periodic" in capsys.readouterr().err
+        assert not out.exists()
+        # the bounds accept any pattern
+        assert main(["crb", "--config", str(cfg_file), "--out", str(out)]) == 0
+
 
 class TestCrbCommand:
+    def test_config_out_is_the_output_path(self, tmp_path, capsys):
+        out = tmp_path / "from_config.json"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out": str(out)}))
+        assert main(["crb", "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr().out == ""
+        assert "sqrt_crb_ran_m" in json.loads(out.read_text())
+
     def test_matches_library_at_box_center(self, tmp_path):
         out = tmp_path / "crb.json"
         rc = main(["crb", "--np", "2", "--mp", "5", "--snr-db", "5", "--out", str(out)])
@@ -163,3 +200,17 @@ class TestSimulateCommand:
         assert np.all(surface.imag == 0.0)
         peak_power = surface.real.max()
         assert est["peak_power"] == pytest.approx(peak_power, rel=1e-12)
+
+    def test_is_first_trial_of_matching_sweep(self, tmp_path):
+        out = tmp_path / "trial.json"
+        main(["simulate", "--np", "2", "--mp", "1", "--snr-db", "20",
+              "--fft", "256", "--seed", "11", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        cfg = ExperimentConfig(
+            pattern=make_periodic(70, 50, 2, 1), snr_grid_db=(20.0,),
+            trials_per_point=1, fft=PeriodogramConfig(256, 256), seed=11,
+            ecrb_draws=1,
+        )
+        row = run_sweep(cfg).rows[0]
+        err_d = payload["estimate"]["d_bis_hat_m"] - payload["truth"]["d_bis_m"]
+        assert row.rmse_range_m == pytest.approx(abs(err_d), rel=1e-15)

@@ -197,7 +197,7 @@ class TestEstimate:
         mixed = frame_b.values.copy()
         mask = p.mask()
         mixed[mask] = frame_a.values[mask]
-        frame_m = type(frame_a)(values=mixed, pilot_mask=mask)
+        frame_m = type(frame_a)(values=mixed)
         sc = moving_reference_scenario()
         gt = derive_ground_truth(sc)
         params = SensingChannelParams(tau=gt.tau, f_d=gt.f_d, noise_var=0.0)

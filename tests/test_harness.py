@@ -5,14 +5,23 @@ import pytest
 
 from bisac import (
     ExperimentConfig,
+    PatternError,
     PeriodogramConfig,
+    RateRow,
     ScenarioEnsemble,
     make_periodic,
     run_rate_table,
     run_sweep,
     run_table1,
 )
-from bisac.harness import SWEEP_COLUMNS, _run_trial, rows_to_csv, write_manifest
+import bisac.harness
+from bisac.harness import (
+    SWEEP_COLUMNS,
+    _run_trial,
+    rows_to_csv,
+    simulate_trial,
+    write_manifest,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -95,7 +104,7 @@ class TestRunSweep:
     def test_single_trial_rmse_is_absolute_error(self):
         cfg = small_config(snr_grid_db=(30.0,), trials_per_point=1)
         result = run_sweep(cfg)
-        _, _, sq_d, sq_v, ok = _run_trial((cfg, 0, 0))
+        sq_d, sq_v, ok = _run_trial((cfg, 0, 0))
         assert ok
         assert result.rows[0].rmse_range_m == pytest.approx(math.sqrt(sq_d), rel=1e-15)
         assert result.rows[0].rmse_vel_ms == pytest.approx(math.sqrt(sq_v), rel=1e-15)
@@ -122,6 +131,32 @@ class TestRunSweep:
         header = text.splitlines()[0]
         assert header == ",".join(SWEEP_COLUMNS)
         assert len(text.splitlines()) == 3
+
+    def test_non_periodic_pattern_rejected_before_any_trial(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(bisac.harness, "sample_scenario", no_trial)
+        d = small_config().to_json_dict()
+        d["pattern"] = {"cells": [[0, 0], [2, 3], [5, 7]]}
+        cfg = ExperimentConfig.from_json_dict(d)
+        with pytest.raises(PatternError, match="periodic"):
+            run_sweep(cfg)
+        with pytest.raises(PatternError, match="periodic"):
+            simulate_trial(cfg, 0, 0)
+
+    def test_one_geometry_draw_per_call(self, monkeypatch):
+        calls = []
+        draw = bisac.harness._ecrb_geometry
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(bisac.harness, "_ecrb_geometry", counted)
+        run_sweep(small_config(snr_grid_db=(0.0, 10.0, 20.0), trials_per_point=1))
+        run_table1(small_config(), draws=2000)
+        assert len(calls) == 2
 
     def test_all_trials_valid_at_tenth_overhead_zero_db(self):
         cfg = small_config(
@@ -150,7 +185,7 @@ class TestTables:
 
     def test_rows_to_csv(self):
         rows = run_rate_table(small_config(), rhos=(0.5,))
-        text = rows_to_csv(rows, ("rho", "rate_bps"))
+        text = rows_to_csv(rows, RateRow)
         assert text.splitlines()[0] == "rho,rate_bps"
         assert text.splitlines()[1].startswith("0.5,")
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -32,11 +33,6 @@ class TestGenerateFrame:
         c = generate_frame(num, p, seed=43)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
-
-    def test_pilot_mask_count(self, num):
-        p = make_periodic(70, 50, 2, 5)
-        frame = generate_frame(num, p, seed=0)
-        assert frame.pilot_mask.sum() == p.size == 350
 
     def test_qpsk_alphabet(self, num):
         frame = generate_frame(num, make_periodic(70, 50, 1, 1), seed=9)
@@ -94,6 +90,16 @@ class TestApplyChannel:
         params = SensingChannelParams(tau=1.5e-6, noise_var=0.0)
         with pytest.warns(IsiWarning):
             apply_channel(frame, params, num, seed=2)
+
+    def test_cp_violation_message_independent_of_delay(self, num):
+        # one text for every delay, so the default filter prints it once
+        frame = generate_frame(num, make_periodic(70, 50, 1, 1), seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for tau in (1.5e-6, 2.7e-6):
+                apply_channel(frame, SensingChannelParams(tau=tau), num, seed=2)
+        messages = {str(w.message) for w in caught if w.category is IsiWarning}
+        assert len(caught) == 2 and len(messages) == 1
 
     def test_delay_aliasing_identity_exact(self):
         # dyadic arrangement: spacing 2^18 Hz, stride 4, delays and the
