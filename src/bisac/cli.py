@@ -21,13 +21,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import SensingChannelParams, crb
+from .bounds import SensingChannelParams, SingularPatternError, crb
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
     DEFAULT_RATE_RHOS,
     ExperimentConfig,
     RateRow,
     TableRow,
+    check_receiver,
     rows_to_csv,
     run_rate_table,
     run_sweep,
@@ -35,7 +36,7 @@ from .harness import (
     simulate_trial,
     write_manifest,
 )
-from .pilots import PatternError, make_periodic
+from .pilots import make_periodic
 from .sim import write_grid
 
 _PROFILES = {
@@ -233,15 +234,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     command = sub.choices[args.command]
-    # a bad config value, or a pattern the receiver cannot use (raised
-    # before any trial runs), is a usage error
+    # an unreadable config file, a bad config value, a config the receiver
+    # cannot run, or a pattern whose bounds are infinite is a usage error;
+    # each is raised before any trial runs
     try:
         config = _build_config(args)
-    except ValueError as exc:
+        if args.func in (_cmd_sweep, _cmd_simulate):
+            check_receiver(config)
+    except (OSError, ValueError) as exc:
         command.error(str(exc))
     try:
         return args.func(config, args)
-    except PatternError as exc:
+    except SingularPatternError as exc:
         command.error(str(exc))
 
 

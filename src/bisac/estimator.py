@@ -1,9 +1,19 @@
 """Pilot-based delay-Doppler receiver.
 
-Least-squares channel estimates on the periodic pilot subgrid, a
-zero-padded 2-D periodogram over that subgrid, global peak search with
+Least-squares channel estimates on the periodic pilot subgrid, the
+global peak of the zero-padded 2-D periodogram over that subgrid with
 per-axis quadratic interpolation, and conversion of the refined peak to
 bistatic range, velocity and receiver-leg distance.
+
+The peak search is exact without building the periodogram: after the
+delay-axis transform, the triangle inequality bounds every Doppler bin
+of a delay row by the squared sum of that row's magnitudes. Only the rows
+whose bound reaches the power of the most promising row are transformed
+along the Doppler axis, so the peak bins and value equal those of
+``np.argmax`` on ``periodogram_2d``, ties included. With a clear target a
+few rows of ``fft_n`` are kept; when noise dominates every row is, which
+costs what the full surface costs. ``periodogram_2d`` stays as the
+reference and for surface dumps.
 
 Transform sign conventions: the subcarrier (delay) axis uses the
 positive-exponent kernel so a delay tau peaks at bin
@@ -38,6 +48,14 @@ class PeriodogramConfig:
         for size in (self.fft_n, self.fft_m):
             if size < 1 or size & (size - 1):
                 raise ValueError(f"FFT size must be a power of two, got {size}")
+
+    def check_covers(self, rows: int, cols: int) -> None:
+        """Raise ValueError unless the FFT sizes cover a rows x cols pilot grid."""
+        if self.fft_n < rows or self.fft_m < cols:
+            raise ValueError(
+                f"FFT sizes ({self.fft_n}, {self.fft_m}) smaller than the "
+                f"pilot grid ({rows}, {cols})"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,24 +115,57 @@ def ls_channel_estimate(
     return received.values[np.ix_(n_idx, m_idx)] / pilots
 
 
+def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarray:
+    """Positive-exponent delay-axis transform, zero-padded: shape (fft_n, cols)."""
+    rows, cols = pilot_grid.shape
+    if rows < 1 or cols < 1:
+        raise ValueError("empty pilot grid")
+    config.check_covers(rows, cols)
+    return np.fft.ifft(pilot_grid, n=config.fft_n, axis=0) * config.fft_n
+
+
+def _doppler_power(stage: np.ndarray, rows, fft_m: int) -> np.ndarray:
+    """Negative-exponent Doppler-axis transform of the given delay rows, squared."""
+    spectrum = np.fft.fft(stage[rows], n=fft_m, axis=1)
+    return spectrum.real**2 + spectrum.imag**2
+
+
 def periodogram_2d(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarray:
     """Zero-padded 2-D periodogram of the pilot-subgrid channel estimates.
 
     Positive-exponent transform along the delay axis, negative-exponent
     along the Doppler axis; returns squared magnitude, shape
-    (fft_n, fft_m).
+    (fft_n, fft_m). The reference for ``peak_search``.
     """
-    rows, cols = pilot_grid.shape
-    if rows < 1 or cols < 1:
-        raise ValueError("empty pilot grid")
-    if config.fft_n < rows or config.fft_m < cols:
-        raise ValueError(
-            f"FFT sizes ({config.fft_n}, {config.fft_m}) smaller than the "
-            f"pilot grid ({rows}, {cols})"
-        )
-    stage = np.fft.ifft(pilot_grid, n=config.fft_n, axis=0) * config.fft_n
-    stage = np.fft.fft(stage, n=config.fft_m, axis=1)
-    return stage.real**2 + stage.imag**2
+    return _doppler_power(_delay_stage(pilot_grid, config), slice(None), config.fft_m)
+
+
+def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
+    """Peak of ``periodogram_2d(pilot_grid, config)`` without building it.
+
+    Returns ``((b_r, b_v), rows)``: ``(b_r, b_v)`` equals
+    ``np.unravel_index(np.argmax(surface), surface.shape)``, ties and
+    NaN included, and ``rows`` holds the surface rows
+    ``(b_r - 1, b_r, b_r + 1) mod fft_n``, so ``rows[1, b_v]`` is the peak
+    power and ``refine_peak(rows, (1, b_v))`` equals ``refine_peak`` on the
+    full surface at ``(b_r, b_v)``.
+
+    No Doppler bin of delay row u exceeds ``(sum_l |stage[u, l]|)**2``
+    (triangle inequality; the 1e-9 slack covers FFT rounding). A row whose
+    bound is below the maximum power of the row with the largest bound
+    cannot hold the peak, so only the other rows are transformed, in
+    ascending order, which keeps the first-occurrence tie rule.
+    """
+    stage = _delay_stage(pilot_grid, config)
+    bound = np.abs(stage).sum(axis=1) ** 2 * (1.0 + 1e-9)
+    best = _doppler_power(stage, [int(np.argmax(bound))], config.fft_m).max()
+    # written as a negation so that a NaN bound or NaN best keeps the row
+    keep = np.flatnonzero(~(bound < best))
+    power = _doppler_power(stage, keep, config.fft_m)
+    row, b_v = np.unravel_index(int(np.argmax(power)), power.shape)
+    b_r = int(keep[row])
+    around = [(b_r - 1) % config.fft_n, b_r, (b_r + 1) % config.fft_n]
+    return (b_r, int(b_v)), _doppler_power(stage, around, config.fft_m)
 
 
 @dataclass(frozen=True)
@@ -164,7 +215,11 @@ def estimate(
     baseline: float,
     theta: float,
 ) -> EstimationResult:
-    """Full receiver pass: LS estimates, periodogram, peak, geometry.
+    """Full receiver pass: LS estimates, periodogram peak, geometry.
+
+    The peak bins and power are those of the full zero-padded periodogram,
+    found by the exact row-pruned ``peak_search``; the interpolation reads
+    the three surface rows around the peak.
 
     ``baseline`` and ``theta`` are the known transmitter-receiver distance
     and angle of arrival used to invert the bistatic range.
@@ -175,11 +230,9 @@ def estimate(
     """
     n_p, m_p = pattern.periodic_strides()
     pilot_grid = ls_channel_estimate(received, transmitted, pattern)
-    surface = periodogram_2d(pilot_grid, config)
-    flat_idx = int(np.argmax(surface))
-    b_r, b_v = np.unravel_index(flat_idx, surface.shape)
+    (b_r, b_v), rows = peak_search(pilot_grid, config)
     if config.interpolate:
-        refined = refine_peak(surface, (int(b_r), int(b_v)))
+        refined = refine_peak(rows, (1, b_v))
         off_r, off_v = refined.offsets
     else:
         off_r, off_v = 0.0, 0.0
@@ -203,7 +256,7 @@ def estimate(
         d_rx_hat=float(d_rx_hat),
         beta_hat=float(beta_hat),
         beta_clamped=clamped,
-        peak_power=float(surface[b_r, b_v]),
-        peak_bins=(int(b_r), int(b_v)),
+        peak_power=float(rows[1, b_v]),
+        peak_bins=(b_r, b_v),
         fractional_offsets=(float(off_r), float(off_v)),
     )

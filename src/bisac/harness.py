@@ -139,14 +139,24 @@ class SweepResult:
         return rows_to_csv(self.rows, SweepRow)
 
 
+def check_receiver(config: ExperimentConfig) -> None:
+    """Raise before any trial if the receiver cannot run ``config``.
+
+    Raises PatternError if the pilot pattern is not periodic and
+    ValueError if an FFT size is smaller than the pilot subgrid.
+    """
+    k, l = config.pattern.periodic_counts()
+    config.fft.check_covers(k + 1, l + 1)
+
+
 def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tuple:
     """Trial ``trial_idx`` of SNR point ``snr_idx`` of ``run_sweep(config)``.
 
     Returns (truth, frame, received, outcome); outcome is the
     EstimationResult, or the GeometryError that made the trial invalid.
-    Raises PatternError if the pilot pattern is not periodic.
+    Raises as ``check_receiver`` does.
     """
-    config.pattern.periodic_strides()
+    check_receiver(config)
     seed = np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
     rng = np.random.default_rng(seed)
     scenario, truth = sample_scenario(config.ensemble, rng)
@@ -197,9 +207,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     RMSE is computed over valid trials only (geometry failures and
     non-finite estimates are excluded); the valid fraction is reported
     alongside. Deterministic per master seed for any worker count.
-    Raises PatternError before any trial if the pilot pattern is not periodic.
+    Raises before any trial as ``check_receiver`` does, or with
+    SingularPatternError from the bounds of a collinear pattern.
     """
-    config.pattern.periodic_strides()
+    check_receiver(config)
+    cases = [(SensingChannelParams.from_snr_db(snr_db), config.pattern)
+             for snr_db in config.snr_grid_db]
+    bounds = _bound_columns(config, cases, config.ecrb_draws)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
     tasks = [
@@ -216,9 +230,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     # map yields outcomes in task order, whatever order the trials finish in
     sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*outcomes))
 
-    cases = [(SensingChannelParams.from_snr_db(snr_db), config.pattern)
-             for snr_db in config.snr_grid_db]
-    bounds = _bound_columns(config, cases, config.ecrb_draws)
     rows = []
     for snr_idx, snr_db in enumerate(config.snr_grid_db):
         sqrt_crb_ran, ecrb = bounds[snr_idx]

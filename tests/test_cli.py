@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bisac.cli
+import bisac.harness
 from bisac import (
     ExperimentConfig,
     OfdmNumerology,
@@ -80,6 +81,31 @@ class TestUsageErrors:
         assert not out.exists()
         # the bounds accept any pattern
         assert main(["crb", "--config", str(cfg_file), "--out", str(out)]) == 0
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crb", "--config", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("crb", ["--np", "70"], "collinear"),
+        ("sweep", ["--np", "70"], "collinear"),
+        ("sweep", ["--fft", "16"], "smaller than the pilot grid"),
+        ("simulate", ["--fft", "16"], "smaller than the pilot grid"),
+    ])
+    def test_unrunnable_config_exits_before_any_trial(self, command, args, message,
+                                                      tmp_path, monkeypatch, capsys):
+        def no_trial(*a):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(bisac.harness, "sample_scenario", no_trial)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--trials", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCrbCommand:

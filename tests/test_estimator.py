@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bisac import (
     periodogram_2d,
     refine_peak,
 )
+from bisac.estimator import peak_search
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -103,6 +105,57 @@ class TestPeriodogram:
             periodogram_2d(np.ones((5, 4), dtype=complex), PeriodogramConfig(4, 64))
         with pytest.raises(ValueError):
             PeriodogramConfig(100, 64)  # not a power of two
+
+
+def assert_peak_search_matches_surface(grid, cfg):
+    surface = periodogram_2d(grid, cfg)
+    (b_r, b_v), rows = peak_search(grid, cfg)
+    assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
+    around = [(b_r - 1) % cfg.fft_n, b_r, (b_r + 1) % cfg.fft_n]
+    np.testing.assert_array_equal(rows, surface[around])
+    assert refine_peak(rows, (1, b_v)) == refine_peak(surface, (b_r, b_v))
+    return b_r, b_v
+
+
+class TestPeakSearch:
+    def test_all_zero_grid(self):
+        cfg = PeriodogramConfig(64, 32)
+        assert assert_peak_search_matches_surface(np.zeros((5, 4), complex), cfg) == (0, 0)
+
+    def test_equal_rows_first_wins(self):
+        # one entry at k = 0: every delay row carries the same spectrum
+        grid = np.zeros((5, 4), complex)
+        grid[0, 2] = 3.0 - 4.0j
+        b_r, _ = assert_peak_search_matches_surface(grid, PeriodogramConfig(64, 32))
+        assert b_r == 0
+
+    @pytest.mark.parametrize("rows, fft_n", [(1, 1), (1, 2), (2, 2)])
+    def test_tiny_delay_axis_wraps_neighbors(self, rows, fft_n):
+        rng = np.random.default_rng(rows * 10 + fft_n)
+        grid = rng.standard_normal((rows, 6)) + 1j * rng.standard_normal((rows, 6))
+        assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 16))
+
+    def test_nan_entry_matches_full_argmax(self):
+        grid = np.ones((5, 4), complex)
+        grid[3, 1] = np.nan
+        assert peak_search(grid, PeriodogramConfig(16, 16))[0] == (0, 0)
+
+    def test_estimate_memory_at_full_profile(self, num):
+        # the full 4096 x 4096 surface and its squares take 512 MiB
+        p = make_periodic(70, 50, 2, 1)
+        frame = generate_frame(num, p, seed=17)
+        sc = moving_reference_scenario()
+        gt = derive_ground_truth(sc)
+        params = SensingChannelParams.from_snr_db(20.0, tau=gt.tau, f_d=gt.f_d)
+        received = apply_channel(frame, params, num, seed=18)
+        tracemalloc.start()
+        try:
+            estimate(received, frame, p, num, PeriodogramConfig(4096, 4096),
+                     baseline=sc.baseline, theta=gt.theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRefinePeak:

@@ -9,6 +9,7 @@ from bisac import (
     PeriodogramConfig,
     RateRow,
     ScenarioEnsemble,
+    SingularPatternError,
     make_periodic,
     run_rate_table,
     run_sweep,
@@ -24,6 +25,15 @@ from bisac.harness import (
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
+
+
+@pytest.fixture
+def no_trial(monkeypatch):
+    """Make any scenario draw, and so any trial, fail the test."""
+    def fail(*args):
+        raise AssertionError("trial started")
+
+    monkeypatch.setattr(bisac.harness, "sample_scenario", fail)
 
 
 def small_config(**overrides):
@@ -132,11 +142,7 @@ class TestRunSweep:
         assert header == ",".join(SWEEP_COLUMNS)
         assert len(text.splitlines()) == 3
 
-    def test_non_periodic_pattern_rejected_before_any_trial(self, monkeypatch):
-        def no_trial(*args):
-            raise AssertionError("trial started")
-
-        monkeypatch.setattr(bisac.harness, "sample_scenario", no_trial)
+    def test_non_periodic_pattern_rejected_before_any_trial(self, no_trial):
         d = small_config().to_json_dict()
         d["pattern"] = {"cells": [[0, 0], [2, 3], [5, 7]]}
         cfg = ExperimentConfig.from_json_dict(d)
@@ -144,6 +150,17 @@ class TestRunSweep:
             run_sweep(cfg)
         with pytest.raises(PatternError, match="periodic"):
             simulate_trial(cfg, 0, 0)
+
+    def test_fft_smaller_than_pilot_grid_rejected_before_any_trial(self, no_trial):
+        cfg = small_config(fft=PeriodogramConfig(16, 64))
+        with pytest.raises(ValueError, match=r"smaller than the pilot grid \(35, 50\)"):
+            run_sweep(cfg)
+        with pytest.raises(ValueError, match="smaller than the pilot grid"):
+            simulate_trial(cfg, 0, 0)
+
+    def test_collinear_pattern_rejected_before_any_trial(self, no_trial):
+        with pytest.raises(SingularPatternError):
+            run_sweep(small_config(pattern=make_periodic(70, 50, 70, 1)))
 
     def test_one_geometry_draw_per_call(self, monkeypatch):
         calls = []
