@@ -1,14 +1,7 @@
-"""Command line interface.
-
-Subcommands:
-    crb       single bound evaluation, JSON out
-    sweep     Monte Carlo RMSE vs SNR with bounds, CSV out plus manifest
-    table1    bound table over overhead-preserving stride pairs
-    rates     communication rate ceiling per pilot overhead
-    simulate  one trial with optional power-surface dump
+"""Command line interface: one subcommand per artefact, listed in ``_COMMANDS``.
 
 A JSON config file provides defaults (--config); explicit flags override
-file values.
+file values. Each subcommand accepts only the flags it reads (``_FLAGS``).
 """
 
 from __future__ import annotations
@@ -22,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import SensingChannelParams, SingularPatternError, crb
+from .estimator import ls_channel_estimate, periodogram_2d
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
     DEFAULT_RATE_RHOS,
@@ -39,18 +33,22 @@ from .harness import (
 from .pilots import make_periodic
 from .sim import write_grid
 
-_PROFILES = {
-    "desk": {"fft": 1024, "trials": 200},
-    "full": {"fft": 4096, "trials": 1000},
-}
+_PROFILES = {"desk": {"fft": 1024, "trials": 200}, "full": {"fft": 4096, "trials": 1000}}
 
 # flags that set the ExperimentConfig field of the same name
 _FIELD_FLAGS = ("snr_grid_db", "trials_per_point", "seed", "workers", "out")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_snr_grid(text: str) -> tuple:
     if ":" in text:
-        parts = [float(v) for v in text.split(":")]
+        parts = [_finite_float(v) for v in text.split(":")]
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected a:b:step")
         start, stop, step = parts
@@ -58,7 +56,14 @@ def _parse_snr_grid(text: str) -> tuple:
             raise argparse.ArgumentTypeError("step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + k * step for k in range(count))
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_finite_float(v) for v in text.split(","))
+
+
+def _parse_rhos(text: str) -> tuple:
+    rhos = tuple(_finite_float(v) for v in text.split(","))
+    if not all(0.0 <= rho <= 1.0 for rho in rhos):
+        raise argparse.ArgumentTypeError(f"expected overheads in [0, 1], got {text!r}")
+    return rhos
 
 
 def _positive_int(text: str) -> int:
@@ -67,52 +72,62 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--np", dest="stride_n", type=_positive_int, metavar="N_P",
-                        help="pilot stride along subcarriers")
-    parser.add_argument("--mp", dest="stride_m", type=_positive_int, metavar="M_P",
-                        help="pilot stride along symbols")
-    parser.add_argument("--fft", type=_positive_int, help="FFT size for both axes")
-    parser.add_argument("--trials", dest="trials_per_point", type=_positive_int,
-                        help="Monte Carlo trials per SNR point")
-    parser.add_argument("--snr-db", dest="snr_grid_db", type=_parse_snr_grid,
-                        metavar="A:B:STEP",
-                        help="SNR grid: a:b:step or comma list or single value")
-    parser.add_argument("--workers", type=_positive_int, help="parallel worker processes")
-    parser.add_argument("--profile", choices=sorted(_PROFILES),
-                        help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials")
-    parser.add_argument("--out", metavar="FILE", help="output path (default stdout)")
+# every flag of every subcommand; one not given is None unless it has a default
+_FLAGS = {
+    "--config": dict(metavar="FILE", help="JSON config file"),
+    "--seed": dict(type=int, help="master seed (overrides config)"),
+    "--np": dict(dest="stride_n", type=_positive_int, metavar="N_P", help="subcarrier stride"),
+    "--mp": dict(dest="stride_m", type=_positive_int, metavar="M_P", help="symbol stride"),
+    "--fft": dict(type=_positive_int, help="FFT size for both axes"),
+    "--trials": dict(dest="trials_per_point", type=_positive_int,
+                     help="Monte Carlo trials per SNR point"),
+    "--snr-db": dict(dest="snr_grid_db", type=_parse_snr_grid, metavar="A:B:STEP",
+                     help="SNR grid: a:b:step or comma list or single value"),
+    "--workers": dict(type=_positive_int, help="parallel worker processes"),
+    "--profile": dict(choices=sorted(_PROFILES),
+                      help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials"),
+    "--out": dict(metavar="FILE", help="output path (default stdout)"),
+    "--beta-deg": dict(type=_finite_float,
+                       help="bistatic angle [deg]; default: ensemble box center"),
+    "--draws": dict(type=_positive_int, help="geometry draws for the velocity bound"),
+    "--snr-comm-db": dict(type=_finite_float, default=5.0, help="communication SNR [dB]"),
+    "--rhos": dict(type=_parse_rhos, default=DEFAULT_RATE_RHOS,
+                   help="comma list of overhead values in [0, 1]"),
+    "--dump-surface": dict(metavar="FILE", help="write the power surface as a binary grid"),
+}
 
 
 def _build_config(args) -> ExperimentConfig:
-    """The config file's values, overridden by a profile, then by flags."""
+    """The config file's values, overridden by a profile, then by flags.
+
+    Reads only the flags of the parsed subcommand; any other reads as None.
+    """
+    flags = vars(args)
     spec = {}
-    if args.config:
-        with open(args.config) as fh:
+    if flags.get("config"):
+        with open(flags["config"]) as fh:
             spec = json.load(fh)
     config = ExperimentConfig.from_json_dict(spec)
 
     changes = {}
-    fft = args.fft
-    if args.profile is not None:
-        profile = _PROFILES[args.profile]
+    fft = flags.get("fft")
+    if flags.get("profile") is not None:
+        profile = _PROFILES[flags["profile"]]
         fft = profile["fft"] if fft is None else fft
         changes["trials_per_point"] = profile["trials"]
     if fft is not None:
         changes["fft"] = replace(config.fft, fft_n=fft, fft_m=fft)
-    if args.stride_n is not None or args.stride_m is not None:
+    stride_n, stride_m = flags.get("stride_n"), flags.get("stride_m")
+    if stride_n is not None or stride_m is not None:
         n_p, m_p = config.pattern.periodic or (1, 1)
         changes["pattern"] = make_periodic(
-            config.numerology.n_subcarriers,
-            config.numerology.n_symbols,
-            n_p if args.stride_n is None else args.stride_n,
-            m_p if args.stride_m is None else args.stride_m,
+            config.numerology.n_subcarriers, config.numerology.n_symbols,
+            n_p if stride_n is None else stride_n,
+            m_p if stride_m is None else stride_m,
         )
     for name in _FIELD_FLAGS:
-        if getattr(args, name) is not None:
-            changes[name] = getattr(args, name)
+        if flags.get(name) is not None:
+            changes[name] = flags[name]
     return replace(config, **changes)
 
 
@@ -155,8 +170,7 @@ def _cmd_table1(config, args) -> int:
 
 
 def _cmd_rates(config, args) -> int:
-    rhos = tuple(float(v) for v in args.rhos.split(",")) if args.rhos else DEFAULT_RATE_RHOS
-    rows = run_rate_table(config, rhos=rhos, snr_comm_db=args.snr_comm_db)
+    rows = run_rate_table(config, rhos=args.rhos, snr_comm_db=args.snr_comm_db)
     _emit(rows_to_csv(rows, RateRow), config.out)
     return 0
 
@@ -164,36 +178,39 @@ def _cmd_rates(config, args) -> int:
 def _cmd_simulate(config, args) -> int:
     """Trial 0 of SNR point 0 of the sweep over the same config."""
     truth, frame, received, outcome = simulate_trial(config, 0, 0)
+    valid = not isinstance(outcome, GeometryError)
     payload = {
         "snr_db": config.snr_grid_db[0],
-        "truth": {
-            "d_bis_m": truth.d_bis,
-            "v_bis_ms": truth.v_bis,
-            "tau_s": truth.tau,
-            "f_d_hz": truth.f_d,
-            "beta_rad": truth.beta,
-            "theta_rad": truth.theta,
-        },
+        "truth": {"d_bis_m": truth.d_bis, "v_bis_ms": truth.v_bis, "tau_s": truth.tau,
+                  "f_d_hz": truth.f_d, "beta_rad": truth.beta, "theta_rad": truth.theta},
+        "valid": valid,
+        "estimate": outcome.to_json_dict() if valid else None,
     }
-    if isinstance(outcome, GeometryError):
-        payload["estimate"] = None
-        payload["valid"] = False
+    if not valid:
         payload["error"] = str(outcome)
-    else:
-        payload["estimate"] = outcome.to_json_dict()
-        payload["valid"] = True
 
     if args.dump_surface:
-        from .estimator import ls_channel_estimate, periodogram_2d
-
-        surface = periodogram_2d(
-            ls_channel_estimate(received, frame, config.pattern), config.fft
-        )
+        pilot_grid = ls_channel_estimate(received, frame, config.pattern)
+        surface = periodogram_2d(pilot_grid, config.fft)
         write_grid(surface.astype(np.complex128), args.dump_surface)
         payload["surface_file"] = args.dump_surface
 
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.out)
     return 0
+
+
+# subcommand: (handler, help, the flags that it and _build_config read)
+_COMMANDS = {
+    "crb": (_cmd_crb, "single bound evaluation (JSON)",
+            "--config --np --mp --snr-db --out --beta-deg"),
+    "sweep": (_cmd_sweep, "RMSE vs SNR sweep (CSV + manifest)",
+              "--config --seed --np --mp --fft --trials --snr-db --workers --profile --out"),
+    "table1": (_cmd_table1, "bound table over stride pairs",
+               "--config --seed --snr-db --out --draws"),
+    "rates": (_cmd_rates, "rate ceiling per overhead", "--config --out --snr-comm-db --rhos"),
+    "simulate": (_cmd_simulate, "single trial (JSON)",
+                 "--config --seed --np --mp --fft --snr-db --profile --out --dump-surface"),
+}
 
 
 def main(argv=None) -> int:
@@ -202,49 +219,28 @@ def main(argv=None) -> int:
         description="Bistatic OFDM sensing bounds and receiver simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            command.add_argument(flag, **_FLAGS[flag])
 
-    p_crb = sub.add_parser("crb", help="single bound evaluation (JSON)")
-    _add_common(p_crb)
-    p_crb.add_argument("--beta-deg", type=float, default=None,
-                       help="bistatic angle [deg]; default: ensemble box center")
-    p_crb.set_defaults(func=_cmd_crb)
-
-    p_sweep = sub.add_parser("sweep", help="RMSE vs SNR sweep (CSV + manifest)")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_table = sub.add_parser("table1", help="bound table over stride pairs")
-    _add_common(p_table)
-    p_table.add_argument("--draws", type=_positive_int, default=None,
-                         help="geometry draws for the velocity bound")
-    p_table.set_defaults(func=_cmd_table1)
-
-    p_rates = sub.add_parser("rates", help="rate ceiling per overhead")
-    _add_common(p_rates)
-    p_rates.add_argument("--snr-comm-db", type=float, default=5.0)
-    p_rates.add_argument("--rhos", type=str, default=None,
-                         help="comma list of overhead values")
-    p_rates.set_defaults(func=_cmd_rates)
-
-    p_sim = sub.add_parser("simulate", help="single trial (JSON)")
-    _add_common(p_sim)
-    p_sim.add_argument("--dump-surface", metavar="FILE", default=None,
-                       help="write the power surface in the binary grid format")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    args = parser.parse_args(argv)
+    # a flag the subcommand does not read is a usage error of that subcommand
+    args, unread = parser.parse_known_args(argv)
     command = sub.choices[args.command]
+    if unread:
+        command.error(f"unrecognized arguments: {' '.join(unread)}")
+    func = _COMMANDS[args.command][0]
     # an unreadable config file, a bad config value, a config the receiver
     # cannot run, or a pattern whose bounds are infinite is a usage error;
     # each is raised before any trial runs
     try:
         config = _build_config(args)
-        if args.func in (_cmd_sweep, _cmd_simulate):
+        if args.command in ("sweep", "simulate"):
             check_receiver(config)
     except (OSError, ValueError) as exc:
         command.error(str(exc))
     try:
-        return args.func(config, args)
+        return func(config, args)
     except SingularPatternError as exc:
         command.error(str(exc))
 

@@ -46,6 +46,36 @@ class GeometryError(ValueError):
     """Raised for degenerate or out-of-domain bistatic geometry."""
 
 
+_JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _json_value(value, kind: type, key: str):
+    """A JSON config value as ``kind`` (int, float or bool).
+
+    A float may be written as a JSON integer; a bool is never a number.
+    Raises ValueError naming ``key`` for any other value.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if not ok:
+        raise ValueError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _json_list(value, kind: type, key: str, length: int | None = None) -> tuple:
+    """A nonempty JSON list of ``kind`` values, ``length`` of them if given."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        count = length or "one or more"
+        raise ValueError(f"{key} must be a list of {count} values, got {value!r}")
+    return tuple(_json_value(v, kind, f"{key}[{i}]") for i, v in enumerate(value))
+
+
 @dataclass
 class BistaticScenario:
     """A single planar bistatic scene.
@@ -181,18 +211,20 @@ class ScenarioEnsemble:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict, carrier_hz: float = 30e9) -> "ScenarioEnsemble":
+    def from_json_dict(cls, d: dict) -> "ScenarioEnsemble":
+        """Parse positions and ranges, each a list of two numbers.
+
+        The carrier is not a key: ``ExperimentConfig`` sets it from the
+        numerology.
+        """
         kw = {}
-        if "tx_pos" in d:
-            kw["tx_pos"] = np.asarray(d["tx_pos"], dtype=float)
-        if "rx_pos" in d:
-            kw["rx_pos"] = np.asarray(d["rx_pos"], dtype=float)
-        for key in ("x_range", "y_range", "speed_range"):
+        for key in ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range"):
             if key in d:
-                kw[key] = tuple(float(v) for v in d[key])
+                kw[key] = _json_list(d[key], float, key, 2)
         if "delta_range_deg" in d:
-            kw["delta_range"] = tuple(math.radians(v) for v in d["delta_range_deg"])
-        return cls(carrier_hz=carrier_hz, **kw)
+            degrees = _json_list(d["delta_range_deg"], float, "delta_range_deg", 2)
+            kw["delta_range"] = tuple(math.radians(v) for v in degrees)
+        return cls(**kw)
 
 
 def bistatic_angle(d_tx, d_rx, baseline):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import SPEED_OF_LIGHT
+from .geometry import SPEED_OF_LIGHT, _json_value
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,6 @@ class OfdmNumerology:
         """Carrier wavelength [m]."""
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    @property
-    def isi_free_range_m(self) -> float:
-        """Largest bistatic range whose delay fits inside the CP [m]."""
-        return SPEED_OF_LIGHT * self.cp_duration_s
-
     def to_json_dict(self) -> dict:
         return {
             "n_subcarriers": self.n_subcarriers,
@@ -64,8 +59,7 @@ class OfdmNumerology:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OfdmNumerology":
-        base = cls().to_json_dict()
-        base.update(d)
-        base["n_subcarriers"] = int(base["n_subcarriers"])
-        base["n_symbols"] = int(base["n_symbols"])
-        return cls(**base)
+        """Parse the keys of ``to_json_dict``; each must have its default's type."""
+        defaults = cls().to_json_dict()
+        return cls(**{key: _json_value(value, type(defaults[key]), key)
+                      for key, value in {**defaults, **d}.items()})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT
+from .geometry import SPEED_OF_LIGHT, _json_list, _json_value
 from .ofdm import OfdmNumerology
 
 
@@ -94,11 +94,22 @@ class PilotPattern:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PilotPattern":
-        n_grid, m_grid = int(d["N"]), int(d["M"])
+        """Parse integer ``N`` and ``M`` plus one of ``periodic`` or ``cells``.
+
+        Raises ValueError naming a missing or malformed key.
+        """
+        n_grid = _json_value(d.get("N"), int, "N")
+        m_grid = _json_value(d.get("M"), int, "M")
+        if ("periodic" in d) == ("cells" in d):
+            raise ValueError("a pattern needs exactly one of the keys periodic and cells")
         if "periodic" in d:
-            n_p, m_p = (int(v) for v in d["periodic"])
+            n_p, m_p = _json_list(d["periodic"], int, "periodic", 2)
             return make_periodic(n_grid, m_grid, n_p, m_p)
-        return cls(n_grid=n_grid, m_grid=m_grid, cells=np.asarray(d["cells"]))
+        cells = d["cells"]
+        if not isinstance(cells, list):
+            raise ValueError(f"cells must be a list of [n, m] pairs, got {cells!r}")
+        pairs = [_json_list(c, int, f"cells[{i}]", 2) for i, c in enumerate(cells)]
+        return cls(n_grid=n_grid, m_grid=m_grid, cells=np.array(pairs, dtype=np.int64))
 
     @classmethod
     def from_json(cls, text: str) -> "PilotPattern":

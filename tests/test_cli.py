@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestUsageErrors:
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("command, flag", [
-        ("crb", "--trials"), ("crb", "--workers"), ("crb", "--fft"),
+        ("sweep", "--trials"), ("sweep", "--workers"), ("sweep", "--fft"),
         ("crb", "--np"), ("crb", "--mp"), ("table1", "--draws"),
     ])
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -62,7 +63,7 @@ class TestUsageErrors:
     ])
     def test_config_value_errors(self, args, message, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["crb", *args])
+            main(["sweep", *args])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
@@ -90,8 +91,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command, args, message", [
         ("crb", ["--np", "70"], "collinear"),
-        ("sweep", ["--np", "70"], "collinear"),
-        ("sweep", ["--fft", "16"], "smaller than the pilot grid"),
+        ("sweep", ["--np", "70", "--trials", "1"], "collinear"),
+        ("sweep", ["--fft", "16", "--trials", "1"], "smaller than the pilot grid"),
         ("simulate", ["--fft", "16"], "smaller than the pilot grid"),
     ])
     def test_unrunnable_config_exits_before_any_trial(self, command, args, message,
@@ -102,10 +103,112 @@ class TestUsageErrors:
         monkeypatch.setattr(bisac.harness, "sample_scenario", no_trial)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([command, *args, "--trials", "1", "--out", str(out)])
+            main([command, *args, "--out", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+# the flags each subcommand reads, written out here rather than taken from bisac.cli
+COMMAND_FLAGS = {
+    "crb": {"--config", "--np", "--mp", "--snr-db", "--out", "--beta-deg"},
+    "sweep": {"--config", "--seed", "--np", "--mp", "--fft", "--trials", "--snr-db",
+              "--workers", "--profile", "--out"},
+    "table1": {"--config", "--seed", "--snr-db", "--out", "--draws"},
+    "rates": {"--config", "--out", "--snr-comm-db", "--rhos"},
+    "simulate": {"--config", "--seed", "--np", "--mp", "--fft", "--snr-db", "--profile",
+                 "--out", "--dump-surface"},
+}
+
+# a valid value for each flag that some subcommand does not read
+FLAG_VALUES = {
+    "--seed": "1", "--np": "2", "--mp": "5", "--fft": "256", "--trials": "1",
+    "--snr-db": "30", "--workers": "1", "--profile": "desk",
+}
+
+# the 21 (subcommand, flag) pairs of the common flags that the subcommand does not read
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in COMMAND_FLAGS.items()
+    for flag in sorted(FLAG_VALUES)
+    if flag not in flags
+]
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_subcommand_has_exactly_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert options - {"--help"} == COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_flag_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        # the flag is rejected before the (missing) config file is opened
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(missing), flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "missing.json" not in err
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("spec, key", [
+        ({"pattern": {}}, "periodic"),
+        ({"snr_grid_db": 5}, "snr_grid_db"),
+        ([1], "config"),
+        ({"ensemble": {"x_range": [1]}}, "x_range"),
+        ({"ensemble": {"delta_range_deg": [5]}}, "delta_range_deg"),
+        ({"numerology": {"n_subcarriers": 70.9}}, "n_subcarriers"),
+        ({"pattern": {"periodic": [2.7, 1]}}, "periodic"),
+        ({"fft": {"interpolate": "no"}}, "interpolate"),
+        ({"fft": {"fft_n": 1024.0}}, "fft_n"),
+        ({"pattern": {"cells": [[0, 0], [2.5, 3], [5, 7]]}}, "cells"),
+        ({"pattern": {"periodic": [2, 1], "cells": [[0, 0], [2, 3], [5, 7]]}}, "cells"),
+        ({"numerology": 3}, "numerology"),
+        ({"out": ["sweep.csv"]}, "out"),
+    ])
+    def test_malformed_config_value_names_its_key(self, spec, key, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["crb", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["crb", "--snr-db", "inf"], "--snr-db"),
+        (["sweep", "--snr-db", "inf"], "--snr-db"),
+        (["sweep", "--snr-db", "0:inf:10"], "--snr-db"),
+        (["crb", "--snr-db", "nan"], "--snr-db"),
+        (["crb", "--beta-deg", "nan"], "--beta-deg"),
+        (["rates", "--snr-comm-db", "nan"], "--snr-comm-db"),
+        (["rates", "--rhos", "2"], "--rhos"),
+        (["rates", "--rhos", "0.1,-0.5"], "--rhos"),
+        (["rates", "--rhos", "abc"], "--rhos"),
+    ])
+    def test_non_finite_or_out_of_range_flag(self, args, flag, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(bisac.cli, "run_sweep", no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"snr_grid_db": [NaN]}', '{"snr_grid_db": [Infinity]}'])
+    def test_non_finite_snr_in_config_file(self, text, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["crb", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert "snr_grid_db" in capsys.readouterr().err
 
 
 class TestCrbCommand:

@@ -74,6 +74,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(workers=0)
 
+    @pytest.mark.parametrize("snr_grid_db", [(0.0, math.inf), (math.nan,), (-math.inf,)])
+    def test_snr_grid_must_be_finite(self, snr_grid_db):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(snr_grid_db=snr_grid_db)
+
     def test_ensemble_carrier_follows_numerology(self):
         cfg = small_config()
         assert cfg.ensemble.carrier_hz == cfg.numerology.carrier_hz

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,3 +18,14 @@ def test_source_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def test_import_raises_no_warning():
+    # warnings raised while the modules run, which compiling alone misses
+    src = str(Path(bisac.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import bisac, bisac.cli"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
