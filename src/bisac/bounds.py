@@ -52,6 +52,9 @@ class SensingChannelParams:
     noise_var: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha_re", "alpha_im", "tau", "f_d", "noise_var"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
 

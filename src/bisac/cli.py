@@ -40,7 +40,10 @@ _FIELD_FLAGS = ("snr_grid_db", "trials_per_point", "seed", "workers", "out")
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as an invalid value
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -82,7 +85,8 @@ _FLAGS = {
     "--trials": dict(dest="trials_per_point", type=_positive_int,
                      help="Monte Carlo trials per SNR point"),
     "--snr-db": dict(dest="snr_grid_db", type=_parse_snr_grid, metavar="A:B:STEP",
-                     help="SNR grid: a:b:step or comma list or single value"),
+                     help="SNR grid: a:b:step or comma list or single value "
+                          "(one value for every subcommand but sweep)"),
     "--workers": dict(type=_positive_int, help="parallel worker processes"),
     "--profile": dict(choices=sorted(_PROFILES),
                       help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials"),
@@ -229,6 +233,10 @@ def main(argv=None) -> int:
     command = sub.choices[args.command]
     if unread:
         command.error(f"unrecognized arguments: {' '.join(unread)}")
+    # only sweep runs a grid; crb and simulate take the first of a config file's grid
+    grid = getattr(args, "snr_grid_db", None) or ()
+    if args.command != "sweep" and len(grid) > 1:
+        command.error(f"argument --snr-db: expected a single value, got {len(grid)}")
     func = _COMMANDS[args.command][0]
     # an unreadable config file, a bad config value, a config the receiver
     # cannot run, or a pattern whose bounds are infinite is a usage error;

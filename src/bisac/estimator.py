@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, beta_from_estimates, invert_bistatic_range
+from .geometry import SPEED_OF_LIGHT, _checked, beta_from_estimates, invert_bistatic_range
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 from .sim import FrameGrid
@@ -45,9 +45,11 @@ class PeriodogramConfig:
     interpolate: bool = True
 
     def __post_init__(self):
-        for size in (self.fft_n, self.fft_m):
+        for name, kind in (("fft_n", int), ("fft_m", int), ("interpolate", bool)):
+            object.__setattr__(self, name, _checked(getattr(self, name), kind, name))
+        for size, name in ((self.fft_n, "fft_n"), (self.fft_m, "fft_m")):
             if size < 1 or size & (size - 1):
-                raise ValueError(f"FFT size must be a power of two, got {size}")
+                raise ValueError(f"{name} must be a power of two, got {size}")
 
     def check_covers(self, rows: int, cols: int) -> None:
         """Raise ValueError unless the FFT sizes cover a rows x cols pilot grid."""

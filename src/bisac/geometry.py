@@ -46,34 +46,43 @@ class GeometryError(ValueError):
     """Raised for degenerate or out-of-domain bistatic geometry."""
 
 
-_JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
+# kind: (what the error says, the types accepted)
+_KINDS = {
+    int: ("an integer", (int, np.integer)),
+    float: ("a finite number", (int, float, np.integer, np.floating)),
+    bool: ("true or false", (bool, np.bool_)),
+}
 
 
-def _json_value(value, kind: type, key: str):
-    """A JSON config value as ``kind`` (int, float or bool).
+def _checked(value, kind: type, name: str, low=None, *, above=False, error: type = ValueError):
+    """``value`` as a plain ``kind`` (int, float or bool), else ``error`` naming ``name``.
 
-    A float may be written as a JSON integer; a bool is never a number.
-    Raises ValueError naming ``key`` for any other value.
+    Python and numpy scalars are accepted; a float may be given as an
+    integer, and a bool is never a number. A number must also be >= ``low``,
+    or > ``low`` if ``above``, where ``low`` is given.
     """
-    if kind is bool:
-        ok = isinstance(value, bool)
-    elif isinstance(value, bool):
-        ok = False
-    elif kind is int:
-        ok = isinstance(value, int)
-    else:
-        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    what, types = _KINDS[kind]
+    ok = (isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+          and (kind is not float or math.isfinite(value))
+          and (low is None or (value > low if above else value >= low)))
     if not ok:
-        raise ValueError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
+        bound = "" if low is None else f" {'>' if above else '>='} {low}"
+        raise error(f"{name} must be {what}{bound}, got {value!r}")
     return kind(value)
 
 
-def _json_list(value, kind: type, key: str, length: int | None = None) -> tuple:
-    """A nonempty JSON list of ``kind`` values, ``length`` of them if given."""
-    if not isinstance(value, list) or not value or length not in (None, len(value)):
+def _checked_tuple(value, kind: type, name: str, length: int | None = None,
+                   error: type = ValueError) -> tuple:
+    """A nonempty list, tuple or 1-D array of ``kind`` values, as a tuple.
+
+    Holds ``length`` values if given; each is checked as ``_checked`` does.
+    """
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        value = list(value)
+    if not isinstance(value, (list, tuple)) or not value or length not in (None, len(value)):
         count = length or "one or more"
-        raise ValueError(f"{key} must be a list of {count} values, got {value!r}")
-    return tuple(_json_value(v, kind, f"{key}[{i}]") for i, v in enumerate(value))
+        raise error(f"{name} must be a list of {count} values, got {value!r}")
+    return tuple(_checked(v, kind, f"{name}[{i}]", error=error) for i, v in enumerate(value))
 
 
 @dataclass
@@ -163,8 +172,11 @@ class ScenarioEnsemble:
     carrier_hz: float = 30e9
 
     def __post_init__(self):
-        self.tx_pos = np.asarray(self.tx_pos, dtype=float).reshape(2)
-        self.rx_pos = np.asarray(self.rx_pos, dtype=float).reshape(2)
+        self.tx_pos = np.array(_checked_tuple(self.tx_pos, float, "tx_pos", 2))
+        self.rx_pos = np.array(_checked_tuple(self.rx_pos, float, "rx_pos", 2))
+        for name in ("x_range", "y_range", "speed_range", "delta_range"):
+            setattr(self, name, _checked_tuple(getattr(self, name), float, name, 2))
+        self.carrier_hz = _checked(self.carrier_hz, float, "carrier_hz", 0, above=True)
 
     def sample_targets(self, rng: np.random.Generator, size: int) -> tuple:
         """Draw target x, y coordinates, shape (size,) each."""
@@ -212,17 +224,15 @@ class ScenarioEnsemble:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioEnsemble":
-        """Parse positions and ranges, each a list of two numbers.
+        """Build from the keys of ``to_json_dict``; the constructor checks the values.
 
-        The carrier is not a key: ``ExperimentConfig`` sets it from the
-        numerology.
+        ``delta_range_deg``, two numbers, becomes ``delta_range`` in radians.
+        The carrier is not a key: ``ExperimentConfig`` sets it from the numerology.
         """
-        kw = {}
-        for key in ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range"):
-            if key in d:
-                kw[key] = _json_list(d[key], float, key, 2)
+        kw = {key: d[key] for key in ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range")
+              if key in d}
         if "delta_range_deg" in d:
-            degrees = _json_list(d["delta_range_deg"], float, "delta_range_deg", 2)
+            degrees = _checked_tuple(d["delta_range_deg"], float, "delta_range_deg", 2)
             kw["delta_range"] = tuple(math.radians(v) for v in degrees)
         return cls(**kw)
 

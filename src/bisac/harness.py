@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bounds import SensingChannelParams, _ecrb_geometry, _ecrb_mean, crb, rate_upper_bound
 from .estimator import PeriodogramConfig, estimate
-from .geometry import GeometryError, ScenarioEnsemble, _json_list, _json_value
+from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
 from .sim import apply_channel, generate_frame, sample_scenario
@@ -50,17 +50,13 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
-        if not self.snr_grid_db:
-            raise ValueError("snr grid must be nonempty")
-        if not np.isfinite(self.snr_grid_db).all():
-            raise ValueError(f"snr grid must be finite, got {self.snr_grid_db}")
+        self.snr_grid_db = _checked_tuple(self.snr_grid_db, float, "snr_grid_db")
         # the seed is mandatory: there is no wall-clock seeding
         for name, low in (("trials_per_point", 1), ("seed", 0), ("workers", 1),
                           ("ecrb_draws", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, _checked(getattr(self, name), int, name, low))
+        if not isinstance(self.out, (str, type(None))):
+            raise ValueError(f"out must be a path or None, got {self.out!r}")
         grid = (self.numerology.n_subcarriers, self.numerology.n_symbols)
         if (self.pattern.n_grid, self.pattern.m_grid) != grid:
             raise ValueError(
@@ -86,10 +82,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        """Parse a config; an unknown key or a malformed value raises ValueError.
+        """Build from a config; an unknown key or a malformed value raises ValueError.
 
-        A pattern takes its grid from the numerology; an explicit N or M
-        must agree with it.
+        Each section must be an object with known keys; the constructors
+        check the values. A pattern takes its grid from the numerology; an
+        explicit N or M must agree with it.
         """
         _reject_unknown(d, [f.name for f in fields(cls)], "config")
         rest = dict(d)
@@ -97,22 +94,16 @@ class ExperimentConfig:
         pattern_spec = rest.pop("pattern", {"periodic": [2, 1]})
         fft_spec = rest.pop("fft", {})
         ens_spec = rest.pop("ensemble", {})
-        fft_defaults = asdict(PeriodogramConfig())
         _reject_unknown(num_spec, OfdmNumerology().to_json_dict(), "numerology")
         _reject_unknown(pattern_spec, ("N", "M", "periodic", "cells"), "pattern")
-        _reject_unknown(fft_spec, fft_defaults, "fft")
+        _reject_unknown(fft_spec, asdict(PeriodogramConfig()), "fft")
         _reject_unknown(ens_spec, ScenarioEnsemble().to_json_dict(), "ensemble")
-        if "snr_grid_db" in rest:
-            rest["snr_grid_db"] = _json_list(rest["snr_grid_db"], float, "snr_grid_db")
-        if not isinstance(rest.get("out"), (str, type(None))):
-            raise ValueError(f"out must be a path or null, got {rest['out']!r}")
-        numerology = OfdmNumerology.from_json_dict(num_spec)
+        numerology = OfdmNumerology(**num_spec)
         grid = {"N": numerology.n_subcarriers, "M": numerology.n_symbols}
         return cls(
             numerology=numerology,
             pattern=PilotPattern.from_json_dict({**grid, **pattern_spec}),
-            fft=PeriodogramConfig(**{key: _json_value(value, type(fft_defaults[key]), key)
-                                     for key, value in fft_spec.items()}),
+            fft=PeriodogramConfig(**fft_spec),
             ensemble=ScenarioEnsemble.from_json_dict(ens_spec),
             **rest,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import SPEED_OF_LIGHT, _json_value
+from .geometry import SPEED_OF_LIGHT, _checked
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,13 @@ class OfdmNumerology:
     carrier_hz: float = 30e9
 
     def __post_init__(self):
-        if self.n_subcarriers < 1 or self.n_symbols < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        if self.subcarrier_spacing_hz <= 0 or self.carrier_hz <= 0:
-            raise ValueError("subcarrier spacing and carrier must be positive")
-        if self.cp_duration_s < 0:
-            raise ValueError("cp duration must be nonnegative")
+        for name, kind, low, above in (
+            ("n_subcarriers", int, 1, False), ("n_symbols", int, 1, False),
+            ("subcarrier_spacing_hz", float, 0, True), ("cp_duration_s", float, 0, False),
+            ("carrier_hz", float, 0, True),
+        ):
+            value = _checked(getattr(self, name), kind, name, low, above=above)
+            object.__setattr__(self, name, value)
 
     @property
     def core_symbol_s(self) -> float:
@@ -56,10 +57,3 @@ class OfdmNumerology:
             "cp_duration_s": self.cp_duration_s,
             "carrier_hz": self.carrier_hz,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OfdmNumerology":
-        """Parse the keys of ``to_json_dict``; each must have its default's type."""
-        defaults = cls().to_json_dict()
-        return cls(**{key: _json_value(value, type(defaults[key]), key)
-                      for key, value in {**defaults, **d}.items()})

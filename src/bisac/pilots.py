@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, _json_list, _json_value
+from .geometry import SPEED_OF_LIGHT, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 
 
@@ -29,29 +29,54 @@ class PilotPattern:
         n_grid: number of subcarriers N.
         m_grid: number of symbols M.
         cells: (P, 2) int array of (n, m) pairs, unique, lexicographically
-            sorted on construction.
-        periodic: optional (n_p, m_p) strides when the set is the full
-            periodic lattice {(k*n_p, l*m_p)}.
+            sorted on construction; given as an integer array or a list of
+            [n, m] pairs, or as None with ``periodic``.
+        periodic: (n_p, m_p) strides, 1 <= n_p <= N and 1 <= m_p <= M, of a
+            pattern given as the full lattice {(k*n_p, l*m_p)}; else None.
     """
 
     n_grid: int
     m_grid: int
-    cells: np.ndarray
+    cells: np.ndarray | None
     periodic: tuple | None = None
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
+        n_grid = _checked(self.n_grid, int, "n_grid", 1, error=PatternError)
+        m_grid = _checked(self.m_grid, int, "m_grid", 1, error=PatternError)
+        if (self.cells is None) == (self.periodic is None):
+            raise PatternError("a pattern needs exactly one of periodic and cells")
+        if self.periodic is not None:
+            n_p, m_p = _checked_tuple(self.periodic, int, "periodic", 2, error=PatternError)
+            if not (1 <= n_p <= n_grid and 1 <= m_p <= m_grid):
+                raise PatternError(f"periodic strides must lie in [1, {n_grid}] x "
+                                   f"[1, {m_grid}], got {(n_p, m_p)}")
+            nn, mm = np.meshgrid(np.arange(0, n_grid, n_p, dtype=np.int64),
+                                 np.arange(0, m_grid, m_p, dtype=np.int64), indexing="ij")
+            cells = np.column_stack([nn.ravel(), mm.ravel()])
+            object.__setattr__(self, "periodic", (n_p, m_p))
+        elif isinstance(self.cells, np.ndarray):
+            cells = self.cells
+            if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
+                raise PatternError(f"cells must be an integer (P, 2) array, got {cells!r}")
+        elif isinstance(self.cells, (list, tuple)):
+            pairs = [_checked_tuple(c, int, f"cells[{i}]", 2, error=PatternError)
+                     for i, c in enumerate(self.cells)]
+            cells = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        else:
+            raise PatternError(f"cells must be a list of [n, m] pairs, got {self.cells!r}")
         if cells.shape[0] < 1:
             raise PatternError("pattern must contain at least one cell")
-        if cells[:, 0].min() < 0 or cells[:, 0].max() >= self.n_grid:
+        if cells[:, 0].min() < 0 or cells[:, 0].max() >= n_grid:
             raise PatternError("subcarrier index out of grid bounds")
-        if cells[:, 1].min() < 0 or cells[:, 1].max() >= self.m_grid:
+        if cells[:, 1].min() < 0 or cells[:, 1].max() >= m_grid:
             raise PatternError("symbol index out of grid bounds")
         order = np.lexsort((cells[:, 1], cells[:, 0]))
-        cells = cells[order]
+        cells = cells[order].astype(np.int64, copy=False)
         if cells.shape[0] > 1 and (np.diff(cells, axis=0) == 0).all(axis=1).any():
             raise PatternError("duplicate pilot cells")
         cells.setflags(write=False)
+        object.__setattr__(self, "n_grid", n_grid)
+        object.__setattr__(self, "m_grid", m_grid)
         object.__setattr__(self, "cells", cells)
 
     @property
@@ -84,7 +109,7 @@ class PilotPattern:
     def to_json_dict(self) -> dict:
         d = {"N": self.n_grid, "M": self.m_grid}
         if self.periodic is not None:
-            d["periodic"] = [int(self.periodic[0]), int(self.periodic[1])]
+            d["periodic"] = list(self.periodic)
         else:
             d["cells"] = [[int(n), int(m)] for n, m in self.cells]
         return d
@@ -94,22 +119,9 @@ class PilotPattern:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PilotPattern":
-        """Parse integer ``N`` and ``M`` plus one of ``periodic`` or ``cells``.
-
-        Raises ValueError naming a missing or malformed key.
-        """
-        n_grid = _json_value(d.get("N"), int, "N")
-        m_grid = _json_value(d.get("M"), int, "M")
-        if ("periodic" in d) == ("cells" in d):
-            raise ValueError("a pattern needs exactly one of the keys periodic and cells")
-        if "periodic" in d:
-            n_p, m_p = _json_list(d["periodic"], int, "periodic", 2)
-            return make_periodic(n_grid, m_grid, n_p, m_p)
-        cells = d["cells"]
-        if not isinstance(cells, list):
-            raise ValueError(f"cells must be a list of [n, m] pairs, got {cells!r}")
-        pairs = [_json_list(c, int, f"cells[{i}]", 2) for i, c in enumerate(cells)]
-        return cls(n_grid=n_grid, m_grid=m_grid, cells=np.array(pairs, dtype=np.int64))
+        """Build from ``N``, ``M`` and one of ``periodic`` or ``cells``."""
+        return cls(n_grid=d.get("N"), m_grid=d.get("M"), cells=d.get("cells"),
+                   periodic=d.get("periodic"))
 
     @classmethod
     def from_json(cls, text: str) -> "PilotPattern":
@@ -147,19 +159,9 @@ def make_periodic(n_grid: int, m_grid: int, n_p: int, m_p: int) -> PilotPattern:
     cell count is (K+1)(L+1). Index 0 is always included on both axes.
 
     Raises:
-        PatternError: unless 1 <= n_p <= N and 1 <= m_p <= M.
+        PatternError: unless 1 <= n_p <= N and 1 <= m_p <= M are integers.
     """
-    if not (1 <= n_p <= n_grid):
-        raise PatternError(f"n_p must be in [1, {n_grid}], got {n_p}")
-    if not (1 <= m_p <= m_grid):
-        raise PatternError(f"m_p must be in [1, {m_grid}], got {m_p}")
-    ns = np.arange(0, n_grid, n_p, dtype=np.int64)
-    ms = np.arange(0, m_grid, m_p, dtype=np.int64)
-    nn, mm = np.meshgrid(ns, ms, indexing="ij")
-    cells = np.column_stack([nn.ravel(), mm.ravel()])
-    return PilotPattern(
-        n_grid=n_grid, m_grid=m_grid, cells=cells, periodic=(int(n_p), int(m_p))
-    )
+    return PilotPattern(n_grid=n_grid, m_grid=m_grid, cells=None, periodic=(n_p, m_p))
 
 
 def pattern_stats(pattern: PilotPattern) -> PatternStats:

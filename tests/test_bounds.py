@@ -192,6 +192,17 @@ class TestCrb:
         with pytest.raises(SingularPatternError):
             crb(SensingChannelParams(), diag, num)
 
+    @pytest.mark.parametrize("field", ["alpha_re", "alpha_im", "tau", "f_d", "noise_var"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_channel_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SensingChannelParams(**{field: value})
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="noise_var"):
+            SensingChannelParams.from_snr_db(snr_db)
+
 
 class TestCrbPeriodicClosedForm:
     def test_reference_quadruple(self, num):

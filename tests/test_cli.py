@@ -190,6 +190,10 @@ class TestBadValues:
         (["rates", "--rhos", "2"], "--rhos"),
         (["rates", "--rhos", "0.1,-0.5"], "--rhos"),
         (["rates", "--rhos", "abc"], "--rhos"),
+        (["crb", "--snr-db", "abc"], "--snr-db"),
+        (["sweep", "--snr-db", "0:abc:1"], "--snr-db"),
+        (["crb", "--beta-deg", "abc"], "--beta-deg"),
+        (["rates", "--snr-comm-db", "abc"], "--snr-comm-db"),
     ])
     def test_non_finite_or_out_of_range_flag(self, args, flag, monkeypatch, capsys):
         def no_sweep(config):
@@ -199,7 +203,21 @@ class TestBadValues:
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        # the message is the parser's, not the name of a private function
+        assert "_parse" not in err and "_finite" not in err
+
+    @pytest.mark.parametrize("command, grid", [
+        ("crb", "0:20:10"), ("table1", "0,20"), ("simulate", "0,20"),
+    ])
+    def test_single_snr_subcommand_rejects_a_grid(self, command, grid, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--snr-db", grid, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--snr-db: expected a single value" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ['{"snr_grid_db": [NaN]}', '{"snr_grid_db": [Infinity]}'])
     def test_non_finite_snr_in_config_file(self, text, tmp_path, capsys):

@@ -1,12 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bisac import (
     ExperimentConfig,
+    OfdmNumerology,
     PatternError,
     PeriodogramConfig,
+    PilotPattern,
     RateRow,
     ScenarioEnsemble,
     SingularPatternError,
@@ -47,6 +50,65 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+NAN, INF = math.nan, math.inf
+CELLS = [[0, 0], [2.5, 3], [5, 7]]
+
+# (field the error names, constructor call, config with the same value)
+MALFORMED = [
+    ("subcarrier_spacing_hz", lambda: OfdmNumerology(subcarrier_spacing_hz=NAN),
+     {"numerology": {"subcarrier_spacing_hz": NAN}}),
+    ("cp_duration_s", lambda: OfdmNumerology(cp_duration_s=NAN),
+     {"numerology": {"cp_duration_s": NAN}}),
+    ("carrier_hz", lambda: OfdmNumerology(carrier_hz=INF), {"numerology": {"carrier_hz": INF}}),
+    ("n_subcarriers", lambda: OfdmNumerology(n_subcarriers=70.9),
+     {"numerology": {"n_subcarriers": 70.9}}),
+    ("x_range", lambda: ScenarioEnsemble(x_range=(NAN, 1.0)),
+     {"ensemble": {"x_range": [NAN, 1.0]}}),
+    ("x_range", lambda: ScenarioEnsemble(x_range=(1.0,)), {"ensemble": {"x_range": [1.0]}}),
+    ("fft_n", lambda: PeriodogramConfig(fft_n=True), {"fft": {"fft_n": True}}),
+    ("interpolate", lambda: PeriodogramConfig(interpolate="no"), {"fft": {"interpolate": "no"}}),
+    ("fft_n", lambda: PeriodogramConfig(fft_n=1024.0), {"fft": {"fft_n": 1024.0}}),
+    ("cells", lambda: PilotPattern(n_grid=70, m_grid=50, cells=CELLS),
+     {"pattern": {"cells": CELLS}}),
+    ("periodic", lambda: make_periodic(70, 50, 2.7, 1), {"pattern": {"periodic": [2.7, 1]}}),
+    ("snr_grid_db", lambda: ExperimentConfig(snr_grid_db=5), {"snr_grid_db": 5}),
+    ("out", lambda: ExperimentConfig(out=5), {"out": 5}),
+]
+
+# numpy scalars and 1-D arrays, as perfbench passes them, against plain values
+NUMPY_VALUES = [
+    (lambda: OfdmNumerology(n_subcarriers=np.int64(70), carrier_hz=np.float32(3e9)),
+     lambda: OfdmNumerology(n_subcarriers=70, carrier_hz=3e9)),
+    (lambda: ScenarioEnsemble(x_range=np.array([80.0, 90.0]), speed_range=(np.int32(-3), 3)),
+     lambda: ScenarioEnsemble(x_range=(80.0, 90.0), speed_range=(-3.0, 3.0))),
+    (lambda: ExperimentConfig(fft=PeriodogramConfig(np.int64(256), np.int64(128),
+                                                    np.bool_(False))),
+     lambda: ExperimentConfig(fft=PeriodogramConfig(256, 128, False))),
+    (lambda: make_periodic(np.int64(70), 50, np.int64(2), np.int32(5)),
+     lambda: make_periodic(70, 50, 2, 5)),
+    (lambda: PilotPattern(n_grid=70, m_grid=50, cells=np.array([[3, 4], [0, 1]], np.int32)),
+     lambda: PilotPattern(n_grid=70, m_grid=50, cells=[[0, 1], [3, 4]])),
+    (lambda: ExperimentConfig(snr_grid_db=np.array([0.0, 10.0]), seed=np.int64(3),
+                              trials_per_point=np.int32(4)),
+     lambda: ExperimentConfig(snr_grid_db=(0.0, 10.0), seed=3, trials_per_point=4)),
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field, build, spec", MALFORMED, ids=[r[0] for r in MALFORMED])
+    def test_malformed_value_rejected_by_constructor_and_config(self, field, build, spec):
+        with pytest.raises(ValueError, match=field):
+            build()
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json_dict(spec)
+
+    @pytest.mark.parametrize("build, plain", NUMPY_VALUES, ids=[
+        "numerology", "ensemble", "fft", "make_periodic", "cells", "config"])
+    def test_numpy_values_stored_as_plain_values(self, build, plain):
+        # json.dumps fails on a numpy scalar stored as given
+        assert json.dumps(build().to_json_dict()) == json.dumps(plain().to_json_dict())
 
 
 class TestConfig:

@@ -1,4 +1,8 @@
-"""Property test: the shared bound-row path against per-row ecrb_vel calls."""
+"""Property tests: the shared bound-row path against per-row ecrb_vel calls,
+and JSON round trips of whole configs."""
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +12,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bisac import (  # noqa: E402
     ExperimentConfig,
+    OfdmNumerology,
     PeriodogramConfig,
+    PilotPattern,
+    ScenarioEnsemble,
     SensingChannelParams,
     crb,
     ecrb_vel,
@@ -50,3 +57,47 @@ def test_bound_columns_equal_per_row_ecrb_vel(pairs, snr_grid, seed):
     for row in run_table1(config, snr_db=snr_grid[0], pairs=tuple(pairs)):
         expected = per_row_bounds(config, snr_grid[0], make_periodic(70, 50, row.n_p, row.m_p))
         assert (row.sqrt_crb_ran_m, row.ecrb_vel_ms) == expected
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+finite_pairs = st.tuples(finite, finite)
+
+
+@st.composite
+def configs(draw):
+    num = draw(st.builds(
+        OfdmNumerology, n_subcarriers=st.integers(1, 80), n_symbols=st.integers(1, 60),
+        subcarrier_spacing_hz=positive, cp_duration_s=st.floats(0.0, 1e-3), carrier_hz=positive,
+    ))
+    n, m = num.n_subcarriers, num.n_symbols
+    if draw(st.booleans()):
+        pattern = make_periodic(n, m, draw(st.integers(1, n)), draw(st.integers(1, m)))
+    else:
+        cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                              min_size=1, max_size=20, unique=True))
+        pattern = PilotPattern(n_grid=n, m_grid=m, cells=[list(c) for c in cells])
+    # a config file states delta_range in degrees, so draw it that way
+    degrees = draw(st.tuples(st.floats(-180.0, 180.0), st.floats(-180.0, 180.0)))
+    ensemble = ScenarioEnsemble(
+        tx_pos=draw(finite_pairs), rx_pos=draw(finite_pairs), x_range=draw(finite_pairs),
+        y_range=draw(finite_pairs), speed_range=draw(finite_pairs),
+        delta_range=tuple(math.radians(d) for d in degrees),
+    )
+    fft = st.integers(0, 12).map(lambda k: 2**k)
+    return ExperimentConfig(
+        numerology=num, pattern=pattern, ensemble=ensemble,
+        snr_grid_db=draw(st.lists(finite, min_size=1, max_size=5)),
+        fft=PeriodogramConfig(draw(fft), draw(fft), draw(st.booleans())),
+        trials_per_point=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64)),
+        workers=draw(st.integers(1, 64)), ecrb_draws=draw(st.integers(1, 10**7)),
+        out=draw(st.none() | st.text(max_size=8)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=configs())
+def test_config_json_round_trip(config):
+    spec = config.to_json_dict()
+    back = ExperimentConfig.from_json_dict(json.loads(json.dumps(spec)))
+    assert back.to_json_dict() == spec
