@@ -78,14 +78,33 @@ class SensingChannelParams:
     def from_snr_db(
         cls, snr_db: float, tau: float = 0.0, f_d: float = 0.0
     ) -> "SensingChannelParams":
-        """Unit gain with noise variance set from the SNR in dB."""
+        """Unit gain with noise variance set from the SNR in dB.
+
+        Raises ValueError as ``_snr_powers`` does.
+        """
         return cls(
             alpha_re=1.0,
             alpha_im=0.0,
             tau=tau,
             f_d=f_d,
-            noise_var=10.0 ** (-snr_db / 10.0),
+            noise_var=_snr_powers(snr_db, "snr_db")[1],
         )
+
+
+def _snr_powers(snr_db: float, name: str) -> tuple:
+    """(10^(snr_db/10), 10^(-snr_db/10)): the linear SNR and its reciprocal.
+
+    An infinite ``snr_db`` gives the limits inf and 0. Raises ValueError
+    naming ``name`` when a finite one makes either not a finite, nonzero float.
+    """
+    try:
+        powers = (10.0 ** (snr_db / 10.0), 10.0 ** (-snr_db / 10.0))
+    except OverflowError:
+        powers = (math.inf, 0.0)
+    if math.isfinite(snr_db) and not all(0.0 < p < math.inf for p in powers):
+        raise ValueError(f"{name} = {snr_db!r} dB is out of range: its linear value or "
+                         "reciprocal is not a finite, nonzero float")
+    return powers
 
 
 @dataclass(frozen=True)
@@ -315,10 +334,6 @@ class EcrbVelocity:
     draws: int
     skipped: int
 
-    @property
-    def skip_fraction(self) -> float:
-        return self.skipped / self.draws
-
 
 def ecrb_vel(
     ensemble: ScenarioEnsemble,
@@ -376,11 +391,12 @@ def rate_upper_bound(
     """Ceiling on the communication rate left by the pilot overhead [bit/s].
 
     N*(1-rho)/T_s * log2(1 + snr), with the communication SNR given in dB.
-    Monotone decreasing in the overhead rho; zero at rho = 1.
+    Monotone decreasing in the overhead rho; zero at rho = 1. Raises
+    ValueError as ``_snr_powers`` does.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    snr_lin = 10.0 ** (snr_comm_db / 10.0)
+    snr_lin = _snr_powers(snr_comm_db, "snr_comm_db")[0]
     return (
         numerology.n_subcarriers
         * (1.0 - rho)

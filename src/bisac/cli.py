@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import SensingChannelParams, SingularPatternError, crb
+from .bounds import SensingChannelParams, SingularPatternError, _snr_powers, crb
 from .estimator import ls_channel_estimate, periodogram_2d
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
@@ -49,17 +49,36 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _snr_db(text: str) -> float:
+    """An SNR [dB] whose linear value and reciprocal are finite and nonzero."""
+    value = _finite_float(text)
+    try:
+        _snr_powers(value, "SNR")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+# the grid is built in full while the flags are parsed, before any other
+# check; at the default 200 trials per point this cap is two million trials
+_MAX_SNR_POINTS = 10_000
+
+
 def _parse_snr_grid(text: str) -> tuple:
     if ":" in text:
-        parts = [_finite_float(v) for v in text.split(":")]
+        parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected a:b:step")
-        start, stop, step = parts
+        start, stop, step = _snr_db(parts[0]), _snr_db(parts[1]), _finite_float(parts[2])
         if step <= 0:
             raise argparse.ArgumentTypeError("step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_SNR_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"expected at most {_MAX_SNR_POINTS} points, got {text!r}")
+        count = int(math.floor(span)) + 1
         return tuple(start + k * step for k in range(count))
-    return tuple(_finite_float(v) for v in text.split(","))
+    return tuple(_snr_db(v) for v in text.split(","))
 
 
 def _parse_rhos(text: str) -> tuple:
@@ -94,7 +113,7 @@ _FLAGS = {
     "--beta-deg": dict(type=_finite_float,
                        help="bistatic angle [deg]; default: ensemble box center"),
     "--draws": dict(type=_positive_int, help="geometry draws for the velocity bound"),
-    "--snr-comm-db": dict(type=_finite_float, default=5.0, help="communication SNR [dB]"),
+    "--snr-comm-db": dict(type=_snr_db, default=5.0, help="communication SNR [dB]"),
     "--rhos": dict(type=_parse_rhos, default=DEFAULT_RATE_RHOS,
                    help="comma list of overhead values in [0, 1]"),
     "--dump-surface": dict(metavar="FILE", help="write the power surface as a binary grid"),

@@ -109,12 +109,10 @@ def ls_channel_estimate(
         raise ValueError("received and transmitted grids differ in shape")
     if received.values.shape != (pattern.n_grid, pattern.m_grid):
         raise ValueError("grids do not match the pattern dimensions")
-    n_idx = np.arange(0, pattern.n_grid, n_p)
-    m_idx = np.arange(0, pattern.m_grid, m_p)
-    pilots = transmitted.values[np.ix_(n_idx, m_idx)]
+    pilots = transmitted.values[::n_p, ::m_p]
     if np.abs(pilots).min() < 1.0 - 1e-9:
         raise ValueError("pilot symbol modulus below unity")
-    return received.values[np.ix_(n_idx, m_idx)] / pilots
+    return received.values[::n_p, ::m_p] / pilots
 
 
 def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarray:

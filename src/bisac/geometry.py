@@ -212,30 +212,6 @@ class ScenarioEnsemble:
             carrier_hz=self.carrier_hz,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tx_pos": list(self.tx_pos),
-            "rx_pos": list(self.rx_pos),
-            "x_range": list(self.x_range),
-            "y_range": list(self.y_range),
-            "speed_range": list(self.speed_range),
-            "delta_range_deg": [math.degrees(d) for d in self.delta_range],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ScenarioEnsemble":
-        """Build from the keys of ``to_json_dict``; the constructor checks the values.
-
-        ``delta_range_deg``, two numbers, becomes ``delta_range`` in radians.
-        The carrier is not a key: ``ExperimentConfig`` sets it from the numerology.
-        """
-        kw = {key: d[key] for key in ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range")
-              if key in d}
-        if "delta_range_deg" in d:
-            degrees = _checked_tuple(d["delta_range_deg"], float, "delta_range_deg", 2)
-            kw["delta_range"] = tuple(math.radians(v) for v in degrees)
-        return cls(**kw)
-
 
 def bistatic_angle(d_tx, d_rx, baseline):
     """Bistatic angle beta from the three side lengths (law of cosines).

@@ -11,13 +11,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import SensingChannelParams, _ecrb_geometry, _ecrb_mean, crb, rate_upper_bound
+from .bounds import (
+    SensingChannelParams, _ecrb_geometry, _ecrb_mean, _snr_powers, crb, rate_upper_bound,
+)
 from .estimator import PeriodogramConfig, estimate
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
@@ -51,6 +54,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.snr_grid_db = _checked_tuple(self.snr_grid_db, float, "snr_grid_db")
+        for i, snr_db in enumerate(self.snr_grid_db):
+            _snr_powers(snr_db, f"snr_grid_db[{i}]")
         # the seed is mandatory: there is no wall-clock seeding
         for name, low in (("trials_per_point", 1), ("seed", 0), ("workers", 1),
                           ("ecrb_draws", 1)):
@@ -67,12 +72,20 @@ class ExperimentConfig:
             self.ensemble = replace(self.ensemble, carrier_hz=self.numerology.carrier_hz)
 
     def to_json_dict(self) -> dict:
+        """The config file that ``from_json_dict`` reads back to this config."""
+        pattern = {"N": self.pattern.n_grid, "M": self.pattern.m_grid}
+        if self.pattern.periodic is not None:
+            pattern["periodic"] = list(self.pattern.periodic)
+        else:
+            pattern["cells"] = self.pattern.cells.tolist()
+        ensemble = {key: list(getattr(self.ensemble, key)) for key in _ENSEMBLE_KEYS}
+        ensemble["delta_range_deg"] = [math.degrees(v) for v in self.ensemble.delta_range]
         return {
-            "numerology": self.numerology.to_json_dict(),
-            "pattern": self.pattern.to_json_dict(),
+            "numerology": asdict(self.numerology),
+            "pattern": pattern,
             "snr_grid_db": list(self.snr_grid_db),
             "trials_per_point": self.trials_per_point,
-            "ensemble": self.ensemble.to_json_dict(),
+            "ensemble": ensemble,
             "fft": asdict(self.fft),
             "seed": self.seed,
             "workers": self.workers,
@@ -86,27 +99,40 @@ class ExperimentConfig:
 
         Each section must be an object with known keys; the constructors
         check the values. A pattern takes its grid from the numerology; an
-        explicit N or M must agree with it.
+        explicit N or M must agree with it. The ensemble gives its delta
+        range in degrees, as ``delta_range_deg``, and no carrier.
         """
-        _reject_unknown(d, [f.name for f in fields(cls)], "config")
+        _reject_unknown(d, _field_names(cls), "config")
         rest = dict(d)
         num_spec = rest.pop("numerology", {})
         pattern_spec = rest.pop("pattern", {"periodic": [2, 1]})
         fft_spec = rest.pop("fft", {})
         ens_spec = rest.pop("ensemble", {})
-        _reject_unknown(num_spec, OfdmNumerology().to_json_dict(), "numerology")
+        _reject_unknown(num_spec, _field_names(OfdmNumerology), "numerology")
         _reject_unknown(pattern_spec, ("N", "M", "periodic", "cells"), "pattern")
-        _reject_unknown(fft_spec, asdict(PeriodogramConfig()), "fft")
-        _reject_unknown(ens_spec, ScenarioEnsemble().to_json_dict(), "ensemble")
+        _reject_unknown(fft_spec, _field_names(PeriodogramConfig), "fft")
+        _reject_unknown(ens_spec, _ENSEMBLE_KEYS + ("delta_range_deg",), "ensemble")
         numerology = OfdmNumerology(**num_spec)
-        grid = {"N": numerology.n_subcarriers, "M": numerology.n_symbols}
-        return cls(
-            numerology=numerology,
-            pattern=PilotPattern.from_json_dict({**grid, **pattern_spec}),
-            fft=PeriodogramConfig(**fft_spec),
-            ensemble=ScenarioEnsemble.from_json_dict(ens_spec),
-            **rest,
+        pattern = PilotPattern(
+            n_grid=pattern_spec.get("N", numerology.n_subcarriers),
+            m_grid=pattern_spec.get("M", numerology.n_symbols),
+            cells=pattern_spec.get("cells"), periodic=pattern_spec.get("periodic"),
         )
+        fft = PeriodogramConfig(**fft_spec)
+        ens_spec = dict(ens_spec)
+        if "delta_range_deg" in ens_spec:
+            degrees = _checked_tuple(ens_spec.pop("delta_range_deg"), float, "delta_range_deg", 2)
+            ens_spec["delta_range"] = tuple(math.radians(v) for v in degrees)
+        return cls(numerology=numerology, pattern=pattern, fft=fft,
+                   ensemble=ScenarioEnsemble(**ens_spec), **rest)
+
+
+# the ensemble keys a config file gives as stored; the carrier follows the numerology
+_ENSEMBLE_KEYS = ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range")
+
+
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
 
 
 def _reject_unknown(spec, known, where: str) -> None:

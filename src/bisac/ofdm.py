@@ -49,11 +49,3 @@ class OfdmNumerology:
         """Carrier wavelength [m]."""
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_subcarriers": self.n_subcarriers,
-            "n_symbols": self.n_symbols,
-            "subcarrier_spacing_hz": self.subcarrier_spacing_hz,
-            "cp_duration_s": self.cp_duration_s,
-            "carrier_hz": self.carrier_hz,
-        }

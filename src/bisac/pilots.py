@@ -8,7 +8,6 @@ integer sums so that closed-form and generic evaluations agree bitwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,35 +44,40 @@ class PilotPattern:
         m_grid = _checked(self.m_grid, int, "m_grid", 1, error=PatternError)
         if (self.cells is None) == (self.periodic is None):
             raise PatternError("a pattern needs exactly one of periodic and cells")
+        if n_grid * m_grid > np.iinfo(np.int64).max:
+            raise PatternError(f"grid {n_grid}x{m_grid} has too many cells to index")
         if self.periodic is not None:
             n_p, m_p = _checked_tuple(self.periodic, int, "periodic", 2, error=PatternError)
             if not (1 <= n_p <= n_grid and 1 <= m_p <= m_grid):
                 raise PatternError(f"periodic strides must lie in [1, {n_grid}] x "
                                    f"[1, {m_grid}], got {(n_p, m_p)}")
-            nn, mm = np.meshgrid(np.arange(0, n_grid, n_p, dtype=np.int64),
-                                 np.arange(0, m_grid, m_p, dtype=np.int64), indexing="ij")
-            cells = np.column_stack([nn.ravel(), mm.ravel()])
+            # the lattice's row-major keys n * M + m, sorted and unique by construction
+            keys = (np.arange(0, n_grid, n_p, dtype=np.int64)[:, None] * m_grid
+                    + np.arange(0, m_grid, m_p, dtype=np.int64)).ravel()
             object.__setattr__(self, "periodic", (n_p, m_p))
-        elif isinstance(self.cells, np.ndarray):
-            cells = self.cells
-            if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
-                raise PatternError(f"cells must be an integer (P, 2) array, got {cells!r}")
-        elif isinstance(self.cells, (list, tuple)):
-            pairs = [_checked_tuple(c, int, f"cells[{i}]", 2, error=PatternError)
-                     for i, c in enumerate(self.cells)]
-            cells = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         else:
-            raise PatternError(f"cells must be a list of [n, m] pairs, got {self.cells!r}")
-        if cells.shape[0] < 1:
-            raise PatternError("pattern must contain at least one cell")
-        if cells[:, 0].min() < 0 or cells[:, 0].max() >= n_grid:
-            raise PatternError("subcarrier index out of grid bounds")
-        if cells[:, 1].min() < 0 or cells[:, 1].max() >= m_grid:
-            raise PatternError("symbol index out of grid bounds")
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        cells = cells[order].astype(np.int64, copy=False)
-        if cells.shape[0] > 1 and (np.diff(cells, axis=0) == 0).all(axis=1).any():
-            raise PatternError("duplicate pilot cells")
+            if isinstance(self.cells, np.ndarray):
+                cells = self.cells
+                if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
+                    raise PatternError(f"cells must be an integer (P, 2) array, got {cells!r}")
+            elif isinstance(self.cells, (list, tuple)):
+                pairs = [_checked_tuple(c, int, f"cells[{i}]", 2, error=PatternError)
+                         for i, c in enumerate(self.cells)]
+                cells = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            else:
+                raise PatternError(f"cells must be a list of [n, m] pairs, got {self.cells!r}")
+            if cells.shape[0] < 1:
+                raise PatternError("pattern must contain at least one cell")
+            if cells[:, 0].min() < 0 or cells[:, 0].max() >= n_grid:
+                raise PatternError("subcarrier index out of grid bounds")
+            if cells[:, 1].min() < 0 or cells[:, 1].max() >= m_grid:
+                raise PatternError("symbol index out of grid bounds")
+            # row-major keys sort the cells by subcarrier, then by symbol
+            cells = cells.astype(np.int64, copy=False)
+            keys = np.sort(cells[:, 0] * m_grid + cells[:, 1])
+            if (np.diff(keys) == 0).any():
+                raise PatternError("duplicate pilot cells")
+        cells = np.column_stack(np.divmod(keys, m_grid))
         cells.setflags(write=False)
         object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "m_grid", m_grid)
@@ -105,27 +109,6 @@ class PilotPattern:
         out = np.zeros((self.n_grid, self.m_grid), dtype=bool)
         out[self.cells[:, 0], self.cells[:, 1]] = True
         return out
-
-    def to_json_dict(self) -> dict:
-        d = {"N": self.n_grid, "M": self.m_grid}
-        if self.periodic is not None:
-            d["periodic"] = list(self.periodic)
-        else:
-            d["cells"] = [[int(n), int(m)] for n, m in self.cells]
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PilotPattern":
-        """Build from ``N``, ``M`` and one of ``periodic`` or ``cells``."""
-        return cls(n_grid=d.get("N"), m_grid=d.get("M"), cells=d.get("cells"),
-                   periodic=d.get("periodic"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PilotPattern":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,9 @@ class TestBadValues:
         ({"pattern": {"periodic": [2, 1], "cells": [[0, 0], [2, 3], [5, 7]]}}, "cells"),
         ({"numerology": 3}, "numerology"),
         ({"out": ["sweep.csv"]}, "out"),
+        ({"pattern": 3}, "pattern"),
+        ({"fft": 3}, "fft"),
+        ({"ensemble": 3}, "ensemble"),
     ])
     def test_malformed_config_value_names_its_key(self, spec, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -178,7 +181,7 @@ class TestBadValues:
         with pytest.raises(SystemExit) as exc:
             main(["crb", "--config", str(cfg_file)])
         assert exc.value.code == 2
-        assert key in capsys.readouterr().err
+        assert key in capsys.readouterr().err.splitlines()[-1]
 
     @pytest.mark.parametrize("args, flag", [
         (["crb", "--snr-db", "inf"], "--snr-db"),
@@ -194,6 +197,16 @@ class TestBadValues:
         (["sweep", "--snr-db", "0:abc:1"], "--snr-db"),
         (["crb", "--beta-deg", "abc"], "--beta-deg"),
         (["rates", "--snr-comm-db", "abc"], "--snr-comm-db"),
+        # a linear SNR or its reciprocal that overflows or underflows a float
+        (["crb", "--snr-db", "-4000"], "--snr-db"),
+        (["crb", "--snr-db", "4000"], "--snr-db"),
+        (["table1", "--snr-db", "-4000"], "--snr-db"),
+        (["rates", "--snr-comm-db", "4000"], "--snr-comm-db"),
+        (["sweep", "--snr-db", "0:1e300:1e-10"], "--snr-db"),
+        (["sweep", "--snr-db", "0:1e300:1e-5"], "--snr-db"),
+        # a point count that is not finite, or above the cap
+        (["sweep", "--snr-db", "0:10:5e-324"], "--snr-db"),
+        (["sweep", "--snr-db", "0:100:0.001"], "--snr-db"),
     ])
     def test_non_finite_or_out_of_range_flag(self, args, flag, monkeypatch, capsys):
         def no_sweep(config):
@@ -204,7 +217,7 @@ class TestBadValues:
             main(args)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert flag in err
+        assert f"argument {flag}: " in err
         # the message is the parser's, not the name of a private function
         assert "_parse" not in err and "_finite" not in err
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -52,6 +50,11 @@ class TestMakePeriodic:
             PilotPattern(n_grid=4, m_grid=4, cells=[[4, 0]])
         with pytest.raises(PatternError):
             PilotPattern(n_grid=4, m_grid=4, cells=np.empty((0, 2), dtype=int))
+
+    def test_grid_too_large_for_int64_cell_keys(self):
+        # n * M + m of the last cell would wrap around in int64
+        with pytest.raises(PatternError, match="too many cells"):
+            PilotPattern(n_grid=2**40, m_grid=2**40, cells=[[2**40 - 1, 0]])
 
 
 class TestPatternStats:
@@ -161,20 +164,3 @@ class TestMaxUnambiguous:
         assert vel == pytest.approx(30.864, abs=5e-3)
         assert vel >= 30.0
 
-
-class TestSerialization:
-    def test_periodic_round_trip(self):
-        p = make_periodic(70, 50, 2, 5)
-        d = json.loads(p.to_json())
-        assert d == {"N": 70, "M": 50, "periodic": [2, 5]}
-        q = PilotPattern.from_json(p.to_json())
-        assert q.periodic == (2, 5)
-        assert np.array_equal(q.cells, p.cells)
-
-    def test_explicit_cells_round_trip(self):
-        p = PilotPattern(n_grid=6, m_grid=4, cells=[[0, 0], [5, 3], [2, 1]])
-        d = json.loads(p.to_json())
-        assert d["N"] == 6 and d["M"] == 4
-        q = PilotPattern.from_json(p.to_json())
-        assert np.array_equal(q.cells, p.cells)
-        assert q.periodic is None

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,23 @@ def test_import_raises_no_warning():
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def imported_names(tree) -> set:
+    """Names bound by the module's imports, ``from __future__`` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # __init__ imports to re-export, so it is left out
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported_names(tree) - used == set()
