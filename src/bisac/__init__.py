@@ -65,7 +65,6 @@ from .pilots import (
     periodic_stats_closed_form,
 )
 from .sim import (
-    FrameGrid,
     IsiWarning,
     apply_channel,
     channel_response,
@@ -84,7 +83,6 @@ __all__ = [
     "EstimationResult",
     "ExperimentConfig",
     "FisherBlocks",
-    "FrameGrid",
     "GeometryError",
     "IsiWarning",
     "OfdmNumerology",

@@ -66,14 +66,6 @@ class SensingChannelParams:
     def gain_sq(self) -> float:
         return self.alpha_re**2 + self.alpha_im**2
 
-    @property
-    def snr(self) -> float:
-        return self.gain_sq / self.noise_var
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
-
     @classmethod
     def from_snr_db(
         cls, snr_db: float, tau: float = 0.0, f_d: float = 0.0
@@ -237,7 +229,8 @@ def crb(
     The diagonal of the inverse of the equivalent information (see
     ``efim``), converted to range and velocity units. ``beta`` is the
     true bistatic angle; it only rescales the velocity bound through
-    1/cos^2(beta/2).
+    1/cos^2(beta/2). Raises ValueError if either bound is not a finite,
+    positive float (an SNR so low or so high that it overflows or underflows).
     """
     if params.noise_var <= 0 or params.gain_sq <= 0:
         raise ValueError("bounds require positive noise variance and gain")
@@ -261,6 +254,9 @@ def crb(
         * lam**2
         / (32.0 * math.pi**2 * ts**2 * math.cos(beta / 2.0) ** 2)
     )
+    if not (0.0 < crb_ran < math.inf and 0.0 < crb_vel < math.inf):
+        raise ValueError(f"bounds crb_ran_m2 = {crb_ran!r}, crb_vel_ms2 = {crb_vel!r} are "
+                         "not finite, positive floats at this SNR")
     return CrbReport(
         crb_ran_m2=crb_ran,
         crb_vel_ms2=crb_vel,

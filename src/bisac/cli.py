@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import SensingChannelParams, SingularPatternError, _snr_powers, crb
+from .bounds import SensingChannelParams, _snr_powers, crb
 from .estimator import ls_channel_estimate, periodogram_2d
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
@@ -22,7 +22,6 @@ from .harness import (
     ExperimentConfig,
     RateRow,
     TableRow,
-    check_receiver,
     rows_to_csv,
     run_rate_table,
     run_sweep,
@@ -257,18 +256,12 @@ def main(argv=None) -> int:
     if args.command != "sweep" and len(grid) > 1:
         command.error(f"argument --snr-db: expected a single value, got {len(grid)}")
     func = _COMMANDS[args.command][0]
-    # an unreadable config file, a bad config value, a config the receiver
-    # cannot run, or a pattern whose bounds are infinite is a usage error;
-    # each is raised before any trial runs
+    # an unreadable config file or unwritable output, a bad config value, a
+    # config the receiver cannot run, or a pattern whose bounds are infinite
+    # or overflow is a usage error; all but an output path fail before any trial
     try:
-        config = _build_config(args)
-        if args.command in ("sweep", "simulate"):
-            check_receiver(config)
+        return func(_build_config(args), args)
     except (OSError, ValueError) as exc:
-        command.error(str(exc))
-    try:
-        return func(config, args)
-    except SingularPatternError as exc:
         command.error(str(exc))
 
 

@@ -33,7 +33,6 @@ import numpy as np
 from .geometry import SPEED_OF_LIGHT, _checked, beta_from_estimates, invert_bistatic_range
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
-from .sim import FrameGrid
 
 
 @dataclass(frozen=True)
@@ -96,23 +95,24 @@ class EstimationResult:
 
 
 def ls_channel_estimate(
-    received: FrameGrid, transmitted: FrameGrid, pattern: PilotPattern
+    received: np.ndarray, transmitted: np.ndarray, pattern: PilotPattern
 ) -> np.ndarray:
     """Per-pilot least-squares channel estimates on the periodic subgrid.
 
-    Returns the (K+1, L+1) grid Y[k n_p, l m_p] / X[k n_p, l m_p]. With
-    unit-modulus pilots the division is a pure rotation, so the noise on
-    each estimate keeps its variance.
+    Returns the (K+1, L+1) grid Y[k n_p, l m_p] / X[k n_p, l m_p] of the
+    N x M complex received grid Y and transmitted grid X. With unit-modulus
+    pilots the division is a pure rotation, so the noise on each estimate
+    keeps its variance.
     """
     n_p, m_p = pattern.periodic_strides()
-    if received.values.shape != transmitted.values.shape:
+    if received.shape != transmitted.shape:
         raise ValueError("received and transmitted grids differ in shape")
-    if received.values.shape != (pattern.n_grid, pattern.m_grid):
+    if received.shape != (pattern.n_grid, pattern.m_grid):
         raise ValueError("grids do not match the pattern dimensions")
-    pilots = transmitted.values[::n_p, ::m_p]
+    pilots = transmitted[::n_p, ::m_p]
     if np.abs(pilots).min() < 1.0 - 1e-9:
         raise ValueError("pilot symbol modulus below unity")
-    return received.values[::n_p, ::m_p] / pilots
+    return received[::n_p, ::m_p] / pilots
 
 
 def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarray:
@@ -207,8 +207,8 @@ def refine_peak(surface: np.ndarray, peak_bins: tuple) -> PeakRefinement:
 
 
 def estimate(
-    received: FrameGrid,
-    transmitted: FrameGrid,
+    received: np.ndarray,
+    transmitted: np.ndarray,
     pattern: PilotPattern,
     numerology: OfdmNumerology,
     config: PeriodogramConfig,

@@ -106,11 +106,11 @@ class BistaticScenario:
     carrier_hz: float = 30e9
 
     def __post_init__(self):
-        self.tx_pos = np.asarray(self.tx_pos, dtype=float).reshape(2)
-        self.rx_pos = np.asarray(self.rx_pos, dtype=float).reshape(2)
-        self.target_pos = np.asarray(self.target_pos, dtype=float).reshape(2)
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
+        for name in ("tx_pos", "rx_pos", "target_pos"):
+            setattr(self, name, np.array(_checked_tuple(getattr(self, name), float, name, 2)))
+        self.speed = _checked(self.speed, float, "speed")
+        self.delta = _checked(self.delta, float, "delta")
+        self.carrier_hz = _checked(self.carrier_hz, float, "carrier_hz", 0, above=True)
 
     @property
     def d_tx(self) -> float:
@@ -223,20 +223,18 @@ def bistatic_angle(d_tx, d_rx, baseline):
     return np.arccos(np.clip(arg, -1.0, 1.0))
 
 
-def derive_ground_truth(
-    scenario: BistaticScenario, eps: float = DEGENERATE_EPS
-) -> SensingGroundTruth:
+def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:
     """Compute the true sensing parameters for a scenario.
 
     Raises:
-        GeometryError: if any pairwise distance is below ``eps``.
+        GeometryError: if any pairwise distance is below ``DEGENERATE_EPS``.
     """
     d_tx = scenario.d_tx
     d_rx = scenario.d_rx
     baseline = scenario.baseline
-    if min(d_tx, d_rx, baseline) < eps:
+    if min(d_tx, d_rx, baseline) < DEGENERATE_EPS:
         raise GeometryError(
-            f"degenerate geometry: pairwise distance below {eps} m "
+            f"degenerate geometry: pairwise distance below {DEGENERATE_EPS} m "
             f"(d_tx={d_tx:.3g}, d_rx={d_rx:.3g}, D={baseline:.3g})"
         )
     beta = float(bistatic_angle(d_tx, d_rx, baseline))

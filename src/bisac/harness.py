@@ -39,10 +39,13 @@ DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
 
 @dataclass
 class ExperimentConfig:
-    """Complete, seedable description of one experiment."""
+    """Complete, seedable description of one experiment.
+
+    The pattern defaults to strides (2, 1) on the numerology's grid.
+    """
 
     numerology: OfdmNumerology = field(default_factory=OfdmNumerology)
-    pattern: PilotPattern = field(default_factory=lambda: make_periodic(70, 50, 2, 1))
+    pattern: PilotPattern | None = None
     snr_grid_db: tuple = (20.0,)
     trials_per_point: int = 200
     ensemble: ScenarioEnsemble = field(default_factory=ScenarioEnsemble)
@@ -63,6 +66,8 @@ class ExperimentConfig:
         if not isinstance(self.out, (str, type(None))):
             raise ValueError(f"out must be a path or None, got {self.out!r}")
         grid = (self.numerology.n_subcarriers, self.numerology.n_symbols)
+        if self.pattern is None:
+            self.pattern = make_periodic(*grid, 2, 1)
         if (self.pattern.n_grid, self.pattern.m_grid) != grid:
             raise ValueError(
                 f"pattern grid {self.pattern.n_grid}x{self.pattern.m_grid} does not "
@@ -105,25 +110,26 @@ class ExperimentConfig:
         _reject_unknown(d, _field_names(cls), "config")
         rest = dict(d)
         num_spec = rest.pop("numerology", {})
-        pattern_spec = rest.pop("pattern", {"periodic": [2, 1]})
         fft_spec = rest.pop("fft", {})
         ens_spec = rest.pop("ensemble", {})
         _reject_unknown(num_spec, _field_names(OfdmNumerology), "numerology")
-        _reject_unknown(pattern_spec, ("N", "M", "periodic", "cells"), "pattern")
+        _reject_unknown(rest.get("pattern", {}), ("N", "M", "periodic", "cells"), "pattern")
         _reject_unknown(fft_spec, _field_names(PeriodogramConfig), "fft")
         _reject_unknown(ens_spec, _ENSEMBLE_KEYS + ("delta_range_deg",), "ensemble")
         numerology = OfdmNumerology(**num_spec)
-        pattern = PilotPattern(
-            n_grid=pattern_spec.get("N", numerology.n_subcarriers),
-            m_grid=pattern_spec.get("M", numerology.n_symbols),
-            cells=pattern_spec.get("cells"), periodic=pattern_spec.get("periodic"),
-        )
+        if "pattern" in rest:
+            spec = rest["pattern"]
+            rest["pattern"] = PilotPattern(
+                n_grid=spec.get("N", numerology.n_subcarriers),
+                m_grid=spec.get("M", numerology.n_symbols),
+                cells=spec.get("cells"), periodic=spec.get("periodic"),
+            )
         fft = PeriodogramConfig(**fft_spec)
         ens_spec = dict(ens_spec)
         if "delta_range_deg" in ens_spec:
             degrees = _checked_tuple(ens_spec.pop("delta_range_deg"), float, "delta_range_deg", 2)
             ens_spec["delta_range"] = tuple(math.radians(v) for v in degrees)
-        return cls(numerology=numerology, pattern=pattern, fft=fft,
+        return cls(numerology=numerology, fft=fft,
                    ensemble=ScenarioEnsemble(**ens_spec), **rest)
 
 
@@ -232,8 +238,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     RMSE is computed over valid trials only (geometry failures and
     non-finite estimates are excluded); the valid fraction is reported
     alongside. Deterministic per master seed for any worker count.
-    Raises before any trial as ``check_receiver`` does, or with
-    SingularPatternError from the bounds of a collinear pattern.
+    Raises before any trial as ``check_receiver`` does, or as ``crb`` does
+    (a collinear pattern, or a bound that overflows at an SNR of the grid).
     """
     check_receiver(config)
     cases = [(SensingChannelParams.from_snr_db(snr_db), config.pattern)

@@ -16,6 +16,9 @@ from .geometry import SPEED_OF_LIGHT, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 class PatternError(ValueError):
     """Raised for invalid pilot pattern construction or usage."""
 
@@ -44,7 +47,7 @@ class PilotPattern:
         m_grid = _checked(self.m_grid, int, "m_grid", 1, error=PatternError)
         if (self.cells is None) == (self.periodic is None):
             raise PatternError("a pattern needs exactly one of periodic and cells")
-        if n_grid * m_grid > np.iinfo(np.int64).max:
+        if n_grid * m_grid > _INT64_MAX:
             raise PatternError(f"grid {n_grid}x{m_grid} has too many cells to index")
         if self.periodic is not None:
             n_p, m_p = _checked_tuple(self.periodic, int, "periodic", 2, error=PatternError)
@@ -77,6 +80,10 @@ class PilotPattern:
             keys = np.sort(cells[:, 0] * m_grid + cells[:, 1])
             if (np.diff(keys) == 0).any():
                 raise PatternError("duplicate pilot cells")
+        # bounds every index sum and product that pattern_stats forms in int64
+        if keys.size * (max(n_grid, m_grid) - 1) ** 2 > _INT64_MAX:
+            raise PatternError(f"grid {n_grid}x{m_grid} with {keys.size} cells is too large "
+                               "for exact int64 index sums")
         cells = np.column_stack(np.divmod(keys, m_grid))
         cells.setflags(write=False)
         object.__setattr__(self, "n_grid", n_grid)

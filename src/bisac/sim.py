@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,20 +31,8 @@ class IsiWarning(UserWarning):
     """Delay exceeds the cyclic prefix; inter-symbol leakage is unmodeled."""
 
 
-@dataclass
-class FrameGrid:
-    """One N x M complex grid of a transmitted or received frame.
-
-    Transmitted grids carry unit-modulus cells.
-    """
-
-    values: np.ndarray
-
-
-def generate_frame(
-    numerology: OfdmNumerology, pattern: PilotPattern, seed
-) -> FrameGrid:
-    """Draw a full frame of Gray-mapped QPSK symbols.
+def generate_frame(numerology: OfdmNumerology, pattern: PilotPattern, seed) -> np.ndarray:
+    """Draw a full N x M complex frame of Gray-mapped QPSK symbols.
 
     Every cell is unit modulus; the same seed reproduces the same grid.
     """
@@ -57,7 +44,7 @@ def generate_frame(
     )
     re = (1 - 2 * (idx & 1)) * _SQRT_HALF
     im = (1 - 2 * (idx >> 1)) * _SQRT_HALF
-    return FrameGrid(values=re + 1j * im)
+    return re + 1j * im
 
 
 def channel_response(
@@ -73,18 +60,18 @@ def channel_response(
 
 
 def apply_channel(
-    frame: FrameGrid,
+    frame: np.ndarray,
     params: SensingChannelParams,
     numerology: OfdmNumerology,
     seed,
-) -> FrameGrid:
-    """Pass a transmitted frame through the channel and add noise.
+) -> np.ndarray:
+    """Pass a transmitted N x M frame through the channel and add noise.
 
     Noise is i.i.d. circular complex Gaussian with total variance
     ``params.noise_var`` per cell (half per real component); zero variance
     yields the exact noiseless product. Deterministic per seed.
     """
-    if frame.values.shape != (numerology.n_subcarriers, numerology.n_symbols):
+    if frame.shape != (numerology.n_subcarriers, numerology.n_symbols):
         raise ValueError("frame shape does not match numerology")
     if params.tau > numerology.cp_duration_s:
         # the text leaves the delay out, so the default filter prints the
@@ -95,7 +82,7 @@ def apply_channel(
             IsiWarning,
             stacklevel=2,
         )
-    received = channel_response(params, numerology) * frame.values
+    received = channel_response(params, numerology) * frame
     if params.noise_var > 0:
         rng = np.random.default_rng(seed)
         scale = np.sqrt(params.noise_var / 2.0)
@@ -104,7 +91,7 @@ def apply_channel(
             + 1j * rng.standard_normal(received.shape)
         )
         received = received + noise
-    return FrameGrid(values=received)
+    return received
 
 
 def sample_scenario(ensemble: ScenarioEnsemble, seed) -> tuple:

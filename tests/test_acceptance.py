@@ -346,7 +346,7 @@ def test_criterion_7f_exact_delay_aliasing():
         frame, SensingChannelParams(tau=tau + step, f_d=2.0**10, noise_var=0.0), dy, 0
     )
     mask = pattern.mask()
-    ok = bool(np.array_equal(base.values[mask], alias.values[mask]))
+    ok = bool(np.array_equal(base[mask], alias[mask]))
     _criterion("7f", "delay aliasing identity exact on pilot cells", ok,
                f"{int(mask.sum())} pilot cells bitwise equal")
 

@@ -192,6 +192,11 @@ class TestCrb:
         with pytest.raises(SingularPatternError):
             crb(SensingChannelParams(), diag, num)
 
+    def test_overflowing_bound_raises(self):
+        params = SensingChannelParams.from_snr_db(-3000)
+        with pytest.raises(ValueError, match="not finite, positive"):
+            crb(params, make_periodic(70, 50, 2, 1), OfdmNumerology())
+
     @pytest.mark.parametrize("field", ["alpha_re", "alpha_im", "tau", "f_d", "noise_var"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_channel_rejected(self, field, value):

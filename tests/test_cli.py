@@ -232,6 +232,30 @@ class TestBadValues:
         assert "--snr-db: expected a single value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["crb", "--snr-db", "-3000"],
+        ["table1", "--snr-db", "-3000"],
+        ["sweep", "--snr-db", "-3000", "--trials", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_bound_that_overflows_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # an accepted SNR at which the range bound overflows to inf
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "not finite, positive" in captured.err.splitlines()[-1]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-surface"])
+    def test_unwritable_output_is_a_usage_error(self, flag, tmp_path, capsys):
+        missing = tmp_path / "missing" / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fft", "64", flag, str(missing)])
+        assert exc.value.code == 2
+        assert "missing" in capsys.readouterr().err.splitlines()[-1]
+
     @pytest.mark.parametrize("text", ['{"snr_grid_db": [NaN]}', '{"snr_grid_db": [Infinity]}'])
     def test_non_finite_snr_in_config_file(self, text, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -247,10 +247,10 @@ class TestEstimate:
         frame_a = generate_frame(num, p, seed=11)
         frame_b = generate_frame(num, p, seed=12)
         # same pilot cells, different payload cells
-        mixed = frame_b.values.copy()
+        mixed = frame_b.copy()
         mask = p.mask()
-        mixed[mask] = frame_a.values[mask]
-        frame_m = type(frame_a)(values=mixed)
+        mixed[mask] = frame_a[mask]
+        frame_m = mixed
         sc = moving_reference_scenario()
         gt = derive_ground_truth(sc)
         params = SensingChannelParams(tau=gt.tau, f_d=gt.f_d, noise_var=0.0)

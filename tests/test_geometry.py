@@ -24,6 +24,24 @@ def vector_angle_beta(scenario):
     return math.acos(min(1.0, max(-1.0, cosine)))
 
 
+NAN, INF = math.nan, math.inf
+SCENE = dict(tx_pos=[-40.0, 0.0], rx_pos=[0.0, 40.0], target_pos=[90.0, -90.0],
+             speed=10.0, delta=0.0, carrier_hz=30e9)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tx_pos", [NAN, 0.0]), ("tx_pos", [INF, 0.0]),
+    ("rx_pos", [0.0, NAN]), ("rx_pos", [0.0, -INF]),
+    ("target_pos", [NAN, -90.0]), ("target_pos", [INF, -90.0]),
+    ("speed", NAN), ("speed", INF),
+    ("delta", NAN), ("delta", -INF),
+    ("carrier_hz", NAN), ("carrier_hz", INF),
+])
+def test_scenario_rejects_non_finite_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        BistaticScenario(**dict(SCENE, **{field: value}))
+
+
 class TestDeriveGroundTruth:
     def test_symmetric_scene(self, reference_scenario):
         gt = derive_ground_truth(reference_scenario)

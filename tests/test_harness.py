@@ -180,6 +180,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="numerology"):
             ExperimentConfig.from_json_dict(d)
 
+    def test_default_pattern_follows_the_numerology(self):
+        grid = {"n_subcarriers": 64, "n_symbols": 32}
+        api = ExperimentConfig(numerology=OfdmNumerology(**grid))
+        loaded = ExperimentConfig.from_json_dict({"numerology": grid})
+        assert api.to_json_dict() == loaded.to_json_dict()
+        assert (api.pattern.n_grid, api.pattern.m_grid, api.pattern.periodic) == (64, 32, (2, 1))
+
     def test_fft_default_is_desk_profile(self):
         assert PeriodogramConfig() == PeriodogramConfig(1024, 1024)
         assert ExperimentConfig().fft == PeriodogramConfig()

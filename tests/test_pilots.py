@@ -56,6 +56,20 @@ class TestMakePeriodic:
         with pytest.raises(PatternError, match="too many cells"):
             PilotPattern(n_grid=2**40, m_grid=2**40, cells=[[2**40 - 1, 0]])
 
+    def test_index_sums_must_fit_int64(self):
+        # 2**21 squares of up to (2**21 - 1)**2 sum below 2**63; 2**22 of them would wrap
+        exact = make_periodic(2**21, 1, 1, 1)
+        assert pattern_stats(exact) == periodic_stats_closed_form(2**21, 1, 1, 1)
+        top = 2**31 - 1
+        for build in (
+            lambda: make_periodic(2**22, 1, 1, 1),
+            lambda: make_periodic(2**31, 2**31, 2**29, 2**29),
+            lambda: PilotPattern(n_grid=2**31, m_grid=2**31,
+                                 cells=[[top, top], [top - 1, top], [top, top - 1], [0, 0]]),
+        ):
+            with pytest.raises(PatternError, match="int64 index sums"):
+                build()
+
 
 class TestPatternStats:
     def test_four_cell_square_by_hand(self):

@@ -24,19 +24,19 @@ from bisac import (
 class TestGenerateFrame:
     def test_unit_modulus_everywhere(self, num):
         frame = generate_frame(num, make_periodic(70, 50, 2, 5), seed=1)
-        assert np.allclose(np.abs(frame.values), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(np.abs(frame), 1.0, rtol=0, atol=1e-15)
 
     def test_deterministic_per_seed(self, num):
         p = make_periodic(70, 50, 2, 5)
         a = generate_frame(num, p, seed=42)
         b = generate_frame(num, p, seed=42)
         c = generate_frame(num, p, seed=43)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_qpsk_alphabet(self, num):
         frame = generate_frame(num, make_periodic(70, 50, 1, 1), seed=9)
-        points = np.unique(np.round(frame.values * math.sqrt(2)).view(float))
+        points = np.unique(np.round(frame * math.sqrt(2)).view(float))
         assert set(points) == {-1.0, 1.0}
 
 
@@ -45,7 +45,7 @@ class TestApplyChannel:
         p = make_periodic(70, 50, 1, 1)
         frame = generate_frame(num, p, seed=3)
         out = apply_channel(frame, SensingChannelParams(noise_var=0.0), num, seed=4)
-        assert np.array_equal(out.values, frame.values)
+        assert np.array_equal(out, frame)
 
     def test_subcarrier_phase_progression(self, num):
         # delay of 1 us at 200 kHz spacing: 0.2 cycles per subcarrier step
@@ -68,7 +68,7 @@ class TestApplyChannel:
         sigma2 = 0.73
         params = SensingChannelParams(tau=0.5e-6, f_d=300.0, noise_var=sigma2)
         out = apply_channel(frame, params, big, seed=6)
-        resid = out.values - channel_response(params, big) * frame.values
+        resid = out - channel_response(params, big) * frame
         assert resid.real.mean() == pytest.approx(0.0, abs=3e-3)
         var = np.mean(np.abs(resid) ** 2)
         assert var == pytest.approx(sigma2, rel=0.01)
@@ -83,7 +83,7 @@ class TestApplyChannel:
         )
         out = apply_channel(frame, params, big, seed=8)
         expected = params.gain_sq + params.noise_var
-        assert np.mean(np.abs(out.values) ** 2) == pytest.approx(expected, rel=0.01)
+        assert np.mean(np.abs(out) ** 2) == pytest.approx(expected, rel=0.01)
 
     def test_cp_violation_flagged(self, num):
         frame = generate_frame(num, make_periodic(70, 50, 1, 1), seed=1)
@@ -121,9 +121,9 @@ class TestApplyChannel:
             frame, SensingChannelParams(tau=tau + step, f_d=2.0**10, noise_var=0.0), dy, 0
         )
         mask = p.mask()
-        assert np.array_equal(base.values[mask], alias.values[mask])
+        assert np.array_equal(base[mask], alias[mask])
         # off-pilot cells must differ (the shift is visible between pilots)
-        assert not np.array_equal(base.values[~mask], alias.values[~mask])
+        assert not np.array_equal(base[~mask], alias[~mask])
 
     def test_doppler_aliasing_identity_exact(self):
         dy = OfdmNumerology(
@@ -142,7 +142,7 @@ class TestApplyChannel:
             frame, SensingChannelParams(tau=tau, f_d=2.0**10 + step, noise_var=0.0), dy, 0
         )
         mask = p.mask()
-        assert np.array_equal(base.values[mask], alias.values[mask])
+        assert np.array_equal(base[mask], alias[mask])
 
 
 class TestSampleScenario:

@@ -32,6 +32,17 @@ def test_import_raises_no_warning():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_estimator_imports_nothing_from_the_simulator():
+    # the receiver takes plain complex grids, simulated or not
+    tree = ast.parse((Path(bisac.__file__).parent / "estimator.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] != "sim"
+            assert "sim" not in {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[-1] == "sim" for a in node.names)
+
+
 def imported_names(tree) -> set:
     """Names bound by the module's imports, ``from __future__`` aside."""
     names = set()
