@@ -229,9 +229,12 @@ def crb(
     The diagonal of the inverse of the equivalent information (see
     ``efim``), converted to range and velocity units. ``beta`` is the
     true bistatic angle; it only rescales the velocity bound through
-    1/cos^2(beta/2). Raises ValueError if either bound is not a finite,
-    positive float (an SNR so low or so high that it overflows or underflows).
+    1/cos^2(beta/2), in [0, pi). Raises ValueError for another beta, or if
+    either bound is not a finite, positive float (an SNR so low or so high
+    that it overflows or underflows).
     """
+    if not 0.0 <= beta < math.pi:
+        raise ValueError(f"beta must lie in [0, pi), got {beta!r}")
     if params.noise_var <= 0 or params.gain_sq <= 0:
         raise ValueError("bounds require positive noise variance and gain")
     st = pattern_stats(pattern)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -141,7 +142,10 @@ def _build_config(args) -> ExperimentConfig:
         changes["fft"] = replace(config.fft, fft_n=fft, fft_m=fft)
     stride_n, stride_m = flags.get("stride_n"), flags.get("stride_m")
     if stride_n is not None or stride_m is not None:
-        n_p, m_p = config.pattern.periodic or (1, 1)
+        if config.pattern.periodic is None and None in (stride_n, stride_m):
+            raise ValueError("--np and --mp must be given together: the config's "
+                             "pattern is a cell list, not periodic")
+        n_p, m_p = config.pattern.periodic or (stride_n, stride_m)
         changes["pattern"] = make_periodic(
             config.numerology.n_subcarriers, config.numerology.n_symbols,
             n_p if stride_n is None else stride_n,
@@ -151,6 +155,14 @@ def _build_config(args) -> ExperimentConfig:
         if flags.get(name) is not None:
             changes[name] = flags[name]
     return replace(config, **changes)
+
+
+def _output_paths(config, args) -> tuple:
+    """The files written: sweep's CSV and manifest, else ``out`` and ``--dump-surface``."""
+    if args.command == "sweep":
+        out = config.out or "sweep.csv"
+        return out, out + ".manifest.json"
+    return tuple(path for path in (config.out, getattr(args, "dump_surface", None)) if path)
 
 
 def _emit(text: str, out_path) -> None:
@@ -176,11 +188,11 @@ def _cmd_crb(config, args) -> int:
 
 def _cmd_sweep(config, args) -> int:
     result = run_sweep(config)
-    out = config.out or "sweep.csv"
+    out, manifest = _output_paths(config, args)
     with open(out, "w") as fh:
         fh.write(result.to_csv())
-    write_manifest(config, out + ".manifest.json")
-    print(f"wrote {out} and {out}.manifest.json", file=sys.stderr)
+    write_manifest(config, manifest)
+    print(f"wrote {out} and {manifest}", file=sys.stderr)
     return 0
 
 
@@ -258,9 +270,14 @@ def main(argv=None) -> int:
     func = _COMMANDS[args.command][0]
     # an unreadable config file or unwritable output, a bad config value, a
     # config the receiver cannot run, or a pattern whose bounds are infinite
-    # or overflow is a usage error; all but an output path fail before any trial
+    # or overflow is a usage error; each is found before any trial
     try:
-        return func(_build_config(args), args)
+        config = _build_config(args)
+        for path in _output_paths(config, args):
+            folder = os.path.dirname(path) or "."
+            if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise OSError(f"cannot write {path}: not a file in a writable directory")
+        return func(config, args)
     except (OSError, ValueError) as exc:
         command.error(str(exc))
 

@@ -121,7 +121,7 @@ def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarra
     if rows < 1 or cols < 1:
         raise ValueError("empty pilot grid")
     config.check_covers(rows, cols)
-    return np.fft.ifft(pilot_grid, n=config.fft_n, axis=0) * config.fft_n
+    return np.fft.ifft(pilot_grid, n=config.fft_n, axis=0, norm="forward")
 
 
 def _doppler_power(stage: np.ndarray, rows, fft_m: int) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -78,34 +77,24 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         """The config file that ``from_json_dict`` reads back to this config."""
-        pattern = {"N": self.pattern.n_grid, "M": self.pattern.m_grid}
         if self.pattern.periodic is not None:
-            pattern["periodic"] = list(self.pattern.periodic)
+            pattern = {"periodic": list(self.pattern.periodic)}
         else:
-            pattern["cells"] = self.pattern.cells.tolist()
-        ensemble = {key: list(getattr(self.ensemble, key)) for key in _ENSEMBLE_KEYS}
-        ensemble["delta_range_deg"] = [math.degrees(v) for v in self.ensemble.delta_range]
-        return {
-            "numerology": asdict(self.numerology),
-            "pattern": pattern,
-            "snr_grid_db": list(self.snr_grid_db),
-            "trials_per_point": self.trials_per_point,
-            "ensemble": ensemble,
-            "fft": asdict(self.fft),
-            "seed": self.seed,
-            "workers": self.workers,
-            "ecrb_draws": self.ecrb_draws,
-            "out": self.out,
-        }
+            pattern = {"cells": self.pattern.cells.tolist()}
+        d = {name: getattr(self, name) for name in _field_names(type(self))}
+        d.update(numerology=asdict(self.numerology), pattern=pattern, fft=asdict(self.fft),
+                 snr_grid_db=list(self.snr_grid_db),
+                 ensemble={key: list(getattr(self.ensemble, key)) for key in _ENSEMBLE_KEYS})
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         """Build from a config; an unknown key or a malformed value raises ValueError.
 
-        Each section must be an object with known keys; the constructors
-        check the values. A pattern takes its grid from the numerology; an
-        explicit N or M must agree with it. The ensemble gives its delta
-        range in degrees, as ``delta_range_deg``, and no carrier.
+        Each section must be an object whose keys are its constructor's
+        arguments, in its units; the constructors check the values. A
+        pattern lies on the numerology's grid, and the ensemble takes its
+        carrier from the numerology.
         """
         _reject_unknown(d, _field_names(cls), "config")
         rest = dict(d)
@@ -113,28 +102,22 @@ class ExperimentConfig:
         fft_spec = rest.pop("fft", {})
         ens_spec = rest.pop("ensemble", {})
         _reject_unknown(num_spec, _field_names(OfdmNumerology), "numerology")
-        _reject_unknown(rest.get("pattern", {}), ("N", "M", "periodic", "cells"), "pattern")
+        _reject_unknown(rest.get("pattern", {}), ("periodic", "cells"), "pattern")
         _reject_unknown(fft_spec, _field_names(PeriodogramConfig), "fft")
-        _reject_unknown(ens_spec, _ENSEMBLE_KEYS + ("delta_range_deg",), "ensemble")
+        _reject_unknown(ens_spec, _ENSEMBLE_KEYS, "ensemble")
         numerology = OfdmNumerology(**num_spec)
         if "pattern" in rest:
             spec = rest["pattern"]
             rest["pattern"] = PilotPattern(
-                n_grid=spec.get("N", numerology.n_subcarriers),
-                m_grid=spec.get("M", numerology.n_symbols),
+                n_grid=numerology.n_subcarriers, m_grid=numerology.n_symbols,
                 cells=spec.get("cells"), periodic=spec.get("periodic"),
             )
-        fft = PeriodogramConfig(**fft_spec)
-        ens_spec = dict(ens_spec)
-        if "delta_range_deg" in ens_spec:
-            degrees = _checked_tuple(ens_spec.pop("delta_range_deg"), float, "delta_range_deg", 2)
-            ens_spec["delta_range"] = tuple(math.radians(v) for v in degrees)
-        return cls(numerology=numerology, fft=fft,
+        return cls(numerology=numerology, fft=PeriodogramConfig(**fft_spec),
                    ensemble=ScenarioEnsemble(**ens_spec), **rest)
 
 
-# the ensemble keys a config file gives as stored; the carrier follows the numerology
-_ENSEMBLE_KEYS = ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range")
+# the ensemble's constructor arguments but the carrier, which follows the numerology
+_ENSEMBLE_KEYS = ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range", "delta_range")
 
 
 def _field_names(cls) -> tuple:
@@ -252,11 +235,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         for snr_idx in range(n_snr)
         for trial_idx in range(trials)
     ]
-    if config.workers == 1:
+    # a pool starts all its processes at once, so start no more than there are trials
+    workers = min(config.workers, len(tasks))
+    if workers == 1:
         outcomes = list(map(_run_trial, tasks))
     else:
-        chunk = max(1, len(tasks) // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as executor:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             outcomes = list(executor.map(_run_trial, tasks, chunksize=chunk))
     # map yields outcomes in task order, whatever order the trials finish in
     sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*outcomes))

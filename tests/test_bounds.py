@@ -197,6 +197,17 @@ class TestCrb:
         with pytest.raises(ValueError, match="not finite, positive"):
             crb(params, make_periodic(70, 50, 2, 1), OfdmNumerology())
 
+    @pytest.mark.parametrize("beta", [math.pi, -0.1, 3 * math.pi, math.nan])
+    def test_bistatic_angle_outside_zero_to_pi_raises(self, num, beta):
+        # at beta = pi the velocity bound is infinite; beyond it cos^2 repeats
+        with pytest.raises(ValueError, match="beta"):
+            crb(SensingChannelParams(), make_periodic(70, 50, 2, 5), num, beta=beta)
+
+    def test_bistatic_angle_just_below_pi_accepted(self, num):
+        report = crb(SensingChannelParams(), make_periodic(70, 50, 2, 5), num,
+                     beta=math.pi - 1e-6)
+        assert math.isfinite(report.crb_vel_ms2)
+
     @pytest.mark.parametrize("field", ["alpha_re", "alpha_im", "tau", "f_d", "noise_var"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_channel_rejected(self, field, value):

@@ -174,6 +174,7 @@ class TestBadValues:
         ({"pattern": 3}, "pattern"),
         ({"fft": 3}, "fft"),
         ({"ensemble": 3}, "ensemble"),
+        ({"ensemble": {"delta_range": [5]}}, "delta_range"),
     ])
     def test_malformed_config_value_names_its_key(self, spec, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -256,6 +257,45 @@ class TestBadValues:
         assert exc.value.code == 2
         assert "missing" in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--snr-db", "0,10", "--trials", "300", "--fft", "256"],
+        ["simulate", "--fft", "4096"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_found_before_any_trial(self, argv, tmp_path, monkeypatch,
+                                                      capsys):
+        def no_trial(*a):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(bisac.harness, "sample_scenario", no_trial)
+        missing = str(tmp_path / "missing" / "out")
+        flag = "--out" if argv[0] == "sweep" else "--dump-surface"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, missing])
+        assert exc.value.code == 2
+        assert missing in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["crb", "sweep"])
+    def test_output_that_is_a_directory_is_a_usage_error(self, command, tmp_path,
+                                                          monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(bisac.cli, "run_sweep", no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert str(tmp_path) in capsys.readouterr().err.splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("beta_deg", ["180", "540", "-30"])
+    def test_bistatic_angle_outside_zero_to_pi(self, beta_deg, tmp_path, capsys):
+        out = tmp_path / "crb.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["crb", "--beta-deg", beta_deg, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "beta" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ['{"snr_grid_db": [NaN]}', '{"snr_grid_db": [Infinity]}'])
     def test_non_finite_snr_in_config_file(self, text, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -266,7 +306,39 @@ class TestBadValues:
         assert "snr_grid_db" in capsys.readouterr().err
 
 
+CELLS_CONFIG = {"pattern": {"cells": [[0, 0], [3, 7], [10, 20], [40, 11]]}}
+
+
 class TestCrbCommand:
+    @pytest.mark.parametrize("command, flag", [
+        ("crb", "--np"), ("crb", "--mp"), ("sweep", "--np"), ("simulate", "--mp"),
+    ])
+    def test_single_stride_flag_on_a_cell_list_is_a_usage_error(self, command, flag,
+                                                                tmp_path, capsys):
+        cfg_file = tmp_path / "cells.json"
+        cfg_file.write_text(json.dumps(CELLS_CONFIG))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_file), flag, "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--np and --mp" in capsys.readouterr().err.splitlines()[-1]
+        assert sorted(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize("pattern, flags, strides", [
+        (CELLS_CONFIG["pattern"], ["--np", "3", "--mp", "2"], (3, 2)),
+        ({"periodic": [10, 5]}, ["--np", "2"], (2, 5)),
+    ], ids=["both-flags-on-cells", "one-flag-on-periodic"])
+    def test_stride_flags_set_the_pattern(self, pattern, flags, strides, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"pattern": pattern}))
+        out = tmp_path / "crb.json"
+        assert main(["crb", "--config", str(cfg_file), *flags, "--beta-deg", "0",
+                     "--out", str(out)]) == 0
+        expected = crb(SensingChannelParams.from_snr_db(20.0), make_periodic(70, 50, *strides),
+                       OfdmNumerology(), beta=0.0)
+        assert json.loads(out.read_text()) == dict(expected.to_json_dict(), snr_db=20.0,
+                                                   beta_rad=0.0)
+
     def test_config_out_is_the_output_path(self, tmp_path, capsys):
         out = tmp_path / "from_config.json"
         cfg_file = tmp_path / "cfg.json"

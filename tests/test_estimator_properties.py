@@ -1,4 +1,5 @@
-"""Property test: the row-pruned peak search against the full periodogram."""
+"""Property tests: the row-pruned peak search against the full periodogram,
+and the delay stage's scaling."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bisac import (  # noqa: E402
     refine_peak,
     sample_scenario,
 )
+from bisac.estimator import _delay_stage  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -89,3 +91,16 @@ def test_estimate_equals_full_surface_reference(inputs):
     received = apply_channel(frame, params, NUM, rng)
     args = (received, frame, pattern, NUM, config, scenario.baseline, truth.theta)
     assert outcome(estimate, *args) == outcome(reference_estimate, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 20), log_fft=st.integers(6, 10),
+       exponent=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+def test_delay_stage_equals_rescaled_ifft_bit_for_bit(rows, cols, log_fft, exponent, seed):
+    # norm="forward" and "* fft_n" are both exact for a power-of-two fft_n
+    rng = np.random.default_rng(seed)
+    grid = (rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols))) * 10.0**exponent
+    config = PeriodogramConfig(2**log_fft, 2**log_fft)
+    reference = np.fft.ifft(grid, n=config.fft_n, axis=0) * config.fft_n
+    assert np.array_equal(_delay_stage(grid, config).view(np.uint64), reference.view(np.uint64))

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,10 +177,29 @@ class TestConfig:
 
     @pytest.mark.parametrize("grid", [{"N": 64}, {"M": 40}, {"N": 50, "M": 70}])
     def test_pattern_grid_must_match_numerology(self, grid):
-        d = small_config().to_json_dict()
-        d["pattern"] = dict({"periodic": [2, 1]}, **grid)
+        # a config file lays its pattern on the numerology's grid; a caller may not
+        pattern = make_periodic(grid.get("N", 70), grid.get("M", 50), 2, 1)
         with pytest.raises(ValueError, match="numerology"):
+            ExperimentConfig(pattern=pattern)
+
+    # keys an older echo wrote, with the values it gave small_config()
+    @pytest.mark.parametrize("section, key, value", [
+        ("pattern", "N", 70), ("pattern", "M", 50), ("ensemble", "delta_range_deg", [-5, 5]),
+    ])
+    def test_non_constructor_key_rejected_by_name(self, section, key, value):
+        d = small_config().to_json_dict()
+        d[section][key] = value
+        with pytest.raises(ValueError, match=f"unknown {section} key.*{key}"):
             ExperimentConfig.from_json_dict(d)
+
+    def test_readme_config_example_is_the_echo(self):
+        # the JSON block under "Config file schema" loads, and its echo restates it
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme[readme.index("### Config file schema"):]
+        start = schema.index("```json") + len("```json")
+        block = json.loads(schema[start:schema.index("```", start)])
+        echo = ExperimentConfig.from_json_dict(block).to_json_dict()
+        assert {key: echo[key] for key in block} == block
 
     def test_default_pattern_follows_the_numerology(self):
         grid = {"n_subcarriers": 64, "n_symbols": 32}
@@ -218,6 +239,33 @@ class TestRunSweep:
             w: run_sweep(small_config(workers=w)).to_csv() for w in (1, 2)
         }
         assert texts[1] == texts[2]
+
+    @pytest.mark.parametrize("snr_grid_db, workers, pools", [
+        ((20.0,), 64, []), ((0.0, 20.0), 64, [2]), ((0.0, 10.0, 20.0), 2, [2]),
+    ])
+    def test_no_more_processes_than_trials(self, monkeypatch, snr_grid_db, workers, pools):
+        started = []
+
+        class RecordingPool:
+            """Runs the tasks in-process and records the processes asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bisac.harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(snr_grid_db=snr_grid_db, trials_per_point=1, workers=workers)
+        serial = run_sweep(replace(cfg, workers=1)).to_csv()
+        assert run_sweep(cfg).to_csv() == serial
+        assert started == pools
 
     def test_csv_schema(self):
         text = run_sweep(small_config(trials_per_point=1)).to_csv()
@@ -298,5 +346,5 @@ class TestManifest:
         data = json.loads(path.read_text())
         assert data["csv_schema_version"] == 1
         assert data["config"]["seed"] == 7
-        assert data["config"]["pattern"] == {"N": 70, "M": 50, "periodic": [2, 1]}
+        assert data["config"]["pattern"] == {"periodic": [2, 1]}
         assert "package_version" in data

@@ -1,8 +1,8 @@
 """Property tests: the shared bound-row path against per-row ecrb_vel calls,
 and JSON round trips of whole configs."""
 
+import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -79,12 +79,10 @@ def configs(draw):
         cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
                               min_size=1, max_size=20, unique=True))
         pattern = PilotPattern(n_grid=n, m_grid=m, cells=[list(c) for c in cells])
-    # a config file states delta_range in degrees, so draw it that way
-    degrees = draw(st.tuples(st.floats(-180.0, 180.0), st.floats(-180.0, 180.0)))
     ensemble = ScenarioEnsemble(
         tx_pos=draw(finite_pairs), rx_pos=draw(finite_pairs), x_range=draw(finite_pairs),
         y_range=draw(finite_pairs), speed_range=draw(finite_pairs),
-        delta_range=tuple(math.radians(d) for d in degrees),
+        delta_range=draw(finite_pairs),
     )
     fft = st.integers(0, 12).map(lambda k: 2**k)
     return ExperimentConfig(
@@ -97,9 +95,19 @@ def configs(draw):
     )
 
 
+def field_values(value):
+    """A dataclass's field values, nested, with arrays as (dtype, list), for ==."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: field_values(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tolist()
+    return value
+
+
 @settings(max_examples=50, deadline=None)
 @given(config=configs())
 def test_config_json_round_trip(config):
     spec = config.to_json_dict()
     back = ExperimentConfig.from_json_dict(json.loads(json.dumps(spec)))
     assert back.to_json_dict() == spec
+    assert field_values(back) == field_values(config)
