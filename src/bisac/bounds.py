@@ -366,7 +366,7 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
     xs, ys = ensemble.sample_targets(rng, draws)
     d_tx = np.hypot(xs - ensemble.tx_pos[0], ys - ensemble.tx_pos[1])
     d_rx = np.hypot(xs - ensemble.rx_pos[0], ys - ensemble.rx_pos[1])
-    baseline = float(np.linalg.norm(ensemble.tx_pos - ensemble.rx_pos))
+    baseline = float(np.linalg.norm(np.subtract(ensemble.tx_pos, ensemble.rx_pos)))
 
     ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS)
     betas = np.full(draws, np.nan)

@@ -70,8 +70,8 @@ def _parse_snr_grid(text: str) -> tuple:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected a:b:step")
         start, stop, step = _snr_db(parts[0]), _snr_db(parts[1]), _finite_float(parts[2])
-        if step <= 0:
-            raise argparse.ArgumentTypeError("step must be positive")
+        if step <= 0 or stop < start:
+            raise argparse.ArgumentTypeError(f"expected a <= b and step > 0, got {text!r}")
         span = (stop - start) / step + 1e-9
         if not span < _MAX_SNR_POINTS:
             raise argparse.ArgumentTypeError(

@@ -32,7 +32,7 @@ Speed of light is fixed to 3e8 m/s throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +58,17 @@ def _checked(value, kind: type, name: str, low=None, *, above=False, error: type
     """``value`` as a plain ``kind`` (int, float or bool), else ``error`` naming ``name``.
 
     Python and numpy scalars are accepted; a float may be given as an
-    integer, and a bool is never a number. A number must also be >= ``low``,
-    or > ``low`` if ``above``, where ``low`` is given.
+    integer, but not one beyond the largest float, and a bool is never a
+    number. A number must also be >= ``low``, or > ``low`` if ``above``,
+    where ``low`` is given.
     """
     what, types = _KINDS[kind]
-    ok = (isinstance(value, types) and (kind is bool or not isinstance(value, bool))
-          and (kind is not float or math.isfinite(value))
-          and (low is None or (value > low if above else value >= low)))
+    try:
+        ok = (isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+              and (kind is not float or math.isfinite(value))
+              and (low is None or (value > low if above else value >= low)))
+    except OverflowError:  # math.isfinite of an integer beyond the largest float
+        ok = False
     if not ok:
         bound = "" if low is None else f" {'>' if above else '>='} {low}"
         raise error(f"{name} must be {what}{bound}, got {value!r}")
@@ -90,24 +94,24 @@ class BistaticScenario:
     """A single planar bistatic scene.
 
     Attributes:
-        tx_pos: transmitter position [m], length-2.
-        rx_pos: receiver position [m], length-2.
-        target_pos: target position [m], length-2.
+        tx_pos: transmitter position (x, y) [m].
+        rx_pos: receiver position (x, y) [m].
+        target_pos: target position (x, y) [m].
         speed: signed magnitude of target velocity [m/s].
         delta: angle between velocity vector and the bistatic bisector [rad].
         carrier_hz: carrier frequency [Hz].
     """
 
-    tx_pos: np.ndarray
-    rx_pos: np.ndarray
-    target_pos: np.ndarray
+    tx_pos: tuple
+    rx_pos: tuple
+    target_pos: tuple
     speed: float = 0.0
     delta: float = 0.0
     carrier_hz: float = 30e9
 
     def __post_init__(self):
         for name in ("tx_pos", "rx_pos", "target_pos"):
-            setattr(self, name, np.array(_checked_tuple(getattr(self, name), float, name, 2)))
+            setattr(self, name, _checked_tuple(getattr(self, name), float, name, 2))
         self.speed = _checked(self.speed, float, "speed")
         self.delta = _checked(self.delta, float, "delta")
         self.carrier_hz = _checked(self.carrier_hz, float, "carrier_hz", 0, above=True)
@@ -115,17 +119,17 @@ class BistaticScenario:
     @property
     def d_tx(self) -> float:
         """Transmitter-to-target distance [m]."""
-        return float(np.linalg.norm(self.target_pos - self.tx_pos))
+        return float(np.linalg.norm(np.subtract(self.target_pos, self.tx_pos)))
 
     @property
     def d_rx(self) -> float:
         """Target-to-receiver distance [m]."""
-        return float(np.linalg.norm(self.target_pos - self.rx_pos))
+        return float(np.linalg.norm(np.subtract(self.target_pos, self.rx_pos)))
 
     @property
     def baseline(self) -> float:
         """Transmitter-to-receiver distance D [m]."""
-        return float(np.linalg.norm(self.tx_pos - self.rx_pos))
+        return float(np.linalg.norm(np.subtract(self.tx_pos, self.rx_pos)))
 
     @property
     def wavelength(self) -> float:
@@ -154,17 +158,18 @@ class SensingGroundTruth:
     theta: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioEnsemble:
     """Uniform distribution over scenarios with fixed terminals.
 
     Target position is uniform over the box x_range x y_range, speed
-    uniform over speed_range, delta uniform over delta_range (radians).
-    Draw order per sample is fixed: x, y, speed, delta.
+    uniform over speed_range, delta uniform over delta_range (radians);
+    each range's width hi - lo must be finite. Draw order per sample is
+    fixed: x, y, speed, delta.
     """
 
-    tx_pos: np.ndarray = field(default_factory=lambda: np.array([-40.0, 0.0]))
-    rx_pos: np.ndarray = field(default_factory=lambda: np.array([0.0, 40.0]))
+    tx_pos: tuple = (-40.0, 0.0)
+    rx_pos: tuple = (0.0, 40.0)
     x_range: tuple = (80.0, 100.0)
     y_range: tuple = (-100.0, -80.0)
     speed_range: tuple = (-30.0, 30.0)
@@ -172,45 +177,30 @@ class ScenarioEnsemble:
     carrier_hz: float = 30e9
 
     def __post_init__(self):
-        self.tx_pos = np.array(_checked_tuple(self.tx_pos, float, "tx_pos", 2))
-        self.rx_pos = np.array(_checked_tuple(self.rx_pos, float, "rx_pos", 2))
-        for name in ("x_range", "y_range", "speed_range", "delta_range"):
-            setattr(self, name, _checked_tuple(getattr(self, name), float, name, 2))
-        self.carrier_hz = _checked(self.carrier_hz, float, "carrier_hz", 0, above=True)
+        for name in ("tx_pos", "rx_pos", "x_range", "y_range", "speed_range", "delta_range"):
+            value = _checked_tuple(getattr(self, name), float, name, 2)
+            if name.endswith("_range") and not math.isfinite(value[1] - value[0]):
+                raise ValueError(f"{name} must have a finite width, got {value!r}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "carrier_hz",
+                           _checked(self.carrier_hz, float, "carrier_hz", 0, above=True))
 
     def sample_targets(self, rng: np.random.Generator, size: int) -> tuple:
         """Draw target x, y coordinates, shape (size,) each."""
-        x = rng.uniform(self.x_range[0], self.x_range[1], size)
-        y = rng.uniform(self.y_range[0], self.y_range[1], size)
-        return x, y
+        return rng.uniform(*self.x_range, size), rng.uniform(*self.y_range, size)
 
     def sample(self, rng: np.random.Generator) -> BistaticScenario:
         """Draw one scenario."""
-        x = rng.uniform(self.x_range[0], self.x_range[1])
-        y = rng.uniform(self.y_range[0], self.y_range[1])
-        speed = rng.uniform(self.speed_range[0], self.speed_range[1])
-        delta = rng.uniform(self.delta_range[0], self.delta_range[1])
-        return BistaticScenario(
-            tx_pos=self.tx_pos,
-            rx_pos=self.rx_pos,
-            target_pos=np.array([x, y]),
-            speed=speed,
-            delta=delta,
-            carrier_hz=self.carrier_hz,
-        )
+        ranges = (self.x_range, self.y_range, self.speed_range, self.delta_range)
+        return self._scenario(*[rng.uniform(*r) for r in ranges])
 
     def center_scenario(self) -> BistaticScenario:
         """Scenario at the box center with zero speed."""
-        x = 0.5 * (self.x_range[0] + self.x_range[1])
-        y = 0.5 * (self.y_range[0] + self.y_range[1])
-        return BistaticScenario(
-            tx_pos=self.tx_pos,
-            rx_pos=self.rx_pos,
-            target_pos=np.array([x, y]),
-            speed=0.0,
-            delta=0.0,
-            carrier_hz=self.carrier_hz,
-        )
+        (x0, x1), (y0, y1) = self.x_range, self.y_range
+        return self._scenario(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+
+    def _scenario(self, x, y, speed=0.0, delta=0.0) -> BistaticScenario:
+        return BistaticScenario(self.tx_pos, self.rx_pos, (x, y), speed, delta, self.carrier_hz)
 
 
 def bistatic_angle(d_tx, d_rx, baseline):
@@ -239,8 +229,8 @@ def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:
         )
     beta = float(bistatic_angle(d_tx, d_rx, baseline))
 
-    u = scenario.target_pos - scenario.rx_pos
-    w = scenario.tx_pos - scenario.rx_pos
+    u = np.subtract(scenario.target_pos, scenario.rx_pos)
+    w = np.subtract(scenario.tx_pos, scenario.rx_pos)
     cos_theta = float(np.dot(u, w) / (d_rx * baseline))
     theta = math.acos(min(1.0, max(-1.0, cos_theta)))
 

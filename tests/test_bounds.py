@@ -214,6 +214,20 @@ class TestCrb:
         with pytest.raises(ValueError, match=field):
             SensingChannelParams(**{field: value})
 
+    def test_equals_full_fisher_inverse_on_arbitrary_patterns(self, num):
+        # random cells have q_nm != 0, so the cross term does not vanish
+        rng = np.random.default_rng(41)
+        cross = 0
+        for _ in range(200):
+            p, params, beta = random_pattern(rng), random_params(rng), rng.uniform(0.0, 2.8)
+            cross += pattern_stats(p).q_nm != 0
+            inv = np.linalg.inv(fisher_matrix(params, p, num).j)
+            report = crb(params, p, num, beta=beta)
+            assert report.crb_ran_m2 == pytest.approx(C**2 * inv[3, 3], rel=1e-10)
+            scale = num.wavelength / (2.0 * math.cos(beta / 2.0))
+            assert report.crb_vel_ms2 == pytest.approx(scale**2 * inv[2, 2], rel=1e-10)
+        assert cross > 150
+
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="noise_var"):

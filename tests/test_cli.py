@@ -175,6 +175,8 @@ class TestBadValues:
         ({"fft": 3}, "fft"),
         ({"ensemble": 3}, "ensemble"),
         ({"ensemble": {"delta_range": [5]}}, "delta_range"),
+        ({"numerology": {"carrier_hz": 10**400}}, "carrier_hz"),
+        ({"ensemble": {"speed_range": [-1e308, 1e308]}}, "speed_range"),
     ])
     def test_malformed_config_value_names_its_key(self, spec, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -208,6 +210,7 @@ class TestBadValues:
         # a point count that is not finite, or above the cap
         (["sweep", "--snr-db", "0:10:5e-324"], "--snr-db"),
         (["sweep", "--snr-db", "0:100:0.001"], "--snr-db"),
+        (["sweep", "--snr-db", "10:0:1"], "--snr-db"),
     ])
     def test_non_finite_or_out_of_range_flag(self, args, flag, monkeypatch, capsys):
         def no_sweep(config):

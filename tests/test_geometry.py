@@ -16,8 +16,8 @@ from bisac import (
 def vector_angle_beta(scenario):
     """Independent oracle: beta as the angle between the target-to-terminal
     direction vectors, no law of cosines."""
-    to_tx = scenario.tx_pos - scenario.target_pos
-    to_rx = scenario.rx_pos - scenario.target_pos
+    to_tx = np.subtract(scenario.tx_pos, scenario.target_pos)
+    to_rx = np.subtract(scenario.rx_pos, scenario.target_pos)
     cosine = np.dot(to_tx, to_rx) / (
         np.linalg.norm(to_tx) * np.linalg.norm(to_rx)
     )

@@ -77,6 +77,10 @@ MALFORMED = [
     ("periodic", lambda: make_periodic(70, 50, 2.7, 1), {"pattern": {"periodic": [2.7, 1]}}),
     ("snr_grid_db", lambda: ExperimentConfig(snr_grid_db=5), {"snr_grid_db": 5}),
     ("out", lambda: ExperimentConfig(out=5), {"out": 5}),
+    ("y_range", lambda: ScenarioEnsemble(y_range=(0, 10**400)),
+     {"ensemble": {"y_range": [0, 10**400]}}),
+    ("speed_range", lambda: ScenarioEnsemble(speed_range=(-1e308, 1e308)),
+     {"ensemble": {"speed_range": [-1e308, 1e308]}}),
 ]
 
 # numpy scalars and 1-D arrays, as perfbench passes them, against plain values

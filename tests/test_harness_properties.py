@@ -3,6 +3,7 @@ and JSON round trips of whole configs."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,8 @@ def test_bound_columns_equal_per_row_ecrb_vel(pairs, snr_grid, seed):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 finite_pairs = st.tuples(finite, finite)
+# a range's width hi - lo must be finite too
+ranges = finite_pairs.filter(lambda r: math.isfinite(r[1] - r[0]))
 # beyond about +-3082 dB the linear SNR or its reciprocal overflows or underflows
 snr_range = st.floats(-3000.0, 3000.0)
 
@@ -80,9 +83,8 @@ def configs(draw):
                               min_size=1, max_size=20, unique=True))
         pattern = PilotPattern(n_grid=n, m_grid=m, cells=[list(c) for c in cells])
     ensemble = ScenarioEnsemble(
-        tx_pos=draw(finite_pairs), rx_pos=draw(finite_pairs), x_range=draw(finite_pairs),
-        y_range=draw(finite_pairs), speed_range=draw(finite_pairs),
-        delta_range=draw(finite_pairs),
+        tx_pos=draw(finite_pairs), rx_pos=draw(finite_pairs), x_range=draw(ranges),
+        y_range=draw(ranges), speed_range=draw(ranges), delta_range=draw(ranges),
     )
     fft = st.integers(0, 12).map(lambda k: 2**k)
     return ExperimentConfig(

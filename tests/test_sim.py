@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -169,6 +170,18 @@ class TestSampleScenario:
         b, tb = sample_scenario(ensemble, seed=77)
         assert np.array_equal(a.target_pos, b.target_pos)
         assert ta == tb
+
+    def test_ensembles_and_draws_compare_by_value(self):
+        assert ScenarioEnsemble() == ScenarioEnsemble()
+        assert ScenarioEnsemble(tx_pos=np.array([-40, 0])) == ScenarioEnsemble()
+        a = ScenarioEnsemble().sample(np.random.default_rng(77))
+        b = ScenarioEnsemble().sample(np.random.default_rng(77))
+        assert a == b
+        assert a.tx_pos == (-40.0, 0.0)
+
+    def test_ensemble_is_immutable(self, ensemble):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ensemble.x_range = (0.0, 1.0)
 
 
 class TestGridFile:
