@@ -366,7 +366,7 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
     xs, ys = ensemble.sample_targets(rng, draws)
     d_tx = np.hypot(xs - ensemble.tx_pos[0], ys - ensemble.tx_pos[1])
     d_rx = np.hypot(xs - ensemble.rx_pos[0], ys - ensemble.rx_pos[1])
-    baseline = float(np.linalg.norm(np.subtract(ensemble.tx_pos, ensemble.rx_pos)))
+    baseline = ensemble.baseline
 
     ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS)
     betas = np.full(draws, np.nan)
@@ -404,21 +404,18 @@ def rate_upper_bound(
     )
 
 
-def _phasor(
-    params: SensingChannelParams,
-    numerology: OfdmNumerology,
-    n: np.ndarray,
-    m: np.ndarray,
-) -> np.ndarray:
+def _phasor(tau, f_d, numerology: OfdmNumerology, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     """exp(j 2 pi (f_d m T_s - tau n df)) at subcarrier n, symbol m.
 
-    The phase is accumulated in cycles and reduced modulo one before
-    conversion to radians, so its accuracy does not depend on the index
-    magnitude and delay/Doppler aliasing identities hold exactly.
+    ``tau`` and ``f_d`` are scalars or arrays that broadcast against ``n``
+    and ``m``; each element is computed as for scalars. The phase is
+    accumulated in cycles and reduced modulo one before conversion to
+    radians, so its accuracy does not depend on the index magnitude and
+    delay/Doppler aliasing identities hold exactly.
     """
     cycles = (
-        params.f_d * numerology.symbol_duration_s * m
-        - params.tau * numerology.subcarrier_spacing_hz * n
+        f_d * numerology.symbol_duration_s * m
+        - tau * numerology.subcarrier_spacing_hz * n
     )
     return np.exp(2j * np.pi * np.mod(cycles, 1.0))
 
@@ -457,7 +454,7 @@ def mean_response_jacobian(
     m = pattern.cells[:, 1].astype(float)
     ts = numerology.symbol_duration_s
     df = numerology.subcarrier_spacing_hz
-    carrier = _phasor(params, numerology, n, m)
+    carrier = _phasor(params.tau, params.f_d, numerology, n, m)
     if symbols is not None:
         carrier = carrier * symbols
     jac = np.empty((pattern.size, 4), dtype=complex)

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import SensingChannelParams, _snr_powers, crb
-from .estimator import ls_channel_estimate, periodogram_2d
+from .estimator import periodogram_2d
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
     DEFAULT_RATE_RHOS,
@@ -211,7 +211,7 @@ def _cmd_rates(config, args) -> int:
 
 def _cmd_simulate(config, args) -> int:
     """Trial 0 of SNR point 0 of the sweep over the same config."""
-    truth, frame, received, outcome = simulate_trial(config, 0, 0)
+    truth, pilot_grid, outcome = simulate_trial(config, 0, 0)
     valid = not isinstance(outcome, GeometryError)
     payload = {
         "snr_db": config.snr_grid_db[0],
@@ -224,7 +224,6 @@ def _cmd_simulate(config, args) -> int:
         payload["error"] = str(outcome)
 
     if args.dump_surface:
-        pilot_grid = ls_channel_estimate(received, frame, config.pattern)
         surface = periodogram_2d(pilot_grid, config.fft)
         write_grid(surface.astype(np.complex128), args.dump_surface)
         payload["surface_file"] = args.dump_surface

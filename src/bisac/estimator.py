@@ -109,19 +109,26 @@ def ls_channel_estimate(
         raise ValueError("received and transmitted grids differ in shape")
     if received.shape != (pattern.n_grid, pattern.m_grid):
         raise ValueError("grids do not match the pattern dimensions")
-    pilots = transmitted[::n_p, ::m_p]
+    return _ls_divide(received[::n_p, ::m_p], transmitted[::n_p, ::m_p])
+
+
+def _ls_divide(received: np.ndarray, pilots: np.ndarray) -> np.ndarray:
+    """Least-squares estimates ``received / pilots`` of pilot values, any shape."""
     if np.abs(pilots).min() < 1.0 - 1e-9:
         raise ValueError("pilot symbol modulus below unity")
-    return received[::n_p, ::m_p] / pilots
+    return received / pilots
 
 
 def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarray:
-    """Positive-exponent delay-axis transform, zero-padded: shape (fft_n, cols)."""
-    rows, cols = pilot_grid.shape
+    """Positive-exponent delay-axis transform, zero-padded: shape (..., fft_n, cols).
+
+    Each grid of a stack (..., rows, cols) transforms as it would alone.
+    """
+    rows, cols = pilot_grid.shape[-2:]
     if rows < 1 or cols < 1:
         raise ValueError("empty pilot grid")
     config.check_covers(rows, cols)
-    return np.fft.ifft(pilot_grid, n=config.fft_n, axis=0, norm="forward")
+    return np.fft.ifft(pilot_grid, n=config.fft_n, axis=-2, norm="forward")
 
 
 def _doppler_power(stage: np.ndarray, rows, fft_m: int) -> np.ndarray:
@@ -156,7 +163,11 @@ def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
     cannot hold the peak, so only the other rows are transformed, in
     ascending order, which keeps the first-occurrence tie rule.
     """
-    stage = _delay_stage(pilot_grid, config)
+    return _stage_peak(_delay_stage(pilot_grid, config), config)
+
+
+def _stage_peak(stage: np.ndarray, config: PeriodogramConfig) -> tuple:
+    """``peak_search`` from the delay stage of the pilot grid."""
     bound = np.abs(stage).sum(axis=1) ** 2 * (1.0 + 1e-9)
     best = _doppler_power(stage, [int(np.argmax(bound))], config.fft_m).max()
     # written as a negation so that a NaN bound or NaN best keeps the row
@@ -228,9 +239,17 @@ def estimate(
         GeometryError: if the range estimate cannot be inverted
             (d_bis_hat <= baseline); callers count such trials as invalid.
     """
-    n_p, m_p = pattern.periodic_strides()
     pilot_grid = ls_channel_estimate(received, transmitted, pattern)
-    (b_r, b_v), rows = peak_search(pilot_grid, config)
+    return _stage_estimate(_delay_stage(pilot_grid, config), pattern, numerology, config,
+                           baseline, theta)
+
+
+def _stage_estimate(stage: np.ndarray, pattern: PilotPattern, numerology: OfdmNumerology,
+                    config: PeriodogramConfig, baseline: float, theta: float
+                    ) -> EstimationResult:
+    """``estimate`` from the delay stage of the LS pilot grid; raises as it does."""
+    n_p, m_p = pattern.periodic_strides()
+    (b_r, b_v), rows = _stage_peak(stage, config)
     if config.interpolate:
         refined = refine_peak(rows, (1, b_v))
         off_r, off_v = refined.offsets

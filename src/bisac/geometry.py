@@ -119,22 +119,17 @@ class BistaticScenario:
     @property
     def d_tx(self) -> float:
         """Transmitter-to-target distance [m]."""
-        return float(np.linalg.norm(np.subtract(self.target_pos, self.tx_pos)))
+        return _distance(self.target_pos, self.tx_pos)
 
     @property
     def d_rx(self) -> float:
         """Target-to-receiver distance [m]."""
-        return float(np.linalg.norm(np.subtract(self.target_pos, self.rx_pos)))
+        return _distance(self.target_pos, self.rx_pos)
 
     @property
     def baseline(self) -> float:
         """Transmitter-to-receiver distance D [m]."""
-        return float(np.linalg.norm(np.subtract(self.tx_pos, self.rx_pos)))
-
-    @property
-    def wavelength(self) -> float:
-        """Carrier wavelength [m]."""
-        return SPEED_OF_LIGHT / self.carrier_hz
+        return _distance(self.tx_pos, self.rx_pos)
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,9 @@ class ScenarioEnsemble:
 
     Target position is uniform over the box x_range x y_range, speed
     uniform over speed_range, delta uniform over delta_range (radians);
-    each range's width hi - lo must be finite. Draw order per sample is
-    fixed: x, y, speed, delta.
+    each range's width hi - lo must be finite, and so must the square of
+    any bistatic range the terminals and the box allow. Draw order per
+    sample is fixed: x, y, speed, delta.
     """
 
     tx_pos: tuple = (-40.0, 0.0)
@@ -184,20 +180,42 @@ class ScenarioEnsemble:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "carrier_hz",
                            _checked(self.carrier_hz, float, "carrier_hz", 0, above=True))
+        # a squared bistatic range is at most 8 times the larger squared
+        # extent of the terminals and the box along x or y
+        for axis, name in enumerate(("x_range", "y_range")):
+            coords = (self.tx_pos[axis], self.rx_pos[axis], *getattr(self, name))
+            extent = max(coords) - min(coords)
+            if not math.isfinite(8.0 * extent * extent):
+                raise ValueError(f"tx_pos, rx_pos and {name} span {extent:.3g} m along "
+                                 f"{'xy'[axis]}: the squared bistatic range would overflow")
+
+    @property
+    def baseline(self) -> float:
+        """Transmitter-to-receiver distance D [m]."""
+        return _distance(self.tx_pos, self.rx_pos)
 
     def sample_targets(self, rng: np.random.Generator, size: int) -> tuple:
         """Draw target x, y coordinates, shape (size,) each."""
         return rng.uniform(*self.x_range, size), rng.uniform(*self.y_range, size)
 
+    def _draw(self, rng: np.random.Generator) -> tuple:
+        ranges = (self.x_range, self.y_range, self.speed_range, self.delta_range)
+        return tuple(rng.uniform(*r) for r in ranges)
+
     def sample(self, rng: np.random.Generator) -> BistaticScenario:
         """Draw one scenario."""
-        ranges = (self.x_range, self.y_range, self.speed_range, self.delta_range)
-        return self._scenario(*[rng.uniform(*r) for r in ranges])
+        return self._scenario(*self._draw(rng))
+
+    def sample_truth(self, rng: np.random.Generator) -> SensingGroundTruth:
+        """``derive_ground_truth(self.sample(rng))``, without building the scenario."""
+        x, y, speed, delta = self._draw(rng)
+        return _ground_truth(self.tx_pos, self.rx_pos, (x, y), speed, delta, self.carrier_hz)
 
     def center_scenario(self) -> BistaticScenario:
         """Scenario at the box center with zero speed."""
         (x0, x1), (y0, y1) = self.x_range, self.y_range
-        return self._scenario(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        # lo + (hi - lo) / 2 stays finite wherever the width is
+        return self._scenario(x0 + (x1 - x0) / 2, y0 + (y1 - y0) / 2)
 
     def _scenario(self, x, y, speed=0.0, delta=0.0) -> BistaticScenario:
         return BistaticScenario(self.tx_pos, self.rx_pos, (x, y), speed, delta, self.carrier_hz)
@@ -213,15 +231,25 @@ def bistatic_angle(d_tx, d_rx, baseline):
     return np.arccos(np.clip(arg, -1.0, 1.0))
 
 
+def _distance(a, b) -> float:
+    return float(np.linalg.norm(np.subtract(a, b)))
+
+
 def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:
     """Compute the true sensing parameters for a scenario.
 
     Raises:
         GeometryError: if any pairwise distance is below ``DEGENERATE_EPS``.
     """
-    d_tx = scenario.d_tx
-    d_rx = scenario.d_rx
-    baseline = scenario.baseline
+    return _ground_truth(scenario.tx_pos, scenario.rx_pos, scenario.target_pos,
+                         scenario.speed, scenario.delta, scenario.carrier_hz)
+
+
+def _ground_truth(tx_pos, rx_pos, target_pos, speed, delta, carrier_hz) -> SensingGroundTruth:
+    """``derive_ground_truth`` of the scenario with these (already checked) fields."""
+    d_tx = _distance(target_pos, tx_pos)
+    d_rx = _distance(target_pos, rx_pos)
+    baseline = _distance(tx_pos, rx_pos)
     if min(d_tx, d_rx, baseline) < DEGENERATE_EPS:
         raise GeometryError(
             f"degenerate geometry: pairwise distance below {DEGENERATE_EPS} m "
@@ -229,15 +257,15 @@ def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:
         )
     beta = float(bistatic_angle(d_tx, d_rx, baseline))
 
-    u = np.subtract(scenario.target_pos, scenario.rx_pos)
-    w = np.subtract(scenario.tx_pos, scenario.rx_pos)
+    u = np.subtract(target_pos, rx_pos)
+    w = np.subtract(tx_pos, rx_pos)
     cos_theta = float(np.dot(u, w) / (d_rx * baseline))
     theta = math.acos(min(1.0, max(-1.0, cos_theta)))
 
     d_bis = d_tx + d_rx
-    v_bis = scenario.speed * math.cos(scenario.delta)
+    v_bis = speed * math.cos(delta)
     tau = d_bis / SPEED_OF_LIGHT
-    f_d = 2.0 * v_bis * math.cos(beta / 2.0) / scenario.wavelength
+    f_d = 2.0 * v_bis * math.cos(beta / 2.0) / (SPEED_OF_LIGHT / carrier_hz)
     return SensingGroundTruth(
         d_bis=d_bis, v_bis=v_bis, tau=tau, f_d=f_d, beta=beta, theta=theta
     )

@@ -2,8 +2,11 @@
 
 Every random quantity derives from the mandatory master seed through
 fixed SeedSequence keys, so results are byte-identical across runs and
-across worker counts. Trials are independent work items; squared errors
-are reduced in trial-index order regardless of completion order.
+across worker counts. Each trial has its own key; a sweep hands its
+trials to the workers in blocks, runs each block on the pilot subgrid
+as one stack (``_trial_block``) and reduces the squared errors in
+trial-index order regardless of completion order. A block's length
+depends on the config alone, never on the worker count.
 """
 
 from __future__ import annotations
@@ -20,17 +23,21 @@ from . import __version__
 from .bounds import (
     SensingChannelParams, _ecrb_geometry, _ecrb_mean, _snr_powers, crb, rate_upper_bound,
 )
-from .estimator import PeriodogramConfig, estimate
+from .estimator import PeriodogramConfig, _delay_stage, _ls_divide, _stage_estimate
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
-from .sim import apply_channel, generate_frame, sample_scenario
+from .sim import simulate_pilots
 
 CSV_SCHEMA_VERSION = 1
 
 # Stream tags for per-purpose seed derivation.
 _TRIAL_STREAM = 0
 _ECRB_STREAM = 1
+
+# A block holds as many trials as fit this many bytes of delay stage, and at
+# least one: 25 at fft 256 with 10 pilot symbols, one at fft 1024 and beyond.
+_BLOCK_BYTES = 2**20
 
 DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))
 DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
@@ -166,38 +173,45 @@ def check_receiver(config: ExperimentConfig) -> None:
 def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tuple:
     """Trial ``trial_idx`` of SNR point ``snr_idx`` of ``run_sweep(config)``.
 
-    Returns (truth, frame, received, outcome); outcome is the
+    Returns (truth, pilot_grid, outcome): the ground truth, the (K+1, L+1)
+    least-squares channel estimates on the pilot subgrid, and the
     EstimationResult, or the GeometryError that made the trial invalid.
     Raises as ``check_receiver`` does.
     """
     check_receiver(config)
-    seed = np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
-    rng = np.random.default_rng(seed)
-    scenario, truth = sample_scenario(config.ensemble, rng)
-    snr_db = config.snr_grid_db[snr_idx]
-    params = SensingChannelParams.from_snr_db(snr_db, tau=truth.tau, f_d=truth.f_d)
-    frame = generate_frame(config.numerology, config.pattern, rng)
-    received = apply_channel(frame, params, config.numerology, rng)
-    try:
-        outcome = estimate(
-            received, frame, config.pattern, config.numerology, config.fft,
-            baseline=scenario.baseline, theta=truth.theta,
-        )
-    except GeometryError as exc:
-        outcome = exc
-    return truth, frame, received, outcome
+    return _trial_block(config, snr_idx, trial_idx, trial_idx + 1)[0]
 
 
-def _run_trial(args) -> tuple:
-    """One Monte Carlo trial; returns (sq_err_d, sq_err_v, valid)."""
-    truth, _, _, outcome = simulate_trial(*args)
-    if isinstance(outcome, GeometryError):
-        return np.nan, np.nan, False
-    err_d = outcome.d_bis_hat - truth.d_bis
-    err_v = outcome.v_bis_hat - truth.v_bis
-    if not (np.isfinite(err_d) and np.isfinite(err_v)):
-        return np.nan, np.nan, False
-    return err_d**2, err_v**2, True
+def _trial_block(config: ExperimentConfig, snr_idx: int, start: int, stop: int) -> list:
+    """Trials ``start`` to ``stop - 1`` of SNR point ``snr_idx``, as ``simulate_trial``
+    returns each: one delay-axis transform of their stacked pilot grids."""
+    seeds = [np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
+             for trial_idx in range(start, stop)]
+    truths, symbols, received = simulate_pilots(
+        config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx], seeds)
+    grids = _ls_divide(received, symbols)
+    baseline = config.ensemble.baseline
+    trials = []
+    for truth, grid, stage in zip(truths, grids, _delay_stage(grids, config.fft)):
+        try:
+            outcome = _stage_estimate(stage, config.pattern, config.numerology, config.fft,
+                                      baseline, truth.theta)
+        except GeometryError as exc:
+            outcome = exc
+        trials.append((truth, grid, outcome))
+    return trials
+
+
+def _block_errors(block: tuple) -> list:
+    """(sq_err_d, sq_err_v, valid) per trial of ``_trial_block(*block)``."""
+    errors = []
+    for truth, _, outcome in _trial_block(*block):
+        err_d = err_v = np.nan
+        if not isinstance(outcome, GeometryError):
+            err_d, err_v = outcome.d_bis_hat - truth.d_bis, outcome.v_bis_hat - truth.v_bis
+        valid = bool(np.isfinite(err_d) and np.isfinite(err_v))
+        errors.append((err_d**2, err_v**2, True) if valid else (np.nan, np.nan, False))
+    return errors
 
 
 def _bound_columns(config: ExperimentConfig, cases, draws: int) -> list:
@@ -230,21 +244,24 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     bounds = _bound_columns(config, cases, config.ecrb_draws)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
-    tasks = [
-        (config, snr_idx, trial_idx)
+    cols = config.pattern.periodic_counts()[1] + 1
+    length = max(1, _BLOCK_BYTES // (config.fft.fft_n * cols * 16))
+    blocks = [
+        (config, snr_idx, start, min(start + length, trials))
         for snr_idx in range(n_snr)
-        for trial_idx in range(trials)
+        for start in range(0, trials, length)
     ]
-    # a pool starts all its processes at once, so start no more than there are trials
-    workers = min(config.workers, len(tasks))
+    # a pool starts all its processes at once, so start no more than there are blocks
+    workers = min(config.workers, len(blocks))
     if workers == 1:
-        outcomes = list(map(_run_trial, tasks))
+        outcomes = list(map(_block_errors, blocks))
     else:
-        chunk = max(1, len(tasks) // (workers * 4))
+        chunk = max(1, len(blocks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            outcomes = list(executor.map(_run_trial, tasks, chunksize=chunk))
-    # map yields outcomes in task order, whatever order the trials finish in
-    sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*outcomes))
+            outcomes = list(executor.map(_block_errors, blocks, chunksize=chunk))
+    # map yields blocks in task order, whatever order they finish in
+    trial_errors = [errors for block in outcomes for errors in block]
+    sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*trial_errors))
 
     rows = []
     for snr_idx, snr_db in enumerate(config.snr_grid_db):

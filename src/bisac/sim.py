@@ -10,6 +10,10 @@ rejected, so aliasing behavior can be studied).
 Channel phases come from the phase kernel shared with the bounds, which
 reduces them modulo one cycle before conversion to radians, so
 delay/Doppler aliasing identities are exact on pilot cells.
+
+Trials are independent: each draws from its own seed. ``simulate_pilots``
+runs a block of them on the pilot cells alone, where its values equal
+those of the full-grid chain bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,22 @@ class IsiWarning(UserWarning):
     """Delay exceeds the cyclic prefix; inter-symbol leakage is unmodeled."""
 
 
+def _warn_isi(tau: float, numerology: OfdmNumerology) -> None:
+    """Warn IsiWarning for the caller's caller if ``tau`` exceeds the cyclic prefix."""
+    if tau > numerology.cp_duration_s:
+        # the text leaves the delay out, so the default filter prints the
+        # warning once per call site and process rather than once per trial
+        warnings.warn(f"delay exceeds the cyclic prefix {numerology.cp_duration_s:.3g} s; "
+                      "ISI is not modeled", IsiWarning, stacklevel=3)
+
+
+def _qpsk(idx: np.ndarray) -> np.ndarray:
+    """Gray-mapped QPSK symbols of the integers 0-3 in ``idx``."""
+    re = (1 - 2 * (idx & 1)) * _SQRT_HALF
+    im = (1 - 2 * (idx >> 1)) * _SQRT_HALF
+    return re + 1j * im
+
+
 def generate_frame(numerology: OfdmNumerology, pattern: PilotPattern, seed) -> np.ndarray:
     """Draw a full N x M complex frame of Gray-mapped QPSK symbols.
 
@@ -39,12 +59,7 @@ def generate_frame(numerology: OfdmNumerology, pattern: PilotPattern, seed) -> n
     if pattern.n_grid != numerology.n_subcarriers or pattern.m_grid != numerology.n_symbols:
         raise ValueError("pattern grid does not match numerology")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(
-        0, 4, size=(numerology.n_subcarriers, numerology.n_symbols)
-    )
-    re = (1 - 2 * (idx & 1)) * _SQRT_HALF
-    im = (1 - 2 * (idx >> 1)) * _SQRT_HALF
-    return re + 1j * im
+    return _qpsk(rng.integers(0, 4, size=(numerology.n_subcarriers, numerology.n_symbols)))
 
 
 def channel_response(
@@ -52,11 +67,24 @@ def channel_response(
 ) -> np.ndarray:
     """Noiseless channel coefficients on the full grid, shape (N, M).
 
-    H[n, m] = gain * bounds._phasor at subcarrier n, symbol m.
+    H[n, m] = gain * bounds._phasor at subcarrier n, symbol m: what a unit
+    symbol receives without noise.
     """
-    n = np.arange(numerology.n_subcarriers, dtype=float)[:, None]
-    m = np.arange(numerology.n_symbols, dtype=float)[None, :]
-    return params.alpha * _phasor(params, numerology, n, m)
+    return _receive(1.0, params, params.tau, params.f_d, numerology, (1, 1), None)
+
+
+def _receive(symbols, params: SensingChannelParams, tau, f_d, numerology: OfdmNumerology,
+             strides: tuple, normals) -> np.ndarray:
+    """``symbols`` received on every ``strides``-th subcarrier and symbol, with the
+    params' gain, delay ``tau`` and Doppler ``f_d`` (broadcast as in ``_phasor``)
+    and the noise that the standard normal pair ``normals`` makes (None: none)."""
+    n = np.arange(numerology.n_subcarriers, dtype=float)[::strides[0], None]
+    m = np.arange(numerology.n_symbols, dtype=float)[None, ::strides[1]]
+    received = params.alpha * _phasor(tau, f_d, numerology, n, m) * symbols
+    if normals is not None:
+        re, im = normals
+        received = received + np.sqrt(params.noise_var / 2.0) * (re + 1j * im)
+    return received
 
 
 def apply_channel(
@@ -73,25 +101,12 @@ def apply_channel(
     """
     if frame.shape != (numerology.n_subcarriers, numerology.n_symbols):
         raise ValueError("frame shape does not match numerology")
-    if params.tau > numerology.cp_duration_s:
-        # the text leaves the delay out, so the default filter prints the
-        # warning once per call site and process rather than once per trial
-        warnings.warn(
-            f"delay exceeds the cyclic prefix {numerology.cp_duration_s:.3g} s; "
-            "ISI is not modeled",
-            IsiWarning,
-            stacklevel=2,
-        )
-    received = channel_response(params, numerology) * frame
+    _warn_isi(params.tau, numerology)
+    normals = None
     if params.noise_var > 0:
         rng = np.random.default_rng(seed)
-        scale = np.sqrt(params.noise_var / 2.0)
-        noise = scale * (
-            rng.standard_normal(received.shape)
-            + 1j * rng.standard_normal(received.shape)
-        )
-        received = received + noise
-    return received
+        normals = [rng.standard_normal(frame.shape) for _ in range(2)]
+    return _receive(frame, params, params.tau, params.f_d, numerology, (1, 1), normals)
 
 
 def sample_scenario(ensemble: ScenarioEnsemble, seed) -> tuple:
@@ -103,6 +118,34 @@ def sample_scenario(ensemble: ScenarioEnsemble, seed) -> tuple:
     rng = np.random.default_rng(seed)
     scenario = ensemble.sample(rng)
     return scenario, derive_ground_truth(scenario)
+
+
+def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
+                    pattern: PilotPattern, snr_db: float, seeds) -> tuple:
+    """``sample_scenario``, ``generate_frame`` and ``apply_channel`` at ``snr_db``,
+    once per seed, on the pilot cells of a periodic pattern.
+
+    Each trial draws what that chain draws, in its order, from one generator
+    seeded with its seed; only the arithmetic is cut to the pilot cells.
+    Returns the ground truths, pilot symbols and received pilot values, shape
+    (trials, K+1, L+1), equal bit for bit to the chain's.
+    """
+    params = SensingChannelParams.from_snr_db(snr_db)
+    n_p, m_p = pattern.periodic_strides()
+    shape = (numerology.n_subcarriers, numerology.n_symbols)
+    truths, idx, normals = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        truths.append(ensemble.sample_truth(rng))
+        idx.append(rng.integers(0, 4, size=shape)[::n_p, ::m_p])
+        if params.noise_var > 0:
+            normals.append([rng.standard_normal(shape)[::n_p, ::m_p] for _ in range(2)])
+    tau, f_d = (np.array([[[getattr(t, key)]] for t in truths]) for key in ("tau", "f_d"))
+    _warn_isi(tau.max(), numerology)
+    symbols = _qpsk(np.array(idx))
+    received = _receive(symbols, params, tau, f_d, numerology, (n_p, m_p),
+                        np.moveaxis(normals, 1, 0) if normals else None)
+    return truths, symbols, received
 
 
 def write_grid(values: np.ndarray, path) -> None:

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bisac
 import bisac.cli
 import bisac.harness
 from bisac import (
@@ -100,7 +105,7 @@ class TestUsageErrors:
         def no_trial(*a):
             raise AssertionError("trial started")
 
-        monkeypatch.setattr(bisac.harness, "sample_scenario", no_trial)
+        monkeypatch.setattr(bisac.harness, "_trial_block", no_trial)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([command, *args, "--out", str(out)])
@@ -186,6 +191,25 @@ class TestBadValues:
         assert exc.value.code == 2
         assert key in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize("command", ["crb", "sweep"])
+    def test_ensemble_whose_squared_ranges_overflow(self, command, tmp_path, capsys):
+        # rejected by the ensemble, before any numpy warning, also under -W error
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"ensemble": {"x_range": [1e308, 1.5e308]}}))
+        argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "x_range" in capsys.readouterr().err.splitlines()[-1]
+        src = str(Path(bisac.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "bisac.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "x_range" in proc.stderr.splitlines()[-1]
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("args, flag", [
         (["crb", "--snr-db", "inf"], "--snr-db"),
         (["sweep", "--snr-db", "inf"], "--snr-db"),
@@ -269,7 +293,7 @@ class TestBadValues:
         def no_trial(*a):
             raise AssertionError("trial started")
 
-        monkeypatch.setattr(bisac.harness, "sample_scenario", no_trial)
+        monkeypatch.setattr(bisac.harness, "_trial_block", no_trial)
         missing = str(tmp_path / "missing" / "out")
         flag = "--out" if argv[0] == "sweep" else "--dump-surface"
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,8 @@ import pytest
 
 from bisac import (
     ExperimentConfig,
+    SensingChannelParams,
+    estimate,
     OfdmNumerology,
     PatternError,
     PeriodogramConfig,
@@ -23,22 +25,23 @@ from bisac import (
 import bisac.harness
 from bisac.harness import (
     SWEEP_COLUMNS,
-    _run_trial,
+    _TRIAL_STREAM,
     rows_to_csv,
     simulate_trial,
     write_manifest,
 )
+from bisac.sim import IsiWarning, apply_channel, generate_frame, sample_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
 
 @pytest.fixture
 def no_trial(monkeypatch):
-    """Make any scenario draw, and so any trial, fail the test."""
+    """Make any block of trials, and so any trial, fail the test."""
     def fail(*args):
         raise AssertionError("trial started")
 
-    monkeypatch.setattr(bisac.harness, "sample_scenario", fail)
+    monkeypatch.setattr(bisac.harness, "_trial_block", fail)
 
 
 def small_config(**overrides):
@@ -81,6 +84,9 @@ MALFORMED = [
      {"ensemble": {"y_range": [0, 10**400]}}),
     ("speed_range", lambda: ScenarioEnsemble(speed_range=(-1e308, 1e308)),
      {"ensemble": {"speed_range": [-1e308, 1e308]}}),
+    ("x_range", lambda: ScenarioEnsemble(x_range=(1e308, 1.5e308)),
+     {"ensemble": {"x_range": [1e308, 1.5e308]}}),
+    ("rx_pos", lambda: ScenarioEnsemble(rx_pos=(0.0, 1e200)), {"ensemble": {"rx_pos": [0, 1e200]}}),
 ]
 
 # numpy scalars and 1-D arrays, as perfbench passes them, against plain values
@@ -222,10 +228,17 @@ class TestRunSweep:
     def test_single_trial_rmse_is_absolute_error(self):
         cfg = small_config(snr_grid_db=(30.0,), trials_per_point=1)
         result = run_sweep(cfg)
-        sq_d, sq_v, ok = _run_trial((cfg, 0, 0))
-        assert ok
-        assert result.rows[0].rmse_range_m == pytest.approx(math.sqrt(sq_d), rel=1e-15)
-        assert result.rows[0].rmse_vel_ms == pytest.approx(math.sqrt(sq_v), rel=1e-15)
+        # the full-grid reference chain of trial 0
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TRIAL_STREAM, 0, 0]))
+        scenario, truth = sample_scenario(cfg.ensemble, rng)
+        params = SensingChannelParams.from_snr_db(30.0, tau=truth.tau, f_d=truth.f_d)
+        frame = generate_frame(cfg.numerology, cfg.pattern, rng)
+        received = apply_channel(frame, params, cfg.numerology, rng)
+        est = estimate(received, frame, cfg.pattern, cfg.numerology, cfg.fft,
+                       baseline=scenario.baseline, theta=truth.theta)
+        err_d, err_v = est.d_bis_hat - truth.d_bis, est.v_bis_hat - truth.v_bis
+        assert result.rows[0].rmse_range_m == pytest.approx(abs(err_d), rel=1e-15)
+        assert result.rows[0].rmse_vel_ms == pytest.approx(abs(err_v), rel=1e-15)
         assert result.rows[0].valid_trial_fraction == 1.0
 
     def test_bound_column_decade_per_20_db(self):
@@ -247,7 +260,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("snr_grid_db, workers, pools", [
         ((20.0,), 64, []), ((0.0, 20.0), 64, [2]), ((0.0, 10.0, 20.0), 2, [2]),
     ])
-    def test_no_more_processes_than_trials(self, monkeypatch, snr_grid_db, workers, pools):
+    def test_no_more_processes_than_blocks(self, monkeypatch, snr_grid_db, workers, pools):
         started = []
 
         class RecordingPool:
@@ -266,10 +279,16 @@ class TestRunSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(bisac.harness, "ProcessPoolExecutor", RecordingPool)
+        # one trial per point is one block per point
         cfg = small_config(snr_grid_db=snr_grid_db, trials_per_point=1, workers=workers)
         serial = run_sweep(replace(cfg, workers=1)).to_csv()
         assert run_sweep(cfg).to_csv() == serial
         assert started == pools
+
+    def test_sweep_warns_delay_beyond_prefix(self):
+        # the default ensemble's delays, about 1 to 1.15 us, exceed the 1 us prefix
+        with pytest.warns(IsiWarning, match="exceeds the cyclic prefix"):
+            run_sweep(small_config(trials_per_point=1, workers=1))
 
     def test_csv_schema(self):
         text = run_sweep(small_config(trials_per_point=1)).to_csv()

@@ -65,6 +65,10 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 finite_pairs = st.tuples(finite, finite)
 # a range's width hi - lo must be finite too
 ranges = finite_pairs.filter(lambda r: math.isfinite(r[1] - r[0]))
+# terminals and box lie within 1e153 m of the origin, so 8 times any
+# squared extent, at most 8 * (2e153)**2, is finite
+coordinate = st.floats(-1e153, 1e153)
+points = st.tuples(coordinate, coordinate)
 # beyond about +-3082 dB the linear SNR or its reciprocal overflows or underflows
 snr_range = st.floats(-3000.0, 3000.0)
 
@@ -83,8 +87,8 @@ def configs(draw):
                               min_size=1, max_size=20, unique=True))
         pattern = PilotPattern(n_grid=n, m_grid=m, cells=[list(c) for c in cells])
     ensemble = ScenarioEnsemble(
-        tx_pos=draw(finite_pairs), rx_pos=draw(finite_pairs), x_range=draw(ranges),
-        y_range=draw(ranges), speed_range=draw(ranges), delta_range=draw(ranges),
+        tx_pos=draw(points), rx_pos=draw(points), x_range=draw(points),
+        y_range=draw(points), speed_range=draw(ranges), delta_range=draw(ranges),
     )
     fft = st.integers(0, 12).map(lambda k: 2**k)
     return ExperimentConfig(

@@ -61,3 +61,13 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported_names(tree) - used == set()
+
+
+def test_harness_runs_no_full_grid_simulation():
+    # sweeps and simulate_trial run trial blocks on the pilot subgrid; the
+    # full-grid functions stay the reference that the block is tested against
+    tree = ast.parse((Path(bisac.__file__).parent / "harness.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= imported_names(tree)
+    assert names & {"generate_frame", "apply_channel", "sample_scenario"} == set()
