@@ -23,6 +23,7 @@ from .geometry import (
     DEGENERATE_EPS,
     SPEED_OF_LIGHT,
     ScenarioEnsemble,
+    _checked,
     bistatic_angle,
 )
 from .ofdm import OfdmNumerology
@@ -53,8 +54,7 @@ class SensingChannelParams:
 
     def __post_init__(self):
         for name in ("alpha_re", "alpha_im", "tau", "f_d", "noise_var"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _checked(getattr(self, name), float, name)
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
 
@@ -360,8 +360,7 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
 
     Independent of pattern and noise level: one draw serves every bound.
     """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    draws = _checked(draws, int, "draws", 1)
     rng = np.random.default_rng(seed)
     xs, ys = ensemble.sample_targets(rng, draws)
     d_tx = np.hypot(xs - ensemble.tx_pos[0], ys - ensemble.tx_pos[1])

@@ -36,7 +36,7 @@ from .sim import write_grid
 _PROFILES = {"desk": {"fft": 1024, "trials": 200}, "full": {"fft": 4096, "trials": 1000}}
 
 # flags that set the ExperimentConfig field of the same name
-_FIELD_FLAGS = ("snr_grid_db", "trials_per_point", "seed", "workers", "out")
+_FIELD_FLAGS = ("snr_grid_db", "trials_per_point", "seed", "workers", "ecrb_draws", "out")
 
 
 def _finite_float(text: str) -> float:
@@ -112,7 +112,8 @@ _FLAGS = {
     "--out": dict(metavar="FILE", help="output path (default stdout)"),
     "--beta-deg": dict(type=_finite_float,
                        help="bistatic angle [deg]; default: ensemble box center"),
-    "--draws": dict(type=_positive_int, help="geometry draws for the velocity bound"),
+    "--draws": dict(dest="ecrb_draws", type=_positive_int,
+                    help="geometry draws for the velocity bound"),
     "--snr-comm-db": dict(type=_snr_db, default=5.0, help="communication SNR [dB]"),
     "--rhos": dict(type=_parse_rhos, default=DEFAULT_RATE_RHOS,
                    help="comma list of overhead values in [0, 1]"),
@@ -198,7 +199,7 @@ def _cmd_sweep(config, args) -> int:
 
 def _cmd_table1(config, args) -> int:
     snr_db = args.snr_grid_db[0] if args.snr_grid_db else 5.0
-    rows = run_table1(config, snr_db=snr_db, draws=args.draws)
+    rows = run_table1(config, snr_db=snr_db)
     _emit(rows_to_csv(rows, TableRow), config.out)
     return 0
 

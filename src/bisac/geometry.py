@@ -89,7 +89,7 @@ def _checked_tuple(value, kind: type, name: str, length: int | None = None,
     return tuple(_checked(v, kind, f"{name}[{i}]", error=error) for i, v in enumerate(value))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BistaticScenario:
     """A single planar bistatic scene.
 
@@ -111,10 +111,11 @@ class BistaticScenario:
 
     def __post_init__(self):
         for name in ("tx_pos", "rx_pos", "target_pos"):
-            setattr(self, name, _checked_tuple(getattr(self, name), float, name, 2))
-        self.speed = _checked(self.speed, float, "speed")
-        self.delta = _checked(self.delta, float, "delta")
-        self.carrier_hz = _checked(self.carrier_hz, float, "carrier_hz", 0, above=True)
+            object.__setattr__(self, name, _checked_tuple(getattr(self, name), float, name, 2))
+        for name in ("speed", "delta"):
+            object.__setattr__(self, name, _checked(getattr(self, name), float, name))
+        object.__setattr__(self, "carrier_hz",
+                           _checked(self.carrier_hz, float, "carrier_hz", 0, above=True))
 
     @property
     def d_tx(self) -> float:

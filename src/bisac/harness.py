@@ -43,7 +43,7 @@ DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))
 DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, seedable description of one experiment.
 
@@ -62,25 +62,27 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        self.snr_grid_db = _checked_tuple(self.snr_grid_db, float, "snr_grid_db")
-        for i, snr_db in enumerate(self.snr_grid_db):
+        snrs = _checked_tuple(self.snr_grid_db, float, "snr_grid_db")
+        for i, snr_db in enumerate(snrs):
             _snr_powers(snr_db, f"snr_grid_db[{i}]")
+        object.__setattr__(self, "snr_grid_db", snrs)
         # the seed is mandatory: there is no wall-clock seeding
         for name, low in (("trials_per_point", 1), ("seed", 0), ("workers", 1),
                           ("ecrb_draws", 1)):
-            setattr(self, name, _checked(getattr(self, name), int, name, low))
+            object.__setattr__(self, name, _checked(getattr(self, name), int, name, low))
         if not isinstance(self.out, (str, type(None))):
             raise ValueError(f"out must be a path or None, got {self.out!r}")
         grid = (self.numerology.n_subcarriers, self.numerology.n_symbols)
         if self.pattern is None:
-            self.pattern = make_periodic(*grid, 2, 1)
+            object.__setattr__(self, "pattern", make_periodic(*grid, 2, 1))
         if (self.pattern.n_grid, self.pattern.m_grid) != grid:
             raise ValueError(
                 f"pattern grid {self.pattern.n_grid}x{self.pattern.m_grid} does not "
                 f"match the numerology grid {grid[0]}x{grid[1]}"
             )
         if self.ensemble.carrier_hz != self.numerology.carrier_hz:
-            self.ensemble = replace(self.ensemble, carrier_hz=self.numerology.carrier_hz)
+            object.__setattr__(self, "ensemble",
+                               replace(self.ensemble, carrier_hz=self.numerology.carrier_hz))
 
     def to_json_dict(self) -> dict:
         """The config file that ``from_json_dict`` reads back to this config."""

@@ -209,7 +209,7 @@ class TestCrb:
         assert math.isfinite(report.crb_vel_ms2)
 
     @pytest.mark.parametrize("field", ["alpha_re", "alpha_im", "tau", "f_d", "noise_var"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, 10**400])
     def test_non_finite_channel_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SensingChannelParams(**{field: value})
@@ -325,6 +325,12 @@ class TestEcrbVel:
         )
         with pytest.raises(SingularPatternError):
             ecrb_vel(broken, params, make_periodic(70, 50, 2, 5), num, draws=10, seed=1)
+
+    @pytest.mark.parametrize("draws", [0, 2.5, True])
+    def test_draws_must_be_a_positive_integer(self, num, ensemble, draws):
+        params = SensingChannelParams.from_snr_db(0.0)
+        with pytest.raises(ValueError, match="draws"):
+            ecrb_vel(ensemble, params, make_periodic(70, 50, 2, 5), num, draws=draws)
 
 
 class TestRateUpperBound:

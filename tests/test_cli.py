@@ -422,6 +422,17 @@ class TestTable1Command:
         assert lines[0] == "n_p,m_p,pilot_count,sqrt_crb_ran_m,ecrb_vel_ms"
         assert len(lines) == 5
 
+    def test_draws_flag_is_the_config_field(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ecrb_draws": 500}))
+        texts = []
+        for args in (["--draws", "500"], ["--config", str(config)],
+                     ["--config", str(config), "--draws", "500"]):
+            out = tmp_path / "table.csv"
+            assert main(["table1", *args, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1] == texts[2]
+
 
 class TestSweepCommand:
     def test_writes_csv_and_manifest(self, tmp_path):

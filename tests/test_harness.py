@@ -157,6 +157,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(workers=0)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(workers=0), "workers must be an integer >= 1, got 0"),
+        (dict(numerology=OfdmNumerology(n_subcarriers=90)), "numerology grid 90x50"),
+    ], ids=["workers", "numerology"])
+    def test_replace_runs_every_check(self, change, message):
+        # a frozen config changes only through replace, which checks again
+        with pytest.raises(ValueError, match=message):
+            replace(small_config(), **change)
+
     @pytest.mark.parametrize("snr_grid_db", [(0.0, math.inf), (math.nan,), (-math.inf,)])
     def test_snr_grid_must_be_finite(self, snr_grid_db):
         with pytest.raises(ValueError, match="finite"):
@@ -345,6 +354,11 @@ class TestTables:
         rows = run_table1(small_config(), snr_db=5.0, draws=2000)
         assert [r.pilot_count for r in rows] == [350, 350, 350, 350]
         assert [(r.n_p, r.m_p) for r in rows] == [(1, 11), (2, 5), (5, 2), (11, 1)]
+
+    @pytest.mark.parametrize("draws", [0, 2.5, True])
+    def test_table_draws_must_be_a_positive_integer(self, draws):
+        with pytest.raises(ValueError, match="draws"):
+            run_table1(small_config(), snr_db=5.0, draws=draws)
 
     def test_rate_table_values(self):
         rows = run_rate_table(small_config())

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from bisac import (
+    BistaticScenario,
+    ExperimentConfig,
     IsiWarning,
     OfdmNumerology,
     ScenarioEnsemble,
@@ -179,9 +181,20 @@ class TestSampleScenario:
         assert a == b
         assert a.tx_pos == (-40.0, 0.0)
 
-    def test_ensemble_is_immutable(self, ensemble):
+    # assignments that would otherwise pass every check unseen
+    @pytest.mark.parametrize("build, field, value", [
+        (ScenarioEnsemble, "x_range", (0.0, 1.0)),
+        (ExperimentConfig, "numerology", OfdmNumerology(n_subcarriers=90)),
+        (ExperimentConfig, "ensemble", ScenarioEnsemble(carrier_hz=60e9)),
+        (ExperimentConfig, "workers", 0),
+        (ExperimentConfig, "trials_per_point", 0),
+        (lambda: BistaticScenario((-40.0, 0.0), (0.0, 40.0), (90.0, -90.0)),
+         "target_pos", (math.nan, 0.0)),
+    ], ids=["ensemble", "config-numerology", "config-ensemble", "config-workers",
+            "config-trials", "scenario"])
+    def test_ensemble_is_immutable(self, build, field, value):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ensemble.x_range = (0.0, 1.0)
+            setattr(build(), field, value)
 
 
 class TestGridFile:

@@ -71,3 +71,18 @@ def test_harness_runs_no_full_grid_simulation():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= imported_names(tree)
     assert names & {"generate_frame", "apply_channel", "sample_scenario"} == set()
+
+
+def test_every_dataclass_is_frozen():
+    # a value type changes only through its constructor or dataclasses.replace,
+    # both of which run its checks
+    mutable = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            for deco in getattr(node, "decorator_list", ()):
+                call = deco if isinstance(deco, ast.Call) else ast.Call(deco, [], [])
+                if getattr(call.func, "id", None) == "dataclass" and not any(
+                        k.arg == "frozen" and getattr(k.value, "value", None) is True
+                        for k in call.keywords):
+                    mutable.append(f"{path.name}:{node.lineno} {node.name}")
+    assert mutable == []

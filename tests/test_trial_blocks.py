@@ -2,6 +2,7 @@
 full-grid reference chain, the stacked delay stage against per-grid
 transforms, and ``simulate_trial`` against its block."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,7 +76,7 @@ def blocks(draw, snr_db):
     )
     # a config takes finite SNRs only; set the grid after its check to
     # reach the noiseless path as well, which draws no noise
-    config.snr_grid_db = (snr_db,)
+    object.__setattr__(config, "snr_grid_db", (snr_db,))
     start = draw(st.integers(0, 1000))
     return config, start, start + draw(st.integers(1, 6))
 
@@ -118,7 +119,7 @@ def test_stacked_delay_stage_equals_each_grid_alone(trials, rows, cols, log_fft,
 @given(block=blocks(10.0))
 def test_simulate_trial_is_its_trial_of_the_block(block):
     config, start, stop = block
-    config.snr_grid_db = (5.0, *config.snr_grid_db)
+    config = dataclasses.replace(config, snr_grid_db=(5.0, *config.snr_grid_db))
     for trial_idx, (truth, grid, outcome) in zip(range(start, stop),
                                                  _trial_block(config, 1, start, stop)):
         alone = simulate_trial(config, 1, trial_idx)
