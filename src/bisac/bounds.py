@@ -64,7 +64,9 @@ class SensingChannelParams:
 
     @property
     def gain_sq(self) -> float:
-        return self.alpha_re**2 + self.alpha_im**2
+        """|alpha|^2, infinite without an error or warning when it overflows."""
+        re, im = float(self.alpha_re), float(self.alpha_im)
+        return re * re + im * im
 
     @classmethod
     def from_snr_db(

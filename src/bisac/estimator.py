@@ -5,15 +5,24 @@ global peak of the zero-padded 2-D periodogram over that subgrid with
 per-axis quadratic interpolation, and conversion of the refined peak to
 bistatic range, velocity and receiver-leg distance.
 
-The peak search is exact without building the periodogram: after the
-delay-axis transform, the triangle inequality bounds every Doppler bin
-of a delay row by the squared sum of that row's magnitudes. Only the rows
-whose bound reaches the power of the most promising row are transformed
-along the Doppler axis, so the peak bins and value equal those of
-``np.argmax`` on ``periodogram_2d``, ties included. With a clear target a
-few rows of ``fft_n`` are kept; when noise dominates every row is, which
-costs what the full surface costs. ``periodogram_2d`` stays as the
-reference and for surface dumps.
+The peak search is exact without building the periodogram or, for most
+grids, the zero-padded delay transform. A coarse delay transform of F_c
+points (the smallest power of two at least 2 (K+1)) bounds each cell of
+R = fft_n / F_c fine delay rows: within half a coarse bin of coarse row c,
+
+    |S(u, l)| <= |S_c(c, l)| + (pi / F_c) sum_k |k - K/2| |H[k, l]|,
+
+so the squared column sum of the right side bounds every power in the
+cell. Only the cells whose bound reaches a known surface value are
+evaluated, by a direct DFT of their fine rows, and of those rows only the
+ones whose magnitude-sum bound reaches it are transformed along the
+Doppler axis. The peak bins equal those of ``np.argmax`` on
+``periodogram_2d``; the fine rows match the surface to rounding. When the
+cells are under 4 rows, or the kept cells would cover more than a quarter
+of fft_n (noise-dominated, tied, NaN and single-row grids), the search
+runs the same row bound on the full delay transform instead, and its
+rows are bitwise those of the surface, ties included. ``periodogram_2d``
+stays as the reference and for surface dumps.
 
 Transform sign conventions: the subcarrier (delay) axis uses the
 positive-exponent kernel so a delay tau peaks at bin
@@ -26,11 +35,14 @@ span) since delays are physically nonnegative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, _checked, beta_from_estimates, invert_bistatic_range
+from .geometry import (
+    SPEED_OF_LIGHT, GeometryError, _checked, beta_from_estimates, invert_bistatic_range,
+)
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
@@ -119,15 +131,21 @@ def _ls_divide(received: np.ndarray, pilots: np.ndarray) -> np.ndarray:
     return received / pilots
 
 
+def _grid_shape(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
+    """(rows, cols) of a pilot grid or stack; raises unless ``config`` covers them."""
+    rows, cols = pilot_grid.shape[-2:]
+    if rows < 1 or cols < 1:
+        raise ValueError("empty pilot grid")
+    config.check_covers(rows, cols)
+    return rows, cols
+
+
 def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarray:
     """Positive-exponent delay-axis transform, zero-padded: shape (..., fft_n, cols).
 
     Each grid of a stack (..., rows, cols) transforms as it would alone.
     """
-    rows, cols = pilot_grid.shape[-2:]
-    if rows < 1 or cols < 1:
-        raise ValueError("empty pilot grid")
-    config.check_covers(rows, cols)
+    _grid_shape(pilot_grid, config)
     return np.fft.ifft(pilot_grid, n=config.fft_n, axis=-2, norm="forward")
 
 
@@ -151,32 +169,137 @@ def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
     """Peak of ``periodogram_2d(pilot_grid, config)`` without building it.
 
     Returns ``((b_r, b_v), rows)``: ``(b_r, b_v)`` equals
-    ``np.unravel_index(np.argmax(surface), surface.shape)``, ties and
-    NaN included, and ``rows`` holds the surface rows
-    ``(b_r - 1, b_r, b_r + 1) mod fft_n``, so ``rows[1, b_v]`` is the peak
-    power and ``refine_peak(rows, (1, b_v))`` equals ``refine_peak`` on the
-    full surface at ``(b_r, b_v)``.
+    ``np.unravel_index(np.argmax(surface), surface.shape)`` and ``rows``
+    holds the surface rows ``(b_r - 1, b_r, b_r + 1) mod fft_n``, so
+    ``rows[1, b_v]`` is the peak power and ``refine_peak(rows, (1, b_v))``
+    is ``refine_peak`` on the full surface at ``(b_r, b_v)``.
 
-    No Doppler bin of delay row u exceeds ``(sum_l |stage[u, l]|)**2``
-    (triangle inequality; the 1e-9 slack covers FFT rounding). A row whose
-    bound is below the maximum power of the row with the largest bound
-    cannot hold the peak, so only the other rows are transformed, in
-    ascending order, which keeps the first-occurrence tie rule.
+    The search bounds cells of delay rows on a coarse delay transform S_c
+    of ``F_c`` points, the smallest power of two at least twice the grid's
+    K + 1 rows. Coarse row c stands for the cell of ``R = fft_n / F_c``
+    fine rows ``c R - R/2 .. c R + R/2 - 1``, each within half a coarse bin
+    of it, so that for the fine delay stage S and the grid H
+
+        |S(u, l)| <= |S_c(c, l)| + (pi / F_c) sum_k |k - K/2| |H[k, l]|
+
+    and the squared column sum of the right side bounds every surface
+    value of the cell. Coarse row c is surface row c R. Only the cells
+    whose bound reaches the Doppler maximum of the highest-bound coarse
+    row are kept; their fine rows come from a direct DFT, and of those
+    only the rows whose own bound (below) reaches the Doppler maximum of
+    the highest-bound fine row are transformed along the Doppler axis, in
+    ascending order, which keeps the first-occurrence tie rule. The fine
+    rows match the surface to rounding, not bit for bit.
+
+    When ``R < 4``, or when the kept cells would cover more than a quarter
+    of ``fft_n`` (noise-only, tied, NaN and single-row grids), the search
+    runs on the full delay stage instead and its rows are bitwise those of
+    the surface, ties and NaN included. No Doppler bin of delay row u
+    exceeds ``(sum_l |stage[u, l]|)**2`` (triangle inequality), so only the
+    rows whose bound reaches the maximum power of the highest-bound row
+    are transformed.
     """
-    return _stage_peak(_delay_stage(pilot_grid, config), config)
+    return _peak_searches(pilot_grid[None], config)[0]
+
+
+def _peak_searches(pilot_grids: np.ndarray, config: PeriodogramConfig) -> list:
+    """``peak_search`` of each grid of a stack (trials, rows, cols)."""
+    rows, _ = _grid_shape(pilot_grids, config)
+    if config.fft_n < 4 * _coarse_size(rows):
+        return [_stage_peak(stage, config) for stage in _delay_stage(pilot_grids, config)]
+    return [_coarse_peak(grid, config) for grid in pilot_grids]
+
+
+def _coarse_size(rows: int) -> int:
+    """F_c: the smallest power of two at least twice the grid's rows."""
+    return 1 << (2 * rows - 1).bit_length()
+
+
+def _coarse_stage(pilot_grid: np.ndarray, coarse_n: int) -> tuple:
+    """The coarse delay stage of ``coarse_n`` points, the magnitude sum of each of
+    its rows and the bound ``(sum_l |S_c(c, l)| + slack)**2`` on every surface
+    value of each of its cells."""
+    rows = pilot_grid.shape[0]
+    coarse = np.fft.ifft(pilot_grid, n=coarse_n, axis=0, norm="forward")
+    lever = np.abs(np.arange(rows) - (rows - 1) / 2.0) * (np.pi / coarse_n)
+    row_sum = np.abs(coarse).sum(axis=1)
+    return coarse, row_sum, (row_sum + lever @ np.abs(pilot_grid).sum(axis=1)) ** 2 * (1.0 + 1e-9)
+
+
+def _coarse_peak(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
+    """``peak_search`` of one grid through the bounds of its coarse cells."""
+    fft_n, fft_m = config.fft_n, config.fft_m
+    coarse, row_sum, cell_bound = _coarse_stage(pilot_grid, _coarse_size(pilot_grid.shape[0]))
+    cell = fft_n // cell_bound.size
+    top = int(np.argmax(cell_bound))
+    # Coarse row c is surface row c * cell, and the 1e-9 slack covers its
+    # rounding. Its maximum is at most row_sum[top]**2: when the cells that
+    # reach this already cover more than a quarter of fft_n, so do those that
+    # reach the maximum, and the row need not be transformed. Negations keep
+    # the cells of a NaN bound or maximum.
+    cells = np.flatnonzero(~(cell_bound < row_sum[top] ** 2 * (1.0 + 1e-9)))
+    if cells.size <= cell_bound.size // 4:
+        cells = np.flatnonzero(~(cell_bound < _doppler_power(coarse, [top], fft_m).max()))
+    if cells.size > cell_bound.size // 4:
+        return _stage_peak(_delay_stage(pilot_grid, config), config)
+    fine = (cells[:, None] * cell + np.arange(-(cell // 2), cell - cell // 2)) % fft_n
+    stage = _dft_rows(pilot_grid, fine, fft_n)
+    order = np.argsort(fine, axis=None)
+    fine, stage = fine.ravel()[order], stage.reshape(-1, stage.shape[-1])[order]
+    keep, power, row, b_v = _pruned_argmax(stage, fft_m)
+    b_r = int(fine[keep[row]])
+    done = dict(zip(fine[keep].tolist(), power))
+    around = [(b_r - 1) % fft_n, b_r, (b_r + 1) % fft_n]
+    missing = [u for u in around if u not in done]
+    if missing:
+        done.update(zip(missing, _doppler_power(_dft_rows(pilot_grid, np.array(missing), fft_n),
+                                                slice(None), fft_m)))
+    return (b_r, b_v), np.array([done[u] for u in around])
+
+
+def _dft_rows(pilot_grid: np.ndarray, fine: np.ndarray, fft_n: int) -> np.ndarray:
+    """Rows ``fine`` of the delay stage by a direct DFT, shape (*fine.shape, cols).
+
+    A stack of fine rows is one matrix product per leading index, at most
+    one cell's rows each: BLAS may thread a larger product, which can then
+    take milliseconds instead of microseconds.
+    """
+    k = np.arange(pilot_grid.shape[0])
+    return _roots(fft_n)[fine[..., None] * k % fft_n] @ pilot_grid
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(fft_n: int) -> np.ndarray:
+    """The fft_n-th roots of unity exp(2 pi j u / fft_n), read-only."""
+    roots = np.exp(2j * np.pi * np.arange(fft_n) / fft_n)
+    roots.flags.writeable = False
+    return roots
 
 
 def _stage_peak(stage: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """``peak_search`` from the delay stage of the pilot grid."""
-    bound = np.abs(stage).sum(axis=1) ** 2 * (1.0 + 1e-9)
-    best = _doppler_power(stage, [int(np.argmax(bound))], config.fft_m).max()
-    # written as a negation so that a NaN bound or NaN best keeps the row
-    keep = np.flatnonzero(~(bound < best))
-    power = _doppler_power(stage, keep, config.fft_m)
-    row, b_v = np.unravel_index(int(np.argmax(power)), power.shape)
+    """``peak_search`` from the full delay stage of the pilot grid."""
+    keep, _, row, b_v = _pruned_argmax(stage, config.fft_m)
     b_r = int(keep[row])
     around = [(b_r - 1) % config.fft_n, b_r, (b_r + 1) % config.fft_n]
-    return (b_r, int(b_v)), _doppler_power(stage, around, config.fft_m)
+    return (b_r, b_v), _doppler_power(stage, around, config.fft_m)
+
+
+def _pruned_argmax(stage: np.ndarray, fft_m: int) -> tuple:
+    """(keep, power, row, b_v): the first maximum of the Doppler power of the
+    rows of ``stage``, at ``power[row, b_v]``, found on the rows ``keep`` alone.
+
+    No Doppler bin of a row exceeds its squared magnitude sum (the 1e-9
+    slack covers FFT rounding), so only the rows whose bound reaches the
+    maximum power of the highest-bound row are transformed, in ascending
+    order.
+    """
+    bound = np.abs(stage).sum(axis=1) ** 2 * (1.0 + 1e-9)
+    best = _doppler_power(stage, [int(np.argmax(bound))], fft_m).max()
+    # written as a negation so that a NaN bound or NaN best keeps the row
+    keep = np.flatnonzero(~(bound < best))
+    power = _doppler_power(stage, keep, fft_m)
+    row, b_v = np.unravel_index(int(np.argmax(power)), power.shape)
+    return keep, power, int(row), int(b_v)
 
 
 @dataclass(frozen=True)
@@ -228,9 +351,9 @@ def estimate(
 ) -> EstimationResult:
     """Full receiver pass: LS estimates, periodogram peak, geometry.
 
-    The peak bins and power are those of the full zero-padded periodogram,
-    found by the exact row-pruned ``peak_search``; the interpolation reads
-    the three surface rows around the peak.
+    The peak bins are those of the full zero-padded periodogram, found by
+    the exact ``peak_search``; the peak power and the interpolation read
+    the three surface rows around the peak that it returns.
 
     ``baseline`` and ``theta`` are the known transmitter-receiver distance
     and angle of arrival used to invert the bistatic range.
@@ -240,16 +363,31 @@ def estimate(
             (d_bis_hat <= baseline); callers count such trials as invalid.
     """
     pilot_grid = ls_channel_estimate(received, transmitted, pattern)
-    return _stage_estimate(_delay_stage(pilot_grid, config), pattern, numerology, config,
-                           baseline, theta)
+    return _peak_estimate(peak_search(pilot_grid, config), pattern, numerology, config,
+                          baseline, theta)
 
 
-def _stage_estimate(stage: np.ndarray, pattern: PilotPattern, numerology: OfdmNumerology,
-                    config: PeriodogramConfig, baseline: float, theta: float
-                    ) -> EstimationResult:
-    """``estimate`` from the delay stage of the LS pilot grid; raises as it does."""
+def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
+                    numerology: OfdmNumerology, config: PeriodogramConfig, baseline: float,
+                    thetas) -> list:
+    """``estimate`` of each LS pilot grid of a stack (trials, K+1, L+1), with its
+    own ``theta``; a trial whose range cannot be inverted gets its GeometryError
+    in place of a result."""
+    outcomes = []
+    for peak, theta in zip(_peak_searches(pilot_grids, config), thetas):
+        try:
+            outcomes.append(_peak_estimate(peak, pattern, numerology, config, baseline, theta))
+        except GeometryError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _peak_estimate(peak: tuple, pattern: PilotPattern, numerology: OfdmNumerology,
+                   config: PeriodogramConfig, baseline: float, theta: float
+                   ) -> EstimationResult:
+    """``estimate`` from the ``peak_search`` result of the LS pilot grid; raises as it does."""
     n_p, m_p = pattern.periodic_strides()
-    (b_r, b_v), rows = _stage_peak(stage, config)
+    (b_r, b_v), rows = peak
     if config.interpolate:
         refined = refine_peak(rows, (1, b_v))
         off_r, off_v = refined.offsets

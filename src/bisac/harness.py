@@ -23,7 +23,7 @@ from . import __version__
 from .bounds import (
     SensingChannelParams, _ecrb_geometry, _ecrb_mean, _snr_powers, crb, rate_upper_bound,
 )
-from .estimator import PeriodogramConfig, _delay_stage, _ls_divide, _stage_estimate
+from .estimator import PeriodogramConfig, _estimate_grids, _ls_divide
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
@@ -186,22 +186,15 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
 
 def _trial_block(config: ExperimentConfig, snr_idx: int, start: int, stop: int) -> list:
     """Trials ``start`` to ``stop - 1`` of SNR point ``snr_idx``, as ``simulate_trial``
-    returns each: one delay-axis transform of their stacked pilot grids."""
+    returns each: one estimator pass over their stacked pilot grids."""
     seeds = [np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
              for trial_idx in range(start, stop)]
     truths, symbols, received = simulate_pilots(
         config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx], seeds)
     grids = _ls_divide(received, symbols)
-    baseline = config.ensemble.baseline
-    trials = []
-    for truth, grid, stage in zip(truths, grids, _delay_stage(grids, config.fft)):
-        try:
-            outcome = _stage_estimate(stage, config.pattern, config.numerology, config.fft,
-                                      baseline, truth.theta)
-        except GeometryError as exc:
-            outcome = exc
-        trials.append((truth, grid, outcome))
-    return trials
+    outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
+                               config.ensemble.baseline, [truth.theta for truth in truths])
+    return list(zip(truths, grids, outcomes))
 
 
 def _block_errors(block: tuple) -> list:

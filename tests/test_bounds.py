@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,15 @@ class TestCrb:
         params = SensingChannelParams.from_snr_db(-3000)
         with pytest.raises(ValueError, match="not finite, positive"):
             crb(params, make_periodic(70, 50, 2, 1), OfdmNumerology())
+
+    @pytest.mark.parametrize("gain", [1e200, np.float64(1e200)], ids=["float", "float64"])
+    def test_overflowing_gain_raises(self, gain):
+        # squaring raised OverflowError on a Python float and warned on a numpy one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite, positive floats"):
+                crb(SensingChannelParams(alpha_re=gain), make_periodic(70, 50, 2, 5),
+                    OfdmNumerology(), beta=0.0)
 
     @pytest.mark.parametrize("beta", [math.pi, -0.1, 3 * math.pi, math.nan])
     def test_bistatic_angle_outside_zero_to_pi_raises(self, num, beta):

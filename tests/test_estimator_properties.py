@@ -1,11 +1,13 @@
-"""Property tests: the row-pruned peak search against the full periodogram,
-and the delay stage's scaling."""
+"""Property tests: the coarse-to-fine and row-pruned peak search against the
+full periodogram, the coarse cell bound, and the delay stage's scaling."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bisac import (  # noqa: E402
     GeometryError,
@@ -25,7 +27,9 @@ from bisac import (  # noqa: E402
     refine_peak,
     sample_scenario,
 )
-from bisac.estimator import _delay_stage  # noqa: E402
+from bisac import estimator  # noqa: E402
+from bisac.estimator import _coarse_size, _coarse_stage, _delay_stage, peak_search  # noqa: E402
+from test_estimator import assert_peak_search_matches_surface  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -34,12 +38,19 @@ NUM = OfdmNumerology()
 
 def reference_estimate(received, frame, pattern, num, config, baseline, theta):
     """The receiver on the full surface: periodogram_2d, np.argmax, refine_peak."""
-    n_p, m_p = pattern.periodic_strides()
     surface = periodogram_2d(ls_channel_estimate(received, frame, pattern), config)
     b_r, b_v = (int(b) for b in np.unravel_index(np.argmax(surface), surface.shape))
     off_r, off_v = 0.0, 0.0
     if config.interpolate:
         off_r, off_v = refine_peak(surface, (b_r, b_v)).offsets
+    return reference_geometry(pattern, num, config, baseline, theta, (b_r, b_v), (off_r, off_v),
+                              surface[b_r, b_v])
+
+
+def reference_geometry(pattern, num, config, baseline, theta, bins, offsets, peak_power):
+    """The estimate reported for a peak at ``bins + offsets`` of power ``peak_power``."""
+    n_p, m_p = pattern.periodic_strides()
+    (b_r, b_v), (off_r, off_v) = bins, offsets
     tau_hat = ((b_r + off_r) % config.fft_n) / (n_p * num.subcarrier_spacing_hz * config.fft_n)
     signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
     f_d_hat = (signed_bin + off_v) / (m_p * num.symbol_duration_s * config.fft_m)
@@ -50,7 +61,7 @@ def reference_estimate(received, frame, pattern, num, config, baseline, theta):
     return dict(
         tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
         v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
-        beta_clamped=clamped, peak_power=float(surface[b_r, b_v]),
+        beta_clamped=clamped, peak_power=float(peak_power),
         peak_bins=(b_r, b_v), fractional_offsets=(float(off_r), float(off_v)),
     )
 
@@ -90,7 +101,99 @@ def test_estimate_equals_full_surface_reference(inputs):
     frame = generate_frame(NUM, pattern, rng)
     received = apply_channel(frame, params, NUM, rng)
     args = (received, frame, pattern, NUM, config, scenario.baseline, truth.theta)
-    assert outcome(estimate, *args) == outcome(reference_estimate, *args)
+    with mock.patch.object(estimator, "_stage_peak", wraps=estimator._stage_peak) as full:
+        result = outcome(estimate, *args)
+    reference = outcome(reference_estimate, *args)
+    if full.called or isinstance(reference, str):
+        assert result == reference
+        return
+    # on the coarse path the peak rows come from a direct DFT: the bins are
+    # exact, the offsets and peak power match the surface's to rounding (see
+    # assert_peak_search_matches_surface), and the rest follows exactly from them
+    assert result["peak_bins"] == reference["peak_bins"]
+    assert result["fractional_offsets"] == pytest.approx(reference["fractional_offsets"],
+                                                         rel=1e-12, abs=1e-9)
+    assert result["peak_power"] == pytest.approx(reference["peak_power"], rel=1e-12)
+    assert result == reference_geometry(pattern, NUM, config, scenario.baseline, truth.theta,
+                                        result["peak_bins"], result["fractional_offsets"],
+                                        result["peak_power"])
+
+
+@st.composite
+def target_grids(draw):
+    """A (K+1, L+1) grid of 1-60 rows and columns: one or two off-grid targets
+    in complex white noise at -10 to 60 dB per cell."""
+    rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, l = np.arange(rows)[:, None], np.arange(cols)[None, :]
+    grid = np.zeros((rows, cols), complex)
+    for _ in range(draw(st.integers(1, 2))):
+        delay, doppler, phase = rng.uniform(size=3)
+        grid += rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * (-delay * k + doppler * l + phase))
+    noise = rng.standard_normal((rows, cols, 2)) @ np.array([1.0, 1j]) / np.sqrt(2.0)
+    return grid + noise * 10.0 ** (-draw(st.floats(-10.0, 60.0)) / 20.0)
+
+
+def doppler_size(cols, data):
+    """A power of two from the grid's columns up to four times that, at most 256."""
+    low = max(cols - 1, 0).bit_length()
+    return 2 ** data.draw(st.integers(low, min(low + 2, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=target_grids(), log_cell=st.integers(2, 5), data=st.data())
+def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
+    # the inequality that makes the coarse search exact
+    rows, cols = grid.shape
+    coarse_n, cell = _coarse_size(rows), 2**log_cell
+    _, _, bound = _coarse_stage(grid, coarse_n)
+    surface = periodogram_2d(grid, PeriodogramConfig(coarse_n * cell, doppler_size(cols, data)))
+    # cell c holds the rows c * cell - cell / 2 .. c * cell + cell / 2 - 1
+    cell_max = np.roll(surface, cell // 2, axis=0).reshape(coarse_n, cell, -1).max(axis=(1, 2))
+    assert np.all(cell_max <= bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=target_grids(), data=st.data())
+def test_peak_search_equals_surface_argmax(grid, data):
+    rows, cols = grid.shape
+    # every size up to 4096, and as often one with cells of at least 4 rows
+    coarse = _coarse_size(rows).bit_length() + 1
+    fft_n = 2 ** data.draw(st.integers(max(rows - 1, 0).bit_length(), 12)
+                           | st.integers(min(coarse, 12), 12))
+    config = PeriodogramConfig(fft_n, doppler_size(cols, data))
+    surface = periodogram_2d(grid, config)
+    if surface.size > 1:
+        runner_up, peak = np.partition(surface, -2, axis=None)[-2:]
+        # away from ties, which the two paths may break apart by rounding
+        assume(runner_up < peak * (1.0 - 1e-9))
+    assert_peak_search_matches_surface(grid, config)
+
+
+def degenerate_grids():
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
+    tied = np.zeros((12, 9), complex)
+    tied[0, 4] = 3.0 - 4.0j  # every delay row carries one spectrum
+    nan = noise.copy()
+    nan[7, 2] = np.nan
+    return {"all-zero": np.zeros((12, 9), complex), "tied-rows": tied, "nan": nan,
+            "single-row": noise[:1]}
+
+
+@pytest.mark.parametrize("name", list(degenerate_grids()))
+@pytest.mark.parametrize("fft_n", [256, 1024])
+def test_degenerate_grids_take_the_full_path(name, fft_n):
+    grid = degenerate_grids()[name]
+    config = PeriodogramConfig(fft_n, 16)
+    assert fft_n >= 4 * _coarse_size(grid.shape[0])
+    with mock.patch.object(estimator, "_stage_peak", wraps=estimator._stage_peak) as full:
+        (b_r, b_v), rows = peak_search(grid, config)
+    assert full.called
+    surface = periodogram_2d(grid, config)
+    assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
+    around = [(b_r - 1) % fft_n, b_r, (b_r + 1) % fft_n]
+    assert np.array_equal(rows.view(np.uint64), surface[around].view(np.uint64))
 
 
 @settings(max_examples=100, deadline=None)
