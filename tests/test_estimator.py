@@ -22,7 +22,7 @@ from bisac import (
     refine_peak,
 )
 from bisac import estimator
-from bisac.estimator import _roots, peak_search
+from bisac.estimator import peak_search
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -110,38 +110,41 @@ class TestPeriodogram:
 
 
 def assert_peak_search_matches_surface(grid, cfg):
-    """Peak bins equal the surface argmax on either path. The rows and their
-    refinement are bitwise the surface's on the full-stage path; on the coarse
-    path the fine rows come from a direct DFT, not from the padded FFT, so
-    they match to rounding: 1e-12 of the peak power, 1e-9 of a bin."""
+    """Peak bins equal the surface argmax, and the rows around the peak and
+    their refinement equal the surface's, on either path. Returns the bins
+    and whether the search ran on the full delay stage."""
     surface = periodogram_2d(grid, cfg)
     with mock.patch.object(estimator, "_stage_peak", wraps=estimator._stage_peak) as full:
         (b_r, b_v), rows = peak_search(grid, cfg)
     assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
     around = [(b_r - 1) % cfg.fft_n, b_r, (b_r + 1) % cfg.fft_n]
-    if full.called:
-        np.testing.assert_array_equal(rows, surface[around])
-        assert refine_peak(rows, (1, b_v)) == refine_peak(surface, (b_r, b_v))
-    else:
-        np.testing.assert_allclose(rows, surface[around], rtol=1e-12,
-                                   atol=1e-12 * surface[b_r, b_v])
-        refined, reference = refine_peak(rows, (1, b_v)), refine_peak(surface, (b_r, b_v))
-        assert refined.flat_axes == reference.flat_axes
-        assert refined.offsets == pytest.approx(reference.offsets, rel=1e-12, abs=1e-9)
+    np.testing.assert_array_equal(rows, surface[around])
+    refined, reference = refine_peak(rows, (1, b_v)), refine_peak(surface, (b_r, b_v))
+    # array comparison, so that the NaN offsets of a NaN grid compare equal
+    np.testing.assert_array_equal(refined.offsets, reference.offsets)
+    assert refined.flat_axes == reference.flat_axes
     return b_r, b_v, full.called
 
 
 class TestPeakSearch:
+    # 5 rows give a 16-point coarse stage: from fft_n = 64 on, cells of 4 rows
+    # or more, where only a clear peak keeps the search off the full path.
+    # The loops keep each test's name.
+
     def test_all_zero_grid(self):
-        cfg = PeriodogramConfig(64, 32)
-        assert assert_peak_search_matches_surface(np.zeros((5, 4), complex), cfg) == (0, 0, True)
+        grid = np.zeros((5, 4), complex)
+        for fft_n in (64, 256, 1024):
+            cfg = PeriodogramConfig(fft_n, 32)
+            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, True)
 
     def test_equal_rows_first_wins(self):
         # one entry at k = 0: every delay row carries the same spectrum
         grid = np.zeros((5, 4), complex)
         grid[0, 2] = 3.0 - 4.0j
-        b_r, _, _ = assert_peak_search_matches_surface(grid, PeriodogramConfig(64, 32))
-        assert b_r == 0
+        for fft_n in (64, 256, 1024):
+            b_r, _, full = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 32))
+            assert b_r == 0
+            assert full
 
     @pytest.mark.parametrize("rows, fft_n", [(1, 1), (1, 2), (2, 2)])
     def test_tiny_delay_axis_wraps_neighbors(self, rows, fft_n):
@@ -152,21 +155,25 @@ class TestPeakSearch:
     def test_nan_entry_matches_full_argmax(self):
         grid = np.ones((5, 4), complex)
         grid[3, 1] = np.nan
-        assert peak_search(grid, PeriodogramConfig(16, 16))[0] == (0, 0)
+        for fft_n in (16, 64, 256, 1024):
+            cfg = PeriodogramConfig(fft_n, 16)
+            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, True)
 
-    @pytest.mark.parametrize("fft_n", [64, 1024, 4096])
-    def test_off_grid_target_takes_the_coarse_path(self, fft_n):
-        # 5 rows: a 16-point coarse stage, so fft_n = 64 is the smallest with cells of 4 rows
+    def test_single_row_grid_takes_the_full_path(self):
+        # every coarse row of one grid row has the same magnitudes: all cells tie
+        rng = np.random.default_rng(7)
+        grid = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
+        for fft_n in (64, 256, 1024):
+            assert assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 16))[2]
+
+    @pytest.mark.parametrize("fft_n, full", [(32, True), (64, False), (1024, False),
+                                             (4096, False)])
+    def test_off_grid_target(self, fft_n, full):
         k, l = np.arange(5)[:, None], np.arange(7)[None, :]
         grid = np.exp(2j * np.pi * (-0.3137 * k + 0.2113 * l))
-        b_r, _, full = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 64))
-        assert not full
+        b_r, _, took_full = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 64))
+        assert took_full == full
         assert b_r == round(0.3137 * fft_n) % fft_n
-
-    def test_cells_of_two_rows_take_the_full_path(self):
-        k, l = np.arange(5)[:, None], np.arange(7)[None, :]
-        grid = np.exp(2j * np.pi * (-0.3137 * k + 0.2113 * l))
-        assert assert_peak_search_matches_surface(grid, PeriodogramConfig(32, 64))[2]
 
     def test_estimate_memory_at_full_profile(self, num):
         # the full 4096 x 4096 surface and its squares take 512 MiB
@@ -176,8 +183,6 @@ class TestPeakSearch:
         gt = derive_ground_truth(sc)
         params = SensingChannelParams.from_snr_db(20.0, tau=gt.tau, f_d=gt.f_d)
         received = apply_channel(frame, params, num, seed=18)
-        # the search builds its table of roots of unity once per size
-        _roots.cache_clear()
         tracemalloc.start()
         try:
             estimate(received, frame, p, num, PeriodogramConfig(4096, 4096),
@@ -185,8 +190,9 @@ class TestPeakSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 0.70 MiB (numpy 2.4), held to twice that
-        assert peak < 1.4 * 2**20
+        # measured 0.64 MiB (numpy 2.4; the former full delay stage took 4.9), held
+        # to about twice that
+        assert peak < 1.3 * 2**20
 
 
 class TestRefinePeak:

@@ -1,13 +1,11 @@
 """Property tests: the coarse-to-fine and row-pruned peak search against the
 full periodogram, the coarse cell bound, and the delay stage's scaling."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bisac import (  # noqa: E402
     GeometryError,
@@ -27,8 +25,7 @@ from bisac import (  # noqa: E402
     refine_peak,
     sample_scenario,
 )
-from bisac import estimator  # noqa: E402
-from bisac.estimator import _coarse_size, _coarse_stage, _delay_stage, peak_search  # noqa: E402
+from bisac.estimator import _coarse_size, _coarse_stage, _delay_stage  # noqa: E402
 from test_estimator import assert_peak_search_matches_surface  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -38,19 +35,12 @@ NUM = OfdmNumerology()
 
 def reference_estimate(received, frame, pattern, num, config, baseline, theta):
     """The receiver on the full surface: periodogram_2d, np.argmax, refine_peak."""
+    n_p, m_p = pattern.periodic_strides()
     surface = periodogram_2d(ls_channel_estimate(received, frame, pattern), config)
     b_r, b_v = (int(b) for b in np.unravel_index(np.argmax(surface), surface.shape))
     off_r, off_v = 0.0, 0.0
     if config.interpolate:
         off_r, off_v = refine_peak(surface, (b_r, b_v)).offsets
-    return reference_geometry(pattern, num, config, baseline, theta, (b_r, b_v), (off_r, off_v),
-                              surface[b_r, b_v])
-
-
-def reference_geometry(pattern, num, config, baseline, theta, bins, offsets, peak_power):
-    """The estimate reported for a peak at ``bins + offsets`` of power ``peak_power``."""
-    n_p, m_p = pattern.periodic_strides()
-    (b_r, b_v), (off_r, off_v) = bins, offsets
     tau_hat = ((b_r + off_r) % config.fft_n) / (n_p * num.subcarrier_spacing_hz * config.fft_n)
     signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
     f_d_hat = (signed_bin + off_v) / (m_p * num.symbol_duration_s * config.fft_m)
@@ -61,7 +51,7 @@ def reference_geometry(pattern, num, config, baseline, theta, bins, offsets, pea
     return dict(
         tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
         v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
-        beta_clamped=clamped, peak_power=float(peak_power),
+        beta_clamped=clamped, peak_power=float(surface[b_r, b_v]),
         peak_bins=(b_r, b_v), fractional_offsets=(float(off_r), float(off_v)),
     )
 
@@ -101,22 +91,7 @@ def test_estimate_equals_full_surface_reference(inputs):
     frame = generate_frame(NUM, pattern, rng)
     received = apply_channel(frame, params, NUM, rng)
     args = (received, frame, pattern, NUM, config, scenario.baseline, truth.theta)
-    with mock.patch.object(estimator, "_stage_peak", wraps=estimator._stage_peak) as full:
-        result = outcome(estimate, *args)
-    reference = outcome(reference_estimate, *args)
-    if full.called or isinstance(reference, str):
-        assert result == reference
-        return
-    # on the coarse path the peak rows come from a direct DFT: the bins are
-    # exact, the offsets and peak power match the surface's to rounding (see
-    # assert_peak_search_matches_surface), and the rest follows exactly from them
-    assert result["peak_bins"] == reference["peak_bins"]
-    assert result["fractional_offsets"] == pytest.approx(reference["fractional_offsets"],
-                                                         rel=1e-12, abs=1e-9)
-    assert result["peak_power"] == pytest.approx(reference["peak_power"], rel=1e-12)
-    assert result == reference_geometry(pattern, NUM, config, scenario.baseline, truth.theta,
-                                        result["peak_bins"], result["fractional_offsets"],
-                                        result["peak_power"])
+    assert outcome(estimate, *args) == outcome(reference_estimate, *args)
 
 
 @st.composite
@@ -161,39 +136,7 @@ def test_peak_search_equals_surface_argmax(grid, data):
     coarse = _coarse_size(rows).bit_length() + 1
     fft_n = 2 ** data.draw(st.integers(max(rows - 1, 0).bit_length(), 12)
                            | st.integers(min(coarse, 12), 12))
-    config = PeriodogramConfig(fft_n, doppler_size(cols, data))
-    surface = periodogram_2d(grid, config)
-    if surface.size > 1:
-        runner_up, peak = np.partition(surface, -2, axis=None)[-2:]
-        # away from ties, which the two paths may break apart by rounding
-        assume(runner_up < peak * (1.0 - 1e-9))
-    assert_peak_search_matches_surface(grid, config)
-
-
-def degenerate_grids():
-    rng = np.random.default_rng(5)
-    noise = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
-    tied = np.zeros((12, 9), complex)
-    tied[0, 4] = 3.0 - 4.0j  # every delay row carries one spectrum
-    nan = noise.copy()
-    nan[7, 2] = np.nan
-    return {"all-zero": np.zeros((12, 9), complex), "tied-rows": tied, "nan": nan,
-            "single-row": noise[:1]}
-
-
-@pytest.mark.parametrize("name", list(degenerate_grids()))
-@pytest.mark.parametrize("fft_n", [256, 1024])
-def test_degenerate_grids_take_the_full_path(name, fft_n):
-    grid = degenerate_grids()[name]
-    config = PeriodogramConfig(fft_n, 16)
-    assert fft_n >= 4 * _coarse_size(grid.shape[0])
-    with mock.patch.object(estimator, "_stage_peak", wraps=estimator._stage_peak) as full:
-        (b_r, b_v), rows = peak_search(grid, config)
-    assert full.called
-    surface = periodogram_2d(grid, config)
-    assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
-    around = [(b_r - 1) % fft_n, b_r, (b_r + 1) % fft_n]
-    assert np.array_equal(rows.view(np.uint64), surface[around].view(np.uint64))
+    assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, doppler_size(cols, data)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,4 +149,5 @@ def test_delay_stage_equals_rescaled_ifft_bit_for_bit(rows, cols, log_fft, expon
             + 1j * rng.standard_normal((rows, cols))) * 10.0**exponent
     config = PeriodogramConfig(2**log_fft, 2**log_fft)
     reference = np.fft.ifft(grid, n=config.fft_n, axis=0) * config.fft_n
-    assert np.array_equal(_delay_stage(grid, config).view(np.uint64), reference.view(np.uint64))
+    stage = np.ascontiguousarray(_delay_stage(grid, config))
+    assert np.array_equal(stage.view(np.uint64), reference.view(np.uint64))
