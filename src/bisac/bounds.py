@@ -369,11 +369,10 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
     d_rx = np.hypot(xs - ensemble.rx_pos[0], ys - ensemble.rx_pos[1])
     baseline = ensemble.baseline
 
-    ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS)
-    betas = np.full(draws, np.nan)
-    betas[ok] = bistatic_angle(d_tx[ok], d_rx[ok], baseline)
-    cos_half = np.cos(betas / 2.0)
-    ok &= cos_half > 1e-12
+    # a leg of zero length divides by zero; the mask below drops those draws
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_half = np.cos(bistatic_angle(d_tx, d_rx, baseline) / 2.0)
+    ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (cos_half > 1e-12)
     skipped = draws - int(ok.sum())
     if skipped == draws:
         raise SingularPatternError("all ensemble draws were degenerate")

@@ -5,26 +5,9 @@ global peak of the zero-padded 2-D periodogram over that subgrid with
 per-axis quadratic interpolation, and conversion of the refined peak to
 bistatic range, velocity and receiver-leg distance.
 
-The peak search is exact without building the periodogram, and for most
-grids without holding the zero-padded delay stage or bounding each of its
-fft_n rows. A coarse delay transform S_c of F_c points (the smallest power
-of two at least 2 (K+1)) bounds each cell of R = fft_n / F_c fine delay
-rows: within half a coarse bin of coarse row c,
-
-    |S(u, l)| <= |S_c(c, l)| + (pi / F_c) sum_k |k - K/2| |H[k, l]|,
-
-so the squared column sum of the right side bounds every power in the
-cell. Only the fine rows of the cells whose bound reaches a known surface
-value are kept from the delay transform, which runs a block of columns at
-a time, and of those rows only the ones whose magnitude-sum bound reaches
-the peak candidate are transformed along the Doppler axis. When the cells
-are under 4 rows, or the kept cells would cover more than a quarter of
-fft_n (noise-dominated, tied, NaN and single-row grids), the search bounds
-every row of the full delay stage instead. On either path every value is
-computed by the same FFTs as in ``periodogram_2d``: the peak bins equal
-those of ``np.argmax`` on it, ties included, and the returned rows equal
-its rows bit for bit. ``periodogram_2d`` stays as the reference and for
-surface dumps.
+The peak search (``peak_search``; its docstring gives the method) is exact
+without building the periodogram: its bins and rows equal those of
+``periodogram_2d``, which stays as the reference and for surface dumps.
 
 Transform sign conventions: the subcarrier (delay) axis uses the
 positive-exponent kernel so a delay tau peaks at bin
@@ -162,7 +145,7 @@ def _padded_fft(lines: np.ndarray, n: int, inverse: bool) -> np.ndarray:
     padding inside ``np.fft`` (numpy 2.4: 1.4 against 2.6 ms for 50 lines
     of 35 points at n = 4096).
     """
-    padded = np.zeros(lines.shape[:-1] + (n,), np.result_type(lines.dtype, 1j))
+    padded = np.zeros(lines.shape[:-1] + (n,), complex)
     padded[..., :lines.shape[-1]] = lines
     if inverse:
         return np.fft.ifft(padded, norm="forward", out=padded)
@@ -205,23 +188,24 @@ def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
 
     and the squared column sum of the right side, with a 1e-9 rounding
     slack, bounds every surface value of the cell. Coarse row c is surface
-    row c R. Only the cells whose bound reaches the Doppler maximum of the
-    highest-bound coarse row are kept. The delay transform then runs a
-    block of columns at a time and keeps only the fine rows of those
-    cells, one more on either side; of these rows, only the ones whose own
-    bound (below) reaches the Doppler maximum of the highest-bound row are
-    transformed along the Doppler axis, in ascending order, which keeps the
-    first-occurrence tie rule.
+    row c R, so the Doppler maximum of the highest-bound coarse row is a
+    surface value; only the cells whose bound reaches it are kept. The
+    delay transform then runs a block of columns at a time and keeps only
+    the fine rows of those cells, one more on either side.
 
     When ``R < 4``, or when the kept cells would cover more than a quarter
     of ``fft_n`` (noise-only, tied, NaN and single-row grids), the search
-    runs on the full delay stage instead. No Doppler bin of delay row u
-    exceeds ``(sum_l |stage[u, l]|)**2`` (triangle inequality), so only the
-    rows whose bound reaches the maximum power of the highest-bound row
-    are transformed.
+    takes every row of the full delay stage instead. Either way one row
+    search finishes it: no Doppler bin of delay row u exceeds
+    ``(sum_l |S(u, l)|)**2`` (triangle inequality), so only the rows whose
+    bound reaches the Doppler maximum of the highest-bound row are
+    transformed along the Doppler axis, in ascending order, which keeps the
+    first-occurrence tie rule. The three rows around the peak reuse those
+    powers where they were computed.
 
-    Both paths take every value from the FFTs ``periodogram_2d`` runs, so
-    the rows are the surface's bit for bit (NaN payloads aside).
+    Every transform runs in complex128, whatever the grid's dtype, and
+    takes its values from the FFTs ``periodogram_2d`` runs, so the rows are
+    the surface's bit for bit (NaN payloads aside).
     """
     return _peak_searches(pilot_grid[None], config)[0]
 
@@ -229,9 +213,16 @@ def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
 def _peak_searches(pilot_grids: np.ndarray, config: PeriodogramConfig) -> list:
     """``peak_search`` of each grid of a stack (trials, rows, cols)."""
     rows, _ = _grid_shape(pilot_grids, config)
+    # complex128 throughout: the 1e-9 slacks of the bounds assume float64
+    pilot_grids = np.asarray(pilot_grids, complex)
     if config.fft_n < 4 * _coarse_size(rows):
-        return [_stage_peak(stage, config) for stage in _delay_stage(pilot_grids, config)]
-    return [_coarse_peak(grid, config) for grid in pilot_grids]
+        return [_row_peak(stage, None, config) for stage in _delay_stage(pilot_grids, config)]
+    peaks = []
+    for grid in pilot_grids:
+        fine = _coarse_rows(grid, config)
+        stage = _delay_stage(grid, config) if fine is None else _delay_rows(grid, fine, config)
+        peaks.append(_row_peak(stage, fine, config))
+    return peaks
 
 
 def _coarse_size(rows: int) -> int:
@@ -240,47 +231,31 @@ def _coarse_size(rows: int) -> int:
 
 
 def _coarse_stage(pilot_grid: np.ndarray, coarse_n: int) -> tuple:
-    """The coarse delay stage of ``coarse_n`` points, the magnitude sum of each of
-    its rows and the bound ``(sum_l |S_c(c, l)| + slack)**2`` on every surface
-    value of each of its cells."""
+    """The coarse delay stage of ``coarse_n`` points and the bound
+    ``(sum_l |S_c(c, l)| + slack)**2`` on every surface value of each of its cells."""
     rows = pilot_grid.shape[0]
     lines = _padded_fft(pilot_grid.T, coarse_n, True)
     lever = np.abs(np.arange(rows) - (rows - 1) / 2.0) * (np.pi / coarse_n)
-    row_sum = np.abs(lines).sum(axis=0)
-    return lines.T, row_sum, (row_sum + lever @ np.abs(pilot_grid).sum(axis=1)) ** 2 * (1.0 + 1e-9)
+    slack = lever @ np.abs(pilot_grid).sum(axis=1)
+    return lines.T, (np.abs(lines).sum(axis=0) + slack) ** 2 * (1.0 + 1e-9)
 
 
-def _coarse_peak(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """``peak_search`` of one grid through the bounds of its coarse cells."""
-    fft_n, fft_m = config.fft_n, config.fft_m
-    coarse, row_sum, cell_bound = _coarse_stage(pilot_grid, _coarse_size(pilot_grid.shape[0]))
-    cell = fft_n // cell_bound.size
-    top = int(np.argmax(cell_bound))
-    # Coarse row c is surface row c * cell, and the 1e-9 slack covers its
-    # rounding. Its maximum is at most row_sum[top]**2: when the cells that
-    # reach this already cover more than a quarter of fft_n, so do those that
-    # reach the maximum, and the row need not be transformed. Negations keep
-    # the cells of a NaN bound or maximum.
-    cells = np.flatnonzero(~(cell_bound < row_sum[top] ** 2 * (1.0 + 1e-9)))
-    if cells.size <= cell_bound.size // 4:
-        cells = np.flatnonzero(~(cell_bound < _doppler_power(coarse, [top], fft_m).max()))
+def _coarse_rows(pilot_grid: np.ndarray, config: PeriodogramConfig):
+    """The delay rows of the cells whose bound reaches the Doppler maximum of
+    the highest-bound coarse row, one more on either side, ascending; None
+    when those cells cover more than a quarter of fft_n."""
+    coarse, cell_bound = _coarse_stage(pilot_grid, _coarse_size(pilot_grid.shape[0]))
+    # coarse row c is surface row c * cell; the negation keeps the cells of a
+    # NaN bound or maximum
+    best = _doppler_power(coarse, [int(np.argmax(cell_bound))], config.fft_m).max()
+    cells = np.flatnonzero(~(cell_bound < best))
     if cells.size > cell_bound.size // 4:
-        return _stage_peak(_delay_stage(pilot_grid, config), config)
-    # the rows of each kept cell and one more on either side, ascending
-    rows = np.zeros(fft_n, bool)
-    rows[(cells[:, None] * cell + np.arange(-(cell // 2) - 1, cell - cell // 2 + 1)) % fft_n] = 1
-    fine = np.flatnonzero(rows)
-    stage = _delay_rows(pilot_grid, fine, config)
-    keep, power, row, b_v = _pruned_argmax(stage, fft_m)
-    b_r = int(fine[keep[row]])
-    # The peak row lies inside a kept cell, so the rows around it are among
-    # the fine rows; their powers are reused where the search computed them.
-    around = np.searchsorted(fine, [(b_r - 1) % fft_n, b_r, (b_r + 1) % fft_n]).tolist()
-    done = dict(zip(keep.tolist(), power))
-    missing = [i for i in around if i not in done]
-    if missing:
-        done.update(zip(missing, _doppler_power(stage, missing, fft_m)))
-    return (b_r, b_v), np.array([done[i] for i in around])
+        return None
+    cell = config.fft_n // cell_bound.size
+    rows = np.zeros(config.fft_n, bool)
+    rows[(cells[:, None] * cell + np.arange(-(cell // 2) - 1, cell - cell // 2 + 1))
+         % config.fft_n] = 1
+    return np.flatnonzero(rows)
 
 
 def _delay_rows(pilot_grid: np.ndarray, fine: np.ndarray, config: PeriodogramConfig
@@ -289,37 +264,36 @@ def _delay_rows(pilot_grid: np.ndarray, fine: np.ndarray, config: PeriodogramCon
     columns at a time (at most ``_COLUMN_BYTES`` of stage), so that the full
     (fft_n, cols) stage never exists."""
     cols = pilot_grid.shape[1]
-    rows = np.empty((fine.size, cols), np.result_type(pilot_grid.dtype, 1j))
+    rows = np.empty((fine.size, cols), complex)
     step = max(1, _COLUMN_BYTES // (16 * config.fft_n))
     for start in range(0, cols, step):
         rows[:, start:start + step] = _delay_stage(pilot_grid[:, start:start + step], config)[fine]
     return rows
 
 
-def _stage_peak(stage: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """``peak_search`` from the full delay stage of the pilot grid."""
-    keep, _, row, b_v = _pruned_argmax(stage, config.fft_m)
-    b_r = int(keep[row])
-    around = [(b_r - 1) % config.fft_n, b_r, (b_r + 1) % config.fft_n]
-    return (b_r, b_v), _doppler_power(stage, around, config.fft_m)
-
-
-def _pruned_argmax(stage: np.ndarray, fft_m: int) -> tuple:
-    """(keep, power, row, b_v): the first maximum of the Doppler power of the
-    rows of ``stage``, at ``power[row, b_v]``, found on the rows ``keep`` alone.
-
-    No Doppler bin of a row exceeds its squared magnitude sum (the 1e-9
-    slack covers FFT rounding), so only the rows whose bound reaches the
-    maximum power of the highest-bound row are transformed, in ascending
-    order.
+def _row_peak(stage: np.ndarray, fine, config: PeriodogramConfig) -> tuple:
+    """``peak_search`` from delay rows: row i of ``stage`` is delay row
+    ``fine[i]``, or row i when ``fine`` is None (the full delay stage).
+    Rows are bounded and pruned as ``peak_search`` describes; the 1e-9 slack
+    covers FFT rounding.
     """
+    fft_n, fft_m = config.fft_n, config.fft_m
     bound = np.abs(stage).sum(axis=1) ** 2 * (1.0 + 1e-9)
     best = _doppler_power(stage, [int(np.argmax(bound))], fft_m).max()
     # written as a negation so that a NaN bound or NaN best keeps the row
     keep = np.flatnonzero(~(bound < best))
     power = _doppler_power(stage, keep, fft_m)
     row, b_v = np.unravel_index(int(np.argmax(power)), power.shape)
-    return keep, power, int(row), int(b_v)
+    b_r = int(keep[row] if fine is None else fine[keep[row]])
+    around = [(b_r - 1) % fft_n, b_r, (b_r + 1) % fft_n]
+    if fine is not None:
+        # the peak row lies inside a kept cell, so its neighbours are fine rows
+        around = np.searchsorted(fine, around).tolist()
+    done = dict(zip(keep.tolist(), power))
+    missing = [i for i in around if i not in done]
+    if missing:
+        done.update(zip(missing, _doppler_power(stage, missing, fft_m)))
+    return (b_r, int(b_v)), np.array([done[i] for i in around])
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,9 @@ def assert_peak_search_matches_surface(grid, cfg):
     their refinement equal the surface's, on either path. Returns the bins
     and whether the search ran on the full delay stage."""
     surface = periodogram_2d(grid, cfg)
-    with mock.patch.object(estimator, "_stage_peak", wraps=estimator._stage_peak) as full:
+    with mock.patch.object(estimator, "_row_peak", wraps=estimator._row_peak) as search:
         (b_r, b_v), rows = peak_search(grid, cfg)
+    full = search.call_args.args[1] is None
     assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
     around = [(b_r - 1) % cfg.fft_n, b_r, (b_r + 1) % cfg.fft_n]
     np.testing.assert_array_equal(rows, surface[around])
@@ -123,7 +124,7 @@ def assert_peak_search_matches_surface(grid, cfg):
     # array comparison, so that the NaN offsets of a NaN grid compare equal
     np.testing.assert_array_equal(refined.offsets, reference.offsets)
     assert refined.flat_axes == reference.flat_axes
-    return b_r, b_v, full.called
+    return b_r, b_v, full
 
 
 class TestPeakSearch:

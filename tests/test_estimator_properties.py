@@ -121,7 +121,7 @@ def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
     # the inequality that makes the coarse search exact
     rows, cols = grid.shape
     coarse_n, cell = _coarse_size(rows), 2**log_cell
-    _, _, bound = _coarse_stage(grid, coarse_n)
+    _, bound = _coarse_stage(grid, coarse_n)
     surface = periodogram_2d(grid, PeriodogramConfig(coarse_n * cell, doppler_size(cols, data)))
     # cell c holds the rows c * cell - cell / 2 .. c * cell + cell / 2 - 1
     cell_max = np.roll(surface, cell // 2, axis=0).reshape(coarse_n, cell, -1).max(axis=(1, 2))
@@ -129,8 +129,11 @@ def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(grid=target_grids(), data=st.data())
-def test_peak_search_equals_surface_argmax(grid, data):
+@given(grid=target_grids(), dtype=st.sampled_from([np.complex64, np.complex128]),
+       data=st.data())
+def test_peak_search_equals_surface_argmax(grid, dtype, data):
+    # both search and surface run in complex128, whatever the grid's dtype
+    grid = grid.astype(dtype)
     rows, cols = grid.shape
     # every size up to 4096, and as often one with cells of at least 4 rows
     coarse = _coarse_size(rows).bit_length() + 1

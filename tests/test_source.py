@@ -86,3 +86,19 @@ def test_every_dataclass_is_frozen():
                         for k in call.keywords):
                     mutable.append(f"{path.name}:{node.lineno} {node.name}")
     assert mutable == []
+
+
+def test_every_private_function_is_used():
+    # a private helper that nothing in the package names is code that no
+    # output depends on; its own body does not count as a use
+    private, used = set(), set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text()).body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            names |= imported_names(stmt)
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"):
+                private.add(stmt.name)
+                names.discard(stmt.name)
+            used |= names
+    assert private - used == set()
