@@ -1,13 +1,16 @@
 """Pilot-based delay-Doppler receiver.
 
 Least-squares channel estimates on the periodic pilot subgrid, the
-global peak of the zero-padded 2-D periodogram over that subgrid with
-per-axis quadratic interpolation, and conversion of the refined peak to
-bistatic range, velocity and receiver-leg distance.
+global peak of the zero-padded 2-D periodogram over that subgrid, guarded
+Newton refinement of that peak on the continuous periodogram, and
+conversion of the refined peak to bistatic range, velocity and
+receiver-leg distance.
 
 The peak search (``peak_search``; its docstring gives the method) is exact
-without building the periodogram: its bins and rows equal those of
+without building the periodogram: its bins equal the argmax of
 ``periodogram_2d``, which stays as the reference and for surface dumps.
+``refine_peak`` is the three-point parabola on such a surface; ``estimate``
+refines on the LS grid instead (``_refine``).
 
 Transform sign conventions: the subcarrier (delay) axis uses the
 positive-exponent kernel so a delay tau peaks at bin
@@ -20,6 +23,8 @@ span) since delays are physically nonnegative.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +35,28 @@ from .geometry import (
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
-# the delay-stage bytes the coarse search transforms at a time (see _delay_rows)
+# the delay-stage bytes the FFT fallback transforms at a time (see _delay_rows)
 _COLUMN_BYTES = 2**18
+
+# Bound on |DFT amplitude - FFT amplitude| / sum |H| over the surface values
+# of the kept rows (see _row_peak); measured at most 4.8e-16 on 300 random
+# grids of up to 70 x 60 cells at fft sizes up to 4096 x 4096.
+_DFT_SLACK = 1e-12
+
+# Multiply-adds per matrix product on the trial path. OpenBLAS 0.3.31 ran a
+# complex 36 x 35 @ 35 x 50 product (63000) on one thread and a 40 x 35 one
+# (70000) on two, which took 8-16 ms instead of 20 us in some calls.
+_BLAS_MNK = 2**15
+
+# The refinement (see _refine) stops a trial after a step shorter than
+# _NEWTON_TOL bins, and every trial after _NEWTON_STEPS steps.
+_NEWTON_STEPS = 6
+_NEWTON_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
-    """FFT sizes (powers of two, default the desk profile's) and interpolation switch."""
+    """FFT sizes (powers of two, default the desk profile's) and the switch of
+    the Newton refinement (``interpolate``)."""
 
     fft_n: int = 1024
     fft_m: int = 1024
@@ -61,8 +82,13 @@ class PeriodogramConfig:
 class EstimationResult:
     """Outputs of one estimation pass.
 
-    peak_bins are the integer argmax coordinates on the power surface and
-    fractional_offsets the sub-bin corrections applied to them.
+    peak_bins are the integer argmax coordinates on the power surface,
+    peak_power the periodogram there, and fractional_offsets the Newton
+    refinement applied to them, within one bin per axis.
+    refine_fallback flags a refinement that kept the bins: a Hessian of
+    the log periodogram that is not negative definite (a flat neighbourhood
+    included) or a step beyond one bin; it is False when interpolation is
+    off.
     beta_clamped flags a degenerate bistatic-angle inversion.
     """
 
@@ -76,6 +102,7 @@ class EstimationResult:
     peak_power: float
     peak_bins: tuple
     fractional_offsets: tuple
+    refine_fallback: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,6 +116,7 @@ class EstimationResult:
             "peak_power": self.peak_power,
             "peak_bins": list(self.peak_bins),
             "fractional_offsets": list(self.fractional_offsets),
+            "refine_fallback": self.refine_fallback,
         }
 
 
@@ -169,14 +197,11 @@ def periodogram_2d(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndar
 
 
 def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """Peak of ``periodogram_2d(pilot_grid, config)`` without building it.
+    """Peak bins of ``periodogram_2d(pilot_grid, config)`` without building it.
 
-    Returns ``((b_r, b_v), rows)``: ``(b_r, b_v)`` equals
+    Returns ``(b_r, b_v)``, equal to
     ``np.unravel_index(np.argmax(surface), surface.shape)``, ties and NaN
-    included, and ``rows`` holds the surface rows
-    ``(b_r - 1, b_r, b_r + 1) mod fft_n``, so ``rows[1, b_v]`` is the peak
-    power and ``refine_peak(rows, (1, b_v))`` equals ``refine_peak`` on the
-    full surface at ``(b_r, b_v)``.
+    included.
 
     The search bounds cells of delay rows on a coarse delay transform S_c
     of ``F_c`` points, the smallest power of two at least twice the grid's
@@ -189,23 +214,22 @@ def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
     and the squared column sum of the right side, with a 1e-9 rounding
     slack, bounds every surface value of the cell. Coarse row c is surface
     row c R, so the Doppler maximum of the highest-bound coarse row is a
-    surface value; only the cells whose bound reaches it are kept. The
-    delay transform then runs a block of columns at a time and keeps only
-    the fine rows of those cells, one more on either side.
+    surface value; only the cells whose bound reaches it are kept. Their
+    delay rows come from a direct DFT of the grid (``_dft_rows``). The DFT
+    rows differ from the FFT rows of ``periodogram_2d`` by rounding, so the
+    search keeps their peak only when a rounding slack separates it from
+    every other value; otherwise it recomputes those rows with the FFT.
 
     When ``R < 4``, or when the kept cells would cover more than a quarter
     of ``fft_n`` (noise-only, tied, NaN and single-row grids), the search
-    takes every row of the full delay stage instead. Either way one row
-    search finishes it: no Doppler bin of delay row u exceeds
-    ``(sum_l |S(u, l)|)**2`` (triangle inequality), so only the rows whose
-    bound reaches the Doppler maximum of the highest-bound row are
-    transformed along the Doppler axis, in ascending order, which keeps the
-    first-occurrence tie rule. The three rows around the peak reuse those
-    powers where they were computed.
+    takes every row of the full delay stage instead. The FFT rows of
+    either fallback finish in one row search: no Doppler bin of delay row u
+    exceeds ``(sum_l |S(u, l)|)**2`` (triangle inequality), so only the
+    rows whose bound reaches the Doppler maximum of the highest-bound row
+    are transformed along the Doppler axis, in ascending order, which
+    keeps the first-occurrence tie rule.
 
-    Every transform runs in complex128, whatever the grid's dtype, and
-    takes its values from the FFTs ``periodogram_2d`` runs, so the rows are
-    the surface's bit for bit (NaN payloads aside).
+    Every transform runs in complex128, whatever the grid's dtype.
     """
     return _peak_searches(pilot_grid[None], config)[0]
 
@@ -220,8 +244,13 @@ def _peak_searches(pilot_grids: np.ndarray, config: PeriodogramConfig) -> list:
     peaks = []
     for grid in pilot_grids:
         fine = _coarse_rows(grid, config)
-        stage = _delay_stage(grid, config) if fine is None else _delay_rows(grid, fine, config)
-        peaks.append(_row_peak(stage, fine, config))
+        if fine is None:
+            peaks.append(_row_peak(_delay_stage(grid, config), None, config))
+        else:
+            # the DFT rows' amplitudes lie within _DFT_SLACK * sum |H| of the FFT's
+            delta = _DFT_SLACK * np.abs(grid).sum()
+            peaks.append(_row_peak(_dft_rows(grid, fine, config), fine, config, delta)
+                         or _row_peak(_delay_rows(grid, fine, config), fine, config))
     return peaks
 
 
@@ -242,8 +271,8 @@ def _coarse_stage(pilot_grid: np.ndarray, coarse_n: int) -> tuple:
 
 def _coarse_rows(pilot_grid: np.ndarray, config: PeriodogramConfig):
     """The delay rows of the cells whose bound reaches the Doppler maximum of
-    the highest-bound coarse row, one more on either side, ascending; None
-    when those cells cover more than a quarter of fft_n."""
+    the highest-bound coarse row, ascending; None when those cells cover more
+    than a quarter of fft_n."""
     coarse, cell_bound = _coarse_stage(pilot_grid, _coarse_size(pilot_grid.shape[0]))
     # coarse row c is surface row c * cell; the negation keeps the cells of a
     # NaN bound or maximum
@@ -253,8 +282,7 @@ def _coarse_rows(pilot_grid: np.ndarray, config: PeriodogramConfig):
         return None
     cell = config.fft_n // cell_bound.size
     rows = np.zeros(config.fft_n, bool)
-    rows[(cells[:, None] * cell + np.arange(-(cell // 2) - 1, cell - cell // 2 + 1))
-         % config.fft_n] = 1
+    rows[(cells[:, None] * cell + np.arange(-(cell // 2), cell - cell // 2)) % config.fft_n] = 1
     return np.flatnonzero(rows)
 
 
@@ -271,29 +299,150 @@ def _delay_rows(pilot_grid: np.ndarray, fine: np.ndarray, config: PeriodogramCon
     return rows
 
 
-def _row_peak(stage: np.ndarray, fine, config: PeriodogramConfig) -> tuple:
+def _dft_rows(pilot_grid: np.ndarray, fine: np.ndarray, config: PeriodogramConfig
+              ) -> np.ndarray:
+    """Rows ``fine`` of the delay stage by a direct DFT of the grid: they differ
+    from ``_delay_rows``' FFT rows by rounding alone."""
+    twiddles = _roots_of_unity(config.fft_n)[np.outer(fine, np.arange(pilot_grid.shape[0]))
+                                             % config.fft_n]
+    return _small_matmul(twiddles, pilot_grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(2 pi j r / n) for r = 0 .. n - 1, read-only (the DFT rows index it)."""
+    roots = np.exp((2j * np.pi / n) * np.arange(n))
+    roots.flags.writeable = False
+    return roots
+
+
+def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right``, stacks included, a block of columns of ``right`` at a
+    time: each block's product is small enough (``_BLAS_MNK`` multiply-adds per
+    matrix) that OpenBLAS runs it on one thread."""
+    step = max(1, _BLAS_MNK // (left.shape[-2] * left.shape[-1]))
+    if step >= right.shape[-1]:
+        return left @ right
+    return np.concatenate([left @ right[..., start:start + step]
+                           for start in range(0, right.shape[-1], step)], axis=-1)
+
+
+def _row_peak(stage: np.ndarray, fine, config: PeriodogramConfig, delta: float = 0.0):
     """``peak_search`` from delay rows: row i of ``stage`` is delay row
     ``fine[i]``, or row i when ``fine`` is None (the full delay stage).
     Rows are bounded and pruned as ``peak_search`` describes; the 1e-9 slack
     covers FFT rounding.
+
+    ``delta`` bounds how far each surface amplitude of ``stage`` may lie
+    from the FFT's (0 for FFT rows), so a power p lies within
+    ``margin = delta (2 sqrt(p) + delta)`` of it. With ``delta`` > 0 the
+    peak p1 is returned only when ``p1 - margin`` exceeds both the runner-up
+    plus ``margin`` and the bound of every row left untransformed: then it is
+    the FFT surface's unique maximum over these rows. Otherwise None.
     """
-    fft_n, fft_m = config.fft_n, config.fft_m
-    bound = np.abs(stage).sum(axis=1) ** 2 * (1.0 + 1e-9)
-    best = _doppler_power(stage, [int(np.argmax(bound))], fft_m).max()
+    bound = (np.abs(stage).sum(axis=1) + delta) ** 2 * (1.0 + 1e-9)
+    best = _doppler_power(stage, [int(np.argmax(bound))], config.fft_m).max()
     # written as a negation so that a NaN bound or NaN best keeps the row
-    keep = np.flatnonzero(~(bound < best))
-    power = _doppler_power(stage, keep, fft_m)
-    row, b_v = np.unravel_index(int(np.argmax(power)), power.shape)
-    b_r = int(keep[row] if fine is None else fine[keep[row]])
-    around = [(b_r - 1) % fft_n, b_r, (b_r + 1) % fft_n]
-    if fine is not None:
-        # the peak row lies inside a kept cell, so its neighbours are fine rows
-        around = np.searchsorted(fine, around).tolist()
-    done = dict(zip(keep.tolist(), power))
-    missing = [i for i in around if i not in done]
-    if missing:
-        done.update(zip(missing, _doppler_power(stage, missing, fft_m)))
-    return (b_r, int(b_v)), np.array([done[i] for i in around])
+    floor = best - delta * (2.0 * np.sqrt(best) + delta) if delta else best
+    keep = ~(bound < floor)
+    power = _doppler_power(stage, keep, config.fft_m).ravel()
+    peak = int(np.argmax(power))
+    if delta:
+        top = power[peak]
+        power[peak] = -np.inf
+        margin = delta * (2.0 * np.sqrt(top) + delta)
+        # a NaN anywhere fails the test
+        if not top - margin > np.maximum(power.max() + margin,
+                                         bound[~keep].max(initial=-np.inf)):
+            return None
+    row, b_v = divmod(peak, config.fft_m)
+    row = np.flatnonzero(keep)[row]
+    return int(row if fine is None else fine[row]), b_v
+
+
+def _refine(pilot_grids: np.ndarray, bins: list, config: PeriodogramConfig) -> tuple:
+    """Guarded Newton refinement of each grid's peak bins on the continuous periodogram.
+
+    ``P(u, v) = |a(u)^T H b(v)|^2`` with ``a_k = exp(+2 pi j k u / fft_n)``
+    and ``b_l = exp(-2 pi j l v / fft_m)`` is the surface of
+    ``periodogram_2d`` at fractional bins (u, v). From the bins, each step
+    solves the Hessian system of log P (``_newton_step``), until a step is
+    shorter than ``_NEWTON_TOL`` bins or ``_NEWTON_STEPS`` were taken. A trial
+    whose Hessian is not negative definite (a flat neighbourhood included)
+    or whose step leaves the square of one bin around the bins keeps the
+    bins.
+    Without ``config.interpolate`` no step is taken and no trial keeps its
+    bins. P and its derivatives are computed for the whole stack at once,
+    and each trial's steps depend on its own grid alone.
+
+    Returns the offsets in bins (trials, 2), P at the bins (trials,) and the
+    kept-bin flags.
+    """
+    rows, cols = pilot_grids.shape[-2:]
+    # centred indices drop a common phase: P is unchanged and the moments stay small
+    alpha = (np.arange(rows) - (rows - 1) / 2.0) * (2.0 * np.pi / config.fft_n)
+    beta = (np.arange(cols) - (cols - 1) / 2.0) * (2.0 * np.pi / config.fft_m)
+    axes = (1j * alpha, np.stack([alpha**0, alpha, alpha**2]),
+            -1j * beta, np.stack([beta**0, beta, beta**2], axis=1))
+    start = np.array(bins, float).reshape(-1, 2)
+    m = _moments(pilot_grids, start, *axes)
+    peak_power = m[:, 0, 0].real**2 + m[:, 0, 0].imag**2
+    pos, kept = start.tolist(), [False] * len(start)
+    active = list(range(len(start))) if config.interpolate else []
+    for _ in range(_NEWTON_STEPS):
+        moments, still = m.tolist(), []
+        for t in active:
+            (u0, v0), move = start[t], _newton_step(moments[t])
+            u, v = (math.nan, math.nan) if move is None else (pos[t][0] + move[0],
+                                                                pos[t][1] + move[1])
+            # written so that a NaN step keeps the bins
+            if not (abs(u - u0) <= 1.0 and abs(v - v0) <= 1.0):
+                pos[t], kept[t] = [u0, v0], True
+            else:
+                pos[t] = [u, v]
+                if max(abs(move[0]), abs(move[1])) >= _NEWTON_TOL:
+                    still.append(t)
+        active = still
+        if not active:
+            break
+        m = _moments(pilot_grids, np.array(pos), *axes)
+    return np.array(pos) - start, peak_power, kept
+
+
+def _moments(pilot_grids, pos, j_alpha, alpha_pow, j_beta, beta_pow) -> np.ndarray:
+    """m[t, p, q] = sum_kl alpha_k^p beta_l^q H[t, k, l] a_k b_l at (u, v) = pos[t]."""
+    left = np.exp(pos[:, :1] * j_alpha)[:, None, :] * alpha_pow
+    right = np.exp(pos[:, 1:] * j_beta)[:, :, None] * beta_pow
+    return _small_matmul(left, pilot_grids) @ right
+
+
+def _newton_step(m: list):
+    """The Newton step (du, dv) towards the maximum of log P from the moments
+    ``m[p][q]`` at a point, or None where the Hessian of log P is not negative
+    definite (P = 0 and NaN moments included).
+
+    log P has the maximum of P and a wider concave region around it: for a
+    separable P = f(u) g(v) the Hessian of P is indefinite wherever
+    f'^2 / (f |f''|) + g'^2 / (g |g''|) > 1 (both axes half a bin off the
+    peak at twice the padding), that of log P only where f or g is not
+    log-concave.
+    """
+    (z, m01, m02), (m10, m11, _), (m20, _, _) = m
+    # half the gradient and Hessian of P = |z|^2: z_u = j m10, z_v = -j m01,
+    # z_uu = -m20, z_vv = -m02, z_uv = m11
+    zc = z.conjugate()
+    power = z.real * z.real + z.imag * z.imag
+    if not power > 0.0:
+        return None
+    g_u, g_v = -(zc * m10).imag, (zc * m01).imag
+    # (P / 2) times the Hessian of log P: half that of P less 2 g g^T / P
+    h_uu = m10.real * m10.real + m10.imag * m10.imag - (zc * m20).real - 2.0 * g_u * g_u / power
+    h_vv = m01.real * m01.real + m01.imag * m01.imag - (zc * m02).real - 2.0 * g_v * g_v / power
+    h_uv = (zc * m11 - m10.conjugate() * m01).real - 2.0 * g_u * g_v / power
+    det = h_uu * h_vv - h_uv * h_uv
+    if not (h_uu < 0.0 and det > 0.0):
+        return None
+    return (h_uv * g_v - h_vv * g_u) / det, (h_uv * g_u - h_uu * g_v) / det
 
 
 @dataclass(frozen=True)
@@ -343,11 +492,11 @@ def estimate(
     baseline: float,
     theta: float,
 ) -> EstimationResult:
-    """Full receiver pass: LS estimates, periodogram peak, geometry.
+    """Full receiver pass: LS estimates, periodogram peak, refinement, geometry.
 
     The peak bins are those of the full zero-padded periodogram, found by
-    the exact ``peak_search``; the peak power and the interpolation read
-    the three surface rows around the peak that it returns.
+    the exact ``peak_search``; with ``config.interpolate`` guarded Newton
+    steps on the continuous periodogram of the LS grid refine them.
 
     ``baseline`` and ``theta`` are the known transmitter-receiver distance
     and angle of arrival used to invert the bistatic range.
@@ -357,8 +506,11 @@ def estimate(
             (d_bis_hat <= baseline); callers count such trials as invalid.
     """
     pilot_grid = ls_channel_estimate(received, transmitted, pattern)
-    return _peak_estimate(peak_search(pilot_grid, config), pattern, numerology, config,
-                          baseline, theta)
+    (outcome,) = _estimate_grids(pilot_grid[None], pattern, numerology, config, baseline,
+                                 [theta])
+    if isinstance(outcome, GeometryError):
+        raise outcome
+    return outcome
 
 
 def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
@@ -366,27 +518,29 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
                     thetas) -> list:
     """``estimate`` of each LS pilot grid of a stack (trials, K+1, L+1), with its
     own ``theta``; a trial whose range cannot be inverted gets its GeometryError
-    in place of a result."""
+    in place of a result. One refinement runs over the whole stack."""
+    bins = _peak_searches(pilot_grids, config)
+    offsets, powers, kept = _refine(pilot_grids, bins, config)
     outcomes = []
-    for peak, theta in zip(_peak_searches(pilot_grids, config), thetas):
+    for peak, offset, power, fallback, theta in zip(bins, offsets.tolist(), powers.tolist(),
+                                                    kept, thetas):
         try:
-            outcomes.append(_peak_estimate(peak, pattern, numerology, config, baseline, theta))
+            outcomes.append(_peak_estimate(peak, offset, power, fallback, pattern, numerology,
+                                           config, baseline, theta))
         except GeometryError as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def _peak_estimate(peak: tuple, pattern: PilotPattern, numerology: OfdmNumerology,
+def _peak_estimate(peak: tuple, offsets: list, power: float, fallback: bool,
+                   pattern: PilotPattern, numerology: OfdmNumerology,
                    config: PeriodogramConfig, baseline: float, theta: float
                    ) -> EstimationResult:
-    """``estimate`` from the ``peak_search`` result of the LS pilot grid; raises as it does."""
+    """``estimate`` from the peak bins, their refinement and the power there;
+    raises as ``estimate`` does."""
     n_p, m_p = pattern.periodic_strides()
-    (b_r, b_v), rows = peak
-    if config.interpolate:
-        refined = refine_peak(rows, (1, b_v))
-        off_r, off_v = refined.offsets
-    else:
-        off_r, off_v = 0.0, 0.0
+    b_r, b_v = peak
+    off_r, off_v = offsets
 
     df = numerology.subcarrier_spacing_hz
     ts = numerology.symbol_duration_s
@@ -407,7 +561,8 @@ def _peak_estimate(peak: tuple, pattern: PilotPattern, numerology: OfdmNumerolog
         d_rx_hat=float(d_rx_hat),
         beta_hat=float(beta_hat),
         beta_clamped=clamped,
-        peak_power=float(rows[1, b_v]),
+        peak_power=power,
         peak_bins=(b_r, b_v),
-        fractional_offsets=(float(off_r), float(off_v)),
+        fractional_offsets=(off_r, off_v),
+        refine_fallback=fallback,
     )

@@ -247,20 +247,21 @@ def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:
 
 
 def _ground_truth(tx_pos, rx_pos, target_pos, speed, delta, carrier_hz) -> SensingGroundTruth:
-    """``derive_ground_truth`` of the scenario with these (already checked) fields."""
-    d_tx = _distance(target_pos, tx_pos)
-    d_rx = _distance(target_pos, rx_pos)
-    baseline = _distance(tx_pos, rx_pos)
+    """``derive_ground_truth`` of the scenario with these (already checked) fields,
+    in scalar ``math``: a trial's truth costs a few microseconds."""
+    (tx_x, tx_y), (rx_x, rx_y), (x, y) = tx_pos, rx_pos, target_pos
+    d_tx = math.hypot(x - tx_x, y - tx_y)
+    d_rx = math.hypot(x - rx_x, y - rx_y)
+    baseline = math.hypot(tx_x - rx_x, tx_y - rx_y)
     if min(d_tx, d_rx, baseline) < DEGENERATE_EPS:
         raise GeometryError(
             f"degenerate geometry: pairwise distance below {DEGENERATE_EPS} m "
             f"(d_tx={d_tx:.3g}, d_rx={d_rx:.3g}, D={baseline:.3g})"
         )
-    beta = float(bistatic_angle(d_tx, d_rx, baseline))
+    cos_beta = (d_tx**2 + d_rx**2 - baseline**2) / (2.0 * d_tx * d_rx)
+    beta = math.acos(min(1.0, max(-1.0, cos_beta)))
 
-    u = np.subtract(target_pos, rx_pos)
-    w = np.subtract(tx_pos, rx_pos)
-    cos_theta = float(np.dot(u, w) / (d_rx * baseline))
+    cos_theta = ((x - rx_x) * (tx_x - rx_x) + (y - rx_y) * (tx_y - rx_y)) / (d_rx * baseline)
     theta = math.acos(min(1.0, max(-1.0, cos_theta)))
 
     d_bis = d_tx + d_rx

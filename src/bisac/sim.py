@@ -12,8 +12,8 @@ reduces them modulo one cycle before conversion to radians, so
 delay/Doppler aliasing identities are exact on pilot cells.
 
 Trials are independent: each draws from its own seed. ``simulate_pilots``
-runs a block of them on the pilot cells alone, where its values equal
-those of the full-grid chain bit for bit.
+runs a block of them on the pilot cells alone and draws only their symbols
+and noise; the full-grid functions draw every cell of the frame.
 """
 
 from __future__ import annotations
@@ -122,24 +122,25 @@ def sample_scenario(ensemble: ScenarioEnsemble, seed) -> tuple:
 
 def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
                     pattern: PilotPattern, snr_db: float, seeds) -> tuple:
-    """``sample_scenario``, ``generate_frame`` and ``apply_channel`` at ``snr_db``,
-    once per seed, on the pilot cells of a periodic pattern.
+    """One trial of the sensing link at ``snr_db`` per seed, on the pilot cells
+    of a periodic pattern alone.
 
-    Each trial draws what that chain draws, in its order, from one generator
-    seeded with its seed; only the arithmetic is cut to the pilot cells.
-    Returns the ground truths, pilot symbols and received pilot values, shape
-    (trials, K+1, L+1), equal bit for bit to the chain's.
+    Each trial draws from one generator seeded with its seed, in the order of
+    ``sample_scenario``, ``generate_frame`` and ``apply_channel``: the
+    scenario, then QPSK symbols and the two standard normal noise components,
+    each of shape (K+1, L+1), the pilot cells only. Returns the ground truths,
+    pilot symbols and received pilot values, shape (trials, K+1, L+1).
     """
     params = SensingChannelParams.from_snr_db(snr_db)
     n_p, m_p = pattern.periodic_strides()
-    shape = (numerology.n_subcarriers, numerology.n_symbols)
+    shape = tuple(c + 1 for c in pattern.periodic_counts())
     truths, idx, normals = [], [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         truths.append(ensemble.sample_truth(rng))
-        idx.append(rng.integers(0, 4, size=shape)[::n_p, ::m_p])
+        idx.append(rng.integers(0, 4, size=shape))
         if params.noise_var > 0:
-            normals.append([rng.standard_normal(shape)[::n_p, ::m_p] for _ in range(2)])
+            normals.append([rng.standard_normal(shape) for _ in range(2)])
     tau, f_d = (np.array([[[getattr(t, key)]] for t in truths]) for key in ("tau", "f_d"))
     _warn_isi(tau.max(), numerology)
     symbols = _qpsk(np.array(idx))

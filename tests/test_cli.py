@@ -494,6 +494,7 @@ class TestSimulateCommand:
         assert np.all(surface.imag == 0.0)
         peak_power = surface.real.max()
         assert est["peak_power"] == pytest.approx(peak_power, rel=1e-12)
+        assert est["refine_fallback"] is False
 
     def test_is_first_trial_of_matching_sweep(self, tmp_path):
         out = tmp_path / "trial.json"

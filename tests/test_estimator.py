@@ -110,21 +110,19 @@ class TestPeriodogram:
 
 
 def assert_peak_search_matches_surface(grid, cfg):
-    """Peak bins equal the surface argmax, and the rows around the peak and
-    their refinement equal the surface's, on either path. Returns the bins
-    and whether the search ran on the full delay stage."""
+    """Peak bins equal the surface argmax, on every path. Returns the bins and
+    the path: "full" (every row of the full delay stage), "dft" (the kept
+    cells' DFT rows) or "fft" (the kept cells' FFT rows, where the DFT rows
+    could not separate the peak)."""
     surface = periodogram_2d(grid, cfg)
-    with mock.patch.object(estimator, "_row_peak", wraps=estimator._row_peak) as search:
-        (b_r, b_v), rows = peak_search(grid, cfg)
-    full = search.call_args.args[1] is None
+    with mock.patch.object(estimator, "_row_peak", wraps=estimator._row_peak) as rows:
+        b_r, b_v = peak_search(grid, cfg)
     assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
-    around = [(b_r - 1) % cfg.fft_n, b_r, (b_r + 1) % cfg.fft_n]
-    np.testing.assert_array_equal(rows, surface[around])
-    refined, reference = refine_peak(rows, (1, b_v)), refine_peak(surface, (b_r, b_v))
-    # array comparison, so that the NaN offsets of a NaN grid compare equal
-    np.testing.assert_array_equal(refined.offsets, reference.offsets)
-    assert refined.flat_axes == reference.flat_axes
-    return b_r, b_v, full
+    # the last row search found the bins; only the DFT rows' search has a delta
+    stage, fine = rows.call_args.args[:2]
+    if fine is None:
+        return b_r, b_v, "full"
+    return b_r, b_v, "dft" if len(rows.call_args.args) == 4 else "fft"
 
 
 class TestPeakSearch:
@@ -136,16 +134,16 @@ class TestPeakSearch:
         grid = np.zeros((5, 4), complex)
         for fft_n in (64, 256, 1024):
             cfg = PeriodogramConfig(fft_n, 32)
-            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, True)
+            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, "full")
 
     def test_equal_rows_first_wins(self):
         # one entry at k = 0: every delay row carries the same spectrum
         grid = np.zeros((5, 4), complex)
         grid[0, 2] = 3.0 - 4.0j
         for fft_n in (64, 256, 1024):
-            b_r, _, full = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 32))
+            b_r, _, path = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 32))
             assert b_r == 0
-            assert full
+            assert path == "full"
 
     @pytest.mark.parametrize("rows, fft_n", [(1, 1), (1, 2), (2, 2)])
     def test_tiny_delay_axis_wraps_neighbors(self, rows, fft_n):
@@ -158,23 +156,50 @@ class TestPeakSearch:
         grid[3, 1] = np.nan
         for fft_n in (16, 64, 256, 1024):
             cfg = PeriodogramConfig(fft_n, 16)
-            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, True)
+            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, "full")
 
     def test_single_row_grid_takes_the_full_path(self):
         # every coarse row of one grid row has the same magnitudes: all cells tie
         rng = np.random.default_rng(7)
         grid = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
         for fft_n in (64, 256, 1024):
-            assert assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 16))[2]
+            path = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 16))[2]
+            assert path == "full"
 
     @pytest.mark.parametrize("fft_n, full", [(32, True), (64, False), (1024, False),
                                              (4096, False)])
     def test_off_grid_target(self, fft_n, full):
         k, l = np.arange(5)[:, None], np.arange(7)[None, :]
         grid = np.exp(2j * np.pi * (-0.3137 * k + 0.2113 * l))
-        b_r, _, took_full = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 64))
-        assert took_full == full
+        b_r, _, path = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 64))
+        assert path == ("full" if full else "dft")
         assert b_r == round(0.3137 * fft_n) % fft_n
+
+    def test_near_tie_falls_back_to_fft_rows(self):
+        # two targets of equal power on exact bins: their DFT powers differ by
+        # rounding alone, so only the FFT rows can settle the tie rule
+        k, l = np.arange(9)[:, None], np.arange(6)[None, :]
+        grid = np.exp(-2j * np.pi * (100 / 1024) * k) + np.exp(-2j * np.pi * (612 / 1024) * k)
+        grid = grid * np.exp(2j * np.pi * (5 / 64) * l)
+        assert assert_peak_search_matches_surface(grid, PeriodogramConfig(1024, 64))[2] == "fft"
+
+    def test_peak_at_a_cell_edge_next_to_a_dropped_cell(self):
+        # 35 rows, fft 4096: cells of 32 rows, cell 3 holds rows 80-111 and
+        # cell 4 rows 112-143. The peak sits on row 111, at the edge of cell 3.
+        # The coarse search keeps cell 4 here; with it dropped, both row
+        # searches still find the surface's peak, because neither reads a row
+        # outside the cells it is given.
+        k, l = np.arange(35)[:, None], np.arange(8)[None, :]
+        cfg = PeriodogramConfig(4096, 64)
+        grid = np.exp(-2j * np.pi * (111 / 4096) * k + 2j * np.pi * (3 / 64) * l)
+        assert assert_peak_search_matches_surface(grid, cfg) == (111, 3, "dft")
+        fine = estimator._coarse_rows(grid, cfg)
+        assert {110, 111, 112} <= set(fine.tolist())
+        cut = fine[(fine < 112) | (fine > 143)]
+        delta = estimator._DFT_SLACK * np.abs(grid).sum()
+        for rows, slack in ((estimator._dft_rows(grid, cut, cfg), delta),
+                            (estimator._delay_rows(grid, cut, cfg), 0.0)):
+            assert estimator._row_peak(rows, cut, cfg, slack) == (111, 3)
 
     def test_estimate_memory_at_full_profile(self, num):
         # the full 4096 x 4096 surface and its squares take 512 MiB

@@ -22,10 +22,11 @@ from bisac import (  # noqa: E402
     ls_channel_estimate,
     make_periodic,
     periodogram_2d,
-    refine_peak,
     sample_scenario,
 )
-from bisac.estimator import _coarse_size, _coarse_stage, _delay_stage  # noqa: E402
+from bisac.estimator import (  # noqa: E402
+    _coarse_size, _coarse_stage, _delay_stage, _refine,
+)
 from test_estimator import assert_peak_search_matches_surface  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -34,13 +35,17 @@ NUM = OfdmNumerology()
 
 
 def reference_estimate(received, frame, pattern, num, config, baseline, theta):
-    """The receiver on the full surface: periodogram_2d, np.argmax, refine_peak."""
+    """The receiver on the full surface: periodogram_2d, np.argmax, then the
+    refinement of those bins."""
     n_p, m_p = pattern.periodic_strides()
-    surface = periodogram_2d(ls_channel_estimate(received, frame, pattern), config)
+    grid = ls_channel_estimate(received, frame, pattern)
+    surface = periodogram_2d(grid, config)
     b_r, b_v = (int(b) for b in np.unravel_index(np.argmax(surface), surface.shape))
-    off_r, off_v = 0.0, 0.0
-    if config.interpolate:
-        off_r, off_v = refine_peak(surface, (b_r, b_v)).offsets
+    offsets, power, kept = _refine(grid[None], [(b_r, b_v)], config)
+    off_r, off_v = offsets[0].tolist()
+    # the refinement's power at the bins is the surface value up to rounding
+    scale = np.abs(grid).sum() ** 2
+    assert abs(power[0] - surface[b_r, b_v]) <= 1e-12 * scale
     tau_hat = ((b_r + off_r) % config.fft_n) / (n_p * num.subcarrier_spacing_hz * config.fft_n)
     signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
     f_d_hat = (signed_bin + off_v) / (m_p * num.symbol_duration_s * config.fft_m)
@@ -51,8 +56,8 @@ def reference_estimate(received, frame, pattern, num, config, baseline, theta):
     return dict(
         tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
         v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
-        beta_clamped=clamped, peak_power=float(surface[b_r, b_v]),
-        peak_bins=(b_r, b_v), fractional_offsets=(float(off_r), float(off_v)),
+        beta_clamped=clamped, peak_power=float(power[0]),
+        peak_bins=(b_r, b_v), fractional_offsets=(off_r, off_v), refine_fallback=kept[0],
     )
 
 

@@ -119,6 +119,12 @@ class TestDeriveGroundTruth:
         assert betas[-1] < 0.05
 
 
+    def test_sample_truth_is_the_truth_of_the_sampled_scenario(self, ensemble):
+        for seed in range(50):
+            truth = ensemble.sample_truth(np.random.default_rng(seed))
+            assert truth == derive_ground_truth(ensemble.sample(np.random.default_rng(seed)))
+
+
 class TestInvertBistaticRange:
     def test_monostatic_collapse(self):
         assert invert_bistatic_range(123.4, 0.0, 0.7) == pytest.approx(61.7, rel=1e-15)

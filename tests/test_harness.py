@@ -8,8 +8,6 @@ import pytest
 
 from bisac import (
     ExperimentConfig,
-    SensingChannelParams,
-    estimate,
     OfdmNumerology,
     PatternError,
     PeriodogramConfig,
@@ -25,12 +23,11 @@ from bisac import (
 import bisac.harness
 from bisac.harness import (
     SWEEP_COLUMNS,
-    _TRIAL_STREAM,
     rows_to_csv,
     simulate_trial,
     write_manifest,
 )
-from bisac.sim import IsiWarning, apply_channel, generate_frame, sample_scenario
+from bisac.sim import IsiWarning
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -237,14 +234,9 @@ class TestRunSweep:
     def test_single_trial_rmse_is_absolute_error(self):
         cfg = small_config(snr_grid_db=(30.0,), trials_per_point=1)
         result = run_sweep(cfg)
-        # the full-grid reference chain of trial 0
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TRIAL_STREAM, 0, 0]))
-        scenario, truth = sample_scenario(cfg.ensemble, rng)
-        params = SensingChannelParams.from_snr_db(30.0, tau=truth.tau, f_d=truth.f_d)
-        frame = generate_frame(cfg.numerology, cfg.pattern, rng)
-        received = apply_channel(frame, params, cfg.numerology, rng)
-        est = estimate(received, frame, cfg.pattern, cfg.numerology, cfg.fft,
-                       baseline=scenario.baseline, theta=truth.theta)
+        # trial 0 as simulate_trial replays it (tests/test_trial_blocks.py checks
+        # the trial against its reference chain)
+        truth, _, est = simulate_trial(cfg, 0, 0)
         err_d, err_v = est.d_bis_hat - truth.d_bis, est.v_bis_hat - truth.v_bis
         assert result.rows[0].rmse_range_m == pytest.approx(abs(err_d), rel=1e-15)
         assert result.rows[0].rmse_vel_ms == pytest.approx(abs(err_v), rel=1e-15)

@@ -1,6 +1,7 @@
 """Property tests: sweep trial blocks on the pilot subgrid against the
-full-grid reference chain, the stacked delay stage against per-grid
-transforms, and ``simulate_trial`` against its block."""
+reference chain (pilot-cell draws, then the full-grid receiver), the stacked
+delay stage against per-grid transforms, and ``simulate_trial`` against its
+block."""
 
 import dataclasses
 import math
@@ -16,14 +17,13 @@ from bisac import (  # noqa: E402
     GeometryError,
     PeriodogramConfig,
     SensingChannelParams,
-    apply_channel,
+    channel_response,
     estimate,
-    generate_frame,
-    ls_channel_estimate,
     make_periodic,
     sample_scenario,
 )
 from bisac.estimator import _delay_stage  # noqa: E402
+from bisac.sim import _qpsk  # noqa: E402
 from bisac.harness import (  # noqa: E402
     _TRIAL_STREAM, _block_errors, _trial_block, simulate_trial,
 )
@@ -31,18 +31,32 @@ from bisac.harness import (  # noqa: E402
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
 def reference_trial(config, snr_idx, trial_idx):
-    """The full-grid chain: (pilot grid, outcome, (sq_err_d, sq_err_v, valid))."""
+    """The reference chain: (pilot grid, outcome, (sq_err_d, sq_err_v, valid)).
+
+    The trial's generator draws the scenario, then the QPSK indices and the
+    two standard normal noise components of the (K+1, L+1) pilot cells. The
+    pilots and their received values go onto their cells of N x M frames
+    whose other cells are zero, and the full-grid ``estimate`` runs on those.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx]))
     scenario, truth = sample_scenario(config.ensemble, rng)
     params = SensingChannelParams.from_snr_db(
         config.snr_grid_db[snr_idx], tau=truth.tau, f_d=truth.f_d)
-    frame = generate_frame(config.numerology, config.pattern, rng)
-    received = apply_channel(frame, params, config.numerology, rng)
-    grid = ls_channel_estimate(received, frame, config.pattern)
+    n_p, m_p = config.pattern.periodic_strides()
+    shape = tuple(c + 1 for c in config.pattern.periodic_counts())
+    symbols = _qpsk(rng.integers(0, 4, size=shape))
+    received = channel_response(params, config.numerology)[::n_p, ::m_p] * symbols
+    if params.noise_var > 0:
+        re, im = (rng.standard_normal(shape) for _ in range(2))
+        received = received + np.sqrt(params.noise_var / 2.0) * (re + 1j * im)
+    grid_shape = (config.numerology.n_subcarriers, config.numerology.n_symbols)
+    frame, frame_received = np.zeros(grid_shape, complex), np.zeros(grid_shape, complex)
+    frame[::n_p, ::m_p], frame_received[::n_p, ::m_p] = symbols, received
+    grid = received / symbols
     try:
-        outcome = estimate(received, frame, config.pattern, config.numerology, config.fft,
-                           baseline=scenario.baseline, theta=truth.theta)
+        outcome = estimate(frame_received, frame, config.pattern, config.numerology,
+                           config.fft, baseline=scenario.baseline, theta=truth.theta)
     except GeometryError as exc:
         return grid, str(exc), (math.nan, math.nan, False)
     err_d = outcome.d_bis_hat - truth.d_bis
