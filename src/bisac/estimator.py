@@ -35,14 +35,6 @@ from .geometry import (
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
-# the delay-stage bytes the FFT fallback transforms at a time (see _delay_rows)
-_COLUMN_BYTES = 2**18
-
-# Bound on |DFT amplitude - FFT amplitude| / sum |H| over the surface values
-# of the kept rows (see _row_peak); measured at most 4.8e-16 on 300 random
-# grids of up to 70 x 60 cells at fft sizes up to 4096 x 4096.
-_DFT_SLACK = 1e-12
-
 # Multiply-adds per matrix product on the trial path. OpenBLAS 0.3.31 ran a
 # complex 36 x 35 @ 35 x 50 product (63000) on one thread and a 40 x 35 one
 # (70000) on two, which took 8-16 ms instead of 20 us in some calls.
@@ -88,7 +80,8 @@ class EstimationResult:
     refine_fallback flags a refinement that kept the bins: a Hessian of
     the log periodogram that is not negative definite (a flat neighbourhood
     included) or a step beyond one bin; it is False when interpolation is
-    off.
+    off. A grid of one pilot row (column) refines the Doppler (delay) axis
+    alone; the other keeps its bin without the flag.
     beta_clamped flags a degenerate bistatic-angle inversion.
     """
 
@@ -217,13 +210,14 @@ def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
     surface value; only the cells whose bound reaches it are kept. Their
     delay rows come from a direct DFT of the grid (``_dft_rows``). The DFT
     rows differ from the FFT rows of ``periodogram_2d`` by rounding, so the
-    search keeps their peak only when a rounding slack separates it from
-    every other value; otherwise it recomputes those rows with the FFT.
+    search keeps their peak only when a rounding slack (``_dft_slack``)
+    separates it from every other value; otherwise it takes every row of
+    the full delay stage.
 
     When ``R < 4``, or when the kept cells would cover more than a quarter
     of ``fft_n`` (noise-only, tied, NaN and single-row grids), the search
-    takes every row of the full delay stage instead. The FFT rows of
-    either fallback finish in one row search: no Doppler bin of delay row u
+    takes every row of the full delay stage too. The FFT rows of the full
+    stage finish in one row search: no Doppler bin of delay row u
     exceeds ``(sum_l |S(u, l)|)**2`` (triangle inequality), so only the
     rows whose bound reaches the Doppler maximum of the highest-bound row
     are transformed along the Doppler axis, in ascending order, which
@@ -241,16 +235,16 @@ def _peak_searches(pilot_grids: np.ndarray, config: PeriodogramConfig) -> list:
     pilot_grids = np.asarray(pilot_grids, complex)
     if config.fft_n < 4 * _coarse_size(rows):
         return [_row_peak(stage, None, config) for stage in _delay_stage(pilot_grids, config)]
-    peaks = []
+    peaks, slack = [], _dft_slack(rows, config)
     for grid in pilot_grids:
         fine = _coarse_rows(grid, config)
         if fine is None:
             peaks.append(_row_peak(_delay_stage(grid, config), None, config))
         else:
-            # the DFT rows' amplitudes lie within _DFT_SLACK * sum |H| of the FFT's
-            delta = _DFT_SLACK * np.abs(grid).sum()
+            # the DFT rows' amplitudes lie within delta of the FFT's
+            delta = slack * np.abs(grid).sum()
             peaks.append(_row_peak(_dft_rows(grid, fine, config), fine, config, delta)
-                         or _row_peak(_delay_rows(grid, fine, config), fine, config))
+                         or _row_peak(_delay_stage(grid, config), None, config))
     return peaks
 
 
@@ -286,26 +280,57 @@ def _coarse_rows(pilot_grid: np.ndarray, config: PeriodogramConfig):
     return np.flatnonzero(rows)
 
 
-def _delay_rows(pilot_grid: np.ndarray, fine: np.ndarray, config: PeriodogramConfig
-                ) -> np.ndarray:
-    """Rows ``fine`` of ``_delay_stage(pilot_grid, config)``, computed a block of
-    columns at a time (at most ``_COLUMN_BYTES`` of stage), so that the full
-    (fft_n, cols) stage never exists."""
-    cols = pilot_grid.shape[1]
-    rows = np.empty((fine.size, cols), complex)
-    step = max(1, _COLUMN_BYTES // (16 * config.fft_n))
-    for start in range(0, cols, step):
-        rows[:, start:start + step] = _delay_stage(pilot_grid[:, start:start + step], config)[fine]
-    return rows
-
-
 def _dft_rows(pilot_grid: np.ndarray, fine: np.ndarray, config: PeriodogramConfig
               ) -> np.ndarray:
     """Rows ``fine`` of the delay stage by a direct DFT of the grid: they differ
-    from ``_delay_rows``' FFT rows by rounding alone."""
+    from the FFT rows of ``_delay_stage`` by rounding alone (see ``_dft_slack``)."""
     twiddles = _roots_of_unity(config.fft_n)[np.outer(fine, np.arange(pilot_grid.shape[0]))
                                              % config.fft_n]
     return _small_matmul(twiddles, pilot_grid)
+
+
+def _dft_slack(rows: int, config: PeriodogramConfig) -> float:
+    """Bound, per unit of ``sum |H|`` of a grid of ``rows`` rows, on how far a
+    surface amplitude computed from ``_dft_rows`` lies from that of
+    ``periodogram_2d`` (measured at most 4.8e-16 on 300 random grids of up to
+    70 x 60 cells at fft sizes up to 4096 x 4096; this bound is 3.4e-12 at
+    35 rows and 4096 x 4096).
+
+    With unit roundoff u and gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002):
+
+    - a root of unity of ``_roots_of_unity`` is within (4 pi + 2) u of the
+      exact one (np.pi and the product with the index move the angle by up
+      to 4 pi u, and exp by u per part);
+    - each DFT row entry is a complex dot product of ``rows`` terms, within
+      sqrt(2) gamma_{rows + 2} sum_k |H[k, l]| of the exact (Sec. 3.6);
+    - an n-point FFT of x is within e_n ||F x||_2 = e_n sqrt(n) ||x||_2
+      <= e_n sqrt(n) ||x||_1 of the exact, entry by entry, with
+      e_n = log2(n) eta / (1 - log2(n) eta), eta = u + gamma_4 (sqrt(2) + u)
+      (Theorem 24.2, twiddles within u); eta is doubled here as a margin for
+      the mixed radices of numpy's pocketfft.
+
+    So the delay rows differ by at most
+    a = sqrt(2) gamma_{rows + 2} + (4 pi + 2) u + e_fft_n sqrt(fft_n) per unit of
+    sum_k |H[k, l]|, and the Doppler transforms of the two row sets, each
+    within e_fft_m sqrt(fft_m) (1 + a) sum |H| of the exact transform of its
+    own rows, add twice that. The margin ``_row_peak`` derives from the
+    bound also covers the rounding of the squares, as sqrt(P) <= sum |H|.
+    """
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    eta = 2.0 * (u + gamma(4) * (math.sqrt(2.0) + u))
+
+    def fft_error(n):
+        stages = n.bit_length() - 1
+        return stages * eta / (1.0 - stages * eta) * math.sqrt(n)
+
+    rows_error = (math.sqrt(2.0) * gamma(rows + 2) + (4.0 * math.pi + 2.0) * u
+                  + fft_error(config.fft_n))
+    return rows_error + 2.0 * fft_error(config.fft_m) * (1.0 + rows_error)
 
 
 @functools.lru_cache(maxsize=8)
@@ -367,8 +392,10 @@ def _refine(pilot_grids: np.ndarray, bins: list, config: PeriodogramConfig) -> t
     and ``b_l = exp(-2 pi j l v / fft_m)`` is the surface of
     ``periodogram_2d`` at fractional bins (u, v). From the bins, each step
     solves the Hessian system of log P (``_newton_step``), until a step is
-    shorter than ``_NEWTON_TOL`` bins or ``_NEWTON_STEPS`` were taken. A trial
-    whose Hessian is not negative definite (a flat neighbourhood included)
+    shorter than ``_NEWTON_TOL`` bins or ``_NEWTON_STEPS`` were taken. A grid
+    of one row (column) leaves P independent of u (v): that axis keeps its
+    bin and the steps run on the other axis alone. A trial whose Hessian is
+    not negative definite (a flat neighbourhood and a 1 x 1 grid included)
     or whose step leaves the square of one bin around the bins keeps the
     bins.
     Without ``config.interpolate`` no step is taken and no trial keeps its
@@ -392,7 +419,7 @@ def _refine(pilot_grids: np.ndarray, bins: list, config: PeriodogramConfig) -> t
     for _ in range(_NEWTON_STEPS):
         moments, still = m.tolist(), []
         for t in active:
-            (u0, v0), move = start[t], _newton_step(moments[t])
+            (u0, v0), move = start[t], _newton_step(moments[t], rows > 1, cols > 1)
             u, v = (math.nan, math.nan) if move is None else (pos[t][0] + move[0],
                                                                 pos[t][1] + move[1])
             # written so that a NaN step keeps the bins
@@ -416,10 +443,12 @@ def _moments(pilot_grids, pos, j_alpha, alpha_pow, j_beta, beta_pow) -> np.ndarr
     return _small_matmul(left, pilot_grids) @ right
 
 
-def _newton_step(m: list):
+def _newton_step(m: list, on_u: bool, on_v: bool):
     """The Newton step (du, dv) towards the maximum of log P from the moments
     ``m[p][q]`` at a point, or None where the Hessian of log P is not negative
-    definite (P = 0 and NaN moments included).
+    definite (P = 0 and NaN moments included). Only the axes flagged
+    ``on_u`` and ``on_v`` move: the step and the Hessian are those of log P
+    restricted to them (None when neither is flagged).
 
     log P has the maximum of P and a wider concave region around it: for a
     separable P = f(u) g(v) the Hessian of P is indefinite wherever
@@ -438,6 +467,12 @@ def _newton_step(m: list):
     # (P / 2) times the Hessian of log P: half that of P less 2 g g^T / P
     h_uu = m10.real * m10.real + m10.imag * m10.imag - (zc * m20).real - 2.0 * g_u * g_u / power
     h_vv = m01.real * m01.real + m01.imag * m01.imag - (zc * m02).real - 2.0 * g_v * g_v / power
+    if not on_u or not on_v:
+        # the 1-D Newton step on the flagged axis
+        g, h = (g_u, h_uu) if on_u else (g_v, h_vv)
+        if not (on_u or on_v) or not h < 0.0:
+            return None
+        return (-g / h, 0.0) if on_u else (0.0, -g / h)
     h_uv = (zc * m11 - m10.conjugate() * m01).real - 2.0 * g_u * g_v / power
     det = h_uu * h_vv - h_uv * h_uv
     if not (h_uu < 0.0 and det > 0.0):

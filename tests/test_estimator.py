@@ -111,18 +111,14 @@ class TestPeriodogram:
 
 def assert_peak_search_matches_surface(grid, cfg):
     """Peak bins equal the surface argmax, on every path. Returns the bins and
-    the path: "full" (every row of the full delay stage), "dft" (the kept
-    cells' DFT rows) or "fft" (the kept cells' FFT rows, where the DFT rows
-    could not separate the peak)."""
+    the path: "full" (every row of the full delay stage, also where the DFT
+    rows could not separate the peak) or "dft" (the kept cells' DFT rows)."""
     surface = periodogram_2d(grid, cfg)
     with mock.patch.object(estimator, "_row_peak", wraps=estimator._row_peak) as rows:
         b_r, b_v = peak_search(grid, cfg)
     assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
-    # the last row search found the bins; only the DFT rows' search has a delta
-    stage, fine = rows.call_args.args[:2]
-    if fine is None:
-        return b_r, b_v, "full"
-    return b_r, b_v, "dft" if len(rows.call_args.args) == 4 else "fft"
+    # the last row search found the bins
+    return b_r, b_v, "full" if rows.call_args.args[1] is None else "dft"
 
 
 class TestPeakSearch:
@@ -175,19 +171,24 @@ class TestPeakSearch:
         assert path == ("full" if full else "dft")
         assert b_r == round(0.3137 * fft_n) % fft_n
 
-    def test_near_tie_falls_back_to_fft_rows(self):
+    def test_near_tie_falls_back_to_the_full_stage(self):
         # two targets of equal power on exact bins: their DFT powers differ by
         # rounding alone, so only the FFT rows can settle the tie rule
         k, l = np.arange(9)[:, None], np.arange(6)[None, :]
         grid = np.exp(-2j * np.pi * (100 / 1024) * k) + np.exp(-2j * np.pi * (612 / 1024) * k)
         grid = grid * np.exp(2j * np.pi * (5 / 64) * l)
-        assert assert_peak_search_matches_surface(grid, PeriodogramConfig(1024, 64))[2] == "fft"
+        cfg = PeriodogramConfig(1024, 64)
+        with mock.patch.object(estimator, "_row_peak", wraps=estimator._row_peak) as rows:
+            assert assert_peak_search_matches_surface(grid, cfg) == (100, 5, "full")
+        # the DFT rows' search ran first and could not separate the peak
+        assert rows.call_args_list[0].args[1] is not None
+        assert rows.call_args_list[0].args[3] > 0.0
 
     def test_peak_at_a_cell_edge_next_to_a_dropped_cell(self):
         # 35 rows, fft 4096: cells of 32 rows, cell 3 holds rows 80-111 and
         # cell 4 rows 112-143. The peak sits on row 111, at the edge of cell 3.
-        # The coarse search keeps cell 4 here; with it dropped, both row
-        # searches still find the surface's peak, because neither reads a row
+        # The coarse search keeps cell 4 here; with it dropped, the DFT row
+        # search still finds the surface's peak, because it reads no row
         # outside the cells it is given.
         k, l = np.arange(35)[:, None], np.arange(8)[None, :]
         cfg = PeriodogramConfig(4096, 64)
@@ -196,10 +197,8 @@ class TestPeakSearch:
         fine = estimator._coarse_rows(grid, cfg)
         assert {110, 111, 112} <= set(fine.tolist())
         cut = fine[(fine < 112) | (fine > 143)]
-        delta = estimator._DFT_SLACK * np.abs(grid).sum()
-        for rows, slack in ((estimator._dft_rows(grid, cut, cfg), delta),
-                            (estimator._delay_rows(grid, cut, cfg), 0.0)):
-            assert estimator._row_peak(rows, cut, cfg, slack) == (111, 3)
+        delta = estimator._dft_slack(35, cfg) * np.abs(grid).sum()
+        assert estimator._row_peak(estimator._dft_rows(grid, cut, cfg), cut, cfg, delta) == (111, 3)
 
     def test_estimate_memory_at_full_profile(self, num):
         # the full 4096 x 4096 surface and its squares take 512 MiB

@@ -1,5 +1,6 @@
 """Property tests: the coarse-to-fine and row-pruned peak search against the
-full periodogram, the coarse cell bound, and the delay stage's scaling."""
+full periodogram, the coarse cell bound, the DFT rows' rounding bound, and
+the delay stage's scaling."""
 
 import numpy as np
 import pytest
@@ -10,55 +11,25 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from bisac import (  # noqa: E402
     GeometryError,
     OfdmNumerology,
-    SPEED_OF_LIGHT,
     PeriodogramConfig,
     ScenarioEnsemble,
     SensingChannelParams,
     apply_channel,
-    beta_from_estimates,
     estimate,
     generate_frame,
-    invert_bistatic_range,
-    ls_channel_estimate,
     make_periodic,
     periodogram_2d,
     sample_scenario,
 )
 from bisac.estimator import (  # noqa: E402
-    _coarse_size, _coarse_stage, _delay_stage, _refine,
+    _coarse_size, _coarse_stage, _delay_stage, _dft_rows, _dft_slack, _padded_fft,
 )
+from reference_chain import reference_estimate  # noqa: E402
 from test_estimator import assert_peak_search_matches_surface  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
 NUM = OfdmNumerology()
-
-
-def reference_estimate(received, frame, pattern, num, config, baseline, theta):
-    """The receiver on the full surface: periodogram_2d, np.argmax, then the
-    refinement of those bins."""
-    n_p, m_p = pattern.periodic_strides()
-    grid = ls_channel_estimate(received, frame, pattern)
-    surface = periodogram_2d(grid, config)
-    b_r, b_v = (int(b) for b in np.unravel_index(np.argmax(surface), surface.shape))
-    offsets, power, kept = _refine(grid[None], [(b_r, b_v)], config)
-    off_r, off_v = offsets[0].tolist()
-    # the refinement's power at the bins is the surface value up to rounding
-    scale = np.abs(grid).sum() ** 2
-    assert abs(power[0] - surface[b_r, b_v]) <= 1e-12 * scale
-    tau_hat = ((b_r + off_r) % config.fft_n) / (n_p * num.subcarrier_spacing_hz * config.fft_n)
-    signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
-    f_d_hat = (signed_bin + off_v) / (m_p * num.symbol_duration_s * config.fft_m)
-    d_bis_hat = SPEED_OF_LIGHT * tau_hat
-    d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
-    beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
-    v_bis_hat = f_d_hat * num.wavelength / (2.0 * np.cos(beta_hat / 2.0))
-    return dict(
-        tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
-        v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
-        beta_clamped=clamped, peak_power=float(power[0]),
-        peak_bins=(b_r, b_v), fractional_offsets=(off_r, off_v), refine_fallback=kept[0],
-    )
 
 
 def outcome(fn, *args):
@@ -131,6 +102,19 @@ def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
     # cell c holds the rows c * cell - cell / 2 .. c * cell + cell / 2 - 1
     cell_max = np.roll(surface, cell // 2, axis=0).reshape(coarse_n, cell, -1).max(axis=(1, 2))
     assert np.all(cell_max <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=target_grids(), log_fft=st.integers(0, 12), data=st.data())
+def test_dft_rows_lie_within_their_slack_of_the_fft_rows(grid, log_fft, data):
+    # every complex surface value, Doppler transform included, of the DFT
+    # rows against the FFT rows that periodogram_2d transforms
+    rows, cols = grid.shape
+    config = PeriodogramConfig(2 ** max(log_fft, max(rows - 1, 0).bit_length()),
+                               doppler_size(cols, data))
+    fft = _padded_fft(_delay_stage(grid, config), config.fft_m, False)
+    dft = _padded_fft(_dft_rows(grid, np.arange(config.fft_n), config), config.fft_m, False)
+    assert np.abs(dft - fft).max() <= _dft_slack(rows, config) * np.abs(grid).sum()
 
 
 @settings(max_examples=100, deadline=None)

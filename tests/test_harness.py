@@ -28,6 +28,7 @@ from bisac.harness import (
     write_manifest,
 )
 from bisac.sim import IsiWarning
+from reference_chain import reference_trial
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -234,12 +235,11 @@ class TestRunSweep:
     def test_single_trial_rmse_is_absolute_error(self):
         cfg = small_config(snr_grid_db=(30.0,), trials_per_point=1)
         result = run_sweep(cfg)
-        # trial 0 as simulate_trial replays it (tests/test_trial_blocks.py checks
-        # the trial against its reference chain)
-        truth, _, est = simulate_trial(cfg, 0, 0)
-        err_d, err_v = est.d_bis_hat - truth.d_bis, est.v_bis_hat - truth.v_bis
-        assert result.rows[0].rmse_range_m == pytest.approx(abs(err_d), rel=1e-15)
-        assert result.rows[0].rmse_vel_ms == pytest.approx(abs(err_v), rel=1e-15)
+        # trial 0 of the reference chain, whose receiver runs on the full surface
+        sq_err_d, sq_err_v, valid = reference_trial(cfg, 0, 0)[2]
+        assert valid
+        assert result.rows[0].rmse_range_m == pytest.approx(math.sqrt(sq_err_d), rel=1e-15)
+        assert result.rows[0].rmse_vel_ms == pytest.approx(math.sqrt(sq_err_v), rel=1e-15)
         assert result.rows[0].valid_trial_fraction == 1.0
 
     def test_bound_column_decade_per_20_db(self):

@@ -45,15 +45,20 @@ def circular_error(value, truth, size):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.integers(2, 60), cols=st.integers(2, 60),
+@given(rows=st.integers(1, 60), cols=st.integers(1, 60),
        x=st.floats(0.0, 1.0, exclude_max=True), y=st.floats(0.0, 1.0, exclude_max=True),
        data=st.data())
 def test_noiseless_off_grid_target_within_1e6_bins(rows, cols, x, y, data):
     config = PeriodogramConfig(padded_size(rows, data), padded_size(cols, data))
     (u, v), kept = refined_peak(tone(rows, cols, x, y), config)
-    assert not kept
-    assert abs(circular_error(u, x * config.fft_n, config.fft_n)) < 1e-6
-    assert abs(circular_error(v, y * config.fft_m, config.fft_m)) < 1e-6
+    # a 1 x 1 grid has a flat P; an axis of one point keeps bin 0 (P does
+    # not depend on it) and the other axis is refined alone
+    assert kept is (rows == cols == 1)
+    for value, points, cycle, size in ((u, rows, x, config.fft_n), (v, cols, y, config.fft_m)):
+        if points == 1:
+            assert value == 0.0
+        else:
+            assert abs(circular_error(value, cycle * size, size)) < 1e-6
 
 
 def test_half_a_bin_off_on_both_axes_at_twice_the_padding():
@@ -73,7 +78,7 @@ def dense_power(grid, config, us, vs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(2, 40), cols=st.integers(2, 40), snr_db=st.floats(10.0, 60.0),
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40), snr_db=st.floats(10.0, 60.0),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_refined_peak_is_the_maximum_of_a_dense_search(rows, cols, snr_db, seed, data):
     rng = np.random.default_rng(seed)
@@ -124,10 +129,18 @@ class TestKeptBins:
         offsets, _, kept = _refine(grid, [(0, 0)], PeriodogramConfig(64, 64))
         assert offsets.tolist() == [[0.0, 0.0]] and kept == [True]
 
-    def test_single_row_grid_keeps_the_bins(self):
-        # P does not depend on the delay: the Hessian is singular
-        grid = tone(1, 8, 0.0, 0.3)
-        assert refined_peak(grid, PeriodogramConfig(4, 64))[1]
+    def test_single_row_grid_refines_the_doppler_axis(self):
+        # P does not depend on the delay: the delay bin stays, the Doppler axis is refined
+        (u, v), kept = refined_peak(tone(1, 8, 0.0, 0.3), PeriodogramConfig(4, 64))
+        assert not kept and u == 0.0 and abs(v - 0.3 * 64) < 1e-6
+
+    def test_single_column_grid_refines_the_delay_axis(self):
+        (u, v), kept = refined_peak(tone(7, 1, 0.41, 0.0), PeriodogramConfig(64, 2))
+        assert not kept and v == 0.0 and abs(u - 0.41 * 64) < 1e-6
+
+    def test_one_cell_grid_keeps_the_bins(self):
+        offsets, _, kept = _refine(np.ones((1, 1, 1), complex), [(0, 0)], PeriodogramConfig(2, 2))
+        assert offsets.tolist() == [[0.0, 0.0]] and kept == [True]
 
     def test_without_interpolation_nothing_is_kept(self):
         grid = tone(5, 8, 0.31, 0.77)
