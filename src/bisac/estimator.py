@@ -1,16 +1,12 @@
 """Pilot-based delay-Doppler receiver.
 
 Least-squares channel estimates on the periodic pilot subgrid, the
-global peak of the zero-padded 2-D periodogram over that subgrid, guarded
-Newton refinement of that peak on the continuous periodogram, and
-conversion of the refined peak to bistatic range, velocity and
-receiver-leg distance.
-
-The peak search (``peak_search``; its docstring gives the method) is exact
-without building the periodogram: its bins equal the argmax of
-``periodogram_2d``, which stays as the reference and for surface dumps.
-``refine_peak`` is the three-point parabola on such a surface; ``estimate``
-refines on the LS grid instead (``_refine``).
+certified global maximum of the continuous periodogram of those estimates
+(``_search``, whose docstring proves its bounds), and conversion of that
+maximum to bistatic range, velocity and receiver-leg distance. The search
+depends on the pilot grid alone; the FFT sizes set only ``periodogram_2d``
+(surface dumps, the tests' reference) and the units of the peak bins.
+``refine_peak`` is the three-point parabola on such a surface.
 
 Transform sign conventions: the subcarrier (delay) axis uses the
 positive-exponent kernel so a delay tau peaks at bin
@@ -23,7 +19,6 @@ span) since delays are physically nonnegative.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,10 +35,25 @@ from .pilots import PilotPattern
 # (70000) on two, which took 8-16 ms instead of 20 us in some calls.
 _BLAS_MNK = 2**15
 
-# The refinement (see _refine) stops a trial after a step shorter than
-# _NEWTON_TOL bins, and every trial after _NEWTON_STEPS steps.
-_NEWTON_STEPS = 6
-_NEWTON_TOL = 1e-6
+# Newton's method (see _newton) stops a trial after a step shorter than
+# _NEWTON_TOL radians, and every trial after _NEWTON_STEPS steps.
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-9
+
+# The search (_search) widens every bound by _SLACK sum |H| for rounding and
+# halves a cell at most _MAX_LEVELS times (see there for _FLAT); its ball (_ball) expands P to
+# order _BALL_ORDER and keeps _BALL_MARGIN of its curvature. The direct DFTs
+# (_cell_values) take _GROUP grids, or _CHUNK points, per product (~200 kB).
+_SLACK = 1e-10
+_MAX_LEVELS = 32
+_FLAT = 4096
+_BALL_ORDER = 6
+_BALL_MARGIN = 0.1
+_GROUP = 16
+_CHUNK = 64
+
+# (p, q) of the derivatives z_pq in the search's cell bound.
+_ORDERS = tuple((p, n - p) for n in range(4) for p in range(n, -1, -1))
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
@@ -74,15 +84,18 @@ class PeriodogramConfig:
 class EstimationResult:
     """Outputs of one estimation pass.
 
-    peak_bins are the integer argmax coordinates on the power surface,
-    peak_power the periodogram there, and fractional_offsets the Newton
-    refinement applied to them, within one bin per axis.
-    refine_fallback flags a refinement that kept the bins: a Hessian of
-    the log periodogram that is not negative definite (a flat neighbourhood
-    included) or a step beyond one bin; it is False when interpolation is
-    off. A grid of one pilot row (column) refines the Doppler (delay) axis
-    alone; the other keeps its bin without the flag.
-    beta_clamped flags a degenerate bistatic-angle inversion.
+    The estimate is the global maximum of the continuous periodogram P of
+    the LS grid. peak_bins are the largest-P point of the four (fft_n,
+    fft_m) grid points around it (the ``periodogram_2d`` argmax whenever that
+    lies within one bin of the maximum), peak_power is P there, and
+    fractional_offsets lead from them to the maximum, under one bin per
+    axis (zero when interpolation is off: the bins are the estimate).
+    refine_fallback flags a maximum the search could not certify as a
+    Newton maximum: an all-zero, non-finite, flat or 1 x 1 grid, or one
+    whose Newton steps all failed; False when interpolation is off. On a
+    grid of one pilot row (column) P does not depend on the delay
+    (Doppler), which stays at bin 0. beta_clamped flags a degenerate
+    bistatic-angle inversion.
     """
 
     tau_hat: float
@@ -160,12 +173,8 @@ def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarra
 def _padded_fft(lines: np.ndarray, n: int, inverse: bool) -> np.ndarray:
     """Unscaled n-point FFT along the last axis of ``lines``, zero-padded to n:
     ``np.fft.ifft(lines, n, norm="forward")`` if ``inverse``, else
-    ``np.fft.fft(lines, n)``, bit for bit (NaN payloads aside).
-
-    Transforming a zero-padded copy in place takes about half the time of
-    padding inside ``np.fft`` (numpy 2.4: 1.4 against 2.6 ms for 50 lines
-    of 35 points at n = 4096).
-    """
+    ``np.fft.fft(lines, n)``, bit for bit (NaN payloads aside), in place on a
+    padded copy (half the time of padding inside ``np.fft``)."""
     padded = np.zeros(lines.shape[:-1] + (n,), complex)
     padded[..., :lines.shape[-1]] = lines
     if inverse:
@@ -173,172 +182,289 @@ def _padded_fft(lines: np.ndarray, n: int, inverse: bool) -> np.ndarray:
     return np.fft.fft(padded, out=padded)
 
 
-def _doppler_power(stage: np.ndarray, rows, fft_m: int) -> np.ndarray:
-    """Negative-exponent Doppler-axis transform of the given delay rows, squared."""
-    spectrum = _padded_fft(stage[rows], fft_m, False)
-    return spectrum.real**2 + spectrum.imag**2
-
-
 def periodogram_2d(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarray:
     """Zero-padded 2-D periodogram of the pilot-subgrid channel estimates.
 
     Positive-exponent transform along the delay axis, negative-exponent
     along the Doppler axis; returns squared magnitude, shape
-    (fft_n, fft_m). The reference for ``peak_search``.
+    (fft_n, fft_m): P (see ``_search``) at the bins.
     """
-    return _doppler_power(_delay_stage(pilot_grid, config), slice(None), config.fft_m)
+    spectrum = _padded_fft(_delay_stage(pilot_grid, config), config.fft_m, False)
+    return spectrum.real**2 + spectrum.imag**2
 
 
-def peak_search(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """Peak bins of ``periodogram_2d(pilot_grid, config)`` without building it.
+def _start_cells(points: int) -> int:
+    """Cells of the search's start grid on an axis of ``points`` pilots: the
+    smallest power of two at least twice that, or one for a single pilot."""
+    return 1 if points == 1 else 1 << (4 * points - 1).bit_length()
 
-    Returns ``(b_r, b_v)``, equal to
-    ``np.unravel_index(np.argmax(surface), surface.shape)``, ties and NaN
-    included.
 
-    The search bounds cells of delay rows on a coarse delay transform S_c
-    of ``F_c`` points, the smallest power of two at least twice the grid's
-    K + 1 rows. Coarse row c stands for the cell of ``R = fft_n / F_c``
-    fine rows ``c R - R/2 .. c R + R/2 - 1``, each within half a coarse bin
-    of it, so that for the fine delay stage S and the grid H
+def _centred(rows: int, cols: int) -> tuple:
+    """The centred pilot indices k and l of a rows x cols grid."""
+    return tuple(np.arange(n) - (n - 1) / 2.0 for n in (rows, cols))
 
-        |S(u, l)| <= |S_c(c, l)| + (pi / F_c) sum_k |k - K/2| |H[k, l]|
 
-    and the squared column sum of the right side, with a 1e-9 rounding
-    slack, bounds every surface value of the cell. Coarse row c is surface
-    row c R, so the Doppler maximum of the highest-bound coarse row is a
-    surface value; only the cells whose bound reaches it are kept. Their
-    delay rows come from a direct DFT of the grid (``_dft_rows``). The DFT
-    rows differ from the FFT rows of ``periodogram_2d`` by rounding, so the
-    search keeps their peak only when a rounding slack (``_dft_slack``)
-    separates it from every other value; otherwise it takes every row of
-    the full delay stage.
+def _search(pilot_grids: np.ndarray) -> tuple:
+    """The global maximum of the continuous periodogram of each grid of a
+    stack (trials, rows, cols), certified.
 
-    When ``R < 4``, or when the kept cells would cover more than a quarter
-    of ``fft_n`` (noise-only, tied, NaN and single-row grids), the search
-    takes every row of the full delay stage too. The FFT rows of the full
-    stage finish in one row search: no Doppler bin of delay row u
-    exceeds ``(sum_l |S(u, l)|)**2`` (triangle inequality), so only the
-    rows whose bound reaches the Doppler maximum of the highest-bound row
-    are transformed along the Doppler axis, in ascending order, which
-    keeps the first-occurrence tie rule.
+    With the centred indices k, l (``_centred``), z(x) = sum_kl H[k, l]
+    exp(j (k theta - l phi)) at x = (theta, phi) and P = |z|^2, which
+    ``periodogram_2d`` samples at theta = 2 pi u / fft_n, phi = 2 pi v / fft_m.
 
-    Every transform runs in complex128, whatever the grid's dtype.
+    *Cell bound.* Let m = ((rows - 1) / 2, (cols - 1) / 2), h a cell's
+    half-widths, c its centre and s(h) = m . h. For d in the cell,
+    f(t) = z(c + t d) is a sum of exp(j w t) with |w| = |k d_theta - l d_phi|
+    <= s(h). Taylor's formula, the triangle inequality and the convexity of
+    |z + d . grad z| in d give |z(c + d)| <= (the largest |z + d . grad z|
+    over the corners) + sum_{p+q=2,3} h_theta^p h_phi^q |z_pq(c)| / (p! q!)
+    + sup |f| / 24 (``_taylor``), with sup |f| at most sum |H|
+    (|k| h_theta + |l| h_phi)^4 and, f being entire of exponential type
+    s(h) with values of z, at most s(h)^4 M for any M >= sup |z| (Bernstein's
+    inequality, Boas, Entire Functions, 1954, Thm 11.1.2; ``_remainder``).
+
+    *Search.* On the start grid (``_start_cells``, cells centred on its
+    points), |z| <= sum_l |S(theta, l)| with S the delay transform, one FFT,
+    and S moves by at most h_theta sum_k |k H| in a cell (by h_theta |S_1|
+    plus a second-order term where many rows remain): that bounds each
+    row's cells, and rows below the Doppler maximum of the top row drop.
+    On the others, one Doppler FFT gives |z|, and sum_l |l|^q |S_p| >= |z_pq|
+    a cell bound; the cells that can still reach the best sample get their
+    z_pq (FFTs for rows with many, else ``_cell_values``). M is the largest
+    bound of a dropped row or a cell, later of the open cells. Newton's
+    method (``_newton``) from the best sample gives the best point p*; every
+    cell whose bound reaches |z(p*)| is halved, with direct DFTs, until none
+    is left, and a child above |z(p*)| restarts Newton.
+
+    *Ball.* Around p* no cell falls below |z(p*)|; with s(D) = m . |D| and
+    N = ``_BALL_ORDER``, P(p* + D) <= P(p*) + g s - kappa s^2 / 2 +
+    sum_{n=3}^{N-1} c_n s^n / n! + T s^N / N!, where g = max_i |P_i| / m_i,
+    kappa = min over s(D) = 1 of -D^T (Hessian of P) D, c_n = max over
+    p + q = n of |P_pq| / (m_theta^p m_phi^q), and T = sum_n C(N, n) w_n
+    w_(N-n) bounds the N-th derivative of P = z conj(z) along a unit-s D
+    (Leibniz) by w_0 = M, w_n = min(M, max_i sum |H| |index_i|^n / m_i^n)
+    >= |z^(n)| (Bernstein, or Jensen's inequality term by term). While the
+    terms past the second stay below (1 - b) kappa s^2 / 2, b =
+    ``_BALL_MARGIN``, P <= P(p*) + g^2 / (2 b kappa): such cells close when
+    that is within the rounding slack (``_ball``).
+
+    *Rounding.* Sums of n terms are within n u sum|H| of exact (Higham,
+    2002, Sec. 3.1 and 24.1), under 1e-11 sum|H| here; bounds are widened by
+    delta = ``_SLACK`` sum|H| and a cell drops below |z(p*)| + 4 delta, so
+    the returned |z| is within 6 delta of the maximum (closer maxima tie).
+
+    Non-finite, all-zero, 1 x 1 and flat grids (open cells outnumbering the
+    start grid's, as for a lone pilot) stay at (0, 0). Returns the maxima
+    (trials, 2) in [0, 2 pi), the flags of Newton maxima and the count of
+    cells kept per trial.
     """
-    return _peak_searches(pilot_grid[None], config)[0]
+    trials, rows, cols = pilot_grids.shape
+    pos, found, kept = np.zeros((trials, 2)), np.zeros(trials, bool), np.zeros(trials, int)
+    total = np.abs(pilot_grids).sum(axis=(1, 2))
+    live = np.flatnonzero(np.isfinite(total) & (total > 0.0) & (rows * cols > 1))
+    if not live.size:
+        return pos, found, kept
+    grids, slack = pilot_grids[live], _SLACK * total[live]
+    k, l = _centred(rows, cols)
+    extent = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
+    cells = np.array([_start_cells(rows), _start_cells(cols)])
+    half = np.pi / cells
+    powers = np.arange(_BALL_ORDER + 1)
+    # l1[t, p, q] = sum |H| |k|^p |l|^q
+    l1 = np.abs(k) ** powers[:, None] @ np.abs(grids) @ np.abs(l)[:, None] ** powers
+
+    stage = _padded_fft(np.swapaxes(grids, -1, -2), cells[0], True)
+    row_bound = np.abs(stage).sum(axis=1) + (half[0] * l1[:, 1, 0] + slack)[:, None]
+    first = _padded_fft(stage[np.arange(live.size), :, row_bound.argmax(axis=1)], cells[1], False)
+    floor = (np.abs(first).max(axis=1) - 2 * slack)[:, None]
+    kept_rows = ~(row_bound < floor)
+    # where that keeps many rows, bound them to second order: one more delay FFT
+    busy = np.flatnonzero(kept_rows.sum(axis=1) > cells[0] // 8)
+    if busy.size:
+        slope = _padded_fft(np.swapaxes(grids[busy] * k[:, None], -1, -2), cells[0], True)
+        row_bound[busy] = (np.abs(stage[busy]).sum(axis=1) + half[0] * np.abs(slope).sum(axis=1)
+                           + (half[0] ** 2 / 2 * l1[busy, 2, 0] + slack[busy])[:, None])
+        kept_rows[busy] = ~(row_bound[busy] < floor[busy])
+    t, i = np.nonzero(kept_rows)
+    delay = _delay_rows(grids, t, i * (2 * np.pi / cells[0]), k)
+    amps = np.abs(_padded_fft(delay[:, 0], cells[1], False))
+    # per row, the most the Taylor part adds to |z| on its cells: sum_l |l|^q |S_p| >= |z_pq|
+    p, q = (np.array(order[1:]) for order in zip(*_ORDERS))
+    excess = (np.abs(delay[:, p]) * np.abs(l) ** q[:, None]).sum(axis=-1) @ _terms(half)
+    cheap = amps + (excess + slack[t])[:, None]
+    sup = np.where(kept_rows, -np.inf, row_bound).max(axis=1)
+    np.maximum.at(sup, t, cheap.max(axis=1) + _remainder(l1, extent, half, np.inf)[t])
+
+    maxima, newton, peak = np.zeros((live.size, 2)), np.zeros(live.size, bool), np.zeros(live.size)
+    ball = np.zeros((live.size, _BALL_ORDER - 1))
+
+    def climb(up, points, heights):
+        # Newton from points of heights |z| on the grids up: the best point so far
+        # becomes the Newton point, or the start where that is higher, with its ball
+        moved, converged = _newton(grids[up], points, 2 * half)
+        height, reach = _ball(grids[up], moved, converged, sup[up], l1[up], extent, slack[up])
+        better = height >= heights - 2 * slack[up]
+        maxima[up] = np.where(better[:, None], moved, points)
+        newton[up], peak[up] = converged & better, np.where(better, height, heights)
+        ball[up] = np.where(better[:, None], reach, -1.0)
+
+    best = amps.argmax(axis=1)
+    _, at = _best_per_trial(t, amps[np.arange(t.size), best])
+    climb(np.arange(live.size), np.column_stack([i[at], best[at]]) * (2 * np.pi / cells),
+          amps[at, best[at]])
+
+    # the open cells: grid, centre index * unit (the half-widths) and Taylor part; a
+    # row with many cells left gets z_pq on all of them from FFTs, the others by cell
+    open_cells = ~(cheap + _remainder(l1, extent, half, sup)[t][:, None]
+                   < (peak + 4 * slack)[t][:, None])
+    dense = open_cells.sum(axis=1) > cells[1] // 8
+    row, j = np.nonzero(open_cells & ~dense[:, None])
+    owner, index = t[row], 2 * np.column_stack([i[row], j])
+    tay = _taylor(_cell_values(grids, owner, index, half, k, l), half)
+    if dense.any():
+        row, j = np.nonzero(np.ones((dense.sum(), cells[1]), bool))
+        owner, index = np.r_[owner, t[dense][row]], np.r_[index, 2 * np.column_stack([i[dense][row], j])]
+        tay = np.r_[tay, _taylor(_row_values(delay[dense], l, cells[1]), half).ravel()]
+        order = np.argsort(owner, kind="stable")
+        owner, index, tay = owner[order], index[order], tay[order]
+    unit, split, counts = half, [(-1, 1) if e else (0,) for e in extent], 0
+    for level in range(_MAX_LEVELS + 1):
+        # the bounds, with M lowered to the largest of them
+        bound = tay + (_remainder(l1, extent, unit, sup) + slack)[owner]
+        np.maximum.at(sup := peak + 2 * slack, owner, bound)
+        bound = tay + (_remainder(l1, extent, unit, sup) + slack)[owner]
+        gap = (np.abs((index * unit - maxima[owner] + np.pi) % (2 * np.pi) - np.pi) + unit) @ extent
+        rise = (ball[owner, 1:] * gap[:, None] ** np.arange(1, _BALL_ORDER - 1)).sum(axis=1)
+        alive = ~(bound < (peak + 4 * slack)[owner]) & ~(rise <= ball[owner, 0])
+        owner, index = owner[alive], index[alive]
+        # a grid with more open cells than _FLAT and the start grid's is flat
+        # (a lone pilot, say): it stays at (0, 0)
+        flat = np.bincount(owner, minlength=live.size) > max(cells.prod(), _FLAT)
+        counts = counts + np.bincount(owner, minlength=live.size)
+        maxima[flat], newton[flat] = 0.0, False
+        owner, index = owner[~flat[owner]], index[~flat[owner]]
+        if not owner.size or level == _MAX_LEVELS:
+            break
+        unit = np.where(extent > 0, unit / 2, unit)
+        index = np.stack(np.broadcast_arrays(
+            2 * index[:, :1, None] + np.array(split[0])[:, None],
+            2 * index[:, 1:, None] + np.array(split[1])), axis=-1).reshape(-1, 2)
+        owner = np.repeat(owner, len(split[0]) * len(split[1]))
+        values = _cell_values(grids, owner, index, unit, k, l)
+        up, at = _best_per_trial(owner, np.abs(values[:, 0]))
+        rise = np.abs(values[at, 0]) > peak[up]
+        if rise.any():
+            climb(up[rise], index[at[rise]] * unit, np.abs(values[at[rise], 0]))
+        tay = _taylor(values, unit)
+    pos[live], found[live], kept[live] = maxima % (2 * np.pi), newton, counts
+    return pos, found, kept
 
 
-def _peak_searches(pilot_grids: np.ndarray, config: PeriodogramConfig) -> list:
-    """``peak_search`` of each grid of a stack (trials, rows, cols)."""
-    rows, _ = _grid_shape(pilot_grids, config)
-    # complex128 throughout: the 1e-9 slacks of the bounds assume float64
-    pilot_grids = np.asarray(pilot_grids, complex)
-    if config.fft_n < 4 * _coarse_size(rows):
-        return [_row_peak(stage, None, config) for stage in _delay_stage(pilot_grids, config)]
-    peaks, slack = [], _dft_slack(rows, config)
-    for grid in pilot_grids:
-        fine = _coarse_rows(grid, config)
-        if fine is None:
-            peaks.append(_row_peak(_delay_stage(grid, config), None, config))
-        else:
-            # the DFT rows' amplitudes lie within delta of the FFT's
-            delta = slack * np.abs(grid).sum()
-            peaks.append(_row_peak(_dft_rows(grid, fine, config), fine, config, delta)
-                         or _row_peak(_delay_stage(grid, config), None, config))
-    return peaks
+def _taylor(values: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The Taylor part of the cell bound from z_pq (..., 10) in ``_ORDERS`` at
+    the centres of cells of half-widths ``half``: the largest |z + d . grad z|
+    over the corners d, plus the moduli of the second- and third-order terms."""
+    corners = values[..., :3] @ np.array([[1.0] * 4, [-half[0], -half[0], half[0], half[0]],
+                                          [-half[1], half[1], -half[1], half[1]]])
+    return np.abs(corners).max(axis=-1) + np.abs(values[..., 3:]) @ _terms(half)[2:]
 
 
-def _coarse_size(rows: int) -> int:
-    """F_c: the smallest power of two at least twice the grid's rows."""
-    return 1 << (2 * rows - 1).bit_length()
+def _terms(half: np.ndarray) -> np.ndarray:
+    """h_theta^p h_phi^q / (p! q!) for the (p, q) of ``_ORDERS`` but (0, 0)."""
+    return np.array([half[0] ** p * half[1] ** q / (math.factorial(p) * math.factorial(q))
+                     for p, q in _ORDERS[1:]])
 
 
-def _coarse_stage(pilot_grid: np.ndarray, coarse_n: int) -> tuple:
-    """The coarse delay stage of ``coarse_n`` points and the bound
-    ``(sum_l |S_c(c, l)| + slack)**2`` on every surface value of each of its cells."""
-    rows = pilot_grid.shape[0]
-    lines = _padded_fft(pilot_grid.T, coarse_n, True)
-    lever = np.abs(np.arange(rows) - (rows - 1) / 2.0) * (np.pi / coarse_n)
-    slack = lever @ np.abs(pilot_grid).sum(axis=1)
-    return lines.T, (np.abs(lines).sum(axis=0) + slack) ** 2 * (1.0 + 1e-9)
+def _remainder(l1: np.ndarray, extent: np.ndarray, half: np.ndarray, sup) -> np.ndarray:
+    """The cell bound's fourth-order term at half-widths ``half``, per grid: the
+    smaller of sum |H| (|k| h_theta + |l| h_phi)^4 and s(h)^4 sup, over 24."""
+    term = sum(math.comb(4, p) * half[0] ** p * half[1] ** (4 - p) * l1[:, p, 4 - p]
+               for p in range(5))
+    return np.minimum(term, (half @ extent) ** 4 * sup) / 24.0
 
 
-def _coarse_rows(pilot_grid: np.ndarray, config: PeriodogramConfig):
-    """The delay rows of the cells whose bound reaches the Doppler maximum of
-    the highest-bound coarse row, ascending; None when those cells cover more
-    than a quarter of fft_n."""
-    coarse, cell_bound = _coarse_stage(pilot_grid, _coarse_size(pilot_grid.shape[0]))
-    # coarse row c is surface row c * cell; the negation keeps the cells of a
-    # NaN bound or maximum
-    best = _doppler_power(coarse, [int(np.argmax(cell_bound))], config.fft_m).max()
-    cells = np.flatnonzero(~(cell_bound < best))
-    if cells.size > cell_bound.size // 4:
-        return None
-    cell = config.fft_n // cell_bound.size
-    rows = np.zeros(config.fft_n, bool)
-    rows[(cells[:, None] * cell + np.arange(-(cell // 2), cell - cell // 2)) % config.fft_n] = 1
-    return np.flatnonzero(rows)
+def _best_per_trial(owner: np.ndarray, values: np.ndarray) -> tuple:
+    """The trials in ``owner`` (ascending) and, for each, the index of its
+    largest value (the first on ties)."""
+    order = np.lexsort((-values, owner))
+    trials, first = np.unique(owner[order], return_index=True)
+    return trials, order[first]
 
 
-def _dft_rows(pilot_grid: np.ndarray, fine: np.ndarray, config: PeriodogramConfig
-              ) -> np.ndarray:
-    """Rows ``fine`` of the delay stage by a direct DFT of the grid: they differ
-    from the FFT rows of ``_delay_stage`` by rounding alone (see ``_dft_slack``)."""
-    twiddles = _roots_of_unity(config.fft_n)[np.outer(fine, np.arange(pilot_grid.shape[0]))
-                                             % config.fft_n]
-    return _small_matmul(twiddles, pilot_grid)
+def _delay_rows(pilot_grids: np.ndarray, owner: np.ndarray, theta: np.ndarray, k) -> np.ndarray:
+    """S_p(theta, l) = sum_k k^p H[k, l] exp(j k theta), p <= 3, of the grids
+    ``owner`` (ascending): shape (n, 4, cols), one matrix product per grid."""
+    left = _phasors(theta, k)[:, None, :] * k ** np.arange(4)[:, None]
+    rows = np.empty(left.shape[:2] + pilot_grids.shape[-1:], complex)
+    edges = np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows[lo:hi] = _small_matmul(left[lo:hi].reshape(-1, k.size),
+                                    pilot_grids[owner[lo]]).reshape(hi - lo, 4, -1)
+    return rows
 
 
-def _dft_slack(rows: int, config: PeriodogramConfig) -> float:
-    """Bound, per unit of ``sum |H|`` of a grid of ``rows`` rows, on how far a
-    surface amplitude computed from ``_dft_rows`` lies from that of
-    ``periodogram_2d`` (measured at most 4.8e-16 on 300 random grids of up to
-    70 x 60 cells at fft sizes up to 4096 x 4096; this bound is 3.4e-12 at
-    35 rows and 4096 x 4096).
-
-    With unit roundoff u and gamma_k = k u / (1 - k u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 2002):
-
-    - a root of unity of ``_roots_of_unity`` is within (4 pi + 2) u of the
-      exact one (np.pi and the product with the index move the angle by up
-      to 4 pi u, and exp by u per part);
-    - each DFT row entry is a complex dot product of ``rows`` terms, within
-      sqrt(2) gamma_{rows + 2} sum_k |H[k, l]| of the exact (Sec. 3.6);
-    - an n-point FFT of x is within e_n ||F x||_2 = e_n sqrt(n) ||x||_2
-      <= e_n sqrt(n) ||x||_1 of the exact, entry by entry, with
-      e_n = log2(n) eta / (1 - log2(n) eta), eta = u + gamma_4 (sqrt(2) + u)
-      (Theorem 24.2, twiddles within u); eta is doubled here as a margin for
-      the mixed radices of numpy's pocketfft.
-
-    So the delay rows differ by at most
-    a = sqrt(2) gamma_{rows + 2} + (4 pi + 2) u + e_fft_n sqrt(fft_n) per unit of
-    sum_k |H[k, l]|, and the Doppler transforms of the two row sets, each
-    within e_fft_m sqrt(fft_m) (1 + a) sum |H| of the exact transform of its
-    own rows, add twice that. The margin ``_row_peak`` derives from the
-    bound also covers the rounding of the squares, as sqrt(P) <= sum |H|.
-    """
-    u = 2.0**-53
-
-    def gamma(k):
-        return k * u / (1.0 - k * u)
-
-    eta = 2.0 * (u + gamma(4) * (math.sqrt(2.0) + u))
-
-    def fft_error(n):
-        stages = n.bit_length() - 1
-        return stages * eta / (1.0 - stages * eta) * math.sqrt(n)
-
-    rows_error = (math.sqrt(2.0) * gamma(rows + 2) + (4.0 * math.pi + 2.0) * u
-                  + fft_error(config.fft_n))
-    return rows_error + 2.0 * fft_error(config.fft_m) * (1.0 + rows_error)
+def _row_values(delay: np.ndarray, l, cells: int) -> np.ndarray:
+    """z_pq in ``_ORDERS`` on the ``cells``-point Doppler grid of delay rows
+    S_p (n, 4, cols) (``_delay_rows``): shape (n, cells, 10), an FFT per row
+    and (p, q)."""
+    p, q = (np.array(order) for order in zip(*_ORDERS))
+    spectra = _padded_fft(delay[:, p] * l ** q[:, None], cells, False)
+    return np.moveaxis(spectra, 1, -1) * ((1j) ** p * (-1j) ** q)
 
 
-@functools.lru_cache(maxsize=8)
-def _roots_of_unity(n: int) -> np.ndarray:
-    """exp(2 pi j r / n) for r = 0 .. n - 1, read-only (the DFT rows index it)."""
-    roots = np.exp((2j * np.pi / n) * np.arange(n))
-    roots.flags.writeable = False
-    return roots
+def _cell_values(pilot_grids: np.ndarray, owner: np.ndarray, index: np.ndarray,
+                 unit: np.ndarray, k, l) -> np.ndarray:
+    """z_pq in ``_ORDERS`` at the points ``index * unit`` (n, 2) of the grids
+    ``owner`` (ascending), by direct DFTs, ``_GROUP`` grids at a time: the
+    delay rows of each grid's distinct thetas, Doppler-transformed at its
+    distinct phis when that product is dense, else at each point's phi."""
+    values = np.empty((len(index), 4, 4), complex)
+    if not len(index):
+        return values.reshape(0, 16)[:, :len(_ORDERS)]
+    (grid_a, theta, row), (grid_b, phi, col) = (_distinct(owner, index[:, n]) for n in range(2))
+    left = _phasors(theta * unit[0], k)[:, None, :] * k ** np.arange(4)[:, None]
+    right = _phasors(-phi * unit[1], l)[:, None, :] * l ** np.arange(4)[:, None]
+    edges = np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
+    grids = owner[edges[:-1]]
+    a0, a1, b0, b1 = (np.searchsorted(grid, grids, side)
+                      for grid in (grid_a, grid_b) for side in ("left", "right"))
+    for first in range(0, grids.size, _GROUP):
+        part = slice(first, first + _GROUP)
+        lo, hi = edges[first], edges[min(first + _GROUP, grids.size)]
+        size = np.array([a1[part] - a0[part], b1[part] - b0[part]])
+        if size.shape[1] * size[0].max() * size[1].max() <= 4 * (hi - lo):
+            # dense: one product over the group, its thetas and phis padded alike
+            slots = []
+            for start, count, table in ((a0[part], size[0], left), (b0[part], size[1], right)):
+                padded = np.zeros((count.size, count.max()) + table.shape[1:], complex)
+                pairs = slice(start[0], start[-1] + count[-1])
+                padded[np.repeat(np.arange(count.size), count),
+                       np.arange(pairs.start, pairs.stop) - np.repeat(start, count)] = table[pairs]
+                slots.append(padded.reshape(count.size, -1, table.shape[-1]))
+            both = (np.matmul(slots[0], pilot_grids[grids[part]]) @ slots[1].swapaxes(1, 2)
+                    ).reshape(size.shape[1], size[0].max(), 4, size[1].max(), 4)
+            at = np.repeat(np.arange(size.shape[1]), np.diff(edges[first:first + _GROUP + 1]))
+            values[lo:hi] = both[at, row[lo:hi] - a0[part][at], :, col[lo:hi] - b0[part][at]]
+            continue
+        for start, stop, g0, g1 in zip(edges[part], edges[first + 1:first + _GROUP + 1],
+                                       a0[part], a1[part]):
+            rows = _small_matmul(left[g0:g1].reshape(-1, k.size),
+                                 pilot_grids[owner[start]]).reshape(g1 - g0, 4, -1)
+            for lo in range(start, stop, _CHUNK):
+                hi = min(lo + _CHUNK, stop)
+                values[lo:hi] = np.matmul(rows[row[lo:hi] - g0], right[col[lo:hi]].swapaxes(1, 2))
+    p, q = (np.array(order) for order in zip(*_ORDERS))
+    return values[:, p, q] * ((1j) ** p * (-1j) ** q)
+
+
+def _distinct(owner: np.ndarray, values: np.ndarray) -> tuple:
+    """The distinct (owner, value) pairs, sorted, as (owners, values), and the
+    pair of each input."""
+    order = np.lexsort((values, owner))
+    fresh = np.r_[True, (np.diff(owner[order]) != 0) | (np.diff(values[order]) != 0)]
+    pair = np.empty(len(values), int)
+    pair[order] = np.cumsum(fresh) - 1
+    return owner[order][fresh], values[order][fresh], pair
 
 
 def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -352,132 +478,137 @@ def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
                            for start in range(0, right.shape[-1], step)], axis=-1)
 
 
-def _row_peak(stage: np.ndarray, fine, config: PeriodogramConfig, delta: float = 0.0):
-    """``peak_search`` from delay rows: row i of ``stage`` is delay row
-    ``fine[i]``, or row i when ``fine`` is None (the full delay stage).
-    Rows are bounded and pruned as ``peak_search`` describes; the 1e-9 slack
-    covers FFT rounding.
-
-    ``delta`` bounds how far each surface amplitude of ``stage`` may lie
-    from the FFT's (0 for FFT rows), so a power p lies within
-    ``margin = delta (2 sqrt(p) + delta)`` of it. With ``delta`` > 0 the
-    peak p1 is returned only when ``p1 - margin`` exceeds both the runner-up
-    plus ``margin`` and the bound of every row left untransformed: then it is
-    the FFT surface's unique maximum over these rows. Otherwise None.
-    """
-    bound = (np.abs(stage).sum(axis=1) + delta) ** 2 * (1.0 + 1e-9)
-    best = _doppler_power(stage, [int(np.argmax(bound))], config.fft_m).max()
-    # written as a negation so that a NaN bound or NaN best keeps the row
-    floor = best - delta * (2.0 * np.sqrt(best) + delta) if delta else best
-    keep = ~(bound < floor)
-    power = _doppler_power(stage, keep, config.fft_m).ravel()
-    peak = int(np.argmax(power))
-    if delta:
-        top = power[peak]
-        power[peak] = -np.inf
-        margin = delta * (2.0 * np.sqrt(top) + delta)
-        # a NaN anywhere fails the test
-        if not top - margin > np.maximum(power.max() + margin,
-                                         bound[~keep].max(initial=-np.inf)):
-            return None
-    row, b_v = divmod(peak, config.fft_m)
-    row = np.flatnonzero(keep)[row]
-    return int(row if fine is None else fine[row]), b_v
-
-
-def _refine(pilot_grids: np.ndarray, bins: list, config: PeriodogramConfig) -> tuple:
-    """Guarded Newton refinement of each grid's peak bins on the continuous periodogram.
-
-    ``P(u, v) = |a(u)^T H b(v)|^2`` with ``a_k = exp(+2 pi j k u / fft_n)``
-    and ``b_l = exp(-2 pi j l v / fft_m)`` is the surface of
-    ``periodogram_2d`` at fractional bins (u, v). From the bins, each step
-    solves the Hessian system of log P (``_newton_step``), until a step is
-    shorter than ``_NEWTON_TOL`` bins or ``_NEWTON_STEPS`` were taken. A grid
-    of one row (column) leaves P independent of u (v): that axis keeps its
-    bin and the steps run on the other axis alone. A trial whose Hessian is
-    not negative definite (a flat neighbourhood and a 1 x 1 grid included)
-    or whose step leaves the square of one bin around the bins keeps the
-    bins.
-    Without ``config.interpolate`` no step is taken and no trial keeps its
-    bins. P and its derivatives are computed for the whole stack at once,
-    and each trial's steps depend on its own grid alone.
-
-    Returns the offsets in bins (trials, 2), P at the bins (trials,) and the
-    kept-bin flags.
-    """
+def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray) -> tuple:
+    """Guarded Newton ascent of log P (``_newton_step``) from ``start``, (trials,
+    2) points in radians, until a step is shorter than ``_NEWTON_TOL`` or
+    ``_NEWTON_STEPS`` were taken; an axis of one pilot stays. A trial whose
+    Hessian is not negative definite or whose point moves further than
+    ``reach`` from its start stays there. Returns the points and the flags of
+    the trials that did not stay."""
     rows, cols = pilot_grids.shape[-2:]
-    # centred indices drop a common phase: P is unchanged and the moments stay small
-    alpha = (np.arange(rows) - (rows - 1) / 2.0) * (2.0 * np.pi / config.fft_n)
-    beta = (np.arange(cols) - (cols - 1) / 2.0) * (2.0 * np.pi / config.fft_m)
-    axes = (1j * alpha, np.stack([alpha**0, alpha, alpha**2]),
-            -1j * beta, np.stack([beta**0, beta, beta**2], axis=1))
-    start = np.array(bins, float).reshape(-1, 2)
-    m = _moments(pilot_grids, start, *axes)
-    peak_power = m[:, 0, 0].real**2 + m[:, 0, 0].imag**2
-    pos, kept = start.tolist(), [False] * len(start)
-    active = list(range(len(start))) if config.interpolate else []
+    k, l = _centred(rows, cols)
+    pos, moved = start.copy(), np.ones(len(start), bool)
+    active = np.arange(len(start))
     for _ in range(_NEWTON_STEPS):
-        moments, still = m.tolist(), []
-        for t in active:
-            (u0, v0), move = start[t], _newton_step(moments[t], rows > 1, cols > 1)
-            u, v = (math.nan, math.nan) if move is None else (pos[t][0] + move[0],
-                                                                pos[t][1] + move[1])
-            # written so that a NaN step keeps the bins
-            if not (abs(u - u0) <= 1.0 and abs(v - v0) <= 1.0):
-                pos[t], kept[t] = [u0, v0], True
-            else:
-                pos[t] = [u, v]
-                if max(abs(move[0]), abs(move[1])) >= _NEWTON_TOL:
-                    still.append(t)
-        active = still
-        if not active:
+        step = _newton_step(_moments(pilot_grids, pos, k, l, 3)[active], rows > 1, cols > 1)
+        # written so that a NaN step stays
+        inside = (np.abs(pos[active] + step - start[active]) <= reach).all(axis=1)
+        pos[active] = np.where(inside[:, None], pos[active] + step, start[active])
+        moved[active[~inside]] = False
+        active = active[inside & (np.abs(step).max(axis=1) >= _NEWTON_TOL)]
+        if not active.size:
             break
-        m = _moments(pilot_grids, np.array(pos), *axes)
-    return np.array(pos) - start, peak_power, kept
+    return pos, moved
 
 
-def _moments(pilot_grids, pos, j_alpha, alpha_pow, j_beta, beta_pow) -> np.ndarray:
-    """m[t, p, q] = sum_kl alpha_k^p beta_l^q H[t, k, l] a_k b_l at (u, v) = pos[t]."""
-    left = np.exp(pos[:, :1] * j_alpha)[:, None, :] * alpha_pow
-    right = np.exp(pos[:, 1:] * j_beta)[:, :, None] * beta_pow
+def _moments(pilot_grids: np.ndarray, pos: np.ndarray, k, l, order: int) -> np.ndarray:
+    """m[t, p, q] = sum_kl k^p l^q H[t, k, l] exp(j (k theta - l phi)) at
+    (theta, phi) = pos[t], for p, q < ``order``."""
+    powers = np.arange(order)[:, None]
+    left = _phasors(pos[:, 0], k)[:, None, :] * k**powers
+    right = _phasors(-pos[:, 1], l)[:, :, None] * (l**powers).T
     return _small_matmul(left, pilot_grids) @ right
 
 
-def _newton_step(m: list, on_u: bool, on_v: bool):
-    """The Newton step (du, dv) towards the maximum of log P from the moments
-    ``m[p][q]`` at a point, or None where the Hessian of log P is not negative
-    definite (P = 0 and NaN moments included). Only the axes flagged
-    ``on_u`` and ``on_v`` move: the step and the Hessian are those of log P
-    restricted to them (None when neither is flagged).
+def _phasors(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """exp(j angles[:, None] index) for an index of unit steps, as a running
+    product of exp(j angles): within 2 index.size u of the exponentials, at
+    two complex exponentials per angle (numpy's cost ~50 ns each)."""
+    table = np.empty(angles.shape + index.shape, complex)
+    table[:, 0] = np.exp(1j * angles * index[0])
+    table[:, 1:] = np.exp(1j * angles)[:, None]
+    return np.cumprod(table, axis=1, out=table)
 
-    log P has the maximum of P and a wider concave region around it: for a
-    separable P = f(u) g(v) the Hessian of P is indefinite wherever
-    f'^2 / (f |f''|) + g'^2 / (g |g''|) > 1 (both axes half a bin off the
-    peak at twice the padding), that of log P only where f or g is not
-    log-concave.
-    """
-    (z, m01, m02), (m10, m11, _), (m20, _, _) = m
+
+def _ball(pilot_grids: np.ndarray, pos: np.ndarray, newton: np.ndarray, sup: np.ndarray,
+          l1: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
+    """|z| at ``pos`` and the radius s_hi of its ball (see ``_search``), 0
+    unless ``newton`` and the excess over P(pos) is within the slack."""
+    order = _BALL_ORDER
+    m = _moments(pilot_grids, pos, *_centred(*pilot_grids.shape[-2:]), order)
+    # Taylor coefficients of z, then of P = z conj(z) (their product), to order - 1
+    fact = np.array([math.factorial(n) for n in range(order + 1)], float)
+    degree = np.add.outer(np.arange(order), np.arange(order))
+    taylor = m * ((1j) ** np.arange(order)[:, None] * (-1j) ** np.arange(order)
+                  / np.outer(fact[:order], fact[:order]))
+    taylor[:, degree >= order] = 0.0
+    power = np.zeros_like(taylor)
+    for p, q in zip(*np.nonzero(degree < order)):
+        power[:, p:, q:] += taylor[:, p, q, None, None] * taylor[:, :order - p, :order - q].conj()
+    power = power.real * np.outer(fact[:order], fact[:order])
+    scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
+    weight = scale[0] ** np.arange(order)[:, None] * scale[1] ** np.arange(order)
+    g = np.maximum(abs(power[:, 1, 0]) * scale[0], abs(power[:, 0, 1]) * scale[1])
+    a, b, c = -power[:, 2, 0] * weight[2, 0], -power[:, 1, 1] * weight[1, 1], -power[:, 0, 2] * weight[0, 2]
+    kappa = a if not extent[1] else c if not extent[0] else np.minimum(a, c)
+    if extent.all():
+        # the minimum of a y0^2 + 2 b y0 y1 + c y1^2 over the edges of |y0| + |y1| = 1
+        for side in (b, -b):
+            lead = a - 2 * side + c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                edge = (c - side) / lead
+            kappa = np.where((lead > 0) & (edge > 0) & (edge < 1),
+                             np.minimum(kappa, c - (c - side) * edge), kappa)
+    # the terms of orders 3 .. order - 1 over s^n / n!, then the remainder's
+    w = [sup] + [np.minimum(sup, np.maximum(l1[:, n, 0] * scale[0] ** n,
+                                            l1[:, 0, n] * scale[1] ** n)) for n in range(1, order + 1)]
+    terms = [np.abs(power * weight)[:, degree == n].max(axis=1) for n in range(3, order)]
+    terms.append(sum(math.comb(order, n) * w[n] * w[order - n] for n in range(order + 1)))
+    peak = np.abs(m[:, 0, 0])
+    certain = newton & (kappa > 0) & (g * g <= 4 * slack * peak * _BALL_MARGIN * kappa)
+    # a point at s lies in the ball while sum_n terms_n s^(n - 2) / n! <= (1 - _BALL_MARGIN) kappa / 2
+    return peak, np.column_stack([np.where(certain, (1.0 - _BALL_MARGIN) * kappa / 2, -1.0)]
+                                 + [term / fact[n] for n, term in enumerate(terms, 3)])
+
+
+def _peak_bins(pilot_grids: np.ndarray, pos: np.ndarray, config: PeriodogramConfig) -> tuple:
+    """The peak bins of each maximiser ``pos`` (trials, 2): of the four
+    (fft_n, fft_m) grid points around it, the one of largest P (the first in
+    row-major order on ties within rounding; on NaN), with the offsets in bins
+    from them to the maximiser and P at them."""
+    sizes = np.array([config.fft_n, config.fft_m])
+    frac = pos * (sizes / (2 * np.pi))
+    corner = np.floor(frac)[:, None] + np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    order = np.argsort((corner % sizes) @ [sizes[1], 1], axis=1, kind="stable")
+    corner = np.take_along_axis(corner, order[..., None], 1)
+    theta, (k, l) = corner * (2 * np.pi / sizes), _centred(*pilot_grids.shape[-2:])
+    z = (_small_matmul(np.exp(1j * theta[..., :1] * k), pilot_grids)
+         * np.exp(-1j * theta[..., 1:] * l)).sum(axis=-1)
+    power = z.real**2 + z.imag**2
+    pick = np.argmax(power >= power.max(axis=1, keepdims=True) * (1 - 1e-12), axis=1)
+    at = np.arange(len(pos)), pick
+    return (corner[at] % sizes).astype(int), frac - corner[at], power[at]
+
+
+def _newton_step(m: np.ndarray, on_u: bool, on_v: bool) -> np.ndarray:
+    """The Newton steps (du, dv) towards the maximum of log P from the moments
+    ``m[t, p, q]`` (trials, 3, 3), NaN where the Hessian of log P is not
+    negative definite (P = 0 and NaN moments included); only the axes
+    flagged ``on_u`` and ``on_v`` move. log P has the maximum of P and a wider
+    concave region: for a separable P = f(u) g(v) the Hessian of P is
+    indefinite where f'^2 / (f |f''|) + g'^2 / (g |g''|) > 1, that of log P
+    only where f or g is not log-concave."""
+    (z, m01, m02), (m10, m11, _), (m20, _, _) = m.transpose(1, 2, 0)
     # half the gradient and Hessian of P = |z|^2: z_u = j m10, z_v = -j m01,
     # z_uu = -m20, z_vv = -m02, z_uv = m11
-    zc = z.conjugate()
+    zc = z.conj()
     power = z.real * z.real + z.imag * z.imag
-    if not power > 0.0:
-        return None
-    g_u, g_v = -(zc * m10).imag, (zc * m01).imag
-    # (P / 2) times the Hessian of log P: half that of P less 2 g g^T / P
-    h_uu = m10.real * m10.real + m10.imag * m10.imag - (zc * m20).real - 2.0 * g_u * g_u / power
-    h_vv = m01.real * m01.real + m01.imag * m01.imag - (zc * m02).real - 2.0 * g_v * g_v / power
-    if not on_u or not on_v:
-        # the 1-D Newton step on the flagged axis
-        g, h = (g_u, h_uu) if on_u else (g_v, h_vv)
-        if not (on_u or on_v) or not h < 0.0:
-            return None
-        return (-g / h, 0.0) if on_u else (0.0, -g / h)
-    h_uv = (zc * m11 - m10.conjugate() * m01).real - 2.0 * g_u * g_v / power
-    det = h_uu * h_vv - h_uv * h_uv
-    if not (h_uu < 0.0 and det > 0.0):
-        return None
-    return (h_uv * g_v - h_vv * g_u) / det, (h_uv * g_u - h_uu * g_v) / det
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_u, g_v = -(zc * m10).imag, (zc * m01).imag
+        # (P / 2) times the Hessian of log P: half that of P less 2 g g^T / P
+        h_uu = m10.real * m10.real + m10.imag * m10.imag - (zc * m20).real - 2 * g_u * g_u / power
+        h_vv = m01.real * m01.real + m01.imag * m01.imag - (zc * m02).real - 2 * g_v * g_v / power
+        h_uv = (zc * m11 - m10.conj() * m01).real - 2 * g_u * g_v / power
+        det = h_uu * h_vv - h_uv * h_uv
+        if on_u and on_v:
+            step = np.column_stack([(h_uv * g_v - h_vv * g_u) / det, (h_uv * g_u - h_uu * g_v) / det])
+            concave = (h_uu < 0) & (det > 0)
+        else:
+            # the 1-D Newton step on the flagged axis
+            g, h = (g_u, h_uu) if on_u else (g_v, h_vv)
+            step = np.column_stack([-g / h, 0 * g] if on_u else [0 * g, -g / h])
+            concave = (h < 0) & (on_u or on_v)
+    return np.where((concave & (power > 0))[:, None], step, np.nan)
 
 
 @dataclass(frozen=True)
@@ -496,25 +627,15 @@ def refine_peak(surface: np.ndarray, peak_bins: tuple) -> PeakRefinement:
     computed on the power surface. A flat neighborhood (vanishing
     curvature) yields offset 0 with the corresponding flag set.
     """
-    offsets = []
-    flats = []
+    offsets, flats = [], []
     for axis, bin_idx in enumerate(peak_bins):
-        size = surface.shape[axis]
-        if axis == 0:
-            line = surface[:, peak_bins[1]]
-        else:
-            line = surface[peak_bins[0], :]
-        p_minus = line[(bin_idx - 1) % size]
-        p_zero = line[bin_idx % size]
-        p_plus = line[(bin_idx + 1) % size]
+        line = surface[:, peak_bins[1]] if axis == 0 else surface[peak_bins[0], :]
+        p_minus, p_zero, p_plus = (line[(bin_idx + d) % line.size] for d in (-1, 0, 1))
         denom = p_minus - 2.0 * p_zero + p_plus
-        scale = abs(p_minus) + 2.0 * abs(p_zero) + abs(p_plus)
-        if scale == 0.0 or abs(denom) <= 1e-12 * scale:
-            offsets.append(0.0)
-            flats.append(True)
-        else:
-            offsets.append(float(np.clip((p_minus - p_plus) / (2.0 * denom), -0.5, 0.5)))
-            flats.append(False)
+        flat = bool(abs(denom) <= 1e-12 * (abs(p_minus) + 2.0 * abs(p_zero) + abs(p_plus)))
+        offsets.append(0.0 if flat else float(np.clip((p_minus - p_plus) / (2.0 * denom),
+                                                      -0.5, 0.5)))
+        flats.append(flat)
     return PeakRefinement(offsets=tuple(offsets), flat_axes=tuple(flats))
 
 
@@ -527,11 +648,11 @@ def estimate(
     baseline: float,
     theta: float,
 ) -> EstimationResult:
-    """Full receiver pass: LS estimates, periodogram peak, refinement, geometry.
+    """Full receiver pass: LS estimates, certified periodogram maximum, geometry.
 
-    The peak bins are those of the full zero-padded periodogram, found by
-    the exact ``peak_search``; with ``config.interpolate`` guarded Newton
-    steps on the continuous periodogram of the LS grid refine them.
+    The estimate is the global maximum of the continuous periodogram of
+    the LS grid (``_search``); with ``config.interpolate`` off it is the
+    peak bins instead (see ``EstimationResult``).
 
     ``baseline`` and ``theta`` are the known transmitter-receiver distance
     and angle of arrival used to invert the bistatic range.
@@ -553,51 +674,41 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
                     thetas) -> list:
     """``estimate`` of each LS pilot grid of a stack (trials, K+1, L+1), with its
     own ``theta``; a trial whose range cannot be inverted gets its GeometryError
-    in place of a result. One refinement runs over the whole stack."""
-    bins = _peak_searches(pilot_grids, config)
-    offsets, powers, kept = _refine(pilot_grids, bins, config)
+    in place of a result. One search runs over the whole stack."""
+    n_p, m_p = pattern.periodic_strides()
+    bins, offsets, powers, fallback = _peaks(pilot_grids, config)
     outcomes = []
-    for peak, offset, power, fallback, theta in zip(bins, offsets.tolist(), powers.tolist(),
-                                                    kept, thetas):
+    for (b_r, b_v), (off_r, off_v), power, flag, theta in zip(
+            bins.tolist(), offsets.tolist(), powers.tolist(), fallback.tolist(), thetas):
+        tau_hat = ((b_r + off_r) % config.fft_n) / (
+            n_p * numerology.subcarrier_spacing_hz * config.fft_n)
+        signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
+        f_d_hat = (signed_bin + off_v) / (m_p * numerology.symbol_duration_s * config.fft_m)
+        d_bis_hat = SPEED_OF_LIGHT * tau_hat
         try:
-            outcomes.append(_peak_estimate(peak, offset, power, fallback, pattern, numerology,
-                                           config, baseline, theta))
+            d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
         except GeometryError as exc:
             outcomes.append(exc)
+            continue
+        beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
+        v_bis_hat = f_d_hat * numerology.wavelength / (2.0 * np.cos(beta_hat / 2.0))
+        outcomes.append(EstimationResult(
+            tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
+            v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
+            beta_clamped=clamped, peak_power=power, peak_bins=(b_r, b_v),
+            fractional_offsets=(off_r, off_v), refine_fallback=flag))
     return outcomes
 
 
-def _peak_estimate(peak: tuple, offsets: list, power: float, fallback: bool,
-                   pattern: PilotPattern, numerology: OfdmNumerology,
-                   config: PeriodogramConfig, baseline: float, theta: float
-                   ) -> EstimationResult:
-    """``estimate`` from the peak bins, their refinement and the power there;
-    raises as ``estimate`` does."""
-    n_p, m_p = pattern.periodic_strides()
-    b_r, b_v = peak
-    off_r, off_v = offsets
+def _peaks(pilot_grids: np.ndarray, config: PeriodogramConfig) -> tuple:
+    """The peak bins, fractional offsets, peak powers and fallback flags of
+    each grid of a stack, as ``EstimationResult`` defines them."""
+    pilot_grids = np.asarray(pilot_grids, complex)
+    _grid_shape(pilot_grids, config)
+    maxima, found, _ = _search(pilot_grids)
+    bins, offsets, powers = _peak_bins(pilot_grids, maxima, config)
+    if not config.interpolate:
+        return bins, np.zeros_like(offsets), powers, np.zeros_like(found)
+    return bins, offsets, powers, ~found
 
-    df = numerology.subcarrier_spacing_hz
-    ts = numerology.symbol_duration_s
-    tau_hat = ((b_r + off_r) % config.fft_n) / (n_p * df * config.fft_n)
-    signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
-    f_d_hat = (signed_bin + off_v) / (m_p * ts * config.fft_m)
 
-    d_bis_hat = SPEED_OF_LIGHT * tau_hat
-    d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
-    beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
-    v_bis_hat = f_d_hat * numerology.wavelength / (2.0 * np.cos(beta_hat / 2.0))
-
-    return EstimationResult(
-        tau_hat=float(tau_hat),
-        f_d_hat=float(f_d_hat),
-        d_bis_hat=float(d_bis_hat),
-        v_bis_hat=float(v_bis_hat),
-        d_rx_hat=float(d_rx_hat),
-        beta_hat=float(beta_hat),
-        beta_clamped=clamped,
-        peak_power=power,
-        peak_bins=(b_r, b_v),
-        fractional_offsets=(off_r, off_v),
-        refine_fallback=fallback,
-    )

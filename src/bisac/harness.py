@@ -23,7 +23,7 @@ from . import __version__
 from .bounds import (
     SensingChannelParams, _ecrb_geometry, _ecrb_mean, _snr_powers, crb, rate_upper_bound,
 )
-from .estimator import PeriodogramConfig, _estimate_grids, _ls_divide
+from .estimator import PeriodogramConfig, _estimate_grids, _ls_divide, _start_cells
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
@@ -35,9 +35,10 @@ CSV_SCHEMA_VERSION = 1
 _TRIAL_STREAM = 0
 _ECRB_STREAM = 1
 
-# A block holds as many trials as fit this many bytes of delay stage, and at
-# least one: 25 at fft 256 with 10 pilot symbols, one at fft 1024 and beyond.
-_BLOCK_BYTES = 2**20
+# A block holds as many trials as fit this many bytes of the search's start
+# delay stage (``_start_cells(K+1)`` x pilot symbols x 16 bytes), and at least
+# one: 20 with 35 x 50 pilots (strides (2, 1)), 102 with 35 x 10 (2, 5).
+_BLOCK_BYTES = 2**22
 
 DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))
 DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
@@ -239,8 +240,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     bounds = _bound_columns(config, cases, config.ecrb_draws)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
-    cols = config.pattern.periodic_counts()[1] + 1
-    length = max(1, _BLOCK_BYTES // (config.fft.fft_n * cols * 16))
+    rows, cols = (count + 1 for count in config.pattern.periodic_counts())
+    length = max(1, _BLOCK_BYTES // (_start_cells(rows) * cols * 16))
     blocks = [
         (config, snr_idx, start, min(start + length, trials))
         for snr_idx in range(n_snr)

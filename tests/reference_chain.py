@@ -1,6 +1,11 @@
-"""The receiver and the sweep trial rebuilt from the full surface, for the
-tests to compare the program against: ``periodogram_2d`` and ``np.argmax``
-give the peak bins, not the program's peak search."""
+"""References for the tests to compare the program against.
+
+``dense_maximum`` is the brute-force maximum of the continuous periodogram:
+Newton's method from every local maximum of a dense surface, the best
+result. ``reference_estimate`` is the receiver rebuilt on it and on the
+``periodogram_2d`` surface. ``reference_trial`` is a sweep trial rebuilt on
+full N x M frames, whose pilots are drawn as the trial block draws them.
+"""
 
 import math
 
@@ -9,55 +14,115 @@ import numpy as np
 from bisac import (
     SPEED_OF_LIGHT,
     GeometryError,
+    PeriodogramConfig,
     SensingChannelParams,
     beta_from_estimates,
     channel_response,
+    estimate,
     invert_bistatic_range,
     ls_channel_estimate,
     periodogram_2d,
     sample_scenario,
 )
-from bisac.estimator import _refine
+from bisac.estimator import _centred, _moments, _newton
 from bisac.harness import _TRIAL_STREAM
 from bisac.sim import _qpsk
 
 
+def dense_maximum(grid, padding=8):
+    """The local maxima of P = |sum_kl H[k, l] exp(j (k theta - l phi))|^2 of a
+    pilot grid, centred indices k and l, reached by Newton's method from the
+    local maxima of P on a grid at least ``padding`` times as dense as the
+    pilots per axis: their (theta, phi) in [0, 2 pi) and P, the largest first.
+
+    Only the local maxima of the samples above 0.8 of the largest sample
+    start Newton: with 8-fold padding the sample nearest to the global
+    maximum m holds at least cos(pi / 8)^2 m > 0.85 m (the Bernstein-Szegő
+    inequality along each axis). Returns None for a surface that is flat,
+    zero or not finite.
+    """
+    rows, cols = grid.shape
+    sizes = [1 << (padding * n - 1).bit_length() if n > 1 else 1 for n in (rows, cols)]
+    surface = periodogram_2d(grid, PeriodogramConfig(*sizes))
+    top = surface.max()
+    if not np.isfinite(top) or top - surface.min() <= 1e-12 * top:
+        return None
+    local = surface >= 0.8 * top
+    for shift in ((1, 0), (-1, 0), (0, 1), (-1, 1), (1, 1), (0, -1), (1, -1), (-1, -1)):
+        local &= surface >= np.roll(surface, shift, axis=(0, 1))
+    cells = np.argwhere(local)
+    points, moved = _climb(grid, cells * (2 * np.pi / np.array(sizes)), sizes)
+    if not moved.all():
+        # a sample on a saddle (a mirror point of a real grid, say) stays there:
+        # start again from its neighbours
+        near = (cells[~moved][:, None] + np.array([[a, b] for a in (-1, 0, 1)
+                                                   for b in (-1, 0, 1)])) % sizes
+        again, still = _climb(grid, near.reshape(-1, 2) * (2 * np.pi / np.array(sizes)), sizes)
+        points, moved = np.r_[points[moved], again], np.r_[moved[moved], still]
+    points = points[moved] if moved.any() else points
+    power = np.abs(_moments(np.broadcast_to(grid, (len(points),) + grid.shape), points,
+                            *_centred(rows, cols), 1)[:, 0, 0]) ** 2
+    order = np.argsort(-power, kind="stable")
+    return points[order] % (2 * np.pi), power[order]
+
+
+def _climb(grid, starts, sizes):
+    """Newton's method on ``grid`` from each start; (points, moved flags)."""
+    stack = np.ascontiguousarray(np.broadcast_to(grid, (len(starts),) + grid.shape))
+    return _newton(stack, starts, 4 * np.pi / np.array(sizes))
+
+
+def bracket_bins(grid, point, config):
+    """The largest of the ``periodogram_2d`` samples on the four (fft_n, fft_m)
+    grid points around ``point`` (the first in row-major order on ties): its
+    bins, the offsets in bins from them to ``point`` and its P."""
+    surface = periodogram_2d(grid, config)
+    sizes = np.array([config.fft_n, config.fft_m])
+    frac = point * sizes / (2 * np.pi)
+    corners = [(int(np.floor(frac[0])) + a, int(np.floor(frac[1])) + b)
+               for a in (0, 1) for b in (0, 1)]
+    best = max(sorted(corners, key=lambda c: (c[0] % sizes[0], c[1] % sizes[1])),
+               key=lambda c: surface[c[0] % sizes[0], c[1] % sizes[1]])
+    bins = (best[0] % config.fft_n, best[1] % config.fft_m)
+    return bins, tuple((frac - best).tolist()), float(surface[bins])
+
+
 def reference_estimate(received, frame, pattern, num, config, baseline, theta):
-    """The receiver on the full surface: periodogram_2d, np.argmax, then the
-    refinement of those bins. Returns the fields of the EstimationResult."""
+    """The receiver on the dense maximum and the ``periodogram_2d`` surface:
+    the fields of its EstimationResult, or the text of its GeometryError.
+    Only for grids whose maximum is unique (``dense_maximum`` not None)."""
     n_p, m_p = pattern.periodic_strides()
     grid = ls_channel_estimate(received, frame, pattern)
-    surface = periodogram_2d(grid, config)
-    b_r, b_v = (int(b) for b in np.unravel_index(np.argmax(surface), surface.shape))
-    offsets, power, kept = _refine(grid[None], [(b_r, b_v)], config)
-    off_r, off_v = offsets[0].tolist()
-    # the refinement's power at the bins is the surface value up to rounding
-    scale = np.abs(grid).sum() ** 2
-    assert abs(power[0] - surface[b_r, b_v]) <= 1e-12 * scale
+    (b_r, b_v), (off_r, off_v), power = bracket_bins(grid, dense_maximum(grid)[0][0], config)
+    if not config.interpolate:
+        off_r = off_v = 0.0
     tau_hat = ((b_r + off_r) % config.fft_n) / (n_p * num.subcarrier_spacing_hz * config.fft_n)
     signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
     f_d_hat = (signed_bin + off_v) / (m_p * num.symbol_duration_s * config.fft_m)
     d_bis_hat = SPEED_OF_LIGHT * tau_hat
-    d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
+    try:
+        d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
+    except GeometryError as exc:
+        return str(exc)
     beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
     v_bis_hat = f_d_hat * num.wavelength / (2.0 * np.cos(beta_hat / 2.0))
     return dict(
         tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
         v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
-        beta_clamped=clamped, peak_power=float(power[0]),
-        peak_bins=(b_r, b_v), fractional_offsets=(off_r, off_v), refine_fallback=kept[0],
+        beta_clamped=clamped, peak_power=power, peak_bins=(b_r, b_v),
+        fractional_offsets=(off_r, off_v), refine_fallback=False,
     )
 
 
 def reference_trial(config, snr_idx, trial_idx):
     """Trial ``trial_idx`` of SNR point ``snr_idx`` of a sweep: (pilot grid,
     outcome, (sq_err_d, sq_err_v, valid)), the outcome being the fields of
-    ``reference_estimate`` or the text of its GeometryError.
+    ``estimate`` on full frames or the text of its GeometryError.
 
     The trial's generator draws the scenario, then the QPSK indices and the
     two standard normal noise components of the (K+1, L+1) pilot cells. The
     pilots and their received values go onto their cells of N x M frames
-    whose other cells are zero, and ``reference_estimate`` runs on those.
+    whose other cells are zero, and ``estimate`` runs on those.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx]))
@@ -76,8 +141,8 @@ def reference_trial(config, snr_idx, trial_idx):
     frame[::n_p, ::m_p], frame_received[::n_p, ::m_p] = symbols, received
     grid = received / symbols
     try:
-        outcome = reference_estimate(frame_received, frame, config.pattern, config.numerology,
-                                     config.fft, scenario.baseline, truth.theta)
+        outcome = vars(estimate(frame_received, frame, config.pattern, config.numerology,
+                                config.fft, scenario.baseline, truth.theta))
     except GeometryError as exc:
         return grid, str(exc), (math.nan, math.nan, False)
     err_d = outcome["d_bis_hat"] - truth.d_bis

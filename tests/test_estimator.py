@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from bisac import (
     refine_peak,
 )
 from bisac import estimator
-from bisac.estimator import peak_search
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -109,96 +107,83 @@ class TestPeriodogram:
             PeriodogramConfig(100, 64)  # not a power of two
 
 
-def assert_peak_search_matches_surface(grid, cfg):
-    """Peak bins equal the surface argmax, on every path. Returns the bins and
-    the path: "full" (every row of the full delay stage, also where the DFT
-    rows could not separate the peak) or "dft" (the kept cells' DFT rows)."""
+def peak_bins(grid, cfg):
+    """The receiver's peak bins of a pilot grid, and its certified maximum in
+    bins of ``cfg``."""
+    bins, offsets, _, _ = estimator._peaks(grid[None], cfg)
+    return tuple(bins[0].tolist()), bins[0] + offsets[0]
+
+
+def assert_peak_bins_match_surface(grid, cfg):
+    """Peak bins equal the surface argmax; returns them and the maximum."""
     surface = periodogram_2d(grid, cfg)
-    with mock.patch.object(estimator, "_row_peak", wraps=estimator._row_peak) as rows:
-        b_r, b_v = peak_search(grid, cfg)
-    assert (b_r, b_v) == np.unravel_index(np.argmax(surface), surface.shape)
-    # the last row search found the bins
-    return b_r, b_v, "full" if rows.call_args.args[1] is None else "dft"
+    bins, maximum = peak_bins(grid, cfg)
+    assert bins == np.unravel_index(np.argmax(surface), surface.shape)
+    return bins, maximum
 
 
 class TestPeakSearch:
-    # 5 rows give a 16-point coarse stage: from fft_n = 64 on, cells of 4 rows
-    # or more, where only a clear peak keeps the search off the full path.
-    # The loops keep each test's name.
+    # The peak bins are the largest-P grid point of the four around the
+    # certified maximum of the continuous periodogram.
 
     def test_all_zero_grid(self):
         grid = np.zeros((5, 4), complex)
         for fft_n in (64, 256, 1024):
-            cfg = PeriodogramConfig(fft_n, 32)
-            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, "full")
+            assert assert_peak_bins_match_surface(grid, PeriodogramConfig(fft_n, 32))[0] == (0, 0)
 
     def test_equal_rows_first_wins(self):
-        # one entry at k = 0: every delay row carries the same spectrum
+        # one entry: P is the same everywhere, and the search stays at (0, 0)
         grid = np.zeros((5, 4), complex)
         grid[0, 2] = 3.0 - 4.0j
         for fft_n in (64, 256, 1024):
-            b_r, _, path = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 32))
-            assert b_r == 0
-            assert path == "full"
+            bins, maximum = peak_bins(grid, PeriodogramConfig(fft_n, 32))
+            assert bins == (0, 0) and maximum.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("rows, fft_n", [(1, 1), (1, 2), (2, 2)])
     def test_tiny_delay_axis_wraps_neighbors(self, rows, fft_n):
+        # the bracket wraps around the surface: its bins are the largest of the
+        # four around the maximum, within one bin of it on either axis
         rng = np.random.default_rng(rows * 10 + fft_n)
         grid = rng.standard_normal((rows, 6)) + 1j * rng.standard_normal((rows, 6))
-        assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 16))
+        cfg = PeriodogramConfig(fft_n, 16)
+        surface = periodogram_2d(grid, cfg)
+        bins, maximum = peak_bins(grid, cfg)
+        low = np.floor(maximum).astype(int)
+        around = {((low[0] + a) % fft_n, (low[1] + b) % 16) for a in (0, 1) for b in (0, 1)}
+        assert bins in around
+        assert surface[bins] == pytest.approx(max(surface[c] for c in around), rel=1e-12)
+        assert np.all(np.abs(maximum - np.array(bins)) < 1.0) or fft_n == 1
 
     def test_nan_entry_matches_full_argmax(self):
         grid = np.ones((5, 4), complex)
         grid[3, 1] = np.nan
         for fft_n in (16, 64, 256, 1024):
-            cfg = PeriodogramConfig(fft_n, 16)
-            assert assert_peak_search_matches_surface(grid, cfg) == (0, 0, "full")
+            assert assert_peak_bins_match_surface(grid, PeriodogramConfig(fft_n, 16))[0] == (0, 0)
 
-    def test_single_row_grid_takes_the_full_path(self):
-        # every coarse row of one grid row has the same magnitudes: all cells tie
-        rng = np.random.default_rng(7)
-        grid = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
-        for fft_n in (64, 256, 1024):
-            path = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 16))[2]
-            assert path == "full"
-
-    @pytest.mark.parametrize("fft_n, full", [(32, True), (64, False), (1024, False),
-                                             (4096, False)])
-    def test_off_grid_target(self, fft_n, full):
+    @pytest.mark.parametrize("fft_n, coarse", [(32, True), (64, False), (1024, False),
+                                               (4096, False)])
+    def test_off_grid_target(self, fft_n, coarse):
+        # the same exact maximum whether the FFT grid is coarser than the
+        # search's start grid or finer
         k, l = np.arange(5)[:, None], np.arange(7)[None, :]
         grid = np.exp(2j * np.pi * (-0.3137 * k + 0.2113 * l))
-        b_r, _, path = assert_peak_search_matches_surface(grid, PeriodogramConfig(fft_n, 64))
-        assert path == ("full" if full else "dft")
+        assert (fft_n <= estimator._start_cells(5)) is coarse
+        (b_r, _), maximum = assert_peak_bins_match_surface(grid, PeriodogramConfig(fft_n, 64))
         assert b_r == round(0.3137 * fft_n) % fft_n
-
-    def test_near_tie_falls_back_to_the_full_stage(self):
-        # two targets of equal power on exact bins: their DFT powers differ by
-        # rounding alone, so only the FFT rows can settle the tie rule
-        k, l = np.arange(9)[:, None], np.arange(6)[None, :]
-        grid = np.exp(-2j * np.pi * (100 / 1024) * k) + np.exp(-2j * np.pi * (612 / 1024) * k)
-        grid = grid * np.exp(2j * np.pi * (5 / 64) * l)
-        cfg = PeriodogramConfig(1024, 64)
-        with mock.patch.object(estimator, "_row_peak", wraps=estimator._row_peak) as rows:
-            assert assert_peak_search_matches_surface(grid, cfg) == (100, 5, "full")
-        # the DFT rows' search ran first and could not separate the peak
-        assert rows.call_args_list[0].args[1] is not None
-        assert rows.call_args_list[0].args[3] > 0.0
+        assert maximum[0] == pytest.approx(0.3137 * fft_n, abs=1e-9 * fft_n)
 
     def test_peak_at_a_cell_edge_next_to_a_dropped_cell(self):
-        # 35 rows, fft 4096: cells of 32 rows, cell 3 holds rows 80-111 and
-        # cell 4 rows 112-143. The peak sits on row 111, at the edge of cell 3.
-        # The coarse search keeps cell 4 here; with it dropped, the DFT row
-        # search still finds the surface's peak, because it reads no row
-        # outside the cells it is given.
+        # 35 rows: start cells of 2 pi / 256. The peak sits on the edge between
+        # two of them, half a cell from either centre, next to cells the search
+        # drops; it is found exactly, and its bins are the surface's.
         k, l = np.arange(35)[:, None], np.arange(8)[None, :]
+        x = 111.5 / 256  # cycles: between start cells 111 and 112
+        grid = np.exp(-2j * np.pi * x * k + 2j * np.pi * (3 / 64) * l)
         cfg = PeriodogramConfig(4096, 64)
-        grid = np.exp(-2j * np.pi * (111 / 4096) * k + 2j * np.pi * (3 / 64) * l)
-        assert assert_peak_search_matches_surface(grid, cfg) == (111, 3, "dft")
-        fine = estimator._coarse_rows(grid, cfg)
-        assert {110, 111, 112} <= set(fine.tolist())
-        cut = fine[(fine < 112) | (fine > 143)]
-        delta = estimator._dft_slack(35, cfg) * np.abs(grid).sum()
-        assert estimator._row_peak(estimator._dft_rows(grid, cut, cfg), cut, cfg, delta) == (111, 3)
+        assert estimator._start_cells(35) == 256
+        (b_r, b_v), maximum = assert_peak_bins_match_surface(grid, cfg)
+        assert (b_r, b_v) == (round(x * 4096), 3)
+        assert maximum == pytest.approx([x * 4096, 3.0], abs=1e-9)
 
     def test_estimate_memory_at_full_profile(self, num):
         # the full 4096 x 4096 surface and its squares take 512 MiB

@@ -1,6 +1,6 @@
-"""The Newton refinement of the peak on the continuous periodogram: exact on
-noiseless off-grid targets, a local maximum against a dense search of P,
-efficient at high SNR, and its kept-bin flag."""
+"""The receiver's maximum of the continuous periodogram: exact on noiseless
+off-grid targets, a local maximum against a dense search of P, efficient at
+high SNR, and its fallback flag."""
 
 import math
 
@@ -16,7 +16,7 @@ from bisac import (  # noqa: E402
     make_periodic,
     run_sweep,
 )
-from bisac.estimator import _refine, peak_search  # noqa: E402
+from bisac.estimator import _peaks  # noqa: E402
 from bisac.harness import simulate_trial  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -34,10 +34,9 @@ def tone(rows, cols, x, y):
 
 
 def refined_peak(grid, config):
-    """(u, v) in fractional bins and the kept-bin flag of ``grid``'s refinement."""
-    bins = peak_search(grid, config)
-    offsets, _, kept = _refine(grid[None], [bins], config)
-    return np.add(bins, offsets[0]), kept[0]
+    """(u, v) in fractional bins and the fallback flag of ``grid``'s estimate."""
+    bins, offsets, _, fallback = _peaks(grid[None], config)
+    return bins[0] + offsets[0], bool(fallback[0])
 
 
 def circular_error(value, truth, size):
@@ -119,15 +118,17 @@ def test_sweep_at_50_db_tracks_both_bounds():
 
 class TestKeptBins:
     def test_flat_neighbourhood_keeps_the_bins(self):
-        config = PeriodogramConfig(64, 64)
-        offsets, power, kept = _refine(np.zeros((1, 5, 4), complex), [(0, 0)], config)
-        assert offsets.tolist() == [[0.0, 0.0]] and power.tolist() == [0.0] and kept == [True]
+        bins, offsets, power, fallback = _peaks(np.zeros((1, 5, 4), complex),
+                                                PeriodogramConfig(64, 64))
+        assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
+        assert power.tolist() == [0.0] and fallback.tolist() == [True]
 
     def test_nan_grid_keeps_the_bins(self):
         grid = np.ones((1, 5, 4), complex)
         grid[0, 3, 1] = np.nan
-        offsets, _, kept = _refine(grid, [(0, 0)], PeriodogramConfig(64, 64))
-        assert offsets.tolist() == [[0.0, 0.0]] and kept == [True]
+        bins, offsets, _, fallback = _peaks(grid, PeriodogramConfig(64, 64))
+        assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
+        assert fallback.tolist() == [True]
 
     def test_single_row_grid_refines_the_doppler_axis(self):
         # P does not depend on the delay: the delay bin stays, the Doppler axis is refined
@@ -139,27 +140,27 @@ class TestKeptBins:
         assert not kept and v == 0.0 and abs(u - 0.41 * 64) < 1e-6
 
     def test_one_cell_grid_keeps_the_bins(self):
-        offsets, _, kept = _refine(np.ones((1, 1, 1), complex), [(0, 0)], PeriodogramConfig(2, 2))
-        assert offsets.tolist() == [[0.0, 0.0]] and kept == [True]
+        bins, offsets, _, fallback = _peaks(np.ones((1, 1, 1), complex), PeriodogramConfig(2, 2))
+        assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
+        assert fallback.tolist() == [True]
 
     def test_without_interpolation_nothing_is_kept(self):
         grid = tone(5, 8, 0.31, 0.77)
         config = PeriodogramConfig(64, 64, interpolate=False)
-        bins = peak_search(grid, config)
-        offsets, power, kept = _refine(grid[None], [bins], config)
-        assert offsets.tolist() == [[0.0, 0.0]] and kept == [False]
-        assert power[0] == pytest.approx(dense_power(grid, config, [bins[0]], [bins[1]])[0, 0],
+        bins, offsets, power, fallback = _peaks(grid[None], config)
+        assert offsets.tolist() == [[0.0, 0.0]] and fallback.tolist() == [False]
+        assert bins.tolist() == [[round(0.31 * 64), round(0.77 * 64)]]
+        assert power[0] == pytest.approx(dense_power(grid, config, bins[0, :1], bins[0, 1:])[0, 0],
                                          rel=1e-12)
 
     def test_each_trial_of_a_stack_refines_as_it_would_alone(self):
         config = PeriodogramConfig(64, 64)
         grids = np.stack([tone(5, 8, 0.31, 0.77), np.zeros((5, 8)), tone(5, 8, 0.9, 0.1)])
-        bins = [peak_search(grid, config) for grid in grids]
-        stacked = _refine(grids, bins, config)
+        stacked = _peaks(grids, config)
         for t, grid in enumerate(grids):
-            alone = _refine(grid[None], [bins[t]], config)
-            assert stacked[0][t].tolist() == alone[0][0].tolist()
-            assert stacked[1][t] == alone[1][0] and stacked[2][t] == alone[2][0]
+            alone = _peaks(grid[None], config)
+            for together, single in zip(stacked, alone):
+                assert together[t].tolist() == single[0].tolist()
 
     def test_simulate_trial_reports_the_flag(self):
         config = ExperimentConfig(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=(20.0,),

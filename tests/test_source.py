@@ -102,3 +102,17 @@ def test_every_private_function_is_used():
                 names.discard(stmt.name)
             used |= names
     assert private - used == set()
+
+
+def test_src_imports_only_numpy_and_the_stdlib():
+    # the package declares numpy alone; scipy and the test tools are installed
+    # here too, so a stray import of them would pass every other test
+    allowed = set(sys.stdlib_module_names) | {"numpy", "bisac"}
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - allowed == set()
