@@ -301,8 +301,9 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     def climb(up, points, heights):
         # Newton from points of heights |z| on the grids up: the best point so far
         # becomes the Newton point, or the start where that is higher, with its ball
-        moved, converged = _newton(grids[up], points, 2 * half)
-        height, reach = _ball(grids[up], moved, converged, sup[up], l1[up], extent, slack[up])
+        sub = grids if up.size == len(grids) else grids[up]
+        moved, converged = _newton(sub, points, 2 * half)
+        height, reach = _ball(sub, moved, converged, sup[up], l1[up], extent, slack[up])
         better = height >= heights - 2 * slack[up]
         maxima[up] = np.where(better[:, None], moved, points)
         newton[up], peak[up] = converged & better, np.where(better, height, heights)
@@ -531,11 +532,12 @@ def _ball(pilot_grids: np.ndarray, pos: np.ndarray, newton: np.ndarray, sup: np.
     degree = np.add.outer(np.arange(order), np.arange(order))
     taylor = m * ((1j) ** np.arange(order)[:, None] * (-1j) ** np.arange(order)
                   / np.outer(fact[:order], fact[:order]))
-    taylor[:, degree >= order] = 0.0
-    power = np.zeros_like(taylor)
-    for p, q in zip(*np.nonzero(degree < order)):
-        power[:, p:, q:] += taylor[:, p, q, None, None] * taylor[:, :order - p, :order - q].conj()
-    power = power.real * np.outer(fact[:order], fact[:order])
+    # the (u, v) coefficient of P sums taylor[p, q] conj(taylor[u - p, v - q])
+    u, v, p, q = np.array([(u, v, p, q) for u, v in zip(*np.nonzero(degree < order))
+                           for p in range(u + 1) for q in range(v + 1)]).T
+    products = (taylor[:, p, q] * taylor[:, u - p, v - q].conj()).real
+    power = (products @ (u * order + v == np.arange(order**2)[:, None]).T).reshape(m.shape)
+    power *= np.outer(fact[:order], fact[:order])
     scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
     weight = scale[0] ** np.arange(order)[:, None] * scale[1] ** np.arange(order)
     g = np.maximum(abs(power[:, 1, 0]) * scale[0], abs(power[:, 0, 1]) * scale[1])
