@@ -1,20 +1,14 @@
-"""Pilot-based delay-Doppler receiver.
+"""Pilot-based delay-Doppler receiver: least-squares channel estimates on the
+periodic pilot subgrid, the certified global maximum of their continuous
+periodogram (``_search``, which depends on the pilot grid alone), and its
+conversion to bistatic range, velocity and receiver-leg distance. The FFT
+sizes set only ``periodogram_2d`` and the units of the peak bins.
 
-Least-squares channel estimates on the periodic pilot subgrid, the
-certified global maximum of the continuous periodogram of those estimates
-(``_search``, whose docstring proves its bounds), and conversion of that
-maximum to bistatic range, velocity and receiver-leg distance. The search
-depends on the pilot grid alone; the FFT sizes set only ``periodogram_2d``
-(surface dumps, the tests' reference) and the units of the peak bins.
-``refine_peak`` is the three-point parabola on such a surface.
-
-Transform sign conventions: the subcarrier (delay) axis uses the
-positive-exponent kernel so a delay tau peaks at bin
-tau * n_p * df * fft_n, and the symbol (Doppler) axis uses the
-negative-exponent kernel so a Doppler f_d peaks at bin
-f_d * m_p * T_s * fft_m (mod fft_m). Doppler bins are read on the signed
-interval (-fft_m/2, fft_m/2]; delay estimates live in [0, unambiguous
-span) since delays are physically nonnegative.
+Sign conventions: the subcarrier (delay) axis uses the positive-exponent
+kernel, so a delay tau peaks at bin tau * n_p * df * fft_n, and the symbol
+(Doppler) axis the negative one, so a Doppler f_d peaks at bin
+f_d * m_p * T_s * fft_m (mod fft_m), read on (-fft_m/2, fft_m/2]; delays
+live in [0, unambiguous span).
 """
 
 from __future__ import annotations
@@ -40,10 +34,10 @@ _BLAS_MNK = 2**15
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-9
 
-# The search (_search) widens every bound by _SLACK sum |H| for rounding and
-# halves a cell at most _MAX_LEVELS times (see there for _FLAT); its ball (_ball) expands P to
-# order _BALL_ORDER and keeps _BALL_MARGIN of its curvature. The direct DFTs
-# (_cell_values) take _GROUP grids, or _CHUNK points, per product (~200 kB).
+# The search (_search) widens bounds by _SLACK sum |H|, halves a cell at most
+# _MAX_LEVELS times and calls a grid flat past _FLAT open cells; its ball
+# (_ball) expands P to order _BALL_ORDER and keeps _BALL_MARGIN of its
+# curvature; its DFTs (_cell_values) take _GROUP grids or _CHUNK points a time.
 _SLACK = 1e-10
 _MAX_LEVELS = 32
 _FLAT = 4096
@@ -82,21 +76,15 @@ class PeriodogramConfig:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Outputs of one estimation pass.
-
-    The estimate is the global maximum of the continuous periodogram P of
-    the LS grid. peak_bins are the largest-P point of the four (fft_n,
-    fft_m) grid points around it (the ``periodogram_2d`` argmax whenever that
-    lies within one bin of the maximum), peak_power is P there, and
-    fractional_offsets lead from them to the maximum, under one bin per
-    axis (zero when interpolation is off: the bins are the estimate).
-    refine_fallback flags a maximum the search could not certify as a
-    Newton maximum: an all-zero, non-finite, flat or 1 x 1 grid, or one
-    whose Newton steps all failed; False when interpolation is off. On a
-    grid of one pilot row (column) P does not depend on the delay
-    (Doppler), which stays at bin 0. beta_clamped flags a degenerate
-    bistatic-angle inversion.
-    """
+    """Outputs of one estimation pass, at the global maximum of the continuous
+    periodogram P of the LS grid. peak_bins: the largest-P of the four
+    (fft_n, fft_m) grid points around it (the ``periodogram_2d`` argmax when
+    that lies within one bin); peak_power: P there; fractional_offsets: from
+    them to the maximum, under one bin (zero without interpolation: the bins
+    are the estimate). refine_fallback: the maximum is no certified Newton
+    maximum (a zero, non-finite, flat or 1 x 1 grid, or failed Newton steps;
+    False without interpolation). An axis of one pilot stays at bin 0.
+    beta_clamped flags a degenerate bistatic-angle inversion."""
 
     tau_hat: float
     f_d_hat: float
@@ -218,22 +206,17 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     <= s(h). Taylor's formula, the triangle inequality and the convexity of
     |z + d . grad z| in d give |z(c + d)| <= (the largest |z + d . grad z|
     over the corners) + sum_{p+q=2,3} h_theta^p h_phi^q |z_pq(c)| / (p! q!)
-    + sup |f| / 24 (``_taylor``), with sup |f| at most sum |H|
-    (|k| h_theta + |l| h_phi)^4 and, f being entire of exponential type
-    s(h) with values of z, at most s(h)^4 M for any M >= sup |z| (Bernstein's
-    inequality, Boas, Entire Functions, 1954, Thm 11.1.2; ``_remainder``).
+    + sup |f''''| / 24 (``_taylor``), where sup |f''''| is at most
+    sum |H| (|k| h_theta + |l| h_phi)^4 and, f being entire of exponential
+    type s(h) with values of z, at most s(h)^4 M for any M >= sup |z|
+    (Bernstein's inequality, Boas, Entire Functions, 1954, Thm 11.1.2).
 
-    *Search.* On the start grid (``_start_cells``, cells centred on its
-    points), |z| <= sum_l |S(theta, l)| with S the delay transform, one FFT,
-    and S moves by at most h_theta sum_k |k H| in a cell (by h_theta |S_1|
-    plus a second-order term where many rows remain): that bounds each
-    row's cells, and rows below the Doppler maximum of the top row drop.
-    On the others, one Doppler FFT gives |z|, and sum_l |l|^q |S_p| >= |z_pq|
-    a cell bound; the cells that can still reach the best sample get their
-    z_pq (FFTs for rows with many, else ``_cell_values``). M is the largest
-    bound of a dropped row or a cell, later of the open cells. Newton's
-    method (``_newton``) from the best sample gives the best point p*; every
-    cell whose bound reaches |z(p*)| is halved, with direct DFTs, until none
+    *Search* (README, "Peak search"). |z| <= sum_l |S(theta, l)|, S the delay
+    transform, bounds the start grid's rows (``_start_cells``), and
+    sum_l |l|^q |S_p| >= |z_pq| their cells; the cells left get their z_pq.
+    M is the largest bound of a dropped row or a cell, later of the open
+    cells. Newton's method (``_newton``) from the best sample gives the
+    best point p*; a cell whose bound reaches |z(p*)| is halved until none
     is left, and a child above |z(p*)| restarts Newton.
 
     *Ball.* Around p* no cell falls below |z(p*)|; with s(D) = m . |D| and
@@ -253,8 +236,9 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     delta = ``_SLACK`` sum|H| and a cell drops below |z(p*)| + 4 delta, so
     the returned |z| is within 6 delta of the maximum (closer maxima tie).
 
-    Non-finite, all-zero, 1 x 1 and flat grids (open cells outnumbering the
-    start grid's, as for a lone pilot) stay at (0, 0). Returns the maxima
+    Non-finite, all-zero, 1 x 1 and flat grids (more open cells than
+    ``_FLAT`` and the start grid, as for a lone pilot) stay at (0, 0).
+    Returns the maxima
     (trials, 2) in [0, 2 pi), the flags of Newton maxima and the count of
     cells kept per trial.
     """

@@ -6,7 +6,8 @@ across worker counts. Each trial has its own key; a sweep hands its
 trials to the workers in blocks, runs each block on the pilot subgrid
 as one stack (``_trial_block``) and reduces the squared errors in
 trial-index order regardless of completion order. A block's length
-depends on the config alone, never on the worker count.
+depends on the config alone, never on the worker count; a sweep in one
+process packs consecutive blocks into stacks of up to that length.
 """
 
 from __future__ import annotations
@@ -182,17 +183,23 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
     Raises as ``check_receiver`` does.
     """
     check_receiver(config)
-    return _trial_block(config, snr_idx, trial_idx, trial_idx + 1)[0]
+    return _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])[0]
 
 
-def _trial_block(config: ExperimentConfig, snr_idx: int, start: int, stop: int) -> list:
-    """Trials ``start`` to ``stop - 1`` of SNR point ``snr_idx``, as ``simulate_trial``
-    returns each: one estimator pass over their stacked pilot grids."""
-    seeds = [np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
-             for trial_idx in range(start, stop)]
-    truths, symbols, received = simulate_pilots(
-        config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx], seeds)
-    grids = _ls_divide(received, symbols)
+def _trial_block(config: ExperimentConfig, runs) -> list:
+    """The trials of ``runs``, (snr_idx, start, stop) for trials ``start`` to
+    ``stop - 1`` of SNR point ``snr_idx``, as ``simulate_trial`` returns each:
+    one estimator pass over all their stacked pilot grids."""
+    truths, grids = [], []
+    for snr_idx, start, stop in runs:
+        seeds = [np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
+                 for trial_idx in range(start, stop)]
+        run_truths, symbols, received = simulate_pilots(
+            config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
+            seeds)
+        truths += run_truths
+        grids.append(_ls_divide(received, symbols))
+    grids = np.concatenate(grids)
     outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
                                config.ensemble.baseline, [truth.theta for truth in truths])
     return list(zip(truths, grids, outcomes))
@@ -242,15 +249,20 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     trials = config.trials_per_point
     rows, cols = (count + 1 for count in config.pattern.periodic_counts())
     length = max(1, _BLOCK_BYTES // (_start_cells(rows) * cols * 16))
-    blocks = [
-        (config, snr_idx, start, min(start + length, trials))
-        for snr_idx in range(n_snr)
-        for start in range(0, trials, length)
-    ]
+    runs = [(snr_idx, start, min(start + length, trials))
+            for snr_idx in range(n_snr) for start in range(0, trials, length)]
+    blocks = [(config, [run]) for run in runs]
     # a pool starts all its processes at once, so start no more than there are blocks
     workers = min(config.workers, len(blocks))
     if workers == 1:
-        outcomes = list(map(_block_errors, blocks))
+        # one process: consecutive runs share an estimator pass, up to `length` trials
+        groups, size = [[]], 0
+        for run in runs:
+            if groups[-1] and size + run[2] - run[1] > length:
+                groups, size = groups + [[]], 0
+            groups[-1].append(run)
+            size += run[2] - run[1]
+        outcomes = [_block_errors((config, group)) for group in groups]
     else:
         chunk = max(1, len(blocks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as executor:

@@ -2,7 +2,6 @@
 maximum on random grids, never below Newton's method from the surface
 argmax, and no dependence on the FFT sizes."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -112,7 +111,7 @@ def test_trial_path_runs_no_fft_n_point_transform(monkeypatch, num):
 
         monkeypatch.setattr(np.fft, name, spy)
     config = sweep_config(2048)
-    _trial_block(config, 0, 0, 5)
+    _trial_block(config, [(0, 0, 5)])
     truth, _, _ = simulate_trial(config, 0, 7)
     frame = bisac.generate_frame(num, config.pattern, seed=1)
     received = bisac.apply_channel(frame, bisac.SensingChannelParams.from_snr_db(
@@ -126,7 +125,7 @@ def test_trial_block_is_independent_of_the_fft_size():
     # the same estimates to 1e-9 relative at fft 128, 1024 and 4096
     results = {}
     for fft in (128, 1024, 4096):
-        outcomes = [outcome for _, _, outcome in _trial_block(sweep_config(fft), 0, 0, 20)]
+        outcomes = [outcome for _, _, outcome in _trial_block(sweep_config(fft), [(0, 0, 20)])]
         results[fft] = np.array([[o.d_bis_hat, o.v_bis_hat] for o in outcomes])
     for fft in (1024, 4096):
         assert results[fft] == pytest.approx(results[128], rel=1e-9)
@@ -137,6 +136,6 @@ def test_high_snr_certifies_with_few_cells(strides):
     # a clear peak: every trial a Newton maximum, with a handful of cells past
     # the start grid's rows
     grids_ = np.stack([grid for _, grid, _ in _trial_block(
-        dataclasses.replace(sweep_config(256, strides=strides)), 0, 0, 20)])
+        sweep_config(256, strides=strides), [(0, 0, 20)])])
     _, newton, kept = _search(grids_)
     assert newton.all() and kept.max() <= 64

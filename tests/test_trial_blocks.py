@@ -64,8 +64,8 @@ SNRS_DB = [-30.0, -15.0, 0.0, 15.0, 30.0, math.inf]
 @given(data=st.data())
 def test_block_trials_equal_the_full_grid_chain_bit_for_bit(snr_db, data):
     config, start, stop = data.draw(blocks(snr_db))
-    trials = _trial_block(config, 0, start, stop)
-    errors = _block_errors((config, 0, start, stop))
+    trials = _trial_block(config, [(0, start, stop)])
+    errors = _block_errors((config, [(0, start, stop)]))
     assert len(trials) == len(errors) == stop - start
     for trial_idx, (_, grid, outcome), sq_errors in zip(range(start, stop), trials, errors):
         ref_grid, ref_outcome, ref_errors = reference_trial(config, 0, trial_idx)
@@ -95,8 +95,20 @@ def test_simulate_trial_is_its_trial_of_the_block(block):
     config, start, stop = block
     config = dataclasses.replace(config, snr_grid_db=(5.0, *config.snr_grid_db))
     for trial_idx, (truth, grid, outcome) in zip(range(start, stop),
-                                                 _trial_block(config, 1, start, stop)):
+                                                 _trial_block(config, [(1, start, stop)])):
         alone = simulate_trial(config, 1, trial_idx)
         assert alone[0] == truth
         assert np.array_equal(bits(alone[1]), bits(grid))
         assert comparable(alone[2]) == comparable(outcome)
+
+
+def test_packed_runs_equal_their_blocks():
+    # a sweep in one process packs runs of several SNR points into one
+    # estimator pass; every trial comes out as its own block gives it
+    config = ExperimentConfig(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=(-10.0, 20.0),
+                              trials_per_point=3, seed=9)
+    packed = _trial_block(config, [(0, 0, 3), (1, 0, 3)])
+    alone = _trial_block(config, [(0, 0, 3)]) + _trial_block(config, [(1, 0, 3)])
+    for (truth, grid, outcome), (truth1, grid1, outcome1) in zip(packed, alone):
+        assert truth == truth1 and np.array_equal(bits(grid), bits(grid1))
+        assert comparable(outcome) == comparable(outcome1)
