@@ -46,6 +46,12 @@ _BALL_MARGIN = 0.1
 _GROUP = 16
 _CHUNK = 64
 
+# (u, v, p, q): the coefficient (u, v) of P = z conj(z) sums z_pq conj(z_(u-p)(v-q));
+# _SUMS adds the products into the coefficients, row-major.
+_PRODUCTS = np.array([(u, v, p, q) for u in range(_BALL_ORDER) for v in range(_BALL_ORDER - u)
+                      for p in range(u + 1) for q in range(v + 1)]).T
+_SUMS = (_PRODUCTS[0] * _BALL_ORDER + _PRODUCTS[1] == np.arange(_BALL_ORDER**2)[:, None]).T
+
 # (p, q) of the derivatives z_pq in the search's cell bound.
 _ORDERS = tuple((p, n - p) for n in range(4) for p in range(n, -1, -1))
 
@@ -509,19 +515,15 @@ def _ball(pilot_grids: np.ndarray, pos: np.ndarray, newton: np.ndarray, sup: np.
           l1: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
     """|z| at ``pos`` and the radius s_hi of its ball (see ``_search``), 0
     unless ``newton`` and the excess over P(pos) is within the slack."""
-    order = _BALL_ORDER
+    order, (u, v, p, q) = _BALL_ORDER, _PRODUCTS
     m = _moments(pilot_grids, pos, *_centred(*pilot_grids.shape[-2:]), order)
-    # Taylor coefficients of z, then of P = z conj(z) (their product), to order - 1
+    # Taylor coefficients of z, then of P = z conj(z), their product, to order - 1
     fact = np.array([math.factorial(n) for n in range(order + 1)], float)
     degree = np.add.outer(np.arange(order), np.arange(order))
     taylor = m * ((1j) ** np.arange(order)[:, None] * (-1j) ** np.arange(order)
                   / np.outer(fact[:order], fact[:order]))
-    # the (u, v) coefficient of P sums taylor[p, q] conj(taylor[u - p, v - q])
-    u, v, p, q = np.array([(u, v, p, q) for u, v in zip(*np.nonzero(degree < order))
-                           for p in range(u + 1) for q in range(v + 1)]).T
     products = (taylor[:, p, q] * taylor[:, u - p, v - q].conj()).real
-    power = (products @ (u * order + v == np.arange(order**2)[:, None]).T).reshape(m.shape)
-    power *= np.outer(fact[:order], fact[:order])
+    power = (products @ _SUMS).reshape(m.shape) * np.outer(fact[:order], fact[:order])
     scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
     weight = scale[0] ** np.arange(order)[:, None] * scale[1] ** np.arange(order)
     g = np.maximum(abs(power[:, 1, 0]) * scale[0], abs(power[:, 0, 1]) * scale[1])
