@@ -314,7 +314,8 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     tay = _taylor(_cell_values(grids, owner, index, half, k, l), half)
     if dense.any():
         row, j = np.nonzero(np.ones((dense.sum(), cells[1]), bool))
-        owner, index = np.r_[owner, t[dense][row]], np.r_[index, 2 * np.column_stack([i[dense][row], j])]
+        owner = np.r_[owner, t[dense][row]]
+        index = np.r_[index, 2 * np.column_stack([i[dense][row], j])]
         tay = np.r_[tay, _taylor(_row_values(delay[dense], l, cells[1]), half).ravel()]
         order = np.argsort(owner, kind="stable")
         owner, index, tay = owner[order], index[order], tay[order]
@@ -322,9 +323,10 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     for level in range(_MAX_LEVELS + 1):
         # the bounds, with M lowered to the largest of them
         bound = tay + (_remainder(l1, extent, unit, sup) + slack)[owner]
-        np.maximum.at(sup := peak + 2 * slack, owner, bound)
+        np.maximum.at(sup := peak + 6 * slack, owner, bound)
         bound = tay + (_remainder(l1, extent, unit, sup) + slack)[owner]
-        gap = (np.abs((index * unit - maxima[owner] + np.pi) % (2 * np.pi) - np.pi) + unit) @ extent
+        gap = np.abs((index * unit - maxima[owner] + np.pi) % (2 * np.pi) - np.pi)
+        gap = (gap + unit) @ extent
         rise = (ball[owner, 1:] * gap[:, None] ** np.arange(1, _BALL_ORDER - 1)).sum(axis=1)
         alive = ~(bound < (peak + 4 * slack)[owner]) & ~(rise <= ball[owner, 0])
         owner, index = owner[alive], index[alive]
@@ -527,7 +529,7 @@ def _ball(pilot_grids: np.ndarray, pos: np.ndarray, newton: np.ndarray, sup: np.
     scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
     weight = scale[0] ** np.arange(order)[:, None] * scale[1] ** np.arange(order)
     g = np.maximum(abs(power[:, 1, 0]) * scale[0], abs(power[:, 0, 1]) * scale[1])
-    a, b, c = -power[:, 2, 0] * weight[2, 0], -power[:, 1, 1] * weight[1, 1], -power[:, 0, 2] * weight[0, 2]
+    a, b, c = (-power[:, p_, q_] * weight[p_, q_] for p_, q_ in ((2, 0), (1, 1), (0, 2)))
     kappa = a if not extent[1] else c if not extent[0] else np.minimum(a, c)
     if extent.all():
         # the minimum of a y0^2 + 2 b y0 y1 + c y1^2 over the edges of |y0| + |y1| = 1
@@ -539,12 +541,13 @@ def _ball(pilot_grids: np.ndarray, pos: np.ndarray, newton: np.ndarray, sup: np.
                              np.minimum(kappa, c - (c - side) * edge), kappa)
     # the terms of orders 3 .. order - 1 over s^n / n!, then the remainder's
     w = [sup] + [np.minimum(sup, np.maximum(l1[:, n, 0] * scale[0] ** n,
-                                            l1[:, 0, n] * scale[1] ** n)) for n in range(1, order + 1)]
+                                            l1[:, 0, n] * scale[1] ** n))
+                 for n in range(1, order + 1)]
     terms = [np.abs(power * weight)[:, degree == n].max(axis=1) for n in range(3, order)]
     terms.append(sum(math.comb(order, n) * w[n] * w[order - n] for n in range(order + 1)))
     peak = np.abs(m[:, 0, 0])
     certain = newton & (kappa > 0) & (g * g <= 4 * slack * peak * _BALL_MARGIN * kappa)
-    # a point at s lies in the ball while sum_n terms_n s^(n - 2) / n! <= (1 - _BALL_MARGIN) kappa / 2
+    # s is in the ball while sum_n terms_n s^(n - 2) / n! <= (1 - _BALL_MARGIN) kappa / 2
     return peak, np.column_stack([np.where(certain, (1.0 - _BALL_MARGIN) * kappa / 2, -1.0)]
                                  + [term / fact[n] for n, term in enumerate(terms, 3)])
 
@@ -589,7 +592,8 @@ def _newton_step(m: np.ndarray, on_u: bool, on_v: bool) -> np.ndarray:
         h_uv = (zc * m11 - m10.conj() * m01).real - 2 * g_u * g_v / power
         det = h_uu * h_vv - h_uv * h_uv
         if on_u and on_v:
-            step = np.column_stack([(h_uv * g_v - h_vv * g_u) / det, (h_uv * g_u - h_uu * g_v) / det])
+            step = np.column_stack([h_uv * g_v - h_vv * g_u,
+                                    h_uv * g_u - h_uu * g_v]) / det[:, None]
             concave = (h_uu < 0) & (det > 0)
         else:
             # the 1-D Newton step on the flagged axis

@@ -136,7 +136,8 @@ def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
     powers = np.arange(5)
     l1 = (np.abs(k) ** powers[:, None] @ mag @ np.abs(l)[:, None] ** powers)[None]
     offsets = np.linspace(-1, 1, 9)
-    points = centre + np.stack(np.meshgrid(offsets, offsets, indexing="ij"), -1).reshape(-1, 2) * half
+    lattice = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), -1).reshape(-1, 2)
+    points = centre + lattice * half
     z = np.abs(np.exp(1j * np.outer(points[:, 0], k)) @ grid
                @ np.exp(-1j * np.outer(l, points[:, 1]))).diagonal()
     # an upper bound on sup |z|: an 8-fold padded surface has a sample within
