@@ -540,11 +540,12 @@ def _ball(pilot_grids: np.ndarray, pos: np.ndarray, newton: np.ndarray, sup: np.
             kappa = np.where((lead > 0) & (edge > 0) & (edge < 1),
                              np.minimum(kappa, c - (c - side) * edge), kappa)
     # the terms of orders 3 .. order - 1 over s^n / n!, then the remainder's
-    w = [sup] + [np.minimum(sup, np.maximum(l1[:, n, 0] * scale[0] ** n,
+    n = np.arange(order + 1)
+    w = np.minimum(sup[:, None], np.maximum(l1[:, n, 0] * scale[0] ** n,
                                             l1[:, 0, n] * scale[1] ** n))
-                 for n in range(1, order + 1)]
+    w[:, 0] = sup
     terms = [np.abs(power * weight)[:, degree == n].max(axis=1) for n in range(3, order)]
-    terms.append(sum(math.comb(order, n) * w[n] * w[order - n] for n in range(order + 1)))
+    terms.append((w * w[:, ::-1]) @ [math.comb(order, n) for n in range(order + 1)])
     peak = np.abs(m[:, 0, 0])
     certain = newton & (kappa > 0) & (g * g <= 4 * slack * peak * _BALL_MARGIN * kappa)
     # s is in the ball while sum_n terms_n s^(n - 2) / n! <= (1 - _BALL_MARGIN) kappa / 2
