@@ -247,8 +247,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     bounds = _bound_columns(config, cases, config.ecrb_draws)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
-    rows, cols = (count + 1 for count in config.pattern.periodic_counts())
-    length = max(1, _BLOCK_BYTES // (_start_cells(rows) * cols * 16))
+    pilot_rows, pilot_cols = (count + 1 for count in config.pattern.periodic_counts())
+    length = max(1, _BLOCK_BYTES // (_start_cells(pilot_rows) * pilot_cols * 16))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
     blocks = [(config, [run]) for run in runs]

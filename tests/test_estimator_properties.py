@@ -180,7 +180,7 @@ def test_dft_rows_lie_within_their_slack_of_the_fft_rows(grid, log_fft, data):
        log_fft=st.integers(7, 12), seed=st.integers(0, 2**32 - 1))
 def test_peak_search_equals_surface_argmax(strides, snr_db, log_fft, seed):
     # on the benchmark's grids at 0-20 dB the peak bins are the periodogram_2d
-    # argmax, as the benchmark's traced replay requires
+    # argmax, as the traced replay of perfbench/child.py requires
     rng = np.random.default_rng(seed)
     pattern = make_periodic(NUM.n_subcarriers, NUM.n_symbols, *strides)
     scenario, truth = sample_scenario(ScenarioEnsemble(), rng)
