@@ -57,8 +57,8 @@ _ORDERS = tuple((p, n - p) for n in range(4) for p in range(n, -1, -1))
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
-    """FFT sizes (powers of two, default the desk profile's) and the switch of
-    the Newton refinement (``interpolate``)."""
+    """FFT sizes (powers of two, default the desk profile's) and whether the
+    estimate is the continuous maximum (``interpolate``) or its peak bins."""
 
     fft_n: int = 1024
     fft_m: int = 1024
