@@ -34,26 +34,16 @@ _BLAS_MNK = 2**15
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-9
 
-# The search (_search) widens bounds by _SLACK sum |H|, halves a cell at most
-# _MAX_LEVELS times and calls a grid flat past _FLAT open cells; its ball
-# (_ball) expands P to order _BALL_ORDER and keeps _BALL_MARGIN of its
-# curvature; its DFTs (_cell_values) take _GROUP grids or _CHUNK points a time.
+# The search (_search) widens every |z| by _SLACK sum |H|, splits a cell
+# into _SPLIT cells per axis at most _MAX_LEVELS times and gives a grid up past
+# _FLAT open cells; a ball keeps _BALL_MARGIN of its curvature. _lattice
+# stacks at most _PADDED phasor rows per product.
 _SLACK = 1e-10
-_MAX_LEVELS = 32
-_FLAT = 4096
-_BALL_ORDER = 6
+_SPLIT = 4
+_MAX_LEVELS = 20
+_FLAT = 1024
 _BALL_MARGIN = 0.1
-_GROUP = 16
-_CHUNK = 64
-
-# (u, v, p, q): the coefficient (u, v) of P = z conj(z) sums z_pq conj(z_(u-p)(v-q));
-# _SUMS adds the products into the coefficients, row-major.
-_PRODUCTS = np.array([(u, v, p, q) for u in range(_BALL_ORDER) for v in range(_BALL_ORDER - u)
-                      for p in range(u + 1) for q in range(v + 1)]).T
-_SUMS = (_PRODUCTS[0] * _BALL_ORDER + _PRODUCTS[1] == np.arange(_BALL_ORDER**2)[:, None]).T
-
-# (p, q) of the derivatives z_pq in the search's cell bound.
-_ORDERS = tuple((p, n - p) for n in range(4) for p in range(n, -1, -1))
+_PADDED = 16384
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
@@ -189,7 +179,7 @@ def periodogram_2d(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndar
 
 def _start_cells(points: int) -> int:
     """Cells of the search's start grid on an axis of ``points`` pilots: the
-    smallest power of two at least twice that, or one for a single pilot."""
+    smallest power of two at least four times that, or one for a single pilot."""
     return 1 if points == 1 else 1 << (4 * points - 1).bit_length()
 
 
@@ -205,48 +195,53 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     With the centred indices k, l (``_centred``), z(x) = sum_kl H[k, l]
     exp(j (k theta - l phi)) at x = (theta, phi) and P = |z|^2, which
     ``periodogram_2d`` samples at theta = 2 pi u / fft_n, phi = 2 pi v / fft_m.
+    Distances are s(D) = m . |D| with m = ((rows - 1) / 2, (cols - 1) / 2):
+    along a line x + t D, z is a sum of exp(j w t) with |w| <= s(D).
 
-    *Cell bound.* Let m = ((rows - 1) / 2, (cols - 1) / 2), h a cell's
-    half-widths, c its centre and s(h) = m . h. For d in the cell,
-    f(t) = z(c + t d) is a sum of exp(j w t) with |w| = |k d_theta - l d_phi|
-    <= s(h). Taylor's formula, the triangle inequality and the convexity of
-    |z + d . grad z| in d give |z(c + d)| <= (the largest |z + d . grad z|
-    over the corners) + sum_{p+q=2,3} h_theta^p h_phi^q |z_pq(c)| / (p! q!)
-    + sup |f''''| / 24 (``_taylor``), where sup |f''''| is at most
-    sum |H| (|k| h_theta + |l| h_phi)^4 and, f being entire of exponential
-    type s(h) with values of z, at most s(h)^4 M for any M >= sup |z|
-    (Bernstein's inequality, Boas, Entire Functions, 1954, Thm 11.1.2).
+    *Cell test.* Let M = sup |z|, reached at x0. Along a line from x0,
+    r(t) = Re(exp(-j arg z(x0)) z(x0 + t D)) is real, entire of exponential
+    type s(D), at most M on the real line and r(0) = M, so
+    r'^2 + s(D)^2 r^2 <= s(D)^2 M^2 (Duffin and Schaeffer, 1937; Boas,
+    Entire Functions, 1954, Sec. 11.4) and r(t) >= M cos(s(D) t) while
+    s(D) |t| <= pi / 2. So the centre c of a cell of half-widths h that holds
+    x0 has |z(c)| >= M cos(s(h)) >= |z(p)| cos(s(h)) for any point p, if
+    s(h) <= pi / 2: a cell below that cannot hold x0. M is at most the largest
+    |z(c)| / cos(s(h)) of the cells that pass.
 
-    *Search* (README, "Peak search"). |z| <= sum_l |S(theta, l)|, S the delay
-    transform, bounds the start grid's rows (``_start_cells``), and
-    sum_l |l|^q |S_p| >= |z_pq| their cells; the cells left get their z_pq.
-    M is the largest bound of a dropped row or a cell, later of the open
-    cells. Newton's method (``_newton``) from the best sample gives the
-    best point p*; a cell whose bound reaches |z(p*)| is halved until none
-    is left, and a child above |z(p*)| restarts Newton.
+    *Ball.* At a point q let g = max_i |P_i| / m_i, kappa = min over
+    s(D) = 1 of -D^T (Hessian of P) D and c3 = max over p + q = 3 of
+    |P_pq| / (m_theta^p m_phi^q) (``_curvature``). Along a line,
+    P - M^2 / 2 is entire of type 2 s(D) and at most M^2 / 2 in modulus, so
+    its fourth derivative is at most 8 s(D)^4 M^2 (Bernstein's inequality,
+    Boas Thm 11.1.2), and with s = s(D), P(q + D) <= P(q) + g s
+    - kappa s^2 / 2 + c3 s^3 / 6 + M^2 s^4 / 3. Within the ball where
+    c3 s / 6 + M^2 s^2 / 3 <= (1 - b) kappa / 2, b = ``_BALL_MARGIN``, that is
+    at most P(q) + g^2 / (2 b kappa); a ball counts where that is within
+    2 delta |z(q)| of P(q), so no point of a cell inside it is higher by more.
 
-    *Ball.* Around p* no cell falls below |z(p*)|; with s(D) = m . |D| and
-    N = ``_BALL_ORDER``, P(p* + D) <= P(p*) + g s - kappa s^2 / 2 +
-    sum_{n=3}^{N-1} c_n s^n / n! + T s^N / N!, where g = max_i |P_i| / m_i,
-    kappa = min over s(D) = 1 of -D^T (Hessian of P) D, c_n = max over
-    p + q = n of |P_pq| / (m_theta^p m_phi^q), and T = sum_n C(N, n) w_n
-    w_(N-n) bounds the N-th derivative of P = z conj(z) along a unit-s D
-    (Leibniz) by w_0 = M, w_n = min(M, max_i sum |H| |index_i|^n / m_i^n)
-    >= |z^(n)| (Bernstein, or Jensen's inequality term by term). While the
-    terms past the second stay below (1 - b) kappa s^2 / 2, b =
-    ``_BALL_MARGIN``, P <= P(p*) + g^2 / (2 b kappa): such cells close when
-    that is within the rounding slack (``_ball``).
+    *Search* (README, "Peak search"). FFTs sample the start grid's cells
+    (``_start_cells``, so s(h) < pi / 4): the delay rows, then, since
+    |z| <= sum_l |S(theta, l)|, the Doppler transform of only the rows whose
+    bound reaches cos(s(h)) times the best sample of the highest-bound row. Newton's method
+    (``_newton``) from the best sample gives the best point p* and a ball.
+    Then every cell that passes the cell test against |z(p*)| and lies in no
+    ball splits into ``_SPLIT`` cells per axis, evaluated by direct DFTs
+    (``_lattice``); before that, the best such cell of each grid past the
+    first level starts Newton again. Each Newton point adds a ball and
+    becomes p* where higher. When no cell is left, P(p*) is the maximum
+    within 2 delta |z(p*)|.
 
     *Rounding.* Sums of n terms are within n u sum|H| of exact (Higham,
-    2002, Sec. 3.1 and 24.1), under 1e-11 sum|H| here; bounds are widened by
-    delta = ``_SLACK`` sum|H| and a cell drops below |z(p*)| + 4 delta, so
-    the returned |z| is within 6 delta of the maximum (closer maxima tie).
+    2002, Sec. 3.1 and 24.1), under 1e-11 sum|H| here: every |z| is widened
+    by delta = ``_SLACK`` sum|H|, and a point must beat |z(p*)| by 2 delta to
+    replace it.
 
-    Non-finite, all-zero, 1 x 1 and flat grids (more open cells than
-    ``_FLAT`` and the start grid, as for a lone pilot) stay at (0, 0).
-    Returns the maxima
-    (trials, 2) in [0, 2 pi), the flags of Newton maxima and the count of
-    cells kept per trial.
+    Non-finite, all-zero and 1 x 1 grids stay at (0, 0). A grid that keeps
+    more than ``_FLAT`` cells (a flat one, as for a lone pilot, or one whose
+    maxima form a ridge) or any after ``_MAX_LEVELS`` splits keeps the best
+    point found: the first sample within rounding of the largest if nothing
+    rose above it. Returns the points (trials, 2) in [0, 2 pi), the flags of
+    certified Newton maxima and the count of cells split per trial.
     """
     trials, rows, cols = pilot_grids.shape
     pos, found, kept = np.zeros((trials, 2)), np.zeros(trials, bool), np.zeros(trials, int)
@@ -254,126 +249,125 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     live = np.flatnonzero(np.isfinite(total) & (total > 0.0) & (rows * cols > 1))
     if not live.size:
         return pos, found, kept
-    grids, slack = pilot_grids[live], _SLACK * total[live]
+    grids, slack, n = pilot_grids[live], _SLACK * total[live], live.size
     k, l = _centred(rows, cols)
     extent = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
     cells = np.array([_start_cells(rows), _start_cells(cols)])
     half = np.pi / cells
-    powers = np.arange(_BALL_ORDER + 1)
-    # l1[t, p, q] = sum |H| |k|^p |l|^q
-    l1 = np.abs(k) ** powers[:, None] @ np.abs(grids) @ np.abs(l)[:, None] ** powers
 
     stage = _padded_fft(np.swapaxes(grids, -1, -2), cells[0], True)
-    row_bound = np.abs(stage).sum(axis=1) + (half[0] * l1[:, 1, 0] + slack)[:, None]
-    first = _padded_fft(stage[np.arange(live.size), :, row_bound.argmax(axis=1)], cells[1], False)
-    floor = (np.abs(first).max(axis=1) - 2 * slack)[:, None]
-    kept_rows = ~(row_bound < floor)
-    # where that keeps many rows, bound them to second order: one more delay FFT
-    busy = np.flatnonzero(kept_rows.sum(axis=1) > cells[0] // 8)
-    if busy.size:
-        slope = _padded_fft(np.swapaxes(grids[busy] * k[:, None], -1, -2), cells[0], True)
-        row_bound[busy] = (np.abs(stage[busy]).sum(axis=1) + half[0] * np.abs(slope).sum(axis=1)
-                           + (half[0] ** 2 / 2 * l1[busy, 2, 0] + slack[busy])[:, None])
-        kept_rows[busy] = ~(row_bound[busy] < floor[busy])
-    t, i = np.nonzero(kept_rows)
-    delay = _delay_rows(grids, t, i * (2 * np.pi / cells[0]), k)
-    amps = np.abs(_padded_fft(delay[:, 0], cells[1], False))
-    # per row, the most the Taylor part adds to |z| on its cells: sum_l |l|^q |S_p| >= |z_pq|
-    p, q = (np.array(order[1:]) for order in zip(*_ORDERS))
-    excess = (np.abs(delay[:, p]) * np.abs(l) ** q[:, None]).sum(axis=-1) @ _terms(half)
-    cheap = amps + (excess + slack[t])[:, None]
-    sup = np.where(kept_rows, -np.inf, row_bound).max(axis=1)
-    np.maximum.at(sup, t, cheap.max(axis=1) + _remainder(l1, extent, half, np.inf)[t])
+    row_bound = np.abs(stage).sum(axis=1) + slack[:, None]
+    first = np.abs(_padded_fft(stage[np.arange(n), :, row_bound.argmax(axis=1)], cells[1], False))
+    floor = (first.max(axis=1) - slack) * math.cos(extent @ half)
+    t, i = np.nonzero(~(row_bound < floor[:, None]))
+    amps = np.abs(_padded_fft(stage[t, :, i], cells[1], False))
+    # Newton from the first sample within rounding of the largest, row-major
+    top = np.zeros(n)
+    np.maximum.at(top, t, amps.max(axis=1))
+    near = amps >= (top - 2 * slack)[t][:, None]
+    candidates = np.flatnonzero(near.any(axis=1))
+    at = candidates[np.unique(t[candidates], return_index=True)[1]]
+    start = np.column_stack([i[at], near[at].argmax(axis=1)])
 
-    maxima, newton, peak = np.zeros((live.size, 2)), np.zeros(live.size, bool), np.zeros(live.size)
-    ball = np.zeros((live.size, _BALL_ORDER - 1))
+    best, peak, newton = np.zeros((n, 2)), np.full(n, -np.inf), np.zeros(n, bool)
+    balls, kappas, thirds = np.zeros((n, 0, 2)), np.zeros((n, 0)), np.zeros((n, 0))
+    far_gap = 2 * (extent @ half)
 
     def climb(up, points, heights):
-        # Newton from points of heights |z| on the grids up: the best point so far
-        # becomes the Newton point, or the start where that is higher, with its ball
-        sub = grids if up.size == len(grids) else grids[up]
-        moved, converged = _newton(sub, points, 2 * half)
-        height, reach = _ball(sub, moved, converged, sup[up], l1[up], extent, slack[up])
+        # Newton from points of heights |z| on the grids up: a ball where it
+        # converged, and the new best point where higher
+        nonlocal balls, kappas, thirds
+        sub = grids if up.size == n else grids[up]
+        moved, converged = _newton(sub, points, 2 * np.pi / cells)
+        m = _moments(sub, moved, k, l, 4)
+        height = np.abs(m[:, 0, 0])
         better = height >= heights - 2 * slack[up]
-        maxima[up] = np.where(better[:, None], moved, points)
-        newton[up], peak[up] = converged & better, np.where(better, height, heights)
-        ball[up] = np.where(better[:, None], reach, -1.0)
+        kappa, third = _curvature(m, extent, slack[up])
+        kappa = np.where(converged & better, kappa, -1.0)
+        balls = np.concatenate([balls, np.zeros((n, 1, 2))], axis=1)
+        kappas = np.concatenate([kappas, np.full((n, 1), -1.0)], axis=1)
+        thirds = np.concatenate([thirds, np.zeros((n, 1))], axis=1)
+        balls[up, -1], kappas[up, -1], thirds[up, -1] = moved, kappa, third
+        height, point = np.where(better, height, heights), np.where(better[:, None], moved, points)
+        rise = height > peak[up] + 2 * slack[up]
+        best[up[rise]], peak[up[rise]], newton[up[rise]] = point[rise], height[rise], kappa[rise] > 0
 
-    best = amps.argmax(axis=1)
-    _, at = _best_per_trial(t, amps[np.arange(t.size), best])
-    climb(np.arange(live.size), np.column_stack([i[at], best[at]]) * (2 * np.pi / cells),
-          amps[at, best[at]])
+    def passing(owner, centre, values, offsets):
+        # the cells around centre + offsets of |z| values (n, offsets...) that pass
+        # the cell test against the best point
+        floor = (peak - slack) * math.cos(extent @ half)
+        p, a, b = np.nonzero(~(values + slack[owner][:, None, None] < floor[owner][:, None, None]))
+        return owner[p], centre[p] + np.column_stack([offsets[0][a], offsets[1][b]]), values[p, a, b]
 
-    # the open cells: grid, centre index * unit (the half-widths) and Taylor part; a
-    # row with many cells left gets z_pq on all of them from FFTs, the others by cell
-    open_cells = ~(cheap + _remainder(l1, extent, half, sup)[t][:, None]
-                   < (peak + 4 * slack)[t][:, None])
-    dense = open_cells.sum(axis=1) > cells[1] // 8
-    row, j = np.nonzero(open_cells & ~dense[:, None])
-    owner, index = t[row], 2 * np.column_stack([i[row], j])
-    tay = _taylor(_cell_values(grids, owner, index, half, k, l), half)
-    if dense.any():
-        row, j = np.nonzero(np.ones((dense.sum(), cells[1]), bool))
-        owner = np.r_[owner, t[dense][row]]
-        index = np.r_[index, 2 * np.column_stack([i[dense][row], j])]
-        tay = np.r_[tay, _taylor(_row_values(delay[dense], l, cells[1]), half).ravel()]
-        order = np.argsort(owner, kind="stable")
-        owner, index, tay = owner[order], index[order], tay[order]
-    unit, split, counts = half, [(-1, 1) if e else (0,) for e in extent], 0
+    climb(np.arange(n), start * (2 * np.pi / cells), amps[at, start[:, 1]])
+    owner, centre, values = passing(t, np.column_stack([i, 0 * i]) * (2 * np.pi / cells),
+                                    amps[:, None], (np.zeros(1), np.arange(cells[1]) * 2 * half[1]))
+    sup, split, split_cells = np.full(n, np.inf), np.where(extent > 0, _SPLIT, 1), np.zeros(n, int)
     for level in range(_MAX_LEVELS + 1):
-        # the bounds, with M lowered to the largest of them
-        bound = tay + (_remainder(l1, extent, unit, sup) + slack)[owner]
-        np.maximum.at(sup := peak + 6 * slack, owner, bound)
-        bound = tay + (_remainder(l1, extent, unit, sup) + slack)[owner]
-        gap = np.abs((index * unit - maxima[owner] + np.pi) % (2 * np.pi) - np.pi)
-        gap = (gap + unit) @ extent
-        rise = (ball[owner, 1:] * gap[:, None] ** np.arange(1, _BALL_ORDER - 1)).sum(axis=1)
-        alive = ~(bound < (peak + 4 * slack)[owner]) & ~(rise <= ball[owner, 0])
-        owner, index = owner[alive], index[alive]
-        # a grid with more open cells than _FLAT and the start grid's is flat
-        # (a lone pilot, say): it stays at (0, 0)
-        flat = np.bincount(owner, minlength=live.size) > max(cells.prod(), _FLAT)
-        counts = counts + np.bincount(owner, minlength=live.size)
-        maxima[flat], newton[flat] = 0.0, False
-        owner, index = owner[~flat[owner]], index[~flat[owner]]
-        if not owner.size or level == _MAX_LEVELS:
+        bound = peak + slack
+        np.maximum.at(bound, owner, (values + slack[owner]) / math.cos(extent @ half))
+        sup = np.minimum(sup, bound)
+        # the ball: M^2 s^2 / 3 + c3 s / 6 <= (1 - b) kappa / 2
+        quad, lin = sup[:, None] ** 2 / 3, thirds / 6
+        root = np.sqrt(lin**2 + 2 * quad * (1 - _BALL_MARGIN) * np.maximum(kappas, 0.0))
+        radius = np.where(kappas > 0, (root - lin) / (2 * quad), -1.0)
+        gap = np.abs((centre[:, None] - balls[owner] + np.pi) % (2 * np.pi) - np.pi) @ extent
+        counts = np.bincount(owner, minlength=n)
+        stop = (counts > _FLAT) | ((counts > 0) & (level == _MAX_LEVELS))
+        newton[stop] = False
+        open_ = ~stop[owner] & ~(gap + extent @ half <= radius[owner]).any(axis=1)
+        owner, centre, values = owner[open_], centre[open_], values[open_]
+        split_cells += np.bincount(owner, minlength=n)
+        if not owner.size:
             break
-        unit = np.where(extent > 0, unit / 2, unit)
-        index = np.stack(np.broadcast_arrays(
-            2 * index[:, :1, None] + np.array(split[0])[:, None],
-            2 * index[:, 1:, None] + np.array(split[1])), axis=-1).reshape(-1, 2)
-        owner = np.repeat(owner, len(split[0]) * len(split[1]))
-        values = _cell_values(grids, owner, index, unit, k, l)
-        up, at = _best_per_trial(owner, np.abs(values[:, 0]))
-        rise = np.abs(values[at, 0]) > peak[up]
+        # the best cell of a grid that is far from all its balls, or of one
+        # without any, starts Newton
+        far = (gap[open_] > far_gap).all(axis=1)
+        if level and far.any():
+            up, at = _best_per_trial(owner[far], values[far])
+            climb(up, centre[far][at], values[far][at])
+        offsets = [(2 * np.arange(size) - size + 1) * (h / size) for size, h in zip(split, half)]
+        half = half / split
+        owner, centre, values = passing(
+            owner, centre, np.abs(_lattice(grids, owner, centre, offsets, k, l)), offsets)
+        rise = values > (peak + 2 * slack)[owner]
         if rise.any():
-            climb(up[rise], index[at[rise]] * unit, np.abs(values[at[rise], 0]))
-        tay = _taylor(values, unit)
-    pos[live], found[live], kept[live] = maxima % (2 * np.pi), newton, counts
+            up, at = _best_per_trial(owner[rise], values[rise])
+            climb(up, centre[rise][at], values[rise][at])
+    pos[live], found[live], kept[live] = best % (2 * np.pi), newton, split_cells
     return pos, found, kept
 
 
-def _taylor(values: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """The Taylor part of the cell bound from z_pq (..., 10) in ``_ORDERS`` at
-    the centres of cells of half-widths ``half``: the largest |z + d . grad z|
-    over the corners d, plus the moduli of the second- and third-order terms."""
-    corners = values[..., :3] @ np.array([[1.0] * 4, [-half[0], -half[0], half[0], half[0]],
-                                          [-half[1], half[1], -half[1], half[1]]])
-    return np.abs(corners).max(axis=-1) + np.abs(values[..., 3:]) @ _terms(half)[2:]
+def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
+    """kappa and c3 of the balls (see ``_search``) at points of moments m
+    (n, 4, 4) (``_moments``); kappa is -1 where the Hessian or the gradient
+    rules a ball out."""
+    scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
+    # z_ab = j^a (-j)^b m_ab, and by Leibniz the derivatives of P = z conj(z),
+    # scaled to unit s: P_pq / (m_theta^p m_phi^q)
+    z = m * (1j ** np.arange(4))[:, None] * (-1j) ** np.arange(4)
 
+    def power(p, q):
+        return sum(math.comb(p, a) * math.comb(q, b) * z[:, a, b] * z[:, p - a, q - b].conj()
+                   for a in range(p + 1) for b in range(q + 1)).real * (scale[0] ** p
+                                                                        * scale[1] ** q)
 
-def _terms(half: np.ndarray) -> np.ndarray:
-    """h_theta^p h_phi^q / (p! q!) for the (p, q) of ``_ORDERS`` but (0, 0)."""
-    return np.array([half[0] ** p * half[1] ** q / (math.factorial(p) * math.factorial(q))
-                     for p, q in _ORDERS[1:]])
-
-
-def _remainder(l1: np.ndarray, extent: np.ndarray, half: np.ndarray, sup) -> np.ndarray:
-    """The cell bound's fourth-order term at half-widths ``half``, per grid: the
-    smaller of sum |H| (|k| h_theta + |l| h_phi)^4 and s(h)^4 sup, over 24."""
-    term = sum(math.comb(4, p) * half[0] ** p * half[1] ** (4 - p) * l1[:, p, 4 - p]
-               for p in range(5))
-    return np.minimum(term, (half @ extent) ** 4 * sup) / 24.0
+    g = np.maximum(np.abs(power(1, 0)), np.abs(power(0, 1)))
+    a, b, c = -power(2, 0), -power(1, 1), -power(0, 2)
+    kappa = a if not extent[1] else c if not extent[0] else np.minimum(a, c)
+    if extent.all():
+        # the minimum of a y0^2 + 2 b y0 y1 + c y1^2 over the edges of |y0| + |y1| = 1
+        for side in (b, -b):
+            lead = a - 2 * side + c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                edge = (c - side) / lead
+            kappa = np.where((lead > 0) & (edge > 0) & (edge < 1),
+                             np.minimum(kappa, c - (c - side) * edge), kappa)
+    # the third derivative along a unit-s line, sum_p C(3, p) P_p(3-p) y0^p
+    # y1^(3-p) with |y0| + |y1| = 1, is at most the largest |P_p(3-p)|
+    third = np.max([np.abs(power(p, 3 - p)) for p in range(4)], axis=0)
+    certain = (kappa > 0) & (g * g <= 4 * _BALL_MARGIN * kappa * slack * np.abs(m[:, 0, 0]))
+    return np.where(certain, kappa, -1.0), third
 
 
 def _best_per_trial(owner: np.ndarray, values: np.ndarray) -> tuple:
@@ -384,91 +378,40 @@ def _best_per_trial(owner: np.ndarray, values: np.ndarray) -> tuple:
     return trials, order[first]
 
 
-def _delay_rows(pilot_grids: np.ndarray, owner: np.ndarray, theta: np.ndarray, k) -> np.ndarray:
-    """S_p(theta, l) = sum_k k^p H[k, l] exp(j k theta), p <= 3, of the grids
-    ``owner`` (ascending): shape (n, 4, cols), one matrix product per grid."""
-    left = _phasors(theta, k)[:, None, :] * k ** np.arange(4)[:, None]
-    rows = np.empty(left.shape[:2] + pilot_grids.shape[-1:], complex)
-    edges = np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows[lo:hi] = _small_matmul(left[lo:hi].reshape(-1, k.size),
-                                    pilot_grids[owner[lo]]).reshape(hi - lo, 4, -1)
-    return rows
-
-
-def _row_values(delay: np.ndarray, l, cells: int) -> np.ndarray:
-    """z_pq in ``_ORDERS`` on the ``cells``-point Doppler grid of delay rows
-    S_p (n, 4, cols) (``_delay_rows``): shape (n, cells, 10), an FFT per row
-    and (p, q)."""
-    p, q = (np.array(order) for order in zip(*_ORDERS))
-    spectra = _padded_fft(delay[:, p] * l ** q[:, None], cells, False)
-    return np.moveaxis(spectra, 1, -1) * ((1j) ** p * (-1j) ** q)
-
-
-def _cell_values(pilot_grids: np.ndarray, owner: np.ndarray, index: np.ndarray,
-                 unit: np.ndarray, k, l) -> np.ndarray:
-    """z_pq in ``_ORDERS`` at the points ``index * unit`` (n, 2) of the grids
-    ``owner`` (ascending), by direct DFTs, ``_GROUP`` grids at a time: the
-    delay rows of each grid's distinct thetas, Doppler-transformed at its
-    distinct phis when that product is dense, else at each point's phi."""
-    values = np.empty((len(index), 4, 4), complex)
-    if not len(index):
-        return values.reshape(0, 16)[:, :len(_ORDERS)]
-    (grid_a, theta, row), (grid_b, phi, col) = (_distinct(owner, index[:, n]) for n in range(2))
-    left = _phasors(theta * unit[0], k)[:, None, :] * k ** np.arange(4)[:, None]
-    right = _phasors(-phi * unit[1], l)[:, None, :] * l ** np.arange(4)[:, None]
-    edges = np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
-    grids = owner[edges[:-1]]
-    a0, a1, b0, b1 = (np.searchsorted(grid, grids, side)
-                      for grid in (grid_a, grid_b) for side in ("left", "right"))
-    for first in range(0, grids.size, _GROUP):
-        part = slice(first, first + _GROUP)
-        lo, hi = edges[first], edges[min(first + _GROUP, grids.size)]
-        size = np.array([a1[part] - a0[part], b1[part] - b0[part]])
-        if size.shape[1] * size[0].max() * size[1].max() <= 4 * (hi - lo):
-            # dense: one product over the group, its thetas and phis padded alike
-            slots = []
-            for start, count, table in ((a0[part], size[0], left), (b0[part], size[1], right)):
-                padded = np.zeros((count.size, count.max()) + table.shape[1:], complex)
-                pairs = slice(start[0], start[-1] + count[-1])
-                padded[np.repeat(np.arange(count.size), count),
-                       np.arange(pairs.start, pairs.stop) - np.repeat(start, count)] = table[pairs]
-                slots.append(padded.reshape(count.size, -1, table.shape[-1]))
-            both = (np.matmul(slots[0], pilot_grids[grids[part]]) @ slots[1].swapaxes(1, 2)
-                    ).reshape(size.shape[1], size[0].max(), 4, size[1].max(), 4)
-            at = np.repeat(np.arange(size.shape[1]), np.diff(edges[first:first + _GROUP + 1]))
-            values[lo:hi] = both[at, row[lo:hi] - a0[part][at], :, col[lo:hi] - b0[part][at]]
-            continue
-        for start, stop, g0, g1 in zip(edges[part], edges[first + 1:first + _GROUP + 1],
-                                       a0[part], a1[part]):
-            rows = _small_matmul(left[g0:g1].reshape(-1, k.size),
-                                 pilot_grids[owner[start]]).reshape(g1 - g0, 4, -1)
-            for lo in range(start, stop, _CHUNK):
-                hi = min(lo + _CHUNK, stop)
-                values[lo:hi] = np.matmul(rows[row[lo:hi] - g0], right[col[lo:hi]].swapaxes(1, 2))
-    p, q = (np.array(order) for order in zip(*_ORDERS))
-    return values[:, p, q] * ((1j) ** p * (-1j) ** q)
-
-
-def _distinct(owner: np.ndarray, values: np.ndarray) -> tuple:
-    """The distinct (owner, value) pairs, sorted, as (owners, values), and the
-    pair of each input."""
-    order = np.lexsort((values, owner))
-    fresh = np.r_[True, (np.diff(owner[order]) != 0) | (np.diff(values[order]) != 0)]
-    pair = np.empty(len(values), int)
-    pair[order] = np.cumsum(fresh) - 1
-    return owner[order][fresh], values[order][fresh], pair
+def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, offsets: list,
+             k, l) -> np.ndarray:
+    """z at ``centre`` (n, 2) plus the lattice of ``offsets`` (an array per
+    axis) on the grids ``owner`` (ascending): shape (n, theta offsets, phi
+    offsets). The delay rows come from a product per grid, the grids' phasor
+    rows padded into stacks of at most ``_PADDED`` rows, and one more product
+    takes them along the Doppler axis."""
+    grids, first, counts = np.unique(owner, return_index=True, return_counts=True)
+    slot, at = np.arange(owner.size) - np.repeat(first, counts), np.repeat(np.arange(grids.size), counts)
+    left = np.zeros((grids.size, counts.max(), offsets[0].size, k.size), complex)
+    left[at, slot] = _phasors(centre[:, 0], k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
+    left = left.reshape(grids.size, -1, k.size)
+    step = max(1, _PADDED // left.shape[1])
+    delay = np.concatenate([_small_matmul(left[lo:lo + step], pilot_grids[grids[lo:lo + step]])
+                            for lo in range(0, grids.size, step)])
+    delay = delay.reshape(grids.size, counts.max(), offsets[0].size, l.size)[at, slot]
+    delay *= _phasors(-centre[:, 1], l)[:, None, :]
+    return _small_matmul(delay.reshape(-1, l.size), np.exp(-1j * np.outer(l, offsets[1]))
+                         ).reshape(owner.size, offsets[0].size, -1)
 
 
 def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ right``, stacks included, a block of columns of ``right`` at a
-    time: each block's product is small enough (``_BLAS_MNK`` multiply-adds per
-    matrix) that OpenBLAS runs it on one thread."""
-    step = max(1, _BLAS_MNK // (left.shape[-2] * left.shape[-1]))
-    if step >= right.shape[-1]:
+    """``left @ right``, stacks included, a block of rows of ``left`` at a time:
+    each block's product is small enough (``_BLAS_MNK`` multiply-adds per
+    matrix) that OpenBLAS runs it on one thread. The blocks are one stack."""
+    rows, inner = left.shape[-2:]
+    step = max(1, _BLAS_MNK // (inner * right.shape[-1]))
+    if step >= rows:
         return left @ right
-    return np.concatenate([left @ right[..., start:start + step]
-                           for start in range(0, right.shape[-1], step)], axis=-1)
+    blocks = -(-rows // step)
+    padded = np.zeros(left.shape[:-2] + (blocks * step, inner), complex)
+    padded[..., :rows, :] = left
+    out = padded.reshape(left.shape[:-2] + (blocks, step, inner)) @ right[..., None, :, :]
+    return out.reshape(left.shape[:-2] + (blocks * step, -1))[..., :rows, :]
 
 
 def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray) -> tuple:
@@ -511,46 +454,6 @@ def _phasors(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
     table[:, 0] = np.exp(1j * angles * index[0])
     table[:, 1:] = np.exp(1j * angles)[:, None]
     return np.cumprod(table, axis=1, out=table)
-
-
-def _ball(pilot_grids: np.ndarray, pos: np.ndarray, newton: np.ndarray, sup: np.ndarray,
-          l1: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
-    """|z| at ``pos`` and the radius s_hi of its ball (see ``_search``), 0
-    unless ``newton`` and the excess over P(pos) is within the slack."""
-    order, (u, v, p, q) = _BALL_ORDER, _PRODUCTS
-    m = _moments(pilot_grids, pos, *_centred(*pilot_grids.shape[-2:]), order)
-    # Taylor coefficients of z, then of P = z conj(z), their product, to order - 1
-    fact = np.array([math.factorial(n) for n in range(order + 1)], float)
-    degree = np.add.outer(np.arange(order), np.arange(order))
-    taylor = m * ((1j) ** np.arange(order)[:, None] * (-1j) ** np.arange(order)
-                  / np.outer(fact[:order], fact[:order]))
-    products = (taylor[:, p, q] * taylor[:, u - p, v - q].conj()).real
-    power = (products @ _SUMS).reshape(m.shape) * np.outer(fact[:order], fact[:order])
-    scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
-    weight = scale[0] ** np.arange(order)[:, None] * scale[1] ** np.arange(order)
-    g = np.maximum(abs(power[:, 1, 0]) * scale[0], abs(power[:, 0, 1]) * scale[1])
-    a, b, c = (-power[:, p_, q_] * weight[p_, q_] for p_, q_ in ((2, 0), (1, 1), (0, 2)))
-    kappa = a if not extent[1] else c if not extent[0] else np.minimum(a, c)
-    if extent.all():
-        # the minimum of a y0^2 + 2 b y0 y1 + c y1^2 over the edges of |y0| + |y1| = 1
-        for side in (b, -b):
-            lead = a - 2 * side + c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                edge = (c - side) / lead
-            kappa = np.where((lead > 0) & (edge > 0) & (edge < 1),
-                             np.minimum(kappa, c - (c - side) * edge), kappa)
-    # the terms of orders 3 .. order - 1 over s^n / n!, then the remainder's
-    n = np.arange(order + 1)
-    w = np.minimum(sup[:, None], np.maximum(l1[:, n, 0] * scale[0] ** n,
-                                            l1[:, 0, n] * scale[1] ** n))
-    w[:, 0] = sup
-    terms = [np.abs(power * weight)[:, degree == n].max(axis=1) for n in range(3, order)]
-    terms.append((w * w[:, ::-1]) @ [math.comb(order, n) for n in range(order + 1)])
-    peak = np.abs(m[:, 0, 0])
-    certain = newton & (kappa > 0) & (g * g <= 4 * slack * peak * _BALL_MARGIN * kappa)
-    # s is in the ball while sum_n terms_n s^(n - 2) / n! <= (1 - _BALL_MARGIN) kappa / 2
-    return peak, np.column_stack([np.where(certain, (1.0 - _BALL_MARGIN) * kappa / 2, -1.0)]
-                                 + [term / fact[n] for n, term in enumerate(terms, 3)])
 
 
 def _peak_bins(pilot_grids: np.ndarray, pos: np.ndarray, config: PeriodogramConfig) -> tuple:

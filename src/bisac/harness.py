@@ -37,8 +37,8 @@ _TRIAL_STREAM = 0
 _ECRB_STREAM = 1
 
 # A block holds as many trials as fit this many bytes of the search's start
-# delay stage (``_start_cells(K+1)`` x pilot symbols x 16 bytes), and at least
-# one: 20 with 35 x 50 pilots (strides (2, 1)), 102 with 35 x 10 (2, 5).
+# delay stage (its delay cells x pilot symbols x 16 bytes), and at least one:
+# 20 with 35 x 50 pilots (strides (2, 1)), 102 with 35 x 10 (2, 5).
 _BLOCK_BYTES = 2**22
 
 DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))

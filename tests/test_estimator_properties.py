@@ -1,6 +1,6 @@
 """Property tests: the receiver against the dense-surface reference, the
-search's cell bound, its direct DFTs against its FFTs, the peak bins against
-the ``periodogram_2d`` argmax, and the delay stage's scaling."""
+search's cell test, its direct DFTs against FFTs, its ball, the peak bins
+against the ``periodogram_2d`` argmax, and the delay stage's scaling."""
 
 import math
 
@@ -25,8 +25,8 @@ from bisac import (  # noqa: E402
     sample_scenario,
 )
 from bisac.estimator import (  # noqa: E402
-    _ORDERS, _SLACK, _cell_values, _centred, _delay_rows, _delay_stage, _padded_fft, _remainder,
-    _taylor,
+    _BALL_MARGIN, _SLACK, _centred, _curvature, _delay_stage, _lattice, _moments, _newton,
+    _start_cells,
 )
 from reference_chain import dense_maximum, reference_estimate  # noqa: E402
 from test_estimator import assert_peak_bins_match_surface  # noqa: E402
@@ -117,62 +117,72 @@ def target_grids(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=target_grids(), log_cell=st.integers(4, 8), data=st.data())
+@given(grid=target_grids(), log_cell=st.integers(0, 3), data=st.data())
 def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
-    # the inequality that makes the search exact: the Taylor part plus the
-    # remainder, at either term of the remainder, bounds |z| at every point of
-    # the cell, here a 9 x 9 lattice over it and its edges (a 1 x 1 grid has
-    # no cells: the search leaves it at (0, 0))
+    # the cell test that drops cells: a cell of half-widths h holding the
+    # maximiser x0 has |z| >= M cos(s(h)) at its centre, wherever x0 lies in it
+    # (s(h) at most pi / 2; a 1 x 1 grid has no cells)
     assume(grid.size > 1)
+    reference = dense_maximum(grid)
+    assume(reference is not None)
+    (x0, *_), (power, *_) = reference
     rows, cols = grid.shape
-    k, l = _centred(rows, cols)
     extent = np.array([(rows - 1) / 2, (cols - 1) / 2])
-    half = np.pi / 2 ** np.array([log_cell, data.draw(st.integers(4, 8))])
-    centre = data.draw(st.integers(0, 2**log_cell - 1)) * 2 * half[0], data.draw(
-        st.floats(0, 2 * np.pi))
-    index = np.array([centre]) / half
-    values = _cell_values(grid[None], np.zeros(1, int), index, half, k, l)
-    mag = np.abs(grid)
-    powers = np.arange(5)
-    l1 = (np.abs(k) ** powers[:, None] @ mag @ np.abs(l)[:, None] ** powers)[None]
-    offsets = np.linspace(-1, 1, 9)
-    lattice = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), -1).reshape(-1, 2)
-    points = centre + lattice * half
-    z = np.abs(np.exp(1j * np.outer(points[:, 0], k)) @ grid
-               @ np.exp(-1j * np.outer(l, points[:, 1]))).diagonal()
-    # an upper bound on sup |z|: an 8-fold padded surface has a sample within
-    # s = pi / 8 of the maximum, and there |z| >= cos(pi / 8) sup |z|
-    sizes = [1 << (8 * n - 1).bit_length() for n in (rows, cols)]
-    sup = np.sqrt(periodogram_2d(grid, PeriodogramConfig(*sizes)).max()) / math.cos(math.pi / 8)
-    for bound_sup in (np.inf, sup):
-        bound = _taylor(values, half)[0] + _remainder(l1, extent, half, np.array([bound_sup]))[0]
-        assert z.max() <= bound * (1 + 1e-12) + 1e-12 * mag.sum()
+    half = np.pi / np.array([_start_cells(rows), _start_cells(cols)]) / 2**log_cell
+    assume(extent @ half <= np.pi / 2)
+    where = np.array([data.draw(st.floats(-1.0, 1.0)) for _ in range(2)])
+    centre = x0 + where * half
+    z = abs(_moments(grid[None], centre[None], *_centred(rows, cols), 1)[0, 0, 0])
+    slack = 2 * _SLACK * np.abs(grid).sum()
+    assert z + slack >= math.sqrt(power) * math.cos(extent @ half)
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=target_grids(), log_fft=st.integers(0, 9), data=st.data())
-def test_dft_rows_lie_within_their_slack_of_the_fft_rows(grid, log_fft, data):
-    # every z_pq on a Doppler grid, from the direct DFTs of the deep search
-    # levels against the delay rows' FFTs of its start, within the slack that
-    # widens every bound
+@given(grid=target_grids(), split=st.integers(1, 5), data=st.data())
+def test_dft_rows_lie_within_their_slack_of_the_fft_rows(grid, split, data):
+    # the direct DFTs of the search's lattices against an FFT of the same
+    # points, within the slack that widens every |z|
     rows, cols = grid.shape
     k, l = _centred(rows, cols)
-    cells = 2 ** max(log_fft, (cols - 1).bit_length())
-    theta = data.draw(st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=3))
-    delay = _delay_rows(grid[None], np.zeros(len(theta), int), np.array(theta), k)
-    p, q = (np.array(order) for order in zip(*_ORDERS))
-    spectra = np.moveaxis(_padded_fft(delay[:, p] * l ** q[:, None], cells, False), 1, -1)
-    fft = spectra * ((1j) ** p * (-1j) ** q)
-    unit = np.array([1.0, 2 * np.pi / cells])
-    index = np.array([(t, j) for t in theta for j in range(cells)])
-    dft = _cell_values(grid[None], np.zeros(len(index), int), index, unit, k, l)
-    # centred Doppler indices: the FFT's run from 0
-    shift = np.exp(1j * index[:, 1] * unit[1] * (cols - 1) / 2)
-    powers = np.arange(4)
-    l1 = np.abs(k) ** powers[:, None] @ np.abs(grid) @ np.abs(l)[:, None] ** powers
-    scale = np.array([l1[p_, q_] for p_, q_ in _ORDERS])
-    assert np.all(np.abs(fft.reshape(-1, len(_ORDERS)) * shift[:, None] - dft)
-                  <= 1e-12 * scale + 1e-300)
+    cells = np.array([_start_cells(rows), _start_cells(cols)]) * split
+    owner = np.zeros(3, int)
+    index = np.array([[data.draw(st.integers(0, size - 1)) for size in cells] for _ in owner])
+    offsets = [np.arange(split) * 2 * np.pi / size for size in cells]
+    values = _lattice(grid[None], owner, index * (2 * np.pi / cells), offsets, k, l)
+    surface = np.fft.fft(np.fft.ifft(grid, cells[0], axis=0, norm="forward"), cells[1], axis=1)
+    # centred indices: the FFT's run from 0
+    spot = (index[:, :, None] + np.arange(split)) % cells[:, None]
+    fft = surface[spot[:, 0, :, None], spot[:, 1, None, :]]
+    assert np.all(np.abs(np.abs(fft) - np.abs(values)) <= _SLACK * np.abs(grid).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=target_grids(), data=st.data())
+def test_ball_bounds_the_periodogram_around_a_newton_point(grid, data):
+    # within the ball's radius of a Newton point q, P <= P(q) + 2 delta |z(q)|,
+    # at random points of it and along its rim
+    assume(grid.size > 1)
+    rows, cols = grid.shape
+    k, l = _centred(rows, cols)
+    (start, *_), _ = dense_maximum(grid) or (np.zeros((1, 2)), None)
+    point, moved = _newton(grid[None], start[None], np.full(2, 0.1))
+    m = _moments(grid[None], point, k, l, 4)
+    extent = np.array([(rows - 1) / 2, (cols - 1) / 2])
+    slack = _SLACK * np.abs(grid).sum()
+    (kappa,), (third,) = _curvature(m, extent, np.array([slack]))
+    assume(moved[0] and kappa > 0)
+    sizes = [1 << (8 * n - 1).bit_length() for n in (rows, cols)]
+    sup = math.sqrt(periodogram_2d(grid, PeriodogramConfig(*sizes)).max()) / math.cos(math.pi / 8)
+    quad, lin = sup**2 / 3, third / 6
+    radius = (math.sqrt(lin**2 + 2 * quad * (1 - _BALL_MARGIN) * kappa) - lin) / (2 * quad)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    y = rng.uniform(-1, 1, (64, 2))
+    y[:32] /= np.abs(y[:32]).sum(axis=1, keepdims=True)
+    y[32:] /= 2
+    steps = np.divide(y * radius, extent, out=np.zeros_like(y), where=extent > 0)
+    z = np.abs(_moments(np.broadcast_to(grid, (64,) + grid.shape), point + steps, k, l, 1))
+    peak = abs(m[0, 0, 0])
+    assert np.all(z[:, 0, 0] ** 2 <= peak**2 + 2 * slack * peak + 4 * slack**2)
 
 
 @settings(max_examples=40, deadline=None)

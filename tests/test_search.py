@@ -139,3 +139,15 @@ def test_high_snr_certifies_with_few_cells(strides):
         sweep_config(256, strides=strides), [(0, 0, 20)])])
     _, newton, kept = _search(grids_)
     assert newton.all() and kept.max() <= 64
+
+
+def test_ridge_keeps_the_best_point_found():
+    # two entries on a diagonal: P depends on 7 theta - 7 phi alone, so its
+    # maxima form lines and no ball closes; the search gives up, unflagged as a
+    # Newton maximum, at a point on the ridge rather than at (0, 0)
+    grid = np.zeros((35, 50), complex)
+    grid[3, 4], grid[10, 11] = 1.0, 0.7j
+    (point,), (newton,), _ = _search(grid[None])
+    assert not newton
+    assert modulus(grid, point) >= 1.7 * (1 - 1e-9)
+    assert modulus(grid, np.zeros(2)) < 1.7 * 0.9
