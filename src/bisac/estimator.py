@@ -177,10 +177,12 @@ def periodogram_2d(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndar
     return spectrum.real**2 + spectrum.imag**2
 
 
-def _start_cells(points: int) -> int:
-    """Cells of the search's start grid on an axis of ``points`` pilots: the
-    smallest power of two at least four times that, or one for a single pilot."""
-    return 1 if points == 1 else 1 << (4 * points - 1).bit_length()
+def _start_cells(rows: int, cols: int) -> np.ndarray:
+    """Cells of the search's start grid per axis: the smallest powers of two at
+    least twice the pilot rows and four times the pilot columns (one for a
+    single pilot)."""
+    return np.array([1 if n == 1 else 1 << (per * n - 1).bit_length()
+                     for n, per in ((rows, 2), (cols, 4))])
 
 
 def _centred(rows: int, cols: int) -> tuple:
@@ -220,7 +222,7 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     2 delta |z(q)| of P(q), so no point of a cell inside it is higher by more.
 
     *Search* (README, "Peak search"). FFTs sample the start grid's cells
-    (``_start_cells``, so s(h) < pi / 4): the delay rows, then, since
+    (``_start_cells``, so s(h) < pi / 4 + pi / 8): the delay rows, then, since
     |z| <= sum_l |S(theta, l)|, the Doppler transform of only the rows whose
     bound reaches cos(s(h)) times the best sample of the highest-bound row. Newton's method
     (``_newton``) from the best sample gives the best point p* and a ball.
@@ -252,7 +254,7 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     grids, slack, n = pilot_grids[live], _SLACK * total[live], live.size
     k, l = _centred(rows, cols)
     extent = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
-    cells = np.array([_start_cells(rows), _start_cells(cols)])
+    cells = _start_cells(rows, cols)
     half = np.pi / cells
 
     stage = _padded_fft(np.swapaxes(grids, -1, -2), cells[0], True)

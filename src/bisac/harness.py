@@ -39,7 +39,7 @@ _ECRB_STREAM = 1
 # A block holds as many trials as fit this many bytes of the search's start
 # delay stage (its delay cells x pilot symbols x 16 bytes), and at least one:
 # 20 with 35 x 50 pilots (strides (2, 1)), 102 with 35 x 10 (2, 5).
-_BLOCK_BYTES = 2**22
+_BLOCK_BYTES = 2**21
 
 DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))
 DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
@@ -248,7 +248,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
     pilot_rows, pilot_cols = (count + 1 for count in config.pattern.periodic_counts())
-    length = max(1, _BLOCK_BYTES // (_start_cells(pilot_rows) * pilot_cols * 16))
+    length = max(1, _BLOCK_BYTES // (_start_cells(pilot_rows, 1)[0] * pilot_cols * 16))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
     blocks = [(config, [run]) for run in runs]

@@ -128,7 +128,7 @@ def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
     (x0, *_), (power, *_) = reference
     rows, cols = grid.shape
     extent = np.array([(rows - 1) / 2, (cols - 1) / 2])
-    half = np.pi / np.array([_start_cells(rows), _start_cells(cols)]) / 2**log_cell
+    half = np.pi / _start_cells(rows, cols) / 2**log_cell
     assume(extent @ half <= np.pi / 2)
     where = np.array([data.draw(st.floats(-1.0, 1.0)) for _ in range(2)])
     centre = x0 + where * half
@@ -144,7 +144,7 @@ def test_dft_rows_lie_within_their_slack_of_the_fft_rows(grid, split, data):
     # points, within the slack that widens every |z|
     rows, cols = grid.shape
     k, l = _centred(rows, cols)
-    cells = np.array([_start_cells(rows), _start_cells(cols)]) * split
+    cells = _start_cells(rows, cols) * split
     owner = np.zeros(3, int)
     index = np.array([[data.draw(st.integers(0, size - 1)) for size in cells] for _ in owner])
     offsets = [np.arange(split) * 2 * np.pi / size for size in cells]
