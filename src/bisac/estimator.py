@@ -197,53 +197,51 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     With the centred indices k, l (``_centred``), z(x) = sum_kl H[k, l]
     exp(j (k theta - l phi)) at x = (theta, phi) and P = |z|^2, which
     ``periodogram_2d`` samples at theta = 2 pi u / fft_n, phi = 2 pi v / fft_m.
-    Distances are s(D) = m . |D| with m = ((rows - 1) / 2, (cols - 1) / 2):
-    along a line x + t D, z is a sum of exp(j w t) with |w| <= s(D).
+    With m = ((rows - 1) / 2, (cols - 1) / 2) and s(D) = m . |D|, z along a
+    line x + t D is a sum of exp(j w t) with |w| <= s(D).
 
-    *Cell test.* Let M = sup |z|, reached at x0. Along a line from x0,
+    *Cell test.* Let M = sup |z| = |z(x0)|. Along a line from x0,
     r(t) = Re(exp(-j arg z(x0)) z(x0 + t D)) is real, entire of exponential
     type s(D), at most M on the real line and r(0) = M, so
     r'^2 + s(D)^2 r^2 <= s(D)^2 M^2 (Duffin and Schaeffer, 1937; Boas,
-    Entire Functions, 1954, Sec. 11.4) and r(t) >= M cos(s(D) t) while
-    s(D) |t| <= pi / 2. So the centre c of a cell of half-widths h that holds
-    x0 has |z(c)| >= M cos(s(h)) >= |z(p)| cos(s(h)) for any point p, if
-    s(h) <= pi / 2: a cell below that cannot hold x0. M is at most the largest
-    |z(c)| / cos(s(h)) of the cells that pass.
+    Entire Functions, 1954, Sec. 11.4): r(t) >= M cos(s(D) t) while
+    s(D) |t| <= pi / 2. The centre c of a cell of half-widths h holding x0 so
+    has |z(c)| >= M cos(s(h)) >= |z(p)| cos(s(h)) for any p, and a cell below
+    that cannot hold x0; M is at most the largest |z(c)| / cos(s(h)) of the
+    cells that pass.
 
     *Ball.* At a point q let g = max_i |P_i| / m_i, kappa = min over
     s(D) = 1 of -D^T (Hessian of P) D and c3 = max over p + q = 3 of
-    |P_pq| / (m_theta^p m_phi^q) (``_curvature``). Along a line,
-    P - M^2 / 2 is entire of type 2 s(D) and at most M^2 / 2 in modulus, so
-    its fourth derivative is at most 8 s(D)^4 M^2 (Bernstein's inequality,
-    Boas Thm 11.1.2), and with s = s(D), P(q + D) <= P(q) + g s
-    - kappa s^2 / 2 + c3 s^3 / 6 + M^2 s^4 / 3. Within the ball where
-    c3 s / 6 + M^2 s^2 / 3 <= (1 - b) kappa / 2, b = ``_BALL_MARGIN``, that is
-    at most P(q) + g^2 / (2 b kappa); a ball counts where that is within
-    2 delta |z(q)| of P(q), so no point of a cell inside it is higher by more.
+    |P_pq| / (m_theta^p m_phi^q) (``_curvature``). Along a line P - M^2 / 2
+    is entire of type 2 s(D) and at most M^2 / 2 in modulus, so its fourth
+    derivative is at most 8 s(D)^4 M^2 (Bernstein's inequality, Boas Thm
+    11.1.2) and, with s = s(D), P(q + D) <= P(q) + g s - kappa s^2 / 2
+    + c3 s^3 / 6 + M^2 s^4 / 3. Where c3 s / 6 + M^2 s^2 / 3 <= (1 - b)
+    kappa / 2, b = ``_BALL_MARGIN``, that is at most P(q) + g^2 / (2 b kappa);
+    a ball counts where that is within 2 delta |z(q)| of P(q).
 
     *Search* (README, "Peak search"). FFTs sample the start grid's cells
-    (``_start_cells``, so s(h) < pi / 4 + pi / 8): the delay rows, then, since
-    |z| <= sum_l |S(theta, l)|, the Doppler transform of only the rows whose
-    bound reaches cos(s(h)) times the best sample of the highest-bound row. Newton's method
-    (``_newton``) from the best sample gives the best point p* and a ball.
-    Then every cell that passes the cell test against |z(p*)| and lies in no
-    ball splits into ``_SPLIT`` cells per axis, evaluated by direct DFTs
-    (``_lattice``); before that, the best such cell of each grid past the
-    first level starts Newton again. Each Newton point adds a ball and
-    becomes p* where higher. When no cell is left, P(p*) is the maximum
-    within 2 delta |z(p*)|.
+    (``_start_cells``, so s(h) < 3 pi / 8): the delay rows, then, as
+    |z| <= sum_l |S(theta, l)|, the Doppler transform of the rows whose bound
+    reaches cos(s(h)) times the best sample of the highest-bound row.
+    Newton's method (``_newton``) from the best sample gives the best point
+    p* and a ball. Then every cell that passes the cell test against |z(p*)|
+    and lies in no ball splits into ``_SPLIT`` per axis, evaluated by direct
+    DFTs (``_lattice``), and from the second level the best such cell of each
+    grid far from all its balls starts Newton again, as does a centre above
+    |z(p*)|: each Newton point adds a ball and becomes p* where higher. When
+    no cell is left, P(p*) is the maximum within 2 delta |z(p*)|.
 
-    *Rounding.* Sums of n terms are within n u sum|H| of exact (Higham,
-    2002, Sec. 3.1 and 24.1), under 1e-11 sum|H| here: every |z| is widened
-    by delta = ``_SLACK`` sum|H|, and a point must beat |z(p*)| by 2 delta to
-    replace it.
+    *Rounding.* Sums of n terms are within n u sum|H| of exact (Higham, 2002,
+    Sec. 3.1), under 1e-11 sum|H| here: every |z| is widened by delta =
+    ``_SLACK`` sum|H|, and a point must beat |z(p*)| by 2 delta.
 
-    Non-finite, all-zero and 1 x 1 grids stay at (0, 0). A grid that keeps
-    more than ``_FLAT`` cells (a flat one, as for a lone pilot, or one whose
-    maxima form a ridge) or any after ``_MAX_LEVELS`` splits keeps the best
-    point found: the first sample within rounding of the largest if nothing
-    rose above it. Returns the points (trials, 2) in [0, 2 pi), the flags of
-    certified Newton maxima and the count of cells split per trial.
+    Non-finite, all-zero and 1 x 1 grids stay at (0, 0). A grid with over
+    ``_FLAT`` open cells (flat, or with maxima on a ridge) or any left after
+    ``_MAX_LEVELS`` splits keeps the best point found (the first sample within
+    rounding of the largest if none rose above it). Returns the points
+    (trials, 2) in [0, 2 pi), the flags of certified Newton maxima and the
+    cells split per trial.
     """
     trials, rows, cols = pilot_grids.shape
     pos, found, kept = np.zeros((trials, 2)), np.zeros(trials, bool), np.zeros(trials, int)
@@ -255,7 +253,7 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     k, l = _centred(rows, cols)
     extent = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
     cells = _start_cells(rows, cols)
-    half = np.pi / cells
+    half, split = np.pi / cells, np.where(extent > 0, _SPLIT, 1)
 
     stage = _padded_fft(np.swapaxes(grids, -1, -2), cells[0], True)
     row_bound = np.abs(stage).sum(axis=1) + slack[:, None]
@@ -267,18 +265,18 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     top = np.zeros(n)
     np.maximum.at(top, t, amps.max(axis=1))
     near = amps >= (top - 2 * slack)[t][:, None]
-    candidates = np.flatnonzero(near.any(axis=1))
-    at = candidates[np.unique(t[candidates], return_index=True)[1]]
+    _, at = _best_per_trial(t, near.any(axis=1) * 1.0)
     start = np.column_stack([i[at], near[at].argmax(axis=1)])
 
     best, peak, newton = np.zeros((n, 2)), np.full(n, -np.inf), np.zeros(n, bool)
-    balls, kappas, thirds = np.zeros((n, 0, 2)), np.zeros((n, 0)), np.zeros((n, 0))
+    # per grid and ball: its centre, kappa (-1 for no ball) and c3
+    balls = np.zeros((n, 0, 4))
     far_gap = 2 * (extent @ half)
 
     def climb(up, points, heights):
         # Newton from points of heights |z| on the grids up: a ball where it
         # converged, and the new best point where higher
-        nonlocal balls, kappas, thirds
+        nonlocal balls
         sub = grids if up.size == n else grids[up]
         moved, converged = _newton(sub, points, 2 * np.pi / cells)
         m = _moments(sub, moved, k, l, 4)
@@ -286,36 +284,35 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         better = height >= heights - 2 * slack[up]
         kappa, third = _curvature(m, extent, slack[up])
         kappa = np.where(converged & better, kappa, -1.0)
-        balls = np.concatenate([balls, np.zeros((n, 1, 2))], axis=1)
-        kappas = np.concatenate([kappas, np.full((n, 1), -1.0)], axis=1)
-        thirds = np.concatenate([thirds, np.zeros((n, 1))], axis=1)
-        balls[up, -1], kappas[up, -1], thirds[up, -1] = moved, kappa, third
+        balls = np.concatenate([balls, np.tile([0.0, 0.0, -1.0, 0.0], (n, 1, 1))], axis=1)
+        balls[up, -1] = np.column_stack([moved, kappa, third])
         height, point = np.where(better, height, heights), np.where(better[:, None], moved, points)
         rise = height > peak[up] + 2 * slack[up]
-        best[up[rise]], peak[up[rise]], newton[up[rise]] = point[rise], height[rise], kappa[rise] > 0
+        best[up[rise]], peak[up[rise]] = point[rise], height[rise]
+        newton[up[rise]] = kappa[rise] > 0
 
     def passing(owner, centre, values, offsets):
         # the cells around centre + offsets of |z| values (n, offsets...) that pass
         # the cell test against the best point
         floor = (peak - slack) * math.cos(extent @ half)
-        p, a, b = np.nonzero(~(values + slack[owner][:, None, None] < floor[owner][:, None, None]))
-        return owner[p], centre[p] + np.column_stack([offsets[0][a], offsets[1][b]]), values[p, a, b]
+        p, a, b = np.nonzero(~(values + (slack - floor)[owner][:, None, None] < 0))
+        shift = np.column_stack([offsets[0][a], offsets[1][b]])
+        return owner[p], centre[p] + shift, values[p, a, b]
 
     climb(np.arange(n), start * (2 * np.pi / cells), amps[at, start[:, 1]])
-    owner, centre, values = passing(t, np.column_stack([i, 0 * i]) * (2 * np.pi / cells),
-                                    amps[:, None], (np.zeros(1), np.arange(cells[1]) * 2 * half[1]))
-    sup, split, split_cells = np.full(n, np.inf), np.where(extent > 0, _SPLIT, 1), np.zeros(n, int)
+    owner, centre, values = passing(t, np.column_stack([i, 0 * i]) * 2 * half, amps[:, None],
+                                    (np.zeros(1), np.arange(cells[1]) * 2 * half[1]))
+    sup, split_cells = np.full(n, np.inf), np.zeros(n, int)
     for level in range(_MAX_LEVELS + 1):
-        bound = peak + slack
-        np.maximum.at(bound, owner, (values + slack[owner]) / math.cos(extent @ half))
-        sup = np.minimum(sup, bound)
+        np.maximum.at(bound := peak.copy(), owner, values)
+        sup = np.minimum(sup, (bound + slack) / math.cos(extent @ half))
         # the ball: M^2 s^2 / 3 + c3 s / 6 <= (1 - b) kappa / 2
-        quad, lin = sup[:, None] ** 2 / 3, thirds / 6
+        quad, lin, kappas = sup[:, None] ** 2 / 3, balls[..., 3] / 6, balls[..., 2]
         root = np.sqrt(lin**2 + 2 * quad * (1 - _BALL_MARGIN) * np.maximum(kappas, 0.0))
         radius = np.where(kappas > 0, (root - lin) / (2 * quad), -1.0)
-        gap = np.abs((centre[:, None] - balls[owner] + np.pi) % (2 * np.pi) - np.pi) @ extent
+        gap = np.abs(np.angle(np.exp(1j * (centre[:, None] - balls[owner, :, :2])))) @ extent
         counts = np.bincount(owner, minlength=n)
-        stop = (counts > _FLAT) | ((counts > 0) & (level == _MAX_LEVELS))
+        stop = (counts > _FLAT) | (counts > 0) & (level == _MAX_LEVELS)
         newton[stop] = False
         open_ = ~stop[owner] & ~(gap + extent @ half <= radius[owner]).any(axis=1)
         owner, centre, values = owner[open_], centre[open_], values[open_]
@@ -341,9 +338,8 @@ def _search(pilot_grids: np.ndarray) -> tuple:
 
 
 def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
-    """kappa and c3 of the balls (see ``_search``) at points of moments m
-    (n, 4, 4) (``_moments``); kappa is -1 where the Hessian or the gradient
-    rules a ball out."""
+    """kappa and c3 of balls (``_search``) at points of moments m (n, 4, 4) of
+    ``_moments``; kappa is -1 where the Hessian or the gradient rules one out."""
     scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
     # z_ab = j^a (-j)^b m_ab, and by Leibniz the derivatives of P = z conj(z),
     # scaled to unit s: P_pq / (m_theta^p m_phi^q)
@@ -356,15 +352,9 @@ def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
 
     g = np.maximum(np.abs(power(1, 0)), np.abs(power(0, 1)))
     a, b, c = -power(2, 0), -power(1, 1), -power(0, 2)
-    kappa = a if not extent[1] else c if not extent[0] else np.minimum(a, c)
-    if extent.all():
-        # the minimum of a y0^2 + 2 b y0 y1 + c y1^2 over the edges of |y0| + |y1| = 1
-        for side in (b, -b):
-            lead = a - 2 * side + c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                edge = (c - side) / lead
-            kappa = np.where((lead > 0) & (edge > 0) & (edge < 1),
-                             np.minimum(kappa, c - (c - side) * edge), kappa)
+    # a y0^2 + 2 b y0 y1 + c y1^2 is at least its smaller eigenvalue times
+    # y0^2 + y1^2 >= 1 / 2 where |y0| + |y1| = 1
+    kappa = a if not extent[1] else c if not extent[0] else (a + c - np.hypot(a - c, 2 * b)) / 4
     # the third derivative along a unit-s line, sum_p C(3, p) P_p(3-p) y0^p
     # y1^(3-p) with |y0| + |y1| = 1, is at most the largest |P_p(3-p)|
     third = np.max([np.abs(power(p, 3 - p)) for p in range(4)], axis=0)
@@ -373,8 +363,7 @@ def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
 
 
 def _best_per_trial(owner: np.ndarray, values: np.ndarray) -> tuple:
-    """The trials in ``owner`` (ascending) and, for each, the index of its
-    largest value (the first on ties)."""
+    """The trials in ``owner`` (ascending) and the index of each one's largest value."""
     order = np.lexsort((-values, owner))
     trials, first = np.unique(owner[order], return_index=True)
     return trials, order[first]
@@ -382,13 +371,13 @@ def _best_per_trial(owner: np.ndarray, values: np.ndarray) -> tuple:
 
 def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, offsets: list,
              k, l) -> np.ndarray:
-    """z at ``centre`` (n, 2) plus the lattice of ``offsets`` (an array per
-    axis) on the grids ``owner`` (ascending): shape (n, theta offsets, phi
-    offsets). The delay rows come from a product per grid, the grids' phasor
-    rows padded into stacks of at most ``_PADDED`` rows, and one more product
-    takes them along the Doppler axis."""
+    """z at ``centre`` (n, 2) plus the lattice of ``offsets`` (an array per axis)
+    on the grids ``owner`` (ascending), (n, theta offsets, phi offsets): a
+    product per grid, padded into stacks of at most ``_PADDED`` phasor rows,
+    gives the delay rows, and one more product their Doppler transforms."""
     grids, first, counts = np.unique(owner, return_index=True, return_counts=True)
-    slot, at = np.arange(owner.size) - np.repeat(first, counts), np.repeat(np.arange(grids.size), counts)
+    slot = np.arange(owner.size) - np.repeat(first, counts)
+    at = np.repeat(np.arange(grids.size), counts)
     left = np.zeros((grids.size, counts.max(), offsets[0].size, k.size), complex)
     left[at, slot] = _phasors(centre[:, 0], k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
     left = left.reshape(grids.size, -1, k.size)
@@ -459,10 +448,9 @@ def _phasors(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _peak_bins(pilot_grids: np.ndarray, pos: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """The peak bins of each maximiser ``pos`` (trials, 2): of the four
-    (fft_n, fft_m) grid points around it, the one of largest P (the first in
-    row-major order on ties within rounding; on NaN), with the offsets in bins
-    from them to the maximiser and P at them."""
+    """The peak bins of each maximiser ``pos`` (trials, 2): of the four (fft_n,
+    fft_m) grid points around it, the one of largest P (the first row-major on
+    ties within rounding), the offsets in bins from them to it and P there."""
     sizes = np.array([config.fft_n, config.fft_m])
     frac = pos * (sizes / (2 * np.pi))
     corner = np.floor(frac)[:, None] + np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
@@ -481,10 +469,8 @@ def _newton_step(m: np.ndarray, on_u: bool, on_v: bool) -> np.ndarray:
     """The Newton steps (du, dv) towards the maximum of log P from the moments
     ``m[t, p, q]`` (trials, 3, 3), NaN where the Hessian of log P is not
     negative definite (P = 0 and NaN moments included); only the axes
-    flagged ``on_u`` and ``on_v`` move. log P has the maximum of P and a wider
-    concave region: for a separable P = f(u) g(v) the Hessian of P is
-    indefinite where f'^2 / (f |f''|) + g'^2 / (g |g''|) > 1, that of log P
-    only where f or g is not log-concave."""
+    flagged ``on_u`` and ``on_v`` move. log P is concave on a wider region
+    around the maximum than P."""
     (z, m01, m02), (m10, m11, _), (m20, _, _) = m.transpose(1, 2, 0)
     # half the gradient and Hessian of P = |z|^2: z_u = j m10, z_v = -j m01,
     # z_uu = -m20, z_vv = -m02, z_uv = m11

@@ -36,9 +36,8 @@ CSV_SCHEMA_VERSION = 1
 _TRIAL_STREAM = 0
 _ECRB_STREAM = 1
 
-# A block holds as many trials as fit this many bytes of the search's start
-# delay stage (its delay cells x pilot symbols x 16 bytes), and at least one:
-# 20 with 35 x 50 pilots (strides (2, 1)), 102 with 35 x 10 (2, 5).
+# A block holds as many trials as fit this many bytes of the search's start delay
+# stage, and at least one: 20 of 35 x 50 pilots (strides (2, 1)), 102 of 35 x 10.
 _BLOCK_BYTES = 2**21
 
 DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))
@@ -190,16 +189,12 @@ def _trial_block(config: ExperimentConfig, runs) -> list:
     """The trials of ``runs``, (snr_idx, start, stop) for trials ``start`` to
     ``stop - 1`` of SNR point ``snr_idx``, as ``simulate_trial`` returns each:
     one estimator pass over all their stacked pilot grids."""
-    truths, grids = [], []
-    for snr_idx, start, stop in runs:
-        seeds = [np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx])
-                 for trial_idx in range(start, stop)]
-        run_truths, symbols, received = simulate_pilots(
-            config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
-            seeds)
-        truths += run_truths
-        grids.append(_ls_divide(received, symbols))
-    grids = np.concatenate(grids)
+    sims = [simulate_pilots(config.ensemble, config.numerology, config.pattern,
+                            config.snr_grid_db[snr_idx],
+                            [np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial])
+                             for trial in range(start, stop)]) for snr_idx, start, stop in runs]
+    truths = [truth for sim in sims for truth in sim[0]]
+    grids = np.concatenate([_ls_divide(received, symbols) for _, symbols, received in sims])
     outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
                                config.ensemble.baseline, [truth.theta for truth in truths])
     return list(zip(truths, grids, outcomes))
@@ -251,18 +246,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     length = max(1, _BLOCK_BYTES // (_start_cells(pilot_rows, 1)[0] * pilot_cols * 16))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
-    blocks = [(config, [run]) for run in runs]
-    # a pool starts all its processes at once, so start no more than there are blocks
-    workers = min(config.workers, len(blocks))
+    # a pool starts all its processes at once, so start no more than there are
+    # blocks; one process packs consecutive runs of min(length, trials) trials
+    # into blocks of up to `length`
+    workers = min(config.workers, len(runs))
+    per = length // min(length, trials) if workers == 1 else 1
+    blocks = [(config, runs[lo:lo + per]) for lo in range(0, len(runs), per)]
     if workers == 1:
-        # one process: consecutive runs share an estimator pass, up to `length` trials
-        groups, size = [[]], 0
-        for run in runs:
-            if groups[-1] and size + run[2] - run[1] > length:
-                groups, size = groups + [[]], 0
-            groups[-1].append(run)
-            size += run[2] - run[1]
-        outcomes = [_block_errors((config, group)) for group in groups]
+        outcomes = list(map(_block_errors, blocks))
     else:
         chunk = max(1, len(blocks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as executor:
