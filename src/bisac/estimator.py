@@ -78,7 +78,7 @@ class EstimationResult:
     that lies within one bin); peak_power: P there; fractional_offsets: from
     them to the maximum, under one bin (zero without interpolation: the bins
     are the estimate). refine_fallback: the maximum is no certified Newton
-    maximum (a zero, non-finite, flat or 1 x 1 grid, or failed Newton steps;
+    maximum (a zero, non-finite, 1 x 1, flat or ridged grid, or failed Newton;
     False without interpolation). An axis of one pilot stays at bin 0.
     beta_clamped flags a degenerate bistatic-angle inversion."""
 
