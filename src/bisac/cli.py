@@ -106,7 +106,8 @@ _FLAGS = {
     "--snr-db": dict(dest="snr_grid_db", type=_parse_snr_grid, metavar="A:B:STEP",
                      help="SNR grid: a:b:step or comma list or single value "
                           "(one value for every subcommand but sweep)"),
-    "--workers": dict(type=_positive_int, help="parallel worker processes"),
+    "--workers": dict(type=_positive_int,
+                      help="processes that run trial blocks, the calling one included"),
     "--profile": dict(choices=sorted(_PROFILES),
                       help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials"),
     "--out": dict(metavar="FILE", help="output path (default stdout)"),

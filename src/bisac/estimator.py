@@ -35,9 +35,10 @@ _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-9
 
 # The search (_search) widens every |z| by _SLACK sum |H|, splits a cell
-# into _SPLIT cells per axis at most _MAX_LEVELS times and gives a grid up past
-# _FLAT open cells; a ball keeps _BALL_MARGIN of its curvature. _lattice
-# stacks at most _PADDED phasor rows per product.
+# into _SPLIT cells per axis at most _MAX_LEVELS times, _FLAT cells at a time,
+# and gives a grid up past _FLAT open cells after a split; a ball keeps
+# _BALL_MARGIN of its curvature. _lattice stacks at most _PADDED phasor rows
+# per product.
 _SLACK = 1e-10
 _SPLIT = 4
 _MAX_LEVELS = 20
@@ -228,18 +229,21 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     p* and a ball. Then every cell that passes the cell test against |z(p*)|
     and lies in no ball splits into ``_SPLIT`` per axis, evaluated by direct
     DFTs (``_lattice``), and from the second level the best such cell of each
-    grid far from all its balls starts Newton again, as does a centre above
-    |z(p*)|: each Newton point adds a ball and becomes p* where higher. When
-    no cell is left, P(p*) is the maximum within 2 delta |z(p*)|.
+    grid farther than twice its own s(h) from all its balls starts Newton
+    again (a maximum that ties with p* never rises above it), as does a
+    centre above |z(p*)|: each Newton point adds a ball and becomes p* where
+    higher. When no cell is left, P(p*) is the maximum within 2 delta |z(p*)|.
 
     *Rounding.* Sums of n terms are within n u sum|H| of exact (Higham, 2002,
     Sec. 3.1), under 1e-11 sum|H| here: every |z| is widened by delta =
     ``_SLACK`` sum|H|, and a point must beat |z(p*)| by 2 delta.
 
     Non-finite, all-zero and 1 x 1 grids stay at (0, 0). A grid with over
-    ``_FLAT`` open cells (flat, or with maxima on a ridge) or any left after
-    ``_MAX_LEVELS`` splits keeps the best point found (the first sample within
-    rounding of the largest if none rose above it). Returns the points
+    half its start cells open or over ``_FLAT`` after a split (flat, or with
+    maxima on a ridge; a noise-dominated grid can open a third of its start
+    cells), or with any left after ``_MAX_LEVELS`` splits, keeps the best
+    point found (the first sample within rounding of the largest if none
+    rose above it). Returns the points
     (trials, 2) in [0, 2 pi), the flags of certified Newton maxima and the
     cells split per trial.
     """
@@ -249,7 +253,8 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     live = np.flatnonzero(np.isfinite(total) & (total > 0.0) & (rows * cols > 1))
     if not live.size:
         return pos, found, kept
-    grids, slack, n = pilot_grids[live], _SLACK * total[live], live.size
+    grids = pilot_grids if live.size == trials else pilot_grids[live]
+    slack, n = _SLACK * total[live], live.size
     k, l = _centred(rows, cols)
     extent = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
     cells = _start_cells(rows, cols)
@@ -267,11 +272,11 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     near = amps >= (top - 2 * slack)[t][:, None]
     _, at = _best_per_trial(t, near.any(axis=1) * 1.0)
     start = np.column_stack([i[at], near[at].argmax(axis=1)])
+    del stage
 
     best, peak, newton = np.zeros((n, 2)), np.full(n, -np.inf), np.zeros(n, bool)
     # per grid and ball: its centre, kappa (-1 for no ball) and c3
     balls = np.zeros((n, 0, 4))
-    far_gap = 2 * (extent @ half)
 
     def climb(up, points, heights):
         # Newton from points of heights |z| on the grids up: a ball where it
@@ -312,23 +317,28 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         radius = np.where(kappas > 0, (root - lin) / (2 * quad), -1.0)
         gap = np.abs(np.angle(np.exp(1j * (centre[:, None] - balls[owner, :, :2])))) @ extent
         counts = np.bincount(owner, minlength=n)
-        stop = (counts > _FLAT) | (counts > 0) & (level == _MAX_LEVELS)
+        cap = max(_FLAT, cells.prod() // 2) if level == 0 else _FLAT
+        stop = (counts > cap) | (counts > 0) & (level == _MAX_LEVELS)
         newton[stop] = False
         open_ = ~stop[owner] & ~(gap + extent @ half <= radius[owner]).any(axis=1)
         owner, centre, values = owner[open_], centre[open_], values[open_]
         split_cells += np.bincount(owner, minlength=n)
         if not owner.size:
             break
-        # the best cell of a grid that is far from all its balls, or of one
-        # without any, starts Newton
-        far = (gap[open_] > far_gap).all(axis=1)
+        # the best cell of a grid farther than twice its size from all its balls,
+        # or of one without any, starts Newton: a maximum that ties with p*
+        # (the mirrored twin of a real grid's, say) never rises above it
+        far = (gap[open_] > 2 * (extent @ half)).all(axis=1)
         if level and far.any():
             up, at = _best_per_trial(owner[far], values[far])
             climb(up, centre[far][at], values[far][at])
         offsets = [(2 * np.arange(size) - size + 1) * (h / size) for size, h in zip(split, half)]
         half = half / split
-        owner, centre, values = passing(
-            owner, centre, np.abs(_lattice(grids, owner, centre, offsets, k, l)), offsets)
+        # _FLAT parents at a time bound the lattices' memory
+        parts = [passing(owner[cut], centre[cut],
+                         np.abs(_lattice(grids, owner[cut], centre[cut], offsets, k, l)), offsets)
+                 for cut in (slice(lo, lo + _FLAT) for lo in range(0, owner.size, _FLAT))]
+        owner, centre, values = (np.concatenate(part) for part in zip(*parts))
         rise = values > (peak + 2 * slack)[owner]
         if rise.any():
             up, at = _best_per_trial(owner[rise], values[rise])
@@ -372,19 +382,23 @@ def _best_per_trial(owner: np.ndarray, values: np.ndarray) -> tuple:
 def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, offsets: list,
              k, l) -> np.ndarray:
     """z at ``centre`` (n, 2) plus the lattice of ``offsets`` (an array per axis)
-    on the grids ``owner`` (ascending), (n, theta offsets, phi offsets): a
-    product per grid, padded into stacks of at most ``_PADDED`` phasor rows,
-    gives the delay rows, and one more product their Doppler transforms."""
-    grids, first, counts = np.unique(owner, return_index=True, return_counts=True)
-    slot = np.arange(owner.size) - np.repeat(first, counts)
+    on the grids ``owner`` (ascending), (n, theta offsets, phi offsets). The
+    delay rows of each distinct (grid, theta) pair come from a product per
+    grid, padded into stacks of at most ``_PADDED`` phasor rows, and one more
+    product gives each cell's Doppler transforms."""
+    pairs, inverse = np.unique(np.column_stack([owner, centre[:, 0]]), axis=0,
+                               return_inverse=True)
+    grids, first, counts = np.unique(pairs[:, 0].astype(int), return_index=True,
+                                     return_counts=True)
+    slot = np.arange(len(pairs)) - np.repeat(first, counts)
     at = np.repeat(np.arange(grids.size), counts)
     left = np.zeros((grids.size, counts.max(), offsets[0].size, k.size), complex)
-    left[at, slot] = _phasors(centre[:, 0], k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
+    left[at, slot] = _phasors(pairs[:, 1], k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
     left = left.reshape(grids.size, -1, k.size)
     step = max(1, _PADDED // left.shape[1])
     delay = np.concatenate([_small_matmul(left[lo:lo + step], pilot_grids[grids[lo:lo + step]])
                             for lo in range(0, grids.size, step)])
-    delay = delay.reshape(grids.size, counts.max(), offsets[0].size, l.size)[at, slot]
+    delay = delay.reshape(grids.size, counts.max(), offsets[0].size, l.size)[at, slot][inverse]
     delay *= _phasors(-centre[:, 1], l)[:, None, :]
     return _small_matmul(delay.reshape(-1, l.size), np.exp(-1j * np.outer(l, offsets[1]))
                          ).reshape(owner.size, offsets[0].size, -1)

@@ -2,10 +2,10 @@
 
 Every random quantity derives from the mandatory master seed through
 fixed SeedSequence keys, so results are byte-identical across runs and
-across worker counts. Each trial has its own key; a sweep hands its
-trials to the workers in blocks, runs each block on the pilot subgrid
-as one stack (``_trial_block``) and reduces the squared errors in
-trial-index order regardless of completion order. A block's length
+across worker counts. Each trial has its own key; a sweep splits its
+trials into blocks, runs each block on the pilot subgrid as one stack
+(``_trial_block``) and reduces the squared errors in trial-index order
+regardless of which process ran a block or when. A block's length
 depends on the config alone, never on the worker count; a sweep in one
 process packs consecutive blocks into stacks of up to that length.
 """
@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -195,6 +196,7 @@ def _trial_block(config: ExperimentConfig, runs) -> list:
                              for trial in range(start, stop)]) for snr_idx, start, stop in runs]
     truths = [truth for sim in sims for truth in sim[0]]
     grids = np.concatenate([_ls_divide(received, symbols) for _, symbols, received in sims])
+    del sims
     outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
                                config.ensemble.baseline, [truth.theta for truth in truths])
     return list(zip(truths, grids, outcomes))
@@ -227,6 +229,67 @@ def _bound_columns(config: ExperimentConfig, cases, draws: int) -> list:
     return columns
 
 
+def _dispatch(blocks: list, workers: int) -> list:
+    """``_block_errors`` of each block, in block order: the calling process and
+    ``workers - 1`` child processes each take the next block index from one
+    shared counter until none is left, so a slow block (a threshold SNR
+    point) holds up one process only. A child's exception is raised here;
+    no child outlives the call."""
+    context = multiprocessing.get_context()
+    counter = context.Value("q", 0)
+    children, outcomes, finished = [], {}, False
+    try:
+        for _ in range(workers - 1):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_work, args=(blocks, counter, send))
+            child.start()
+            # the child holds the only sending end: its exit ends the pipe
+            send.close()
+            children.append((child, receive))
+        outcomes.update(_take(blocks, counter))
+        for child, receive in children:
+            try:
+                taken, error = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"sweep worker process exited with code {child.exitcode} "
+                                   "without sending its blocks") from None
+            if error is not None:
+                exc, text = error
+                raise exc from RuntimeError(f"raised in a sweep worker process:\n{text}")
+            outcomes.update(taken)
+        finished = True
+    finally:
+        for child, receive in children:
+            if not finished:
+                child.terminate()
+            child.join()
+            receive.close()
+    return [outcomes[index] for index in range(len(blocks))]
+
+
+def _take(blocks: list, counter):
+    """(index, ``_block_errors``) of each block whose index this process takes
+    from ``counter``, until the counter passes the last block."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(blocks):
+            return
+        yield index, _block_errors(blocks[index])
+
+
+def _work(blocks: list, counter, send) -> None:
+    """A child process of ``_dispatch``: sends (its outcomes, None), or
+    (None, (exception, traceback text)) if a block raised."""
+    try:
+        result = list(_take(blocks, counter)), None
+    except Exception as exc:
+        result = None, (exc, traceback.format_exc())
+    send.send(result)
+
+
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Monte Carlo RMSE and bounds per SNR point.
 
@@ -246,19 +309,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     length = max(1, _BLOCK_BYTES // (_start_cells(pilot_rows, 1)[0] * pilot_cols * 16))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
-    # a pool starts all its processes at once, so start no more than there are
-    # blocks; one process packs consecutive runs of min(length, trials) trials
-    # into blocks of up to `length`
+    # start no more processes than there are blocks; one process packs
+    # consecutive runs of min(length, trials) trials into blocks of up to `length`
     workers = min(config.workers, len(runs))
     per = length // min(length, trials) if workers == 1 else 1
     blocks = [(config, runs[lo:lo + per]) for lo in range(0, len(runs), per)]
-    if workers == 1:
-        outcomes = list(map(_block_errors, blocks))
-    else:
-        chunk = max(1, len(blocks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            outcomes = list(executor.map(_block_errors, blocks, chunksize=chunk))
-    # map yields blocks in task order, whatever order they finish in
+    outcomes = list(map(_block_errors, blocks)) if workers == 1 else _dispatch(blocks, workers)
     trial_errors = [errors for block in outcomes for errors in block]
     sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*trial_errors))
 

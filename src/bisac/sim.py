@@ -171,7 +171,7 @@ def read_grid(path) -> np.ndarray:
         if len(header) < 8:
             raise ValueError("grid file header is shorter than 8 bytes")
         rows, cols = struct.unpack("<II", header)
-        data = np.frombuffer(fh.read(), dtype=np.complex128)
-    if data.size != rows * cols:
+        payload = fh.read()
+    if len(payload) != rows * cols * 16:
         raise ValueError("grid file payload does not match header")
-    return data.reshape(rows, cols).copy()
+    return np.frombuffer(payload, dtype=np.complex128).reshape(rows, cols).copy()

@@ -38,11 +38,15 @@ def dense_maximum(grid, padding=8):
     Only the local maxima of the samples above 0.8 of the largest sample
     start Newton: with 8-fold padding the sample nearest to the global
     maximum m holds at least cos(pi / 8)^2 m > 0.85 m (the Bernstein-Szegő
-    inequality along each axis). Returns None for a surface that is flat,
-    zero or not finite.
+    inequality along each axis). An axis of 2 to 7 pilots takes 64 samples,
+    as for 8 pilots: the lobes of a small grid are broad, and Newton's method
+    from a sample as far out as 16 per axis allow may not converge (from the
+    saddle between the mirrored maxima of a real 2 x 2 grid and all its
+    neighbours, say). Returns None for a surface that is flat, zero or not
+    finite.
     """
     rows, cols = grid.shape
-    sizes = [1 << (padding * n - 1).bit_length() if n > 1 else 1 for n in (rows, cols)]
+    sizes = [1 << (padding * max(n, 8) - 1).bit_length() if n > 1 else 1 for n in (rows, cols)]
     surface = periodogram_2d(grid, PeriodogramConfig(*sizes))
     top = surface.max()
     if not np.isfinite(top) or top - surface.min() <= 1e-12 * top:

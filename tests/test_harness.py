@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,38 +256,32 @@ class TestRunSweep:
         )
 
     def test_worker_counts_byte_identical(self):
-        texts = {
-            w: run_sweep(small_config(workers=w)).to_csv() for w in (1, 2)
-        }
-        assert texts[1] == texts[2]
+        # twelve blocks, whose trials cost several times as much at the
+        # threshold SNRs as at the high ones
+        cfg = small_config(snr_grid_db=(-30.0, -20.0, -10.0, 0.0, 10.0, 20.0),
+                           trials_per_point=25)
+        texts = {w: run_sweep(replace(cfg, workers=w)).to_csv() for w in (1, 2, 3, 8)}
+        assert texts[2] == texts[1] and texts[3] == texts[1] and texts[8] == texts[1]
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("snr_grid_db, workers, pools", [
-        ((20.0,), 64, []), ((0.0, 20.0), 64, [2]), ((0.0, 10.0, 20.0), 2, [2]),
+    @pytest.mark.parametrize("snr_grid_db, workers, children", [
+        ((20.0,), 64, 0), ((0.0, 20.0), 64, 1), ((0.0, 10.0, 20.0), 2, 1),
     ])
-    def test_no_more_processes_than_blocks(self, monkeypatch, snr_grid_db, workers, pools):
+    def test_no_more_processes_than_blocks(self, monkeypatch, snr_grid_db, workers, children):
+        # the calling process runs blocks too, beside `workers - 1` children
         started = []
+        start = multiprocessing.process.BaseProcess.start
 
-        class RecordingPool:
-            """Runs the tasks in-process and records the processes asked for."""
+        def counted(process):
+            started.append(process)
+            start(process)
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(bisac.harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
         # one trial per point is one block per point
         cfg = small_config(snr_grid_db=snr_grid_db, trials_per_point=1, workers=workers)
         serial = run_sweep(replace(cfg, workers=1)).to_csv()
         assert run_sweep(cfg).to_csv() == serial
-        assert started == pools
+        assert len(started) == children
 
     def test_sweep_warns_delay_beyond_prefix(self):
         # the default ensemble's delays, about 1 to 1.15 us, exceed the 1 us prefix
@@ -339,6 +336,60 @@ class TestRunSweep:
         )
         row = run_sweep(cfg).rows[0]
         assert row.valid_trial_fraction == 1.0
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the replaced block function reaches the children by fork")
+class TestDispatch:
+    """Failures of the blocks of a parallel sweep: two blocks of one trial,
+    one process beside the caller."""
+
+    CONFIG = small_config(snr_grid_db=(0.0, 20.0), trials_per_point=1, workers=2)
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Run ``actions["caller"]()`` for each block the calling process takes
+        and ``actions["child"]()`` for each a child takes, in place of the
+        block's trial, which then counts as valid with zero error;
+        ``actions["taken"]`` is set once a child has taken a block."""
+        caller = os.getpid()
+        actions = {"taken": multiprocessing.Event()}
+
+        def block_errors(block):
+            if os.getpid() == caller:
+                actions["caller"]()
+            else:
+                actions["taken"].set()
+                actions["child"]()
+            return [(0.0, 0.0, True)]
+
+        monkeypatch.setattr(bisac.harness, "_block_errors", block_errors)
+        return actions
+
+    def test_child_exception_is_raised_in_the_caller(self, blocks):
+        # the caller's block waits until the child has taken the other one
+        blocks.update(caller=lambda: blocks["taken"].wait(30), child=lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError) as info:
+            run_sweep(self.CONFIG)
+        assert "in a sweep worker process" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_stops_the_children(self, blocks):
+        def fail():
+            raise KeyError("caller block")
+
+        blocks.update(caller=fail, child=lambda: time.sleep(60))
+        began = time.perf_counter()
+        with pytest.raises(KeyError, match="caller block"):
+            run_sweep(self.CONFIG)
+        assert time.perf_counter() - began < 30
+        assert multiprocessing.active_children() == []
+
+    def test_child_exit_without_a_result_is_an_error(self, blocks):
+        blocks.update(caller=lambda: blocks["taken"].wait(30), child=lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3 without sending"):
+            run_sweep(self.CONFIG)
+        assert multiprocessing.active_children() == []
 
 
 class TestTables:

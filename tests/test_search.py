@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import bisac  # noqa: E402
 from bisac import (  # noqa: E402
@@ -30,21 +30,18 @@ def modulus(grid, point):
     return abs(_moments(grid[None], np.array([point]), *_centred(*grid.shape), 1)[0, 0, 0])
 
 
-@st.composite
-def grids(draw):
-    """A grid of 1-60 rows and columns: one or two off-grid targets in noise
-    at -30 to 40 dB per cell, or a real-valued one (its maxima come in
-    mirrored pairs that tie), or one with a NaN, or all zero."""
-    rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def strategy_grid(rows, cols, seed, targets, snr_db, kind):
+    """A rows x cols grid as ``grids`` draws it: ``targets`` off-grid targets
+    from the generator of ``seed`` in noise at ``snr_db`` per cell, made
+    real-valued, given a NaN or zeroed by ``kind``."""
+    rng = np.random.default_rng(seed)
     k, l = np.arange(rows)[:, None], np.arange(cols)[None, :]
     grid = np.zeros((rows, cols), complex)
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(targets):
         delay, doppler, phase = rng.uniform(size=3)
         grid += rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * (-delay * k + doppler * l + phase))
     noise = rng.standard_normal((rows, cols, 2)) @ np.array([1.0, 1j]) / np.sqrt(2.0)
-    grid += noise * 10.0 ** (-draw(st.floats(-30.0, 40.0)) / 20.0)
-    kind = draw(st.sampled_from(["targets"] * 5 + ["real", "nan", "zero"]))
+    grid += noise * 10.0 ** (-snr_db / 20.0)
     if kind == "real":
         grid = grid.real + 0j
     elif kind == "nan":
@@ -54,8 +51,29 @@ def grids(draw):
     return grid
 
 
+@st.composite
+def grids(draw):
+    """A grid of 1-60 rows and columns: one or two off-grid targets in noise
+    at -30 to 40 dB per cell, or a real-valued one (its maxima come in
+    mirrored pairs that tie), or one with a NaN, or all zero."""
+    rows, cols, seed = draw(st.integers(1, 60)), draw(st.integers(1, 60)), draw(
+        st.integers(0, 2**32 - 1))
+    targets, snr_db = draw(st.integers(1, 2)), draw(st.floats(-30.0, 40.0))
+    kind = draw(st.sampled_from(["targets"] * 5 + ["real", "nan", "zero"]))
+    return strategy_grid(rows, cols, seed, targets, snr_db, kind)
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid=grids())
+# tied maxima: a real grid's mirrored twin of the first maximum found needs a
+# ball of its own
+@example(grid=np.array([[-1.75160579, -1.09616383], [0.49313354, -1.47462981]]) + 0j)
+@example(grid=np.array([[-0.49357444, 0.71004477], [0.27710626, 1.55809309]]) + 0j)
+# the reference's samples around a broad maximum: a saddle and its neighbours
+@example(grid=np.array([[-1.52125264, 0.10022821], [0.08126337, 0.47373295]]) + 0j)
+# noise-dominated: 1862 of 8192 and 1215 of 4096 start cells pass the cell test
+@example(grid=strategy_grid(56, 30, 2633833181, 1, -25.17, "real"))
+@example(grid=strategy_grid(16, 32, 48, 1, -20.0, "targets"))
 def test_fast_path_returns_the_dense_maximum(grid):
     # within 1e-9 bins at fft 4096 of the brute-force maximiser, unless another
     # maximum comes within the rounding slack of its P (a tie); its P within

@@ -226,6 +226,8 @@ class TestGridFile:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(struct.pack("<II", 2, 2) + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            read_grid(path)
+        # one whole value of four, and 15 bytes: not even one value
+        for size in (16, 15):
+            path.write_bytes(struct.pack("<II", 2, 2) + b"\x00" * size)
+            with pytest.raises(ValueError, match="payload"):
+                read_grid(path)

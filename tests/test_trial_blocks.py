@@ -5,6 +5,7 @@ against its block."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from bisac import (  # noqa: E402
     PeriodogramConfig,
     make_periodic,
 )
-from bisac.estimator import _delay_stage  # noqa: E402
-from bisac.harness import _block_errors, _trial_block, simulate_trial  # noqa: E402
+from bisac.bounds import _ecrb_geometry  # noqa: E402
+from bisac.estimator import _delay_stage, _start_cells  # noqa: E402
+from bisac.harness import (  # noqa: E402
+    _BLOCK_BYTES, _block_errors, _trial_block, simulate_trial,
+)
 from reference_chain import reference_trial  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -112,3 +116,29 @@ def test_packed_runs_equal_their_blocks():
     for (truth, grid, outcome), (truth1, grid1, outcome1) in zip(packed, alone):
         assert truth == truth1 and np.array_equal(bits(grid), bits(grid1))
         assert comparable(outcome) == comparable(outcome1)
+
+
+def allocation_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, traced after one untimed call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("strides, snr_db", [((2, 1), 20.0), ((2, 5), -10.0)])
+def test_block_allocates_no_more_than_the_geometry_draw(strides, snr_db):
+    # the calling process of a parallel sweep runs blocks beside its children,
+    # so a full block may take no more memory than the bound columns'
+    # geometry draw, which that process makes anyway
+    pattern = make_periodic(70, 50, *strides)
+    rows, cols = (count + 1 for count in pattern.periodic_counts())
+    trials = _BLOCK_BYTES // (_start_cells(rows, 1)[0] * cols * 16)
+    config = ExperimentConfig(pattern=pattern, snr_grid_db=(snr_db,), trials_per_point=trials,
+                              seed=1)
+    draw = allocation_peak(_ecrb_geometry, config.ensemble, config.ecrb_draws,
+                           np.random.SeedSequence([1, 1]))
+    assert allocation_peak(_block_errors, (config, [(0, 0, trials)])) <= draw
