@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -259,6 +260,12 @@ def main(argv=None) -> int:
         for flag in flags.split():
             command.add_argument(flag, **_FLAGS[flag])
 
+    # argparse reads a value that starts with "-" but is no plain negative
+    # number (-30:30:2, -5,0,5, -1e1) as a flag: join each to its flag
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _FLAGS and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # a flag the subcommand does not read is a usage error of that subcommand
     args, unread = parser.parse_known_args(argv)
     command = sub.choices[args.command]

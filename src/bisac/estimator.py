@@ -495,17 +495,13 @@ def _newton_step(m: np.ndarray, on_u: bool, on_v: bool) -> np.ndarray:
         # (P / 2) times the Hessian of log P: half that of P less 2 g g^T / P
         h_uu = m10.real * m10.real + m10.imag * m10.imag - (zc * m20).real - 2 * g_u * g_u / power
         h_vv = m01.real * m01.real + m01.imag * m01.imag - (zc * m02).real - 2 * g_v * g_v / power
+        # an axis of one pilot (centred index 0) has zero gradient and cross term:
+        # curvature -1 keeps it in place, and the other axis takes its 1-D step
+        h_uu, h_vv = (h_uu if on_u else -1.0), (h_vv if on_v else -1.0)
         h_uv = (zc * m11 - m10.conj() * m01).real - 2 * g_u * g_v / power
         det = h_uu * h_vv - h_uv * h_uv
-        if on_u and on_v:
-            step = np.column_stack([h_uv * g_v - h_vv * g_u,
-                                    h_uv * g_u - h_uu * g_v]) / det[:, None]
-            concave = (h_uu < 0) & (det > 0)
-        else:
-            # the 1-D Newton step on the flagged axis
-            g, h = (g_u, h_uu) if on_u else (g_v, h_vv)
-            step = np.column_stack([-g / h, 0 * g] if on_u else [0 * g, -g / h])
-            concave = (h < 0) & (on_u or on_v)
+        step = np.column_stack([h_uv * g_v - h_vv * g_u, h_uv * g_u - h_uu * g_v]) / det[:, None]
+        concave = (h_uu < 0) & (det > 0)
     return np.where((concave & (power > 0))[:, None], step, np.nan)
 
 
@@ -580,7 +576,8 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
             bins.tolist(), offsets.tolist(), powers.tolist(), fallback.tolist(), thetas):
         tau_hat = ((b_r + off_r) % config.fft_n) / (
             n_p * numerology.subcarrier_spacing_hz * config.fft_n)
-        signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
+        # the maximum's own Doppler on (-fft_m/2, fft_m/2], whichever bin labels it
+        signed_bin = b_v - config.fft_m if b_v + off_v > config.fft_m / 2 else b_v
         f_d_hat = (signed_bin + off_v) / (m_p * numerology.symbol_duration_s * config.fft_m)
         d_bis_hat = SPEED_OF_LIGHT * tau_hat
         try:

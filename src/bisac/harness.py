@@ -5,9 +5,10 @@ fixed SeedSequence keys, so results are byte-identical across runs and
 across worker counts. Each trial has its own key; a sweep splits its
 trials into blocks, runs each block on the pilot subgrid as one stack
 (``_trial_block``) and reduces the squared errors in trial-index order
-regardless of which process ran a block or when. A block's length
-depends on the config alone, never on the worker count; a sweep in one
-process packs consecutive blocks into stacks of up to that length.
+regardless of which process ran a block or when. A run's length
+depends on the config alone, never on the worker count; a sweep packs
+consecutive runs into blocks of up to that length while every process
+still gets a block.
 """
 
 from __future__ import annotations
@@ -180,8 +181,15 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
     Returns (truth, pilot_grid, outcome): the ground truth, the (K+1, L+1)
     least-squares channel estimates on the pilot subgrid, and the
     EstimationResult, or the GeometryError that made the trial invalid.
-    Raises as ``check_receiver`` does.
+    Raises ValueError, before any draw, unless ``snr_idx`` indexes the SNR
+    grid and ``trial_idx`` is a non-negative integer (any: it keys the
+    trial's seed), and raises as ``check_receiver`` does.
     """
+    snr_idx = _checked(snr_idx, int, "snr_idx", 0)
+    trial_idx = _checked(trial_idx, int, "trial_idx", 0)
+    if snr_idx >= len(config.snr_grid_db):
+        raise ValueError(f"snr_idx must be < {len(config.snr_grid_db)}, the points of the "
+                         f"SNR grid, got {snr_idx}")
     check_receiver(config)
     return _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])[0]
 
@@ -309,11 +317,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     length = max(1, _BLOCK_BYTES // (_start_cells(pilot_rows, 1)[0] * pilot_cols * 16))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
-    # start no more processes than there are blocks; one process packs
-    # consecutive runs of min(length, trials) trials into blocks of up to `length`
-    workers = min(config.workers, len(runs))
-    per = length // min(length, trials) if workers == 1 else 1
+    # pack consecutive runs of min(length, trials) trials into blocks of up to
+    # `length` while every process still gets a block; start no more
+    # processes than there are blocks
+    per = max(1, min(length // min(length, trials), len(runs) // config.workers))
     blocks = [(config, runs[lo:lo + per]) for lo in range(0, len(runs), per)]
+    workers = min(config.workers, len(blocks))
     outcomes = list(map(_block_errors, blocks)) if workers == 1 else _dispatch(blocks, workers)
     trial_errors = [errors for block in outcomes for errors in block]
     sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*trial_errors))

@@ -28,7 +28,7 @@ from .geometry import ScenarioEnsemble, derive_ground_truth
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_QPSK = 1.0 / np.sqrt(2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
 
 
 class IsiWarning(UserWarning):
@@ -46,9 +46,7 @@ def _warn_isi(tau: float, numerology: OfdmNumerology) -> None:
 
 def _qpsk(idx: np.ndarray) -> np.ndarray:
     """Gray-mapped QPSK symbols of the integers 0-3 in ``idx``."""
-    re = (1 - 2 * (idx & 1)) * _SQRT_HALF
-    im = (1 - 2 * (idx >> 1)) * _SQRT_HALF
-    return re + 1j * im
+    return _QPSK[idx]
 
 
 def generate_frame(numerology: OfdmNumerology, pattern: PilotPattern, seed) -> np.ndarray:

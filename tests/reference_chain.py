@@ -101,7 +101,7 @@ def reference_estimate(received, frame, pattern, num, config, baseline, theta):
     if not config.interpolate:
         off_r = off_v = 0.0
     tau_hat = ((b_r + off_r) % config.fft_n) / (n_p * num.subcarrier_spacing_hz * config.fft_n)
-    signed_bin = b_v - config.fft_m if b_v > config.fft_m // 2 else b_v
+    signed_bin = b_v - config.fft_m if b_v + off_v > config.fft_m / 2 else b_v
     f_d_hat = (signed_bin + off_v) / (m_p * num.symbol_duration_s * config.fft_m)
     d_bis_hat = SPEED_OF_LIGHT * tau_hat
     try:

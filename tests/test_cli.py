@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -331,6 +332,59 @@ class TestBadValues:
             main(["crb", "--config", str(cfg_file)])
         assert exc.value.code == 2
         assert "snr_grid_db" in capsys.readouterr().err
+
+
+@pytest.fixture
+def handled(monkeypatch):
+    """Stub every subcommand's handler: each records (command, config, args)
+    here and returns 0, so no trial or bound runs."""
+    calls = []
+    for name, (_, help_text, flags) in list(bisac.cli._COMMANDS.items()):
+        def handler(config, args, name=name):
+            calls.append((name, config, args))
+            return 0
+
+        monkeypatch.setitem(bisac.cli._COMMANDS, name, (handler, help_text, flags))
+    return calls
+
+
+class TestValuesStartingWithMinus:
+    @pytest.mark.parametrize("value, grid", [
+        ("-30:30:20", (-30.0, -10.0, 10.0, 30.0)),
+        ("-5,0,5", (-5.0, 0.0, 5.0)),
+        ("-1e1", (-10.0,)),
+    ])
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_snr_grid(self, value, grid, joined, handled, tmp_path):
+        argv = [f"--snr-db={value}"] if joined else ["--snr-db", value]
+        assert main(["sweep", *argv, "--out", str(tmp_path / "s.csv")]) == 0
+        assert handled[0][1].snr_grid_db == grid
+
+    def test_communication_snr(self, handled):
+        assert main(["rates", "--snr-comm-db", "-1e1"]) == 0
+        assert handled[0][2].snr_comm_db == -10.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["crb", "--beta-deg", "-1e1"], "beta must lie in [0, pi)"),
+        (["rates", "--rhos", "-0.1,0.5"], "expected overheads in [0, 1], got '-0.1,0.5'"),
+    ])
+    def test_value_gets_its_own_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_readme_quick_start_commands_run(handled, tmp_path, monkeypatch):
+    # every bisac line of "Quick start (CLI)" parses and reaches its handler
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Quick start (CLI)"):]
+    start = section.index("```sh") + len("```sh")
+    block = section[start:section.index("```", start)].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("bisac ")]
+    monkeypatch.chdir(tmp_path)
+    assert [main(argv[1:]) for argv in commands] == [0] * len(commands)
+    assert commands and [name for name, _, _ in handled] == [argv[1] for argv in commands]
 
 
 CELLS_CONFIG = {"pattern": {"cells": [[0, 0], [3, 7], [10, 20], [40, 11]]}}

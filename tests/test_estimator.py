@@ -334,6 +334,20 @@ class TestEstimate:
         assert result.f_d_hat < 0
         assert result.v_bis_hat == pytest.approx(-30.0, abs=0.05)
 
+    @pytest.mark.parametrize("v_bins, signed", [(31.7, 31.7), (32.3, -31.7)])
+    def test_doppler_is_read_off_the_maximum_not_its_bin(self, num, v_bins, signed):
+        # bin 32 of 64 labels both maxima; the one above half the span reads
+        # as a negative Doppler, as it does at fft 4096
+        grid = np.exp(2j * np.pi * (-0.4 * np.arange(35)[:, None]
+                                    + v_bins / 64 * np.arange(10)[None, :]))
+        results = [estimator._estimate_grids(grid[None], make_periodic(70, 50, 2, 5), num,
+                                             PeriodogramConfig(fft, fft), 56.6, [1.0])[0]
+                   for fft in (64, 4096)]
+        assert results[0].peak_bins[1] == 32
+        assert results[0].f_d_hat == pytest.approx(
+            signed / (5 * num.symbol_duration_s * 64), rel=1e-9)
+        assert results[1].f_d_hat == pytest.approx(results[0].f_d_hat, rel=1e-12)
+
     def test_estimates_confined_to_unambiguous_intervals(self, num):
         rng = np.random.default_rng(15)
         p = make_periodic(70, 50, 2, 5)

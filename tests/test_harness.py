@@ -283,6 +283,20 @@ class TestRunSweep:
         assert run_sweep(cfg).to_csv() == serial
         assert len(started) == children
 
+    def test_runs_pack_while_every_process_gets_a_block(self, monkeypatch):
+        # six one-trial points on two processes: two blocks of three runs
+        packed, dispatch = [], bisac.harness._dispatch
+
+        def recorded(blocks, workers):
+            packed.append([len(runs) for _, runs in blocks])
+            return dispatch(blocks, workers)
+
+        monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
+        cfg = small_config(snr_grid_db=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0), trials_per_point=1,
+                           workers=2)
+        assert run_sweep(cfg).to_csv() == run_sweep(replace(cfg, workers=1)).to_csv()
+        assert packed == [[3, 3]]
+
     def test_sweep_warns_delay_beyond_prefix(self):
         # the default ensemble's delays, about 1 to 1.15 us, exceed the 1 us prefix
         with pytest.warns(IsiWarning, match="exceeds the cyclic prefix"):
@@ -309,6 +323,20 @@ class TestRunSweep:
             run_sweep(cfg)
         with pytest.raises(ValueError, match="smaller than the pilot grid"):
             simulate_trial(cfg, 0, 0)
+
+    @pytest.mark.parametrize("snr_idx, trial_idx, name", [
+        (2, 0, "snr_idx"), (-1, 0, "snr_idx"), (0.0, 0, "snr_idx"),
+        (0, -1, "trial_idx"), (0, 1.5, "trial_idx"), (0, True, "trial_idx"),
+    ])
+    def test_simulate_trial_index_rejected_before_any_trial(self, snr_idx, trial_idx, name,
+                                                            no_trial):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            simulate_trial(small_config(), snr_idx, trial_idx)
+
+    def test_simulate_trial_index_unbounded_above(self):
+        # a trial is its seed key: any non-negative index runs
+        truth, _, _ = simulate_trial(small_config(trials_per_point=1), 1, 10**12)
+        assert math.isfinite(truth.d_bis)
 
     def test_collinear_pattern_rejected_before_any_trial(self, no_trial):
         with pytest.raises(SingularPatternError):

@@ -150,6 +150,18 @@ def test_trial_block_is_independent_of_the_fft_size():
 
 
 @pytest.mark.parametrize("strides", [(2, 1), (2, 5)])
+def test_sweep_csv_is_independent_of_the_fft_size(strides):
+    # seed 1 puts maxima just above half the Doppler span in trial 54 at
+    # -30 dB and 107 at -20 dB for (2, 1), and 109 at -30 dB for (2, 5): the
+    # bin that labels such a maximum, 32 of 64 say, must not set its sign
+    csvs = {bisac.run_sweep(ExperimentConfig(
+        pattern=make_periodic(70, 50, *strides), snr_grid_db=(-30.0, -20.0, -10.0, 20.0),
+        trials_per_point=110, fft=PeriodogramConfig(fft, fft), seed=1, workers=2,
+        ecrb_draws=100)).to_csv() for fft in (64, 256, 1024, 4096)}
+    assert len(csvs) == 1
+
+
+@pytest.mark.parametrize("strides", [(2, 1), (2, 5)])
 def test_high_snr_certifies_with_few_cells(strides):
     # a clear peak: every trial a Newton maximum, with a handful of cells past
     # the start grid's rows
