@@ -24,7 +24,6 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ScenarioEnsemble,
     _checked,
-    bistatic_angle,
 )
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, pattern_stats
@@ -357,31 +356,53 @@ def ecrb_vel(
     return EcrbVelocity(value_ms=value, draws=draws, skipped=skipped)
 
 
+# draws per slice of the ECRB geometry: a slice's temporaries stay in cache
+_ECRB_SLICE = 8192
+
+
 def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
     """cos(beta/2) of the nondegenerate seeded target draws, and the skip count.
 
     Independent of pattern and noise level: one draw serves every bound.
+    The law of cosines with the half-angle identity gives, with the legs
+    d_tx, d_rx, the baseline D and s = d_tx + d_rx,
+
+        cos(beta/2) = sqrt((s - D)(s + D) / (4 d_tx d_rx)),
+
+    computed slice by slice into one output; a copy drops the skipped draws
+    only when there are any.
     """
     draws = _checked(draws, int, "draws", 1)
     rng = np.random.default_rng(seed)
     xs, ys = ensemble.sample_targets(rng, draws)
-    d_tx = np.hypot(xs - ensemble.tx_pos[0], ys - ensemble.tx_pos[1])
-    d_rx = np.hypot(xs - ensemble.rx_pos[0], ys - ensemble.rx_pos[1])
+    (tx_x, tx_y), (rx_x, rx_y) = ensemble.tx_pos, ensemble.rx_pos
     baseline = ensemble.baseline
-
-    # a leg of zero length divides by zero; the mask below drops those draws
+    cos_half = np.empty(draws)
+    ok = np.empty(draws, dtype=bool)
+    # a leg of zero length divides by zero, and on the baseline segment
+    # rounding can make s - D negative; the mask drops those draws
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_half = np.cos(bistatic_angle(d_tx, d_rx, baseline) / 2.0)
-    ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (cos_half > 1e-12)
-    skipped = draws - int(ok.sum())
+        for lo in range(0, draws, _ECRB_SLICE):
+            part = slice(lo, lo + _ECRB_SLICE)
+            x, y = xs[part], ys[part]
+            d_tx = np.sqrt((x - tx_x) ** 2 + (y - tx_y) ** 2)
+            d_rx = np.sqrt((x - rx_x) ** 2 + (y - rx_y) ** 2)
+            s = d_tx + d_rx
+            np.sqrt((s - baseline) * (s + baseline) / (4.0 * d_tx * d_rx), out=cos_half[part])
+            ok[part] = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (cos_half[part] > 1e-12)
+    skipped = draws - int(np.count_nonzero(ok))
     if skipped == draws:
         raise SingularPatternError("all ensemble draws were degenerate")
-    return cos_half[ok], skipped
+    return (cos_half[ok] if skipped else cos_half), skipped
 
 
-def _ecrb_mean(crb_vel_ms2: float, cos_half: np.ndarray) -> float:
-    """Mean of sqrt(crb_vel / cos^2(beta/2)) over the drawn geometry [m/s]."""
-    return float((math.sqrt(crb_vel_ms2) / cos_half).mean())
+def _ecrb_mean(crb_vel_ms2: float, cos_half: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Mean of sqrt(crb_vel / cos^2(beta/2)) over the drawn geometry [m/s].
+
+    ``out``, an array shaped as ``cos_half``, takes the terms in place of a
+    new one.
+    """
+    return float(np.divide(math.sqrt(crb_vel_ms2), cos_half, out=out).mean())
 
 
 def rate_upper_bound(

@@ -261,11 +261,15 @@ def main(argv=None) -> int:
             command.add_argument(flag, **_FLAGS[flag])
 
     # argparse reads a value that starts with "-" but is no plain negative
-    # number (-30:30:2, -5,0,5, -1e1) as a flag: join each to its flag
+    # number (-30:30:2, -5,0,5, -1e1) as a flag: join each to its flag, which
+    # is named in full or, as argparse allows, by a unique prefix
     argv = sys.argv[1:] if argv is None else list(argv)
+    flags = _COMMANDS[argv[0]][2].split() if argv and argv[0] in _COMMANDS else []
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in _FLAGS and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        given = argv[i - 1]
+        named = [given] if given in flags else [f for f in flags if f.startswith(given)]
+        if given.startswith("--") and len(named) == 1 and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{named[0]}={argv[i]}"]
     # a flag the subcommand does not read is a usage error of that subcommand
     args, unread = parser.parse_known_args(argv)
     command = sub.choices[args.command]

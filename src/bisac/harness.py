@@ -14,6 +14,7 @@ still gets a block.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -222,27 +223,26 @@ def _block_errors(block: tuple) -> list:
     return errors
 
 
-def _bound_columns(config: ExperimentConfig, cases, draws: int) -> list:
-    """(sqrt_crb_ran_m, ecrb_vel_ms) per (params, pattern) case.
+def _bound_columns(config: ExperimentConfig, reports, draws: int) -> list:
+    """(sqrt_crb_ran_m, ecrb_vel_ms) per ``crb`` report at beta = 0.
 
-    Every case averages over one geometry draw on the config's ECRB stream,
-    so the cases differ only by pattern and noise level.
+    Every report averages over one geometry draw on the config's ECRB stream,
+    so the reports differ only by pattern and noise level.
     """
     seed = np.random.SeedSequence([config.seed, _ECRB_STREAM])
     cos_half, _ = _ecrb_geometry(config.ensemble, draws, seed)
-    columns = []
-    for params, pattern in cases:
-        report = crb(params, pattern, config.numerology, beta=0.0)
-        columns.append((report.rmse_bound_ran_m, _ecrb_mean(report.crb_vel_ms2, cos_half)))
-    return columns
+    terms = np.empty_like(cos_half)
+    return [(report.rmse_bound_ran_m, _ecrb_mean(report.crb_vel_ms2, cos_half, terms))
+            for report in reports]
 
 
-def _dispatch(blocks: list, workers: int) -> list:
-    """``_block_errors`` of each block, in block order: the calling process and
-    ``workers - 1`` child processes each take the next block index from one
-    shared counter until none is left, so a slow block (a threshold SNR
-    point) holds up one process only. A child's exception is raised here;
-    no child outlives the call."""
+def _dispatch(blocks: list, workers: int, own) -> tuple:
+    """(``own()``, the ``_block_errors`` of each block in block order): the
+    calling process starts ``workers - 1`` child processes and runs ``own``
+    while they take blocks; then it takes blocks too. Each process takes the
+    next block index from one shared counter until none is left, so a slow
+    block (a threshold SNR point) holds up one process only. A child's
+    exception is raised here; no child outlives the call."""
     context = multiprocessing.get_context()
     counter = context.Value("q", 0)
     children, outcomes, finished = [], {}, False
@@ -254,6 +254,7 @@ def _dispatch(blocks: list, workers: int) -> list:
             # the child holds the only sending end: its exit ends the pipe
             send.close()
             children.append((child, receive))
+        result = own()
         outcomes.update(_take(blocks, counter))
         for child, receive in children:
             try:
@@ -273,7 +274,7 @@ def _dispatch(blocks: list, workers: int) -> list:
                 child.terminate()
             child.join()
             receive.close()
-    return [outcomes[index] for index in range(len(blocks))]
+    return result, [outcomes[index] for index in range(len(blocks))]
 
 
 def _take(blocks: list, counter):
@@ -306,11 +307,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     alongside. Deterministic per master seed for any worker count.
     Raises before any trial as ``check_receiver`` does, or as ``crb`` does
     (a collinear pattern, or a bound that overflows at an SNR of the grid).
+    The ECRB column's geometry draw runs in the calling process while any
+    child processes run trials; an ensemble whose draws are all degenerate
+    raises SingularPatternError there.
     """
     check_receiver(config)
-    cases = [(SensingChannelParams.from_snr_db(snr_db), config.pattern)
-             for snr_db in config.snr_grid_db]
-    bounds = _bound_columns(config, cases, config.ecrb_draws)
+    reports = [crb(SensingChannelParams.from_snr_db(snr_db), config.pattern, config.numerology)
+               for snr_db in config.snr_grid_db]
+    bound_columns = functools.partial(_bound_columns, config, reports, config.ecrb_draws)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
     pilot_rows, pilot_cols = (count + 1 for count in config.pattern.periodic_counts())
@@ -323,7 +327,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     per = max(1, min(length // min(length, trials), len(runs) // config.workers))
     blocks = [(config, runs[lo:lo + per]) for lo in range(0, len(runs), per)]
     workers = min(config.workers, len(blocks))
-    outcomes = list(map(_block_errors, blocks)) if workers == 1 else _dispatch(blocks, workers)
+    if workers == 1:
+        bounds, outcomes = bound_columns(), list(map(_block_errors, blocks))
+    else:
+        bounds, outcomes = _dispatch(blocks, workers, bound_columns)
     trial_errors = [errors for block in outcomes for errors in block]
     sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*trial_errors))
 
@@ -376,7 +383,8 @@ def run_table1(
     patterns = [
         make_periodic(num.n_subcarriers, num.n_symbols, n_p, m_p) for n_p, m_p in pairs
     ]
-    bounds = _bound_columns(config, [(params, p) for p in patterns], draws)
+    reports = [crb(params, pattern, num) for pattern in patterns]
+    bounds = _bound_columns(config, reports, draws)
     return tuple(
         TableRow(
             n_p=n_p,

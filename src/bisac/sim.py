@@ -132,18 +132,21 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
     params = SensingChannelParams.from_snr_db(snr_db)
     n_p, m_p = pattern.periodic_strides()
     shape = tuple(c + 1 for c in pattern.periodic_counts())
-    truths, idx, normals = [], [], []
-    for seed in seeds:
+    truths = []
+    idx = np.empty((len(seeds), *shape), dtype=np.int64)
+    # the (real, imaginary) standard normal pair of every trial, drawn in place
+    normals = np.empty((2, len(seeds), *shape)) if params.noise_var > 0 else None
+    for trial, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         truths.append(ensemble.sample_truth(rng))
-        idx.append(rng.integers(0, 4, size=shape))
-        if params.noise_var > 0:
-            normals.append([rng.standard_normal(shape) for _ in range(2)])
+        idx[trial] = rng.integers(0, 4, size=shape)
+        if normals is not None:
+            rng.standard_normal(out=normals[0, trial])
+            rng.standard_normal(out=normals[1, trial])
     tau, f_d = (np.array([[[getattr(t, key)]] for t in truths]) for key in ("tau", "f_d"))
     _warn_isi(tau.max(), numerology)
-    symbols = _qpsk(np.array(idx))
-    received = _receive(symbols, params, tau, f_d, numerology, (n_p, m_p),
-                        np.moveaxis(normals, 1, 0) if normals else None)
+    symbols = _qpsk(idx)
+    received = _receive(symbols, params, tau, f_d, numerology, (n_p, m_p), normals)
     return truths, symbols, received
 
 

@@ -360,6 +360,25 @@ class TestValuesStartingWithMinus:
         assert main(["sweep", *argv, "--out", str(tmp_path / "s.csv")]) == 0
         assert handled[0][1].snr_grid_db == grid
 
+    @pytest.mark.parametrize("command, flag, value, dest, expected", [
+        ("sweep", "--snr", "-5,0,5", "snr_grid_db", (-5.0, 0.0, 5.0)),
+        ("sweep", "--snr-d", "-30:30:20", "snr_grid_db", (-30.0, -10.0, 10.0, 30.0)),
+        ("rates", "--snr", "-1e1", "snr_comm_db", -10.0),
+    ])
+    def test_unique_flag_prefix(self, command, flag, value, dest, expected, handled, tmp_path):
+        # argparse takes a unique prefix of a flag for the flag
+        argv = [command, flag, value]
+        if command == "sweep":
+            argv += ["--trials", "1", "--fft", "64", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert getattr(handled[0][2], dest) == expected
+
+    def test_ambiguous_flag_prefix_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--s", "-5,0,5"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --s could match --seed, --snr-db" in capsys.readouterr().err
+
     def test_communication_snr(self, handled):
         assert main(["rates", "--snr-comm-db", "-1e1"]) == 0
         assert handled[0][2].snr_comm_db == -10.0

@@ -38,11 +38,16 @@ pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
 @pytest.fixture
 def no_trial(monkeypatch):
-    """Make any block of trials, and so any trial, fail the test."""
+    """Make any block of trials, and so any trial, fail the test, and the
+    start of any process, such as a sweep worker, too."""
     def fail(*args):
         raise AssertionError("trial started")
 
+    def fail_start(process):
+        raise AssertionError("process started")
+
     monkeypatch.setattr(bisac.harness, "_trial_block", fail)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", fail_start)
 
 
 def small_config(**overrides):
@@ -287,9 +292,9 @@ class TestRunSweep:
         # six one-trial points on two processes: two blocks of three runs
         packed, dispatch = [], bisac.harness._dispatch
 
-        def recorded(blocks, workers):
+        def recorded(blocks, workers, own):
             packed.append([len(runs) for _, runs in blocks])
-            return dispatch(blocks, workers)
+            return dispatch(blocks, workers, own)
 
         monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
         cfg = small_config(snr_grid_db=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0), trials_per_point=1,
@@ -308,21 +313,27 @@ class TestRunSweep:
         assert header == ",".join(SWEEP_COLUMNS)
         assert len(text.splitlines()) == 3
 
+    # the "before any trial" tests run each config at one and two workers:
+    # small_config's two SNR points make two blocks, so two workers would
+    # start a child process
+
     def test_non_periodic_pattern_rejected_before_any_trial(self, no_trial):
-        d = small_config().to_json_dict()
-        d["pattern"] = {"cells": [[0, 0], [2, 3], [5, 7]]}
-        cfg = ExperimentConfig.from_json_dict(d)
-        with pytest.raises(PatternError, match="periodic"):
-            run_sweep(cfg)
-        with pytest.raises(PatternError, match="periodic"):
-            simulate_trial(cfg, 0, 0)
+        for workers in (1, 2):
+            d = small_config(workers=workers).to_json_dict()
+            d["pattern"] = {"cells": [[0, 0], [2, 3], [5, 7]]}
+            cfg = ExperimentConfig.from_json_dict(d)
+            with pytest.raises(PatternError, match="periodic"):
+                run_sweep(cfg)
+            with pytest.raises(PatternError, match="periodic"):
+                simulate_trial(cfg, 0, 0)
 
     def test_fft_smaller_than_pilot_grid_rejected_before_any_trial(self, no_trial):
-        cfg = small_config(fft=PeriodogramConfig(16, 64))
-        with pytest.raises(ValueError, match=r"smaller than the pilot grid \(35, 50\)"):
-            run_sweep(cfg)
-        with pytest.raises(ValueError, match="smaller than the pilot grid"):
-            simulate_trial(cfg, 0, 0)
+        for workers in (1, 2):
+            cfg = small_config(fft=PeriodogramConfig(16, 64), workers=workers)
+            with pytest.raises(ValueError, match=r"smaller than the pilot grid \(35, 50\)"):
+                run_sweep(cfg)
+            with pytest.raises(ValueError, match="smaller than the pilot grid"):
+                simulate_trial(cfg, 0, 0)
 
     @pytest.mark.parametrize("snr_idx, trial_idx, name", [
         (2, 0, "snr_idx"), (-1, 0, "snr_idx"), (0.0, 0, "snr_idx"),
@@ -330,8 +341,9 @@ class TestRunSweep:
     ])
     def test_simulate_trial_index_rejected_before_any_trial(self, snr_idx, trial_idx, name,
                                                             no_trial):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            simulate_trial(small_config(), snr_idx, trial_idx)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                simulate_trial(small_config(workers=workers), snr_idx, trial_idx)
 
     def test_simulate_trial_index_unbounded_above(self):
         # a trial is its seed key: any non-negative index runs
@@ -339,8 +351,24 @@ class TestRunSweep:
         assert math.isfinite(truth.d_bis)
 
     def test_collinear_pattern_rejected_before_any_trial(self, no_trial):
-        with pytest.raises(SingularPatternError):
-            run_sweep(small_config(pattern=make_periodic(70, 50, 70, 1)))
+        for workers in (1, 2):
+            with pytest.raises(SingularPatternError):
+                run_sweep(small_config(pattern=make_periodic(70, 50, 70, 1), workers=workers))
+
+    def test_overflowing_bound_rejected_before_any_trial(self, no_trial):
+        # an accepted SNR at which the range bound overflows to inf
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="not finite, positive floats"):
+                run_sweep(small_config(snr_grid_db=(-3000.0, 20.0), workers=workers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_degenerate_ensemble_raises_and_leaves_no_child(self, workers):
+        # every target on the transmitter: each draw is skipped, and each
+        # trial's geometry is degenerate too
+        on_tx = ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))
+        with pytest.raises(SingularPatternError, match="all ensemble draws"):
+            run_sweep(small_config(ensemble=on_tx, workers=workers))
+        assert multiprocessing.active_children() == []
 
     def test_one_geometry_draw_per_call(self, monkeypatch):
         calls = []

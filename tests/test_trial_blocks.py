@@ -17,9 +17,10 @@ from bisac import (  # noqa: E402
     ExperimentConfig,
     GeometryError,
     PeriodogramConfig,
+    ScenarioEnsemble,
     make_periodic,
 )
-from bisac.bounds import _ecrb_geometry  # noqa: E402
+from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
 from bisac.estimator import _delay_stage, _start_cells  # noqa: E402
 from bisac.harness import (  # noqa: E402
     _BLOCK_BYTES, _block_errors, _trial_block, simulate_trial,
@@ -129,16 +130,30 @@ def allocation_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+# the traced peak of the 1e5-draw geometry (seed [1, 1]) when it was drawn
+# as whole arrays, by ``allocation_peak``: the memory budget of one block
+_WHOLE_ARRAY_DRAW_PEAK = 5_601_744
+
+
 @pytest.mark.parametrize("strides, snr_db", [((2, 1), 20.0), ((2, 5), -10.0)])
 def test_block_allocates_no_more_than_the_geometry_draw(strides, snr_db):
     # the calling process of a parallel sweep runs blocks beside its children,
     # so a full block may take no more memory than the bound columns'
-    # geometry draw, which that process makes anyway
+    # geometry draw took when it was drawn as whole arrays
     pattern = make_periodic(70, 50, *strides)
     rows, cols = (count + 1 for count in pattern.periodic_counts())
     trials = _BLOCK_BYTES // (_start_cells(rows, 1)[0] * cols * 16)
     config = ExperimentConfig(pattern=pattern, snr_grid_db=(snr_db,), trials_per_point=trials,
                               seed=1)
-    draw = allocation_peak(_ecrb_geometry, config.ensemble, config.ecrb_draws,
+    peak = allocation_peak(_block_errors, (config, [(0, 0, trials)]))
+    assert peak <= _WHOLE_ARRAY_DRAW_PEAK
+
+
+def test_geometry_draw_allocates_three_arrays_of_draws():
+    # the two coordinate draws and the output, plus the skip mask and the
+    # temporaries of one slice
+    draws = ExperimentConfig().ecrb_draws
+    slack = draws + 8 * (8 * _ECRB_SLICE)
+    peak = allocation_peak(_ecrb_geometry, ScenarioEnsemble(), draws,
                            np.random.SeedSequence([1, 1]))
-    assert allocation_peak(_block_errors, (config, [(0, 0, trials)])) <= draw
+    assert peak <= 3 * 8 * draws + slack <= _WHOLE_ARRAY_DRAW_PEAK
