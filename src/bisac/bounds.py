@@ -369,15 +369,17 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
 
         cos(beta/2) = sqrt((s - D)(s + D) / (4 d_tx d_rx)),
 
-    computed slice by slice into one output; a copy drops the skipped draws
-    only when there are any.
+    computed slice by slice; a copy drops the skipped draws only when there
+    are any.
     """
     draws = _checked(draws, int, "draws", 1)
     rng = np.random.default_rng(seed)
     xs, ys = ensemble.sample_targets(rng, draws)
     (tx_x, tx_y), (rx_x, rx_y) = ensemble.tx_pos, ensemble.rx_pos
     baseline = ensemble.baseline
-    cos_half = np.empty(draws)
+    # a slice of x is read before its cos(beta/2) overwrites it: no fresh
+    # array of draws, whose page faults would set the draw's speed
+    cos_half = xs
     ok = np.empty(draws, dtype=bool)
     # a leg of zero length divides by zero, and on the baseline segment
     # rounding can make s - D negative; the mask drops those draws
