@@ -352,7 +352,8 @@ def ecrb_vel(
     """
     cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
     base = crb(params, pattern, numerology, beta=0.0)
-    value = _ecrb_mean(base.crb_vel_ms2, cos_half)
+    # the terms overwrite the draw, which no other bound reads
+    value = _ecrb_mean(base.crb_vel_ms2, cos_half, out=cos_half)
     return EcrbVelocity(value_ms=value, draws=draws, skipped=skipped)
 
 
