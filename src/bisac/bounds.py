@@ -353,7 +353,7 @@ def ecrb_vel(
     cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
     base = crb(params, pattern, numerology, beta=0.0)
     # the terms overwrite the draw, which no other bound reads
-    value = _ecrb_mean(base.crb_vel_ms2, cos_half, out=cos_half)
+    value = _ecrb_mean(base.crb_vel_ms2, cos_half, cos_half)
     return EcrbVelocity(value_ms=value, draws=draws, skipped=skipped)
 
 
@@ -399,11 +399,11 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
     return (cos_half[ok] if skipped else cos_half), skipped
 
 
-def _ecrb_mean(crb_vel_ms2: float, cos_half: np.ndarray, out: np.ndarray | None = None) -> float:
+def _ecrb_mean(crb_vel_ms2: float, cos_half: np.ndarray, out: np.ndarray) -> float:
     """Mean of sqrt(crb_vel / cos^2(beta/2)) over the drawn geometry [m/s].
 
-    ``out``, an array shaped as ``cos_half``, takes the terms in place of a
-    new one.
+    The terms go into ``out``, an array shaped as ``cos_half`` (it may be
+    ``cos_half``), in place of a new one.
     """
     return float(np.divide(math.sqrt(crb_vel_ms2), cos_half, out=out).mean())
 
