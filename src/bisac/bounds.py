@@ -347,14 +347,49 @@ def ecrb_vel(
 
     Averages sqrt(crb_vel) over bistatic angles induced by the target
     distribution (RMSE-comparable convention). Deterministic for a given
-    seed. Degenerate draws (target on a terminal, or exactly on the
-    baseline segment where the bound diverges) are skipped and counted.
+    seed. Degenerate draws (target on a terminal) are skipped and counted.
+    Raises SingularPatternError, as ``_check_off_baseline`` does, for a
+    target box that meets the baseline segment.
     """
+    _check_off_baseline(ensemble)
     cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
     base = crb(params, pattern, numerology, beta=0.0)
     # the terms overwrite the draw, which no other bound reads
     value = _ecrb_mean(base.crb_vel_ms2, cos_half, cos_half)
     return EcrbVelocity(value_ms=value, draws=draws, skipped=skipped)
+
+
+def _check_off_baseline(ensemble: ScenarioEnsemble) -> None:
+    """Raise SingularPatternError if the closed target box meets the baseline
+    segment at a point other than a terminal.
+
+    There cos(beta/2) = 0, and it falls linearly with the distance to the
+    segment, so the ensemble mean of 1/cos(beta/2) diverges and a finite draw
+    of it is a seed-dependent number. The segment is clipped to the box in
+    exact integer arithmetic.
+    """
+    # every coordinate as an integer multiple of one power of two
+    ratios = [v.as_integer_ratio() for v in (*ensemble.tx_pos, *ensemble.rx_pos,
+                                             *ensemble.x_range, *ensemble.y_range)]
+    unit = max(q for _, q in ratios)
+    tx_x, tx_y, rx_x, rx_y, *ends = (p * (unit // q) for p, q in ratios)
+    steps = (rx_x - tx_x, rx_y - tx_y)
+    if not any(steps):
+        return
+    # the parameters t in [0, 1] of the segment's points inside the box, times
+    # a common denominator that makes each bound an integer
+    whole = math.prod(abs(d) for d in steps if d)
+    lo, hi = 0, whole
+    for a, d, box in zip((tx_x, tx_y), steps, (sorted(ends[:2]), sorted(ends[2:]))):
+        if d:
+            t0, t1 = sorted((e - a) * (whole // d) for e in box)
+            lo, hi = max(lo, t0), min(hi, t1)
+        elif not box[0] <= a <= box[1]:
+            return
+    if lo < hi or 0 < lo == hi < whole:
+        raise SingularPatternError(
+            "the target box meets the baseline segment between the terminals, where "
+            "cos(beta/2) = 0: the ensemble velocity bound diverges")
 
 
 # draws per slice of the ECRB geometry: a slice's temporaries stay in cache
@@ -432,16 +467,18 @@ def _phasor(tau, f_d, numerology: OfdmNumerology, n: np.ndarray, m: np.ndarray) 
     """exp(j 2 pi (f_d m T_s - tau n df)) at subcarrier n, symbol m.
 
     ``tau`` and ``f_d`` are scalars or arrays that broadcast against ``n``
-    and ``m``; each element is computed as for scalars. The phase is
-    accumulated in cycles and reduced modulo one before conversion to
+    and ``m``; each element is computed as for scalars. The phase is the
+    product exp(j 2 pi frac(f_d T_s m)) exp(-j 2 pi frac(tau df n)), one
+    factor per axis: each is accumulated in cycles and reduced modulo one
+    (``x - floor(x)``, bit for bit ``np.mod(x, 1.0)``) before conversion to
     radians, so its accuracy does not depend on the index magnitude and
-    delay/Doppler aliasing identities hold exactly.
+    delay/Doppler aliasing identities hold exactly. A grid of rows n and
+    columns m takes one exponential per row and per column.
     """
-    cycles = (
-        f_d * numerology.symbol_duration_s * m
-        - tau * numerology.subcarrier_spacing_hz * n
-    )
-    return np.exp(2j * np.pi * np.mod(cycles, 1.0))
+    doppler = f_d * numerology.symbol_duration_s * m
+    delay = tau * numerology.subcarrier_spacing_hz * n
+    return (np.exp(2j * np.pi * (doppler - np.floor(doppler)))
+            * np.exp(-2j * np.pi * (delay - np.floor(delay))))
 
 
 def mean_response(

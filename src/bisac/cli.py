@@ -95,6 +95,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _trial_indices(text: str) -> tuple:
+    """(snr_idx, trial_idx) of ``SNR_IDX,TRIAL_IDX``."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(part.isdecimal() for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected SNR_IDX,TRIAL_IDX, two non-negative integers, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
 # every flag of every subcommand; one not given is None unless it has a default
 _FLAGS = {
     "--config": dict(metavar="FILE", help="JSON config file"),
@@ -120,6 +129,9 @@ _FLAGS = {
     "--rhos": dict(type=_parse_rhos, default=DEFAULT_RATE_RHOS,
                    help="comma list of overhead values in [0, 1]"),
     "--dump-surface": dict(metavar="FILE", help="write the power surface as a binary grid"),
+    "--trial": dict(type=_trial_indices, default=(0, 0), metavar="SNR_IDX,TRIAL_IDX",
+                    help="the sweep trial to run: SNR grid point and trial index "
+                         "(default 0,0)"),
 }
 
 
@@ -213,11 +225,12 @@ def _cmd_rates(config, args) -> int:
 
 
 def _cmd_simulate(config, args) -> int:
-    """Trial 0 of SNR point 0 of the sweep over the same config."""
-    truth, pilot_grid, outcome = simulate_trial(config, 0, 0)
+    """Trial ``--trial`` (default 0 of SNR point 0) of the sweep over the same config."""
+    snr_idx, trial_idx = args.trial
+    truth, pilot_grid, outcome = simulate_trial(config, snr_idx, trial_idx)
     valid = not isinstance(outcome, GeometryError)
     payload = {
-        "snr_db": config.snr_grid_db[0],
+        "snr_db": config.snr_grid_db[snr_idx],
         "truth": {"d_bis_m": truth.d_bis, "v_bis_ms": truth.v_bis, "tau_s": truth.tau,
                   "f_d_hz": truth.f_d, "beta_rad": truth.beta, "theta_rad": truth.theta},
         "valid": valid,
@@ -245,7 +258,8 @@ _COMMANDS = {
                "--config --seed --snr-db --out --draws"),
     "rates": (_cmd_rates, "rate ceiling per overhead", "--config --out --snr-comm-db --rhos"),
     "simulate": (_cmd_simulate, "single trial (JSON)",
-                 "--config --seed --np --mp --fft --snr-db --profile --out --dump-surface"),
+                 "--config --seed --np --mp --fft --snr-db --profile --out --dump-surface "
+                 "--trial"),
 }
 
 
@@ -275,7 +289,8 @@ def main(argv=None) -> int:
     command = sub.choices[args.command]
     if unread:
         command.error(f"unrecognized arguments: {' '.join(unread)}")
-    # only sweep runs a grid; crb and simulate take the first of a config file's grid
+    # only sweep runs a grid; crb takes the first of a config file's grid, and
+    # simulate the point that --trial names
     grid = getattr(args, "snr_grid_db", None) or ()
     if args.command != "sweep" and len(grid) > 1:
         command.error(f"argument --snr-db: expected a single value, got {len(grid)}")

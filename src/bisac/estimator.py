@@ -129,11 +129,12 @@ def ls_channel_estimate(
     return _ls_divide(received[::n_p, ::m_p], transmitted[::n_p, ::m_p])
 
 
-def _ls_divide(received: np.ndarray, pilots: np.ndarray) -> np.ndarray:
-    """Least-squares estimates ``received / pilots`` of pilot values, any shape."""
+def _ls_divide(received: np.ndarray, pilots: np.ndarray, out=None) -> np.ndarray:
+    """Least-squares estimates ``received / pilots`` of pilot values, any shape,
+    written into ``out`` if given."""
     if np.abs(pilots).min() < 1.0 - 1e-9:
         raise ValueError("pilot symbol modulus below unity")
-    return received / pilots
+    return np.divide(received, pilots, out=out)
 
 
 def _grid_shape(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:

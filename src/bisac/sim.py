@@ -75,13 +75,21 @@ def _receive(symbols, params: SensingChannelParams, tau, f_d, numerology: OfdmNu
              strides: tuple, normals) -> np.ndarray:
     """``symbols`` received on every ``strides``-th subcarrier and symbol, with the
     params' gain, delay ``tau`` and Doppler ``f_d`` (broadcast as in ``_phasor``)
-    and the noise that the standard normal pair ``normals`` makes (None: none)."""
+    and the noise that the standard normal pair ``normals`` makes (None: none).
+
+    The gain, the symbols and the scaled noise go into the phase array in
+    place, in the order of ``alpha * phasor * symbols + scale * (re + 1j im)``
+    and bit for bit its value; ``normals`` are scaled in place."""
     n = np.arange(numerology.n_subcarriers, dtype=float)[::strides[0], None]
     m = np.arange(numerology.n_symbols, dtype=float)[None, ::strides[1]]
-    received = params.alpha * _phasor(tau, f_d, numerology, n, m) * symbols
+    received = _phasor(tau, f_d, numerology, n, m)
+    np.multiply(params.alpha, received, out=received)
+    received *= symbols
     if normals is not None:
-        re, im = normals
-        received = received + np.sqrt(params.noise_var / 2.0) * (re + 1j * im)
+        scale = np.sqrt(params.noise_var / 2.0)
+        for part, noise in zip((received.real, received.imag), normals):
+            noise *= scale
+            part += noise
     return received
 
 

@@ -336,6 +336,31 @@ class TestEcrbVel:
         with pytest.raises(SingularPatternError):
             ecrb_vel(broken, params, make_periodic(70, 50, 2, 5), num, draws=10, seed=1)
 
+    @pytest.mark.parametrize("x_range, y_range", [
+        ((-21.0, -19.0), (19.0, 21.0)),  # holds the segment's point (-20, 20)
+        ((-21.0, -19.0), (21.0, 25.0)),  # meets it at the corner (-19, 21) alone
+        ((-19.0, -21.0), (21.0, 19.0)),  # the first box, its ranges reversed
+        ((-20.0, -20.0), (20.0, 20.0)),  # a point mass on it
+        ((-50.0, 10.0), (-10.0, 50.0)),  # the whole segment and the terminals
+    ])
+    def test_box_on_the_baseline_segment_raises(self, num, x_range, y_range):
+        # the mean of 1/cos(beta/2) diverges: no draw count gives it
+        params = SensingChannelParams.from_snr_db(5.0)
+        on_segment = ScenarioEnsemble(x_range=x_range, y_range=y_range)
+        with pytest.raises(SingularPatternError, match="baseline segment"):
+            ecrb_vel(on_segment, params, make_periodic(70, 50, 2, 5), num, draws=1000, seed=0)
+
+    @pytest.mark.parametrize("x_range, y_range", [
+        ((-21.0, -19.0), (21.0 + math.sqrt(2.0), 25.0)),  # 1 m off the segment
+        ((-50.0, -40.0), (-10.0, 0.0)),  # meets it at the transmitter alone
+        ((-60.0, -50.0), (-20.0, -10.0)),  # on the baseline's line, beyond a terminal
+    ])
+    def test_box_off_the_baseline_segment_is_finite(self, num, x_range, y_range):
+        params = SensingChannelParams.from_snr_db(5.0)
+        box = ScenarioEnsemble(x_range=x_range, y_range=y_range)
+        est = ecrb_vel(box, params, make_periodic(70, 50, 2, 5), num, draws=1000, seed=0)
+        assert math.isfinite(est.value_ms)
+
     @pytest.mark.parametrize("draws", [0, 2.5, True])
     def test_draws_must_be_a_positive_integer(self, num, ensemble, draws):
         params = SensingChannelParams.from_snr_db(0.0)

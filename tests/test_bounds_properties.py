@@ -1,14 +1,23 @@
 """Property tests: the sliced closed-form ECRB geometry draw against the
-reference whole-array path (hypot legs, then the bistatic angle by arccos)."""
+reference whole-array path (hypot legs, then the bistatic angle by arccos),
+the baseline-segment check against a rational clip, and the per-axis phase
+kernel against one exponential a cell and against the exact phase."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from bisac import DEGENERATE_EPS, ScenarioEnsemble, SingularPatternError  # noqa: E402
-from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
+from bisac import (  # noqa: E402
+    DEGENERATE_EPS, OfdmNumerology, ScenarioEnsemble, SingularPatternError,
+)
+from bisac.bounds import (  # noqa: E402
+    _ECRB_SLICE, _check_off_baseline, _ecrb_geometry, _phasor,
+)
 from bisac.geometry import bistatic_angle  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -85,3 +94,105 @@ def test_degenerate_point_is_skipped_on_both_paths(tx, rx, target):
     assert not reference_geometry(point, 10, 0)[1].any()
     with pytest.raises(SingularPatternError, match="all ensemble draws"):
         _ecrb_geometry(point, 10, 0)
+
+
+def meets_open_segment(ensemble):
+    """Whether the closed box holds a point t in (0, 1) of the segment from
+    the transmitter to the receiver: the segment clipped in Fractions."""
+    start = [Fraction(c) for c in ensemble.tx_pos]
+    step = [Fraction(c) - a for c, a in zip(ensemble.rx_pos, start)]
+    lo, hi = Fraction(0), Fraction(1)
+    for a, d, ends in zip(start, step, (ensemble.x_range, ensemble.y_range)):
+        e0, e1 = sorted(Fraction(e) for e in ends)
+        if d:
+            t0, t1 = sorted(((e0 - a) / d, (e1 - a) / d))
+            lo, hi = max(lo, t0), min(hi, t1)
+        elif not e0 <= a <= e1:
+            return False
+    return any(step) and (lo < hi or 0 < lo == hi < 1)
+
+
+# small integers make boxes that touch the segment at a corner or along an edge
+lattice = st.integers(-4, 4).map(float)
+near = st.tuples(lattice, lattice) | points
+
+
+@settings(max_examples=400, deadline=None)
+@given(tx=near, rx=near, x=near, y=near)
+def test_baseline_check_equals_the_rational_clip(tx, rx, x, y):
+    ensemble = ScenarioEnsemble(tx_pos=tx, rx_pos=rx, x_range=x, y_range=y)
+    if meets_open_segment(ensemble):
+        with pytest.raises(SingularPatternError, match="baseline segment"):
+            _check_off_baseline(ensemble)
+    else:
+        _check_off_baseline(ensemble)
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=40))
+@example(values=[-0.0, 0.0, -1.0, -7.0, 3.0, 2.0**53, -2.0**60, 0.5, -0.5, -0.75])
+@example(values=[5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+                 -1e-300, -1.7976931348623157e308])
+def test_floor_reduction_is_mod_one_bit_for_bit(values):
+    # the phase kernel's reduction: finite values only, as cycle counts are
+    x = np.array(values)
+    assert bits(x - np.floor(x)) == bits(np.mod(x, 1.0))
+
+
+NUM = OfdmNumerology()
+N_INDEX = np.arange(NUM.n_subcarriers, dtype=float)[:, None]
+M_INDEX = np.arange(NUM.n_symbols, dtype=float)[None, :]
+
+
+def cell_phase(tau, f_d, n, m):
+    """The reference kernel: one exponential a cell of the reduced sum of cycles."""
+    cycles = f_d * NUM.symbol_duration_s * m - tau * NUM.subcarrier_spacing_hz * n
+    return np.exp(2j * np.pi * np.mod(cycles, 1.0))
+
+
+def exact_phase(tau, f_d):
+    """exp(j 2 pi c) on the full grid, c the exact rational cycle count of the
+    float inputs, reduced modulo one before it is rounded."""
+    doppler = [Fraction(f_d) * Fraction(NUM.symbol_duration_s) * m
+               for m in range(NUM.n_symbols)]
+    delay = [Fraction(tau) * Fraction(NUM.subcarrier_spacing_hz) * n
+             for n in range(NUM.n_subcarriers)]
+    frac = np.array([[float((d - t) - math.floor(d - t)) for d in doppler] for t in delay])
+    return np.exp(2j * np.pi * frac)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.floats(-1e-5, 1e-5), f_d=st.floats(-1e5, 1e5))
+def test_phase_per_axis_is_within_rounding_of_one_exponential_a_cell(tau, f_d):
+    fast = _phasor(tau, f_d, NUM, N_INDEX, M_INDEX)
+    assert np.abs(fast - cell_phase(tau, f_d, N_INDEX, M_INDEX)).max() <= 2e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=st.floats(0.0, 2e-6), f_d=st.floats(-2e4, 2e4))
+def test_phase_per_axis_is_no_further_from_the_exact_phase(tau, f_d):
+    # delays and Doppler shifts of the default ensemble and beyond; over the
+    # grid, since at a single cell the reference's rounding of the sum may
+    # cancel the rounding that both kernels make in the per-axis products
+    exact = exact_phase(tau, f_d)
+    fast = np.abs(_phasor(tau, f_d, NUM, N_INDEX, M_INDEX) - exact).max()
+    reference = np.abs(cell_phase(tau, f_d, N_INDEX, M_INDEX) - exact).max()
+    assert fast <= reference + 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(taus=st.lists(st.floats(0.0, 2e-6), min_size=1, max_size=5),
+       f_ds=st.lists(st.floats(-2e4, 2e4), min_size=5, max_size=5))
+def test_stacked_phase_equals_each_trial_alone(taus, f_ds):
+    # a block of trials broadcasts (trials, 1, 1) parameters over the grid
+    tau = np.array(taus)[:, None, None]
+    f_d = np.array(f_ds[:len(taus)])[:, None, None]
+    stack = _phasor(tau, f_d, NUM, N_INDEX, M_INDEX)
+    for k in range(len(taus)):
+        alone = _phasor(float(tau[k, 0, 0]), float(f_d[k, 0, 0]), NUM, N_INDEX, M_INDEX)
+        assert bits(stack[k].view(float)) == bits(alone.view(float))

@@ -25,6 +25,7 @@ from bisac import (
     run_sweep,
 )
 from bisac.cli import _parse_snr_grid, main
+from bisac.harness import _trial_block, simulate_trial
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -123,7 +124,7 @@ COMMAND_FLAGS = {
     "table1": {"--config", "--seed", "--snr-db", "--out", "--draws"},
     "rates": {"--config", "--out", "--snr-comm-db", "--rhos"},
     "simulate": {"--config", "--seed", "--np", "--mp", "--fft", "--snr-db", "--profile",
-                 "--out", "--dump-surface"},
+                 "--out", "--dump-surface", "--trial"},
 }
 
 # a valid value for each flag that some subcommand does not read
@@ -568,6 +569,46 @@ class TestSimulateCommand:
         peak_power = surface.real.max()
         assert est["peak_power"] == pytest.approx(peak_power, rel=1e-12)
         assert est["refine_fallback"] is False
+
+    def test_trial_flag_runs_that_trial_of_the_sweep(self, tmp_path):
+        config = ExperimentConfig(
+            pattern=make_periodic(70, 50, 2, 5), snr_grid_db=(0.0, 20.0, 30.0),
+            trials_per_point=10, fft=PeriodogramConfig(64, 64), seed=4,
+        )
+        path, out = tmp_path / "config.json", tmp_path / "trial.json"
+        path.write_text(json.dumps(config.to_json_dict()))
+        assert main(["simulate", "--config", str(path), "--trial", "1,7", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["snr_db"] == 20.0
+        truth, grid, outcome = simulate_trial(config, 1, 7)
+        # the sweep runs its three SNR points as one block
+        in_sweep = _trial_block(config, [(0, 0, 10), (1, 0, 10), (2, 0, 10)])[10 + 7]
+        assert in_sweep[0] == truth
+        assert np.array_equal(in_sweep[1].view(np.uint64), grid.view(np.uint64))
+        assert vars(in_sweep[2]) == vars(outcome)
+        assert payload["truth"]["d_bis_m"] == truth.d_bis
+        assert payload["estimate"] == json.loads(json.dumps(outcome.to_json_dict()))
+
+    def test_default_trial_is_trial_0_0(self, tmp_path):
+        outs = [tmp_path / "default.json", tmp_path / "named.json"]
+        for out, extra in zip(outs, ([], ["--trial", "0,0"])):
+            main(["simulate", "--np", "2", "--mp", "5", "--fft", "64", "--seed", "3",
+                  "--out", str(out), *extra])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("value, name", [
+        ("1,0", "snr_idx must be < 1"), ("-1,0", "--trial"), ("0,-1", "--trial"),
+        ("0", "--trial"), ("0,1,2", "--trial"), ("a,0", "--trial"), ("0,1.5", "--trial"),
+    ])
+    def test_bad_trial_is_a_usage_error(self, value, name, monkeypatch, capsys):
+        def no_trial(*args):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(bisac.harness, "_trial_block", no_trial)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fft", "64", "--trial", value])
+        assert exc.value.code == 2
+        assert name in capsys.readouterr().err
 
     def test_is_first_trial_of_matching_sweep(self, tmp_path):
         out = tmp_path / "trial.json"

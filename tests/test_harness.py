@@ -370,6 +370,31 @@ class TestRunSweep:
             run_sweep(small_config(ensemble=on_tx, workers=workers))
         assert multiprocessing.active_children() == []
 
+    # the default baseline segment runs from the transmitter (-40, 0) to the
+    # receiver (0, 40): the first box holds its point (-20, 20), the second
+    # meets it at its corner (-19, 21) alone, the third is 1 m off it
+    @pytest.mark.parametrize("y_range", [(19.0, 21.0), (21.0, 25.0)])
+    def test_box_on_the_baseline_segment_rejected_before_any_trial(self, y_range, no_trial):
+        on_segment = ScenarioEnsemble(x_range=(-21.0, -19.0), y_range=y_range)
+        for workers in (1, 2):
+            config = small_config(ensemble=on_segment, workers=workers)
+            with pytest.raises(SingularPatternError, match="baseline segment"):
+                run_sweep(config)
+            with pytest.raises(SingularPatternError, match="baseline segment"):
+                run_table1(config)
+
+    def test_box_off_the_baseline_segment_has_finite_bounds(self):
+        off_segment = ScenarioEnsemble(x_range=(-21.0, -19.0),
+                                       y_range=(21.0 + math.sqrt(2.0), 25.0))
+        csvs = set()
+        for workers in (1, 2):
+            config = small_config(ensemble=off_segment, workers=workers)
+            result = run_sweep(config)
+            assert all(math.isfinite(row.ecrb_vel_ms) for row in result.rows)
+            assert all(math.isfinite(row.ecrb_vel_ms) for row in run_table1(config))
+            csvs.add(result.to_csv())
+        assert len(csvs) == 1
+
     def test_one_geometry_draw_per_call(self, monkeypatch):
         calls = []
         draw = bisac.harness._ecrb_geometry

@@ -1,5 +1,6 @@
 """Property tests: the shared bound-row path against per-row ecrb_vel calls,
-and JSON round trips of whole configs."""
+JSON round trips of whole configs, and trial seeds from uint32 entropy
+against the list key."""
 
 import dataclasses
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bisac import (  # noqa: E402
     ExperimentConfig,
@@ -24,7 +25,7 @@ from bisac import (  # noqa: E402
     run_sweep,
     run_table1,
 )
-from bisac.harness import _ECRB_STREAM  # noqa: E402
+from bisac.harness import _ECRB_STREAM, _TRIAL_STREAM, _trial_seed  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -117,3 +118,23 @@ def test_config_json_round_trip(config):
     back = ExperimentConfig.from_json_dict(json.loads(json.dumps(spec)))
     assert back.to_json_dict() == spec
     assert field_values(back) == field_values(config)
+
+
+def bits_of(seed_sequence):
+    return seed_sequence.generate_state(8).tolist()
+
+
+# key words below 2**32 take the uint32 array, larger ones the list
+key_word = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=key_word, snr_idx=key_word, trial=key_word)
+@example(seed=2**32 - 1, snr_idx=0, trial=2**32 - 1)
+@example(seed=2**32, snr_idx=0, trial=0)
+@example(seed=0, snr_idx=0, trial=2**32)
+def test_trial_seed_equals_the_list_key(seed, snr_idx, trial):
+    key = [seed, _TRIAL_STREAM, snr_idx, trial]
+    fast = _trial_seed(seed, snr_idx, trial)
+    assert bits_of(fast) == bits_of(np.random.SeedSequence(key))
+    assert isinstance(fast.entropy, list) == (max(key) >= 2**32)

@@ -21,10 +21,11 @@ from bisac import (  # noqa: E402
     make_periodic,
 )
 from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
-from bisac.estimator import _delay_stage, _start_cells  # noqa: E402
+from bisac.estimator import _delay_stage, _ls_divide, _start_cells  # noqa: E402
 from bisac.harness import (  # noqa: E402
-    _BLOCK_BYTES, _block_errors, _trial_block, simulate_trial,
+    _BLOCK_BYTES, _block_errors, _trial_block, _trial_seed, simulate_trial,
 )
+from bisac.sim import simulate_pilots  # noqa: E402
 from reference_chain import reference_trial  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -147,6 +148,27 @@ def test_block_allocates_no_more_than_the_geometry_draw(strides, snr_db):
                               seed=1)
     peak = allocation_peak(_block_errors, (config, [(0, 0, trials)]))
     assert peak <= _WHOLE_ARRAY_DRAW_PEAK
+
+
+# the traced peak of a full strides-(2, 1) block's pilot draw and LS divide
+# (20 trials, 20 dB, seed 1) by ``allocation_peak``, when each trial's phase
+# took one exponential a cell and its noise a complex temporary
+_CELL_PHASE_DRAW_PEAK = 3_089_512
+
+
+def test_block_draw_allocates_no_more_than_a_phase_per_cell():
+    pattern = make_periodic(70, 50, 2, 1)
+    rows, cols = (count + 1 for count in pattern.periodic_counts())
+    trials = _BLOCK_BYTES // (_start_cells(rows, 1)[0] * cols * 16)
+    config = ExperimentConfig(pattern=pattern, snr_grid_db=(20.0,), seed=1)
+    seeds = [_trial_seed(config.seed, 0, trial) for trial in range(trials)]
+
+    def draw():
+        _, symbols, received = simulate_pilots(config.ensemble, config.numerology, pattern,
+                                               config.snr_grid_db[0], seeds)
+        return _ls_divide(received, symbols)
+
+    assert allocation_peak(draw) <= _CELL_PHASE_DRAW_PEAK
 
 
 def test_geometry_draw_allocates_two_arrays_of_draws():
