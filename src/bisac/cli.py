@@ -110,7 +110,8 @@ _FLAGS = {
     "--seed": dict(type=int, help="master seed (overrides config)"),
     "--np": dict(dest="stride_n", type=_positive_int, metavar="N_P", help="subcarrier stride"),
     "--mp": dict(dest="stride_m", type=_positive_int, metavar="M_P", help="symbol stride"),
-    "--fft": dict(type=_positive_int, help="FFT size for both axes"),
+    "--fft": dict(type=_positive_int, help="FFT size for both axes: only the units of "
+                  "peak_bins and the size of a dumped surface"),
     "--trials": dict(dest="trials_per_point", type=_positive_int,
                      help="Monte Carlo trials per SNR point"),
     "--snr-db": dict(dest="snr_grid_db", type=_parse_snr_grid, metavar="A:B:STEP",
@@ -119,7 +120,8 @@ _FLAGS = {
     "--workers": dict(type=_positive_int,
                       help="processes that run trial blocks, the calling one included"),
     "--profile": dict(choices=sorted(_PROFILES),
-                      help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials"),
+                      help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials "
+                           "(the fft moves no estimate, see --fft)"),
     "--out": dict(metavar="FILE", help="output path (default stdout)"),
     "--beta-deg": dict(type=_finite_float,
                        help="bistatic angle [deg]; default: ensemble box center"),

@@ -5,10 +5,9 @@ conversion to bistatic range, velocity and receiver-leg distance. The FFT
 sizes set only ``periodogram_2d`` and the units of the peak bins.
 
 Sign conventions: the subcarrier (delay) axis uses the positive-exponent
-kernel, so a delay tau peaks at bin tau * n_p * df * fft_n, and the symbol
-(Doppler) axis the negative one, so a Doppler f_d peaks at bin
-f_d * m_p * T_s * fft_m (mod fft_m), read on (-fft_m/2, fft_m/2]; delays
-live in [0, unambiguous span).
+kernel, so a delay tau peaks at tau * n_p * df cycles, and the symbol
+(Doppler) axis the negative one, so a Doppler f_d peaks at f_d * m_p * T_s
+cycles (mod 1), read on (-1/2, 1/2]; delays live in [0, unambiguous span).
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ _PADDED = 16384
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
-    """FFT sizes (powers of two, default the desk profile's) and whether the
+    """FFT sizes (powers of two, default the desk profile's), the units of the
+    peak bins and the size of the ``periodogram_2d`` surface, and whether the
     estimate is the continuous maximum (``interpolate``) or its peak bins."""
 
     fft_n: int = 1024
@@ -62,26 +62,19 @@ class PeriodogramConfig:
             if size < 1 or size & (size - 1):
                 raise ValueError(f"{name} must be a power of two, got {size}")
 
-    def check_covers(self, rows: int, cols: int) -> None:
-        """Raise ValueError unless the FFT sizes cover a rows x cols pilot grid."""
-        if self.fft_n < rows or self.fft_m < cols:
-            raise ValueError(
-                f"FFT sizes ({self.fft_n}, {self.fft_m}) smaller than the "
-                f"pilot grid ({rows}, {cols})"
-            )
-
 
 @dataclass(frozen=True)
 class EstimationResult:
     """Outputs of one estimation pass, at the global maximum of the continuous
-    periodogram P of the LS grid. peak_bins: the largest-P of the four
-    (fft_n, fft_m) grid points around it (the ``periodogram_2d`` argmax when
-    that lies within one bin); peak_power: P there; fractional_offsets: from
-    them to the maximum, under one bin (zero without interpolation: the bins
-    are the estimate). refine_fallback: the maximum is no certified Newton
-    maximum (a zero, non-finite, 1 x 1, flat or ridged grid, or failed Newton;
-    False without interpolation). An axis of one pilot stays at bin 0.
-    beta_clamped flags a degenerate bistatic-angle inversion."""
+    periodogram P of the LS grid at any FFT sizes, which are the units of the
+    labels: peak_bins, the largest-P of the four (fft_n, fft_m) grid points
+    around it (the ``periodogram_2d`` argmax when that lies within one bin);
+    peak_power, P there; fractional_offsets, from them to the maximum, under
+    one bin (zero without interpolation: the bins are the estimate).
+    refine_fallback: the maximum is no certified Newton maximum (a zero,
+    non-finite, 1 x 1, flat or ridged grid, or failed Newton; False without
+    interpolation). An axis of one pilot stays at bin 0. beta_clamped flags
+    a degenerate bistatic-angle inversion."""
 
     tau_hat: float
     f_d_hat: float
@@ -138,11 +131,13 @@ def _ls_divide(received: np.ndarray, pilots: np.ndarray, out=None) -> np.ndarray
 
 
 def _grid_shape(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """(rows, cols) of a pilot grid or stack; raises unless ``config`` covers them."""
+    """(rows, cols) of a pilot grid or stack; raises unless the FFT sizes cover them."""
     rows, cols = pilot_grid.shape[-2:]
     if rows < 1 or cols < 1:
         raise ValueError("empty pilot grid")
-    config.check_covers(rows, cols)
+    if config.fft_n < rows or config.fft_m < cols:
+        raise ValueError(f"FFT sizes ({config.fft_n}, {config.fft_m}) smaller than the "
+                         f"pilot grid ({rows}, {cols})")
     return rows, cols
 
 
@@ -185,6 +180,13 @@ def _start_cells(rows: int, cols: int) -> np.ndarray:
     single pilot)."""
     return np.array([1 if n == 1 else 1 << (per * n - 1).bit_length()
                      for n, per in ((rows, 2), (cols, 4))])
+
+
+def _block_length(rows: int, cols: int) -> int:
+    """Trials per sweep block of rows x cols pilot grids: as many as fit 2 MiB
+    of the search's start delay stage, and at least one; 20 of 35 x 50 pilots
+    (strides (2, 1)), 102 of 35 x 10 (strides (2, 5))."""
+    return max(1, 2**21 // (_start_cells(rows, 1)[0] * cols * 16))
 
 
 def _centred(rows: int, cols: int) -> tuple:
@@ -571,15 +573,14 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
     own ``theta``; a trial whose range cannot be inverted gets its GeometryError
     in place of a result. One search runs over the whole stack."""
     n_p, m_p = pattern.periodic_strides()
-    bins, offsets, powers, fallback = _peaks(pilot_grids, config)
+    bins, offsets, powers, fallback, cycles = _peaks(pilot_grids, config)
+    u, v = cycles.T
+    taus = (u % 1.0) / (n_p * numerology.subcarrier_spacing_hz)
+    dopplers = (v - (v > 0.5)) / (m_p * numerology.symbol_duration_s)
     outcomes = []
-    for (b_r, b_v), (off_r, off_v), power, flag, theta in zip(
-            bins.tolist(), offsets.tolist(), powers.tolist(), fallback.tolist(), thetas):
-        tau_hat = ((b_r + off_r) % config.fft_n) / (
-            n_p * numerology.subcarrier_spacing_hz * config.fft_n)
-        # the maximum's own Doppler on (-fft_m/2, fft_m/2], whichever bin labels it
-        signed_bin = b_v - config.fft_m if b_v + off_v > config.fft_m / 2 else b_v
-        f_d_hat = (signed_bin + off_v) / (m_p * numerology.symbol_duration_s * config.fft_m)
+    for tau_hat, f_d_hat, peak, offset, power, flag, theta in zip(
+            taus.tolist(), dopplers.tolist(), bins.tolist(), offsets.tolist(), powers.tolist(),
+            fallback.tolist(), thetas):
         d_bis_hat = SPEED_OF_LIGHT * tau_hat
         try:
             d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
@@ -591,20 +592,22 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
         outcomes.append(EstimationResult(
             tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
             v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
-            beta_clamped=clamped, peak_power=power, peak_bins=(b_r, b_v),
-            fractional_offsets=(off_r, off_v), refine_fallback=flag))
+            beta_clamped=clamped, peak_power=power, peak_bins=tuple(peak),
+            fractional_offsets=tuple(offset), refine_fallback=flag))
     return outcomes
 
 
 def _peaks(pilot_grids: np.ndarray, config: PeriodogramConfig) -> tuple:
     """The peak bins, fractional offsets, peak powers and fallback flags of
-    each grid of a stack, as ``EstimationResult`` defines them."""
+    each grid of a stack, as ``EstimationResult`` defines them, and the
+    estimates (trials, 2) in cycles: the maximisers, or the peak bins without
+    interpolation."""
     pilot_grids = np.asarray(pilot_grids, complex)
-    _grid_shape(pilot_grids, config)
     maxima, found, _ = _search(pilot_grids)
     bins, offsets, powers = _peak_bins(pilot_grids, maxima, config)
     if not config.interpolate:
-        return bins, np.zeros_like(offsets), powers, np.zeros_like(found)
-    return bins, offsets, powers, ~found
+        cycles = bins / np.array([config.fft_n, config.fft_m])
+        return bins, np.zeros_like(offsets), powers, np.zeros_like(found), cycles
+    return bins, offsets, powers, ~found, maxima * (1 / (2 * np.pi))
 
 

@@ -28,7 +28,7 @@ from .bounds import (
     SensingChannelParams, _check_off_baseline, _ecrb_geometry, _ecrb_mean, _snr_powers, crb,
     rate_upper_bound,
 )
-from .estimator import PeriodogramConfig, _estimate_grids, _ls_divide, _start_cells
+from .estimator import PeriodogramConfig, _block_length, _estimate_grids, _ls_divide
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
@@ -39,10 +39,6 @@ CSV_SCHEMA_VERSION = 1
 # Stream tags for per-purpose seed derivation.
 _TRIAL_STREAM = 0
 _ECRB_STREAM = 1
-
-# A block holds as many trials as fit this many bytes of the search's start delay
-# stage, and at least one: 20 of 35 x 50 pilots (strides (2, 1)), 102 of 35 x 10.
-_BLOCK_BYTES = 2**21
 
 DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))
 DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
@@ -168,13 +164,10 @@ class SweepResult:
 
 
 def check_receiver(config: ExperimentConfig) -> None:
-    """Raise before any trial if the receiver cannot run ``config``.
-
-    Raises PatternError if the pilot pattern is not periodic and
-    ValueError if an FFT size is smaller than the pilot subgrid.
-    """
-    k, l = config.pattern.periodic_counts()
-    config.fft.check_covers(k + 1, l + 1)
+    """Raise before any trial if the receiver cannot run ``config``: a
+    PatternError if the pilot pattern is not periodic. The search does not
+    use the FFT sizes, so any power of two runs."""
+    config.pattern.periodic_counts()
 
 
 def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tuple:
@@ -321,8 +314,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     RMSE is computed over valid trials only (geometry failures and
     non-finite estimates are excluded); the valid fraction is reported
-    alongside. Deterministic per master seed for any worker count.
-    Raises before any trial as ``check_receiver`` does, as ``crb`` does
+    alongside. Deterministic per master seed for any worker count, and the
+    same at any FFT sizes (units of the estimator's labels alone). Raises
+    before any trial as ``check_receiver`` does, as ``crb`` does
     (a collinear pattern, or a bound that overflows at an SNR of the grid),
     or with SingularPatternError if the ensemble's target box meets the
     baseline segment (``bounds._check_off_baseline``).
@@ -337,8 +331,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     bound_columns = functools.partial(_bound_columns, config, reports, config.ecrb_draws)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
-    pilot_rows, pilot_cols = (count + 1 for count in config.pattern.periodic_counts())
-    length = max(1, _BLOCK_BYTES // (_start_cells(pilot_rows, 1)[0] * pilot_cols * 16))
+    length = _block_length(*(count + 1 for count in config.pattern.periodic_counts()))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
     # pack consecutive runs of min(length, trials) trials into blocks of up to

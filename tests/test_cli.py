@@ -99,8 +99,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, args, message", [
         ("crb", ["--np", "70"], "collinear"),
         ("sweep", ["--np", "70", "--trials", "1"], "collinear"),
-        ("sweep", ["--fft", "16", "--trials", "1"], "smaller than the pilot grid"),
-        ("simulate", ["--fft", "16"], "smaller than the pilot grid"),
     ])
     def test_unrunnable_config_exits_before_any_trial(self, command, args, message,
                                                       tmp_path, monkeypatch, capsys):
@@ -569,6 +567,17 @@ class TestSimulateCommand:
         peak_power = surface.real.max()
         assert est["peak_power"] == pytest.approx(peak_power, rel=1e-12)
         assert est["refine_fallback"] is False
+
+    def test_surface_smaller_than_the_pilot_grid_is_a_usage_error(self, tmp_path, capsys):
+        # the estimate runs at any FFT size; only the surface needs sizes that
+        # cover the 35 x 50 pilot grid, and nothing is written without it
+        out, surf = tmp_path / "trial.json", tmp_path / "surface.bin"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fft", "16", "--dump-surface", str(surf), "--out", str(out)])
+        assert exc.value.code == 2
+        assert ("FFT sizes (16, 16) smaller than the pilot grid (35, 50)"
+                in capsys.readouterr().err.splitlines()[-1])
+        assert not out.exists() and not surf.exists()
 
     def test_trial_flag_runs_that_trial_of_the_sweep(self, tmp_path):
         config = ExperimentConfig(

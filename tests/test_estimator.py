@@ -110,7 +110,7 @@ class TestPeriodogram:
 def peak_bins(grid, cfg):
     """The receiver's peak bins of a pilot grid, and its certified maximum in
     bins of ``cfg``."""
-    bins, offsets, _, _ = estimator._peaks(grid[None], cfg)
+    bins, offsets, _, _, _ = estimator._peaks(grid[None], cfg)
     return tuple(bins[0].tolist()), bins[0] + offsets[0]
 
 

@@ -327,14 +327,6 @@ class TestRunSweep:
             with pytest.raises(PatternError, match="periodic"):
                 simulate_trial(cfg, 0, 0)
 
-    def test_fft_smaller_than_pilot_grid_rejected_before_any_trial(self, no_trial):
-        for workers in (1, 2):
-            cfg = small_config(fft=PeriodogramConfig(16, 64), workers=workers)
-            with pytest.raises(ValueError, match=r"smaller than the pilot grid \(35, 50\)"):
-                run_sweep(cfg)
-            with pytest.raises(ValueError, match="smaller than the pilot grid"):
-                simulate_trial(cfg, 0, 0)
-
     @pytest.mark.parametrize("snr_idx, trial_idx, name", [
         (2, 0, "snr_idx"), (-1, 0, "snr_idx"), (0.0, 0, "snr_idx"),
         (0, -1, "trial_idx"), (0, 1.5, "trial_idx"), (0, True, "trial_idx"),

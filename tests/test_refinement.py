@@ -35,7 +35,7 @@ def tone(rows, cols, x, y):
 
 def refined_peak(grid, config):
     """(u, v) in fractional bins and the fallback flag of ``grid``'s estimate."""
-    bins, offsets, _, fallback = _peaks(grid[None], config)
+    bins, offsets, _, fallback, _ = _peaks(grid[None], config)
     return bins[0] + offsets[0], bool(fallback[0])
 
 
@@ -118,15 +118,15 @@ def test_sweep_at_50_db_tracks_both_bounds():
 
 class TestKeptBins:
     def test_flat_neighbourhood_keeps_the_bins(self):
-        bins, offsets, power, fallback = _peaks(np.zeros((1, 5, 4), complex),
-                                                PeriodogramConfig(64, 64))
+        bins, offsets, power, fallback, _ = _peaks(np.zeros((1, 5, 4), complex),
+                                                   PeriodogramConfig(64, 64))
         assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
         assert power.tolist() == [0.0] and fallback.tolist() == [True]
 
     def test_nan_grid_keeps_the_bins(self):
         grid = np.ones((1, 5, 4), complex)
         grid[0, 3, 1] = np.nan
-        bins, offsets, _, fallback = _peaks(grid, PeriodogramConfig(64, 64))
+        bins, offsets, _, fallback, _ = _peaks(grid, PeriodogramConfig(64, 64))
         assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
         assert fallback.tolist() == [True]
 
@@ -140,16 +140,18 @@ class TestKeptBins:
         assert not kept and v == 0.0 and abs(u - 0.41 * 64) < 1e-6
 
     def test_one_cell_grid_keeps_the_bins(self):
-        bins, offsets, _, fallback = _peaks(np.ones((1, 1, 1), complex), PeriodogramConfig(2, 2))
+        bins, offsets, _, fallback, _ = _peaks(np.ones((1, 1, 1), complex),
+                                               PeriodogramConfig(2, 2))
         assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
         assert fallback.tolist() == [True]
 
     def test_without_interpolation_nothing_is_kept(self):
         grid = tone(5, 8, 0.31, 0.77)
         config = PeriodogramConfig(64, 64, interpolate=False)
-        bins, offsets, power, fallback = _peaks(grid[None], config)
+        bins, offsets, power, fallback, cycles = _peaks(grid[None], config)
         assert offsets.tolist() == [[0.0, 0.0]] and fallback.tolist() == [False]
         assert bins.tolist() == [[round(0.31 * 64), round(0.77 * 64)]]
+        assert cycles.tolist() == [[round(0.31 * 64) / 64, round(0.77 * 64) / 64]]
         assert power[0] == pytest.approx(dense_power(grid, config, bins[0, :1], bins[0, 1:])[0, 0],
                                          rel=1e-12)
 

@@ -2,6 +2,7 @@
 maximum on random grids, never below Newton's method from the surface
 argmax, and no dependence on the FFT sizes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -140,24 +141,32 @@ def test_trial_path_runs_no_fft_n_point_transform(monkeypatch, num):
 
 
 def test_trial_block_is_independent_of_the_fft_size():
-    # the same estimates to 1e-9 relative at fft 128, 1024 and 4096
+    # the same estimates, bit for bit, at fft 16 to 4096: 20 trials of strides
+    # (2, 1), and a trial of (2, 5) whose Doppler, when read off the peak bins
+    # and their offsets, was one ulp off at fft 128
     results = {}
+    for fft in (16, 128, 1024, 4096):
+        sparse = dataclasses.replace(sweep_config(fft, strides=(2, 5)), seed=1,
+                                     snr_grid_db=(-30.0, -10.0, 0.0, 10.0, 30.0))
+        outcomes = [outcome for config, runs in ((sweep_config(fft), [(0, 0, 20)]),
+                                                 (sparse, [(1, 10, 11)]))
+                    for _, _, outcome in _trial_block(config, runs)]
+        results[fft] = np.array([[o.tau_hat, o.f_d_hat, o.d_bis_hat, o.v_bis_hat]
+                                 for o in outcomes])
     for fft in (128, 1024, 4096):
-        outcomes = [outcome for _, _, outcome in _trial_block(sweep_config(fft), [(0, 0, 20)])]
-        results[fft] = np.array([[o.d_bis_hat, o.v_bis_hat] for o in outcomes])
-    for fft in (1024, 4096):
-        assert results[fft] == pytest.approx(results[128], rel=1e-9)
+        assert results[fft].tobytes() == results[16].tobytes()
 
 
 @pytest.mark.parametrize("strides", [(2, 1), (2, 5)])
 def test_sweep_csv_is_independent_of_the_fft_size(strides):
     # seed 1 puts maxima just above half the Doppler span in trial 54 at
     # -30 dB and 107 at -20 dB for (2, 1), and 109 at -30 dB for (2, 5): the
-    # bin that labels such a maximum, 32 of 64 say, must not set its sign
+    # bin that labels such a maximum, 32 of 64 say, must not set its sign; fft
+    # 16, smaller than the pilot grid, labels the same maxima
     csvs = {bisac.run_sweep(ExperimentConfig(
         pattern=make_periodic(70, 50, *strides), snr_grid_db=(-30.0, -20.0, -10.0, 20.0),
         trials_per_point=110, fft=PeriodogramConfig(fft, fft), seed=1, workers=2,
-        ecrb_draws=100)).to_csv() for fft in (64, 256, 1024, 4096)}
+        ecrb_draws=100)).to_csv() for fft in (16, 64, 256, 1024, 4096)}
     assert len(csvs) == 1
 
 

@@ -63,14 +63,24 @@ def test_every_import_is_used(path):
     assert imported_names(tree) - used == set()
 
 
-def test_harness_runs_no_full_grid_simulation():
-    # sweeps and simulate_trial run trial blocks on the pilot subgrid; the
-    # full-grid functions stay the reference that the block is tested against
+def harness_names() -> set:
+    """Every name, attribute and imported name in harness.py."""
     tree = ast.parse((Path(bisac.__file__).parent / "harness.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= imported_names(tree)
-    assert names & {"generate_frame", "apply_channel", "sample_scenario"} == set()
+    return names | imported_names(tree)
+
+
+def test_harness_runs_no_full_grid_simulation():
+    # sweeps and simulate_trial run trial blocks on the pilot subgrid; the
+    # full-grid functions stay the reference that the block is tested against
+    assert harness_names() & {"generate_frame", "apply_channel", "sample_scenario"} == set()
+
+
+def test_harness_leaves_the_fft_sizes_to_the_estimator():
+    # the FFT sizes are units of the estimator's labels and surface: the
+    # harness neither reads them nor sizes blocks from the search's internals
+    assert harness_names() & {"_start_cells", "check_covers", "fft_n", "fft_m"} == set()
 
 
 def test_every_dataclass_is_frozen():

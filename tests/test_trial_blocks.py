@@ -21,9 +21,9 @@ from bisac import (  # noqa: E402
     make_periodic,
 )
 from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
-from bisac.estimator import _delay_stage, _ls_divide, _start_cells  # noqa: E402
+from bisac.estimator import _block_length, _delay_stage, _ls_divide  # noqa: E402
 from bisac.harness import (  # noqa: E402
-    _BLOCK_BYTES, _block_errors, _trial_block, _trial_seed, simulate_trial,
+    _block_errors, _trial_block, _trial_seed, simulate_trial,
 )
 from bisac.sim import simulate_pilots  # noqa: E402
 from reference_chain import reference_trial  # noqa: E402
@@ -143,7 +143,8 @@ def test_block_allocates_no_more_than_the_geometry_draw(strides, snr_db):
     # geometry draw took when it was drawn as whole arrays
     pattern = make_periodic(70, 50, *strides)
     rows, cols = (count + 1 for count in pattern.periodic_counts())
-    trials = _BLOCK_BYTES // (_start_cells(rows, 1)[0] * cols * 16)
+    trials = _block_length(rows, cols)
+    assert trials == {(2, 1): 20, (2, 5): 102}[strides]
     config = ExperimentConfig(pattern=pattern, snr_grid_db=(snr_db,), trials_per_point=trials,
                               seed=1)
     peak = allocation_peak(_block_errors, (config, [(0, 0, trials)]))
@@ -159,7 +160,7 @@ _CELL_PHASE_DRAW_PEAK = 3_089_512
 def test_block_draw_allocates_no_more_than_a_phase_per_cell():
     pattern = make_periodic(70, 50, 2, 1)
     rows, cols = (count + 1 for count in pattern.periodic_counts())
-    trials = _BLOCK_BYTES // (_start_cells(rows, 1)[0] * cols * 16)
+    trials = _block_length(rows, cols)
     config = ExperimentConfig(pattern=pattern, snr_grid_db=(20.0,), seed=1)
     seeds = [_trial_seed(config.seed, 0, trial) for trial in range(trials)]
 
