@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -346,16 +347,14 @@ def ecrb_vel(
     """Expected root velocity bound over random target positions.
 
     Averages sqrt(crb_vel) over bistatic angles induced by the target
-    distribution (RMSE-comparable convention). Deterministic for a given
-    seed. Degenerate draws (target on a terminal) are skipped and counted.
+    distribution (RMSE-comparable convention), as the sweep and table bound
+    columns do (``_ecrb_means``). Deterministic for a given seed. Degenerate
+    draws (target on a terminal) are skipped and counted.
     Raises SingularPatternError, as ``_check_off_baseline`` does, for a
     target box that meets the baseline segment.
     """
-    _check_off_baseline(ensemble)
-    cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
     base = crb(params, pattern, numerology, beta=0.0)
-    # the terms overwrite the draw, which no other bound reads
-    value = _ecrb_mean(base.crb_vel_ms2, cos_half, cos_half)
+    (value,), skipped = _ecrb_means(ensemble, [base.crb_vel_ms2], draws, seed)
     return EcrbVelocity(value_ms=value, draws=draws, skipped=skipped)
 
 
@@ -366,27 +365,22 @@ def _check_off_baseline(ensemble: ScenarioEnsemble) -> None:
     There cos(beta/2) = 0, and it falls linearly with the distance to the
     segment, so the ensemble mean of 1/cos(beta/2) diverges and a finite draw
     of it is a seed-dependent number. The segment is clipped to the box in
-    exact integer arithmetic.
+    exact rational arithmetic.
     """
-    # every coordinate as an integer multiple of one power of two
-    ratios = [v.as_integer_ratio() for v in (*ensemble.tx_pos, *ensemble.rx_pos,
-                                             *ensemble.x_range, *ensemble.y_range)]
-    unit = max(q for _, q in ratios)
-    tx_x, tx_y, rx_x, rx_y, *ends = (p * (unit // q) for p, q in ratios)
-    steps = (rx_x - tx_x, rx_y - tx_y)
+    tx, rx = (tuple(map(Fraction, pos)) for pos in (ensemble.tx_pos, ensemble.rx_pos))
+    steps = [b - a for a, b in zip(tx, rx)]
     if not any(steps):
         return
-    # the parameters t in [0, 1] of the segment's points inside the box, times
-    # a common denominator that makes each bound an integer
-    whole = math.prod(abs(d) for d in steps if d)
-    lo, hi = 0, whole
-    for a, d, box in zip((tx_x, tx_y), steps, (sorted(ends[:2]), sorted(ends[2:]))):
+    # the parameters t in [0, 1] of the segment's points inside the box
+    lo, hi = Fraction(0), Fraction(1)
+    for a, d, box in zip(tx, steps, (ensemble.x_range, ensemble.y_range)):
+        box = sorted(map(Fraction, box))
         if d:
-            t0, t1 = sorted((e - a) * (whole // d) for e in box)
+            t0, t1 = sorted((e - a) / d for e in box)
             lo, hi = max(lo, t0), min(hi, t1)
         elif not box[0] <= a <= box[1]:
             return
-    if lo < hi or 0 < lo == hi < whole:
+    if lo < hi or 0 < lo == hi < 1:
         raise SingularPatternError(
             "the target box meets the baseline segment between the terminals, where "
             "cos(beta/2) = 0: the ensemble velocity bound diverges")
@@ -434,13 +428,15 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
     return (cos_half[ok] if skipped else cos_half), skipped
 
 
-def _ecrb_mean(crb_vel_ms2: float, cos_half: np.ndarray, out: np.ndarray) -> float:
-    """Mean of sqrt(crb_vel / cos^2(beta/2)) over the drawn geometry [m/s].
-
-    The terms go into ``out``, an array shaped as ``cos_half`` (it may be
-    ``cos_half``), in place of a new one.
-    """
-    return float(np.divide(math.sqrt(crb_vel_ms2), cos_half, out=out).mean())
+def _ecrb_means(ensemble: ScenarioEnsemble, crb_vels, draws: int, seed) -> tuple:
+    """(means, skipped): per crb_vel [(m/s)^2] of ``crb_vels``, the mean of
+    sqrt(crb_vel / cos^2(beta/2)) [m/s] over one seeded geometry draw, whose
+    terms go into one buffer; and the draw's skip count. Raises as
+    ``_check_off_baseline`` does, then as ``_ecrb_geometry`` does."""
+    _check_off_baseline(ensemble)
+    cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
+    terms = np.empty_like(cos_half)
+    return [float(np.divide(math.sqrt(v), cos_half, out=terms).mean()) for v in crb_vels], skipped
 
 
 def rate_upper_bound(

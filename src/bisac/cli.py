@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import SensingChannelParams, _snr_powers, crb
-from .estimator import periodogram_2d
+from .estimator import _grid_shape, periodogram_2d
 from .geometry import GeometryError, derive_ground_truth
 from .harness import (
     DEFAULT_RATE_RHOS,
@@ -229,6 +229,9 @@ def _cmd_rates(config, args) -> int:
 def _cmd_simulate(config, args) -> int:
     """Trial ``--trial`` (default 0 of SNR point 0) of the sweep over the same config."""
     snr_idx, trial_idx = args.trial
+    if args.dump_surface:
+        # the surface's FFT sizes must cover the pilot grid: checked before the trial
+        _grid_shape(tuple(count + 1 for count in config.pattern.periodic_counts()), config.fft)
     truth, pilot_grid, outcome = simulate_trial(config, snr_idx, trial_idx)
     valid = not isinstance(outcome, GeometryError)
     payload = {

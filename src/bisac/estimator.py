@@ -130,9 +130,9 @@ def _ls_divide(received: np.ndarray, pilots: np.ndarray, out=None) -> np.ndarray
     return np.divide(received, pilots, out=out)
 
 
-def _grid_shape(pilot_grid: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """(rows, cols) of a pilot grid or stack; raises unless the FFT sizes cover them."""
-    rows, cols = pilot_grid.shape[-2:]
+def _grid_shape(shape: tuple, config: PeriodogramConfig) -> tuple:
+    """(rows, cols) of a grid or stack of this shape; raises unless the FFT sizes cover them."""
+    rows, cols = shape[-2:]
     if rows < 1 or cols < 1:
         raise ValueError("empty pilot grid")
     if config.fft_n < rows or config.fft_m < cols:
@@ -147,7 +147,7 @@ def _delay_stage(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndarra
     Each grid of a stack (..., rows, cols) transforms as it would alone. The
     result is a transposed view of a (..., cols, fft_n) array.
     """
-    _grid_shape(pilot_grid, config)
+    _grid_shape(pilot_grid.shape, config)
     return np.swapaxes(_padded_fft(np.swapaxes(pilot_grid, -1, -2), config.fft_n, True), -1, -2)
 
 

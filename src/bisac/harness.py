@@ -8,7 +8,8 @@ trials into blocks, runs each block on the pilot subgrid as one stack
 regardless of which process ran a block or when. A run's length
 depends on the config alone, never on the worker count; a sweep packs
 consecutive runs into blocks of up to that length while every process
-still gets a block.
+still gets a block. The bound columns and the blocks are the tasks of one
+dispatcher, ``_dispatch``, the bound columns first.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    SensingChannelParams, _check_off_baseline, _ecrb_geometry, _ecrb_mean, _snr_powers, crb,
-    rate_upper_bound,
+    SensingChannelParams, _check_off_baseline, _ecrb_means, _snr_powers, crb, rate_upper_bound,
 )
 from .estimator import PeriodogramConfig, _block_length, _estimate_grids, _ls_divide
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
@@ -240,39 +240,38 @@ def _bound_columns(config: ExperimentConfig, reports, draws: int) -> list:
     so the reports differ only by pattern and noise level.
     """
     seed = np.random.SeedSequence([config.seed, _ECRB_STREAM])
-    cos_half, _ = _ecrb_geometry(config.ensemble, draws, seed)
-    terms = np.empty_like(cos_half)
-    return [(report.rmse_bound_ran_m, _ecrb_mean(report.crb_vel_ms2, cos_half, terms))
-            for report in reports]
+    means, _ = _ecrb_means(config.ensemble, [r.crb_vel_ms2 for r in reports], draws, seed)
+    return [(r.rmse_bound_ran_m, mean) for r, mean in zip(reports, means)]
 
 
-def _dispatch(blocks: list, workers: int, own) -> tuple:
-    """(``own()``, the ``_block_errors`` of each block in block order): the
-    calling process starts ``workers - 1`` child processes and runs ``own``
-    while they take blocks; then it takes blocks too. Each process takes the
-    next block index from one shared counter until none is left, so a slow
-    block (a threshold SNR point) holds up one process only. A child's
-    exception is raised here; no child outlives the call."""
+def _dispatch(tasks: list, workers: int) -> list:
+    """The result of each of ``tasks``, a non-empty list of callables of no
+    argument, in task order. The calling process starts ``workers - 1`` child
+    processes and runs the first task while they start, so that task raises
+    first wherever the others run; then every process takes the next task
+    index from one shared counter until none is left, so a slow task (a
+    threshold SNR point) holds up one process only. A child's exception is
+    raised here; no child outlives the call."""
     context = multiprocessing.get_context()
-    counter = context.Value("q", 0)
+    counter = context.Value("q", 1)  # the children start at the second task
     children, outcomes, finished = [], {}, False
     try:
         for _ in range(workers - 1):
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_work, args=(blocks, counter, send))
+            child = context.Process(target=_work, args=(tasks, counter, send))
             child.start()
             # the child holds the only sending end: its exit ends the pipe
             send.close()
             children.append((child, receive))
-        result = own()
-        outcomes.update(_take(blocks, counter))
+        outcomes[0] = tasks[0]()
+        outcomes.update(_take(tasks, counter))
         for child, receive in children:
             try:
                 taken, error = receive.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(f"sweep worker process exited with code {child.exitcode} "
-                                   "without sending its blocks") from None
+                                   "without sending its tasks") from None
             if error is not None:
                 exc, text = error
                 raise exc from RuntimeError(f"raised in a sweep worker process:\n{text}")
@@ -284,26 +283,26 @@ def _dispatch(blocks: list, workers: int, own) -> tuple:
                 child.terminate()
             child.join()
             receive.close()
-    return result, [outcomes[index] for index in range(len(blocks))]
+    return [outcomes[index] for index in range(len(tasks))]
 
 
-def _take(blocks: list, counter):
-    """(index, ``_block_errors``) of each block whose index this process takes
-    from ``counter``, until the counter passes the last block."""
+def _take(tasks: list, counter):
+    """(index, result) of each task whose index this process takes from
+    ``counter``, until the counter passes the last task."""
     while True:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
-        if index >= len(blocks):
+        if index >= len(tasks):
             return
-        yield index, _block_errors(blocks[index])
+        yield index, tasks[index]()
 
 
-def _work(blocks: list, counter, send) -> None:
+def _work(tasks: list, counter, send) -> None:
     """A child process of ``_dispatch``: sends (its outcomes, None), or
-    (None, (exception, traceback text)) if a block raised."""
+    (None, (exception, traceback text)) if a task raised."""
     try:
-        result = list(_take(blocks, counter)), None
+        result = list(_take(tasks, counter)), None
     except Exception as exc:
         result = None, (exc, traceback.format_exc())
     send.send(result)
@@ -320,15 +319,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     (a collinear pattern, or a bound that overflows at an SNR of the grid),
     or with SingularPatternError if the ensemble's target box meets the
     baseline segment (``bounds._check_off_baseline``).
-    The ECRB column's geometry draw runs in the calling process while any
-    child processes run trials; an ensemble whose draws are all degenerate
-    raises SingularPatternError there.
+    The bound columns are the first task, run by the calling process while
+    any children start (alone: before its first block); an ensemble whose
+    draws are all degenerate raises SingularPatternError there.
     """
     check_receiver(config)
     reports = [crb(SensingChannelParams.from_snr_db(snr_db), config.pattern, config.numerology)
                for snr_db in config.snr_grid_db]
     _check_off_baseline(config.ensemble)
-    bound_columns = functools.partial(_bound_columns, config, reports, config.ecrb_draws)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
     length = _block_length(*(count + 1 for count in config.pattern.periodic_counts()))
@@ -338,12 +336,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     # `length` while every process still gets a block; start no more
     # processes than there are blocks
     per = max(1, min(length // min(length, trials), len(runs) // config.workers))
-    blocks = [(config, runs[lo:lo + per]) for lo in range(0, len(runs), per)]
+    blocks = [functools.partial(_block_errors, (config, runs[lo:lo + per]))
+              for lo in range(0, len(runs), per)]
+    tasks = [functools.partial(_bound_columns, config, reports, config.ecrb_draws), *blocks]
     workers = min(config.workers, len(blocks))
     if workers == 1:
-        bounds, outcomes = bound_columns(), list(map(_block_errors, blocks))
+        bounds, *outcomes = [task() for task in tasks]
     else:
-        bounds, outcomes = _dispatch(blocks, workers, bound_columns)
+        bounds, *outcomes = _dispatch(tasks, workers)
     trial_errors = [errors for block in outcomes for errors in block]
     sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*trial_errors))
 
@@ -398,7 +398,6 @@ def run_table1(
         make_periodic(num.n_subcarriers, num.n_symbols, n_p, m_p) for n_p, m_p in pairs
     ]
     reports = [crb(params, pattern, num) for pattern in patterns]
-    _check_off_baseline(config.ensemble)
     bounds = _bound_columns(config, reports, draws)
     return tuple(
         TableRow(

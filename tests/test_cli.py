@@ -568,9 +568,15 @@ class TestSimulateCommand:
         assert est["peak_power"] == pytest.approx(peak_power, rel=1e-12)
         assert est["refine_fallback"] is False
 
-    def test_surface_smaller_than_the_pilot_grid_is_a_usage_error(self, tmp_path, capsys):
+    def test_surface_smaller_than_the_pilot_grid_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                                 capsys):
         # the estimate runs at any FFT size; only the surface needs sizes that
-        # cover the 35 x 50 pilot grid, and nothing is written without it
+        # cover the 35 x 50 pilot grid, checked before the trial, and nothing
+        # is written without it
+        def no_trial(*a):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(bisac.harness, "_trial_block", no_trial)
         out, surf = tmp_path / "trial.json", tmp_path / "surface.bin"
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--fft", "16", "--dump-surface", str(surf), "--out", str(out)])

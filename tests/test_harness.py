@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import multiprocessing
+import operator
 import os
 import time
 from dataclasses import replace
@@ -292,9 +294,10 @@ class TestRunSweep:
         # six one-trial points on two processes: two blocks of three runs
         packed, dispatch = [], bisac.harness._dispatch
 
-        def recorded(blocks, workers, own):
-            packed.append([len(runs) for _, runs in blocks])
-            return dispatch(blocks, workers, own)
+        def recorded(tasks, workers):
+            # task 0 is the bound columns; each block task's argument is (config, runs)
+            packed.append([len(task.args[0][1]) for task in tasks[1:]])
+            return dispatch(tasks, workers)
 
         monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
         cfg = small_config(snr_grid_db=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0), trials_per_point=1,
@@ -389,13 +392,13 @@ class TestRunSweep:
 
     def test_one_geometry_draw_per_call(self, monkeypatch):
         calls = []
-        draw = bisac.harness._ecrb_geometry
+        draw = bisac.bounds._ecrb_geometry
 
         def counted(*args):
             calls.append(args)
             return draw(*args)
 
-        monkeypatch.setattr(bisac.harness, "_ecrb_geometry", counted)
+        monkeypatch.setattr(bisac.bounds, "_ecrb_geometry", counted)
         run_sweep(small_config(snr_grid_db=(0.0, 10.0, 20.0), trials_per_point=1))
         run_table1(small_config(), draws=2000)
         assert len(calls) == 2
@@ -409,6 +412,16 @@ class TestRunSweep:
         )
         row = run_sweep(cfg).rows[0]
         assert row.valid_trial_fraction == 1.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_dispatch_returns_the_results_in_task_order(workers):
+    # the first task, whose result is the id of the process that ran it, runs
+    # in the calling process
+    tasks = [os.getpid, *(functools.partial(operator.mul, i, i) for i in range(1, 7))]
+    results = bisac.harness._dispatch(tasks, workers)
+    assert results == [os.getpid(), *(i * i for i in range(1, 7))]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
@@ -462,6 +475,45 @@ class TestDispatch:
         blocks.update(caller=lambda: blocks["taken"].wait(30), child=lambda: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with code 3 without sending"):
             run_sweep(self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture
+    def held_bounds(self, monkeypatch):
+        """Hold the bound columns, while there is a child, until it has taken
+        a block, which then runs as it would; return the ids of the processes
+        that ran the bound columns."""
+        caller = os.getpid()
+        taken, pids = multiprocessing.Event(), []
+        bound_columns, block_errors = bisac.harness._bound_columns, bisac.harness._block_errors
+
+        def held(*args):
+            pids.append(os.getpid())
+            assert not multiprocessing.active_children() or taken.wait(30)
+            return bound_columns(*args)
+
+        def child_block_errors(block):
+            if os.getpid() != caller:
+                taken.set()
+            return block_errors(block)
+
+        monkeypatch.setattr(bisac.harness, "_bound_columns", held)
+        monkeypatch.setattr(bisac.harness, "_block_errors", child_block_errors)
+        return pids
+
+    def test_bound_columns_run_in_the_caller_while_a_child_runs_a_block(self, held_bounds):
+        serial = run_sweep(replace(self.CONFIG, workers=1)).to_csv()
+        assert run_sweep(self.CONFIG).to_csv() == serial
+        assert held_bounds[-1] == os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_all_degenerate_ensemble_raises_however_the_child_runs(self, held_bounds):
+        # a child takes a block, whose trials raise GeometryError (a target on
+        # the transmitter has no geometry), before the bound columns run; the
+        # bound columns, the first task, still raise in the caller
+        on_tx = ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))
+        with pytest.raises(SingularPatternError, match="all ensemble draws"):
+            run_sweep(replace(self.CONFIG, ensemble=on_tx))
+        assert held_bounds == [os.getpid()]
         assert multiprocessing.active_children() == []
 
 

@@ -83,6 +83,17 @@ def test_harness_leaves_the_fft_sizes_to_the_estimator():
     assert harness_names() & {"_start_cells", "check_covers", "fft_n", "fft_m"} == set()
 
 
+def test_one_dispatcher_and_one_ecrb_routine():
+    # the dispatcher runs tasks, whatever they are, and the sweep and the table
+    # take their ECRB column through bounds._ecrb_means alone
+    tree = ast.parse((Path(bisac.__file__).parent / "harness.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("_dispatch", "_take", "_work"):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            assert names & {"_block_errors", "_bound_columns"} == set(), node.name
+    assert harness_names() & {"_ecrb_geometry", "_ecrb_mean"} == set()
+
+
 def test_every_dataclass_is_frozen():
     # a value type changes only through its constructor or dataclasses.replace,
     # both of which run its checks
