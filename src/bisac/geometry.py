@@ -196,12 +196,43 @@ class ScenarioEnsemble:
         return _distance(self.tx_pos, self.rx_pos)
 
     def sample_targets(self, rng: np.random.Generator, size: int) -> tuple:
-        """Draw target x, y coordinates, shape (size,) each."""
-        return rng.uniform(*self.x_range, size), rng.uniform(*self.y_range, size)
+        """Draw target x, y coordinates, shape (size,) each.
+
+        Bit for bit ``rng.uniform(*x_range, size), rng.uniform(*y_range,
+        size)``, and leaves ``rng`` where they would: each coordinate is one
+        ``rng.random(size)`` scaled in place to lo + (hi - lo) * u, the
+        product and sum ``uniform`` forms, with no temporary array.
+        """
+        ranges = self._ranges(2)
+        coords = rng.random(size), rng.random(size)
+        for u, (lo, width) in zip(coords, ranges):
+            u *= width
+            u += lo
+        return coords
 
     def _draw(self, rng: np.random.Generator) -> tuple:
-        ranges = (self.x_range, self.y_range, self.speed_range, self.delta_range)
-        return tuple(rng.uniform(*r) for r in ranges)
+        """One draw of x, y, speed and delta, in that order.
+
+        Bit for bit four scalar ``rng.uniform(*range)`` calls, and leaves
+        ``rng`` where they would: one ``rng.random(4)``, each value scaled to
+        lo + (hi - lo) * u in Python floats.
+        """
+        return tuple(lo + width * u
+                     for (lo, width), u in zip(self._ranges(4), rng.random(4).tolist()))
+
+    def _ranges(self, count: int) -> list:
+        """(lo, hi - lo) of the first ``count`` drawn ranges, in draw order.
+
+        A draw needs lo <= hi, as ``uniform`` does.
+        """
+        ranges = []
+        for name in ("x_range", "y_range", "speed_range", "delta_range")[:count]:
+            lo, hi = getattr(self, name)
+            if hi < lo:
+                raise ValueError(f"{name} must run from low to high to be drawn, "
+                                 f"got {(lo, hi)!r}")
+            ranges.append((lo, hi - lo))
+        return ranges
 
     def sample(self, rng: np.random.Generator) -> BistaticScenario:
         """Draw one scenario."""

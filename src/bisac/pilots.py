@@ -30,9 +30,11 @@ class PilotPattern:
     Attributes:
         n_grid: number of subcarriers N.
         m_grid: number of symbols M.
-        cells: (P, 2) int array of (n, m) pairs, unique, lexicographically
-            sorted on construction; given as an integer array or a list of
-            [n, m] pairs, or as None with ``periodic``.
+        cells: (P, 2) int64 array of (n, m) pairs, unique, lexicographically
+            sorted and read-only on construction; given as an integer array
+            or a list of [n, m] pairs, or as None with ``periodic``. It is
+            the transpose of a (2, P) array, so each index column is
+            contiguous.
         periodic: (n_p, m_p) strides, 1 <= n_p <= N and 1 <= m_p <= M, of a
             pattern given as the full lattice {(k*n_p, l*m_p)}; else None.
     """
@@ -63,29 +65,43 @@ class PilotPattern:
                 cells = self.cells
                 if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
                     raise PatternError(f"cells must be an integer (P, 2) array, got {cells!r}")
+                # a uint64 index of 2**63 or more wraps negative, and reads
+                # as itself again through the unsigned view below
+                cells = cells.astype(np.int64, copy=False)
             elif isinstance(self.cells, (list, tuple)):
                 pairs = [_checked_tuple(c, int, f"cells[{i}]", 2, error=PatternError)
                          for i, c in enumerate(self.cells)]
-                cells = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+                try:
+                    cells = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+                except OverflowError:  # an index beyond int64 is off any grid
+                    off = any(not 0 <= n < n_grid for n, _ in pairs)
+                    raise PatternError(f"{'subcarrier' if off else 'symbol'} index out of "
+                                       "grid bounds") from None
             else:
                 raise PatternError(f"cells must be a list of [n, m] pairs, got {self.cells!r}")
             if cells.shape[0] < 1:
                 raise PatternError("pattern must contain at least one cell")
-            if cells[:, 0].min() < 0 or cells[:, 0].max() >= n_grid:
+            # a negative index reads as a huge one in uint64
+            unsigned = cells.view(np.uint64)
+            if unsigned[:, 0].max() >= n_grid:
                 raise PatternError("subcarrier index out of grid bounds")
-            if cells[:, 1].min() < 0 or cells[:, 1].max() >= m_grid:
+            if unsigned[:, 1].max() >= m_grid:
                 raise PatternError("symbol index out of grid bounds")
             # row-major keys sort the cells by subcarrier, then by symbol
-            cells = cells.astype(np.int64, copy=False)
-            keys = np.sort(cells[:, 0] * m_grid + cells[:, 1])
-            if (np.diff(keys) == 0).any():
+            keys = cells[:, 0] * m_grid
+            keys += cells[:, 1]
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
                 raise PatternError("duplicate pilot cells")
         # bounds every index sum and product that pattern_stats forms in int64
         if keys.size * (max(n_grid, m_grid) - 1) ** 2 > _INT64_MAX:
             raise PatternError(f"grid {n_grid}x{m_grid} with {keys.size} cells is too large "
                                "for exact int64 index sums")
-        cells = np.column_stack(np.divmod(keys, m_grid))
-        cells.setflags(write=False)
+        # rows n and m, each contiguous; cells is their (P, 2) transpose
+        columns = np.empty((2, keys.size), dtype=np.int64)
+        np.divmod(keys, m_grid, out=(columns[0], columns[1]))
+        columns.setflags(write=False)
+        cells = columns.T
         object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "m_grid", m_grid)
         object.__setattr__(self, "cells", cells)
@@ -157,17 +173,16 @@ def make_periodic(n_grid: int, m_grid: int, n_p: int, m_p: int) -> PilotPattern:
 def pattern_stats(pattern: PilotPattern) -> PatternStats:
     """Index sums and centered moments of an arbitrary pattern.
 
-    Sums are accumulated as exact integers; each q value is formed by one
-    division of an exact integer numerator by the cell count.
+    The five sums come from the contiguous index columns in two calls, the
+    row sums and the 2 x 2 Gram matrix ``cells.T @ cells``; the
+    constructor's guard keeps both exact in int64. Each q value is formed
+    by one division of an exact integer numerator by the cell count.
     """
-    n = pattern.cells[:, 0]
-    m = pattern.cells[:, 1]
+    cells = pattern.cells
+    columns = cells.T
     size = pattern.size
-    sum_n = int(n.sum())
-    sum_m = int(m.sum())
-    sum_nm = int((n * m).sum())
-    sum_n2 = int((n * n).sum())
-    sum_m2 = int((m * m).sum())
+    sum_n, sum_m = columns.sum(axis=1).tolist()
+    (sum_n2, sum_nm), (_, sum_m2) = (columns @ cells).tolist()
     return PatternStats(
         size=size,
         sum_n=sum_n,

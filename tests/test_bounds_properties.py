@@ -1,7 +1,8 @@
 """Property tests: the sliced closed-form ECRB geometry draw against the
 reference whole-array path (hypot legs, then the bistatic angle by arccos),
-the baseline-segment check against a rational clip, and the per-axis phase
-kernel against one exponential a cell and against the exact phase."""
+the baseline-segment check against a rational clip, the per-axis phase
+kernel against one exponential a cell and against the exact phase, and the
+ensemble's draws against ``rng.uniform``."""
 
 import math
 from fractions import Fraction
@@ -196,3 +197,42 @@ def test_stacked_phase_equals_each_trial_alone(taus, f_ds):
     for k in range(len(taus)):
         alone = _phasor(float(tau[k, 0, 0]), float(f_d[k, 0, 0]), NUM, N_INDEX, M_INDEX)
         assert bits(stack[k].view(float)) == bits(alone.view(float))
+
+
+@st.composite
+def draw_ranges(draw, scale):
+    """(lo, hi), lo <= hi, anywhere in [-scale, scale]; often zero-width."""
+    lo = draw(st.floats(-scale, scale))
+    width = draw(st.one_of(st.just(0.0), st.floats(0.0, scale)))
+    return lo, lo + width
+
+
+# a box of targets may span at most about 1e153 m (the squared bistatic range
+# must stay finite); speed and delta ranges may be 1e300 wide
+boxes = draw_ranges(1e150)
+spans = draw_ranges(1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=boxes, y=boxes, size=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+@example(x=(3.0, 3.0), y=(-0.0, -0.0), size=7, seed=1)
+@example(x=(-1e150, 1e150), y=(-100.0, -80.0), size=7, seed=2)
+def test_target_draw_is_uniform_bit_for_bit(x, y, size, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs, ys = ScenarioEnsemble(x_range=x, y_range=y).sample_targets(rng, size)
+    assert bits(xs) == bits(reference.uniform(*x, size))
+    assert bits(ys) == bits(reference.uniform(*y, size))
+    # and the generator is left where the two uniform calls leave it
+    assert bits(rng.random(3)) == bits(reference.random(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=boxes, y=boxes, speed=spans, delta=spans, seed=st.integers(0, 2**32 - 1))
+@example(x=(3.0, 3.0), y=(-100.0, -80.0), speed=(-5e299, 5e299), delta=(-0.0, -0.0), seed=1)
+def test_scenario_draw_is_uniform_bit_for_bit(x, y, speed, delta, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    ensemble = ScenarioEnsemble(x_range=x, y_range=y, speed_range=speed, delta_range=delta)
+    values = ensemble._draw(rng)
+    assert all(type(v) is float for v in values)
+    assert bits(values) == bits([reference.uniform(*r) for r in (x, y, speed, delta)])
+    assert bits(rng.random(3)) == bits(reference.random(3))

@@ -7,6 +7,7 @@ from bisac import (
     BistaticScenario,
     GeometryError,
     SPEED_OF_LIGHT,
+    ScenarioEnsemble,
     beta_from_estimates,
     derive_ground_truth,
     invert_bistatic_range,
@@ -40,6 +41,22 @@ SCENE = dict(tx_pos=[-40.0, 0.0], rx_pos=[0.0, 40.0], target_pos=[90.0, -90.0],
 def test_scenario_rejects_non_finite_value(field, value):
     with pytest.raises(ValueError, match=field):
         BistaticScenario(**dict(SCENE, **{field: value}))
+
+
+@pytest.mark.parametrize("field", ["x_range", "y_range", "speed_range", "delta_range"])
+def test_reversed_range_is_not_drawn(field):
+    # the ensemble holds a reversed range, which the baseline check reads as
+    # a box, but no draw takes it: the error names it, and the generator
+    # has not moved
+    ensemble = ScenarioEnsemble(**{field: (1.0, -1.0)})
+    rng = np.random.default_rng(3)
+    draws = [ensemble.sample, ensemble.sample_truth]
+    if field in ("x_range", "y_range"):
+        draws.append(lambda rng: ensemble.sample_targets(rng, 10))
+    for draw in draws:
+        with pytest.raises(ValueError, match=f"{field} must run from low to high"):
+            draw(rng)
+    assert rng.random() == np.random.default_rng(3).random()
 
 
 class TestDeriveGroundTruth:
