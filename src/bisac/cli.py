@@ -117,8 +117,9 @@ _FLAGS = {
     "--snr-db": dict(dest="snr_grid_db", type=_parse_snr_grid, metavar="A:B:STEP",
                      help="SNR grid: a:b:step or comma list or single value "
                           "(one value for every subcommand but sweep)"),
-    "--workers": dict(type=_positive_int,
-                      help="processes that run trial blocks, the calling one included"),
+    "--workers": dict(type=_positive_int, metavar="N",
+                      help="at most N processes, the calling one included; a child only "
+                           "for two blocks or more"),
     "--profile": dict(choices=sorted(_PROFILES),
                       help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials "
                            "(the fft moves no estimate, see --fft)"),
@@ -133,7 +134,8 @@ _FLAGS = {
     "--dump-surface": dict(metavar="FILE", help="write the power surface as a binary grid"),
     "--trial": dict(type=_trial_indices, default=(0, 0), metavar="SNR_IDX,TRIAL_IDX",
                     help="the sweep trial to run: SNR grid point and trial index "
-                         "(default 0,0)"),
+                         "(default 0,0); a degenerate target draw reports its error, "
+                         "with truth null"),
 }
 
 
@@ -227,7 +229,10 @@ def _cmd_rates(config, args) -> int:
 
 
 def _cmd_simulate(config, args) -> int:
-    """Trial ``--trial`` (default 0 of SNR point 0) of the sweep over the same config."""
+    """Trial ``--trial`` (default 0 of SNR point 0) of the sweep over the same config.
+
+    An invalid trial reports its GeometryError; its ``truth`` is null when
+    the target draw itself was degenerate."""
     snr_idx, trial_idx = args.trial
     if args.dump_surface:
         # the surface's FFT sizes must cover the pilot grid: checked before the trial
@@ -236,8 +241,9 @@ def _cmd_simulate(config, args) -> int:
     valid = not isinstance(outcome, GeometryError)
     payload = {
         "snr_db": config.snr_grid_db[snr_idx],
-        "truth": {"d_bis_m": truth.d_bis, "v_bis_ms": truth.v_bis, "tau_s": truth.tau,
-                  "f_d_hz": truth.f_d, "beta_rad": truth.beta, "theta_rad": truth.theta},
+        "truth": None if truth is None else {
+            "d_bis_m": truth.d_bis, "v_bis_ms": truth.v_bis, "tau_s": truth.tau,
+            "f_d_hz": truth.f_d, "beta_rad": truth.beta, "theta_rad": truth.theta},
         "valid": valid,
         "estimate": outcome.to_json_dict() if valid else None,
     }

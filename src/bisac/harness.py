@@ -6,10 +6,13 @@ across worker counts. Each trial has its own key; a sweep splits its
 trials into blocks, runs each block on the pilot subgrid as one stack
 (``_trial_block``) and reduces the squared errors in trial-index order
 regardless of which process ran a block or when. A run's length
-depends on the config alone, never on the worker count; a sweep packs
-consecutive runs into blocks of up to that length while every process
-still gets a block. The bound columns and the blocks are the tasks of one
-dispatcher, ``_dispatch``, the bound columns first.
+depends on the config alone, never on the worker count. ``workers`` is an
+upper bound: a sweep starts a child process only when every process, the
+calling one included, gets at least two blocks, since a process's first
+block pays for the fork in page faults. One process packs consecutive
+runs into blocks of up to that length; several pack only while each
+still gets two blocks. The bound columns and the blocks are the tasks of
+one dispatcher, ``_dispatch``, the bound columns first.
 """
 
 from __future__ import annotations
@@ -175,7 +178,9 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
 
     Returns (truth, pilot_grid, outcome): the ground truth, the (K+1, L+1)
     least-squares channel estimates on the pilot subgrid, and the
-    EstimationResult, or the GeometryError that made the trial invalid.
+    EstimationResult, or the GeometryError that made the trial invalid. A
+    degenerate target draw (``ScenarioEnsemble.sample_truth`` raised) has
+    no truth: it is None, and the grid is that of a zero delay and Doppler.
     Raises ValueError, before any draw, unless ``snr_idx`` indexes the SNR
     grid and ``trial_idx`` is a non-negative integer (any: it keys the
     trial's seed), and raises as ``check_receiver`` does.
@@ -198,7 +203,7 @@ def _trial_block(config: ExperimentConfig, runs) -> list:
     # holes around the stack (about 1 MB less peak resident memory)
     shape = tuple(count + 1 for count in config.pattern.periodic_counts())
     grids = np.empty((sum(stop - start for _, start, stop in runs), *shape), complex)
-    truths = []
+    truths = []  # a degenerate draw's GeometryError in place of its truth
     for snr_idx, start, stop in runs:
         run_truths, symbols, received = simulate_pilots(
             config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
@@ -207,8 +212,10 @@ def _trial_block(config: ExperimentConfig, runs) -> list:
         truths += run_truths
         del symbols, received
     outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
-                               config.ensemble.baseline, [truth.theta for truth in truths])
-    return list(zip(truths, grids, outcomes))
+                               config.ensemble.baseline,
+                               [getattr(truth, "theta", 0.0) for truth in truths])
+    return [(None, grid, truth) if isinstance(truth, GeometryError) else (truth, grid, outcome)
+            for truth, grid, outcome in zip(truths, grids, outcomes)]
 
 
 def _trial_seed(seed: int, snr_idx: int, trial: int) -> np.random.SeedSequence:
@@ -332,14 +339,18 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     length = _block_length(*(count + 1 for count in config.pattern.periodic_counts()))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
+    # each process's first block after a fork pays some 1,650 page faults
+    # (strides (2, 1), 20 trials), more than a second process saves on one
+    # block: start one only when every process, the caller included, gets two
+    workers = max(1, min(config.workers, len(runs) // 2))
     # pack consecutive runs of min(length, trials) trials into blocks of up to
-    # `length` while every process still gets a block; start no more
-    # processes than there are blocks
-    per = max(1, min(length // min(length, trials), len(runs) // config.workers))
+    # `length`: in one process all of them, else while each process still
+    # gets two blocks
+    share = len(runs) if workers == 1 else len(runs) // (2 * workers)
+    per = max(1, min(length // min(length, trials), share))
     blocks = [functools.partial(_block_errors, (config, runs[lo:lo + per]))
               for lo in range(0, len(runs), per)]
     tasks = [functools.partial(_bound_columns, config, reports, config.ecrb_draws), *blocks]
-    workers = min(config.workers, len(blocks))
     if workers == 1:
         bounds, *outcomes = [task() for task in tasks]
     else:

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .bounds import SensingChannelParams, _phasor
-from .geometry import ScenarioEnsemble, derive_ground_truth
+from .geometry import GeometryError, ScenarioEnsemble, derive_ground_truth
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
@@ -135,7 +135,9 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
     ``sample_scenario``, ``generate_frame`` and ``apply_channel``: the
     scenario, then QPSK symbols and the two standard normal noise components,
     each of shape (K+1, L+1), the pilot cells only. Returns the ground truths,
-    pilot symbols and received pilot values, shape (trials, K+1, L+1).
+    pilot symbols and received pilot values, shape (trials, K+1, L+1). A
+    degenerate draw's truth is its GeometryError, and its trial draws on and
+    receives with zero delay and Doppler, so no trial moves another's bits.
     """
     params = SensingChannelParams.from_snr_db(snr_db)
     n_p, m_p = pattern.periodic_strides()
@@ -146,12 +148,15 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
     normals = np.empty((2, len(seeds), *shape)) if params.noise_var > 0 else None
     for trial, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        truths.append(ensemble.sample_truth(rng))
+        try:
+            truths.append(ensemble.sample_truth(rng))
+        except GeometryError as exc:
+            truths.append(exc)
         idx[trial] = rng.integers(0, 4, size=shape)
         if normals is not None:
             rng.standard_normal(out=normals[0, trial])
             rng.standard_normal(out=normals[1, trial])
-    tau, f_d = (np.array([[[getattr(t, key)]] for t in truths]) for key in ("tau", "f_d"))
+    tau, f_d = (np.array([[[getattr(t, key, 0.0)]] for t in truths]) for key in ("tau", "f_d"))
     _warn_isi(tau.max(), numerology)
     symbols = _qpsk(idx)
     received = _receive(symbols, params, tau, f_d, numerology, (n_p, m_p), normals)

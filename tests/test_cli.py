@@ -585,6 +585,18 @@ class TestSimulateCommand:
                 in capsys.readouterr().err.splitlines()[-1])
         assert not out.exists() and not surf.exists()
 
+    def test_degenerate_draw_reports_its_error_with_no_truth(self, tmp_path):
+        # the point-mass box on the transmitter: every target draw is degenerate
+        config = ExperimentConfig(
+            ensemble=ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0)))
+        path, out = tmp_path / "config.json", tmp_path / "trial.json"
+        path.write_text(json.dumps(config.to_json_dict()))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["truth"] is None and payload["estimate"] is None
+        assert payload["valid"] is False
+        assert payload["error"].startswith("degenerate geometry")
+
     def test_trial_flag_runs_that_trial_of_the_sweep(self, tmp_path):
         config = ExperimentConfig(
             pattern=make_periodic(70, 50, 2, 5), snr_grid_db=(0.0, 20.0, 30.0),

@@ -13,6 +13,7 @@ import pytest
 
 from bisac import (
     ExperimentConfig,
+    GeometryError,
     OfdmNumerology,
     PatternError,
     PeriodogramConfig,
@@ -50,6 +51,16 @@ def no_trial(monkeypatch):
 
     monkeypatch.setattr(bisac.harness, "_trial_block", fail)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", fail_start)
+
+
+# a function replaced in the test reaches a sweep's children only by fork
+FORKED = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                            reason="the replaced function reaches the children by fork")
+
+
+def points(count: int) -> tuple:
+    """``count`` SNR points [dB], 0 to 20 dB when there are several."""
+    return tuple(np.linspace(0.0, 20.0, count).tolist()) if count > 1 else (20.0,)
 
 
 def small_config(**overrides):
@@ -272,10 +283,13 @@ class TestRunSweep:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("snr_grid_db, workers, children", [
-        ((20.0,), 64, 0), ((0.0, 20.0), 64, 1), ((0.0, 10.0, 20.0), 2, 1),
+        (points(1), 64, 0), (points(4), 64, 1), (points(4), 2, 1), (points(1), 2, 0),
+        (points(2), 2, 0), (points(2), 64, 0), (points(3), 2, 0), (points(3), 64, 0),
+        (points(8), 64, 3),
     ])
     def test_no_more_processes_than_blocks(self, monkeypatch, snr_grid_db, workers, children):
-        # the calling process runs blocks too, beside `workers - 1` children
+        # the calling process runs blocks too, beside at most `workers - 1`
+        # children, and a child starts only if every process gets two blocks
         started = []
         start = multiprocessing.process.BaseProcess.start
 
@@ -284,14 +298,16 @@ class TestRunSweep:
             start(process)
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-        # one trial per point is one block per point
+        # one trial per point is one run per point
         cfg = small_config(snr_grid_db=snr_grid_db, trials_per_point=1, workers=workers)
         serial = run_sweep(replace(cfg, workers=1)).to_csv()
         assert run_sweep(cfg).to_csv() == serial
         assert len(started) == children
+        assert multiprocessing.active_children() == []
 
     def test_runs_pack_while_every_process_gets_a_block(self, monkeypatch):
-        # six one-trial points on two processes: two blocks of three runs
+        # one-trial points on two processes: twelve make four blocks of three
+        # runs, two blocks a process; six make six blocks of one run
         packed, dispatch = [], bisac.harness._dispatch
 
         def recorded(tasks, workers):
@@ -300,10 +316,35 @@ class TestRunSweep:
             return dispatch(tasks, workers)
 
         monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
-        cfg = small_config(snr_grid_db=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0), trials_per_point=1,
-                           workers=2)
-        assert run_sweep(cfg).to_csv() == run_sweep(replace(cfg, workers=1)).to_csv()
-        assert packed == [[3, 3]]
+        for count in (12, 6):
+            cfg = small_config(snr_grid_db=points(count), trials_per_point=1, workers=2)
+            assert run_sweep(cfg).to_csv() == run_sweep(replace(cfg, workers=1)).to_csv()
+        assert packed == [[3, 3, 3, 3], [1] * 6]
+
+    @pytest.mark.parametrize("count, workers", [(4, 1), (3, 2)])
+    def test_one_process_packs_every_run(self, monkeypatch, count, workers):
+        # strides (2, 5) hold 102 trials a run: the points' runs of 10 trials
+        # make one block, whether one process was asked for or too few runs
+        # share out among two
+        packed, block_errors = [], bisac.harness._block_errors
+
+        def recorded(block):
+            packed.append(len(block[1]))
+            return block_errors(block)
+
+        monkeypatch.setattr(bisac.harness, "_block_errors", recorded)
+        monkeypatch.setattr(bisac.harness, "_dispatch", None)  # one process: no dispatch
+        run_sweep(small_config(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=points(count),
+                               trials_per_point=10, workers=workers))
+        assert packed == [count]
+
+    @pytest.mark.parametrize("count", range(1, 13))
+    def test_csv_byte_identical_at_any_worker_count(self, count):
+        # one to twelve one-trial points: one to twelve blocks on up to four processes
+        cfg = small_config(snr_grid_db=points(count), trials_per_point=1)
+        texts = {run_sweep(replace(cfg, workers=w)).to_csv() for w in (1, 2, 3, 8)}
+        assert len(texts) == 1
+        assert multiprocessing.active_children() == []
 
     def test_sweep_warns_delay_beyond_prefix(self):
         # the default ensemble's delays, about 1 to 1.15 us, exceed the 1 us prefix
@@ -317,12 +358,13 @@ class TestRunSweep:
         assert len(text.splitlines()) == 3
 
     # the "before any trial" tests run each config at one and two workers:
-    # small_config's two SNR points make two blocks, so two workers would
-    # start a child process
+    # at 80 trials small_config's two SNR points make eight runs (the
+    # collinear pattern's 1 x 50 pilots fit 2621 trials a run: four points
+    # make four), so two workers would start a child process
 
     def test_non_periodic_pattern_rejected_before_any_trial(self, no_trial):
         for workers in (1, 2):
-            d = small_config(workers=workers).to_json_dict()
+            d = small_config(trials_per_point=80, workers=workers).to_json_dict()
             d["pattern"] = {"cells": [[0, 0], [2, 3], [5, 7]]}
             cfg = ExperimentConfig.from_json_dict(d)
             with pytest.raises(PatternError, match="periodic"):
@@ -348,13 +390,15 @@ class TestRunSweep:
     def test_collinear_pattern_rejected_before_any_trial(self, no_trial):
         for workers in (1, 2):
             with pytest.raises(SingularPatternError):
-                run_sweep(small_config(pattern=make_periodic(70, 50, 70, 1), workers=workers))
+                run_sweep(small_config(pattern=make_periodic(70, 50, 70, 1),
+                                       snr_grid_db=points(4), workers=workers))
 
     def test_overflowing_bound_rejected_before_any_trial(self, no_trial):
         # an accepted SNR at which the range bound overflows to inf
         for workers in (1, 2):
             with pytest.raises(ValueError, match="not finite, positive floats"):
-                run_sweep(small_config(snr_grid_db=(-3000.0, 20.0), workers=workers))
+                run_sweep(small_config(snr_grid_db=(-3000.0, 20.0), trials_per_point=80,
+                                       workers=workers))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_degenerate_ensemble_raises_and_leaves_no_child(self, workers):
@@ -365,6 +409,44 @@ class TestRunSweep:
             run_sweep(small_config(ensemble=on_tx, workers=workers))
         assert multiprocessing.active_children() == []
 
+    def test_degenerate_draw_is_an_invalid_trial(self):
+        # every target of the point-mass box on the transmitter is degenerate
+        on_tx = ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))
+        truth, grid, outcome = simulate_trial(small_config(ensemble=on_tx), 1, 3)
+        assert truth is None
+        assert isinstance(outcome, GeometryError)
+        assert str(outcome).startswith("degenerate geometry")
+        assert grid.shape == (35, 50) and np.isfinite(grid).all()
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORKED)])
+    def test_degenerate_draw_leaves_the_sweep_running(self, monkeypatch, workers):
+        # the third draw of each block of four fails as a degenerate one would,
+        # after its four uniforms; the other trials keep their bits
+        cfg = small_config(snr_grid_db=points(4), trials_per_point=4, workers=workers)
+        clean = [bisac.harness._block_errors((cfg, [(s, 0, 4)])) for s in range(4)]
+        draws, draw = [], ScenarioEnsemble.sample_truth
+
+        def third_degenerate(ensemble, rng):
+            truth = draw(ensemble, rng)
+            draws.append(truth)
+            if len(draws) % 4 == 3:
+                raise GeometryError("degenerate geometry: patched draw")
+            return truth
+
+        monkeypatch.setattr(ScenarioEnsemble, "sample_truth", third_degenerate)
+        for snr_idx, errors in enumerate(clean):
+            failed = bisac.harness._block_errors((cfg, [(snr_idx, 0, 4)]))
+            assert failed[2][2] is False and math.isnan(failed[2][0])
+            assert failed[:2] + failed[3:] == errors[:2] + errors[3:]
+        # a block is one point here, so every point loses its trial 2
+        rows = run_sweep(cfg).rows
+        assert multiprocessing.active_children() == []
+        for row, errors in zip(rows, clean):
+            kept = errors[:2] + errors[3:]
+            assert row.valid_trial_fraction == 0.75
+            assert row.rmse_range_m == math.sqrt(np.mean([e[0] for e in kept]))
+            assert row.rmse_vel_ms == math.sqrt(np.mean([e[1] for e in kept]))
+
     # the default baseline segment runs from the transmitter (-40, 0) to the
     # receiver (0, 40): the first box holds its point (-20, 20), the second
     # meets it at its corner (-19, 21) alone, the third is 1 m off it
@@ -372,7 +454,7 @@ class TestRunSweep:
     def test_box_on_the_baseline_segment_rejected_before_any_trial(self, y_range, no_trial):
         on_segment = ScenarioEnsemble(x_range=(-21.0, -19.0), y_range=y_range)
         for workers in (1, 2):
-            config = small_config(ensemble=on_segment, workers=workers)
+            config = small_config(ensemble=on_segment, trials_per_point=80, workers=workers)
             with pytest.raises(SingularPatternError, match="baseline segment"):
                 run_sweep(config)
             with pytest.raises(SingularPatternError, match="baseline segment"):
@@ -424,20 +506,21 @@ def test_dispatch_returns_the_results_in_task_order(workers):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
-                    reason="the replaced block function reaches the children by fork")
+@FORKED
 class TestDispatch:
-    """Failures of the blocks of a parallel sweep: two blocks of one trial,
-    one process beside the caller."""
+    """Failures of the blocks of a parallel sweep: four blocks of one trial,
+    one process beside the caller. Each test fails unless a child took a
+    block."""
 
-    CONFIG = small_config(snr_grid_db=(0.0, 20.0), trials_per_point=1, workers=2)
+    CONFIG = small_config(snr_grid_db=points(4), trials_per_point=1, workers=2)
 
     @pytest.fixture
     def blocks(self, monkeypatch):
         """Run ``actions["caller"]()`` for each block the calling process takes
         and ``actions["child"]()`` for each a child takes, in place of the
         block's trial, which then counts as valid with zero error;
-        ``actions["taken"]`` is set once a child has taken a block."""
+        ``actions["taken"]`` is set once a child has taken a block, and must
+        be by the end of the test."""
         caller = os.getpid()
         actions = {"taken": multiprocessing.Event()}
 
@@ -450,7 +533,8 @@ class TestDispatch:
             return [(0.0, 0.0, True)]
 
         monkeypatch.setattr(bisac.harness, "_block_errors", block_errors)
-        return actions
+        yield actions
+        assert actions["taken"].is_set(), "no child took a block"
 
     def test_child_exception_is_raised_in_the_caller(self, blocks):
         # the caller's block waits until the child has taken the other one
@@ -462,6 +546,7 @@ class TestDispatch:
 
     def test_caller_exception_stops_the_children(self, blocks):
         def fail():
+            blocks["taken"].wait(30)
             raise KeyError("caller block")
 
         blocks.update(caller=fail, child=lambda: time.sleep(60))
@@ -481,7 +566,8 @@ class TestDispatch:
     def held_bounds(self, monkeypatch):
         """Hold the bound columns, while there is a child, until it has taken
         a block, which then runs as it would; return the ids of the processes
-        that ran the bound columns."""
+        that ran the bound columns. A child must have taken a block by the
+        end of the test."""
         caller = os.getpid()
         taken, pids = multiprocessing.Event(), []
         bound_columns, block_errors = bisac.harness._bound_columns, bisac.harness._block_errors
@@ -498,7 +584,8 @@ class TestDispatch:
 
         monkeypatch.setattr(bisac.harness, "_bound_columns", held)
         monkeypatch.setattr(bisac.harness, "_block_errors", child_block_errors)
-        return pids
+        yield pids
+        assert taken.is_set(), "no child took a block"
 
     def test_bound_columns_run_in_the_caller_while_a_child_runs_a_block(self, held_bounds):
         serial = run_sweep(replace(self.CONFIG, workers=1)).to_csv()
@@ -507,9 +594,9 @@ class TestDispatch:
         assert multiprocessing.active_children() == []
 
     def test_all_degenerate_ensemble_raises_however_the_child_runs(self, held_bounds):
-        # a child takes a block, whose trials raise GeometryError (a target on
-        # the transmitter has no geometry), before the bound columns run; the
-        # bound columns, the first task, still raise in the caller
+        # a child takes a block, whose trials are invalid (a target on the
+        # transmitter has no geometry), before the bound columns run; the
+        # bound columns, the first task, raise in the caller
         on_tx = ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))
         with pytest.raises(SingularPatternError, match="all ensemble draws"):
             run_sweep(replace(self.CONFIG, ensemble=on_tx))
