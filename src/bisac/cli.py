@@ -118,8 +118,8 @@ _FLAGS = {
                      help="SNR grid: a:b:step or comma list or single value "
                           "(one value for every subcommand but sweep)"),
     "--workers": dict(type=_positive_int, metavar="N",
-                      help="at most N processes, the calling one included; a child only "
-                           "for two blocks or more"),
+                      help="at most N processes, the calling one included; children "
+                           "start only once the sweep's remaining work pays for them"),
     "--profile": dict(choices=sorted(_PROFILES),
                       help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials "
                            "(the fft moves no estimate, see --fft)"),

@@ -186,7 +186,7 @@ def _block_length(rows: int, cols: int) -> int:
     """Trials per sweep block of rows x cols pilot grids: as many as fit 2 MiB
     of the search's start delay stage, and at least one; 20 of 35 x 50 pilots
     (strides (2, 1)), 102 of 35 x 10 (strides (2, 5))."""
-    return max(1, 2**21 // (_start_cells(rows, 1)[0] * cols * 16))
+    return max(1, 2**21 // (int(_start_cells(rows, 1)[0]) * cols * 16))
 
 
 def _centred(rows: int, cols: int) -> tuple:

@@ -5,14 +5,13 @@ fixed SeedSequence keys, so results are byte-identical across runs and
 across worker counts. Each trial has its own key; a sweep splits its
 trials into blocks, runs each block on the pilot subgrid as one stack
 (``_trial_block``) and reduces the squared errors in trial-index order
-regardless of which process ran a block or when. A run's length
-depends on the config alone, never on the worker count. ``workers`` is an
-upper bound: a sweep starts a child process only when every process, the
-calling one included, gets at least two blocks, since a process's first
-block pays for the fork in page faults. One process packs consecutive
-runs into blocks of up to that length; several pack only while each
-still gets two blocks. The bound columns and the blocks are the tasks of
-one dispatcher, ``_dispatch``, the bound columns first.
+regardless of which process ran a block or when. A block packs
+consecutive runs up to a length that depends on the config alone, never
+on the worker count. The bound columns and the blocks are the tasks of
+one dispatcher, ``_dispatch``, the bound columns first. ``workers`` is an
+upper bound: the calling process runs the tasks in order and starts child
+processes only once the work it projects to be left exceeds a break-even
+(``_BREAK_EVEN_S``) that pays for a forked process's first-block faults.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import functools
 import io
 import json
 import multiprocessing
+import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -45,6 +45,11 @@ _ECRB_STREAM = 1
 
 DEFAULT_TABLE_PAIRS = ((1, 11), (2, 5), (5, 2), (11, 1))
 DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
+
+# seconds of projected work left above which ``_dispatch`` starts children:
+# on 2 cores two processes overtook one on the sweep_desk inputs between
+# 240 and 480 trials, 0.13-0.18 s of serial work (BENCH_lazy_dispatch.json)
+_BREAK_EVEN_S = 0.15
 
 
 @dataclass(frozen=True)
@@ -253,24 +258,36 @@ def _bound_columns(config: ExperimentConfig, reports, draws: int) -> list:
 
 def _dispatch(tasks: list, workers: int) -> list:
     """The result of each of ``tasks``, a non-empty list of callables of no
-    argument, in task order. The calling process starts ``workers - 1`` child
-    processes and runs the first task while they start, so that task raises
-    first wherever the others run; then every process takes the next task
-    index from one shared counter until none is left, so a slow task (a
-    threshold SNR point) holds up one process only. A child's exception is
-    raised here; no child outlives the call."""
+    argument, in task order. The calling process runs the tasks in order, so
+    the first raises first, and after each projects the time left: the mean
+    task time so far times the tasks left. Once that exceeds
+    ``_BREAK_EVEN_S`` it starts ``min(workers, tasks left) - 1`` child
+    processes; then every process takes the next task index from one shared
+    counter until none is left, so a slow task (a threshold SNR point) holds
+    up one process only. A call that starts no child creates no
+    multiprocessing object. A child's exception is raised here; no child
+    outlives the call."""
+    results, began = [], time.perf_counter()
+    for task in tasks:
+        results.append(task())
+        left = len(tasks) - len(results)
+        spent = time.perf_counter() - began
+        if min(workers, left) > 1 and spent * left > _BREAK_EVEN_S * len(results):
+            break
+    first = len(results)
+    if first == len(tasks):
+        return results
     context = multiprocessing.get_context()
-    counter = context.Value("q", 1)  # the children start at the second task
+    counter = context.Value("q", first)
     children, outcomes, finished = [], {}, False
     try:
-        for _ in range(workers - 1):
+        for _ in range(min(workers, left) - 1):
             receive, send = context.Pipe(duplex=False)
             child = context.Process(target=_work, args=(tasks, counter, send))
             child.start()
             # the child holds the only sending end: its exit ends the pipe
             send.close()
             children.append((child, receive))
-        outcomes[0] = tasks[0]()
         outcomes.update(_take(tasks, counter))
         for child, receive in children:
             try:
@@ -290,7 +307,7 @@ def _dispatch(tasks: list, workers: int) -> list:
                 child.terminate()
             child.join()
             receive.close()
-    return [outcomes[index] for index in range(len(tasks))]
+    return results + [outcomes[index] for index in range(first, len(tasks))]
 
 
 def _take(tasks: list, counter):
@@ -326,9 +343,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     (a collinear pattern, or a bound that overflows at an SNR of the grid),
     or with SingularPatternError if the ensemble's target box meets the
     baseline segment (``bounds._check_off_baseline``).
-    The bound columns are the first task, run by the calling process while
-    any children start (alone: before its first block); an ensemble whose
-    draws are all degenerate raises SingularPatternError there.
+    The calling process runs the bound columns first and the blocks after
+    them, and starts children (``_dispatch``) only once the work left pays
+    for them; an ensemble whose draws are all degenerate raises
+    SingularPatternError from the bound columns, before any child starts.
     """
     check_receiver(config)
     reports = [crb(SensingChannelParams.from_snr_db(snr_db), config.pattern, config.numerology)
@@ -339,22 +357,15 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     length = _block_length(*(count + 1 for count in config.pattern.periodic_counts()))
     runs = [(snr_idx, start, min(start + length, trials))
             for snr_idx in range(n_snr) for start in range(0, trials, length)]
-    # each process's first block after a fork pays some 1,650 page faults
-    # (strides (2, 1), 20 trials), more than a second process saves on one
-    # block: start one only when every process, the caller included, gets two
-    workers = max(1, min(config.workers, len(runs) // 2))
     # pack consecutive runs of min(length, trials) trials into blocks of up to
-    # `length`: in one process all of them, else while each process still
-    # gets two blocks
-    share = len(runs) if workers == 1 else len(runs) // (2 * workers)
-    per = max(1, min(length // min(length, trials), share))
+    # `length`, for any number of processes
+    per = max(1, length // min(length, trials))
     blocks = [functools.partial(_block_errors, (config, runs[lo:lo + per]))
               for lo in range(0, len(runs), per)]
     tasks = [functools.partial(_bound_columns, config, reports, config.ecrb_draws), *blocks]
-    if workers == 1:
-        bounds, *outcomes = [task() for task in tasks]
-    else:
-        bounds, *outcomes = _dispatch(tasks, workers)
+    # a forked process's first block pays some 1,650 page faults (strides
+    # (2, 1), 20 trials): short sweeps run in the calling process alone
+    bounds, *outcomes = _dispatch(tasks, config.workers)
     trial_errors = [errors for block in outcomes for errors in block]
     sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*trial_errors))
 

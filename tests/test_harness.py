@@ -58,6 +58,26 @@ FORKED = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != 
                             reason="the replaced function reaches the children by fork")
 
 
+@pytest.fixture
+def fork_at_once(monkeypatch):
+    """Make ``_dispatch`` start its children after the first task, whatever
+    the work left."""
+    monkeypatch.setattr(bisac.harness, "_BREAK_EVEN_S", 0.0)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started during the test, which start as they would."""
+    processes, start = [], multiprocessing.process.BaseProcess.start
+
+    def counted(process):
+        processes.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return processes
+
+
 def points(count: int) -> tuple:
     """``count`` SNR points [dB], 0 to 20 dB when there are several."""
     return tuple(np.linspace(0.0, 20.0, count).tolist()) if count > 1 else (20.0,)
@@ -273,70 +293,100 @@ class TestRunSweep:
             10.0, rel=1e-6
         )
 
-    def test_worker_counts_byte_identical(self):
+    def test_worker_counts_byte_identical(self, fork_at_once, started):
         # twelve blocks, whose trials cost several times as much at the
         # threshold SNRs as at the high ones
         cfg = small_config(snr_grid_db=(-30.0, -20.0, -10.0, 0.0, 10.0, 20.0),
                            trials_per_point=25)
         texts = {w: run_sweep(replace(cfg, workers=w)).to_csv() for w in (1, 2, 3, 8)}
         assert texts[2] == texts[1] and texts[3] == texts[1] and texts[8] == texts[1]
+        assert len(started) == 1 + 2 + 7
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("snr_grid_db, workers, children", [
-        (points(1), 64, 0), (points(4), 64, 1), (points(4), 2, 1), (points(1), 2, 0),
+        (points(1), 64, 0), (points(40), 64, 1), (points(60), 2, 1), (points(1), 2, 0),
         (points(2), 2, 0), (points(2), 64, 0), (points(3), 2, 0), (points(3), 64, 0),
-        (points(8), 64, 3),
+        (points(80), 64, 3),
     ])
-    def test_no_more_processes_than_blocks(self, monkeypatch, snr_grid_db, workers, children):
-        # the calling process runs blocks too, beside at most `workers - 1`
-        # children, and a child starts only if every process gets two blocks
-        started = []
-        start = multiprocessing.process.BaseProcess.start
-
-        def counted(process):
-            started.append(process)
-            start(process)
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-        # one trial per point is one run per point
+    def test_no_more_processes_than_blocks(self, fork_at_once, started, snr_grid_db, workers,
+                                           children):
+        # one-trial points pack 20 to a block; with no break-even the calling
+        # process starts min(workers, tasks left) - 1 children once it has run
+        # the bound columns, and runs blocks itself beside them
         cfg = small_config(snr_grid_db=snr_grid_db, trials_per_point=1, workers=workers)
         serial = run_sweep(replace(cfg, workers=1)).to_csv()
+        assert started == []
         assert run_sweep(cfg).to_csv() == serial
         assert len(started) == children
         assert multiprocessing.active_children() == []
 
-    def test_runs_pack_while_every_process_gets_a_block(self, monkeypatch):
-        # one-trial points on two processes: twelve make four blocks of three
-        # runs, two blocks a process; six make six blocks of one run
+    @pytest.mark.parametrize("strides, trials, count", [((2, 1), 40, 3), ((2, 5), 100, 4)])
+    def test_short_sweeps_start_no_process(self, monkeypatch, strides, trials, count):
+        # the benchmark's sweep_desk and sweep_sparse inputs: on two cores one
+        # process runs them faster than two, and they project well under the
+        # break-even (a warm-up sweep first, as a long-lived process has run)
+        cfg = ExperimentConfig(pattern=make_periodic(70, 50, *strides),
+                               snr_grid_db=points(count), trials_per_point=trials,
+                               fft=PeriodogramConfig(1024, 1024), seed=1, workers=2)
+        serial = run_sweep(replace(cfg, workers=1)).to_csv()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("multiprocessing object created")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", fail)
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Value", fail)
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pipe", fail)
+        assert run_sweep(cfg).to_csv() == serial
+
+    @pytest.mark.parametrize("workers, children", [(2, 1), (8, 2)])
+    def test_tasks_that_outlast_the_break_even_fork(self, started, workers, children):
+        # after the first of four tasks the three left project to 1.5 times
+        # the break-even
+        nap = functools.partial(time.sleep, bisac.harness._BREAK_EVEN_S / 2)
+        assert bisac.harness._dispatch([nap] * 4, workers) == [None] * 4
+        assert len(started) == children
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_runs_pack_up_to_the_block_length(self, monkeypatch, workers):
+        # strides (2, 1) hold 20 trials a block at any worker count: thirty
+        # one-trial points make blocks of 20 and 10 runs, two 30-trial points
+        # four blocks of one run each, 20 and 10 trials
         packed, dispatch = [], bisac.harness._dispatch
 
         def recorded(tasks, workers):
             # task 0 is the bound columns; each block task's argument is (config, runs)
-            packed.append([len(task.args[0][1]) for task in tasks[1:]])
+            packed.append([task.args[0][1] for task in tasks[1:]])
             return dispatch(tasks, workers)
 
         monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
-        for count in (12, 6):
-            cfg = small_config(snr_grid_db=points(count), trials_per_point=1, workers=2)
-            assert run_sweep(cfg).to_csv() == run_sweep(replace(cfg, workers=1)).to_csv()
-        assert packed == [[3, 3, 3, 3], [1] * 6]
+        for count, trials in ((30, 1), (2, 30)):
+            run_sweep(small_config(snr_grid_db=points(count), trials_per_point=trials,
+                                   workers=workers))
+        assert [[len(runs) for runs in blocks] for blocks in packed] == [[20, 10], [1] * 4]
+        assert packed[1] == [[(0, 0, 20)], [(0, 20, 30)], [(1, 0, 20)], [(1, 20, 30)]]
+        # the block length is a Python int, so are the runs' bounds
+        assert all(type(bound) is int for blocks in packed for runs in blocks
+                   for run in runs for bound in run)
 
     @pytest.mark.parametrize("count, workers", [(4, 1), (3, 2)])
     def test_one_process_packs_every_run(self, monkeypatch, count, workers):
         # strides (2, 5) hold 102 trials a run: the points' runs of 10 trials
-        # make one block, whether one process was asked for or too few runs
-        # share out among two
+        # make one block, which the calling process runs alone
         packed, block_errors = [], bisac.harness._block_errors
 
         def recorded(block):
-            packed.append(len(block[1]))
+            packed.append(block[1])
             return block_errors(block)
 
+        def fail_start(process):
+            raise AssertionError("process started")
+
         monkeypatch.setattr(bisac.harness, "_block_errors", recorded)
-        monkeypatch.setattr(bisac.harness, "_dispatch", None)  # one process: no dispatch
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", fail_start)
         run_sweep(small_config(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=points(count),
                                trials_per_point=10, workers=workers))
-        assert packed == [count]
+        assert packed == [[(snr_idx, 0, 10) for snr_idx in range(count)]]
 
     @pytest.mark.parametrize("count", range(1, 13))
     def test_csv_byte_identical_at_any_worker_count(self, count):
@@ -358,9 +408,8 @@ class TestRunSweep:
         assert len(text.splitlines()) == 3
 
     # the "before any trial" tests run each config at one and two workers:
-    # at 80 trials small_config's two SNR points make eight runs (the
-    # collinear pattern's 1 x 50 pilots fit 2621 trials a run: four points
-    # make four), so two workers would start a child process
+    # their checks run before the dispatcher, which would start a child
+    # process only after tasks had run
 
     def test_non_periodic_pattern_rejected_before_any_trial(self, no_trial):
         for workers in (1, 2):
@@ -401,12 +450,15 @@ class TestRunSweep:
                                        workers=workers))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_all_degenerate_ensemble_raises_and_leaves_no_child(self, workers):
+    def test_all_degenerate_ensemble_raises_and_leaves_no_child(self, fork_at_once, started,
+                                                                workers):
         # every target on the transmitter: each draw is skipped, and each
-        # trial's geometry is degenerate too
+        # trial's geometry is degenerate too; the bound columns, the first
+        # task, raise before any child could start (four blocks)
         on_tx = ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))
         with pytest.raises(SingularPatternError, match="all ensemble draws"):
-            run_sweep(small_config(ensemble=on_tx, workers=workers))
+            run_sweep(small_config(ensemble=on_tx, trials_per_point=40, workers=workers))
+        assert started == []
         assert multiprocessing.active_children() == []
 
     def test_degenerate_draw_is_an_invalid_trial(self):
@@ -419,11 +471,12 @@ class TestRunSweep:
         assert grid.shape == (35, 50) and np.isfinite(grid).all()
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORKED)])
-    def test_degenerate_draw_leaves_the_sweep_running(self, monkeypatch, workers):
-        # the third draw of each block of four fails as a degenerate one would,
-        # after its four uniforms; the other trials keep their bits
-        cfg = small_config(snr_grid_db=points(4), trials_per_point=4, workers=workers)
-        clean = [bisac.harness._block_errors((cfg, [(s, 0, 4)])) for s in range(4)]
+    def test_degenerate_draw_leaves_the_sweep_running(self, monkeypatch, fork_at_once,
+                                                      workers):
+        # the third draw of each four fails as a degenerate one would, after
+        # its four uniforms; the other trials keep their bits
+        cfg = small_config(snr_grid_db=points(4), trials_per_point=20, workers=workers)
+        clean = [bisac.harness._block_errors((cfg, [(s, 0, 20)])) for s in range(4)]
         draws, draw = [], ScenarioEnsemble.sample_truth
 
         def third_degenerate(ensemble, rng):
@@ -433,19 +486,23 @@ class TestRunSweep:
                 raise GeometryError("degenerate geometry: patched draw")
             return truth
 
+        def kept(trials):
+            return [trial for i, trial in enumerate(trials) if i % 4 != 2]
+
         monkeypatch.setattr(ScenarioEnsemble, "sample_truth", third_degenerate)
         for snr_idx, errors in enumerate(clean):
-            failed = bisac.harness._block_errors((cfg, [(snr_idx, 0, 4)]))
-            assert failed[2][2] is False and math.isnan(failed[2][0])
-            assert failed[:2] + failed[3:] == errors[:2] + errors[3:]
-        # a block is one point here, so every point loses its trial 2
+            failed = bisac.harness._block_errors((cfg, [(snr_idx, 0, 20)]))
+            assert all(trial[2] is False and math.isnan(trial[0]) for trial in failed[2::4])
+            assert kept(failed) == kept(errors)
+        # a block is one point of 20 trials here, and each process's draws
+        # count in fours, so every point loses its trials 2, 6, ..., 18
         rows = run_sweep(cfg).rows
         assert multiprocessing.active_children() == []
         for row, errors in zip(rows, clean):
-            kept = errors[:2] + errors[3:]
+            kept_errors = kept(errors)
             assert row.valid_trial_fraction == 0.75
-            assert row.rmse_range_m == math.sqrt(np.mean([e[0] for e in kept]))
-            assert row.rmse_vel_ms == math.sqrt(np.mean([e[1] for e in kept]))
+            assert row.rmse_range_m == math.sqrt(np.mean([e[0] for e in kept_errors]))
+            assert row.rmse_vel_ms == math.sqrt(np.mean([e[1] for e in kept_errors]))
 
     # the default baseline segment runs from the transmitter (-40, 0) to the
     # receiver (0, 40): the first box holds its point (-20, 20), the second
@@ -497,28 +554,38 @@ class TestRunSweep:
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_dispatch_returns_the_results_in_task_order(workers):
+def test_dispatch_returns_the_results_in_task_order(fork_at_once, started, workers):
     # the first task, whose result is the id of the process that ran it, runs
-    # in the calling process
+    # in the calling process, before the children start
     tasks = [os.getpid, *(functools.partial(operator.mul, i, i) for i in range(1, 7))]
     results = bisac.harness._dispatch(tasks, workers)
     assert results == [os.getpid(), *(i * i for i in range(1, 7))]
+    assert len(started) == workers - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_dispatch_first_task_raises_before_any_child(fork_at_once, started):
+    tasks = [functools.partial(operator.truediv, 1, 0), os.getpid, os.getpid]
+    with pytest.raises(ZeroDivisionError):
+        bisac.harness._dispatch(tasks, 3)
+    assert started == []
     assert multiprocessing.active_children() == []
 
 
 @FORKED
+@pytest.mark.usefixtures("fork_at_once")
 class TestDispatch:
-    """Failures of the blocks of a parallel sweep: four blocks of one trial,
-    one process beside the caller. Each test fails unless a child took a
-    block."""
+    """Failures of the blocks of a parallel sweep: four blocks of 20 trials,
+    one process beside the caller, started once the caller has run the bound
+    columns. Each test fails unless a child took a block."""
 
-    CONFIG = small_config(snr_grid_db=points(4), trials_per_point=1, workers=2)
+    CONFIG = small_config(snr_grid_db=points(4), trials_per_point=20, workers=2)
 
     @pytest.fixture
     def blocks(self, monkeypatch):
         """Run ``actions["caller"]()`` for each block the calling process takes
         and ``actions["child"]()`` for each a child takes, in place of the
-        block's trial, which then counts as valid with zero error;
+        block's trials, which then count as valid with zero error;
         ``actions["taken"]`` is set once a child has taken a block, and must
         be by the end of the test."""
         caller = os.getpid()
@@ -530,14 +597,14 @@ class TestDispatch:
             else:
                 actions["taken"].set()
                 actions["child"]()
-            return [(0.0, 0.0, True)]
+            return [(0.0, 0.0, True)] * sum(stop - start for _, start, stop in block[1])
 
         monkeypatch.setattr(bisac.harness, "_block_errors", block_errors)
         yield actions
         assert actions["taken"].is_set(), "no child took a block"
 
     def test_child_exception_is_raised_in_the_caller(self, blocks):
-        # the caller's block waits until the child has taken the other one
+        # the caller's block waits until the child has taken another one
         blocks.update(caller=lambda: blocks["taken"].wait(30), child=lambda: 1 / 0)
         with pytest.raises(ZeroDivisionError) as info:
             run_sweep(self.CONFIG)
@@ -562,19 +629,13 @@ class TestDispatch:
             run_sweep(self.CONFIG)
         assert multiprocessing.active_children() == []
 
-    @pytest.fixture
-    def held_bounds(self, monkeypatch):
-        """Hold the bound columns, while there is a child, until it has taken
-        a block, which then runs as it would; return the ids of the processes
-        that ran the bound columns. A child must have taken a block by the
-        end of the test."""
+    def test_bound_columns_run_in_the_caller_before_any_child(self, monkeypatch):
         caller = os.getpid()
-        taken, pids = multiprocessing.Event(), []
+        taken, runs = multiprocessing.Event(), []
         bound_columns, block_errors = bisac.harness._bound_columns, bisac.harness._block_errors
 
-        def held(*args):
-            pids.append(os.getpid())
-            assert not multiprocessing.active_children() or taken.wait(30)
+        def recorded(*args):
+            runs.append((os.getpid(), multiprocessing.active_children()))
             return bound_columns(*args)
 
         def child_block_errors(block):
@@ -582,25 +643,13 @@ class TestDispatch:
                 taken.set()
             return block_errors(block)
 
-        monkeypatch.setattr(bisac.harness, "_bound_columns", held)
+        monkeypatch.setattr(bisac.harness, "_bound_columns", recorded)
         monkeypatch.setattr(bisac.harness, "_block_errors", child_block_errors)
-        yield pids
-        assert taken.is_set(), "no child took a block"
-
-    def test_bound_columns_run_in_the_caller_while_a_child_runs_a_block(self, held_bounds):
         serial = run_sweep(replace(self.CONFIG, workers=1)).to_csv()
+        runs.clear()
         assert run_sweep(self.CONFIG).to_csv() == serial
-        assert held_bounds[-1] == os.getpid()
-        assert multiprocessing.active_children() == []
-
-    def test_all_degenerate_ensemble_raises_however_the_child_runs(self, held_bounds):
-        # a child takes a block, whose trials are invalid (a target on the
-        # transmitter has no geometry), before the bound columns run; the
-        # bound columns, the first task, raise in the caller
-        on_tx = ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))
-        with pytest.raises(SingularPatternError, match="all ensemble draws"):
-            run_sweep(replace(self.CONFIG, ensemble=on_tx))
-        assert held_bounds == [os.getpid()]
+        assert runs == [(caller, [])]
+        assert taken.is_set(), "no child took a block"
         assert multiprocessing.active_children() == []
 
 

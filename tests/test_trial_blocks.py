@@ -144,7 +144,7 @@ def test_block_allocates_no_more_than_the_geometry_draw(strides, snr_db):
     pattern = make_periodic(70, 50, *strides)
     rows, cols = (count + 1 for count in pattern.periodic_counts())
     trials = _block_length(rows, cols)
-    assert trials == {(2, 1): 20, (2, 5): 102}[strides]
+    assert trials == {(2, 1): 20, (2, 5): 102}[strides] and type(trials) is int
     config = ExperimentConfig(pattern=pattern, snr_grid_db=(snr_db,), trials_per_point=trials,
                               seed=1)
     peak = allocation_peak(_block_errors, (config, [(0, 0, trials)]))
