@@ -577,7 +577,7 @@ def test_dispatch_first_task_raises_before_any_child(fork_at_once, started):
 class TestDispatch:
     """Failures of the blocks of a parallel sweep: four blocks of 20 trials,
     one process beside the caller, started once the caller has run the bound
-    columns. Each test fails unless a child took a block."""
+    columns. Each test that runs a block fails unless a child took one."""
 
     CONFIG = small_config(snr_grid_db=points(4), trials_per_point=20, workers=2)
 
@@ -650,6 +650,30 @@ class TestDispatch:
         assert run_sweep(self.CONFIG).to_csv() == serial
         assert runs == [(caller, [])]
         assert taken.is_set(), "no child took a block"
+        assert multiprocessing.active_children() == []
+
+    def test_all_degenerate_ensemble_raises_however_the_child_runs(self, monkeypatch,
+                                                                  started):
+        # every block's trials would be invalid (a target on the transmitter
+        # has no geometry), but no block runs: the bound columns, the first
+        # task, raise in the caller before a child could take one
+        caller = os.getpid()
+        runs, bound_columns = [], bisac.harness._bound_columns
+
+        def recorded(*args):
+            runs.append((os.getpid(), multiprocessing.active_children()))
+            return bound_columns(*args)
+
+        def no_block(block):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(bisac.harness, "_bound_columns", recorded)
+        monkeypatch.setattr(bisac.harness, "_block_errors", no_block)
+        on_tx = ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))
+        with pytest.raises(SingularPatternError, match="all ensemble draws"):
+            run_sweep(replace(self.CONFIG, ensemble=on_tx))
+        assert runs == [(caller, [])]
+        assert started == []
         assert multiprocessing.active_children() == []
 
 
