@@ -389,14 +389,21 @@ def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, off
     delay rows of each distinct (grid, theta) pair come from a product per
     grid, padded into stacks of at most ``_PADDED`` phasor rows, and one more
     product gives each cell's Doppler transforms."""
-    pairs, inverse = np.unique(np.column_stack([owner, centre[:, 0]]), axis=0,
-                               return_inverse=True)
-    grids, first, counts = np.unique(pairs[:, 0].astype(int), return_index=True,
-                                     return_counts=True)
-    slot = np.arange(len(pairs)) - np.repeat(first, counts)
+    # the distinct (grid, theta) pairs in ascending order, each cell's pair,
+    # and the first pair and the pair count of each grid
+    order = np.lexsort((centre[:, 0], owner))
+    pair_grid, theta = owner[order], centre[order, 0]
+    new = np.ones(owner.size, bool)
+    new[1:] = (pair_grid[1:] != pair_grid[:-1]) | (theta[1:] != theta[:-1])
+    inverse = np.empty(owner.size, int)
+    inverse[order] = np.cumsum(new) - 1
+    pair_grid, theta = pair_grid[new], theta[new]
+    first = np.flatnonzero(np.r_[True, pair_grid[1:] != pair_grid[:-1]])
+    grids, counts = pair_grid[first], np.diff(np.r_[first, pair_grid.size])
+    slot = np.arange(pair_grid.size) - np.repeat(first, counts)
     at = np.repeat(np.arange(grids.size), counts)
     left = np.zeros((grids.size, counts.max(), offsets[0].size, k.size), complex)
-    left[at, slot] = _phasors(pairs[:, 1], k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
+    left[at, slot] = _phasors(theta, k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
     left = left.reshape(grids.size, -1, k.size)
     step = max(1, _PADDED // left.shape[1])
     delay = np.concatenate([_small_matmul(left[lo:lo + step], pilot_grids[grids[lo:lo + step]])
@@ -434,7 +441,10 @@ def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray) -> tu
     pos, moved = start.copy(), np.ones(len(start), bool)
     active = np.arange(len(start))
     for _ in range(_NEWTON_STEPS):
-        step = _newton_step(_moments(pilot_grids, pos, k, l, 3)[active], rows > 1, cols > 1)
+        # the moments of the active trials alone: a stacked product runs one
+        # matrix at a time, so each trial's bits are those of the whole stack's
+        grids = pilot_grids if active.size == len(start) else pilot_grids[active]
+        step = _newton_step(_moments(grids, pos[active], k, l, 3), rows > 1, cols > 1)
         # written so that a NaN step stays
         inside = (np.abs(pos[active] + step - start[active]) <= reach).all(axis=1)
         pos[active] = np.where(inside[:, None], pos[active] + step, start[active])
@@ -572,15 +582,11 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
     """``estimate`` of each LS pilot grid of a stack (trials, K+1, L+1), with its
     own ``theta``; a trial whose range cannot be inverted gets its GeometryError
     in place of a result. One search runs over the whole stack."""
-    n_p, m_p = pattern.periodic_strides()
     bins, offsets, powers, fallback, cycles = _peaks(pilot_grids, config)
-    u, v = cycles.T
-    taus = (u % 1.0) / (n_p * numerology.subcarrier_spacing_hz)
-    dopplers = (v - (v > 0.5)) / (m_p * numerology.symbol_duration_s)
     outcomes = []
     for tau_hat, f_d_hat, peak, offset, power, flag, theta in zip(
-            taus.tolist(), dopplers.tolist(), bins.tolist(), offsets.tolist(), powers.tolist(),
-            fallback.tolist(), thetas):
+            *_delay_doppler(cycles, pattern, numerology), bins.tolist(), offsets.tolist(),
+            powers.tolist(), fallback.tolist(), thetas):
         d_bis_hat = SPEED_OF_LIGHT * tau_hat
         try:
             d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
@@ -597,6 +603,42 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
     return outcomes
 
 
+def _bistatic_estimates(pilot_grids: np.ndarray, pattern: PilotPattern,
+                        numerology: OfdmNumerology, config: PeriodogramConfig,
+                        baseline: float, thetas) -> list:
+    """The (d_bis_hat, v_bis_hat) of ``_estimate_grids`` of each grid, bit for
+    bit, or the GeometryError in its place: the estimates alone, with one
+    range inversion each (in ``beta_from_estimates``), and peak bins only
+    where they are the estimate (``config.interpolate`` off)."""
+    pilot_grids = np.asarray(pilot_grids, complex)
+    maxima, _, _ = _search(pilot_grids)
+    cycles = (maxima * (1 / (2 * np.pi)) if config.interpolate else
+              _peak_bins(pilot_grids, maxima, config)[0] / np.array([config.fft_n, config.fft_m]))
+    outcomes = []
+    for tau_hat, f_d_hat, theta in zip(*_delay_doppler(cycles, pattern, numerology), thetas):
+        d_bis_hat = SPEED_OF_LIGHT * tau_hat
+        try:
+            beta_hat, _ = beta_from_estimates(d_bis_hat, baseline, theta)
+        except GeometryError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append((d_bis_hat, float(f_d_hat * numerology.wavelength
+                                          / (2.0 * np.cos(beta_hat / 2.0)))))
+    return outcomes
+
+
+def _delay_doppler(cycles: np.ndarray, pattern: PilotPattern,
+                   numerology: OfdmNumerology) -> tuple:
+    """The delay and Doppler estimates, lists of floats, of estimates (trials,
+    2) in cycles of the pilot strides: delays on [0, span), Dopplers on
+    (-1/2, 1/2] cycles."""
+    n_p, m_p = pattern.periodic_strides()
+    u, v = cycles.T
+    taus = (u % 1.0) / (n_p * numerology.subcarrier_spacing_hz)
+    dopplers = (v - (v > 0.5)) / (m_p * numerology.symbol_duration_s)
+    return taus.tolist(), dopplers.tolist()
+
+
 def _peaks(pilot_grids: np.ndarray, config: PeriodogramConfig) -> tuple:
     """The peak bins, fractional offsets, peak powers and fallback flags of
     each grid of a stack, as ``EstimationResult`` defines them, and the
@@ -609,5 +651,3 @@ def _peaks(pilot_grids: np.ndarray, config: PeriodogramConfig) -> tuple:
         cycles = bins / np.array([config.fft_n, config.fft_m])
         return bins, np.zeros_like(offsets), powers, np.zeros_like(found), cycles
     return bins, offsets, powers, ~found, maxima * (1 / (2 * np.pi))
-
-

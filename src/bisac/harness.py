@@ -2,7 +2,8 @@
 
 Every random quantity derives from the mandatory master seed through
 fixed SeedSequence keys, so results are byte-identical across runs and
-across worker counts. Each trial has its own key; a sweep splits its
+across worker counts. Each trial has its own key, and a block hashes all
+its keys in one vectorised pass (``_trial_generators``); a sweep splits its
 trials into blocks, runs each block on the pilot subgrid as one stack
 (``_trial_block``) and reduces the squared errors in trial-index order
 regardless of which process ran a block or when. A block packs
@@ -20,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import math
 import multiprocessing
 import time
 import traceback
@@ -31,7 +33,9 @@ from . import __version__
 from .bounds import (
     SensingChannelParams, _check_off_baseline, _ecrb_means, _snr_powers, crb, rate_upper_bound,
 )
-from .estimator import PeriodogramConfig, _block_length, _estimate_grids, _ls_divide
+from .estimator import (
+    PeriodogramConfig, _bistatic_estimates, _block_length, _estimate_grids, _ls_divide,
+)
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
@@ -199,26 +203,30 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
     return _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])[0]
 
 
-def _trial_block(config: ExperimentConfig, runs) -> list:
+def _trial_block(config: ExperimentConfig, runs, receiver=_estimate_grids) -> list:
     """The trials of ``runs``, (snr_idx, start, stop) for trials ``start`` to
     ``stop - 1`` of SNR point ``snr_idx``, as ``simulate_trial`` returns each:
-    one estimator pass over all their stacked pilot grids."""
+    one ``receiver`` pass (``estimator._estimate_grids`` or a function of its
+    arguments that returns one outcome per grid) over all their stacked
+    pilot grids."""
+    generators = _trial_generators(config.seed, runs)
     # the stack is allocated before any draw: the draws' arrays, freed before
     # the search, then leave one free block that the search reuses rather than
     # holes around the stack (about 1 MB less peak resident memory)
     shape = tuple(count + 1 for count in config.pattern.periodic_counts())
-    grids = np.empty((sum(stop - start for _, start, stop in runs), *shape), complex)
+    grids = np.empty((len(generators), *shape), complex)
     truths = []  # a degenerate draw's GeometryError in place of its truth
     for snr_idx, start, stop in runs:
         run_truths, symbols, received = simulate_pilots(
             config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
-            [_trial_seed(config.seed, snr_idx, trial) for trial in range(start, stop)])
+            generators[len(truths):len(truths) + stop - start])
         _ls_divide(received, symbols, out=grids[len(truths):len(truths) + len(run_truths)])
         truths += run_truths
         del symbols, received
-    outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
-                               config.ensemble.baseline,
-                               [getattr(truth, "theta", 0.0) for truth in truths])
+    del generators
+    outcomes = receiver(grids, config.pattern, config.numerology, config.fft,
+                        config.ensemble.baseline,
+                        [getattr(truth, "theta", 0.0) for truth in truths])
     return [(None, grid, truth) if isinstance(truth, GeometryError) else (truth, grid, outcome)
             for truth, grid, outcome in zip(truths, grids, outcomes)]
 
@@ -233,15 +241,106 @@ def _trial_seed(seed: int, snr_idx: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(list(key))
 
 
+def _trial_generators(seed: int, runs) -> list:
+    """``default_rng(_trial_seed(seed, snr_idx, trial))`` of each trial of
+    ``runs`` in order, bit for bit. When every word of every key fits 32 bits,
+    the keys are hashed in one vectorised pass (``_trial_words``) and each
+    generator is seeded from its words (``_Words``); otherwise each trial
+    takes ``_trial_seed``."""
+    if max(seed, *(max(snr_idx, stop - 1) for snr_idx, _, stop in runs)) >= 2**32:
+        return [np.random.default_rng(_trial_seed(seed, snr_idx, trial))
+                for snr_idx, start, stop in runs for trial in range(start, stop)]
+    keys = np.zeros((sum(stop - start for _, start, stop in runs), 4), np.uint32)
+    keys[:, 0] = seed
+    keys[:, 2] = np.repeat([snr_idx for snr_idx, _, _ in runs],
+                           [stop - start for _, start, stop in runs])
+    keys[:, 3] = np.concatenate([np.arange(start, stop) for _, start, stop in runs])
+    _register_words()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(_Words(words))) for words in _trial_words(keys)]
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The (xor, multiplier) constants of ``calls`` successive hashmix steps of
+    ``SeedSequence`` from ``init``: the step xors its value with the constant,
+    multiplies the constant by ``mult`` and its value by the product. Shape
+    (2, calls, 1), uint32."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult % 2**32)
+    return np.array([consts[:-1], consts[1:]], np.uint32)[..., None]
+
+
+# numpy's SeedSequence hash, stream-stable by NEP 19: its pool of four words
+# takes 4 + 12 hashmix steps from the first constants and the state's 8 uint32
+# words take 8 from the second; mix(x, y) xors (_MIX_LEFT x - _MIX_RIGHT y)
+# with its own top half
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One hashmix step of ``SeedSequence`` on uint32 ``values``, broadcast
+    against the step's constants (``_hash_constants``); wraps modulo 2^32."""
+    values = values ^ xor
+    values *= mult
+    values ^= values >> 16
+    return values
+
+
+def _trial_words(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` of each row of
+    ``keys``, (trials, 4) uint32, bit for bit: numpy's mixing with a vector
+    step for all trials at once, and for the three pool words that one word
+    mixes into."""
+    (xor, mult), pool = _POOL_HASH, np.empty((4, len(keys)), np.uint32)
+    pool[:] = _hashmix(keys.T, xor[:4], mult[:4])
+    for src, others in enumerate(_OTHERS):
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = (pool[others] * _MIX_LEFT
+                 - _hashmix(pool[src], xor[steps], mult[steps]) * _MIX_RIGHT)
+        pool[others] = mixed ^ (mixed >> 16)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH)
+    # pairs of uint32 words, the low word first, make the uint64 words
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _Words:
+    """A stand-in for ``SeedSequence`` that ``PCG64`` seeds from: its
+    ``generate_state(4, np.uint64)`` returns the four words already hashed
+    (``_trial_words``). It cannot spawn."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("the words are the state of one PCG64 generator")
+        return self.words
+
+
+@functools.cache
+def _register_words() -> None:
+    """Register ``_Words`` as an ``ISeedSequence`` on first use: ``import bisac``
+    leaves ``numpy.random`` unimported."""
+    np.random.bit_generator.ISeedSequence.register(_Words)
+
+
 def _block_errors(block: tuple) -> list:
-    """(sq_err_d, sq_err_v, valid) per trial of ``_trial_block(*block)``."""
+    """(sq_err_d, sq_err_v, valid) per trial of ``_trial_block(*block)``, which
+    stops at the range and velocity estimates (``_bistatic_estimates``)."""
     errors = []
-    for truth, _, outcome in _trial_block(*block):
-        err_d = err_v = np.nan
+    for truth, _, outcome in _trial_block(*block, _bistatic_estimates):
+        err_d = err_v = math.nan
         if not isinstance(outcome, GeometryError):
-            err_d, err_v = outcome.d_bis_hat - truth.d_bis, outcome.v_bis_hat - truth.v_bis
-        valid = bool(np.isfinite(err_d) and np.isfinite(err_v))
-        errors.append((err_d**2, err_v**2, True) if valid else (np.nan, np.nan, False))
+            d_bis_hat, v_bis_hat = outcome
+            err_d, err_v = d_bis_hat - truth.d_bis, v_bis_hat - truth.v_bis
+        valid = math.isfinite(err_d) and math.isfinite(err_v)
+        errors.append((err_d**2, err_v**2, True) if valid else (math.nan, math.nan, False))
     return errors
 
 

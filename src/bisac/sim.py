@@ -49,6 +49,18 @@ def _qpsk(idx: np.ndarray) -> np.ndarray:
     return _QPSK[idx]
 
 
+def _qpsk_indices(raw: np.ndarray, size: int) -> np.ndarray:
+    """The indices of ``integers(0, 4, size)`` from each row of ``raw``, the
+    ``ceil(size / 2)`` 64-bit words that ``bit_generator.random_raw`` draws
+    instead: the top two bits of each 32-bit half, the low half first. A
+    generator's bounded integers take 32-bit draws, each half of a 64-bit
+    word, and Lemire's method over a range of 4 keeps the top two bits and
+    rejects nothing. After either draw a generator's 64-bit draws (its normals)
+    are the same; an odd ``size`` leaves ``integers``' unused high half
+    buffered."""
+    return raw.astype("<u8", copy=False).view("<u4")[:, :size] >> 30
+
+
 def generate_frame(numerology: OfdmNumerology, pattern: PilotPattern, seed) -> np.ndarray:
     """Draw a full N x M complex frame of Gray-mapped QPSK symbols.
 
@@ -131,34 +143,40 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
     """One trial of the sensing link at ``snr_db`` per seed, on the pilot cells
     of a periodic pattern alone.
 
-    Each trial draws from one generator seeded with its seed, in the order of
-    ``sample_scenario``, ``generate_frame`` and ``apply_channel``: the
-    scenario, then QPSK symbols and the two standard normal noise components,
-    each of shape (K+1, L+1), the pilot cells only. Returns the ground truths,
-    pilot symbols and received pilot values, shape (trials, K+1, L+1). A
-    degenerate draw's truth is its GeometryError, and its trial draws on and
-    receives with zero delay and Doppler, so no trial moves another's bits.
+    Each trial draws from ``default_rng(seed)`` (a Generator is used as is),
+    in the order of ``sample_scenario``, ``generate_frame`` and
+    ``apply_channel``: the scenario, then QPSK symbols and the two standard
+    normal noise components, each of shape (K+1, L+1), the pilot cells only.
+    The QPSK indices come from ``ceil(S / 2)`` raw words for S pilots
+    (``_qpsk_indices``), and one ``standard_normal`` call draws both noise
+    components, bit for bit the values of the two calls.
+    Returns the ground truths, pilot symbols and received pilot values, shape
+    (trials, K+1, L+1). A degenerate draw's truth is its GeometryError, and
+    its trial draws on and receives with zero delay and Doppler, so no trial
+    moves another's bits.
     """
     params = SensingChannelParams.from_snr_db(snr_db)
     n_p, m_p = pattern.periodic_strides()
     shape = tuple(c + 1 for c in pattern.periodic_counts())
-    truths = []
-    idx = np.empty((len(seeds), *shape), dtype=np.int64)
-    # the (real, imaginary) standard normal pair of every trial, drawn in place
-    normals = np.empty((2, len(seeds), *shape)) if params.noise_var > 0 else None
+    truths, size = [], shape[0] * shape[1]
+    raw = np.empty((len(seeds), -(-size // 2)), np.uint64)
+    # each trial's (real, imaginary) standard normal pair, drawn in place by one call
+    normals = np.empty((len(seeds), 2, *shape)) if params.noise_var > 0 else None
     for trial, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         try:
             truths.append(ensemble.sample_truth(rng))
         except GeometryError as exc:
             truths.append(exc)
-        idx[trial] = rng.integers(0, 4, size=shape)
+        raw[trial] = rng.bit_generator.random_raw(raw.shape[1])
         if normals is not None:
-            rng.standard_normal(out=normals[0, trial])
-            rng.standard_normal(out=normals[1, trial])
+            rng.standard_normal(out=normals[trial])
     tau, f_d = (np.array([[[getattr(t, key, 0.0)]] for t in truths]) for key in ("tau", "f_d"))
     _warn_isi(tau.max(), numerology)
-    symbols = _qpsk(idx)
+    symbols = _qpsk(_qpsk_indices(raw, size).reshape(len(seeds), *shape))
+    del raw
+    if normals is not None:
+        normals = normals.swapaxes(0, 1)
     received = _receive(symbols, params, tau, f_d, numerology, (n_p, m_p), normals)
     return truths, symbols, received
 

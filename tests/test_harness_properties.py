@@ -1,6 +1,7 @@
 """Property tests: the shared bound-row path against per-row ecrb_vel calls,
-JSON round trips of whole configs, and trial seeds from uint32 entropy
-against the list key."""
+JSON round trips of whole configs, trial seeds from uint32 entropy against
+the list key, and the bulk-seeded trial generators against ``default_rng``
+of each trial's seed."""
 
 import dataclasses
 import json
@@ -25,7 +26,9 @@ from bisac import (  # noqa: E402
     run_sweep,
     run_table1,
 )
-from bisac.harness import _ECRB_STREAM, _TRIAL_STREAM, _trial_seed  # noqa: E402
+from bisac.harness import (  # noqa: E402
+    _ECRB_STREAM, _TRIAL_STREAM, _trial_generators, _trial_seed, _trial_words, _Words,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -138,3 +141,62 @@ def test_trial_seed_equals_the_list_key(seed, snr_idx, trial):
     fast = _trial_seed(seed, snr_idx, trial)
     assert bits_of(fast) == bits_of(np.random.SeedSequence(key))
     assert isinstance(fast.entropy, list) == (max(key) >= 2**32)
+
+
+word = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.tuples(word, word, word, word), min_size=1, max_size=200))
+@example(keys=[(0, 0, 0, 0), (2**32 - 1,) * 4, (0, 2**32 - 1, 0, 2**32 - 1)])
+def test_bulk_words_equal_the_seed_sequence_state(keys):
+    words = _trial_words(np.array(keys, np.uint32))
+    assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+    assert words.tolist() == [np.random.SeedSequence(list(key)).generate_state(4, np.uint64)
+                              .tolist() for key in keys]
+
+
+def reference_state(seed, snr_idx, trial):
+    return np.random.default_rng(_trial_seed(seed, snr_idx, trial)).bit_generator.state
+
+
+# runs (snr_idx, start, stop) of up to 200 trials in all below 2**32
+trial_runs = st.lists(st.tuples(word, st.integers(0, 2**32 - 200), st.integers(1, 50)),
+                      min_size=1, max_size=4).map(
+    lambda rs: [(snr_idx, start, start + count) for snr_idx, start, count in rs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=word, runs=trial_runs)
+@example(seed=2**32 - 1, runs=[(2**32 - 1, 2**32 - 3, 2**32)])
+@example(seed=0, runs=[(0, 0, 1)])
+def test_bulk_seeded_generators_equal_default_rng_of_the_seed(seed, runs):
+    generators = _trial_generators(seed, runs)
+    expected = [reference_state(seed, snr_idx, trial)
+                for snr_idx, start, stop in runs for trial in range(start, stop)]
+    assert [g.bit_generator.state for g in generators] == expected
+    assert all(isinstance(g.bit_generator.seed_seq, _Words) for g in generators)
+    # equal states draw alike: the last trial's next normals
+    snr_idx, _, stop = runs[-1]
+    reference = np.random.default_rng(_trial_seed(seed, snr_idx, stop - 1))
+    assert generators[-1].standard_normal(3).tolist() == reference.standard_normal(3).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=key_word, snr_idx=key_word, trial=key_word)
+@example(seed=2**32, snr_idx=0, trial=0)
+@example(seed=0, snr_idx=2**32, trial=0)
+@example(seed=0, snr_idx=0, trial=2**32 - 1)
+@example(seed=0, snr_idx=0, trial=2**32)
+def test_key_beyond_32_bits_takes_the_list_path(seed, snr_idx, trial):
+    (generator,) = _trial_generators(seed, [(snr_idx, trial, trial + 1)])
+    assert generator.bit_generator.state == reference_state(seed, snr_idx, trial)
+    bulk = isinstance(generator.bit_generator.seed_seq, _Words)
+    assert bulk == (max(seed, snr_idx, trial) < 2**32)
+
+
+def test_words_seed_one_pcg64_alone():
+    # the stand-in holds the state of one generator; it cannot give another
+    words = _Words(_trial_words(np.zeros((1, 4), np.uint32))[0])
+    with pytest.raises(ValueError, match="one PCG64"):
+        words.generate_state(8)

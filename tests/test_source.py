@@ -21,14 +21,24 @@ def test_source_compiles_without_warnings(path):
         compile(path.read_text(), str(path), "exec")
 
 
-def test_import_raises_no_warning():
-    # warnings raised while the modules run, which compiling alone misses
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter under ``-W error`` on this package."""
     src = str(Path(bisac.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", "import bisac, bisac.cli"],
-        env=env, capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_import_raises_no_warning():
+    # warnings raised while the modules run, which compiling alone misses
+    proc = run_python("import bisac, bisac.cli")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_numpy_random_unimported():
+    # numpy.random takes some 15 ms to import; the trial draws and the ECRB
+    # import it on first use, so importing the package stays cheap
+    proc = run_python("import bisac, sys; assert 'numpy.random' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,7 +1,8 @@
 """Property tests: sweep trial blocks on the pilot subgrid against the
 reference chain (pilot-cell draws, then the receiver on the full surface),
-the stacked delay stage against per-grid transforms, and ``simulate_trial``
-against its block."""
+the block's bulk draws against the generator calls they replace, the stacked
+delay stage against per-grid transforms, ``simulate_trial`` against its
+block, and the sweep's readout, which stops at the estimates."""
 
 import dataclasses
 import math
@@ -13,19 +14,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import bisac.estimator  # noqa: E402
 from bisac import (  # noqa: E402
     ExperimentConfig,
     GeometryError,
     PeriodogramConfig,
     ScenarioEnsemble,
     make_periodic,
+    run_sweep,
 )
 from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
 from bisac.estimator import _block_length, _delay_stage, _ls_divide  # noqa: E402
 from bisac.harness import (  # noqa: E402
     _block_errors, _trial_block, _trial_seed, simulate_trial,
 )
-from bisac.sim import simulate_pilots  # noqa: E402
+from bisac.sim import _qpsk_indices, simulate_pilots  # noqa: E402
 from reference_chain import reference_trial  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -82,6 +85,31 @@ def test_block_trials_equal_the_full_grid_chain_bit_for_bit(snr_db, data):
         assert sq_errors[2] is ref_errors[2]
 
 
+@pytest.mark.parametrize("size", [1, 7, 350, 1750])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_raw_bit_indices_equal_bounded_integers(size, seed):
+    # pilot counts of strides (70, 50), (10, 50), (2, 5) and (2, 1); the odd
+    # ones leave a 32-bit half buffered in the generator that integers drew from
+    raw_rng, int_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    raw = raw_rng.bit_generator.random_raw(-(-size // 2))
+    indices = _qpsk_indices(raw[None], size)[0]
+    assert indices.tolist() == int_rng.integers(0, 4, size).tolist()
+    assert bits(raw_rng.standard_normal(size)).tolist() == bits(
+        int_rng.standard_normal(size)).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rows=st.integers(1, 40), cols=st.integers(1, 50))
+def test_one_noise_call_equals_the_two_it_replaces(seed, rows, cols):
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    pair = np.empty((2, rows, cols))
+    one.standard_normal(out=pair)
+    assert bits(pair).tolist() == bits(np.stack(
+        [two.standard_normal((rows, cols)) for _ in range(2)])).tolist()
+    assert one.bit_generator.state == two.bit_generator.state
+
+
 @settings(max_examples=60, deadline=None)
 @given(trials=st.integers(1, 30), rows=st.integers(1, 40), cols=st.integers(1, 20),
        log_fft=st.integers(6, 10), seed=st.integers(0, 2**32 - 1))
@@ -118,6 +146,49 @@ def test_packed_runs_equal_their_blocks():
     for (truth, grid, outcome), (truth1, grid1, outcome1) in zip(packed, alone):
         assert truth == truth1 and np.array_equal(bits(grid), bits(grid1))
         assert comparable(outcome) == comparable(outcome1)
+
+
+def test_interpolating_sweep_reads_no_peak_bins(monkeypatch):
+    # with interpolation on, the estimate is the search's maximiser: a sweep
+    # block stops there and evaluates no peak-bin corners
+    def no_bins(*args):
+        raise AssertionError("peak bins read")
+
+    monkeypatch.setattr(bisac.estimator, "_peak_bins", no_bins)
+    config = ExperimentConfig(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=(-30.0, 20.0),
+                              trials_per_point=20, seed=1, ecrb_draws=1000)
+    assert len(run_sweep(config).rows) == 2
+
+
+# the sweep CSVs of strides (2, 5) and (2, 1) with interpolation off, where
+# the peak bins are the estimate: run_sweep at seed 1 over -30, -10, 10 and
+# 30 dB, 20 trials per point, fft 64, when a block built every trial's
+# EstimationResult
+_PEAK_BIN_CSV = {
+    (2, 5): (
+        "snr_db,rmse_range_m,rmse_vel_ms,sqrt_crb_ran_m,ecrb_vel_ms,valid_trial_fraction\n"
+        "-30,290.802863166,42.185959686,14.1264256858,11.2192979063,0.9\n"
+        "-10,3.59484993285,1.3766245062,1.41264256858,1.12192979063,1\n"
+        "10,3.50001438781,0.693924871212,0.141264256858,0.112192979063,1\n"
+        "30,2.94954119665,0.752908315337,0.0141264256858,0.0112192979063,1\n"
+    ),
+    (2, 1): (
+        "snr_db,rmse_range_m,rmse_vel_ms,sqrt_crb_ran_m,ecrb_vel_ms,valid_trial_fraction\n"
+        "-30,198.45842653,252.589303304,6.31752962252,4.99327116368,1\n"
+        "-10,3.38009443472,3.47304867088,0.631752962252,0.499327116368,1\n"
+        "10,3.50001438781,3.68817109284,0.0631752962252,0.0499327116368,1\n"
+        "30,2.94954119665,3.67796346105,0.00631752962252,0.00499327116368,1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("strides", sorted(_PEAK_BIN_CSV), ids="{0[0]}x{0[1]}".format)
+def test_peak_bin_sweep_csv_is_unchanged(strides):
+    config = ExperimentConfig(
+        pattern=make_periodic(70, 50, *strides), snr_grid_db=(-30.0, -10.0, 10.0, 30.0),
+        trials_per_point=20, fft=PeriodogramConfig(64, 64, interpolate=False), seed=1,
+    )
+    assert run_sweep(config).to_csv() == _PEAK_BIN_CSV[strides]
 
 
 def allocation_peak(fn, *args) -> int:
