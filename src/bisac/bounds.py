@@ -27,11 +27,14 @@ from .geometry import (
     _checked,
 )
 from .ofdm import OfdmNumerology
-from .pilots import PilotPattern, pattern_stats
+from .pilots import PilotPattern, _index_stats, pattern_stats
 
 
 class SingularPatternError(ValueError):
     """Raised when a pattern cannot support range/velocity estimation."""
+
+
+_CHANNEL_FIELDS = ("alpha_re", "alpha_im", "tau", "f_d", "noise_var")
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,8 @@ class SensingChannelParams:
         f_d: Doppler shift [Hz].
         noise_var: total complex noise variance per received cell
             (zero allowed for noiseless simulation; bounds require > 0).
+
+    Each field is a finite number, stored as a plain float.
     """
 
     alpha_re: float = 1.0
@@ -53,8 +58,11 @@ class SensingChannelParams:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha_re", "alpha_im", "tau", "f_d", "noise_var"):
-            _checked(getattr(self, name), float, name)
+        # plain finite floats are kept as given; anything else is checked
+        for name in _CHANNEL_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not float or not math.isfinite(value):
+                object.__setattr__(self, name, _checked(value, float, name))
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
 
@@ -65,7 +73,7 @@ class SensingChannelParams:
     @property
     def gain_sq(self) -> float:
         """|alpha|^2, infinite without an error or warning when it overflows."""
-        re, im = float(self.alpha_re), float(self.alpha_im)
+        re, im = self.alpha_re, self.alpha_im
         return re * re + im * im
 
     @classmethod
@@ -85,17 +93,29 @@ class SensingChannelParams:
         )
 
 
+# the types ``_snr_powers`` reads as a number of dB, bools aside
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
 def _snr_powers(snr_db: float, name: str) -> tuple:
-    """(10^(snr_db/10), 10^(-snr_db/10)): the linear SNR and its reciprocal.
+    """(10^(snr_db/10), 10^(-snr_db/10)): the linear SNR and its reciprocal,
+    as Python floats computed from ``float(snr_db)``.
 
     An infinite ``snr_db`` gives the limits inf and 0. Raises ValueError
-    naming ``name`` when a finite one makes either not a finite, nonzero float.
+    naming ``name`` unless ``snr_db`` is a number (not a bool), or when a
+    finite one makes either power not a finite, nonzero float.
     """
+    value = snr_db
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+            raise ValueError(f"{name} must be a number in dB, got {snr_db!r}")
+        value = float(value)
     try:
-        powers = (10.0 ** (snr_db / 10.0), 10.0 ** (-snr_db / 10.0))
+        powers = (10.0 ** (value / 10.0), 10.0 ** (-value / 10.0))
     except OverflowError:
         powers = (math.inf, 0.0)
-    if math.isfinite(snr_db) and not all(0.0 < p < math.inf for p in powers):
+    if math.isfinite(value) and not (0.0 < powers[0] < math.inf
+                                     and 0.0 < powers[1] < math.inf):
         raise ValueError(f"{name} = {snr_db!r} dB is out of range: its linear value or "
                          "reciprocal is not a finite, nonzero float")
     return powers
@@ -177,20 +197,21 @@ def efim(
         SingularPatternError: if the pattern is collinear (degenerate in
             n or m), making the matrix singular.
     """
-    if params.noise_var <= 0:
+    noise_var = params.noise_var
+    if noise_var <= 0:
         raise ValueError("information matrix requires positive noise variance")
-    st = pattern_stats(pattern)
-    if st.q_det <= 0:
+    *_, q_n2, q_m2, q_nm = _index_stats(pattern.cells)
+    if q_n2 * q_m2 - q_nm**2 <= 0:
         raise SingularPatternError(
             "pilot cells are collinear; delay/Doppler information is singular"
         )
     ts = numerology.symbol_duration_s
     df = numerology.subcarrier_spacing_hz
-    scale = 8.0 * math.pi**2 * params.gain_sq / params.noise_var
+    scale = 8.0 * math.pi**2 * params.gain_sq / noise_var
     return scale * np.array(
         [
-            [ts**2 * st.q_m2, -ts * df * st.q_nm],
-            [-ts * df * st.q_nm, df**2 * st.q_n2],
+            [ts**2 * q_m2, -ts * df * q_nm],
+            [-ts * df * q_nm, df**2 * q_n2],
         ]
     )
 
@@ -237,10 +258,11 @@ def crb(
     """
     if not 0.0 <= beta < math.pi:
         raise ValueError(f"beta must lie in [0, pi), got {beta!r}")
-    if params.noise_var <= 0 or params.gain_sq <= 0:
+    noise_var, gain_sq = params.noise_var, params.gain_sq
+    if noise_var <= 0 or gain_sq <= 0:
         raise ValueError("bounds require positive noise variance and gain")
-    st = pattern_stats(pattern)
-    q_det = st.q_det
+    *_, q_n2, q_m2, q_nm = _index_stats(pattern.cells)
+    q_det = q_n2 * q_m2 - q_nm**2
     if q_det <= 0:
         raise SingularPatternError(
             "pilot cells are collinear; range/velocity bounds are infinite"
@@ -248,12 +270,12 @@ def crb(
     df = numerology.subcarrier_spacing_hz
     ts = numerology.symbol_duration_s
     lam = numerology.wavelength
-    noise_over_gain = params.noise_var / params.gain_sq
+    noise_over_gain = noise_var / gain_sq
     crb_ran = (
-        st.q_m2 / q_det * noise_over_gain * SPEED_OF_LIGHT**2 / (8.0 * math.pi**2 * df**2)
+        q_m2 / q_det * noise_over_gain * SPEED_OF_LIGHT**2 / (8.0 * math.pi**2 * df**2)
     )
     crb_vel = (
-        st.q_n2
+        q_n2
         / q_det
         * noise_over_gain
         * lam**2

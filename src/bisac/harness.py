@@ -22,9 +22,7 @@ import functools
 import io
 import json
 import math
-import multiprocessing
 import time
-import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -55,6 +53,10 @@ DEFAULT_RATE_RHOS = (0.02, 0.1, 0.5, 1.0)
 # 240 and 480 trials, 0.13-0.18 s of serial work (BENCH_lazy_dispatch.json)
 _BREAK_EVEN_S = 0.15
 
+# (field, type, whether None is allowed) of the config's object-valued fields
+_SECTIONS = (("numerology", OfdmNumerology, False), ("pattern", PilotPattern, True),
+             ("ensemble", ScenarioEnsemble, False), ("fft", PeriodogramConfig, False))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -75,6 +77,12 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name, kind, optional in _SECTIONS:
+            value = getattr(self, name)
+            if not (isinstance(value, kind) or optional and value is None):
+                none = " or None" if optional else ""
+                raise ValueError(f"{name} must be an instance of {kind.__name__}{none}, "
+                                 f"got {value!r}")
         snrs = _checked_tuple(self.snr_grid_db, float, "snr_grid_db")
         for i, snr_db in enumerate(snrs):
             _snr_powers(snr_db, f"snr_grid_db[{i}]")
@@ -363,8 +371,8 @@ def _dispatch(tasks: list, workers: int) -> list:
     ``_BREAK_EVEN_S`` it starts ``min(workers, tasks left) - 1`` child
     processes; then every process takes the next task index from one shared
     counter until none is left, so a slow task (a threshold SNR point) holds
-    up one process only. A call that starts no child creates no
-    multiprocessing object. A child's exception is raised here; no child
+    up one process only. A call that starts no child neither imports
+    multiprocessing nor creates any of its objects. A child's exception is raised here; no child
     outlives the call."""
     results, began = [], time.perf_counter()
     for task in tasks:
@@ -376,6 +384,8 @@ def _dispatch(tasks: list, workers: int) -> list:
     first = len(results)
     if first == len(tasks):
         return results
+    import multiprocessing  # about 10 ms to import, so only here
+
     context = multiprocessing.get_context()
     counter = context.Value("q", first)
     children, outcomes, finished = [], {}, False
@@ -427,6 +437,8 @@ def _work(tasks: list, counter, send) -> None:
     try:
         result = list(_take(tasks, counter)), None
     except Exception as exc:
+        import traceback
+
         result = None, (exc, traceback.format_exc())
     send.send(result)
 

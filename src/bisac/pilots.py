@@ -45,8 +45,12 @@ class PilotPattern:
     periodic: tuple | None = None
 
     def __post_init__(self):
-        n_grid = _checked(self.n_grid, int, "n_grid", 1, error=PatternError)
-        m_grid = _checked(self.m_grid, int, "m_grid", 1, error=PatternError)
+        n_grid, m_grid = self.n_grid, self.m_grid
+        # plain positive ints are kept as given; anything else is checked
+        if type(n_grid) is not int or n_grid < 1:
+            n_grid = _checked(n_grid, int, "n_grid", 1, error=PatternError)
+        if type(m_grid) is not int or m_grid < 1:
+            m_grid = _checked(m_grid, int, "m_grid", 1, error=PatternError)
         if (self.cells is None) == (self.periodic is None):
             raise PatternError("a pattern needs exactly one of periodic and cells")
         if n_grid * m_grid > _INT64_MAX:
@@ -83,15 +87,15 @@ class PilotPattern:
                 raise PatternError("pattern must contain at least one cell")
             # a negative index reads as a huge one in uint64
             unsigned = cells.view(np.uint64)
-            if unsigned[:, 0].max() >= n_grid:
+            if np.maximum.reduce(unsigned[:, 0]) >= n_grid:
                 raise PatternError("subcarrier index out of grid bounds")
-            if unsigned[:, 1].max() >= m_grid:
+            if np.maximum.reduce(unsigned[:, 1]) >= m_grid:
                 raise PatternError("symbol index out of grid bounds")
             # row-major keys sort the cells by subcarrier, then by symbol
             keys = cells[:, 0] * m_grid
             keys += cells[:, 1]
             keys.sort()
-            if (keys[1:] == keys[:-1]).any():
+            if np.logical_or.reduce(np.equal(keys[1:], keys[:-1])):
                 raise PatternError("duplicate pilot cells")
         # bounds every index sum and product that pattern_stats forms in int64
         if keys.size * (max(n_grid, m_grid) - 1) ** 2 > _INT64_MAX:
@@ -171,29 +175,25 @@ def make_periodic(n_grid: int, m_grid: int, n_p: int, m_p: int) -> PilotPattern:
 
 
 def pattern_stats(pattern: PilotPattern) -> PatternStats:
-    """Index sums and centered moments of an arbitrary pattern.
+    """Index sums and centered moments of an arbitrary pattern."""
+    return PatternStats(*_index_stats(pattern.cells))
+
+
+def _index_stats(cells: np.ndarray) -> tuple:
+    """The PatternStats fields, in order, of a pattern's ``cells``: (size,
+    sum_n, sum_m, sum_nm, sum_n2, sum_m2, q_n2, q_m2, q_nm).
 
     The five sums come from the contiguous index columns in two calls, the
     row sums and the 2 x 2 Gram matrix ``cells.T @ cells``; the
     constructor's guard keeps both exact in int64. Each q value is formed
     by one division of an exact integer numerator by the cell count.
     """
-    cells = pattern.cells
     columns = cells.T
-    size = pattern.size
-    sum_n, sum_m = columns.sum(axis=1).tolist()
-    (sum_n2, sum_nm), (_, sum_m2) = (columns @ cells).tolist()
-    return PatternStats(
-        size=size,
-        sum_n=sum_n,
-        sum_m=sum_m,
-        sum_nm=sum_nm,
-        sum_n2=sum_n2,
-        sum_m2=sum_m2,
-        q_n2=(size * sum_n2 - sum_n**2) / size,
-        q_m2=(size * sum_m2 - sum_m**2) / size,
-        q_nm=(size * sum_nm - sum_n * sum_m) / size,
-    )
+    size = columns.shape[1]
+    sum_n, sum_m = np.add.reduce(columns, axis=1).tolist()
+    (sum_n2, sum_nm), (_, sum_m2) = np.matmul(columns, cells).tolist()
+    return (size, sum_n, sum_m, sum_nm, sum_n2, sum_m2, (size * sum_n2 - sum_n**2) / size,
+            (size * sum_m2 - sum_m**2) / size, (size * sum_nm - sum_n * sum_m) / size)
 
 
 def periodic_stats_closed_form(

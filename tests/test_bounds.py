@@ -243,6 +243,48 @@ class TestCrb:
         with pytest.raises(ValueError, match="noise_var"):
             SensingChannelParams.from_snr_db(snr_db)
 
+    @pytest.mark.parametrize("snr_db", ["5", True, None, np.array(5.0)])
+    def test_non_number_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="^snr_db must be a number in dB"):
+            SensingChannelParams.from_snr_db(snr_db)
+
+
+# numbers of each accepted type; each field stores float(value)
+CHANNEL_VALUES = [0.3, np.float32(7.3), np.float64(-2.5e-7), np.float16(0.1), 3,
+                  np.int64(-4), np.uint8(9)]
+
+
+class TestChannelParamsPlainFloats:
+    @pytest.mark.parametrize("value", CHANNEL_VALUES, ids=repr)
+    @pytest.mark.parametrize("field", ["alpha_re", "alpha_im", "tau", "f_d", "noise_var"])
+    def test_field_is_the_float_of_its_value(self, field, value):
+        if field == "noise_var":
+            value = abs(value)
+        params = SensingChannelParams(**{field: value})
+        # a float keeps its bits: float() of any of these types is exact
+        assert getattr(params, field) == float(value)
+        assert all(type(getattr(params, f.name)) is float
+                   for f in dataclasses.fields(params))
+
+    def test_float32_snr_computes_in_double(self):
+        snr_db = np.float32(7.3)
+        params = SensingChannelParams.from_snr_db(snr_db)
+        assert type(params.noise_var) is float
+        assert params.noise_var == 10.0 ** (-float(snr_db) / 10.0)
+        pattern, num = make_periodic(70, 50, 2, 5), OfdmNumerology()
+        report = crb(params, pattern, num)
+        assert all(type(v) is float for v in dataclasses.astuple(report))
+        assert report == crb(SensingChannelParams.from_snr_db(float(snr_db)), pattern, num)
+
+    def test_bounds_are_plain_floats_for_numpy_fields(self):
+        pattern, num = make_periodic(70, 50, 2, 5), OfdmNumerology()
+        params = SensingChannelParams(alpha_re=np.float32(0.5), alpha_im=np.float64(0.25),
+                                      noise_var=np.float32(2.0))
+        report = crb(params, pattern, num, beta=0.4)
+        assert all(type(v) is float for v in dataclasses.astuple(report))
+        plain = SensingChannelParams(alpha_re=0.5, alpha_im=0.25, noise_var=2.0)
+        assert report == crb(plain, pattern, num, beta=0.4)
+
 
 class TestCrbPeriodicClosedForm:
     def test_reference_quadruple(self, num):

@@ -171,6 +171,17 @@ class TestValidation:
         assert config_echo(build()) == config_echo(plain())
 
 
+# (field, a value of the wrong type): each fails in the constructor, naming its field
+WRONG_SECTIONS = [("fft", 1024), ("pattern", (2, 1)), ("numerology", {}), ("ensemble", None)]
+
+
+class TestSectionTypes:
+    @pytest.mark.parametrize("field, value", WRONG_SECTIONS, ids=[r[0] for r in WRONG_SECTIONS])
+    def test_wrong_type_rejected_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an instance of "):
+            ExperimentConfig(**{field: value})
+
+
 class TestConfig:
     def test_json_round_trip(self):
         cfg = small_config()

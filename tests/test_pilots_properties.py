@@ -10,7 +10,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bisac import PatternError, PilotPattern, make_periodic, pattern_stats  # noqa: E402
+from bisac import (  # noqa: E402
+    OfdmNumerology, PatternError, PilotPattern, SensingChannelParams, SingularPatternError, crb,
+    efim, make_periodic, pattern_stats,
+)
 
 INT64_MAX = 2**63 - 1
 # integer dtypes, each also as a non-contiguous view: every other row of a
@@ -134,7 +137,7 @@ def test_cells_and_their_base_are_read_only(periodic):
 def test_repeated_cell_raises(case, data):
     n, m, cells, form = case
     repeated = data.draw(st.permutations(cells + [data.draw(st.sampled_from(cells))]))
-    with pytest.raises(PatternError, match="duplicate"):
+    with pytest.raises(PatternError, match="^duplicate pilot cells$"):
         PilotPattern(n_grid=n, m_grid=m, cells=as_form(repeated, form))
 
 
@@ -150,3 +153,153 @@ def test_periodic_equals_listed_lattice(grid, data):
     periodic = make_periodic(n, m, n_p, m_p)
     assert periodic.cells.dtype == listed.cells.dtype == np.int64
     assert np.array_equal(periodic.cells, listed.cells)
+
+
+# ---------------------------------------------------------------------------
+# The bounds of an arbitrary pattern against a pure-Python reference, and the
+# messages of the constructors' rejections.
+
+def reference_bounds(cells, params, num, beta):
+    """(crb_ran_m2, crb_vel_ms2, efim rows) in Python floats from
+    ``reference_stats``, by the formulas of ``crb`` and ``efim`` in their
+    order, or the class of the error that ``crb`` raises."""
+    *_, q_n2, q_m2, q_nm = reference_stats(cells)
+    re, im, noise_var = params.alpha_re, params.alpha_im, params.noise_var
+    gain_sq = re * re + im * im
+    if noise_var <= 0 or gain_sq <= 0:
+        return ValueError
+    q_det = q_n2 * q_m2 - q_nm**2
+    if q_det <= 0:
+        return SingularPatternError
+    df = num.subcarrier_spacing_hz
+    ts = 1.0 / df + num.cp_duration_s
+    lam = 3e8 / num.carrier_hz
+    noise_over_gain = noise_var / gain_sq
+    crb_ran = q_m2 / q_det * noise_over_gain * 3e8**2 / (8.0 * math.pi**2 * df**2)
+    crb_vel = (q_n2 / q_det * noise_over_gain * lam**2
+               / (32.0 * math.pi**2 * ts**2 * math.cos(beta / 2.0) ** 2))
+    if not (0.0 < crb_ran < math.inf and 0.0 < crb_vel < math.inf):
+        return ValueError
+    scale = 8.0 * math.pi**2 * gain_sq / noise_var
+    info = [[scale * (ts**2 * q_m2), scale * (-ts * df * q_nm)],
+            [scale * (-ts * df * q_nm), scale * (df**2 * q_n2)]]
+    return crb_ran, crb_vel, info
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+gains = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cell_sets(), alpha=st.tuples(gains, gains), noise_var=st.floats(1e-3, 1e3),
+       beta=st.floats(0.0, 3.1), spacing=st.floats(1e3, 1e6), cp=st.floats(0.0, 1e-5),
+       carrier=st.floats(1e9, 1e11))
+def test_bounds_equal_the_python_reference(case, alpha, noise_var, beta, spacing, cp, carrier):
+    n, m, cells, form = case
+    pattern = PilotPattern(n_grid=n, m_grid=m, cells=as_form(cells, form))
+    params = SensingChannelParams(alpha_re=alpha[0], alpha_im=alpha[1], noise_var=noise_var)
+    num = OfdmNumerology(subcarrier_spacing_hz=spacing, cp_duration_s=cp, carrier_hz=carrier)
+    expected = reference_bounds(cells, params, num, beta)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            crb(params, pattern, num, beta=beta)
+        if expected is SingularPatternError:
+            with pytest.raises(expected):
+                efim(params, pattern, num)
+        return
+    crb_ran, crb_vel, info = expected
+    report = crb(params, pattern, num, beta=beta)
+    assert bits([report.crb_ran_m2, report.crb_vel_ms2]) == bits([crb_ran, crb_vel])
+    assert bits([report.rmse_bound_ran_m, report.rmse_bound_vel_ms]) == bits(
+        [math.sqrt(crb_ran), math.sqrt(crb_vel)])
+    assert bits(efim(params, pattern, num).ravel()) == bits(info[0] + info[1])
+
+
+GRID_SIZES = [(np.int64(5), 5), (np.int32(5), 5), (np.uint8(5), 5), (7, 7)]
+BAD_GRID_SIZES = [True, False, np.bool_(True), 0, -3, np.int64(0), 5.0, np.float64(5.0), "5"]
+
+
+@pytest.mark.parametrize("axis", ["n_grid", "m_grid"])
+@pytest.mark.parametrize("value, plain", GRID_SIZES, ids=repr)
+def test_integer_grid_size_stored_as_plain_int(axis, value, plain):
+    sizes = {"n_grid": 9, "m_grid": 9, axis: value}
+    for pattern in (PilotPattern(**sizes, cells=[[0, 0], [1, 2], [3, 4]]),
+                    PilotPattern(**sizes, cells=None, periodic=(1, 2))):
+        assert type(getattr(pattern, axis)) is int and getattr(pattern, axis) == plain
+
+
+@pytest.mark.parametrize("axis", ["n_grid", "m_grid"])
+@pytest.mark.parametrize("value", BAD_GRID_SIZES, ids=repr)
+def test_bad_grid_size_keeps_its_message(axis, value):
+    sizes = {"n_grid": 9, "m_grid": 9, axis: value}
+    message = f"{axis} must be an integer >= 1, got {value!r}"
+    for cells in ([[0, 0]], np.array([[0, 0]])):
+        with pytest.raises(PatternError) as info:
+            PilotPattern(**sizes, cells=cells)
+        assert str(info.value) == message
+
+
+def off_grid_values(form, size):
+    """Indices outside [0, size) that the form can hold."""
+    if form == "list":
+        return st.one_of(st.integers(-2**70, -1), st.integers(size, 2**70))
+    info = np.iinfo(form[0] if isinstance(form, tuple) else form)
+    low = st.integers(int(info.min), -1) if info.min < 0 else st.nothing()
+    return st.one_of(low, st.integers(size, int(info.max)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cell_sets(), column=st.sampled_from([0, 1]), data=st.data())
+def test_off_grid_index_keeps_its_message_in_every_form(case, column, data):
+    n, m, cells, form = case
+    value = data.draw(off_grid_values(form, (n, m)[column]))
+    index = data.draw(st.integers(0, len(cells) - 1))
+    bad = [list(c) for c in cells]
+    bad[index][column] = value
+    name = ("subcarrier", "symbol")[column]
+    with pytest.raises(PatternError) as info:
+        PilotPattern(n_grid=n, m_grid=m, cells=as_form(bad, form))
+    assert str(info.value) == f"{name} index out of grid bounds"
+
+
+def test_strided_uint64_index_beyond_int64_is_off_grid():
+    # 2**63 and up wrap negative in int64 and read as themselves unsigned
+    for value in (2**63, 2**64 - 1):
+        for column, name in ((0, "subcarrier"), (1, "symbol")):
+            cells = np.array([[0, 0], [1, 1]], dtype=np.uint64)
+            cells[1, column] = value
+            with pytest.raises(PatternError, match=f"^{name} index out of grid bounds$"):
+                PilotPattern(n_grid=4, m_grid=4, cells=np.repeat(cells, 2, axis=0)[::2])
+
+
+CHANNEL_FIELDS = ("alpha_re", "alpha_im", "tau", "f_d", "noise_var")
+BAD_CHANNEL_VALUES = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf),
+                      True, False, np.bool_(True), 10**400, "1.0", None, 1 + 0j]
+
+
+@pytest.mark.parametrize("value", BAD_CHANNEL_VALUES, ids=repr)
+@pytest.mark.parametrize("field", CHANNEL_FIELDS)
+def test_bad_channel_value_keeps_its_message(field, value):
+    with pytest.raises(ValueError) as info:
+        SensingChannelParams(**{field: value})
+    assert str(info.value) == f"{field} must be a finite number, got {value!r}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.sampled_from([0.5, np.float32(2.0), 3, *BAD_CHANNEL_VALUES]),
+                       min_size=5, max_size=5))
+def test_first_bad_channel_field_is_named(values):
+    # the fields are checked in declaration order
+    bad = [i for i, v in enumerate(values) if any(v is b for b in BAD_CHANNEL_VALUES)]
+    kwargs = dict(zip(CHANNEL_FIELDS, values))
+    if not bad:
+        params = SensingChannelParams(**kwargs)
+        assert [getattr(params, f) for f in CHANNEL_FIELDS] == [float(v) for v in values]
+        return
+    with pytest.raises(ValueError) as info:
+        SensingChannelParams(**kwargs)
+    field = CHANNEL_FIELDS[bad[0]]
+    assert str(info.value) == f"{field} must be a finite number, got {values[bad[0]]!r}"

@@ -42,6 +42,15 @@ def test_import_leaves_numpy_random_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_multiprocessing_unimported():
+    # multiprocessing (and socket with it) takes some 10 ms to import; only a
+    # sweep that starts worker processes needs it, and only a worker that
+    # fails needs traceback
+    proc = run_python("import bisac, sys; "
+                      "assert not {'multiprocessing', 'socket', 'traceback'} & set(sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_estimator_imports_nothing_from_the_simulator():
     # the receiver takes plain complex grids, simulated or not
     tree = ast.parse((Path(bisac.__file__).parent / "estimator.py").read_text())
