@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    SPEED_OF_LIGHT, GeometryError, _checked, beta_from_estimates, invert_bistatic_range,
-)
+from .geometry import SPEED_OF_LIGHT, GeometryError, _checked, _invert
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
@@ -580,74 +578,47 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
                     numerology: OfdmNumerology, config: PeriodogramConfig, baseline: float,
                     thetas) -> list:
     """``estimate`` of each LS pilot grid of a stack (trials, K+1, L+1), with its
-    own ``theta``; a trial whose range cannot be inverted gets its GeometryError
-    in place of a result. One search runs over the whole stack."""
-    bins, offsets, powers, fallback, cycles = _peaks(pilot_grids, config)
-    outcomes = []
-    for tau_hat, f_d_hat, peak, offset, power, flag, theta in zip(
-            *_delay_doppler(cycles, pattern, numerology), bins.tolist(), offsets.tolist(),
-            powers.tolist(), fallback.tolist(), thetas):
-        d_bis_hat = SPEED_OF_LIGHT * tau_hat
-        try:
-            d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
-        except GeometryError as exc:
-            outcomes.append(exc)
-            continue
-        beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
-        v_bis_hat = f_d_hat * numerology.wavelength / (2.0 * np.cos(beta_hat / 2.0))
-        outcomes.append(EstimationResult(
-            tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
-            v_bis_hat=float(v_bis_hat), d_rx_hat=float(d_rx_hat), beta_hat=float(beta_hat),
-            beta_clamped=clamped, peak_power=power, peak_bins=tuple(peak),
-            fractional_offsets=tuple(offset), refine_fallback=flag))
-    return outcomes
-
-
-def _bistatic_estimates(pilot_grids: np.ndarray, pattern: PilotPattern,
-                        numerology: OfdmNumerology, config: PeriodogramConfig,
-                        baseline: float, thetas) -> list:
-    """The (d_bis_hat, v_bis_hat) of ``_estimate_grids`` of each grid, bit for
-    bit, or the GeometryError in its place: the estimates alone, with one
-    range inversion each (in ``beta_from_estimates``), and peak bins only
-    where they are the estimate (``config.interpolate`` off)."""
+    own ``theta``: the ``_estimates`` of the stack, each labelled with its
+    peak bins, or its GeometryError."""
     pilot_grids = np.asarray(pilot_grids, complex)
-    maxima, _, _ = _search(pilot_grids)
+    estimates, maxima, found = _estimates(pilot_grids, pattern, numerology, config, baseline,
+                                          thetas)
+    bins, offsets, powers = _peak_bins(pilot_grids, maxima, config)
+    if not config.interpolate:  # the bins are the estimate
+        offsets, found = np.zeros_like(offsets), np.ones_like(found)
+    return [outcome if isinstance(outcome, GeometryError) else EstimationResult(
+                *outcome, peak_power=power, peak_bins=tuple(peak),
+                fractional_offsets=tuple(offset), refine_fallback=not newton)
+            for outcome, peak, offset, power, newton in zip(
+                estimates, bins.tolist(), offsets.tolist(), powers.tolist(), found.tolist())]
+
+
+def _estimates(pilot_grids: np.ndarray, pattern: PilotPattern, numerology: OfdmNumerology,
+               config: PeriodogramConfig, baseline: float, thetas) -> tuple:
+    """The estimates of each LS pilot grid of a stack (trials, K+1, L+1), with
+    its own ``theta``, read off its certified maximum, or off the peak bins
+    with ``config.interpolate`` off: tuples of the first seven fields of
+    ``EstimationResult`` (delays on [0, span), Dopplers on (-1/2, 1/2]
+    cycles of the strides), or the GeometryError of a range that cannot be
+    inverted, with one inversion per trial. Also returns the maxima (trials,
+    2) and the flags of certified Newton maxima of the one search over the
+    stack; peak bins are evaluated only where they are the estimate."""
+    pilot_grids = np.asarray(pilot_grids, complex)
+    maxima, found, _ = _search(pilot_grids)
     cycles = (maxima * (1 / (2 * np.pi)) if config.interpolate else
               _peak_bins(pilot_grids, maxima, config)[0] / np.array([config.fft_n, config.fft_m]))
-    outcomes = []
-    for tau_hat, f_d_hat, theta in zip(*_delay_doppler(cycles, pattern, numerology), thetas):
-        d_bis_hat = SPEED_OF_LIGHT * tau_hat
-        try:
-            beta_hat, _ = beta_from_estimates(d_bis_hat, baseline, theta)
-        except GeometryError as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append((d_bis_hat, float(f_d_hat * numerology.wavelength
-                                          / (2.0 * np.cos(beta_hat / 2.0)))))
-    return outcomes
-
-
-def _delay_doppler(cycles: np.ndarray, pattern: PilotPattern,
-                   numerology: OfdmNumerology) -> tuple:
-    """The delay and Doppler estimates, lists of floats, of estimates (trials,
-    2) in cycles of the pilot strides: delays on [0, span), Dopplers on
-    (-1/2, 1/2] cycles."""
     n_p, m_p = pattern.periodic_strides()
     u, v = cycles.T
     taus = (u % 1.0) / (n_p * numerology.subcarrier_spacing_hz)
     dopplers = (v - (v > 0.5)) / (m_p * numerology.symbol_duration_s)
-    return taus.tolist(), dopplers.tolist()
-
-
-def _peaks(pilot_grids: np.ndarray, config: PeriodogramConfig) -> tuple:
-    """The peak bins, fractional offsets, peak powers and fallback flags of
-    each grid of a stack, as ``EstimationResult`` defines them, and the
-    estimates (trials, 2) in cycles: the maximisers, or the peak bins without
-    interpolation."""
-    pilot_grids = np.asarray(pilot_grids, complex)
-    maxima, found, _ = _search(pilot_grids)
-    bins, offsets, powers = _peak_bins(pilot_grids, maxima, config)
-    if not config.interpolate:
-        cycles = bins / np.array([config.fft_n, config.fft_m])
-        return bins, np.zeros_like(offsets), powers, np.zeros_like(found), cycles
-    return bins, offsets, powers, ~found, maxima * (1 / (2 * np.pi))
+    outcomes = []
+    for tau_hat, f_d_hat, theta in zip(taus.tolist(), dopplers.tolist(), thetas):
+        d_bis_hat = SPEED_OF_LIGHT * tau_hat
+        try:
+            d_rx_hat, beta_hat, clamped = _invert(d_bis_hat, baseline, theta)
+        except GeometryError as exc:
+            outcomes.append(exc)
+            continue
+        v_bis_hat = float(f_d_hat * numerology.wavelength / (2.0 * np.cos(beta_hat / 2.0)))
+        outcomes.append((tau_hat, f_d_hat, d_bis_hat, v_bis_hat, d_rx_hat, beta_hat, clamped))
+    return outcomes, maxima, found

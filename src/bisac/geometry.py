@@ -316,19 +316,10 @@ def invert_bistatic_range(d_bis: float, baseline: float, theta: float) -> float:
         theta: angle of arrival at the receiver [rad].
 
     Raises:
-        GeometryError: if d_bis <= D (inside the degenerate ellipse region)
-            or the denominator is not positive.
+        GeometryError: if d_bis <= D (inside the degenerate ellipse region),
+            the denominator is not positive or, in rounding, a leg is not.
     """
-    if baseline < 0:
-        raise GeometryError("baseline must be nonnegative")
-    if d_bis <= baseline:
-        raise GeometryError(
-            f"bistatic range {d_bis:.6g} m does not exceed baseline {baseline:.6g} m"
-        )
-    denom = d_bis - baseline * math.cos(theta)
-    if denom <= 0:
-        raise GeometryError("nonpositive ellipse denominator")
-    return (d_bis**2 - baseline**2) / (2.0 * denom)
+    return _invert(d_bis, baseline, theta)[0]
 
 
 def beta_from_estimates(d_bis: float, baseline: float, theta: float) -> tuple:
@@ -340,12 +331,31 @@ def beta_from_estimates(d_bis: float, baseline: float, theta: float) -> tuple:
 
     Returns:
         (beta_rad, clamped)
+
+    Raises:
+        GeometryError: as ``invert_bistatic_range`` does.
     """
-    d_rx = invert_bistatic_range(d_bis, baseline, theta)
+    return _invert(d_bis, baseline, theta)[1:]
+
+
+def _invert(d_bis: float, baseline: float, theta: float) -> tuple:
+    """(d_rx, beta, clamped) of a bistatic range: the receiver leg of the
+    ellipse, the bistatic angle of the two legs by the law of cosines, its
+    cosine clipped to [-1, 1], and whether the clipping was needed; raises
+    as ``invert_bistatic_range`` does."""
+    if baseline < 0:
+        raise GeometryError("baseline must be nonnegative")
+    if d_bis <= baseline:
+        raise GeometryError(
+            f"bistatic range {d_bis:.6g} m does not exceed baseline {baseline:.6g} m"
+        )
+    denom = d_bis - baseline * math.cos(theta)
+    if denom <= 0:
+        raise GeometryError("nonpositive ellipse denominator")
+    d_rx = (d_bis**2 - baseline**2) / (2.0 * denom)
     d_tx = d_bis - d_rx
     if d_tx <= 0 or d_rx <= 0:
         raise GeometryError("nonpositive leg after bistatic-range inversion")
     arg = (d_tx**2 + d_rx**2 - baseline**2) / (2.0 * d_tx * d_rx)
     clamped = bool(arg < -1.0 or arg > 1.0)
-    beta = math.acos(min(1.0, max(-1.0, arg)))
-    return beta, clamped
+    return d_rx, math.acos(min(1.0, max(-1.0, arg))), clamped

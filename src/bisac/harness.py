@@ -29,11 +29,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    SensingChannelParams, _check_off_baseline, _ecrb_means, _snr_powers, crb, rate_upper_bound,
+    SensingChannelParams, _ecrb_means, _snr_powers, crb, rate_upper_bound,
 )
-from .estimator import (
-    PeriodogramConfig, _bistatic_estimates, _block_length, _estimate_grids, _ls_divide,
-)
+from .estimator import PeriodogramConfig, _block_length, _estimate_grids, _estimates, _ls_divide
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
@@ -208,22 +206,26 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
         raise ValueError(f"snr_idx must be < {len(config.snr_grid_db)}, the points of the "
                          f"SNR grid, got {snr_idx}")
     check_receiver(config)
-    return _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])[0]
+    (truth,), grids = _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])
+    if isinstance(truth, GeometryError):
+        return None, grids[0], truth
+    (outcome,) = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
+                                 config.ensemble.baseline, [truth.theta])
+    return truth, grids[0], outcome
 
 
-def _trial_block(config: ExperimentConfig, runs, receiver=_estimate_grids) -> list:
-    """The trials of ``runs``, (snr_idx, start, stop) for trials ``start`` to
-    ``stop - 1`` of SNR point ``snr_idx``, as ``simulate_trial`` returns each:
-    one ``receiver`` pass (``estimator._estimate_grids`` or a function of its
-    arguments that returns one outcome per grid) over all their stacked
-    pilot grids."""
+def _trial_block(config: ExperimentConfig, runs) -> tuple:
+    """The draws of the trials of ``runs``, (snr_idx, start, stop) for trials
+    ``start`` to ``stop - 1`` of SNR point ``snr_idx``: their ground truths
+    (a degenerate draw's GeometryError in place of its truth) and the stack
+    (trials, K+1, L+1) of their least-squares pilot grids."""
     generators = _trial_generators(config.seed, runs)
     # the stack is allocated before any draw: the draws' arrays, freed before
     # the search, then leave one free block that the search reuses rather than
     # holes around the stack (about 1 MB less peak resident memory)
     shape = tuple(count + 1 for count in config.pattern.periodic_counts())
     grids = np.empty((len(generators), *shape), complex)
-    truths = []  # a degenerate draw's GeometryError in place of its truth
+    truths = []
     for snr_idx, start, stop in runs:
         run_truths, symbols, received = simulate_pilots(
             config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
@@ -231,22 +233,11 @@ def _trial_block(config: ExperimentConfig, runs, receiver=_estimate_grids) -> li
         _ls_divide(received, symbols, out=grids[len(truths):len(truths) + len(run_truths)])
         truths += run_truths
         del symbols, received
-    del generators
-    outcomes = receiver(grids, config.pattern, config.numerology, config.fft,
-                        config.ensemble.baseline,
-                        [getattr(truth, "theta", 0.0) for truth in truths])
-    return [(None, grid, truth) if isinstance(truth, GeometryError) else (truth, grid, outcome)
-            for truth, grid, outcome in zip(truths, grids, outcomes)]
+    return truths, grids
 
 
 def _trial_seed(seed: int, snr_idx: int, trial: int) -> np.random.SeedSequence:
-    """``SeedSequence([seed, _TRIAL_STREAM, snr_idx, trial])``: the key's words go
-    in as one uint32 array when each fits one word, which gives the same state
-    at a third of the cost of coercing the list."""
-    key = (seed, _TRIAL_STREAM, snr_idx, trial)
-    if max(key) < 2**32:
-        return np.random.SeedSequence(np.array(key, np.uint32))
-    return np.random.SeedSequence(list(key))
+    return np.random.SeedSequence([seed, _TRIAL_STREAM, snr_idx, trial])
 
 
 def _trial_generators(seed: int, runs) -> list:
@@ -339,13 +330,18 @@ def _register_words() -> None:
 
 
 def _block_errors(block: tuple) -> list:
-    """(sq_err_d, sq_err_v, valid) per trial of ``_trial_block(*block)``, which
-    stops at the range and velocity estimates (``_bistatic_estimates``)."""
+    """(sq_err_d, sq_err_v, valid) per trial of ``_trial_block(*block)``, whose
+    readout stops at the estimates (``estimator._estimates``)."""
+    config, _ = block
+    truths, grids = _trial_block(*block)
+    estimates, _, _ = _estimates(grids, config.pattern, config.numerology, config.fft,
+                                 config.ensemble.baseline,
+                                 [getattr(truth, "theta", 0.0) for truth in truths])
     errors = []
-    for truth, _, outcome in _trial_block(*block, _bistatic_estimates):
+    for truth, outcome in zip(truths, estimates):
         err_d = err_v = math.nan
-        if not isinstance(outcome, GeometryError):
-            d_bis_hat, v_bis_hat = outcome
+        if not isinstance(truth, GeometryError) and not isinstance(outcome, GeometryError):
+            _, _, d_bis_hat, v_bis_hat, *_ = outcome
             err_d, err_v = d_bis_hat - truth.d_bis, v_bis_hat - truth.v_bis
         valid = math.isfinite(err_d) and math.isfinite(err_v)
         errors.append((err_d**2, err_v**2, True) if valid else (math.nan, math.nan, False))
@@ -452,17 +448,15 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     same at any FFT sizes (units of the estimator's labels alone). Raises
     before any trial as ``check_receiver`` does, as ``crb`` does
     (a collinear pattern, or a bound that overflows at an SNR of the grid),
-    or with SingularPatternError if the ensemble's target box meets the
-    baseline segment (``bounds._check_off_baseline``).
-    The calling process runs the bound columns first and the blocks after
-    them, and starts children (``_dispatch``) only once the work left pays
-    for them; an ensemble whose draws are all degenerate raises
-    SingularPatternError from the bound columns, before any child starts.
+    or as the bound columns do: SingularPatternError if the ensemble's
+    target box meets the baseline segment (``bounds._check_off_baseline``)
+    or all its draws are degenerate. The calling process runs the bound
+    columns first and the blocks after them, and starts children
+    (``_dispatch``) only once the work left pays for them.
     """
     check_receiver(config)
     reports = [crb(SensingChannelParams.from_snr_db(snr_db), config.pattern, config.numerology)
                for snr_db in config.snr_grid_db]
-    _check_off_baseline(config.ensemble)
     n_snr = len(config.snr_grid_db)
     trials = config.trials_per_point
     length = _block_length(*(count + 1 for count in config.pattern.periodic_counts()))

@@ -5,6 +5,7 @@ Newton's method from every local maximum of a dense surface, the best
 result. ``reference_estimate`` is the receiver rebuilt on it and on the
 ``periodogram_2d`` surface. ``reference_trial`` is a sweep trial rebuilt on
 full N x M frames, whose pilots are drawn as the trial block draws them.
+``block_trials`` is each trial of a block as ``simulate_trial`` returns it.
 """
 
 import math
@@ -24,8 +25,8 @@ from bisac import (
     periodogram_2d,
     sample_scenario,
 )
-from bisac.estimator import _centred, _moments, _newton
-from bisac.harness import _TRIAL_STREAM
+from bisac.estimator import _centred, _estimate_grids, _moments, _newton
+from bisac.harness import _TRIAL_STREAM, _trial_block
 from bisac.sim import _qpsk
 
 
@@ -106,9 +107,9 @@ def reference_estimate(received, frame, pattern, num, config, baseline, theta):
     d_bis_hat = SPEED_OF_LIGHT * tau_hat
     try:
         d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
+        beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
     except GeometryError as exc:
         return str(exc)
-    beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
     v_bis_hat = f_d_hat * num.wavelength / (2.0 * np.cos(beta_hat / 2.0))
     return dict(
         tau_hat=float(tau_hat), f_d_hat=float(f_d_hat), d_bis_hat=float(d_bis_hat),
@@ -152,3 +153,15 @@ def reference_trial(config, snr_idx, trial_idx):
     err_d = outcome["d_bis_hat"] - truth.d_bis
     err_v = outcome["v_bis_hat"] - truth.v_bis
     return grid, outcome, (err_d**2, err_v**2, True)
+
+
+def block_trials(config, runs):
+    """(truth, grid, outcome) of each trial of ``_trial_block(config, runs)``,
+    as ``simulate_trial`` returns it: one ``_estimate_grids`` pass over the
+    block's stack, and a degenerate draw's GeometryError with no truth."""
+    truths, grids = _trial_block(config, runs)
+    outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
+                               config.ensemble.baseline,
+                               [getattr(truth, "theta", 0.0) for truth in truths])
+    return [(None, grid, truth) if isinstance(truth, GeometryError) else (truth, grid, outcome)
+            for truth, grid, outcome in zip(truths, grids, outcomes)]

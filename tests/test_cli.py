@@ -25,7 +25,8 @@ from bisac import (
     run_sweep,
 )
 from bisac.cli import _parse_snr_grid, main
-from bisac.harness import _trial_block, simulate_trial
+from bisac.harness import simulate_trial
+from reference_chain import block_trials
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -609,7 +610,7 @@ class TestSimulateCommand:
         assert payload["snr_db"] == 20.0
         truth, grid, outcome = simulate_trial(config, 1, 7)
         # the sweep runs its three SNR points as one block
-        in_sweep = _trial_block(config, [(0, 0, 10), (1, 0, 10), (2, 0, 10)])[10 + 7]
+        in_sweep = block_trials(config, [(0, 0, 10), (1, 0, 10), (2, 0, 10)])[10 + 7]
         assert in_sweep[0] == truth
         assert np.array_equal(in_sweep[1].view(np.uint64), grid.view(np.uint64))
         assert vars(in_sweep[2]) == vars(outcome)

@@ -6,6 +6,8 @@ import pytest
 
 from bisac import (
     BistaticScenario,
+    EstimationResult,
+    GeometryError,
     OfdmNumerology,
     PatternError,
     PeriodogramConfig,
@@ -110,7 +112,8 @@ class TestPeriodogram:
 def peak_bins(grid, cfg):
     """The receiver's peak bins of a pilot grid, and its certified maximum in
     bins of ``cfg``."""
-    bins, offsets, _, _, _ = estimator._peaks(grid[None], cfg)
+    maxima, _, _ = estimator._search(grid[None])
+    bins, offsets, _ = estimator._peak_bins(grid[None], maxima, cfg)
     return tuple(bins[0].tolist()), bins[0] + offsets[0]
 
 
@@ -347,6 +350,24 @@ class TestEstimate:
         assert results[0].f_d_hat == pytest.approx(
             signed / (5 * num.symbol_duration_s * 64), rel=1e-9)
         assert results[1].f_d_hat == pytest.approx(results[0].f_d_hat, rel=1e-12)
+
+    def test_nonpositive_leg_is_its_trials_error_in_both_readouts(self, num):
+        # the first grid's range estimate is 712.5 m: at a baseline one ulp
+        # below it and theta 0 the receiver leg rounds to no less than the
+        # range, a nonpositive transmitter leg. That trial gets its
+        # GeometryError, the other trial of the stack its estimate, and the
+        # sweep's readout agrees slot for slot.
+        k, l = np.arange(35)[:, None], np.arange(10)[None, :]
+        stack = np.exp(2j * np.pi * (np.array([0.05, 0.02])[:, None, None] * k - 0.1 * l))
+        args = (make_periodic(70, 50, 2, 5), num, PeriodogramConfig(256, 256),
+                math.nextafter(712.5, 0.0), [0.0, 0.0])
+        outcomes = estimator._estimate_grids(stack, *args)
+        estimates, _, _ = estimator._estimates(stack, *args)
+        assert isinstance(outcomes[0], GeometryError) and isinstance(estimates[0], GeometryError)
+        assert str(outcomes[0]) == str(estimates[0]) == (
+            "nonpositive leg after bistatic-range inversion")
+        assert isinstance(outcomes[1], EstimationResult) and outcomes[1].d_bis_hat == 735.0
+        assert estimates[1] == tuple(vars(outcomes[1]).values())[:7]
 
     def test_estimates_confined_to_unambiguous_intervals(self, num):
         rng = np.random.default_rng(15)

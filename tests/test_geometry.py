@@ -161,6 +161,10 @@ class TestInvertBistaticRange:
             invert_bistatic_range(50.0, 56.6, 1.0)
         with pytest.raises(GeometryError):
             invert_bistatic_range(56.6, 56.6, 1.0)
+        # one ulp outside the baseline the receiver leg rounds to 768 m, past
+        # the 712.5 m range, which leaves the transmitter no leg
+        with pytest.raises(GeometryError, match="nonpositive leg"):
+            invert_bistatic_range(712.5, math.nextafter(712.5, 0.0), 0.0)
 
     def test_round_trip_random_scenarios(self):
         # bulk property: inversion recovers the receiver leg to 1e-9 relative

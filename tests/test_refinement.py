@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bisac import (  # noqa: E402
     ExperimentConfig,
+    GeometryError,
+    OfdmNumerology,
     PeriodogramConfig,
     make_periodic,
     run_sweep,
 )
-from bisac.estimator import _peaks  # noqa: E402
+from bisac.estimator import _estimate_grids, _peak_bins, _search  # noqa: E402
 from bisac.harness import simulate_trial  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -33,10 +35,29 @@ def tone(rows, cols, x, y):
     return np.exp(2j * np.pi * (-x * k + y * l))
 
 
+def peaks(grids, config):
+    """The peak bins, fractional offsets and peak powers of the maximum of each
+    grid of a stack, as ``EstimationResult`` labels them with interpolation,
+    and the flags of certified Newton maxima (``refine_fallback`` negated)."""
+    maxima, newton, _ = _search(grids)
+    return (*_peak_bins(grids, maxima, config), newton)
+
+
 def refined_peak(grid, config):
     """(u, v) in fractional bins and the fallback flag of ``grid``'s estimate."""
-    bins, offsets, _, fallback, _ = _peaks(grid[None], config)
-    return bins[0] + offsets[0], bool(fallback[0])
+    bins, offsets, _, newton = peaks(grid[None], config)
+    return bins[0] + offsets[0], not newton[0]
+
+
+def estimates(grids, config):
+    """``_estimate_grids`` of a stack on strides (2, 5) of the default
+    numerology, at a baseline of 56.6 m and theta 1 rad."""
+    return _estimate_grids(grids, make_periodic(70, 50, 2, 5), OfdmNumerology(), config, 56.6,
+                           [1.0] * len(grids))
+
+
+def fields(outcome):
+    return str(outcome) if isinstance(outcome, GeometryError) else vars(outcome)
 
 
 def circular_error(value, truth, size):
@@ -118,17 +139,17 @@ def test_sweep_at_50_db_tracks_both_bounds():
 
 class TestKeptBins:
     def test_flat_neighbourhood_keeps_the_bins(self):
-        bins, offsets, power, fallback, _ = _peaks(np.zeros((1, 5, 4), complex),
-                                                   PeriodogramConfig(64, 64))
+        bins, offsets, power, newton = peaks(np.zeros((1, 5, 4), complex),
+                                             PeriodogramConfig(64, 64))
         assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
-        assert power.tolist() == [0.0] and fallback.tolist() == [True]
+        assert power.tolist() == [0.0] and newton.tolist() == [False]
 
     def test_nan_grid_keeps_the_bins(self):
         grid = np.ones((1, 5, 4), complex)
         grid[0, 3, 1] = np.nan
-        bins, offsets, _, fallback, _ = _peaks(grid, PeriodogramConfig(64, 64))
+        bins, offsets, _, newton = peaks(grid, PeriodogramConfig(64, 64))
         assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
-        assert fallback.tolist() == [True]
+        assert newton.tolist() == [False]
 
     def test_single_row_grid_refines_the_doppler_axis(self):
         # P does not depend on the delay: the delay bin stays, the Doppler axis is refined
@@ -140,29 +161,33 @@ class TestKeptBins:
         assert not kept and v == 0.0 and abs(u - 0.41 * 64) < 1e-6
 
     def test_one_cell_grid_keeps_the_bins(self):
-        bins, offsets, _, fallback, _ = _peaks(np.ones((1, 1, 1), complex),
-                                               PeriodogramConfig(2, 2))
+        bins, offsets, _, newton = peaks(np.ones((1, 1, 1), complex), PeriodogramConfig(2, 2))
         assert bins.tolist() == [[0, 0]] and offsets.tolist() == [[0.0, 0.0]]
-        assert fallback.tolist() == [True]
+        assert newton.tolist() == [False]
 
     def test_without_interpolation_nothing_is_kept(self):
-        grid = tone(5, 8, 0.31, 0.77)
+        # the peak bins are the estimate: delay and Doppler in cycles of the
+        # strides (2, 5) are the bins over the FFT sizes
+        grid, num = tone(5, 8, 0.31, 0.77), OfdmNumerology()
         config = PeriodogramConfig(64, 64, interpolate=False)
-        bins, offsets, power, fallback, cycles = _peaks(grid[None], config)
-        assert offsets.tolist() == [[0.0, 0.0]] and fallback.tolist() == [False]
-        assert bins.tolist() == [[round(0.31 * 64), round(0.77 * 64)]]
-        assert cycles.tolist() == [[round(0.31 * 64) / 64, round(0.77 * 64) / 64]]
-        assert power[0] == pytest.approx(dense_power(grid, config, bins[0, :1], bins[0, 1:])[0, 0],
-                                         rel=1e-12)
+        (result,) = estimates(grid[None], config)
+        assert result.fractional_offsets == (0.0, 0.0) and result.refine_fallback is False
+        bins = (round(0.31 * 64), round(0.77 * 64))
+        assert result.peak_bins == bins
+        assert result.tau_hat == bins[0] / 64 / (2 * num.subcarrier_spacing_hz)
+        assert result.f_d_hat == (bins[1] / 64 - 1) / (5 * num.symbol_duration_s)
+        assert result.peak_power == pytest.approx(
+            dense_power(grid, config, bins[:1], bins[1:])[0, 0], rel=1e-12)
 
     def test_each_trial_of_a_stack_refines_as_it_would_alone(self):
-        config = PeriodogramConfig(64, 64)
         grids = np.stack([tone(5, 8, 0.31, 0.77), np.zeros((5, 8)), tone(5, 8, 0.9, 0.1)])
-        stacked = _peaks(grids, config)
-        for t, grid in enumerate(grids):
-            alone = _peaks(grid[None], config)
-            for together, single in zip(stacked, alone):
-                assert together[t].tolist() == single[0].tolist()
+        for config in (PeriodogramConfig(64, 64), PeriodogramConfig(64, 64, interpolate=False)):
+            stacked, readout = peaks(grids, config), estimates(grids, config)
+            for t, grid in enumerate(grids):
+                alone = peaks(grid[None], config)
+                for together, single in zip(stacked, alone):
+                    assert together[t].tolist() == single[0].tolist()
+                assert fields(readout[t]) == fields(estimates(grid[None], config)[0])
 
     def test_simulate_trial_reports_the_flag(self):
         config = ExperimentConfig(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=(20.0,),

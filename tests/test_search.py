@@ -20,8 +20,8 @@ from bisac import (  # noqa: E402
 )
 from bisac import estimator  # noqa: E402
 from bisac.estimator import _SLACK, _centred, _moments, _newton, _search  # noqa: E402
-from bisac.harness import _trial_block, simulate_trial  # noqa: E402
-from reference_chain import dense_maximum  # noqa: E402
+from bisac.harness import _block_errors, _trial_block, simulate_trial  # noqa: E402
+from reference_chain import block_trials, dense_maximum  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -119,7 +119,8 @@ def sweep_config(fft, snr_db=20.0, strides=(2, 1)):
 
 
 def test_trial_path_runs_no_fft_n_point_transform(monkeypatch, num):
-    # neither a trial block nor estimate transforms fft_n or fft_m points
+    # neither a sweep block, nor a block's full results, nor estimate
+    # transforms fft_n or fft_m points
     lengths = []
     for name in ("fft", "ifft"):
         transform = getattr(np.fft, name)
@@ -130,7 +131,8 @@ def test_trial_path_runs_no_fft_n_point_transform(monkeypatch, num):
 
         monkeypatch.setattr(np.fft, name, spy)
     config = sweep_config(2048)
-    _trial_block(config, [(0, 0, 5)])
+    _block_errors((config, [(0, 0, 5)]))
+    block_trials(config, [(0, 0, 5)])
     truth, _, _ = simulate_trial(config, 0, 7)
     frame = bisac.generate_frame(num, config.pattern, seed=1)
     received = bisac.apply_channel(frame, bisac.SensingChannelParams.from_snr_db(
@@ -150,7 +152,7 @@ def test_trial_block_is_independent_of_the_fft_size():
                                      snr_grid_db=(-30.0, -10.0, 0.0, 10.0, 30.0))
         outcomes = [outcome for config, runs in ((sweep_config(fft), [(0, 0, 20)]),
                                                  (sparse, [(1, 10, 11)]))
-                    for _, _, outcome in _trial_block(config, runs)]
+                    for _, _, outcome in block_trials(config, runs)]
         results[fft] = np.array([[o.tau_hat, o.f_d_hat, o.d_bis_hat, o.v_bis_hat]
                                  for o in outcomes])
     for fft in (128, 1024, 4096):
@@ -174,8 +176,7 @@ def test_sweep_csv_is_independent_of_the_fft_size(strides):
 def test_high_snr_certifies_with_few_cells(strides):
     # a clear peak: every trial a Newton maximum, with a handful of cells past
     # the start grid's rows
-    grids_ = np.stack([grid for _, grid, _ in _trial_block(
-        sweep_config(256, strides=strides), [(0, 0, 20)])])
+    _, grids_ = _trial_block(sweep_config(256, strides=strides), [(0, 0, 20)])
     _, newton, kept = _search(grids_)
     assert newton.all() and kept.max() <= 64
 

@@ -113,6 +113,25 @@ def test_one_dispatcher_and_one_ecrb_routine():
     assert harness_names() & {"_ecrb_geometry", "_ecrb_mean"} == set()
 
 
+def test_one_readout_from_the_maximum_to_the_estimates():
+    # estimate, simulate_trial and the sweep blocks read the estimates off the
+    # maximum through one function, the only one that catches GeometryError;
+    # a trial block only draws, and its callers choose their readout
+    tree = ast.parse((Path(bisac.__file__).parent / "estimator.py").read_text())
+    catching = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
+                and "GeometryError" in {n.id for n in ast.walk(node.type or ast.Pass())
+                                        if isinstance(n, ast.Name)}}
+    assert len(catching) == 1, catching
+    tree = ast.parse((Path(bisac.__file__).parent / "harness.py").read_text())
+    (block,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_trial_block"]
+    params = block.args
+    assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == [
+        "config", "runs"]
+    assert params.vararg is None and params.kwarg is None
+
+
 def test_every_dataclass_is_frozen():
     # a value type changes only through its constructor or dataclasses.replace,
     # both of which run its checks

@@ -25,11 +25,9 @@ from bisac import (  # noqa: E402
 )
 from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
 from bisac.estimator import _block_length, _delay_stage, _ls_divide  # noqa: E402
-from bisac.harness import (  # noqa: E402
-    _block_errors, _trial_block, _trial_seed, simulate_trial,
-)
+from bisac.harness import _block_errors, _trial_seed, simulate_trial  # noqa: E402
 from bisac.sim import _qpsk_indices, simulate_pilots  # noqa: E402
-from reference_chain import reference_trial  # noqa: E402
+from reference_chain import block_trials, reference_trial  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -73,7 +71,7 @@ SNRS_DB = [-30.0, -15.0, 0.0, 15.0, 30.0, math.inf]
 @given(data=st.data())
 def test_block_trials_equal_the_full_grid_chain_bit_for_bit(snr_db, data):
     config, start, stop = data.draw(blocks(snr_db))
-    trials = _trial_block(config, [(0, start, stop)])
+    trials = block_trials(config, [(0, start, stop)])
     errors = _block_errors((config, [(0, start, stop)]))
     assert len(trials) == len(errors) == stop - start
     for trial_idx, (_, grid, outcome), sq_errors in zip(range(start, stop), trials, errors):
@@ -129,7 +127,7 @@ def test_simulate_trial_is_its_trial_of_the_block(block):
     config, start, stop = block
     config = dataclasses.replace(config, snr_grid_db=(5.0, *config.snr_grid_db))
     for trial_idx, (truth, grid, outcome) in zip(range(start, stop),
-                                                 _trial_block(config, [(1, start, stop)])):
+                                                 block_trials(config, [(1, start, stop)])):
         alone = simulate_trial(config, 1, trial_idx)
         assert alone[0] == truth
         assert np.array_equal(bits(alone[1]), bits(grid))
@@ -141,8 +139,8 @@ def test_packed_runs_equal_their_blocks():
     # estimator pass; every trial comes out as its own block gives it
     config = ExperimentConfig(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=(-10.0, 20.0),
                               trials_per_point=3, seed=9)
-    packed = _trial_block(config, [(0, 0, 3), (1, 0, 3)])
-    alone = _trial_block(config, [(0, 0, 3)]) + _trial_block(config, [(1, 0, 3)])
+    packed = block_trials(config, [(0, 0, 3), (1, 0, 3)])
+    alone = block_trials(config, [(0, 0, 3)]) + block_trials(config, [(1, 0, 3)])
     for (truth, grid, outcome), (truth1, grid1, outcome1) in zip(packed, alone):
         assert truth == truth1 and np.array_equal(bits(grid), bits(grid1))
         assert comparable(outcome) == comparable(outcome1)
