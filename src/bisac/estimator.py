@@ -32,16 +32,21 @@ _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-9
 
 # The search (_search) widens every |z| by _SLACK sum |H|, splits a cell
-# into _SPLIT cells per axis at most _MAX_LEVELS times, _FLAT cells at a time,
-# and gives a grid up past _FLAT open cells after a split; a ball keeps
-# _BALL_MARGIN of its curvature. _lattice stacks at most _PADDED phasor rows
-# per product.
+# into _SPLIT cells per axis at most _MAX_LEVELS times, at most _FLAT cells at
+# a time, and gives a grid up past _FLAT open cells after a split; a ball
+# keeps _BALL_MARGIN of its curvature.
 _SLACK = 1e-10
 _SPLIT = 4
 _MAX_LEVELS = 20
 _FLAT = 1024
 _BALL_MARGIN = 0.1
-_PADDED = 16384
+
+# A sweep block may allocate _BLOCK_BYTES, the traced peak of the bound
+# columns' 1e5-draw geometry when it was drawn as whole arrays: its LS grids
+# and one chunk, which the search's start phase and the block's draws take
+# _CHUNK_BYTES at a time (``_chunk_length``, ``_block_length``).
+_BLOCK_BYTES = 5_601_744
+_CHUNK_BYTES = 2**21
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
@@ -180,11 +185,24 @@ def _start_cells(rows: int, cols: int) -> np.ndarray:
                      for n, per in ((rows, 2), (cols, 4))])
 
 
+def _chunk_length(rows: int, cols: int) -> int:
+    """Trials of rows x cols pilot grids per chunk of the search's start phase
+    and of a block's draws: as many as fit ``_CHUNK_BYTES`` of the start delay
+    stage, and at least one; 20 of 35 x 50 pilots (strides (2, 1)), 102 of
+    35 x 10 (strides (2, 5))."""
+    return max(1, _CHUNK_BYTES // (int(_start_cells(rows, 1)[0]) * cols * 16))
+
+
 def _block_length(rows: int, cols: int) -> int:
-    """Trials per sweep block of rows x cols pilot grids: as many as fit 2 MiB
-    of the search's start delay stage, and at least one; 20 of 35 x 50 pilots
-    (strides (2, 1)), 102 of 35 x 10 (strides (2, 5))."""
-    return max(1, 2**21 // (int(_start_cells(rows, 1)[0]) * cols * 16))
+    """Trials per sweep block of rows x cols pilot grids, and at least one: as
+    many as keep a full block within ``_BLOCK_BYTES`` at any SNR. Per trial a
+    block keeps its LS grid, 16 bytes a pilot, and a quarter as much again
+    (its truth, the search's per-trial arrays and start cells); beside them
+    runs one chunk, whose start phase takes up to 1.3 ``_CHUNK_BYTES``. That
+    is 82 trials of 35 x 50 pilots (strides (2, 1)) and 410 of 35 x 10
+    (strides (2, 5)). An aliasing pattern, whose grids open many more cells
+    per trial, can exceed the budget at low SNR."""
+    return max(1, int(_BLOCK_BYTES - 1.3 * _CHUNK_BYTES) // (rows * cols * 20))
 
 
 def _centred(rows: int, cols: int) -> tuple:
@@ -225,9 +243,11 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     *Search* (README, "Peak search"). FFTs sample the start grid's cells
     (``_start_cells``, so s(h) < 3 pi / 8): the delay rows, then, as
     |z| <= sum_l |S(theta, l)|, the Doppler transform of the rows whose bound
-    reaches cos(s(h)) times the best sample of the highest-bound row.
-    Newton's method (``_newton``) from the best sample gives the best point
-    p* and a ball. Then every cell that passes the cell test against |z(p*)|
+    reaches cos(s(h)) times the best sample of the highest-bound row, a
+    chunk of grids at a time (``_start_samples``), which keeps of each grid
+    its best sample and a superset of the cells that can pass the first cell
+    test. Newton's method (``_newton``) from the best sample, over the whole
+    stack, gives the best point p* and a ball. Then every cell that passes the cell test against |z(p*)|
     and lies in no ball splits into ``_SPLIT`` per axis, evaluated by direct
     DFTs (``_lattice``), and from the second level the best such cell of each
     grid farther than twice its own s(h) from all its balls starts Newton
@@ -250,30 +270,29 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     """
     trials, rows, cols = pilot_grids.shape
     pos, found, kept = np.zeros((trials, 2)), np.zeros(trials, bool), np.zeros(trials, int)
-    total = np.abs(pilot_grids).sum(axis=(1, 2))
+    step = _chunk_length(rows, cols)
+    total = np.concatenate([np.abs(pilot_grids[lo:lo + step]).sum(axis=(1, 2))
+                            for lo in range(0, trials, step)])
     live = np.flatnonzero(np.isfinite(total) & (total > 0.0) & (rows * cols > 1))
     if not live.size:
         return pos, found, kept
-    grids = pilot_grids if live.size == trials else pilot_grids[live]
     slack, n = _SLACK * total[live], live.size
     k, l = _centred(rows, cols)
     extent = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
     cells = _start_cells(rows, cols)
     half, split = np.pi / cells, np.where(extent > 0, _SPLIT, 1)
 
-    stage = _padded_fft(np.swapaxes(grids, -1, -2), cells[0], True)
-    row_bound = np.abs(stage).sum(axis=1) + slack[:, None]
-    first = np.abs(_padded_fft(stage[np.arange(n), :, row_bound.argmax(axis=1)], cells[1], False))
-    floor = (first.max(axis=1) - slack) * math.cos(extent @ half)
-    t, i = np.nonzero(~(row_bound < floor[:, None]))
-    amps = np.abs(_padded_fft(stage[t, :, i], cells[1], False))
+    # the start phase a chunk of grids at a time: the largest sample of each
+    # grid, and its samples that can pass the level-0 test, row-major
+    samples, amps, top = (np.concatenate(part) for part in zip(*(
+        _start_samples(_take(pilot_grids, live[lo:lo + step]), lo, cells, slack[lo:lo + step],
+                       math.cos(extent @ half)) for lo in range(0, n, step))))
+    t, sample = np.divmod(samples, cells.prod())
+    i, j = np.divmod(sample, cells[1])
+    del samples, sample
     # Newton from the first sample within rounding of the largest, row-major
-    top = np.zeros(n)
-    np.maximum.at(top, t, amps.max(axis=1))
-    near = amps >= (top - 2 * slack)[t][:, None]
-    _, at = _best_per_trial(t, near.any(axis=1) * 1.0)
-    start = np.column_stack([i[at], near[at].argmax(axis=1)])
-    del stage
+    _, at = _best_per_trial(t, (amps >= (top - 2 * slack)[t]) * 1.0)
+    start = np.column_stack([i[at], j[at]])
 
     best, peak, newton = np.zeros((n, 2)), np.full(n, -np.inf), np.zeros(n, bool)
     # per grid and ball: its centre, kappa (-1 for no ball) and c3
@@ -283,9 +302,8 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         # Newton from points of heights |z| on the grids up: a ball where it
         # converged, and the new best point where higher
         nonlocal balls
-        sub = grids if up.size == n else grids[up]
-        moved, converged = _newton(sub, points, 2 * np.pi / cells)
-        m = _moments(sub, moved, k, l, 4)
+        moved, converged = _newton(pilot_grids, points, 2 * np.pi / cells, live[up])
+        m = _moments(pilot_grids, moved, k, l, 4, live[up])
         height = np.abs(m[:, 0, 0])
         better = height >= heights - 2 * slack[up]
         kappa, third = _curvature(m, extent, slack[up])
@@ -305,10 +323,14 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         shift = np.column_stack([offsets[0][a], offsets[1][b]])
         return owner[p], centre[p] + shift, values[p, a, b]
 
-    climb(np.arange(n), start * (2 * np.pi / cells), amps[at, start[:, 1]])
-    owner, centre, values = passing(t, np.column_stack([i, 0 * i]) * 2 * half, amps[:, None],
-                                    (np.zeros(1), np.arange(cells[1]) * 2 * half[1]))
+    climb(np.arange(n), start * (2 * np.pi / cells), amps[at])
+    owner, centre, values = passing(t, np.column_stack([i, j]) * 2 * half, amps[:, None, None],
+                                    (np.zeros(1), np.zeros(1)))
+    del t, i, j, amps
     sup, split_cells = np.full(n, np.inf), np.zeros(n, int)
+    # at most _FLAT parents a lattice, whose Doppler rows take half of
+    # _CHUNK_BYTES in the three copies _lattice makes
+    parents = max(1, min(_FLAT, _CHUNK_BYTES // (96 * split[0] * cols)))
     for level in range(_MAX_LEVELS + 1):
         np.maximum.at(bound := peak.copy(), owner, values)
         sup = np.minimum(sup, (bound + slack) / math.cos(extent @ half))
@@ -335,10 +357,10 @@ def _search(pilot_grids: np.ndarray) -> tuple:
             climb(up, centre[far][at], values[far][at])
         offsets = [(2 * np.arange(size) - size + 1) * (h / size) for size, h in zip(split, half)]
         half = half / split
-        # _FLAT parents at a time bound the lattices' memory
         parts = [passing(owner[cut], centre[cut],
-                         np.abs(_lattice(grids, owner[cut], centre[cut], offsets, k, l)), offsets)
-                 for cut in (slice(lo, lo + _FLAT) for lo in range(0, owner.size, _FLAT))]
+                         np.abs(_lattice(pilot_grids, live[owner[cut]], centre[cut], offsets, k, l)),
+                         offsets)
+                 for cut in (slice(lo, lo + parents) for lo in range(0, owner.size, parents))]
         owner, centre, values = (np.concatenate(part) for part in zip(*parts))
         rise = values > (peak + 2 * slack)[owner]
         if rise.any():
@@ -346,6 +368,72 @@ def _search(pilot_grids: np.ndarray) -> tuple:
             climb(up, centre[rise][at], values[rise][at])
     pos[live], found[live], kept[live] = best % (2 * np.pi), newton, split_cells
     return pos, found, kept
+
+
+def _start_samples(grids: np.ndarray, offset: int, cells: np.ndarray, slack: np.ndarray,
+                   cos_h: float) -> tuple:
+    """The start phase of ``_search`` on a chunk of its live grids, numbered
+    from ``offset``: the delay stage, the row bounds, then the Doppler
+    transform of the passing rows, a sixteenth of ``_CHUNK_BYTES`` of
+    samples at a time. Returns the samples of a superset of the start cells
+    that pass the level-0 test, row-major, as (grid cells[0] + row) cells[1]
+    + column, their |z|, and each grid's largest sample, top. The superset
+    holds the samples not below ``_kept_floor`` (the climbed peak is at
+    least top - 4 slack) and each grid's first sample, where Newton starts
+    when no sample is within rounding of top (a non-finite one)."""
+    stage = _padded_fft(np.swapaxes(grids, -1, -2), cells[0], True)
+    # sum_l |S(theta, l)|, a quarter of a full chunk at a time
+    quarter = -(-_chunk_length(grids.shape[1], grids.shape[2]) // 4)
+    row_bound = np.concatenate([np.abs(stage[lo:lo + quarter]).sum(axis=1)
+                                for lo in range(0, len(grids), quarter)]) + slack[:, None]
+    first = np.abs(_padded_fft(stage[np.arange(len(grids)), :, row_bound.argmax(axis=1)],
+                               cells[1], False)).max(axis=1)
+    # the passing rows, grid cells[0] + row, and the first of each grid
+    rows = np.flatnonzero(~(row_bound < ((first - slack) * cos_h)[:, None]))
+    del row_bound
+    lead = np.r_[True, np.diff(rows // cells[0]) > 0]
+    top, parts, batch = np.zeros(len(grids)), [], max(1, _CHUNK_BYTES // (256 * int(cells[1])))
+    for lo in range(0, rows.size, batch):
+        t, i = np.divmod(rows[lo:lo + batch], cells[0])
+        amps = np.abs(_padded_fft(stage[t, :, i], cells[1], False))
+        np.maximum.at(top, t, amps.max(axis=1))
+        # the largest sample so far, and the highest-bound row's, are at most top
+        keep = ~(amps < _kept_floor(np.maximum(top, first), slack, cos_h)[t][:, None])
+        keep[:, 0] |= lead[lo:lo + batch]
+        r, c = np.nonzero(keep)
+        parts.append((rows[lo + r] * cells[1] + c, amps[r, c], lead[lo + r] & (c == 0)))
+    del stage
+    samples, amps, lead = (np.concatenate(part) for part in zip(*parts))
+    if len(parts) > 1:  # rows of a grid may span batches: filter against its top
+        keep = ~(amps < _kept_floor(top, slack, cos_h)[samples // cells.prod()]) | lead
+        samples, amps = samples[keep], amps[keep]
+    return samples + offset * cells.prod(), amps, top
+
+
+def _kept_floor(top: np.ndarray, slack: np.ndarray, cos_h: float) -> np.ndarray:
+    """The level-0 floor of ``_search`` for a climbed peak of top - 4 slack,
+    less one slack of rounding: (top - 5 slack) cos(s(h)) - 2 slack."""
+    return (top - 5 * slack) * cos_h - 2 * slack
+
+
+def _take(pilot_grids: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``pilot_grids[index]`` for ascending ``index``: a view where it is a run
+    of consecutive grids."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return pilot_grids[index[0]:index[-1] + 1]
+    return pilot_grids[index]
+
+
+def _grid_products(left: np.ndarray, pilot_grids: np.ndarray, index=None) -> np.ndarray:
+    """``_small_matmul(left, pilot_grids[index])`` for ascending ``index`` (None:
+    the stack in order), gathering at most ``_chunk_length`` grids at a time."""
+    if index is None:
+        return _small_matmul(left, pilot_grids)
+    step = _chunk_length(*pilot_grids.shape[-2:])
+    if index.size <= step or index[-1] - index[0] == index.size - 1:
+        return _small_matmul(left, _take(pilot_grids, index))
+    return np.concatenate([_small_matmul(left[lo:lo + step], _take(pilot_grids, index[lo:lo + step]))
+                           for lo in range(0, index.size, step)])
 
 
 def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
@@ -385,8 +473,10 @@ def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, off
     """z at ``centre`` (n, 2) plus the lattice of ``offsets`` (an array per axis)
     on the grids ``owner`` (ascending), (n, theta offsets, phi offsets). The
     delay rows of each distinct (grid, theta) pair come from a product per
-    grid, padded into stacks of at most ``_PADDED`` phasor rows, and one more
-    product gives each cell's Doppler transforms."""
+    grid, a group of grids at a time: the grids with the most pairs first,
+    each group's phasor rows zero-padded to its own largest pair count, at
+    most ``_CHUNK_BYTES`` / (64 (rows + columns)) of them. One more product
+    gives each cell's Doppler transforms."""
     # the distinct (grid, theta) pairs in ascending order, each cell's pair,
     # and the first pair and the pair count of each grid
     order = np.lexsort((centre[:, 0], owner))
@@ -400,16 +490,25 @@ def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, off
     grids, counts = pair_grid[first], np.diff(np.r_[first, pair_grid.size])
     slot = np.arange(pair_grid.size) - np.repeat(first, counts)
     at = np.repeat(np.arange(grids.size), counts)
-    left = np.zeros((grids.size, counts.max(), offsets[0].size, k.size), complex)
-    left[at, slot] = _phasors(theta, k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
-    left = left.reshape(grids.size, -1, k.size)
-    step = max(1, _PADDED // left.shape[1])
-    delay = np.concatenate([_small_matmul(left[lo:lo + step], pilot_grids[grids[lo:lo + step]])
-                            for lo in range(0, grids.size, step)])
-    delay = delay.reshape(grids.size, counts.max(), offsets[0].size, l.size)[at, slot][inverse]
+    shifts, size = np.exp(1j * np.outer(offsets[0], k)), offsets[0].size
+    delay = np.empty((pair_grid.size, size, l.size), complex)
+    by_count, lo = np.argsort(-counts, kind="stable"), 0
+    while lo < grids.size:
+        most = int(counts[by_count[lo]])
+        group = np.sort(by_count[lo:lo + max(1, _CHUNK_BYTES // (64 * (k.size + l.size) * size
+                                                                  * most))])
+        lo += group.size
+        mine = np.flatnonzero(np.isin(at, group)) if group.size < grids.size else slice(None)
+        place = np.searchsorted(group, at[mine])
+        left = np.zeros((group.size, most, size, k.size), complex)
+        left[place, slot[mine]] = _phasors(theta[mine], k)[:, None, :] * shifts
+        delay[mine] = _grid_products(left.reshape(group.size, -1, k.size), pilot_grids,
+                                     grids[group]).reshape(group.size, most, size, -1)[
+                                         place, slot[mine]]
+    delay = delay[inverse]
     delay *= _phasors(-centre[:, 1], l)[:, None, :]
     return _small_matmul(delay.reshape(-1, l.size), np.exp(-1j * np.outer(l, offsets[1]))
-                         ).reshape(owner.size, offsets[0].size, -1)
+                         ).reshape(owner.size, size, -1)
 
 
 def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -427,9 +526,11 @@ def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape(left.shape[:-2] + (blocks * step, -1))[..., :rows, :]
 
 
-def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray) -> tuple:
+def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray,
+            index=None) -> tuple:
     """Guarded Newton ascent of log P (``_newton_step``) from ``start``, (trials,
-    2) points in radians, until a step is shorter than ``_NEWTON_TOL`` or
+    2) points in radians, on the grids ``index`` (ascending; None: the stack
+    in order), until a step is shorter than ``_NEWTON_TOL`` or
     ``_NEWTON_STEPS`` were taken; an axis of one pilot stays. A trial whose
     Hessian is not negative definite or whose point moves further than
     ``reach`` from its start stays there. Returns the points and the flags of
@@ -438,11 +539,12 @@ def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray) -> tu
     k, l = _centred(rows, cols)
     pos, moved = start.copy(), np.ones(len(start), bool)
     active = np.arange(len(start))
+    index = active if index is None else index
     for _ in range(_NEWTON_STEPS):
         # the moments of the active trials alone: a stacked product runs one
         # matrix at a time, so each trial's bits are those of the whole stack's
-        grids = pilot_grids if active.size == len(start) else pilot_grids[active]
-        step = _newton_step(_moments(grids, pos[active], k, l, 3), rows > 1, cols > 1)
+        step = _newton_step(_moments(pilot_grids, pos[active], k, l, 3, index[active]),
+                            rows > 1, cols > 1)
         # written so that a NaN step stays
         inside = (np.abs(pos[active] + step - start[active]) <= reach).all(axis=1)
         pos[active] = np.where(inside[:, None], pos[active] + step, start[active])
@@ -453,13 +555,15 @@ def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray) -> tu
     return pos, moved
 
 
-def _moments(pilot_grids: np.ndarray, pos: np.ndarray, k, l, order: int) -> np.ndarray:
-    """m[t, p, q] = sum_kl k^p l^q H[t, k, l] exp(j (k theta - l phi)) at
-    (theta, phi) = pos[t], for p, q < ``order``."""
+def _moments(pilot_grids: np.ndarray, pos: np.ndarray, k, l, order: int,
+             index=None) -> np.ndarray:
+    """m[t, p, q] = sum_kl k^p l^q H[index[t], k, l] exp(j (k theta - l phi)) at
+    (theta, phi) = pos[t], for p, q < ``order``; ``index`` ascending, None
+    for the stack in order."""
     powers = np.arange(order)[:, None]
     left = _phasors(pos[:, 0], k)[:, None, :] * k**powers
     right = _phasors(-pos[:, 1], l)[:, :, None] * (l**powers).T
-    return _small_matmul(left, pilot_grids) @ right
+    return _grid_products(left, pilot_grids, index) @ right
 
 
 def _phasors(angles: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -31,7 +31,9 @@ from . import __version__
 from .bounds import (
     SensingChannelParams, _ecrb_means, _snr_powers, crb, rate_upper_bound,
 )
-from .estimator import PeriodogramConfig, _block_length, _estimate_grids, _estimates, _ls_divide
+from .estimator import (
+    PeriodogramConfig, _block_length, _chunk_length, _estimate_grids, _estimates, _ls_divide,
+)
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
@@ -218,21 +220,24 @@ def _trial_block(config: ExperimentConfig, runs) -> tuple:
     """The draws of the trials of ``runs``, (snr_idx, start, stop) for trials
     ``start`` to ``stop - 1`` of SNR point ``snr_idx``: their ground truths
     (a degenerate draw's GeometryError in place of its truth) and the stack
-    (trials, K+1, L+1) of their least-squares pilot grids."""
+    (trials, K+1, L+1) of their least-squares pilot grids, drawn a chunk
+    (``estimator._chunk_length``) at a time."""
     generators = _trial_generators(config.seed, runs)
     # the stack is allocated before any draw: the draws' arrays, freed before
     # the search, then leave one free block that the search reuses rather than
     # holes around the stack (about 1 MB less peak resident memory)
     shape = tuple(count + 1 for count in config.pattern.periodic_counts())
     grids = np.empty((len(generators), *shape), complex)
-    truths = []
+    step, truths = _chunk_length(*shape), []
     for snr_idx, start, stop in runs:
-        run_truths, symbols, received = simulate_pilots(
-            config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
-            generators[len(truths):len(truths) + stop - start])
-        _ls_divide(received, symbols, out=grids[len(truths):len(truths) + len(run_truths)])
-        truths += run_truths
-        del symbols, received
+        for lo in range(start, stop, step):
+            chunk_truths, symbols, received = simulate_pilots(
+                config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
+                generators[len(truths):len(truths) + min(step, stop - lo)])
+            _ls_divide(received, symbols,
+                       out=grids[len(truths):len(truths) + len(chunk_truths)])
+            truths += chunk_truths
+            del symbols, received
     return truths, grids
 
 

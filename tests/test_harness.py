@@ -26,6 +26,7 @@ from bisac import (
     run_sweep,
     run_table1,
 )
+import bisac.estimator
 import bisac.harness
 from bisac.harness import (
     SWEEP_COLUMNS,
@@ -305,23 +306,22 @@ class TestRunSweep:
         )
 
     def test_worker_counts_byte_identical(self, fork_at_once, started):
-        # twelve blocks, whose trials cost several times as much at the
-        # threshold SNRs as at the high ones
-        cfg = small_config(snr_grid_db=(-30.0, -20.0, -10.0, 0.0, 10.0, 20.0),
-                           trials_per_point=25)
+        # eight blocks, runs of 82 and 1 trials, whose trials cost several
+        # times as much at the threshold SNRs as at the high ones
+        cfg = small_config(snr_grid_db=(-30.0, -20.0, 0.0, 20.0), trials_per_point=83)
         texts = {w: run_sweep(replace(cfg, workers=w)).to_csv() for w in (1, 2, 3, 8)}
         assert texts[2] == texts[1] and texts[3] == texts[1] and texts[8] == texts[1]
         assert len(started) == 1 + 2 + 7
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("snr_grid_db, workers, children", [
-        (points(1), 64, 0), (points(40), 64, 1), (points(60), 2, 1), (points(1), 2, 0),
+        (points(1), 64, 0), (points(164), 64, 1), (points(246), 2, 1), (points(1), 2, 0),
         (points(2), 2, 0), (points(2), 64, 0), (points(3), 2, 0), (points(3), 64, 0),
-        (points(80), 64, 3),
+        (points(328), 64, 3),
     ])
     def test_no_more_processes_than_blocks(self, fork_at_once, started, snr_grid_db, workers,
                                            children):
-        # one-trial points pack 20 to a block; with no break-even the calling
+        # one-trial points pack 82 to a block; with no break-even the calling
         # process starts min(workers, tasks left) - 1 children once it has run
         # the bound columns, and runs blocks itself beside them
         cfg = small_config(snr_grid_db=snr_grid_db, trials_per_point=1, workers=workers)
@@ -360,9 +360,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_runs_pack_up_to_the_block_length(self, monkeypatch, workers):
-        # strides (2, 1) hold 20 trials a block at any worker count: thirty
-        # one-trial points make blocks of 20 and 10 runs, two 30-trial points
-        # four blocks of one run each, 20 and 10 trials
+        # strides (2, 1) hold 82 trials a block at any worker count: 123
+        # one-trial points make blocks of 82 and 41 runs, two 123-trial points
+        # four blocks of one run each, 82 and 41 trials
         packed, dispatch = [], bisac.harness._dispatch
 
         def recorded(tasks, workers):
@@ -371,18 +371,18 @@ class TestRunSweep:
             return dispatch(tasks, workers)
 
         monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
-        for count, trials in ((30, 1), (2, 30)):
+        for count, trials in ((123, 1), (2, 123)):
             run_sweep(small_config(snr_grid_db=points(count), trials_per_point=trials,
                                    workers=workers))
-        assert [[len(runs) for runs in blocks] for blocks in packed] == [[20, 10], [1] * 4]
-        assert packed[1] == [[(0, 0, 20)], [(0, 20, 30)], [(1, 0, 20)], [(1, 20, 30)]]
+        assert [[len(runs) for runs in blocks] for blocks in packed] == [[82, 41], [1] * 4]
+        assert packed[1] == [[(0, 0, 82)], [(0, 82, 123)], [(1, 0, 82)], [(1, 82, 123)]]
         # the block length is a Python int, so are the runs' bounds
         assert all(type(bound) is int for blocks in packed for runs in blocks
                    for run in runs for bound in run)
 
     @pytest.mark.parametrize("count, workers", [(4, 1), (3, 2)])
     def test_one_process_packs_every_run(self, monkeypatch, count, workers):
-        # strides (2, 5) hold 102 trials a run: the points' runs of 10 trials
+        # strides (2, 5) hold 410 trials a run: the points' runs of 10 trials
         # make one block, which the calling process runs alone
         packed, block_errors = [], bisac.harness._block_errors
 
@@ -398,6 +398,47 @@ class TestRunSweep:
         run_sweep(small_config(pattern=make_periodic(70, 50, 2, 5), snr_grid_db=points(count),
                                trials_per_point=10, workers=workers))
         assert packed == [[(snr_idx, 0, 10) for snr_idx in range(count)]]
+
+    # runs per block of the benchmark's sweeps (perfbench/workloads.py:
+    # strides, trials per point, SNR points) and of --profile full, whose
+    # 13 points hold 1000 trials each
+    LAYOUTS = {
+        "sweep_desk": ((2, 1), 40, 3, [2, 1]),
+        "sweep_full": ((2, 1), 40, 1, [1]),
+        "sweep_sparse": ((2, 5), 100, 4, [4]),
+        "bounds_table": ((2, 5), 10, 4, [4]),
+        "full_2x1": ((2, 1), 1000, 13, [1] * 169),
+        "full_2x5": ((2, 5), 1000, 13, [1] * 39),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_benchmark_and_full_profile_layouts(self, monkeypatch, name):
+        # the block length follows from the grids a block keeps: 82 trials
+        # at strides (2, 1) and 410 at (2, 5), whatever the number of workers
+        strides, trials, count, layout = self.LAYOUTS[name]
+        assert bisac.estimator._block_length(35, 50) == 82
+        assert bisac.estimator._block_length(35, 10) == 410
+        packed = []
+
+        def recorded(tasks, workers):
+            # the blocks' layout, then valid trials of zero error in place of theirs
+            blocks = [task.args[0][1] for task in tasks[1:]]
+            packed.append(blocks)
+            return [[(1.0, 1.0)] * count] + [
+                [(0.0, 0.0, True)] * sum(stop - start for _, start, stop in runs)
+                for runs in blocks]
+
+        monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
+        for workers in (1, 2, 8):
+            run_sweep(small_config(pattern=make_periodic(70, 50, *strides),
+                                   snr_grid_db=points(count), trials_per_point=trials,
+                                   workers=workers))
+        assert packed[0] == packed[1] == packed[2]
+        assert [len(runs) for runs in packed[0]] == layout
+        assert [run for runs in packed[0] for run in runs] == [
+            (snr_idx, start, min(start + (82, 410)[strides == (2, 5)], trials))
+            for snr_idx in range(count)
+            for start in range(0, trials, (82, 410)[strides == (2, 5)])]
 
     @pytest.mark.parametrize("count", range(1, 13))
     def test_csv_byte_identical_at_any_worker_count(self, count):
@@ -586,11 +627,11 @@ def test_dispatch_first_task_raises_before_any_child(fork_at_once, started):
 @FORKED
 @pytest.mark.usefixtures("fork_at_once")
 class TestDispatch:
-    """Failures of the blocks of a parallel sweep: four blocks of 20 trials,
+    """Failures of the blocks of a parallel sweep: four blocks of 82 trials,
     one process beside the caller, started once the caller has run the bound
     columns. Each test that runs a block fails unless a child took one."""
 
-    CONFIG = small_config(snr_grid_db=points(4), trials_per_point=20, workers=2)
+    CONFIG = small_config(snr_grid_db=points(4), trials_per_point=82, workers=2)
 
     @pytest.fixture
     def blocks(self, monkeypatch):

@@ -1,12 +1,15 @@
 """Property tests: sweep trial blocks on the pilot subgrid against the
 reference chain (pilot-cell draws, then the receiver on the full surface),
 the block's bulk draws against the generator calls they replace, the stacked
-delay stage against per-grid transforms, ``simulate_trial`` against its
-block, and the sweep's readout, which stops at the estimates."""
+delay stage against per-grid transforms, the chunked search and draws
+against each grid alone and against any chunk size, ``simulate_trial``
+against its block, the sweep's readout, which stops at the estimates, and
+the memory a block allocates."""
 
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +27,10 @@ from bisac import (  # noqa: E402
     run_sweep,
 )
 from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
-from bisac.estimator import _block_length, _delay_stage, _ls_divide  # noqa: E402
-from bisac.harness import _block_errors, _trial_seed, simulate_trial  # noqa: E402
+from bisac.estimator import (  # noqa: E402
+    _block_length, _chunk_length, _delay_stage, _ls_divide, _search, _start_cells,
+)
+from bisac.harness import _block_errors, _trial_block, _trial_seed, simulate_trial  # noqa: E402
 from bisac.sim import _qpsk_indices, simulate_pilots  # noqa: E402
 from reference_chain import block_trials, reference_trial  # noqa: E402
 
@@ -81,6 +86,69 @@ def test_block_trials_equal_the_full_grid_chain_bit_for_bit(snr_db, data):
         assert comparable(outcome) == ref_outcome
         assert bits(sq_errors[:2]).tolist() == bits(ref_errors[:2]).tolist()
         assert sq_errors[2] is ref_errors[2]
+
+
+# strides of the default grid: the benchmark's two and two aliasing ones
+CHUNK_STRIDES = [(2, 1), (2, 5), (10, 5), (5, 2)]
+
+
+def chunk_budgets(rows, cols):
+    """``_CHUNK_BYTES`` of chunks of one trial (and row batches of one row),
+    of three trials, and of any stack, for rows x cols pilot grids."""
+    stage = int(_start_cells(rows, cols)[0]) * cols * 16
+    return [1, 3 * stage, 2**40]
+
+
+@st.composite
+def stacks(draw):
+    """A stack of LS grids of one pattern: trials at -30 to 30 dB, all-zero and
+    NaN grids, and real grids, whose mirrored maxima tie."""
+    pattern = make_periodic(70, 50, *draw(st.sampled_from(CHUNK_STRIDES)))
+    seed, grids = draw(st.integers(0, 2**32 - 1)), []
+    for trial in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["trial", "trial", "zero", "nan", "mirror"]))
+        config = ExperimentConfig(pattern=pattern, snr_grid_db=(draw(st.floats(-30, 30)),),
+                                  trials_per_point=1, seed=seed)
+        grid = _trial_block(config, [(0, trial, trial + 1)])[1][0]
+        if kind == "zero":
+            grid[:] = 0.0
+        elif kind == "nan":
+            grid[draw(st.integers(0, grid.shape[0] - 1)), 0] = math.nan
+        elif kind == "mirror":
+            grid = grid.real.astype(complex)
+        grids.append(grid)
+    return np.stack(grids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=stacks(), budget=st.integers(0, 2))
+def test_chunked_search_of_a_stack_is_each_grid_alone(stack, budget):
+    # points, Newton flags and split cells, bit for bit, with chunks of one
+    # trial (and row batches of one row), of three trials or of the stack
+    alone = [_search(grid[None]) for grid in stack]
+    with mock.patch.object(bisac.estimator, "_CHUNK_BYTES",
+                           chunk_budgets(*stack.shape[1:])[budget]):
+        together = _search(stack)
+    for got, want in zip(together, zip(*alone)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(strides=st.sampled_from(CHUNK_STRIDES), seed=st.integers(0, 2**32 - 1),
+       runs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 50), st.integers(1, 12)),
+                     min_size=1, max_size=3), budget=st.integers(0, 1))
+def test_trial_block_is_independent_of_the_draw_chunk(strides, seed, runs, budget):
+    # chunks of one and of three trials against the default, 20 to 1024
+    # trials at these strides, which holds every run here
+    config = ExperimentConfig(pattern=make_periodic(70, 50, *strides), snr_grid_db=(-25.0, 15.0),
+                              trials_per_point=1, seed=seed)
+    runs = [(snr_idx, start, start + length) for snr_idx, start, length in runs]
+    truths, grids = _trial_block(config, runs)
+    with mock.patch.object(bisac.estimator, "_CHUNK_BYTES",
+                           chunk_budgets(*grids.shape[1:])[budget]):
+        chunked_truths, chunked = _trial_block(config, runs)
+    assert [comparable(t) for t in chunked_truths] == [comparable(t) for t in truths]
+    assert bits(chunked).tolist() == bits(grids).tolist()
 
 
 @pytest.mark.parametrize("size", [1, 7, 350, 1750])
@@ -205,22 +273,27 @@ def allocation_peak(fn, *args) -> int:
 _WHOLE_ARRAY_DRAW_PEAK = 5_601_744
 
 
-@pytest.mark.parametrize("strides, snr_db", [((2, 1), 20.0), ((2, 5), -10.0)])
+@pytest.mark.parametrize("strides, snr_db", [
+    ((2, 1), 20.0), ((2, 5), -10.0),
+    # below the threshold nearly every start row passes its bound
+    ((2, 1), -20.0), ((2, 1), -30.0), ((2, 5), -20.0), ((2, 5), -30.0),
+])
 def test_block_allocates_no_more_than_the_geometry_draw(strides, snr_db):
     # the calling process of a parallel sweep runs blocks beside its children,
     # so a full block may take no more memory than the bound columns'
-    # geometry draw took when it was drawn as whole arrays
+    # geometry draw took when it was drawn as whole arrays, at any SNR
+    assert bisac.estimator._BLOCK_BYTES == _WHOLE_ARRAY_DRAW_PEAK
     pattern = make_periodic(70, 50, *strides)
     rows, cols = (count + 1 for count in pattern.periodic_counts())
     trials = _block_length(rows, cols)
-    assert trials == {(2, 1): 20, (2, 5): 102}[strides] and type(trials) is int
+    assert trials == {(2, 1): 82, (2, 5): 410}[strides] and type(trials) is int
     config = ExperimentConfig(pattern=pattern, snr_grid_db=(snr_db,), trials_per_point=trials,
                               seed=1)
     peak = allocation_peak(_block_errors, (config, [(0, 0, trials)]))
     assert peak <= _WHOLE_ARRAY_DRAW_PEAK
 
 
-# the traced peak of a full strides-(2, 1) block's pilot draw and LS divide
+# the traced peak of a strides-(2, 1) draw chunk's pilot draw and LS divide
 # (20 trials, 20 dB, seed 1) by ``allocation_peak``, when each trial's phase
 # took one exponential a cell and its noise a complex temporary
 _CELL_PHASE_DRAW_PEAK = 3_089_512
@@ -229,7 +302,8 @@ _CELL_PHASE_DRAW_PEAK = 3_089_512
 def test_block_draw_allocates_no_more_than_a_phase_per_cell():
     pattern = make_periodic(70, 50, 2, 1)
     rows, cols = (count + 1 for count in pattern.periodic_counts())
-    trials = _block_length(rows, cols)
+    trials = _chunk_length(rows, cols)
+    assert trials == 20
     config = ExperimentConfig(pattern=pattern, snr_grid_db=(20.0,), seed=1)
     seeds = [_trial_seed(config.seed, 0, trial) for trial in range(trials)]
 
