@@ -422,28 +422,34 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
         cos(beta/2) = sqrt((s - D)(s + D) / (4 d_tx d_rx)),
 
     computed slice by slice; a copy drops the skipped draws only when there
-    are any.
+    are any. The targets are bit for bit ``ensemble.sample_targets``, each
+    slice's y drawn into one reused buffer.
     """
     draws = _checked(draws, int, "draws", 1)
+    ranges = ensemble._ranges(2)
     rng = np.random.default_rng(seed)
-    xs, ys = ensemble.sample_targets(rng, draws)
-    (tx_x, tx_y), (rx_x, rx_y) = ensemble.tx_pos, ensemble.rx_pos
-    baseline = ensemble.baseline
     # a slice of x is read before its cos(beta/2) overwrites it: no fresh
     # array of draws, whose page faults would set the draw's speed
-    cos_half = xs
+    cos_half = rng.random(draws)
+    (tx_x, tx_y), (rx_x, rx_y) = ensemble.tx_pos, ensemble.rx_pos
+    baseline = ensemble.baseline
     ok = np.empty(draws, dtype=bool)
+    ys = np.empty(min(draws, _ECRB_SLICE))
     # a leg of zero length divides by zero, and on the baseline segment
     # rounding can make s - D negative; the mask drops those draws
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, draws, _ECRB_SLICE):
             part = slice(lo, lo + _ECRB_SLICE)
-            x, y = xs[part], ys[part]
+            x = cos_half[part]
+            y = rng.random(out=ys[:len(x)])
+            for u, (start, width) in zip((x, y), ranges):
+                u *= width
+                u += start
             d_tx = np.sqrt((x - tx_x) ** 2 + (y - tx_y) ** 2)
             d_rx = np.sqrt((x - rx_x) ** 2 + (y - rx_y) ** 2)
             s = d_tx + d_rx
-            np.sqrt((s - baseline) * (s + baseline) / (4.0 * d_tx * d_rx), out=cos_half[part])
-            ok[part] = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (cos_half[part] > 1e-12)
+            np.sqrt((s - baseline) * (s + baseline) / (4.0 * d_tx * d_rx), out=x)
+            ok[part] = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (x > 1e-12)
     skipped = draws - int(np.count_nonzero(ok))
     if skipped == draws:
         raise SingularPatternError("all ensemble draws were degenerate")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, GeometryError, _checked, _invert
+from .geometry import SPEED_OF_LIGHT, GeometryError, _checked, _inversion_error, _invert_columns
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
@@ -122,15 +122,10 @@ def ls_channel_estimate(
         raise ValueError("received and transmitted grids differ in shape")
     if received.shape != (pattern.n_grid, pattern.m_grid):
         raise ValueError("grids do not match the pattern dimensions")
-    return _ls_divide(received[::n_p, ::m_p], transmitted[::n_p, ::m_p])
-
-
-def _ls_divide(received: np.ndarray, pilots: np.ndarray, out=None) -> np.ndarray:
-    """Least-squares estimates ``received / pilots`` of pilot values, any shape,
-    written into ``out`` if given."""
+    pilots = transmitted[::n_p, ::m_p]
     if np.abs(pilots).min() < 1.0 - 1e-9:
         raise ValueError("pilot symbol modulus below unity")
-    return np.divide(received, pilots, out=out)
+    return received[::n_p, ::m_p] / pilots
 
 
 def _grid_shape(shape: tuple, config: PeriodogramConfig) -> tuple:
@@ -685,28 +680,29 @@ def _estimate_grids(pilot_grids: np.ndarray, pattern: PilotPattern,
     own ``theta``: the ``_estimates`` of the stack, each labelled with its
     peak bins, or its GeometryError."""
     pilot_grids = np.asarray(pilot_grids, complex)
-    estimates, maxima, found = _estimates(pilot_grids, pattern, numerology, config, baseline,
-                                          thetas)
+    estimates, reasons, maxima, found = _estimates(pilot_grids, pattern, numerology, config,
+                                                   baseline, thetas)
     bins, offsets, powers = _peak_bins(pilot_grids, maxima, config)
     if not config.interpolate:  # the bins are the estimate
         offsets, found = np.zeros_like(offsets), np.ones_like(found)
-    return [outcome if isinstance(outcome, GeometryError) else EstimationResult(
-                *outcome, peak_power=power, peak_bins=tuple(peak),
+    return [_inversion_error(reason, row[2], baseline) if reason else EstimationResult(
+                *row, peak_power=power, peak_bins=tuple(peak),
                 fractional_offsets=tuple(offset), refine_fallback=not newton)
-            for outcome, peak, offset, power, newton in zip(
-                estimates, bins.tolist(), offsets.tolist(), powers.tolist(), found.tolist())]
+            for row, reason, peak, offset, power, newton in zip(
+                zip(*(column.tolist() for column in estimates)), reasons.tolist(),
+                bins.tolist(), offsets.tolist(), powers.tolist(), found.tolist())]
 
 
 def _estimates(pilot_grids: np.ndarray, pattern: PilotPattern, numerology: OfdmNumerology,
                config: PeriodogramConfig, baseline: float, thetas) -> tuple:
     """The estimates of each LS pilot grid of a stack (trials, K+1, L+1), with
     its own ``theta``, read off its certified maximum, or off the peak bins
-    with ``config.interpolate`` off: tuples of the first seven fields of
-    ``EstimationResult`` (delays on [0, span), Dopplers on (-1/2, 1/2]
-    cycles of the strides), or the GeometryError of a range that cannot be
-    inverted, with one inversion per trial. Also returns the maxima (trials,
-    2) and the flags of certified Newton maxima of the one search over the
-    stack; peak bins are evaluated only where they are the estimate."""
+    with ``config.interpolate`` off: the columns of the first seven fields of
+    ``EstimationResult`` (delays on [0, span), Dopplers on (-1/2, 1/2] cycles
+    of the strides) and the reason codes of one ``_invert_columns`` call.
+    Also returns the maxima (trials, 2) and the flags of certified Newton
+    maxima of the one search over the stack; peak bins are evaluated only
+    where they are the estimate."""
     pilot_grids = np.asarray(pilot_grids, complex)
     maxima, found, _ = _search(pilot_grids)
     cycles = (maxima * (1 / (2 * np.pi)) if config.interpolate else
@@ -715,14 +711,7 @@ def _estimates(pilot_grids: np.ndarray, pattern: PilotPattern, numerology: OfdmN
     u, v = cycles.T
     taus = (u % 1.0) / (n_p * numerology.subcarrier_spacing_hz)
     dopplers = (v - (v > 0.5)) / (m_p * numerology.symbol_duration_s)
-    outcomes = []
-    for tau_hat, f_d_hat, theta in zip(taus.tolist(), dopplers.tolist(), thetas):
-        d_bis_hat = SPEED_OF_LIGHT * tau_hat
-        try:
-            d_rx_hat, beta_hat, clamped = _invert(d_bis_hat, baseline, theta)
-        except GeometryError as exc:
-            outcomes.append(exc)
-            continue
-        v_bis_hat = float(f_d_hat * numerology.wavelength / (2.0 * np.cos(beta_hat / 2.0)))
-        outcomes.append((tau_hat, f_d_hat, d_bis_hat, v_bis_hat, d_rx_hat, beta_hat, clamped))
-    return outcomes, maxima, found
+    d_bis = SPEED_OF_LIGHT * taus
+    d_rx, beta, clamped, reasons = _invert_columns(d_bis, baseline, thetas)
+    v_bis = dopplers * numerology.wavelength / (2.0 * np.cos(beta / 2.0))
+    return (taus, dopplers, d_bis, v_bis, d_rx, beta, clamped), reasons, maxima, found

@@ -239,9 +239,8 @@ class ScenarioEnsemble:
         return self._scenario(*self._draw(rng))
 
     def sample_truth(self, rng: np.random.Generator) -> SensingGroundTruth:
-        """``derive_ground_truth(self.sample(rng))``, without building the scenario."""
-        x, y, speed, delta = self._draw(rng)
-        return _ground_truth(self.tx_pos, self.rx_pos, (x, y), speed, delta, self.carrier_hz)
+        """``derive_ground_truth(self.sample(rng))``."""
+        return derive_ground_truth(self.sample(rng))
 
     def center_scenario(self) -> BistaticScenario:
         """Scenario at the box center with zero speed."""
@@ -273,35 +272,53 @@ def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:
     Raises:
         GeometryError: if any pairwise distance is below ``DEGENERATE_EPS``.
     """
-    return _ground_truth(scenario.tx_pos, scenario.rx_pos, scenario.target_pos,
-                         scenario.speed, scenario.delta, scenario.carrier_hz)
-
-
-def _ground_truth(tx_pos, rx_pos, target_pos, speed, delta, carrier_hz) -> SensingGroundTruth:
-    """``derive_ground_truth`` of the scenario with these (already checked) fields,
-    in scalar ``math``: a trial's truth costs a few microseconds."""
-    (tx_x, tx_y), (rx_x, rx_y), (x, y) = tx_pos, rx_pos, target_pos
-    d_tx = math.hypot(x - tx_x, y - tx_y)
-    d_rx = math.hypot(x - rx_x, y - rx_y)
-    baseline = math.hypot(tx_x - rx_x, tx_y - rx_y)
-    if min(d_tx, d_rx, baseline) < DEGENERATE_EPS:
+    columns, degenerate, (d_tx, d_rx, baseline) = _truth_columns(
+        scenario, [(*scenario.target_pos, scenario.speed, scenario.delta)])
+    if degenerate[0]:
         raise GeometryError(
             f"degenerate geometry: pairwise distance below {DEGENERATE_EPS} m "
-            f"(d_tx={d_tx:.3g}, d_rx={d_rx:.3g}, D={baseline:.3g})"
-        )
-    cos_beta = (d_tx**2 + d_rx**2 - baseline**2) / (2.0 * d_tx * d_rx)
-    beta = math.acos(min(1.0, max(-1.0, cos_beta)))
+            f"(d_tx={d_tx[0]:.3g}, d_rx={d_rx[0]:.3g}, D={baseline:.3g})")
+    return SensingGroundTruth(*columns[:, 0].tolist())
 
-    cos_theta = ((x - rx_x) * (tx_x - rx_x) + (y - rx_y) * (tx_y - rx_y)) / (d_rx * baseline)
-    theta = math.acos(min(1.0, max(-1.0, cos_theta)))
 
+def _truth_columns(scene, draws) -> tuple:
+    """The truths of targets ``draws``, rows (x, y, speed, delta), seen from
+    ``scene`` (a scenario or an ensemble): columns (6, n) in the field order
+    of ``SensingGroundTruth``; the mask of degenerate draws, whose columns are
+    zero; and the legs d_tx, d_rx and D that name a degenerate draw."""
+    (tx_x, tx_y), (rx_x, rx_y) = scene.tx_pos, scene.rx_pos
+    x, y, speed, delta = np.asarray(draws, float).T
+    d_tx = _each(math.hypot, x - tx_x, y - tx_y)
+    d_rx = _each(math.hypot, x - rx_x, y - rx_y)
+    baseline = math.hypot(tx_x - rx_x, tx_y - rx_y)
+    nearest = np.where(d_rx < d_tx, d_rx, d_tx)  # Python's min, NaN and all
+    degenerate = np.where(baseline < nearest, baseline, nearest) < DEGENERATE_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = _acos((_sq(d_tx) + _sq(d_rx) - baseline**2) / (2.0 * d_tx * d_rx))
+        theta = _acos(((x - rx_x) * (tx_x - rx_x) + (y - rx_y) * (tx_y - rx_y))
+                      / (d_rx * baseline))
     d_bis = d_tx + d_rx
-    v_bis = speed * math.cos(delta)
-    tau = d_bis / SPEED_OF_LIGHT
-    f_d = 2.0 * v_bis * math.cos(beta / 2.0) / (SPEED_OF_LIGHT / carrier_hz)
-    return SensingGroundTruth(
-        d_bis=d_bis, v_bis=v_bis, tau=tau, f_d=f_d, beta=beta, theta=theta
-    )
+    v_bis = speed * _each(math.cos, delta)
+    f_d = 2.0 * v_bis * _each(math.cos, beta / 2.0) / (SPEED_OF_LIGHT / scene.carrier_hz)
+    columns = np.array([d_bis, v_bis, d_bis / SPEED_OF_LIGHT, f_d, beta, theta])
+    columns[:, degenerate] = 0.0
+    return columns, degenerate, (d_tx, d_rx, baseline)
+
+
+# The kernels give the scalar math's bits: libm's hypot, acos and cos once
+# per element (numpy's hypot and arccos round differently), float_power for
+# a Python square, which is libm's pow, and acos of min(1.0, max(-1.0, c)),
+# which reads a NaN c as -1.
+def _each(func, *columns) -> np.ndarray:
+    return np.array(list(map(func, *(np.asarray(c, float).tolist() for c in columns))), float)
+
+
+def _sq(values):
+    return np.float_power(values, 2.0)
+
+
+def _acos(cosines) -> np.ndarray:
+    return _each(math.acos, np.minimum(np.fmax(cosines, -1.0), 1.0))
 
 
 def invert_bistatic_range(d_bis: float, baseline: float, theta: float) -> float:
@@ -339,23 +356,35 @@ def beta_from_estimates(d_bis: float, baseline: float, theta: float) -> tuple:
 
 
 def _invert(d_bis: float, baseline: float, theta: float) -> tuple:
-    """(d_rx, beta, clamped) of a bistatic range: the receiver leg of the
-    ellipse, the bistatic angle of the two legs by the law of cosines, its
-    cosine clipped to [-1, 1], and whether the clipping was needed; raises
-    as ``invert_bistatic_range`` does."""
-    if baseline < 0:
-        raise GeometryError("baseline must be nonnegative")
-    if d_bis <= baseline:
-        raise GeometryError(
-            f"bistatic range {d_bis:.6g} m does not exceed baseline {baseline:.6g} m"
-        )
-    denom = d_bis - baseline * math.cos(theta)
-    if denom <= 0:
-        raise GeometryError("nonpositive ellipse denominator")
-    d_rx = (d_bis**2 - baseline**2) / (2.0 * denom)
-    d_tx = d_bis - d_rx
-    if d_tx <= 0 or d_rx <= 0:
-        raise GeometryError("nonpositive leg after bistatic-range inversion")
-    arg = (d_tx**2 + d_rx**2 - baseline**2) / (2.0 * d_tx * d_rx)
-    clamped = bool(arg < -1.0 or arg > 1.0)
-    return d_rx, math.acos(min(1.0, max(-1.0, arg))), clamped
+    """One row of ``_invert_columns``, or its GeometryError."""
+    d_rx, beta, clamped, reason = _invert_columns([d_bis], baseline, [theta])
+    if reason[0]:
+        raise _inversion_error(reason[0], d_bis, baseline)
+    return float(d_rx[0]), float(beta[0]), bool(clamped[0])
+
+
+def _inversion_error(reason: int, d_bis: float, baseline: float) -> GeometryError:
+    """The GeometryError of a range ``d_bis`` whose inversion failed for the
+    nonzero ``reason`` code of ``_invert_columns``."""
+    return GeometryError((None, "baseline must be nonnegative",
+                          "bistatic range {d_bis:.6g} m does not exceed baseline {baseline:.6g} m",
+                          "nonpositive ellipse denominator",
+                          "nonpositive leg after bistatic-range inversion",
+                          )[reason].format(d_bis=d_bis, baseline=baseline))
+
+
+def _invert_columns(d_bis, baseline: float, theta) -> tuple:
+    """(d_rx, beta, clamped, reason) of the bistatic ranges ``d_bis`` at the
+    angles of arrival ``theta``, 1-D: the receiver leg of the ellipse, the
+    bistatic angle of the legs (its cosine clipped to [-1, 1]) and whether it
+    was clipped; ``reason`` is 0, or the code (1-4) of the first check that
+    fails in ``invert_bistatic_range``'s order, where the values mean nothing."""
+    d_bis = np.asarray(d_bis, float)
+    denom = d_bis - baseline * _each(math.cos, theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_rx = (_sq(d_bis) - baseline**2) / (2.0 * denom)
+        d_tx = d_bis - d_rx
+        arg = (_sq(d_tx) + _sq(d_rx) - baseline**2) / (2.0 * d_tx * d_rx)
+    reason = np.where(baseline < 0, 1, np.where(d_bis <= baseline, 2, np.where(
+        denom <= 0, 3, np.where((d_tx <= 0) | (d_rx <= 0), 4, 0))))
+    return d_rx, _acos(arg), (arg < -1.0) | (arg > 1.0), reason

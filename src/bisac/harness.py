@@ -31,9 +31,7 @@ from . import __version__
 from .bounds import (
     SensingChannelParams, _ecrb_means, _snr_powers, crb, rate_upper_bound,
 )
-from .estimator import (
-    PeriodogramConfig, _block_length, _chunk_length, _estimate_grids, _estimates, _ls_divide,
-)
+from .estimator import PeriodogramConfig, _block_length, _chunk_length, _estimate_grids, _estimates
 from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
@@ -208,9 +206,12 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
         raise ValueError(f"snr_idx must be < {len(config.snr_grid_db)}, the points of the "
                          f"SNR grid, got {snr_idx}")
     check_receiver(config)
-    (truth,), grids = _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])
-    if isinstance(truth, GeometryError):
-        return None, grids[0], truth
+    _, grids = _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])
+    try:
+        truth = config.ensemble.sample_truth(
+            np.random.default_rng(_trial_seed(config.seed, snr_idx, trial_idx)))
+    except GeometryError as exc:
+        return None, grids[0], exc
     (outcome,) = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
                                  config.ensemble.baseline, [truth.theta])
     return truth, grids[0], outcome
@@ -219,26 +220,28 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
 def _trial_block(config: ExperimentConfig, runs) -> tuple:
     """The draws of the trials of ``runs``, (snr_idx, start, stop) for trials
     ``start`` to ``stop - 1`` of SNR point ``snr_idx``: their ground truths
-    (a degenerate draw's GeometryError in place of its truth) and the stack
+    (``geometry._truth_columns``' columns and degenerate mask) and the stack
     (trials, K+1, L+1) of their least-squares pilot grids, drawn a chunk
-    (``estimator._chunk_length``) at a time."""
+    (``estimator._chunk_length``) at a time; the drawn QPSK symbols are unit
+    modulus (``sim._QPSK``), so the division checks none."""
     generators = _trial_generators(config.seed, runs)
     # the stack is allocated before any draw: the draws' arrays, freed before
     # the search, then leave one free block that the search reuses rather than
     # holes around the stack (about 1 MB less peak resident memory)
     shape = tuple(count + 1 for count in config.pattern.periodic_counts())
     grids = np.empty((len(generators), *shape), complex)
-    step, truths = _chunk_length(*shape), []
+    columns, degenerate = np.empty((6, len(generators))), np.empty(len(generators), bool)
+    step, done = _chunk_length(*shape), 0
     for snr_idx, start, stop in runs:
         for lo in range(start, stop, step):
-            chunk_truths, symbols, received = simulate_pilots(
+            chunk = slice(done, done + min(step, stop - lo))
+            (columns[:, chunk], degenerate[chunk]), symbols, received = simulate_pilots(
                 config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
-                generators[len(truths):len(truths) + min(step, stop - lo)])
-            _ls_divide(received, symbols,
-                       out=grids[len(truths):len(truths) + len(chunk_truths)])
-            truths += chunk_truths
+                generators[chunk])
+            np.divide(received, symbols, out=grids[chunk])
+            done = chunk.stop
             del symbols, received
-    return truths, grids
+    return (columns, degenerate), grids
 
 
 def _trial_seed(seed: int, snr_idx: int, trial: int) -> np.random.SeedSequence:
@@ -334,23 +337,18 @@ def _register_words() -> None:
     np.random.bit_generator.ISeedSequence.register(_Words)
 
 
-def _block_errors(block: tuple) -> list:
-    """(sq_err_d, sq_err_v, valid) per trial of ``_trial_block(*block)``, whose
-    readout stops at the estimates (``estimator._estimates``)."""
+def _block_errors(block: tuple) -> tuple:
+    """(sq_err_d, sq_err_v, valid), each one value per trial of ``_trial_block(*block)``
+    (NaN errors where invalid), whose readout stops at ``estimator._estimates``."""
     config, _ = block
-    truths, grids = _trial_block(*block)
-    estimates, _, _ = _estimates(grids, config.pattern, config.numerology, config.fft,
-                                 config.ensemble.baseline,
-                                 [getattr(truth, "theta", 0.0) for truth in truths])
-    errors = []
-    for truth, outcome in zip(truths, estimates):
-        err_d = err_v = math.nan
-        if not isinstance(truth, GeometryError) and not isinstance(outcome, GeometryError):
-            _, _, d_bis_hat, v_bis_hat, *_ = outcome
-            err_d, err_v = d_bis_hat - truth.d_bis, v_bis_hat - truth.v_bis
-        valid = math.isfinite(err_d) and math.isfinite(err_v)
-        errors.append((err_d**2, err_v**2, True) if valid else (math.nan, math.nan, False))
-    return errors
+    (truths, degenerate), grids = _trial_block(*block)
+    d_bis, v_bis, *_, theta = truths
+    estimates, reasons, _, _ = _estimates(grids, config.pattern, config.numerology, config.fft,
+                                          config.ensemble.baseline, theta)
+    errors = np.array([estimates[2] - d_bis, estimates[3] - v_bis])
+    valid = ~degenerate & (reasons == 0) & np.isfinite(errors).all(axis=0)
+    # float_power squares as a Python float's ** 2 does, bit for bit
+    return (*np.where(valid, np.float_power(errors, 2.0), math.nan), valid)
 
 
 def _bound_columns(config: ExperimentConfig, reports, draws: int) -> list:
@@ -476,8 +474,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     # a forked process's first block pays some 1,650 page faults (strides
     # (2, 1), 20 trials): short sweeps run in the calling process alone
     bounds, *outcomes = _dispatch(tasks, config.workers)
-    trial_errors = [errors for block in outcomes for errors in block]
-    sq_d, sq_v, valid = (np.reshape(c, (n_snr, trials)) for c in zip(*trial_errors))
+    sq_d, sq_v, valid = (np.concatenate(c).reshape(n_snr, trials) for c in zip(*outcomes))
 
     rows = []
     for snr_idx, snr_db in enumerate(config.snr_grid_db):

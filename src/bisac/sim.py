@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .bounds import SensingChannelParams, _phasor
-from .geometry import GeometryError, ScenarioEnsemble, derive_ground_truth
+from .geometry import ScenarioEnsemble, _truth_columns, derive_ground_truth
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
@@ -150,35 +150,33 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
     The QPSK indices come from ``ceil(S / 2)`` raw words for S pilots
     (``_qpsk_indices``), and one ``standard_normal`` call draws both noise
     components, bit for bit the values of the two calls.
-    Returns the ground truths, pilot symbols and received pilot values, shape
-    (trials, K+1, L+1). A degenerate draw's truth is its GeometryError, and
-    its trial draws on and receives with zero delay and Doppler, so no trial
-    moves another's bits.
+    Returns the truths (``geometry._truth_columns``' columns and degenerate
+    mask), pilot symbols and received pilot values, shape (trials, K+1, L+1).
+    A degenerate draw's trial receives with zero delay and Doppler.
     """
     params = SensingChannelParams.from_snr_db(snr_db)
     n_p, m_p = pattern.periodic_strides()
     shape = tuple(c + 1 for c in pattern.periodic_counts())
-    truths, size = [], shape[0] * shape[1]
-    raw = np.empty((len(seeds), -(-size // 2)), np.uint64)
+    size, (lo, width) = shape[0] * shape[1], np.array(ensemble._ranges(4)).T
+    uniforms, raw = np.empty((len(seeds), 4)), np.empty((len(seeds), -(-size // 2)), np.uint64)
     # each trial's (real, imaginary) standard normal pair, drawn in place by one call
     normals = np.empty((len(seeds), 2, *shape)) if params.noise_var > 0 else None
     for trial, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        try:
-            truths.append(ensemble.sample_truth(rng))
-        except GeometryError as exc:
-            truths.append(exc)
+        rng.random(out=uniforms[trial])
         raw[trial] = rng.bit_generator.random_raw(raw.shape[1])
         if normals is not None:
             rng.standard_normal(out=normals[trial])
-    tau, f_d = (np.array([[[getattr(t, key, 0.0)]] for t in truths]) for key in ("tau", "f_d"))
+    # lo + (hi - lo) * u, as the scalar draw scales it
+    columns, degenerate, _ = _truth_columns(ensemble, uniforms * width + lo)
+    tau, f_d = columns[2:4, :, None, None]
     _warn_isi(tau.max(), numerology)
     symbols = _qpsk(_qpsk_indices(raw, size).reshape(len(seeds), *shape))
     del raw
     if normals is not None:
         normals = normals.swapaxes(0, 1)
     received = _receive(symbols, params, tau, f_d, numerology, (n_p, m_p), normals)
-    return truths, symbols, received
+    return (columns, degenerate), symbols, received
 
 
 def write_grid(values: np.ndarray, path) -> None:

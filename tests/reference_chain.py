@@ -6,6 +6,9 @@ result. ``reference_estimate`` is the receiver rebuilt on it and on the
 ``periodogram_2d`` surface. ``reference_trial`` is a sweep trial rebuilt on
 full N x M frames, whose pilots are drawn as the trial block draws them.
 ``block_trials`` is each trial of a block as ``simulate_trial`` returns it.
+``ground_truth`` and ``invert`` are the geometry in scalar ``math``, the
+reference of the column kernels ``geometry._truth_columns`` and
+``geometry._invert_columns``.
 """
 
 import math
@@ -17,17 +20,72 @@ from bisac import (
     GeometryError,
     PeriodogramConfig,
     SensingChannelParams,
-    beta_from_estimates,
+    SensingGroundTruth,
     channel_response,
     estimate,
-    invert_bistatic_range,
     ls_channel_estimate,
     periodogram_2d,
-    sample_scenario,
 )
 from bisac.estimator import _centred, _estimate_grids, _moments, _newton
-from bisac.harness import _TRIAL_STREAM, _trial_block
+from bisac.geometry import DEGENERATE_EPS
+from bisac.harness import _TRIAL_STREAM, _trial_block, _trial_seed
 from bisac.sim import _qpsk
+
+
+def ground_truth(tx_pos, rx_pos, target_pos, speed, delta, carrier_hz):
+    """The SensingGroundTruth of a scenario with these fields, one ``math``
+    call per step; raises GeometryError for a degenerate one."""
+    (tx_x, tx_y), (rx_x, rx_y), (x, y) = tx_pos, rx_pos, target_pos
+    d_tx = math.hypot(x - tx_x, y - tx_y)
+    d_rx = math.hypot(x - rx_x, y - rx_y)
+    baseline = math.hypot(tx_x - rx_x, tx_y - rx_y)
+    if min(d_tx, d_rx, baseline) < DEGENERATE_EPS:
+        raise GeometryError(
+            f"degenerate geometry: pairwise distance below {DEGENERATE_EPS} m "
+            f"(d_tx={d_tx:.3g}, d_rx={d_rx:.3g}, D={baseline:.3g})"
+        )
+    cos_beta = (d_tx**2 + d_rx**2 - baseline**2) / (2.0 * d_tx * d_rx)
+    beta = math.acos(min(1.0, max(-1.0, cos_beta)))
+
+    cos_theta = ((x - rx_x) * (tx_x - rx_x) + (y - rx_y) * (tx_y - rx_y)) / (d_rx * baseline)
+    theta = math.acos(min(1.0, max(-1.0, cos_theta)))
+
+    d_bis = d_tx + d_rx
+    v_bis = speed * math.cos(delta)
+    tau = d_bis / SPEED_OF_LIGHT
+    f_d = 2.0 * v_bis * math.cos(beta / 2.0) / (SPEED_OF_LIGHT / carrier_hz)
+    return SensingGroundTruth(
+        d_bis=d_bis, v_bis=v_bis, tau=tau, f_d=f_d, beta=beta, theta=theta
+    )
+
+
+def scenario_truth(scenario):
+    """``ground_truth`` of a BistaticScenario."""
+    return ground_truth(scenario.tx_pos, scenario.rx_pos, scenario.target_pos,
+                        scenario.speed, scenario.delta, scenario.carrier_hz)
+
+
+def invert(d_bis, baseline, theta):
+    """(d_rx, beta, clamped) of a bistatic range, one ``math`` call per step:
+    the receiver leg of the ellipse, the bistatic angle of the two legs by the
+    law of cosines, its cosine clipped to [-1, 1], and whether the clipping
+    was needed; raises GeometryError where the inversion fails."""
+    if baseline < 0:
+        raise GeometryError("baseline must be nonnegative")
+    if d_bis <= baseline:
+        raise GeometryError(
+            f"bistatic range {d_bis:.6g} m does not exceed baseline {baseline:.6g} m"
+        )
+    denom = d_bis - baseline * math.cos(theta)
+    if denom <= 0:
+        raise GeometryError("nonpositive ellipse denominator")
+    d_rx = (d_bis**2 - baseline**2) / (2.0 * denom)
+    d_tx = d_bis - d_rx
+    if d_tx <= 0 or d_rx <= 0:
+        raise GeometryError("nonpositive leg after bistatic-range inversion")
+    arg = (d_tx**2 + d_rx**2 - baseline**2) / (2.0 * d_tx * d_rx)
+    clamped = bool(arg < -1.0 or arg > 1.0)
+    return d_rx, math.acos(min(1.0, max(-1.0, arg))), clamped
 
 
 def dense_maximum(grid, padding=8):
@@ -106,8 +164,7 @@ def reference_estimate(received, frame, pattern, num, config, baseline, theta):
     f_d_hat = (signed_bin + off_v) / (m_p * num.symbol_duration_s * config.fft_m)
     d_bis_hat = SPEED_OF_LIGHT * tau_hat
     try:
-        d_rx_hat = invert_bistatic_range(d_bis_hat, baseline, theta)
-        beta_hat, clamped = beta_from_estimates(d_bis_hat, baseline, theta)
+        d_rx_hat, beta_hat, clamped = invert(float(d_bis_hat), baseline, theta)
     except GeometryError as exc:
         return str(exc)
     v_bis_hat = f_d_hat * num.wavelength / (2.0 * np.cos(beta_hat / 2.0))
@@ -131,7 +188,8 @@ def reference_trial(config, snr_idx, trial_idx):
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _TRIAL_STREAM, snr_idx, trial_idx]))
-    scenario, truth = sample_scenario(config.ensemble, rng)
+    scenario = config.ensemble.sample(rng)
+    truth = scenario_truth(scenario)
     params = SensingChannelParams.from_snr_db(
         config.snr_grid_db[snr_idx], tau=truth.tau, f_d=truth.f_d)
     n_p, m_p = config.pattern.periodic_strides()
@@ -158,10 +216,23 @@ def reference_trial(config, snr_idx, trial_idx):
 def block_trials(config, runs):
     """(truth, grid, outcome) of each trial of ``_trial_block(config, runs)``,
     as ``simulate_trial`` returns it: one ``_estimate_grids`` pass over the
-    block's stack, and a degenerate draw's GeometryError with no truth."""
-    truths, grids = _trial_block(config, runs)
+    block's stack, the truths built from the block's columns, and for a
+    degenerate draw no truth and the GeometryError of ``ground_truth`` on
+    the trial's draw."""
+    (columns, degenerate), grids = _trial_block(config, runs)
     outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
-                               config.ensemble.baseline,
-                               [getattr(truth, "theta", 0.0) for truth in truths])
-    return [(None, grid, truth) if isinstance(truth, GeometryError) else (truth, grid, outcome)
-            for truth, grid, outcome in zip(truths, grids, outcomes)]
+                               config.ensemble.baseline, columns[5])
+    keys = [(snr_idx, trial) for snr_idx, start, stop in runs for trial in range(start, stop)]
+    trials = []
+    for key, values, failed, grid, outcome in zip(keys, columns.T.tolist(), degenerate,
+                                                 grids, outcomes):
+        if failed:
+            rng = np.random.default_rng(_trial_seed(config.seed, *key))
+            try:
+                scenario_truth(config.ensemble.sample(rng))
+            except GeometryError as exc:
+                outcome = exc
+            trials.append((None, grid, outcome))
+        else:
+            trials.append((SensingGroundTruth(*values), grid, outcome))
+    return trials

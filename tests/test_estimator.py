@@ -23,6 +23,7 @@ from bisac import (
     refine_peak,
 )
 from bisac import estimator
+from bisac.geometry import _inversion_error
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
@@ -362,12 +363,13 @@ class TestEstimate:
         args = (make_periodic(70, 50, 2, 5), num, PeriodogramConfig(256, 256),
                 math.nextafter(712.5, 0.0), [0.0, 0.0])
         outcomes = estimator._estimate_grids(stack, *args)
-        estimates, _, _ = estimator._estimates(stack, *args)
-        assert isinstance(outcomes[0], GeometryError) and isinstance(estimates[0], GeometryError)
-        assert str(outcomes[0]) == str(estimates[0]) == (
+        estimates, reasons, _, _ = estimator._estimates(stack, *args)
+        rows = list(zip(*(column.tolist() for column in estimates)))
+        assert isinstance(outcomes[0], GeometryError) and reasons.tolist() == [4, 0]
+        assert str(outcomes[0]) == str(_inversion_error(4, rows[0][2], args[3])) == (
             "nonpositive leg after bistatic-range inversion")
         assert isinstance(outcomes[1], EstimationResult) and outcomes[1].d_bis_hat == 735.0
-        assert estimates[1] == tuple(vars(outcomes[1]).values())[:7]
+        assert rows[1] == tuple(vars(outcomes[1]).values())[:7]
 
     def test_estimates_confined_to_unambiguous_intervals(self, num):
         rng = np.random.default_rng(15)

@@ -425,8 +425,8 @@ class TestRunSweep:
             blocks = [task.args[0][1] for task in tasks[1:]]
             packed.append(blocks)
             return [[(1.0, 1.0)] * count] + [
-                [(0.0, 0.0, True)] * sum(stop - start for _, start, stop in runs)
-                for runs in blocks]
+                (np.zeros(n), np.zeros(n), np.ones(n, bool))
+                for n in (sum(stop - start for _, start, stop in runs) for runs in blocks)]
 
         monkeypatch.setattr(bisac.harness, "_dispatch", recorded)
         for workers in (1, 2, 8):
@@ -525,25 +525,29 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORKED)])
     def test_degenerate_draw_leaves_the_sweep_running(self, monkeypatch, fork_at_once,
                                                       workers):
-        # the third draw of each four fails as a degenerate one would, after
-        # its four uniforms; the other trials keep their bits
+        # the third draw of each four is degenerate, as the truth kernel
+        # marks one, after its four uniforms; the other trials keep their bits
         cfg = small_config(snr_grid_db=points(4), trials_per_point=20, workers=workers)
-        clean = [bisac.harness._block_errors((cfg, [(s, 0, 20)])) for s in range(4)]
-        draws, draw = [], ScenarioEnsemble.sample_truth
+        def trials(errors):
+            return list(zip(*(column.tolist() for column in errors)))
 
-        def third_degenerate(ensemble, rng):
-            truth = draw(ensemble, rng)
-            draws.append(truth)
-            if len(draws) % 4 == 3:
-                raise GeometryError("degenerate geometry: patched draw")
-            return truth
+        clean = [trials(bisac.harness._block_errors((cfg, [(s, 0, 20)]))) for s in range(4)]
+        draws, truth_columns = [], bisac.sim._truth_columns
+
+        def third_degenerate(scene, uniforms):
+            columns, degenerate, legs = truth_columns(scene, uniforms)
+            for trial in range(len(degenerate)):
+                draws.append(trial)
+                if len(draws) % 4 == 3:
+                    degenerate[trial], columns[:, trial] = True, 0.0
+            return columns, degenerate, legs
 
         def kept(trials):
             return [trial for i, trial in enumerate(trials) if i % 4 != 2]
 
-        monkeypatch.setattr(ScenarioEnsemble, "sample_truth", third_degenerate)
+        monkeypatch.setattr(bisac.sim, "_truth_columns", third_degenerate)
         for snr_idx, errors in enumerate(clean):
-            failed = bisac.harness._block_errors((cfg, [(snr_idx, 0, 20)]))
+            failed = trials(bisac.harness._block_errors((cfg, [(snr_idx, 0, 20)])))
             assert all(trial[2] is False and math.isnan(trial[0]) for trial in failed[2::4])
             assert kept(failed) == kept(errors)
         # a block is one point of 20 trials here, and each process's draws
@@ -649,7 +653,8 @@ class TestDispatch:
             else:
                 actions["taken"].set()
                 actions["child"]()
-            return [(0.0, 0.0, True)] * sum(stop - start for _, start, stop in block[1])
+            n = sum(stop - start for _, start, stop in block[1])
+            return np.zeros(n), np.zeros(n), np.ones(n, bool)
 
         monkeypatch.setattr(bisac.harness, "_block_errors", block_errors)
         yield actions

@@ -113,23 +113,57 @@ def test_one_dispatcher_and_one_ecrb_routine():
     assert harness_names() & {"_ecrb_geometry", "_ecrb_mean"} == set()
 
 
+def functions(path: Path) -> dict:
+    """The module-level functions of ``path`` by name."""
+    return {node.name: node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def names_in(node) -> set:
+    """Every name and attribute in ``node``."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
 def test_one_readout_from_the_maximum_to_the_estimates():
     # estimate, simulate_trial and the sweep blocks read the estimates off the
-    # maximum through one function, the only one that catches GeometryError;
-    # a trial block only draws, and its callers choose their readout
-    tree = ast.parse((Path(bisac.__file__).parent / "estimator.py").read_text())
-    catching = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-                for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
-                and "GeometryError" in {n.id for n in ast.walk(node.type or ast.Pass())
-                                        if isinstance(n, ast.Name)}}
-    assert len(catching) == 1, catching
-    tree = ast.parse((Path(bisac.__file__).parent / "harness.py").read_text())
-    (block,) = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_trial_block"]
-    params = block.args
+    # maximum through one function, the only one in estimator.py that inverts
+    # ranges, with one column kernel call and no loop over the trials; the
+    # estimator catches no GeometryError, and one function of the package
+    # turns the kernel's reason codes into one. A trial block only draws, and
+    # its callers choose their readout
+    package = Path(bisac.__file__).parent
+    estimator = functions(package / "estimator.py")
+    inverting = {name for name, func in estimator.items() if "_invert_columns" in names_in(func)}
+    assert inverting == {"_estimates"}
+    catching = {name for name, func in estimator.items() for node in ast.walk(func)
+                if isinstance(node, ast.ExceptHandler)
+                and "GeometryError" in names_in(node.type or ast.Pass())}
+    assert catching == set()
+    reasons = {"baseline must be nonnegative", "nonpositive ellipse denominator",
+               "nonpositive leg after bistatic-range inversion"}
+    texts = {name for path in SOURCES for name, func in functions(path).items()
+             for node in ast.walk(func) if getattr(node, "value", None) in reasons
+             or "does not exceed baseline" in str(getattr(node, "value", ""))}
+    assert texts == {"_inversion_error"}
+    harness = functions(package / "harness.py")
+    loops = (ast.For, ast.While, ast.comprehension)
+    for func in (estimator["_estimates"], harness["_block_errors"]):
+        assert not any(isinstance(node, loops) for node in ast.walk(func)), func.name
+    params = harness["_trial_block"].args
     assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == [
         "config", "runs"]
     assert params.vararg is None and params.kwarg is None
+
+
+def test_trial_draw_loops_over_generator_calls_alone():
+    # a block's draw calls each trial's generator and nothing else per trial:
+    # the truths and the channel take whole columns
+    (loop,) = [node for node in ast.walk(functions(
+        Path(bisac.__file__).parent / "sim.py")["simulate_pilots"]) if isinstance(node, ast.For)]
+    calls = [node.func for node in ast.walk(loop) if isinstance(node, ast.Call)]
+    assert {getattr(f, "attr", getattr(f, "id", None)) for f in calls} == {
+        "enumerate", "default_rng", "random", "random_raw", "standard_normal"}
 
 
 def test_every_dataclass_is_frozen():
