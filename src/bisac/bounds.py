@@ -422,11 +422,11 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
         cos(beta/2) = sqrt((s - D)(s + D) / (4 d_tx d_rx)),
 
     computed slice by slice; a copy drops the skipped draws only when there
-    are any. The targets are bit for bit ``ensemble.sample_targets``, each
-    slice's y drawn into one reused buffer.
+    are any. The targets are bit for bit ``rng.uniform(*x_range, draws),
+    rng.uniform(*y_range, draws)``, each slice's y drawn into one reused
+    buffer and scaled in place (``ScenarioEnsemble._scale``).
     """
     draws = _checked(draws, int, "draws", 1)
-    ranges = ensemble._ranges(2)
     rng = np.random.default_rng(seed)
     # a slice of x is read before its cos(beta/2) overwrites it: no fresh
     # array of draws, whose page faults would set the draw's speed
@@ -442,9 +442,7 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
             part = slice(lo, lo + _ECRB_SLICE)
             x = cos_half[part]
             y = rng.random(out=ys[:len(x)])
-            for u, (start, width) in zip((x, y), ranges):
-                u *= width
-                u += start
+            ensemble._scale(x, y)
             d_tx = np.sqrt((x - tx_x) ** 2 + (y - tx_y) ** 2)
             d_rx = np.sqrt((x - rx_x) ** 2 + (y - rx_y) ** 2)
             s = d_tx + d_rx

@@ -65,6 +65,11 @@ def _snr_db(text: str) -> float:
 _MAX_SNR_POINTS = 10_000
 
 
+# cells of a dumped surface, 8192 x 8192, four times the full profile's; a dump
+# peaks at about 40 bytes a cell (680 MB resident at 4096 x 4096)
+_MAX_SURFACE_CELLS = 2**26
+
+
 def _parse_snr_grid(text: str) -> tuple:
     if ":" in text:
         parts = text.split(":")
@@ -118,8 +123,9 @@ _FLAGS = {
                      help="SNR grid: a:b:step or comma list or single value "
                           "(one value for every subcommand but sweep)"),
     "--workers": dict(type=_positive_int, metavar="N",
-                      help="at most N processes, the calling one included; children "
-                           "start only once the sweep's remaining work pays for them"),
+                      help="at most N processes, the calling one included, and no more "
+                           "than the CPUs the process may use; children start only once "
+                           "the sweep's remaining work pays for them"),
     "--profile": dict(choices=sorted(_PROFILES),
                       help="desk: fft 1024 / 200 trials, full: fft 4096 / 1000 trials "
                            "(the fft moves no estimate, see --fft)"),
@@ -235,8 +241,12 @@ def _cmd_simulate(config, args) -> int:
     the target draw itself was degenerate."""
     snr_idx, trial_idx = args.trial
     if args.dump_surface:
-        # the surface's FFT sizes must cover the pilot grid: checked before the trial
+        # the surface's FFT sizes must cover the pilot grid and its cells fit
+        # the cap: checked before the trial
         _grid_shape(tuple(count + 1 for count in config.pattern.periodic_counts()), config.fft)
+        if config.fft.fft_n * config.fft.fft_m > _MAX_SURFACE_CELLS:
+            raise ValueError(f"--dump-surface: a {config.fft.fft_n} x {config.fft.fft_m} "
+                             f"surface has more than {_MAX_SURFACE_CELLS} cells")
     truth, pilot_grid, outcome = simulate_trial(config, snr_idx, trial_idx)
     valid = not isinstance(outcome, GeometryError)
     payload = {

@@ -195,36 +195,9 @@ class ScenarioEnsemble:
         """Transmitter-to-receiver distance D [m]."""
         return _distance(self.tx_pos, self.rx_pos)
 
-    def sample_targets(self, rng: np.random.Generator, size: int) -> tuple:
-        """Draw target x, y coordinates, shape (size,) each.
-
-        Bit for bit ``rng.uniform(*x_range, size), rng.uniform(*y_range,
-        size)``, and leaves ``rng`` where they would: each coordinate is one
-        ``rng.random(size)`` scaled in place to lo + (hi - lo) * u, the
-        product and sum ``uniform`` forms, with no temporary array.
-        """
-        ranges = self._ranges(2)
-        coords = rng.random(size), rng.random(size)
-        for u, (lo, width) in zip(coords, ranges):
-            u *= width
-            u += lo
-        return coords
-
-    def _draw(self, rng: np.random.Generator) -> tuple:
-        """One draw of x, y, speed and delta, in that order.
-
-        Bit for bit four scalar ``rng.uniform(*range)`` calls, and leaves
-        ``rng`` where they would: one ``rng.random(4)``, each value scaled to
-        lo + (hi - lo) * u in Python floats.
-        """
-        return tuple(lo + width * u
-                     for (lo, width), u in zip(self._ranges(4), rng.random(4).tolist()))
-
     def _ranges(self, count: int) -> list:
-        """(lo, hi - lo) of the first ``count`` drawn ranges, in draw order.
-
-        A draw needs lo <= hi, as ``uniform`` does.
-        """
+        """(lo, hi - lo) of the first ``count`` drawn ranges, in draw order; a
+        draw needs lo <= hi, as ``uniform`` does."""
         ranges = []
         for name in ("x_range", "y_range", "speed_range", "delta_range")[:count]:
             lo, hi = getattr(self, name)
@@ -234,13 +207,23 @@ class ScenarioEnsemble:
             ranges.append((lo, hi - lo))
         return ranges
 
-    def sample(self, rng: np.random.Generator) -> BistaticScenario:
-        """Draw one scenario."""
-        return self._scenario(*self._draw(rng))
+    def _scale(self, *uniforms) -> None:
+        """Scale each of ``uniforms``, arrays of ``rng.random`` values, in place
+        to lo + (hi - lo) * u of the range at its position in draw order (x, y,
+        speed, delta): bit for bit the values of ``rng.uniform(lo, hi)``, the
+        product and sum it forms, with no temporary array."""
+        for u, (lo, width) in zip(uniforms, self._ranges(len(uniforms))):
+            u *= width
+            u += lo
 
-    def sample_truth(self, rng: np.random.Generator) -> SensingGroundTruth:
-        """``derive_ground_truth(self.sample(rng))``."""
-        return derive_ground_truth(self.sample(rng))
+    def sample(self, rng: np.random.Generator) -> BistaticScenario:
+        """Draw one scenario: x, y, speed and delta, in that order, bit for bit
+        four scalar ``rng.uniform(*range)`` calls, leaving ``rng`` where they
+        would. A range that cannot be drawn raises before the draw."""
+        self._ranges(4)
+        values = rng.random((4, 1))
+        self._scale(*values)
+        return self._scenario(*values.ravel().tolist())
 
     def center_scenario(self) -> BistaticScenario:
         """Scenario at the box center with zero speed."""
@@ -275,9 +258,7 @@ def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:
     columns, degenerate, (d_tx, d_rx, baseline) = _truth_columns(
         scenario, [(*scenario.target_pos, scenario.speed, scenario.delta)])
     if degenerate[0]:
-        raise GeometryError(
-            f"degenerate geometry: pairwise distance below {DEGENERATE_EPS} m "
-            f"(d_tx={d_tx[0]:.3g}, d_rx={d_rx[0]:.3g}, D={baseline:.3g})")
+        raise _degenerate_error(d_tx[0], d_rx[0], baseline)
     return SensingGroundTruth(*columns[:, 0].tolist())
 
 
@@ -371,6 +352,12 @@ def _inversion_error(reason: int, d_bis: float, baseline: float) -> GeometryErro
                           "nonpositive ellipse denominator",
                           "nonpositive leg after bistatic-range inversion",
                           )[reason].format(d_bis=d_bis, baseline=baseline))
+
+
+def _degenerate_error(d_tx: float, d_rx: float, baseline: float) -> GeometryError:
+    """The GeometryError of a degenerate draw, named by its legs and the baseline."""
+    return GeometryError(f"degenerate geometry: pairwise distance below {DEGENERATE_EPS} m "
+                         f"(d_tx={d_tx:.3g}, d_rx={d_rx:.3g}, D={baseline:.3g})")
 
 
 def _invert_columns(d_bis, baseline: float, theta) -> tuple:

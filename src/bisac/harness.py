@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -32,7 +33,9 @@ from .bounds import (
     SensingChannelParams, _ecrb_means, _snr_powers, crb, rate_upper_bound,
 )
 from .estimator import PeriodogramConfig, _block_length, _chunk_length, _estimate_grids, _estimates
-from .geometry import GeometryError, ScenarioEnsemble, _checked, _checked_tuple
+from .geometry import (
+    ScenarioEnsemble, SensingGroundTruth, _checked, _checked_tuple, _degenerate_error,
+)
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern, make_periodic
 from .sim import simulate_pilots
@@ -193,9 +196,9 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
 
     Returns (truth, pilot_grid, outcome): the ground truth, the (K+1, L+1)
     least-squares channel estimates on the pilot subgrid, and the
-    EstimationResult, or the GeometryError that made the trial invalid. A
-    degenerate target draw (``ScenarioEnsemble.sample_truth`` raised) has
-    no truth: it is None, and the grid is that of a zero delay and Doppler.
+    EstimationResult, or the GeometryError that made the trial invalid, all
+    read off one block of the trial. A degenerate target draw has no truth:
+    it is None, and the grid is that of a zero delay and Doppler.
     Raises ValueError, before any draw, unless ``snr_idx`` indexes the SNR
     grid and ``trial_idx`` is a non-negative integer (any: it keys the
     trial's seed), and raises as ``check_receiver`` does.
@@ -206,12 +209,10 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
         raise ValueError(f"snr_idx must be < {len(config.snr_grid_db)}, the points of the "
                          f"SNR grid, got {snr_idx}")
     check_receiver(config)
-    _, grids = _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])
-    try:
-        truth = config.ensemble.sample_truth(
-            np.random.default_rng(_trial_seed(config.seed, snr_idx, trial_idx)))
-    except GeometryError as exc:
-        return None, grids[0], exc
+    (columns, degenerate, legs), grids = _trial_block(config, [(snr_idx, trial_idx, trial_idx + 1)])
+    if degenerate[0]:
+        return None, grids[0], _degenerate_error(*legs[:, 0], config.ensemble.baseline)
+    truth = SensingGroundTruth(*columns[:, 0].tolist())
     (outcome,) = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
                                  config.ensemble.baseline, [truth.theta])
     return truth, grids[0], outcome
@@ -220,28 +221,30 @@ def simulate_trial(config: ExperimentConfig, snr_idx: int, trial_idx: int) -> tu
 def _trial_block(config: ExperimentConfig, runs) -> tuple:
     """The draws of the trials of ``runs``, (snr_idx, start, stop) for trials
     ``start`` to ``stop - 1`` of SNR point ``snr_idx``: their ground truths
-    (``geometry._truth_columns``' columns and degenerate mask) and the stack
-    (trials, K+1, L+1) of their least-squares pilot grids, drawn a chunk
-    (``estimator._chunk_length``) at a time; the drawn QPSK symbols are unit
-    modulus (``sim._QPSK``), so the division checks none."""
+    (``geometry._truth_columns``' columns, degenerate mask and legs d_tx, d_rx)
+    and the stack (trials, K+1, L+1) of their least-squares pilot grids, drawn
+    a chunk (``estimator._chunk_length``) at a time; the drawn QPSK symbols
+    are unit modulus (``sim._QPSK``), so the division checks none."""
     generators = _trial_generators(config.seed, runs)
     # the stack is allocated before any draw: the draws' arrays, freed before
     # the search, then leave one free block that the search reuses rather than
     # holes around the stack (about 1 MB less peak resident memory)
     shape = tuple(count + 1 for count in config.pattern.periodic_counts())
     grids = np.empty((len(generators), *shape), complex)
-    columns, degenerate = np.empty((6, len(generators))), np.empty(len(generators), bool)
+    columns, legs = np.empty((6, len(generators))), np.empty((2, len(generators)))
+    degenerate = np.empty(len(generators), bool)
     step, done = _chunk_length(*shape), 0
     for snr_idx, start, stop in runs:
         for lo in range(start, stop, step):
             chunk = slice(done, done + min(step, stop - lo))
-            (columns[:, chunk], degenerate[chunk]), symbols, received = simulate_pilots(
+            truths, symbols, received = simulate_pilots(
                 config.ensemble, config.numerology, config.pattern, config.snr_grid_db[snr_idx],
                 generators[chunk])
+            columns[:, chunk], degenerate[chunk], legs[:, chunk] = truths
             np.divide(received, symbols, out=grids[chunk])
             done = chunk.stop
-            del symbols, received
-    return (columns, degenerate), grids
+            del truths, symbols, received
+    return (columns, degenerate, legs), grids
 
 
 def _trial_seed(seed: int, snr_idx: int, trial: int) -> np.random.SeedSequence:
@@ -341,7 +344,7 @@ def _block_errors(block: tuple) -> tuple:
     """(sq_err_d, sq_err_v, valid), each one value per trial of ``_trial_block(*block)``
     (NaN errors where invalid), whose readout stops at ``estimator._estimates``."""
     config, _ = block
-    (truths, degenerate), grids = _trial_block(*block)
+    (truths, degenerate, _), grids = _trial_block(*block)
     d_bis, v_bis, *_, theta = truths
     estimates, reasons, _, _ = _estimates(grids, config.pattern, config.numerology, config.fft,
                                           config.ensemble.baseline, theta)
@@ -367,12 +370,15 @@ def _dispatch(tasks: list, workers: int) -> list:
     argument, in task order. The calling process runs the tasks in order, so
     the first raises first, and after each projects the time left: the mean
     task time so far times the tasks left. Once that exceeds
-    ``_BREAK_EVEN_S`` it starts ``min(workers, tasks left) - 1`` child
-    processes; then every process takes the next task index from one shared
-    counter until none is left, so a slow task (a threshold SNR point) holds
-    up one process only. A call that starts no child neither imports
-    multiprocessing nor creates any of its objects. A child's exception is raised here; no child
-    outlives the call."""
+    ``_BREAK_EVEN_S`` it starts ``min(workers, tasks left, cores) - 1`` child
+    processes, cores being the CPUs this process may run on (all of them
+    where the platform has no affinity); then every process takes the next
+    task index from one shared counter until none is left, so a slow task (a
+    threshold SNR point) holds up one process only. A call that starts no
+    child neither imports multiprocessing nor creates any of its objects. A
+    child's exception is raised here; no child outlives the call."""
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    workers = min(workers, len(affinity(0)))
     results, began = [], time.perf_counter()
     for task in tasks:
         results.append(task())

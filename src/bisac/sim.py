@@ -28,6 +28,7 @@ from .geometry import ScenarioEnsemble, _truth_columns, derive_ground_truth
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
+# Gray-mapped QPSK symbols of the integers 0-3, indexed by them
 _QPSK = 1.0 / np.sqrt(2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
 
 
@@ -42,11 +43,6 @@ def _warn_isi(tau: float, numerology: OfdmNumerology) -> None:
         # warning once per call site and process rather than once per trial
         warnings.warn(f"delay exceeds the cyclic prefix {numerology.cp_duration_s:.3g} s; "
                       "ISI is not modeled", IsiWarning, stacklevel=3)
-
-
-def _qpsk(idx: np.ndarray) -> np.ndarray:
-    """Gray-mapped QPSK symbols of the integers 0-3 in ``idx``."""
-    return _QPSK[idx]
 
 
 def _qpsk_indices(raw: np.ndarray, size: int) -> np.ndarray:
@@ -69,7 +65,7 @@ def generate_frame(numerology: OfdmNumerology, pattern: PilotPattern, seed) -> n
     if pattern.n_grid != numerology.n_subcarriers or pattern.m_grid != numerology.n_symbols:
         raise ValueError("pattern grid does not match numerology")
     rng = np.random.default_rng(seed)
-    return _qpsk(rng.integers(0, 4, size=(numerology.n_subcarriers, numerology.n_symbols)))
+    return _QPSK[rng.integers(0, 4, size=(numerology.n_subcarriers, numerology.n_symbols))]
 
 
 def channel_response(
@@ -150,14 +146,15 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
     The QPSK indices come from ``ceil(S / 2)`` raw words for S pilots
     (``_qpsk_indices``), and one ``standard_normal`` call draws both noise
     components, bit for bit the values of the two calls.
-    Returns the truths (``geometry._truth_columns``' columns and degenerate
-    mask), pilot symbols and received pilot values, shape (trials, K+1, L+1).
+    Returns the truths (``geometry._truth_columns``' columns, degenerate
+    mask and legs d_tx, d_rx), pilot symbols and received pilot values, shape
+    (trials, K+1, L+1).
     A degenerate draw's trial receives with zero delay and Doppler.
     """
     params = SensingChannelParams.from_snr_db(snr_db)
     n_p, m_p = pattern.periodic_strides()
     shape = tuple(c + 1 for c in pattern.periodic_counts())
-    size, (lo, width) = shape[0] * shape[1], np.array(ensemble._ranges(4)).T
+    size = shape[0] * shape[1]
     uniforms, raw = np.empty((len(seeds), 4)), np.empty((len(seeds), -(-size // 2)), np.uint64)
     # each trial's (real, imaginary) standard normal pair, drawn in place by one call
     normals = np.empty((len(seeds), 2, *shape)) if params.noise_var > 0 else None
@@ -167,16 +164,16 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
         raw[trial] = rng.bit_generator.random_raw(raw.shape[1])
         if normals is not None:
             rng.standard_normal(out=normals[trial])
-    # lo + (hi - lo) * u, as the scalar draw scales it
-    columns, degenerate, _ = _truth_columns(ensemble, uniforms * width + lo)
+    ensemble._scale(*uniforms.T)
+    columns, degenerate, legs = _truth_columns(ensemble, uniforms)
     tau, f_d = columns[2:4, :, None, None]
     _warn_isi(tau.max(), numerology)
-    symbols = _qpsk(_qpsk_indices(raw, size).reshape(len(seeds), *shape))
+    symbols = _QPSK[_qpsk_indices(raw, size).reshape(len(seeds), *shape)]
     del raw
     if normals is not None:
         normals = normals.swapaxes(0, 1)
     received = _receive(symbols, params, tau, f_d, numerology, (n_p, m_p), normals)
-    return (columns, degenerate), symbols, received
+    return (columns, degenerate, legs[:2]), symbols, received
 
 
 def write_grid(values: np.ndarray, path) -> None:

@@ -29,7 +29,7 @@ from bisac import (
 from bisac.estimator import _centred, _estimate_grids, _moments, _newton
 from bisac.geometry import DEGENERATE_EPS
 from bisac.harness import _TRIAL_STREAM, _trial_block, _trial_seed
-from bisac.sim import _qpsk
+from bisac.sim import _QPSK
 
 
 def ground_truth(tx_pos, rx_pos, target_pos, speed, delta, carrier_hz):
@@ -194,7 +194,7 @@ def reference_trial(config, snr_idx, trial_idx):
         config.snr_grid_db[snr_idx], tau=truth.tau, f_d=truth.f_d)
     n_p, m_p = config.pattern.periodic_strides()
     shape = tuple(c + 1 for c in config.pattern.periodic_counts())
-    symbols = _qpsk(rng.integers(0, 4, size=shape))
+    symbols = _QPSK[rng.integers(0, 4, size=shape)]
     received = channel_response(params, config.numerology)[::n_p, ::m_p] * symbols
     if params.noise_var > 0:
         re, im = (rng.standard_normal(shape) for _ in range(2))
@@ -219,7 +219,7 @@ def block_trials(config, runs):
     block's stack, the truths built from the block's columns, and for a
     degenerate draw no truth and the GeometryError of ``ground_truth`` on
     the trial's draw."""
-    (columns, degenerate), grids = _trial_block(config, runs)
+    (columns, degenerate, _), grids = _trial_block(config, runs)
     outcomes = _estimate_grids(grids, config.pattern, config.numerology, config.fft,
                                config.ensemble.baseline, columns[5])
     keys = [(snr_idx, trial) for snr_idx, start, stop in runs for trial in range(start, stop)]

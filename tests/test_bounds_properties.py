@@ -26,7 +26,8 @@ EPS = np.finfo(float).eps
 
 def reference_geometry(ensemble, draws, seed):
     """(cos(beta/2), kept mask, d_tx, d_rx) of every draw, as whole arrays."""
-    xs, ys = ensemble.sample_targets(np.random.default_rng(seed), draws)
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.uniform(*ensemble.x_range, draws), rng.uniform(*ensemble.y_range, draws)
     d_tx = np.hypot(xs - ensemble.tx_pos[0], ys - ensemble.tx_pos[1])
     d_rx = np.hypot(xs - ensemble.rx_pos[0], ys - ensemble.rx_pos[1])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,8 +219,10 @@ spans = draw_ranges(1e300)
 @example(x=(3.0, 3.0), y=(-0.0, -0.0), size=7, seed=1)
 @example(x=(-1e150, 1e150), y=(-100.0, -80.0), size=7, seed=2)
 def test_target_draw_is_uniform_bit_for_bit(x, y, size, seed):
+    # the ECRB draw's x and y: rng.random arrays scaled in place
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    xs, ys = ScenarioEnsemble(x_range=x, y_range=y).sample_targets(rng, size)
+    xs, ys = rng.random(size), rng.random(size)
+    ScenarioEnsemble(x_range=x, y_range=y)._scale(xs, ys)
     assert bits(xs) == bits(reference.uniform(*x, size))
     assert bits(ys) == bits(reference.uniform(*y, size))
     # and the generator is left where the two uniform calls leave it
@@ -232,7 +235,7 @@ def test_target_draw_is_uniform_bit_for_bit(x, y, size, seed):
 def test_scenario_draw_is_uniform_bit_for_bit(x, y, speed, delta, seed):
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     ensemble = ScenarioEnsemble(x_range=x, y_range=y, speed_range=speed, delta_range=delta)
-    values = ensemble._draw(rng)
-    assert all(type(v) is float for v in values)
+    scenario = ensemble.sample(rng)
+    values = (*scenario.target_pos, scenario.speed, scenario.delta)
     assert bits(values) == bits([reference.uniform(*r) for r in (x, y, speed, delta)])
     assert bits(rng.random(3)) == bits(reference.random(3))

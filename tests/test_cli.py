@@ -586,6 +586,41 @@ class TestSimulateCommand:
                 in capsys.readouterr().err.splitlines()[-1])
         assert not out.exists() and not surf.exists()
 
+    def test_surface_beyond_the_cap_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # fft 2^40 would ask numpy for an 800 TiB surface; the refusal comes
+        # before the trial, and nothing is written
+        def no_trial(*a):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(bisac.harness, "_trial_block", no_trial)
+        out, surf = tmp_path / "trial.json", tmp_path / "surface.bin"
+        for fft in ("16384", "1099511627776"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--fft", fft, "--dump-surface", str(surf), "--out", str(out)])
+            assert exc.value.code == 2
+            assert (f"--dump-surface: a {fft} x {fft} surface has more than 67108864 cells"
+                    in capsys.readouterr().err.splitlines()[-1])
+        assert not out.exists() and not surf.exists()
+
+    def test_surface_at_the_cap_is_dumped(self, tmp_path, monkeypatch):
+        # the full profile's surface is within the cap; a surface of the cap's
+        # size is dumped and the next power of two refused (cap made small here)
+        assert (4096 * 4096 <= bisac.cli._MAX_SURFACE_CELLS
+                and bisac.cli._PROFILES["full"]["fft"] == 4096)
+        monkeypatch.setattr(bisac.cli, "_MAX_SURFACE_CELLS", 256 * 128)
+        path, surf = tmp_path / "config.json", tmp_path / "surface.bin"
+        for fft_m, refused in ((128, False), (256, True)):
+            config = ExperimentConfig(fft=PeriodogramConfig(256, fft_m))
+            path.write_text(json.dumps(config.to_json_dict()))
+            argv = ["simulate", "--config", str(path), "--dump-surface", str(surf),
+                    "--out", str(tmp_path / "trial.json")]
+            if refused:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == 0
+                assert read_grid(surf).shape == (256, 128)
+
     def test_degenerate_draw_reports_its_error_with_no_truth(self, tmp_path):
         # the point-mass box on the transmitter: every target draw is degenerate
         config = ExperimentConfig(

@@ -5,6 +5,7 @@ import pytest
 
 from bisac import (
     BistaticScenario,
+    ExperimentConfig,
     GeometryError,
     SPEED_OF_LIGHT,
     ScenarioEnsemble,
@@ -12,6 +13,8 @@ from bisac import (
     derive_ground_truth,
     invert_bistatic_range,
 )
+from bisac.bounds import _ecrb_geometry
+from bisac.harness import _trial_seed, simulate_trial
 
 
 def vector_angle_beta(scenario):
@@ -46,17 +49,20 @@ def test_scenario_rejects_non_finite_value(field, value):
 @pytest.mark.parametrize("field", ["x_range", "y_range", "speed_range", "delta_range"])
 def test_reversed_range_is_not_drawn(field):
     # the ensemble holds a reversed range, which the baseline check reads as
-    # a box, but no draw takes it: the error names it, and the generator
-    # has not moved
+    # a box, but no draw takes it: the error names it, and the scenario
+    # draw's generator has not moved; a trial draws all four ranges and the
+    # ECRB geometry x and y alone
     ensemble = ScenarioEnsemble(**{field: (1.0, -1.0)})
     rng = np.random.default_rng(3)
-    draws = [ensemble.sample, ensemble.sample_truth]
-    if field in ("x_range", "y_range"):
-        draws.append(lambda rng: ensemble.sample_targets(rng, 10))
-    for draw in draws:
-        with pytest.raises(ValueError, match=f"{field} must run from low to high"):
-            draw(rng)
+    message = f"{field} must run from low to high"
+    with pytest.raises(ValueError, match=message):
+        ensemble.sample(rng)
     assert rng.random() == np.random.default_rng(3).random()
+    with pytest.raises(ValueError, match=message):
+        simulate_trial(ExperimentConfig(ensemble=ensemble, trials_per_point=1), 0, 0)
+    if field in ("x_range", "y_range"):
+        with pytest.raises(ValueError, match=message):
+            _ecrb_geometry(ensemble, 10, 3)
 
 
 class TestDeriveGroundTruth:
@@ -136,10 +142,13 @@ class TestDeriveGroundTruth:
         assert betas[-1] < 0.05
 
 
-    def test_sample_truth_is_the_truth_of_the_sampled_scenario(self, ensemble):
-        for seed in range(50):
-            truth = ensemble.sample_truth(np.random.default_rng(seed))
-            assert truth == derive_ground_truth(ensemble.sample(np.random.default_rng(seed)))
+    @pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
+    def test_replayed_truth_is_the_truth_of_the_sampled_scenario(self, ensemble):
+        config = ExperimentConfig(ensemble=ensemble, trials_per_point=1, seed=5)
+        for trial in range(50):
+            truth, _, _ = simulate_trial(config, 0, trial)
+            rng = np.random.default_rng(_trial_seed(config.seed, 0, trial))
+            assert truth == derive_ground_truth(ensemble.sample(rng))
 
 
 class TestInvertBistaticRange:

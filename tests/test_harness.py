@@ -79,6 +79,33 @@ def started(monkeypatch):
     return processes
 
 
+@pytest.fixture
+def many_cores(monkeypatch):
+    """Let ``_dispatch`` start as many processes as the test counts on, on a
+    machine of any number of cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+
+
+@pytest.fixture
+def pcg64s(monkeypatch):
+    """The seeds of the PCG64 generators constructed during the test, whether
+    directly or through ``np.random.default_rng``."""
+    seeds = []
+
+    class Counted(np.random.PCG64):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    def default_rng(seed=None):
+        return seed if isinstance(seed, np.random.Generator) else np.random.Generator(
+            Counted(seed))
+
+    monkeypatch.setattr(np.random, "PCG64", Counted)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return seeds
+
+
 def points(count: int) -> tuple:
     """``count`` SNR points [dB], 0 to 20 dB when there are several."""
     return tuple(np.linspace(0.0, 20.0, count).tolist()) if count > 1 else (20.0,)
@@ -305,7 +332,7 @@ class TestRunSweep:
             10.0, rel=1e-6
         )
 
-    def test_worker_counts_byte_identical(self, fork_at_once, started):
+    def test_worker_counts_byte_identical(self, fork_at_once, many_cores, started):
         # eight blocks, runs of 82 and 1 trials, whose trials cost several
         # times as much at the threshold SNRs as at the high ones
         cfg = small_config(snr_grid_db=(-30.0, -20.0, 0.0, 20.0), trials_per_point=83)
@@ -319,8 +346,8 @@ class TestRunSweep:
         (points(2), 2, 0), (points(2), 64, 0), (points(3), 2, 0), (points(3), 64, 0),
         (points(328), 64, 3),
     ])
-    def test_no_more_processes_than_blocks(self, fork_at_once, started, snr_grid_db, workers,
-                                           children):
+    def test_no_more_processes_than_blocks(self, fork_at_once, many_cores, started, snr_grid_db,
+                                           workers, children):
         # one-trial points pack 82 to a block; with no break-even the calling
         # process starts min(workers, tasks left) - 1 children once it has run
         # the bound columns, and runs blocks itself beside them
@@ -350,7 +377,8 @@ class TestRunSweep:
         assert run_sweep(cfg).to_csv() == serial
 
     @pytest.mark.parametrize("workers, children", [(2, 1), (8, 2)])
-    def test_tasks_that_outlast_the_break_even_fork(self, started, workers, children):
+    def test_tasks_that_outlast_the_break_even_fork(self, many_cores, started, workers,
+                                                   children):
         # after the first of four tasks the three left project to 1.5 times
         # the break-even
         nap = functools.partial(time.sleep, bisac.harness._BREAK_EVEN_S / 2)
@@ -483,6 +511,16 @@ class TestRunSweep:
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 simulate_trial(small_config(workers=workers), snr_idx, trial_idx)
 
+    @pytest.mark.parametrize("trial_idx", [0, 7, 10**12])
+    def test_replay_draws_its_trial_once(self, pcg64s, trial_idx):
+        # the truth, the grid and a degenerate draw's error come off the one
+        # block of the trial; at 10**12 its generator takes _trial_seed
+        for ensemble in (ScenarioEnsemble(),
+                         ScenarioEnsemble(x_range=(-40.0, -40.0), y_range=(0.0, 0.0))):
+            pcg64s.clear()
+            simulate_trial(small_config(ensemble=ensemble), 1, trial_idx)
+            assert len(pcg64s) == 1
+
     def test_simulate_trial_index_unbounded_above(self):
         # a trial is its seed key: any non-negative index runs
         truth, _, _ = simulate_trial(small_config(trials_per_point=1), 1, 10**12)
@@ -610,13 +648,33 @@ class TestRunSweep:
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_dispatch_returns_the_results_in_task_order(fork_at_once, started, workers):
+def test_dispatch_returns_the_results_in_task_order(fork_at_once, many_cores, started,
+                                                    workers):
     # the first task, whose result is the id of the process that ran it, runs
     # in the calling process, before the children start
     tasks = [os.getpid, *(functools.partial(operator.mul, i, i) for i in range(1, 7))]
     results = bisac.harness._dispatch(tasks, workers)
     assert results == [os.getpid(), *(i * i for i in range(1, 7))]
     assert len(started) == workers - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_dispatch_starts_no_more_processes_than_cores(fork_at_once, monkeypatch):
+    # two cores: a million workers start one child beside the caller, where
+    # the tasks left alone would allow five; a second start fails the test
+    # before it forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    processes, start = [], multiprocessing.process.BaseProcess.start
+
+    def once(process):
+        processes.append(process)
+        assert len(processes) == 1, "a second process started"
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", once)
+    tasks = [os.getpid, *(functools.partial(operator.mul, i, i) for i in range(1, 7))]
+    assert bisac.harness._dispatch(tasks, 10**6) == [os.getpid(), *(i * i for i in range(1, 7))]
+    assert len(processes) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -629,7 +687,7 @@ def test_dispatch_first_task_raises_before_any_child(fork_at_once, started):
 
 
 @FORKED
-@pytest.mark.usefixtures("fork_at_once")
+@pytest.mark.usefixtures("fork_at_once", "many_cores")
 class TestDispatch:
     """Failures of the blocks of a parallel sweep: four blocks of 82 trials,
     one process beside the caller, started once the caller has run the bound
@@ -739,6 +797,22 @@ class TestTables:
         rows = run_table1(small_config(), snr_db=5.0, draws=2000)
         assert [r.pilot_count for r in rows] == [350, 350, 350, 350]
         assert [(r.n_p, r.m_p) for r in rows] == [(1, 11), (2, 5), (5, 2), (11, 1)]
+
+    def test_table_ratios_are_the_ratios_of_index_spreads(self):
+        # at equal pilot counts each bound falls as the spread of its axis's
+        # pilot indices n_p k (m_p l) grows, sqrt(n_p^2 ((K+1)^2 - 1) / 12):
+        # bound times spread is one number across the pairs (5.0741 m and
+        # 2.8652 m/s here), and the velocity rows share one geometry draw
+        rows = run_table1(ExperimentConfig(seed=1), snr_db=5.0, draws=2000)
+        assert [(r.n_p, r.m_p) for r in rows] == list(bisac.harness.DEFAULT_TABLE_PAIRS)
+        products = []
+        for r in rows:
+            k, l = (count + 1 for count in make_periodic(70, 50, r.n_p, r.m_p).periodic_counts())
+            products.append((r.sqrt_crb_ran_m * math.sqrt(r.n_p**2 * (k**2 - 1) / 12),
+                             r.ecrb_vel_ms * math.sqrt(r.m_p**2 * (l**2 - 1) / 12)))
+        for column in zip(*products):
+            assert max(column) - min(column) <= 1e-12 * min(column)
+        assert products[0] == pytest.approx((5.0741391245619, 2.8652221526889), rel=1e-12)
 
     @pytest.mark.parametrize("draws", [0, 2.5, True])
     def test_table_draws_must_be_a_positive_integer(self, draws):

@@ -166,6 +166,23 @@ def test_trial_draw_loops_over_generator_calls_alone():
         "enumerate", "default_rng", "random", "random_raw", "standard_normal"}
 
 
+def test_one_draw_of_a_trial_and_one_scaling_of_its_uniforms():
+    # a replayed trial reads its truth off its block, so the ensemble keeps
+    # no draw of truths or targets beside the scenario's; and one method
+    # scales the uniforms of every draw to their ranges: any other call of
+    # _ranges only checks them
+    assert {"sample_truth", "sample_targets"} & set(dir(bisac.ScenarioEnsemble)) == set()
+    scaling = set()
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                checks = {id(stmt.value) for stmt in ast.walk(func) if isinstance(stmt, ast.Expr)}
+                if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_ranges"
+                       and id(node) not in checks for node in ast.walk(func)):
+                    scaling.add(func.name)
+    assert scaling == {"_scale"}
+
+
 def test_every_dataclass_is_frozen():
     # a value type changes only through its constructor or dataclasses.replace,
     # both of which run its checks

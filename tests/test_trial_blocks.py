@@ -143,12 +143,13 @@ def test_trial_block_is_independent_of_the_draw_chunk(strides, seed, runs, budge
     config = ExperimentConfig(pattern=make_periodic(70, 50, *strides), snr_grid_db=(-25.0, 15.0),
                               trials_per_point=1, seed=seed)
     runs = [(snr_idx, start, start + length) for snr_idx, start, length in runs]
-    (truths, degenerate), grids = _trial_block(config, runs)
+    (truths, degenerate, legs), grids = _trial_block(config, runs)
     with mock.patch.object(bisac.estimator, "_CHUNK_BYTES",
                            chunk_budgets(*grids.shape[1:])[budget]):
-        (chunked_truths, chunked_degenerate), chunked = _trial_block(config, runs)
+        (chunked_truths, chunked_degenerate, chunked_legs), chunked = _trial_block(config, runs)
     assert bits(chunked_truths).tolist() == bits(truths).tolist()
     assert chunked_degenerate.tolist() == degenerate.tolist()
+    assert bits(chunked_legs).tolist() == bits(legs).tolist()
     assert bits(chunked).tolist() == bits(grids).tolist()
 
 
