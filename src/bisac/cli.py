@@ -14,8 +14,6 @@ import re
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .bounds import SensingChannelParams, _snr_powers, crb
 from .estimator import _grid_shape, periodogram_2d
 from .geometry import GeometryError, derive_ground_truth
@@ -66,7 +64,8 @@ _MAX_SNR_POINTS = 10_000
 
 
 # cells of a dumped surface, 8192 x 8192, four times the full profile's; a dump
-# peaks at about 40 bytes a cell (680 MB resident at 4096 x 4096)
+# holds the 8-byte real surface and one block of rows (175 MB resident at
+# 4096 x 4096)
 _MAX_SURFACE_CELLS = 2**26
 
 
@@ -262,7 +261,7 @@ def _cmd_simulate(config, args) -> int:
 
     if args.dump_surface:
         surface = periodogram_2d(pilot_grid, config.fft)
-        write_grid(surface.astype(np.complex128), args.dump_surface)
+        write_grid(surface, args.dump_surface)
         payload["surface_file"] = args.dump_surface
 
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.out)

@@ -48,6 +48,10 @@ _BALL_MARGIN = 0.1
 _BLOCK_BYTES = 5_601_744
 _CHUNK_BYTES = 2**21
 
+# The largest FFT size: peak bins up to 2^40 keep offsets of 2^-12 bin in a
+# float64, and larger sizes lose them
+_MAX_FFT = 2**40
+
 @dataclass(frozen=True)
 class PeriodogramConfig:
     """FFT sizes (powers of two, default the desk profile's), the units of the
@@ -64,6 +68,8 @@ class PeriodogramConfig:
         for size, name in ((self.fft_n, "fft_n"), (self.fft_m, "fft_m")):
             if size < 1 or size & (size - 1):
                 raise ValueError(f"{name} must be a power of two, got {size}")
+            if size > _MAX_FFT:
+                raise ValueError(f"{name} must be at most {_MAX_FFT}, got {size}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +172,17 @@ def periodogram_2d(pilot_grid: np.ndarray, config: PeriodogramConfig) -> np.ndar
 
     Positive-exponent transform along the delay axis, negative-exponent
     along the Doppler axis; returns squared magnitude, shape
-    (fft_n, fft_m): P (see ``_search``) at the bins.
+    (fft_n, fft_m): P (see ``_search``) at the bins. The Doppler transforms
+    run ``_CHUNK_BYTES`` of spectrum rows at a time, so beside the surface
+    only one block of its complex spectrum is held.
     """
-    spectrum = _padded_fft(_delay_stage(pilot_grid, config), config.fft_m, False)
-    return spectrum.real**2 + spectrum.imag**2
+    stage = _delay_stage(pilot_grid, config)
+    surface = np.empty(stage.shape[:-1] + (config.fft_m,))
+    step = max(1, _CHUNK_BYTES // (16 * config.fft_m))
+    for lo in range(0, config.fft_n, step):
+        spectrum = _padded_fft(stage[..., lo:lo + step, :], config.fft_m, False)
+        surface[..., lo:lo + step, :] = spectrum.real**2 + spectrum.imag**2
+    return surface
 
 
 def _start_cells(rows: int, cols: int) -> np.ndarray:
@@ -266,8 +279,7 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     trials, rows, cols = pilot_grids.shape
     pos, found, kept = np.zeros((trials, 2)), np.zeros(trials, bool), np.zeros(trials, int)
     step = _chunk_length(rows, cols)
-    total = np.concatenate([np.abs(pilot_grids[lo:lo + step]).sum(axis=(1, 2))
-                            for lo in range(0, trials, step)])
+    total = np.abs(pilot_grids).sum(axis=(1, 2))
     live = np.flatnonzero(np.isfinite(total) & (total > 0.0) & (rows * cols > 1))
     if not live.size:
         return pos, found, kept
@@ -310,21 +322,26 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         best[up[rise]], peak[up[rise]] = point[rise], height[rise]
         newton[up[rise]] = kappa[rise] > 0
 
+    def margin(owner):
+        # a cell of |z| v on the grid owner passes the cell test against the
+        # best point unless v + margin < 0
+        return (slack - (peak - slack) * math.cos(extent @ half))[owner]
+
     def passing(owner, centre, values, offsets):
         # the cells around centre + offsets of |z| values (n, offsets...) that pass
-        # the cell test against the best point
-        floor = (peak - slack) * math.cos(extent @ half)
-        p, a, b = np.nonzero(~(values + (slack - floor)[owner][:, None, None] < 0))
+        p, a, b = np.nonzero(~(values + margin(owner)[:, None, None] < 0))
         shift = np.column_stack([offsets[0][a], offsets[1][b]])
         return owner[p], centre[p] + shift, values[p, a, b]
 
     climb(np.arange(n), start * (2 * np.pi / cells), amps[at])
-    owner, centre, values = passing(t, np.column_stack([i, j]) * 2 * half, amps[:, None, None],
-                                    (np.zeros(1), np.zeros(1)))
-    del t, i, j, amps
+    # the start samples that pass, before their centres are built
+    keep = np.flatnonzero(~(amps + margin(t) < 0))
+    owner, centre, values = t[keep], np.column_stack([i[keep], j[keep]]) * 2 * half, amps[keep]
+    del t, i, j, amps, keep
     sup, split_cells = np.full(n, np.inf), np.zeros(n, int)
     # at most _FLAT parents a lattice, whose Doppler rows take half of
-    # _CHUNK_BYTES in the three copies _lattice makes
+    # _CHUNK_BYTES in the three arrays of them _lattice makes: the pairs'
+    # products, their gather per cell and _small_matmul's padded copy
     parents = max(1, min(_FLAT, _CHUNK_BYTES // (96 * split[0] * cols)))
     for level in range(_MAX_LEVELS + 1):
         np.maximum.at(bound := peak.copy(), owner, values)
@@ -412,23 +429,23 @@ def _kept_floor(top: np.ndarray, slack: np.ndarray, cos_h: float) -> np.ndarray:
 
 
 def _take(pilot_grids: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``pilot_grids[index]`` for ascending ``index``: a view where it is a run
-    of consecutive grids."""
-    if index.size and index[-1] - index[0] == index.size - 1:
+    """``pilot_grids[index]``: a view where ``index`` is a run of consecutive
+    grids."""
+    if index.size and (np.diff(index) == 1).all():
         return pilot_grids[index[0]:index[-1] + 1]
     return pilot_grids[index]
 
 
-def _grid_products(left: np.ndarray, pilot_grids: np.ndarray, index=None) -> np.ndarray:
-    """``_small_matmul(left, pilot_grids[index])`` for ascending ``index`` (None:
-    the stack in order), gathering at most ``_chunk_length`` grids at a time."""
-    if index is None:
-        return _small_matmul(left, pilot_grids)
+def _grid_products(left: np.ndarray, pilot_grids: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``_small_matmul(left, pilot_grids[index])`` for non-decreasing ``index``
+    (repeats included), gathering at most ``_chunk_length`` grids at a time
+    where it is no run."""
     step = _chunk_length(*pilot_grids.shape[-2:])
-    if index.size <= step or index[-1] - index[0] == index.size - 1:
-        return _small_matmul(left, _take(pilot_grids, index))
-    return np.concatenate([_small_matmul(left[lo:lo + step], _take(pilot_grids, index[lo:lo + step]))
-                           for lo in range(0, index.size, step)])
+    if index.size > step and (np.diff(index) != 1).any():
+        return np.concatenate([_small_matmul(left[lo:lo + step],
+                                             _take(pilot_grids, index[lo:lo + step]))
+                               for lo in range(0, index.size, step)])
+    return _small_matmul(left, _take(pilot_grids, index))
 
 
 def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
@@ -467,43 +484,21 @@ def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, off
              k, l) -> np.ndarray:
     """z at ``centre`` (n, 2) plus the lattice of ``offsets`` (an array per axis)
     on the grids ``owner`` (ascending), (n, theta offsets, phi offsets). The
-    delay rows of each distinct (grid, theta) pair come from a product per
-    grid, a group of grids at a time: the grids with the most pairs first,
-    each group's phasor rows zero-padded to its own largest pair count, at
-    most ``_CHUNK_BYTES`` / (64 (rows + columns)) of them. One more product
-    gives each cell's Doppler transforms."""
-    # the distinct (grid, theta) pairs in ascending order, each cell's pair,
-    # and the first pair and the pair count of each grid
+    delay rows of each distinct (grid, theta) pair come from one
+    ``_grid_products`` call over the pairs, and one more product gives each
+    cell's Doppler transforms."""
+    # the distinct (grid, theta) pairs in ascending order and each cell's pair
     order = np.lexsort((centre[:, 0], owner))
     pair_grid, theta = owner[order], centre[order, 0]
     new = np.ones(owner.size, bool)
     new[1:] = (pair_grid[1:] != pair_grid[:-1]) | (theta[1:] != theta[:-1])
     inverse = np.empty(owner.size, int)
     inverse[order] = np.cumsum(new) - 1
-    pair_grid, theta = pair_grid[new], theta[new]
-    first = np.flatnonzero(np.r_[True, pair_grid[1:] != pair_grid[:-1]])
-    grids, counts = pair_grid[first], np.diff(np.r_[first, pair_grid.size])
-    slot = np.arange(pair_grid.size) - np.repeat(first, counts)
-    at = np.repeat(np.arange(grids.size), counts)
-    shifts, size = np.exp(1j * np.outer(offsets[0], k)), offsets[0].size
-    delay = np.empty((pair_grid.size, size, l.size), complex)
-    by_count, lo = np.argsort(-counts, kind="stable"), 0
-    while lo < grids.size:
-        most = int(counts[by_count[lo]])
-        group = np.sort(by_count[lo:lo + max(1, _CHUNK_BYTES // (64 * (k.size + l.size) * size
-                                                                  * most))])
-        lo += group.size
-        mine = np.flatnonzero(np.isin(at, group)) if group.size < grids.size else slice(None)
-        place = np.searchsorted(group, at[mine])
-        left = np.zeros((group.size, most, size, k.size), complex)
-        left[place, slot[mine]] = _phasors(theta[mine], k)[:, None, :] * shifts
-        delay[mine] = _grid_products(left.reshape(group.size, -1, k.size), pilot_grids,
-                                     grids[group]).reshape(group.size, most, size, -1)[
-                                         place, slot[mine]]
-    delay = delay[inverse]
+    left = _phasors(theta[new], k)[:, None, :] * np.exp(1j * np.outer(offsets[0], k))
+    delay = _grid_products(left, pilot_grids, pair_grid[new])[inverse]
     delay *= _phasors(-centre[:, 1], l)[:, None, :]
     return _small_matmul(delay.reshape(-1, l.size), np.exp(-1j * np.outer(l, offsets[1]))
-                         ).reshape(owner.size, size, -1)
+                         ).reshape(owner.size, offsets[0].size, -1)
 
 
 def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -522,19 +517,17 @@ def _small_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray,
-            index=None) -> tuple:
+            index: np.ndarray) -> tuple:
     """Guarded Newton ascent of log P (``_newton_step``) from ``start``, (trials,
-    2) points in radians, on the grids ``index`` (ascending; None: the stack
-    in order), until a step is shorter than ``_NEWTON_TOL`` or
-    ``_NEWTON_STEPS`` were taken; an axis of one pilot stays. A trial whose
-    Hessian is not negative definite or whose point moves further than
-    ``reach`` from its start stays there. Returns the points and the flags of
-    the trials that did not stay."""
+    2) points in radians, on the grids ``index`` (non-decreasing), until a
+    step is shorter than ``_NEWTON_TOL`` or ``_NEWTON_STEPS`` were taken; an
+    axis of one pilot stays. A trial whose Hessian is not negative definite
+    or whose point moves further than ``reach`` from its start stays there.
+    Returns the points and the flags of the trials that did not stay."""
     rows, cols = pilot_grids.shape[-2:]
     k, l = _centred(rows, cols)
     pos, moved = start.copy(), np.ones(len(start), bool)
     active = np.arange(len(start))
-    index = active if index is None else index
     for _ in range(_NEWTON_STEPS):
         # the moments of the active trials alone: a stacked product runs one
         # matrix at a time, so each trial's bits are those of the whole stack's
@@ -551,10 +544,9 @@ def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray,
 
 
 def _moments(pilot_grids: np.ndarray, pos: np.ndarray, k, l, order: int,
-             index=None) -> np.ndarray:
+             index: np.ndarray) -> np.ndarray:
     """m[t, p, q] = sum_kl k^p l^q H[index[t], k, l] exp(j (k theta - l phi)) at
-    (theta, phi) = pos[t], for p, q < ``order``; ``index`` ascending, None
-    for the stack in order."""
+    (theta, phi) = pos[t], for p, q < ``order``; ``index`` non-decreasing."""
     powers = np.arange(order)[:, None]
     left = _phasors(pos[:, 0], k)[:, None, :] * k**powers
     right = _phasors(-pos[:, 1], l)[:, :, None] * (l**powers).T

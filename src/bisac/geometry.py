@@ -246,7 +246,8 @@ def bistatic_angle(d_tx, d_rx, baseline):
 
 
 def _distance(a, b) -> float:
-    return float(np.linalg.norm(np.subtract(a, b)))
+    # libm's hypot, as the column kernels (_truth_columns) take it
+    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def derive_ground_truth(scenario: BistaticScenario) -> SensingGroundTruth:

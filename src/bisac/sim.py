@@ -28,6 +28,9 @@ from .geometry import ScenarioEnsemble, _truth_columns, derive_ground_truth
 from .ofdm import OfdmNumerology
 from .pilots import PilotPattern
 
+# Bytes of complex128 rows that ``write_grid`` converts and writes at a time
+_WRITE_BYTES = 2**20
+
 # Gray-mapped QPSK symbols of the integers 0-3, indexed by them
 _QPSK = 1.0 / np.sqrt(2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
 
@@ -177,18 +180,22 @@ def simulate_pilots(ensemble: ScenarioEnsemble, numerology: OfdmNumerology,
 
 
 def write_grid(values: np.ndarray, path) -> None:
-    """Write a 2-D complex grid to the binary interchange format.
+    """Write a 2-D grid, complex or real, to the binary interchange format.
 
     Layout: little-endian header {rows: u32, cols: u32} followed by
     rows*cols interleaved float64 (re, im) pairs, row-major in the first
-    (subcarrier) axis.
+    (subcarrier) axis. Rows are converted and written ``_WRITE_BYTES`` of
+    them at a time, so a real grid is never held as complex in full.
     """
-    arr = np.ascontiguousarray(values, dtype=np.complex128)
-    if arr.ndim != 2:
+    values = np.asarray(values)
+    if values.ndim != 2:
         raise ValueError("grid must be 2-D")
+    rows, cols = values.shape
+    step = max(1, _WRITE_BYTES // (16 * max(cols, 1)))
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+        fh.write(struct.pack("<II", rows, cols))
+        for lo in range(0, rows, step):
+            fh.write(np.ascontiguousarray(values[lo:lo + step], dtype="<c16"))
 
 
 def read_grid(path) -> np.ndarray:

@@ -124,7 +124,7 @@ def dense_maximum(grid, padding=8):
         points, moved = np.r_[points[moved], again], np.r_[moved[moved], still]
     points = points[moved] if moved.any() else points
     power = np.abs(_moments(np.broadcast_to(grid, (len(points),) + grid.shape), points,
-                            *_centred(rows, cols), 1)[:, 0, 0]) ** 2
+                            *_centred(rows, cols), 1, np.arange(len(points)))[:, 0, 0]) ** 2
     order = np.argsort(-power, kind="stable")
     return points[order] % (2 * np.pi), power[order]
 
@@ -132,7 +132,7 @@ def dense_maximum(grid, padding=8):
 def _climb(grid, starts, sizes):
     """Newton's method on ``grid`` from each start; (points, moved flags)."""
     stack = np.ascontiguousarray(np.broadcast_to(grid, (len(starts),) + grid.shape))
-    return _newton(stack, starts, 4 * np.pi / np.array(sizes))
+    return _newton(stack, starts, 4 * np.pi / np.array(sizes), np.arange(len(starts)))
 
 
 def bracket_bins(grid, point, config):

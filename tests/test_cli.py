@@ -97,6 +97,20 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "missing.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fft", [2**41, 2**62, 2**70])
+    def test_fft_beyond_the_cap_exits_before_any_trial(self, fft, monkeypatch, capsys):
+        # at 2^62 the offsets read 0.0 and at 2^70 the peak bins raised a
+        # TypeError, both after the trial
+        def no_trial(*a):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(bisac.harness, "_trial_block", no_trial)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fft", str(fft)])
+        assert exc.value.code == 2
+        assert (f"fft_n must be at most 1099511627776, got {fft}"
+                in capsys.readouterr().err.splitlines()[-1])
+
     @pytest.mark.parametrize("command, args, message", [
         ("crb", ["--np", "70"], "collinear"),
         ("sweep", ["--np", "70", "--trials", "1"], "collinear"),

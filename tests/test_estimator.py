@@ -80,6 +80,18 @@ class TestPeriodogram:
         assert surface.shape == (64, 64)
         assert np.all(surface == 0.0)
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 16 * 64 * 3, 2**21])
+    def test_surface_is_the_whole_spectrum_squared(self, chunk_bytes, monkeypatch):
+        # the acceptance reference: row blocks of Doppler transforms (of one
+        # row, three, or all) give the surface of one whole transform, bit for bit
+        rng = np.random.default_rng(3)
+        grid = rng.standard_normal((35, 10)) + 1j * rng.standard_normal((35, 10))
+        cfg = PeriodogramConfig(256, 64)
+        spectrum = estimator._padded_fft(estimator._delay_stage(grid, cfg), 64, False)
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", chunk_bytes)
+        surface = periodogram_2d(grid, cfg)
+        assert surface.tobytes() == (spectrum.real**2 + spectrum.imag**2).tobytes()
+
     def test_static_target_peaks_at_origin(self, num):
         p = make_periodic(70, 50, 1, 1)
         frame = generate_frame(num, p, seed=6)
@@ -108,6 +120,11 @@ class TestPeriodogram:
             periodogram_2d(np.ones((5, 4), dtype=complex), PeriodogramConfig(4, 64))
         with pytest.raises(ValueError):
             PeriodogramConfig(100, 64)  # not a power of two
+        # float64 keeps the offsets of peak bins up to 2^40 to 2^-12 bin
+        assert PeriodogramConfig(2**40, 2**40).fft_m == estimator._MAX_FFT == 2**40
+        for fft_n, fft_m, name in ((2**41, 64, "fft_n"), (64, 2**70, "fft_m")):
+            with pytest.raises(ValueError, match=f"{name} must be at most 1099511627776"):
+                PeriodogramConfig(fft_n, fft_m)
 
 
 def peak_bins(grid, cfg):

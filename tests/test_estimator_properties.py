@@ -3,12 +3,15 @@ search's cell test, its direct DFTs against FFTs, its ball, the peak bins
 against the ``periodogram_2d`` argmax, and the delay stage's scaling."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+
+import bisac.estimator  # noqa: E402
 
 from bisac import (  # noqa: E402
     GeometryError,
@@ -25,8 +28,8 @@ from bisac import (  # noqa: E402
     sample_scenario,
 )
 from bisac.estimator import (  # noqa: E402
-    _BALL_MARGIN, _SLACK, _centred, _curvature, _delay_stage, _lattice, _moments, _newton,
-    _start_cells,
+    _BALL_MARGIN, _SLACK, _centred, _curvature, _delay_stage, _grid_products, _lattice, _moments,
+    _newton, _start_cells,
 )
 from reference_chain import dense_maximum, reference_estimate  # noqa: E402
 from test_estimator import assert_peak_bins_match_surface  # noqa: E402
@@ -132,7 +135,7 @@ def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
     assume(extent @ half <= np.pi / 2)
     where = np.array([data.draw(st.floats(-1.0, 1.0)) for _ in range(2)])
     centre = x0 + where * half
-    z = abs(_moments(grid[None], centre[None], *_centred(rows, cols), 1)[0, 0, 0])
+    z = abs(_moments(grid[None], centre[None], *_centred(rows, cols), 1, np.arange(1))[0, 0, 0])
     slack = 2 * _SLACK * np.abs(grid).sum()
     assert z + slack >= math.sqrt(power) * math.cos(extent @ half)
 
@@ -156,6 +159,29 @@ def test_dft_rows_lie_within_their_slack_of_the_fft_rows(grid, split, data):
     assert np.all(np.abs(np.abs(fft) - np.abs(values)) <= _SLACK * np.abs(grid).sum())
 
 
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
+       index=st.lists(st.integers(0, 4), max_size=12).map(sorted),
+       order=st.integers(1, 4), chunk_bytes=st.integers(1, 2**12),
+       seed=st.integers(0, 2**32 - 1))
+# repeats whose ends span as many grids as a run, a run, and both in one index
+@example(shape=(3, 2, 3), index=[0, 0, 2], order=2, chunk_bytes=2**21, seed=0)
+@example(shape=(5, 3, 2), index=[1, 2, 3, 4], order=1, chunk_bytes=1, seed=1)
+@example(shape=(5, 4, 4), index=[0, 1, 2, 2, 2, 3, 4, 4], order=3, chunk_bytes=1, seed=2)
+def test_grid_products_equal_the_gathered_product(shape, index, order, chunk_bytes, seed):
+    # any non-decreasing index, repeats included, at any chunk of gathered
+    # grids: the product of each grid it names, bit for bit
+    trials, rows, cols = shape
+    index = np.array([i % trials for i in index], int)
+    index.sort()
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((trials, rows, cols, 2)) @ np.array([1.0, 1j])
+    left = rng.standard_normal((index.size, order, rows)) + 0j
+    with mock.patch.object(bisac.estimator, "_CHUNK_BYTES", chunk_bytes):
+        got = _grid_products(left, stack, index)
+    assert got.tobytes() == (left @ stack[index]).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid=target_grids(), data=st.data())
 def test_ball_bounds_the_periodogram_around_a_newton_point(grid, data):
@@ -165,8 +191,8 @@ def test_ball_bounds_the_periodogram_around_a_newton_point(grid, data):
     rows, cols = grid.shape
     k, l = _centred(rows, cols)
     (start, *_), _ = dense_maximum(grid) or (np.zeros((1, 2)), None)
-    point, moved = _newton(grid[None], start[None], np.full(2, 0.1))
-    m = _moments(grid[None], point, k, l, 4)
+    point, moved = _newton(grid[None], start[None], np.full(2, 0.1), np.arange(1))
+    m = _moments(grid[None], point, k, l, 4, np.arange(1))
     extent = np.array([(rows - 1) / 2, (cols - 1) / 2])
     slack = _SLACK * np.abs(grid).sum()
     (kappa,), (third,) = _curvature(m, extent, np.array([slack]))
@@ -180,7 +206,8 @@ def test_ball_bounds_the_periodogram_around_a_newton_point(grid, data):
     y[:32] /= np.abs(y[:32]).sum(axis=1, keepdims=True)
     y[32:] /= 2
     steps = np.divide(y * radius, extent, out=np.zeros_like(y), where=extent > 0)
-    z = np.abs(_moments(np.broadcast_to(grid, (64,) + grid.shape), point + steps, k, l, 1))
+    z = np.abs(_moments(np.broadcast_to(grid, (64,) + grid.shape), point + steps, k, l, 1,
+                        np.arange(64)))
     peak = abs(m[0, 0, 0])
     assert np.all(z[:, 0, 0] ** 2 <= peak**2 + 2 * slack * peak + 4 * slack**2)
 

@@ -1,8 +1,9 @@
 """Property tests: the geometry column kernels (``geometry._truth_columns``,
 ``geometry._invert_columns``) against the scalar ``math`` reference in
 ``reference_chain``, compared as packed float64 bits, with each failing
-row's GeometryError text; the sweep's column readout against the reference
-chain at aliasing stride pairs; and the sweep builds no per-trial objects."""
+row's GeometryError text; the scalar distances against the kernels' legs;
+the sweep's column readout against the reference chain at aliasing stride
+pairs; and the sweep builds no per-trial objects."""
 
 import math
 from types import SimpleNamespace
@@ -100,6 +101,21 @@ def test_truth_columns_equal_the_scalar_reference(case):
         assert bits(values) == bits(list(vars(want).values()))
         if scenario is not None:
             assert bits(list(vars(derive_ground_truth(scenario)).values())) == bits(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tx=points, rx=points, target=points)
+# numpy's norm read this baseline one ulp off libm's hypot
+@example(tx=(-25.0, -72.0), rx=(48.5, 98.1), target=(0.0, 0.0))
+def test_scenario_distances_are_the_kernels_legs(tx, rx, target):
+    # a scenario's legs and baseline and the ensemble's baseline are the
+    # column kernels' d_tx, d_rx and D, bit for bit: the sweep inverts its
+    # estimates with the baseline its truths were drawn with
+    scenario = BistaticScenario(tx, rx, target)
+    _, _, (d_tx, d_rx, baseline) = _truth_columns(scenario, [(*target, 0.0, 0.0)])
+    ensemble = ScenarioEnsemble(tx_pos=tx, rx_pos=rx)
+    assert bits([scenario.d_tx, scenario.d_rx, scenario.baseline, ensemble.baseline]) == bits(
+        [d_tx[0], d_rx[0], baseline, baseline])
 
 
 lengths = st.one_of(st.floats(-1e4, 1e4), st.just(math.nan))

@@ -28,7 +28,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
 def modulus(grid, point):
     """|z| of a grid at (theta, phi)."""
-    return abs(_moments(grid[None], np.array([point]), *_centred(*grid.shape), 1)[0, 0, 0])
+    return abs(_moments(grid[None], np.array([point]), *_centred(*grid.shape), 1,
+                        np.arange(1))[0, 0, 0])
 
 
 def strategy_grid(rows, cols, seed, targets, snr_db, kind):
@@ -107,7 +108,7 @@ def test_never_below_newton_from_the_surface_argmax(grid, log_pad):
     if not np.isfinite(surface).all():
         return
     start = np.array(np.unravel_index(np.argmax(surface), surface.shape)) * 2 * np.pi / sizes
-    newton, _ = _newton(grid[None], start[None], 2 * np.pi / sizes)
+    newton, _ = _newton(grid[None], start[None], 2 * np.pi / sizes, np.arange(1))
     (point,), _, _ = _search(grid[None])
     slack = 6 * _SLACK * np.abs(grid).sum()
     assert modulus(grid, point) >= modulus(grid, newton[0]) - slack

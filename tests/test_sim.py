@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import bisac.sim
 from bisac import (
     BistaticScenario,
     ExperimentConfig,
@@ -217,6 +219,22 @@ class TestGridFile:
         floats = struct.unpack("<8d", raw[8:])
         # row-major in the subcarrier axis, (re, im) interleaved
         assert floats == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+
+    def test_real_grid_written_a_row_block_at_a_time(self, tmp_path):
+        # the bytes of its complex copy, which is never held in full: a
+        # 4 MiB real surface (8 MiB as complex) takes a block of rows
+        rng = np.random.default_rng(1)
+        path = tmp_path / "surface.bin"
+        for grid in (rng.random((1024, 513)), rng.random((37, 3)).T, np.zeros((0, 4))):
+            tracemalloc.start()
+            try:
+                write_grid(grid, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * bisac.sim._WRITE_BYTES
+            assert path.read_bytes() == (struct.pack("<II", *grid.shape)
+                                         + grid.astype(np.complex128).tobytes())
 
     @pytest.mark.parametrize("size", [0, 4, 7])
     def test_truncated_header_rejected(self, tmp_path, size):

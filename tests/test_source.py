@@ -183,6 +183,23 @@ def test_one_draw_of_a_trial_and_one_scaling_of_its_uniforms():
     assert scaling == {"_scale"}
 
 
+def test_one_gather_path_in_the_search():
+    # _lattice multiplies its (grid, theta) pairs by their grids in one
+    # _grid_products call, with no loop of its own, and every search helper
+    # takes its grid indices: none compares an index with None
+    estimator = functions(Path(bisac.__file__).parent / "estimator.py")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(estimator["_lattice"]))
+    assert "_grid_products" in names_in(estimator["_lattice"])
+    none_tests = {name for name, func in estimator.items() for node in ast.walk(func)
+                  if isinstance(node, ast.Compare) and "index" in names_in(node)
+                  and any(getattr(c, "value", 0) is None for c in node.comparators + [node.left])}
+    defaults = {name for name, func in estimator.items()
+                for arg, default in zip(func.args.args[::-1], func.args.defaults[::-1])
+                if arg.arg == "index"}
+    assert none_tests | defaults == set()
+
+
 def test_every_dataclass_is_frozen():
     # a value type changes only through its constructor or dataclasses.replace,
     # both of which run its checks

@@ -295,6 +295,19 @@ def test_block_allocates_no_more_than_the_geometry_draw(strides, snr_db):
     assert peak <= _WHOLE_ARRAY_DRAW_PEAK
 
 
+def test_aliasing_block_passes_on_its_start_samples_alone():
+    # an aliasing pattern opens many start cells at low SNR: the search keeps
+    # the samples that pass the level-0 test before it builds their centres
+    # (a full (10, 5) block at -30 dB traced 15.9 MiB when every sample got
+    # one; the level loop's cells still take it past _BLOCK_BYTES)
+    pattern = make_periodic(70, 50, 10, 5)
+    trials = _block_length(*(count + 1 for count in pattern.periodic_counts()))
+    assert trials == 2053
+    config = ExperimentConfig(pattern=pattern, snr_grid_db=(-30.0,), trials_per_point=trials,
+                              seed=1)
+    assert allocation_peak(_block_errors, (config, [(0, 0, trials)])) <= 14 * 2**20
+
+
 # the traced peak of a strides-(2, 1) draw chunk's pilot draw and LS divide
 # (20 trials, 20 dB, seed 1) by ``allocation_peak``, when each trial's phase
 # took one exponential a cell and its noise a complex temporary
