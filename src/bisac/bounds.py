@@ -14,6 +14,7 @@ SNR = |gain|^2 / noise_var, dB at API surfaces and linear internally.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -370,8 +371,10 @@ def ecrb_vel(
 
     Averages sqrt(crb_vel) over bistatic angles induced by the target
     distribution (RMSE-comparable convention), as the sweep and table bound
-    columns do (``_ecrb_means``). Deterministic for a given seed. Degenerate
-    draws (target on a terminal) are skipped and counted.
+    columns do (``_ecrb_means``). Deterministic for a given seed, which is
+    anything ``np.random.default_rng`` takes whose bit generator has
+    ``advance`` (PCG64, its default). Degenerate draws (target on a
+    terminal) are skipped and counted.
     Raises SingularPatternError, as ``_check_off_baseline`` does, for a
     target box that meets the baseline segment.
     """
@@ -412,57 +415,59 @@ def _check_off_baseline(ensemble: ScenarioEnsemble) -> None:
 _ECRB_SLICE = 8192
 
 
-def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed) -> tuple:
-    """cos(beta/2) of the nondegenerate seeded target draws, and the skip count.
+def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed):
+    """Yields cos(beta/2) of each slice of ``_ECRB_SLICE`` seeded target draws
+    and the mask of its nondegenerate draws; raises SingularPatternError after
+    the last slice if no draw was.
 
     Independent of pattern and noise level: one draw serves every bound.
     The law of cosines with the half-angle identity gives, with the legs
     d_tx, d_rx, the baseline D and s = d_tx + d_rx,
 
-        cos(beta/2) = sqrt((s - D)(s + D) / (4 d_tx d_rx)),
+        cos(beta/2) = sqrt((s - D)(s + D) / (4 d_tx d_rx)).
 
-    computed slice by slice; a copy drops the skipped draws only when there
-    are any. The targets are bit for bit ``rng.uniform(*x_range, draws),
-    rng.uniform(*y_range, draws)``, each slice's y drawn into one reused
-    buffer and scaled in place (``ScenarioEnsemble._scale``).
+    The targets are bit for bit ``rng.uniform(*x_range, draws),
+    rng.uniform(*y_range, draws)`` of ``rng = default_rng(seed)``, scaled
+    in place (``ScenarioEnsemble._scale``): each slice's x from ``rng``,
+    its y from a copy of it advanced past the x draws, so memory does not
+    grow with ``draws``.
     """
     draws = _checked(draws, int, "draws", 1)
     rng = np.random.default_rng(seed)
-    # a slice of x is read before its cos(beta/2) overwrites it: no fresh
-    # array of draws, whose page faults would set the draw's speed
-    cos_half = rng.random(draws)
+    y_rng = copy.deepcopy(rng)
+    y_rng.bit_generator.advance(draws)
     (tx_x, tx_y), (rx_x, rx_y) = ensemble.tx_pos, ensemble.rx_pos
-    baseline = ensemble.baseline
-    ok = np.empty(draws, dtype=bool)
-    ys = np.empty(min(draws, _ECRB_SLICE))
-    # a leg of zero length divides by zero, and on the baseline segment
-    # rounding can make s - D negative; the mask drops those draws
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, draws, _ECRB_SLICE):
-            part = slice(lo, lo + _ECRB_SLICE)
-            x = cos_half[part]
-            y = rng.random(out=ys[:len(x)])
-            ensemble._scale(x, y)
+    baseline, kept = ensemble.baseline, 0
+    for lo in range(0, draws, _ECRB_SLICE):
+        size = min(_ECRB_SLICE, draws - lo)
+        x, y = rng.random(size), y_rng.random(size)
+        ensemble._scale(x, y)
+        # a leg of zero length divides by zero, and on the baseline segment
+        # rounding can make s - D negative; the mask drops those draws
+        with np.errstate(divide="ignore", invalid="ignore"):
             d_tx = np.sqrt((x - tx_x) ** 2 + (y - tx_y) ** 2)
             d_rx = np.sqrt((x - rx_x) ** 2 + (y - rx_y) ** 2)
             s = d_tx + d_rx
             np.sqrt((s - baseline) * (s + baseline) / (4.0 * d_tx * d_rx), out=x)
-            ok[part] = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (x > 1e-12)
-    skipped = draws - int(np.count_nonzero(ok))
-    if skipped == draws:
+        ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (x > 1e-12)
+        kept += int(np.count_nonzero(ok))
+        yield x, ok
+    if not kept:
         raise SingularPatternError("all ensemble draws were degenerate")
-    return (cos_half[ok] if skipped else cos_half), skipped
 
 
 def _ecrb_means(ensemble: ScenarioEnsemble, crb_vels, draws: int, seed) -> tuple:
     """(means, skipped): per crb_vel [(m/s)^2] of ``crb_vels``, the mean of
-    sqrt(crb_vel / cos^2(beta/2)) [m/s] over one seeded geometry draw, whose
-    terms go into one buffer; and the draw's skip count. Raises as
-    ``_check_off_baseline`` does, then as ``_ecrb_geometry`` does."""
+    sqrt(crb_vel / cos^2(beta/2)) [m/s] over one seeded geometry draw,
+    sqrt(crb_vel) times the one mean of 1 / cos(beta/2), summed a slice at
+    a time; and the draw's skip count. Raises as ``_check_off_baseline``
+    does, then as ``_ecrb_geometry`` does."""
     _check_off_baseline(ensemble)
-    cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
-    terms = np.empty_like(cos_half)
-    return [float(np.divide(math.sqrt(v), cos_half, out=terms).mean()) for v in crb_vels], skipped
+    total, kept = 0.0, 0
+    for cos_half, ok in _ecrb_geometry(ensemble, draws, seed):
+        terms = 1.0 / cos_half[ok]
+        total, kept = total + float(terms.sum()), kept + terms.size
+    return [math.sqrt(v) * (total / kept) for v in crb_vels], draws - kept
 
 
 def rate_upper_bound(

@@ -23,7 +23,9 @@ from .pilots import PilotPattern
 
 # Multiply-adds per matrix product on the trial path. OpenBLAS 0.3.31 ran a
 # complex 36 x 35 @ 35 x 50 product (63000) on one thread and a 40 x 35 one
-# (70000) on two, which took 8-16 ms instead of 20 us in some calls.
+# (70000) on two, which took 8-16 ms instead of 20 us in some calls: a 900-trial
+# (2, 1) sweep at 2 workers took 0.34-0.50 s with plain ``@``, 0.17 s blocked
+# (``_small_matmul``), unless its threads are pinned to one, as in the benchmark.
 _BLAS_MNK = 2**15
 
 # Newton's method (see _newton) stops a trial after a step shorter than
@@ -81,9 +83,9 @@ class EstimationResult:
     peak_power, P there; fractional_offsets, from them to the maximum, under
     one bin (zero without interpolation: the bins are the estimate).
     refine_fallback: the maximum is no certified Newton maximum (a zero,
-    non-finite, 1 x 1, flat or ridged grid, or failed Newton; False without
-    interpolation). An axis of one pilot stays at bin 0. beta_clamped flags
-    a degenerate bistatic-angle inversion."""
+    non-finite, overflowing, 1 x 1, flat or ridged grid, or failed Newton;
+    False without interpolation). An axis of one pilot stays at bin 0.
+    beta_clamped flags a degenerate bistatic-angle inversion."""
 
     tau_hat: float
     f_d_hat: float
@@ -267,20 +269,20 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     Sec. 3.1), under 1e-11 sum|H| here: every |z| is widened by delta =
     ``_SLACK`` sum|H|, and a point must beat |z(p*)| by 2 delta.
 
-    Non-finite, all-zero and 1 x 1 grids stay at (0, 0). A grid with over
-    half its start cells open or over ``_FLAT`` after a split (flat, or with
+    1 x 1 grids stay at (0, 0), and so do all but 0 < sum|H| < (largest
+    float) / 2, where every |z| <= sum|H| is finite. A grid with over half
+    its start cells open or over ``_FLAT`` after a split (flat, or with
     maxima on a ridge; a noise-dominated grid can open a third of its start
     cells), or with any left after ``_MAX_LEVELS`` splits, keeps the best
     point found (the first sample within rounding of the largest if none
-    rose above it). Returns the points
-    (trials, 2) in [0, 2 pi), the flags of certified Newton maxima and the
-    cells split per trial.
+    rose above it). Returns the points (trials, 2) in [0, 2 pi), the flags
+    of certified Newton maxima and the cells split per trial.
     """
     trials, rows, cols = pilot_grids.shape
     pos, found, kept = np.zeros((trials, 2)), np.zeros(trials, bool), np.zeros(trials, int)
     step = _chunk_length(rows, cols)
     total = np.abs(pilot_grids).sum(axis=(1, 2))
-    live = np.flatnonzero(np.isfinite(total) & (total > 0.0) & (rows * cols > 1))
+    live = np.flatnonzero((total > 0.0) & (total < np.finfo(float).max / 2) & (rows * cols > 1))
     if not live.size:
         return pos, found, kept
     slack, n = _SLACK * total[live], live.size
@@ -389,10 +391,10 @@ def _start_samples(grids: np.ndarray, offset: int, cells: np.ndarray, slack: np.
     transform of the passing rows, a sixteenth of ``_CHUNK_BYTES`` of
     samples at a time. Returns the samples of a superset of the start cells
     that pass the level-0 test, row-major, as (grid cells[0] + row) cells[1]
-    + column, their |z|, and each grid's largest sample, top. The superset
-    holds the samples not below ``_kept_floor`` (the climbed peak is at
-    least top - 4 slack) and each grid's first sample, where Newton starts
-    when no sample is within rounding of top (a non-finite one)."""
+    + column, their |z|, and each grid's largest sample, top. A batch keeps
+    the samples not below ``_kept_floor`` of the best sample of the
+    highest-bound row, first <= top; top comes from them, and the ones not
+    below ``_kept_floor(top)`` (the climbed peak is at least top - 4 slack)."""
     stage = _padded_fft(np.swapaxes(grids, -1, -2), cells[0], True)
     # sum_l |S(theta, l)|, a quarter of a full chunk at a time
     quarter = -(-_chunk_length(grids.shape[1], grids.shape[2]) // 4)
@@ -400,26 +402,21 @@ def _start_samples(grids: np.ndarray, offset: int, cells: np.ndarray, slack: np.
                                 for lo in range(0, len(grids), quarter)]) + slack[:, None]
     first = np.abs(_padded_fft(stage[np.arange(len(grids)), :, row_bound.argmax(axis=1)],
                                cells[1], False)).max(axis=1)
-    # the passing rows, grid cells[0] + row, and the first of each grid
+    # the passing rows, grid cells[0] + row
     rows = np.flatnonzero(~(row_bound < ((first - slack) * cos_h)[:, None]))
     del row_bound
-    lead = np.r_[True, np.diff(rows // cells[0]) > 0]
-    top, parts, batch = np.zeros(len(grids)), [], max(1, _CHUNK_BYTES // (256 * int(cells[1])))
+    floor, parts = _kept_floor(first, slack, cos_h), []
+    batch = max(1, _CHUNK_BYTES // (256 * int(cells[1])))
     for lo in range(0, rows.size, batch):
         t, i = np.divmod(rows[lo:lo + batch], cells[0])
         amps = np.abs(_padded_fft(stage[t, :, i], cells[1], False))
-        np.maximum.at(top, t, amps.max(axis=1))
-        # the largest sample so far, and the highest-bound row's, are at most top
-        keep = ~(amps < _kept_floor(np.maximum(top, first), slack, cos_h)[t][:, None])
-        keep[:, 0] |= lead[lo:lo + batch]
-        r, c = np.nonzero(keep)
-        parts.append((rows[lo + r] * cells[1] + c, amps[r, c], lead[lo + r] & (c == 0)))
+        r, c = np.nonzero(~(amps < floor[t][:, None]))
+        parts.append((rows[lo + r] * cells[1] + c, amps[r, c]))
     del stage
-    samples, amps, lead = (np.concatenate(part) for part in zip(*parts))
-    if len(parts) > 1:  # rows of a grid may span batches: filter against its top
-        keep = ~(amps < _kept_floor(top, slack, cos_h)[samples // cells.prod()]) | lead
-        samples, amps = samples[keep], amps[keep]
-    return samples + offset * cells.prod(), amps, top
+    samples, amps = (np.concatenate(part) for part in zip(*parts))
+    np.maximum.at(top := np.zeros(len(grids)), grid := samples // cells.prod(), amps)
+    keep = ~(amps < _kept_floor(top, slack, cos_h)[grid])
+    return samples[keep] + offset * cells.prod(), amps[keep], top
 
 
 def _kept_floor(top: np.ndarray, slack: np.ndarray, cos_h: float) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Property tests: the sliced closed-form ECRB geometry draw against the
-reference whole-array path (hypot legs, then the bistatic angle by arccos),
+reference whole-array path (hypot legs, then the bistatic angle by arccos)
+and its targets against ``rng.uniform``,
 the baseline-segment check against a rational clip, the per-axis phase
 kernel against one exponential a cell and against the exact phase, and the
 ensemble's draws against ``rng.uniform``."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,8 +45,11 @@ def assert_matches_reference(ensemble, draws, seed):
     # where s - D is a few ulp of s, is kept or skipped as each path's
     # rounding falls (the exact points are checked below)
     assume(not np.any(ok & (s - baseline <= 16 * EPS * s)))
-    cos_half, skipped = _ecrb_geometry(ensemble, draws, seed)
-    assert skipped == draws - ok.sum()
+    slices = list(_ecrb_geometry(ensemble, draws, seed))
+    assert [len(part) for part, _ in slices[:-1]] == [_ECRB_SLICE] * (len(slices) - 1)
+    cos_half, kept = (np.concatenate(part) for part in zip(*slices))
+    assert np.array_equal(kept, ok)
+    cos_half = cos_half[kept]
     # within a few ulp of the rounding that the legs carry into s - D, the
     # one difference that cancels
     ref, s = ref[ok], s[ok]
@@ -73,6 +78,28 @@ def test_draw_equals_the_reference_path(ensemble, draws, seed):
     assert_matches_reference(ensemble, draws, seed)
 
 
+@settings(max_examples=50, deadline=None)
+@given(ensemble=ensembles(), draws=st.integers(1, 3 * _ECRB_SLICE),
+       seed=st.integers(0, 2**32 - 1))
+def test_draw_targets_are_the_uniform_streams(ensemble, draws, seed):
+    # each slice's x comes from the generator and its y from an advanced copy
+    # of it, drawn as the slice is: together they are the two rng.uniform
+    # calls, bit for bit
+    scale, targets = ScenarioEnsemble._scale, []
+
+    def recorded(self, *uniforms):
+        scale(self, *uniforms)
+        targets.append([u.copy() for u in uniforms])
+
+    with mock.patch.object(ScenarioEnsemble, "_scale", recorded):
+        sizes = [(len(cos_half), len(ok))
+                 for cos_half, ok in _ecrb_geometry(ensemble, draws, np.random.SeedSequence(seed))]
+    assert sizes == [(len(x), len(y)) for x, y in targets]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for drawn, axis in zip(zip(*targets), (ensemble.x_range, ensemble.y_range)):
+        assert np.concatenate(drawn).tobytes() == rng.uniform(*axis, draws).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(tx=points, rx=points, target=points, seed=st.integers(0, 2**32 - 1))
 def test_point_mass_draws_equal_the_reference_path(tx, rx, target, seed):
@@ -95,7 +122,7 @@ def test_degenerate_point_is_skipped_on_both_paths(tx, rx, target):
                              y_range=(target[1],) * 2)
     assert not reference_geometry(point, 10, 0)[1].any()
     with pytest.raises(SingularPatternError, match="all ensemble draws"):
-        _ecrb_geometry(point, 10, 0)
+        list(_ecrb_geometry(point, 10, 0))
 
 
 def meets_open_segment(ensemble):

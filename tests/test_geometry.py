@@ -62,7 +62,7 @@ def test_reversed_range_is_not_drawn(field):
         simulate_trial(ExperimentConfig(ensemble=ensemble, trials_per_point=1), 0, 0)
     if field in ("x_range", "y_range"):
         with pytest.raises(ValueError, match=message):
-            _ecrb_geometry(ensemble, 10, 3)
+            list(_ecrb_geometry(ensemble, 10, 3))
 
 
 class TestDeriveGroundTruth:

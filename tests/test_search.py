@@ -1,9 +1,11 @@
 """The certified search of the continuous periodogram: the brute-force
 maximum on random grids, never below Newton's method from the surface
-argmax, and no dependence on the FFT sizes."""
+argmax, start samples equal to the dense start-grid transform's, and no
+dependence on the FFT sizes."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from bisac import (  # noqa: E402
     periodogram_2d,
 )
 from bisac import estimator  # noqa: E402
-from bisac.estimator import _SLACK, _centred, _moments, _newton, _search  # noqa: E402
+from bisac.estimator import (  # noqa: E402
+    _SLACK, _centred, _kept_floor, _moments, _newton, _search, _start_cells, _start_samples,
+)
 from bisac.harness import _block_errors, _trial_block, simulate_trial  # noqa: E402
 from reference_chain import block_trials, dense_maximum  # noqa: E402
 
@@ -112,6 +116,57 @@ def test_never_below_newton_from_the_surface_argmax(grid, log_pad):
     (point,), _, _ = _search(grid[None])
     slack = 6 * _SLACK * np.abs(grid).sum()
     assert modulus(grid, point) >= modulus(grid, newton[0]) - slack
+
+
+@st.composite
+def trial_stacks(draw):
+    """A stack of 1-5 LS grids of strides (2, 1), (2, 5) or (10, 5), each at -30
+    to 30 dB."""
+    pattern = make_periodic(70, 50, *draw(st.sampled_from([(2, 1), (2, 5), (10, 5)])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.stack([_trial_block(ExperimentConfig(
+        pattern=pattern, snr_grid_db=(draw(st.floats(-30, 30)),), trials_per_point=1, seed=seed),
+        [(0, trial, trial + 1)])[1][0] for trial in range(draw(st.integers(1, 5)))])
+
+
+@settings(max_examples=30, deadline=None)
+@given(stack=trial_stacks(), chunk_bytes=st.sampled_from([1, 2**40]))
+def test_start_samples_are_the_dense_samples_above_the_floor(stack, chunk_bytes):
+    # against the zero-padded 2-D transform at the start cells, with row
+    # batches of one row or of the whole stack: top is its largest sample,
+    # and every sample above _kept_floor(top) comes back with its |z|, in
+    # row-major order, and none below it (beyond rounding)
+    trials, rows, cols = stack.shape
+    cells = _start_cells(rows, cols)
+    slack = _SLACK * np.abs(stack).sum(axis=(1, 2))
+    cos_h = math.cos(np.array([rows - 1, cols - 1]) / 2 @ (np.pi / cells))
+    dense = np.abs(np.fft.fft(np.fft.ifft(stack, cells[0], axis=1, norm="forward"),
+                              cells[1], axis=2)).reshape(trials, -1)
+    with mock.patch.object(estimator, "_CHUNK_BYTES", chunk_bytes):
+        samples, amps, top = _start_samples(stack, 2, cells, slack, cos_h)
+    assert np.all(np.abs(top - dense.max(axis=1)) <= slack)
+    assert np.all(np.diff(samples) > 0)
+    t, at = np.divmod(samples - 2 * cells.prod(), cells.prod())
+    assert np.all(np.abs(amps - dense[t, at]) <= slack[t])
+    floor = _kept_floor(top, slack, cos_h)[:, None]
+    returned = np.zeros(dense.shape, bool)
+    returned[t, at] = True
+    assert returned[dense > floor + slack[:, None]].all()
+    assert not returned[dense < floor - slack[:, None]].any()
+
+
+def test_grid_past_half_the_largest_float_stays_at_the_origin():
+    # |z| <= sum|H| keeps the start samples finite only below half the
+    # largest float: a grid past it stays at (0, 0), unflagged and unsplit,
+    # and its stack's other grid is searched as it would be alone
+    k, l = np.arange(6)[:, None], np.arange(5)
+    tone = np.exp(2j * np.pi * (-0.3 * k + 0.2 * l))
+    huge = tone * (0.6 * np.finfo(float).max / tone.size)
+    assert np.abs(huge).sum() > np.finfo(float).max / 2
+    pos, found, split = _search(np.stack([huge, tone]))
+    assert pos[0].tolist() == [0.0, 0.0] and not found[0] and split[0] == 0
+    alone = _search(tone[None])
+    assert pos[1:].tobytes() == alone[0].tobytes() and found[1] and split[1] == alone[2][0]
 
 
 def sweep_config(fft, snr_db=20.0, strides=(2, 1)):

@@ -26,7 +26,7 @@ from bisac import (  # noqa: E402
     make_periodic,
     run_sweep,
 )
-from bisac.bounds import _ECRB_SLICE, _ecrb_geometry  # noqa: E402
+from bisac.bounds import _ECRB_SLICE, _ecrb_means  # noqa: E402
 from bisac.estimator import (  # noqa: E402
     _block_length, _chunk_length, _delay_stage, _search, _start_cells,
 )
@@ -331,11 +331,19 @@ def test_block_draw_allocates_no_more_than_a_phase_per_cell():
 
 
 def test_geometry_draw_allocates_one_array_of_draws():
-    # the x draws, which take the output, plus the skip mask, one slice's
-    # y draws and the temporaries of one slice; the y draws were a second
-    # whole array, 0.8 MB more
+    # at most the x draws, the skip mask and the temporaries of one slice,
+    # when the x draws were one whole array; the y draws were a second one,
+    # 0.8 MB more
     draws = ExperimentConfig().ecrb_draws
     slack = draws + 8 * (8 * _ECRB_SLICE)
-    peak = allocation_peak(_ecrb_geometry, ScenarioEnsemble(), draws,
+    peak = allocation_peak(_ecrb_means, ScenarioEnsemble(), [1.0], draws,
                            np.random.SeedSequence([1, 1]))
     assert peak <= 8 * draws + slack
+
+
+def test_geometry_draw_memory_does_not_grow_with_the_draws():
+    # every slice of draws is reduced before the next is drawn; the x draws
+    # were one array of 8 bytes a draw, 1.4 MB more at 2e5 draws
+    peaks = [allocation_peak(_ecrb_means, ScenarioEnsemble(), [1.0], draws,
+                             np.random.SeedSequence([1, 1])) for draws in (2 * 10**4, 2 * 10**5)]
+    assert peaks[1] <= peaks[0] + _ECRB_SLICE
