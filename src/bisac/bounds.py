@@ -14,7 +14,6 @@ SNR = |gain|^2 / noise_var, dB at API surfaces and linear internally.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -390,8 +389,12 @@ def _check_off_baseline(ensemble: ScenarioEnsemble) -> None:
     There cos(beta/2) = 0, and it falls linearly with the distance to the
     segment, so the ensemble mean of 1/cos(beta/2) diverges and a finite draw
     of it is a seed-dependent number. The segment is clipped to the box in
-    exact rational arithmetic.
+    exact rational arithmetic, unless the segment's bounding box misses the
+    box on an axis.
     """
+    if any(max(a, b) < min(box) or min(a, b) > max(box) for a, b, box in zip(
+            ensemble.tx_pos, ensemble.rx_pos, (ensemble.x_range, ensemble.y_range))):
+        return
     tx, rx = (tuple(map(Fraction, pos)) for pos in (ensemble.tx_pos, ensemble.rx_pos))
     steps = [b - a for a, b in zip(tx, rx)]
     if not any(steps):
@@ -430,27 +433,42 @@ def _ecrb_geometry(ensemble: ScenarioEnsemble, draws: int, seed):
     rng.uniform(*y_range, draws)`` of ``rng = default_rng(seed)``, scaled
     in place (``ScenarioEnsemble._scale``): each slice's x from ``rng``,
     its y from a copy of it advanced past the x draws, so memory does not
-    grow with ``draws``.
+    grow with ``draws``. Each slice is computed in place, in leg and
+    temporary buffers of one slice; where the slice's minima keep every
+    draw, its mask is all True without a compare.
     """
     draws = _checked(draws, int, "draws", 1)
     rng = np.random.default_rng(seed)
-    y_rng = copy.deepcopy(rng)
+    # a copy of rng (its bit generator jumped by nothing), advanced
+    y_rng = np.random.Generator(rng.bit_generator.jumped(0))
     y_rng.bit_generator.advance(draws)
     (tx_x, tx_y), (rx_x, rx_y) = ensemble.tx_pos, ensemble.rx_pos
     baseline, kept = ensemble.baseline, 0
+    buffers = np.empty((4, min(_ECRB_SLICE, draws)))
     for lo in range(0, draws, _ECRB_SLICE):
         size = min(_ECRB_SLICE, draws - lo)
         x, y = rng.random(size), y_rng.random(size)
         ensemble._scale(x, y)
+        d_tx, d_rx, s, t = buffers[:, :size]
         # a leg of zero length divides by zero, and on the baseline segment
         # rounding can make s - D negative; the mask drops those draws
         with np.errstate(divide="ignore", invalid="ignore"):
-            d_tx = np.sqrt((x - tx_x) ** 2 + (y - tx_y) ** 2)
-            d_rx = np.sqrt((x - rx_x) ** 2 + (y - rx_y) ** 2)
-            s = d_tx + d_rx
-            np.sqrt((s - baseline) * (s + baseline) / (4.0 * d_tx * d_rx), out=x)
-        ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (x > 1e-12)
-        kept += int(np.count_nonzero(ok))
+            for leg, (px, py) in ((d_tx, (tx_x, tx_y)), (d_rx, (rx_x, rx_y))):
+                # sqrt((x - px)^2 + (y - py)^2)
+                np.square(np.subtract(x, px, out=leg), out=leg)
+                leg += np.square(np.subtract(y, py, out=t), out=t)
+                np.sqrt(leg, out=leg)
+            # sqrt((s - D)(s + D) / (4 d_tx d_rx)), s = d_tx + d_rx
+            np.add(d_tx, d_rx, out=s)
+            np.subtract(s, baseline, out=t)
+            t *= np.add(s, baseline, out=s)
+            t /= np.multiply(np.multiply(d_tx, 4.0, out=s), d_rx, out=s)
+            np.sqrt(t, out=x)
+        if buffers[:2, :size].min() > DEGENERATE_EPS and x.min() > 1e-12:
+            ok, kept = np.ones(size, bool), kept + size
+        else:
+            ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (x > 1e-12)
+            kept += int(np.count_nonzero(ok))
         yield x, ok
     if not kept:
         raise SingularPatternError("all ensemble draws were degenerate")
@@ -465,7 +483,8 @@ def _ecrb_means(ensemble: ScenarioEnsemble, crb_vels, draws: int, seed) -> tuple
     _check_off_baseline(ensemble)
     total, kept = 0.0, 0
     for cos_half, ok in _ecrb_geometry(ensemble, draws, seed):
-        terms = 1.0 / cos_half[ok]
+        terms = cos_half if ok.all() else cos_half[ok]
+        terms = np.divide(1.0, terms, out=terms)
         total, kept = total + float(terms.sum()), kept + terms.size
     return [math.sqrt(v) * (total / kept) for v in crb_vels], draws - kept
 

@@ -12,6 +12,7 @@ cycles (mod 1), read on (-1/2, 1/2]; delays live in [0, unambiguous span).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,43 @@ _CHUNK_BYTES = 2**21
 # The largest FFT size: peak bins up to 2^40 keep offsets of 2^-12 bin in a
 # float64, and larger sizes lose them
 _MAX_FFT = 2**40
+
+# _search runs a grid whose sum |H| lies outside [2^-_SAFE_EXPONENT,
+# 2^_SAFE_EXPONENT] as a copy scaled by a power of two, which every step of
+# the search commutes with; inside, its powers up to |z|^4 (extent)^6 stay
+# normal and finite for any pilot grid up to 2^20 a side
+_SAFE_EXPONENT = 128
+# the largest sum |H| that _search climbs: every |z| <= sum |H| is finite
+_MAX_TOTAL = np.finfo(float).max / 2
+
+# The derivatives P_pq of P = z conj(z) that _curvature takes: the third,
+# the second and the first, each group a run, and those of more Leibniz terms
+# C(p, a) C(q, b) z_ab conj(z_(p-a)(q-b)) first
+_DERIVATIVES = ((2, 1), (1, 2), (3, 0), (0, 3), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
+# z_ab = j^a (-j)^b m_ab (_curvature)
+_Z_ROWS, _Z_COLS = 1j ** np.arange(4), (-1j) ** np.arange(4)
+# the gradient signs (g_u, g_v) of _newton_step in its cross terms
+_SIGNS = np.array([-1.0, 1.0])
+# a grid's entry in the balls of _search until its climb adds one
+_NO_BALL = np.array([0.0, 0.0, -1.0, 0.0])
+
+
+def _leibniz_terms() -> tuple:
+    """Per Leibniz term t of ``_DERIVATIVES``, in the order of Python's ``sum``
+    over a, then b: the number of derivatives with a t-th term (a leading
+    run of them), their complex weights C(p, a) C(q, b), and the indices of
+    their factors z_ab, 4 a + b, then of their factors conj(z_(p-a)(q-b)),
+    16 + 4 (p - a) + q - b, in z and conj(z) flat side by side."""
+    terms = [[(math.comb(p, a) * math.comb(q, b), 4 * a + b, 16 + 4 * (p - a) + q - b)
+              for a in range(p + 1) for b in range(q + 1)] for p, q in _DERIVATIVES]
+    columns = ([row[t] for row in terms if t < len(row)] for t in range(len(terms[0])))
+    return tuple((len(column), np.array([w for w, _, _ in column], complex),
+                  np.array([i for _, i, _ in column] + [j for _, _, j in column]))
+                 for column in columns)
+
+
+_LEIBNIZ = _leibniz_terms()
+
 
 @dataclass(frozen=True)
 class PeriodogramConfig:
@@ -191,8 +229,12 @@ def _start_cells(rows: int, cols: int) -> np.ndarray:
     """Cells of the search's start grid per axis: the smallest powers of two at
     least twice the pilot rows and four times the pilot columns (one for a
     single pilot)."""
-    return np.array([1 if n == 1 else 1 << (per * n - 1).bit_length()
-                     for n, per in ((rows, 2), (cols, 4))])
+    return np.array([_cells(rows, 2), _cells(cols, 4)])
+
+
+def _cells(n: int, per: int) -> int:
+    """The smallest power of two at least ``per`` times n, one for n = 1."""
+    return 1 if n == 1 else 1 << (per * n - 1).bit_length()
 
 
 def _chunk_length(rows: int, cols: int) -> int:
@@ -200,7 +242,7 @@ def _chunk_length(rows: int, cols: int) -> int:
     and of a block's draws: as many as fit ``_CHUNK_BYTES`` of the start delay
     stage, and at least one; 20 of 35 x 50 pilots (strides (2, 1)), 102 of
     35 x 10 (strides (2, 5))."""
-    return max(1, _CHUNK_BYTES // (int(_start_cells(rows, 1)[0]) * cols * 16))
+    return max(1, _CHUNK_BYTES // (_cells(rows, 2) * cols * 16))
 
 
 def _block_length(rows: int, cols: int) -> int:
@@ -215,9 +257,13 @@ def _block_length(rows: int, cols: int) -> int:
     return max(1, int(_BLOCK_BYTES - 1.3 * _CHUNK_BYTES) // (rows * cols * 20))
 
 
+@functools.lru_cache(maxsize=16)
 def _centred(rows: int, cols: int) -> tuple:
-    """The centred pilot indices k and l of a rows x cols grid."""
-    return tuple(np.arange(n) - (n - 1) / 2.0 for n in (rows, cols))
+    """The centred pilot indices k and l of a rows x cols grid, read-only."""
+    indices = tuple(np.arange(n) - (n - 1) / 2.0 for n in (rows, cols))
+    for index in indices:
+        index.flags.writeable = False
+    return indices
 
 
 def _search(pilot_grids: np.ndarray) -> tuple:
@@ -270,32 +316,48 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     ``_SLACK`` sum|H|, and a point must beat |z(p*)| by 2 delta.
 
     1 x 1 grids stay at (0, 0), and so do all but 0 < sum|H| < (largest
-    float) / 2, where every |z| <= sum|H| is finite. A grid with over half
-    its start cells open or over ``_FLAT`` after a split (flat, or with
-    maxima on a ridge; a noise-dominated grid can open a third of its start
-    cells), or with any left after ``_MAX_LEVELS`` splits, keeps the best
-    point found (the first sample within rounding of the largest if none
-    rose above it). Returns the points (trials, 2) in [0, 2 pi), the flags
-    of certified Newton maxima and the cells split per trial.
+    float) / 2, where every |z| <= sum|H| is finite. A grid with sum|H|
+    outside [2^-``_SAFE_EXPONENT``, 2^``_SAFE_EXPONENT``] is searched scaled
+    by the power of two that takes sum|H| into [1/2, 1), which every step
+    commutes with, so its P and ball terms stay finite and normal. A grid
+    with over half its start cells open or over ``_FLAT`` after a split
+    (flat, or with maxima on a ridge; a noise-dominated grid can open a
+    third of its start cells), or with any left after ``_MAX_LEVELS``
+    splits, keeps the best point found (the first sample within rounding of
+    the largest if none rose above it). Returns the points (trials, 2) in
+    [0, 2 pi), the flags of certified Newton maxima and the cells split per
+    trial.
     """
     trials, rows, cols = pilot_grids.shape
     pos, found, kept = np.zeros((trials, 2)), np.zeros(trials, bool), np.zeros(trials, int)
     step = _chunk_length(rows, cols)
     total = np.abs(pilot_grids).sum(axis=(1, 2))
-    live = np.flatnonzero((total > 0.0) & (total < np.finfo(float).max / 2) & (rows * cols > 1))
+    live = np.flatnonzero((total > 0.0) & (total < _MAX_TOTAL) & (rows * cols > 1))
     if not live.size:
         return pos, found, kept
+    # a grid far from unit scale runs as a copy scaled by a power of two,
+    # sum |H| in [1/2, 1): every step of the search commutes with it
+    exponent = np.abs(np.frexp(total[live])[1])
+    if exponent.max() > _SAFE_EXPONENT:
+        far = live[exponent > _SAFE_EXPONENT]
+        pilot_grids = np.array(pilot_grids, complex)
+        shift = -np.frexp(total[far])[1][:, None, None]
+        pilot_grids[far] = np.ldexp(pilot_grids[far].view(float), shift).view(complex)
+        total[far] = np.abs(pilot_grids[far]).sum(axis=(1, 2))
     slack, n = _SLACK * total[live], live.size
     k, l = _centred(rows, cols)
     extent = np.array([(rows - 1) / 2.0, (cols - 1) / 2.0])
     cells = _start_cells(rows, cols)
-    half, split = np.pi / cells, np.where(extent > 0, _SPLIT, 1)
+    half, split, reach = np.pi / cells, np.where(extent > 0, _SPLIT, 1), 2 * np.pi / cells
+    # s(h) of the cells of half-widths half and its cosine
+    s_h = extent @ half
+    cos_h = math.cos(s_h)
 
     # the start phase a chunk of grids at a time: the largest sample of each
     # grid, and its samples that can pass the level-0 test, row-major
     samples, amps, top = (np.concatenate(part) for part in zip(*(
         _start_samples(_take(pilot_grids, live[lo:lo + step]), lo, cells, slack[lo:lo + step],
-                       math.cos(extent @ half)) for lo in range(0, n, step))))
+                       cos_h) for lo in range(0, n, step))))
     t, sample = np.divmod(samples, cells.prod())
     i, j = np.divmod(sample, cells[1])
     del samples, sample
@@ -311,23 +373,24 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         # Newton from points of heights |z| on the grids up: a ball where it
         # converged, and the new best point where higher
         nonlocal balls
-        moved, converged = _newton(pilot_grids, points, 2 * np.pi / cells, live[up])
-        m = _moments(pilot_grids, moved, k, l, 4, live[up])
+        index, room = live[up], slack[up]
+        moved, converged = _newton(pilot_grids, points, reach, index)
+        m = _moments(pilot_grids, moved, 4, index)
         height = np.abs(m[:, 0, 0])
-        better = height >= heights - 2 * slack[up]
-        kappa, third = _curvature(m, extent, slack[up])
+        better = height >= heights - 2 * room
+        kappa, third = _curvature(m, extent, room)
         kappa = np.where(converged & better, kappa, -1.0)
-        balls = np.concatenate([balls, np.tile([0.0, 0.0, -1.0, 0.0], (n, 1, 1))], axis=1)
+        balls = np.concatenate([balls, np.broadcast_to(_NO_BALL, (n, 1, 4))], axis=1)
         balls[up, -1] = np.column_stack([moved, kappa, third])
         height, point = np.where(better, height, heights), np.where(better[:, None], moved, points)
-        rise = height > peak[up] + 2 * slack[up]
-        best[up[rise]], peak[up[rise]] = point[rise], height[rise]
-        newton[up[rise]] = kappa[rise] > 0
+        rise = height > peak[up] + 2 * room
+        top = up[rise]
+        best[top], peak[top], newton[top] = point[rise], height[rise], kappa[rise] > 0
 
     def margin(owner):
         # a cell of |z| v on the grid owner passes the cell test against the
         # best point unless v + margin < 0
-        return (slack - (peak - slack) * math.cos(extent @ half))[owner]
+        return (slack - (peak - slack) * cos_h)[owner]
 
     def passing(owner, centre, values, offsets):
         # the cells around centre + offsets of |z| values (n, offsets...) that pass
@@ -335,7 +398,7 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         shift = np.column_stack([offsets[0][a], offsets[1][b]])
         return owner[p], centre[p] + shift, values[p, a, b]
 
-    climb(np.arange(n), start * (2 * np.pi / cells), amps[at])
+    climb(np.arange(n), start * reach, amps[at])
     # the start samples that pass, before their centres are built
     keep = np.flatnonzero(~(amps + margin(t) < 0))
     owner, centre, values = t[keep], np.column_stack([i[keep], j[keep]]) * 2 * half, amps[keep]
@@ -345,19 +408,23 @@ def _search(pilot_grids: np.ndarray) -> tuple:
     # _CHUNK_BYTES in the three arrays of them _lattice makes: the pairs'
     # products, their gather per cell and _small_matmul's padded copy
     parents = max(1, min(_FLAT, _CHUNK_BYTES // (96 * split[0] * cols)))
+    # a split's cell centres in half-widths of its parent, and the open cells
+    # a grid may keep at level 0
+    lattice = [2 * np.arange(size) - size + 1 for size in split]
+    start_cap = max(_FLAT, cells.prod() // 2)
     for level in range(_MAX_LEVELS + 1):
         np.maximum.at(bound := peak.copy(), owner, values)
-        sup = np.minimum(sup, (bound + slack) / math.cos(extent @ half))
+        sup = np.minimum(sup, (bound + slack) / cos_h)
         # the ball: M^2 s^2 / 3 + c3 s / 6 <= (1 - b) kappa / 2
         quad, lin, kappas = sup[:, None] ** 2 / 3, balls[..., 3] / 6, balls[..., 2]
         root = np.sqrt(lin**2 + 2 * quad * (1 - _BALL_MARGIN) * np.maximum(kappas, 0.0))
         radius = np.where(kappas > 0, (root - lin) / (2 * quad), -1.0)
         gap = np.abs(np.angle(np.exp(1j * (centre[:, None] - balls[owner, :, :2])))) @ extent
         counts = np.bincount(owner, minlength=n)
-        cap = max(_FLAT, cells.prod() // 2) if level == 0 else _FLAT
+        cap = start_cap if level == 0 else _FLAT
         stop = (counts > cap) | (counts > 0) & (level == _MAX_LEVELS)
         newton[stop] = False
-        open_ = ~stop[owner] & ~(gap + extent @ half <= radius[owner]).any(axis=1)
+        open_ = ~stop[owner] & ~(gap + s_h <= radius[owner]).any(axis=1)
         owner, centre, values = owner[open_], centre[open_], values[open_]
         split_cells += np.bincount(owner, minlength=n)
         if not owner.size:
@@ -365,12 +432,14 @@ def _search(pilot_grids: np.ndarray) -> tuple:
         # the best cell of a grid farther than twice its size from all its balls,
         # or of one without any, starts Newton: a maximum that ties with p*
         # (the mirrored twin of a real grid's, say) never rises above it
-        far = (gap[open_] > 2 * (extent @ half)).all(axis=1)
+        far = (gap[open_] > 2 * s_h).all(axis=1)
         if level and far.any():
             up, at = _best_per_trial(owner[far], values[far])
             climb(up, centre[far][at], values[far][at])
-        offsets = [(2 * np.arange(size) - size + 1) * (h / size) for size, h in zip(split, half)]
+        offsets = [steps * (h / size) for steps, size, h in zip(lattice, split, half)]
         half = half / split
+        s_h = extent @ half
+        cos_h = math.cos(s_h)
         parts = [passing(owner[cut], centre[cut],
                          np.abs(_lattice(pilot_grids, live[owner[cut]], centre[cut], offsets, k, l)),
                          offsets)
@@ -414,9 +483,10 @@ def _start_samples(grids: np.ndarray, offset: int, cells: np.ndarray, slack: np.
         parts.append((rows[lo + r] * cells[1] + c, amps[r, c]))
     del stage
     samples, amps = (np.concatenate(part) for part in zip(*parts))
-    np.maximum.at(top := np.zeros(len(grids)), grid := samples // cells.prod(), amps)
+    count = cells.prod()
+    np.maximum.at(top := np.zeros(len(grids)), grid := samples // count, amps)
     keep = ~(amps < _kept_floor(top, slack, cos_h)[grid])
-    return samples[keep] + offset * cells.prod(), amps[keep], top
+    return samples[keep] + offset * count, amps[keep], top
 
 
 def _kept_floor(top: np.ndarray, slack: np.ndarray, cos_h: float) -> np.ndarray:
@@ -426,11 +496,18 @@ def _kept_floor(top: np.ndarray, slack: np.ndarray, cos_h: float) -> np.ndarray:
 
 
 def _take(pilot_grids: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``pilot_grids[index]``: a view where ``index`` is a run of consecutive
-    grids."""
-    if index.size and (np.diff(index) == 1).all():
+    """``pilot_grids[index]`` for non-decreasing ``index``: a view where it is
+    a run of consecutive grids."""
+    if _is_run(index):
         return pilot_grids[index[0]:index[-1] + 1]
     return pilot_grids[index]
+
+
+def _is_run(index: np.ndarray) -> bool:
+    """Whether a non-decreasing ``index`` is a run of consecutive grids: it
+    spans size - 1 and never repeats."""
+    return bool(index.size and index[-1] - index[0] == index.size - 1
+                and (index[1:] > index[:-1]).all())
 
 
 def _grid_products(left: np.ndarray, pilot_grids: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -438,7 +515,7 @@ def _grid_products(left: np.ndarray, pilot_grids: np.ndarray, index: np.ndarray)
     (repeats included), gathering at most ``_chunk_length`` grids at a time
     where it is no run."""
     step = _chunk_length(*pilot_grids.shape[-2:])
-    if index.size > step and (np.diff(index) != 1).any():
+    if index.size > step and not _is_run(index):
         return np.concatenate([_small_matmul(left[lo:lo + step],
                                              _take(pilot_grids, index[lo:lo + step]))
                                for lo in range(0, index.size, step)])
@@ -450,22 +527,25 @@ def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
     ``_moments``; kappa is -1 where the Hessian or the gradient rules one out."""
     scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
     # z_ab = j^a (-j)^b m_ab, and by Leibniz the derivatives of P = z conj(z),
-    # scaled to unit s: P_pq / (m_theta^p m_phi^q)
-    z = m * (1j ** np.arange(4))[:, None] * (-1j) ** np.arange(4)
-
-    def power(p, q):
-        return sum(math.comb(p, a) * math.comb(q, b) * z[:, a, b] * z[:, p - a, q - b].conj()
-                   for a in range(p + 1) for b in range(q + 1)).real * (scale[0] ** p
-                                                                        * scale[1] ** q)
-
-    g = np.maximum(np.abs(power(1, 0)), np.abs(power(0, 1)))
-    a, b, c = -power(2, 0), -power(1, 1), -power(0, 2)
+    # scaled to unit s: P_pq / (m_theta^p m_phi^q), each summed term by term
+    # from 0 as ``sum`` adds, all nine a term at a time (``_LEIBNIZ``); with
+    # z and conj(z) flat side by side, a term gathers its two factors at once
+    z = np.empty((len(m), 32), complex)
+    z[:, :16] = (m * _Z_ROWS[:, None] * _Z_COLS).reshape(len(m), 16)
+    np.conjugate(z[:, :16], out=z[:, 16:])
+    total = np.zeros((len(m), len(_DERIVATIVES)), complex)
+    for count, weight, factors in _LEIBNIZ:
+        pair = z[:, factors]
+        total[:, :count] += weight * pair[:, :count] * pair[:, count:]
+    power = total.real * np.array([scale[0] ** p * scale[1] ** q for p, q in _DERIVATIVES])
+    g = np.abs(power[:, 7:]).max(axis=1)
+    b, a, c = -power[:, 4:7].T
     # a y0^2 + 2 b y0 y1 + c y1^2 is at least its smaller eigenvalue times
     # y0^2 + y1^2 >= 1 / 2 where |y0| + |y1| = 1
     kappa = a if not extent[1] else c if not extent[0] else (a + c - np.hypot(a - c, 2 * b)) / 4
     # the third derivative along a unit-s line, sum_p C(3, p) P_p(3-p) y0^p
     # y1^(3-p) with |y0| + |y1| = 1, is at most the largest |P_p(3-p)|
-    third = np.max([np.abs(power(p, 3 - p)) for p in range(4)], axis=0)
+    third = np.abs(power[:, :4]).max(axis=1)
     certain = (kappa > 0) & (g * g <= 4 * _BALL_MARGIN * kappa * slack * np.abs(m[:, 0, 0]))
     return np.where(certain, kappa, -1.0), third
 
@@ -473,8 +553,10 @@ def _curvature(m: np.ndarray, extent: np.ndarray, slack: np.ndarray) -> tuple:
 def _best_per_trial(owner: np.ndarray, values: np.ndarray) -> tuple:
     """The trials in ``owner`` (ascending) and the index of each one's largest value."""
     order = np.lexsort((-values, owner))
-    trials, first = np.unique(owner[order], return_index=True)
-    return trials, order[first]
+    owner = owner[order]
+    first = np.ones(owner.size, bool)
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    return owner[first], order[first]
 
 
 def _lattice(pilot_grids: np.ndarray, owner: np.ndarray, centre: np.ndarray, offsets: list,
@@ -522,32 +604,47 @@ def _newton(pilot_grids: np.ndarray, start: np.ndarray, reach: np.ndarray,
     or whose point moves further than ``reach`` from its start stays there.
     Returns the points and the flags of the trials that did not stay."""
     rows, cols = pilot_grids.shape[-2:]
-    k, l = _centred(rows, cols)
     pos, moved = start.copy(), np.ones(len(start), bool)
-    active = np.arange(len(start))
+    # the active trials, their points, starts and grids
+    active, at, origin = np.arange(len(start)), start, start
     for _ in range(_NEWTON_STEPS):
         # the moments of the active trials alone: a stacked product runs one
         # matrix at a time, so each trial's bits are those of the whole stack's
-        step = _newton_step(_moments(pilot_grids, pos[active], k, l, 3, index[active]),
-                            rows > 1, cols > 1)
+        step = _newton_step(_moments(pilot_grids, at, 3, index), rows > 1, cols > 1)
         # written so that a NaN step stays
-        inside = (np.abs(pos[active] + step - start[active]) <= reach).all(axis=1)
-        pos[active] = np.where(inside[:, None], pos[active] + step, start[active])
+        at = at + step
+        inside = (np.abs(at - origin) <= reach).all(axis=1)
+        on = inside & (np.abs(step).max(axis=1) >= _NEWTON_TOL)
+        pos[active] = np.where(inside[:, None], at, origin)
         moved[active[~inside]] = False
-        active = active[inside & (np.abs(step).max(axis=1) >= _NEWTON_TOL)]
+        active, at, origin, index = active[on], at[on], origin[on], index[on]
         if not active.size:
             break
     return pos, moved
 
 
-def _moments(pilot_grids: np.ndarray, pos: np.ndarray, k, l, order: int,
+def _moments(pilot_grids: np.ndarray, pos: np.ndarray, order: int,
              index: np.ndarray) -> np.ndarray:
     """m[t, p, q] = sum_kl k^p l^q H[index[t], k, l] exp(j (k theta - l phi)) at
-    (theta, phi) = pos[t], for p, q < ``order``; ``index`` non-decreasing."""
-    powers = np.arange(order)[:, None]
-    left = _phasors(pos[:, 0], k)[:, None, :] * k**powers
-    right = _phasors(-pos[:, 1], l)[:, :, None] * (l**powers).T
+    (theta, phi) = pos[t], for p, q < ``order`` and the centred indices k, l
+    of the grids; ``index`` non-decreasing."""
+    k, l, k_powers, l_powers = _index_powers(*pilot_grids.shape[-2:], order)
+    left = _phasors(pos[:, 0], k)[:, None, :] * k_powers
+    right = _phasors(-pos[:, 1], l)[:, :, None] * l_powers
     return _grid_products(left, pilot_grids, index) @ right
+
+
+@functools.lru_cache(maxsize=16)
+def _index_powers(rows: int, cols: int, order: int) -> tuple:
+    """The centred indices k and l of a rows x cols grid (``_centred``) and the
+    tables k^p (order, rows) and l^q (cols, order) of ``_moments``, p, q <
+    ``order``; read-only, built once per shape."""
+    k, l = _centred(rows, cols)
+    powers = np.arange(order)[:, None]
+    tables = k, l, k**powers, (l**powers).T
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _phasors(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -555,9 +652,10 @@ def _phasors(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
     product of exp(j angles): within 2 index.size u of the exponentials, at
     two complex exponentials per angle (numpy's cost ~50 ns each)."""
     table = np.empty(angles.shape + index.shape, complex)
-    table[:, 0] = np.exp(1j * angles * index[0])
-    table[:, 1:] = np.exp(1j * angles)[:, None]
-    return np.cumprod(table, axis=1, out=table)
+    turn = 1j * angles
+    table[:, 0] = np.exp(turn * index[0])
+    table[:, 1:] = np.exp(turn)[:, None]
+    return np.multiply.accumulate(table, axis=1, out=table)
 
 
 def _peak_bins(pilot_grids: np.ndarray, pos: np.ndarray, config: PeriodogramConfig) -> tuple:
@@ -584,23 +682,29 @@ def _newton_step(m: np.ndarray, on_u: bool, on_v: bool) -> np.ndarray:
     negative definite (P = 0 and NaN moments included); only the axes
     flagged ``on_u`` and ``on_v`` move. log P is concave on a wider region
     around the maximum than P."""
-    (z, m01, m02), (m10, m11, _), (m20, _, _) = m.transpose(1, 2, 0)
-    # half the gradient and Hessian of P = |z|^2: z_u = j m10, z_v = -j m01,
-    # z_uu = -m20, z_vv = -m02, z_uv = m11
-    zc = z.conj()
-    power = z.real * z.real + z.imag * z.imag
+    # m flat: z = m00 at 0, m01 at 1, m02 at 2, m10 at 3, m11 at 4, m20 at 6
+    m = m.reshape(len(m), 9)
+    zc = m[:, 0].conj()
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_u, g_v = -(zc * m10).imag, (zc * m01).imag
-        # (P / 2) times the Hessian of log P: half that of P less 2 g g^T / P
-        h_uu = m10.real * m10.real + m10.imag * m10.imag - (zc * m20).real - 2 * g_u * g_u / power
-        h_vv = m01.real * m01.real + m01.imag * m01.imag - (zc * m02).real - 2 * g_v * g_v / power
+        # zc m_pq and |m_pq|^2 of every moment: z_u = j m10, z_v = -j m01,
+        # z_uu = -m20, z_vv = -m02, z_uv = m11
+        cross, square = zc[:, None] * m, m.real * m.real + m.imag * m.imag
+        power = square[:, 0]
+        # half the gradient of P = |z|^2, (g_u, g_v) from m10 and m01
+        g = cross.imag[:, 3:0:-2] * _SIGNS
+        # (P / 2) times the Hessian of log P: half that of P less 2 g g^T / P;
+        # its diagonal (h_uu, h_vv) from m10, m01, m20 and m02
+        h = square[:, 3:0:-2] - cross.real[:, 6:1:-4] - 2 * g * g / power[:, None]
         # an axis of one pilot (centred index 0) has zero gradient and cross term:
         # curvature -1 keeps it in place, and the other axis takes its 1-D step
-        h_uu, h_vv = (h_uu if on_u else -1.0), (h_vv if on_v else -1.0)
-        h_uv = (zc * m11 - m10.conj() * m01).real - 2 * g_u * g_v / power
-        det = h_uu * h_vv - h_uv * h_uv
-        step = np.column_stack([h_uv * g_v - h_vv * g_u, h_uv * g_u - h_uu * g_v]) / det[:, None]
-        concave = (h_uu < 0) & (det > 0)
+        if not on_u:
+            h[:, 0] = -1.0
+        if not on_v:
+            h[:, 1] = -1.0
+        h_uv = (cross[:, 4] - m[:, 3].conj() * m[:, 1]).real - 2 * g[:, 0] * g[:, 1] / power
+        det = h[:, 0] * h[:, 1] - h_uv * h_uv
+        step = (h_uv[:, None] * g[:, ::-1] - h[:, ::-1] * g) / det[:, None]
+        concave = (h[:, 0] < 0) & (det > 0)
     return np.where((concave & (power > 0))[:, None], step, np.nan)
 
 

@@ -8,7 +8,10 @@ full N x M frames, whose pilots are drawn as the trial block draws them.
 ``block_trials`` is each trial of a block as ``simulate_trial`` returns it.
 ``ground_truth`` and ``invert`` are the geometry in scalar ``math``, the
 reference of the column kernels ``geometry._truth_columns`` and
-``geometry._invert_columns``.
+``geometry._invert_columns``. ``curvature_terms`` and ``newton_step_terms``
+are the search's ball curvature and Newton step one derivative, and one
+Leibniz term, at a time, the references of ``estimator._curvature`` and
+``estimator._newton_step``.
 """
 
 import math
@@ -26,7 +29,7 @@ from bisac import (
     ls_channel_estimate,
     periodogram_2d,
 )
-from bisac.estimator import _centred, _estimate_grids, _moments, _newton
+from bisac.estimator import _BALL_MARGIN, _estimate_grids, _moments, _newton
 from bisac.geometry import DEGENERATE_EPS
 from bisac.harness import _TRIAL_STREAM, _trial_block, _trial_seed
 from bisac.sim import _QPSK
@@ -123,8 +126,8 @@ def dense_maximum(grid, padding=8):
         again, still = _climb(grid, near.reshape(-1, 2) * (2 * np.pi / np.array(sizes)), sizes)
         points, moved = np.r_[points[moved], again], np.r_[moved[moved], still]
     points = points[moved] if moved.any() else points
-    power = np.abs(_moments(np.broadcast_to(grid, (len(points),) + grid.shape), points,
-                            *_centred(rows, cols), 1, np.arange(len(points)))[:, 0, 0]) ** 2
+    power = np.abs(_moments(np.broadcast_to(grid, (len(points),) + grid.shape), points, 1,
+                            np.arange(len(points)))[:, 0, 0]) ** 2
     order = np.argsort(-power, kind="stable")
     return points[order] % (2 * np.pi), power[order]
 
@@ -236,3 +239,41 @@ def block_trials(config, runs):
         else:
             trials.append((SensingGroundTruth(*values), grid, outcome))
     return trials
+
+
+def curvature_terms(m, extent, slack):
+    """kappa and c3 of balls at points of moments m (n, 4, 4), as
+    ``estimator._curvature`` returns them: each derivative P_pq of P = z
+    conj(z) summed by ``sum`` over its Leibniz terms, one (p, q) at a time."""
+    scale = np.divide(1.0, extent, out=np.zeros(2), where=extent > 0)
+    z = m * (1j ** np.arange(4))[:, None] * (-1j) ** np.arange(4)
+
+    def power(p, q):
+        return sum(math.comb(p, a) * math.comb(q, b) * z[:, a, b] * z[:, p - a, q - b].conj()
+                   for a in range(p + 1) for b in range(q + 1)).real * (scale[0] ** p
+                                                                        * scale[1] ** q)
+
+    g = np.maximum(np.abs(power(1, 0)), np.abs(power(0, 1)))
+    a, b, c = -power(2, 0), -power(1, 1), -power(0, 2)
+    kappa = a if not extent[1] else c if not extent[0] else (a + c - np.hypot(a - c, 2 * b)) / 4
+    third = np.max([np.abs(power(p, 3 - p)) for p in range(4)], axis=0)
+    certain = (kappa > 0) & (g * g <= 4 * _BALL_MARGIN * kappa * slack * np.abs(m[:, 0, 0]))
+    return np.where(certain, kappa, -1.0), third
+
+
+def newton_step_terms(m, on_u, on_v):
+    """The Newton steps of ``estimator._newton_step`` from the moments m
+    (n, 3, 3), one moment at a time."""
+    (z, m01, m02), (m10, m11, _), (m20, _, _) = m.transpose(1, 2, 0)
+    zc = z.conj()
+    power = z.real * z.real + z.imag * z.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_u, g_v = -(zc * m10).imag, (zc * m01).imag
+        h_uu = m10.real * m10.real + m10.imag * m10.imag - (zc * m20).real - 2 * g_u * g_u / power
+        h_vv = m01.real * m01.real + m01.imag * m01.imag - (zc * m02).real - 2 * g_v * g_v / power
+        h_uu, h_vv = (h_uu if on_u else -1.0), (h_vv if on_v else -1.0)
+        h_uv = (zc * m11 - m10.conj() * m01).real - 2 * g_u * g_v / power
+        det = h_uu * h_vv - h_uv * h_uv
+        step = np.column_stack([h_uv * g_v - h_vv * g_u, h_uv * g_u - h_uu * g_v]) / det[:, None]
+        concave = (h_uu < 0) & (det > 0)
+    return np.where((concave & (power > 0))[:, None], step, np.nan)

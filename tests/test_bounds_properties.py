@@ -1,9 +1,9 @@
 """Property tests: the sliced closed-form ECRB geometry draw against the
 reference whole-array path (hypot legs, then the bistatic angle by arccos)
-and its targets against ``rng.uniform``,
-the baseline-segment check against a rational clip, the per-axis phase
-kernel against one exponential a cell and against the exact phase, and the
-ensemble's draws against ``rng.uniform``."""
+and its targets against ``rng.uniform``, the ECRB means against a plain
+whole-array sum, the baseline-segment check against a rational clip, the
+per-axis phase kernel against one exponential a cell and against the exact
+phase, and the ensemble's draws against ``rng.uniform``."""
 
 import math
 from fractions import Fraction
@@ -19,7 +19,7 @@ from bisac import (  # noqa: E402
     DEGENERATE_EPS, OfdmNumerology, ScenarioEnsemble, SingularPatternError,
 )
 from bisac.bounds import (  # noqa: E402
-    _ECRB_SLICE, _check_off_baseline, _ecrb_geometry, _phasor,
+    _ECRB_SLICE, _check_off_baseline, _ecrb_geometry, _ecrb_means, _phasor,
 )
 from bisac.geometry import bistatic_angle  # noqa: E402
 
@@ -55,6 +55,58 @@ def assert_matches_reference(ensemble, draws, seed):
     ref, s = ref[ok], s[ok]
     tol = 4 * EPS * (1 + s / (s - baseline)) * ref
     assert np.all(np.abs(cos_half - ref) <= tol)
+
+
+def ecrb_means_reference(ensemble, crb_vels, draws, seed):
+    """(means, skipped) of ``_ecrb_means`` from whole arrays: the targets of
+    ``rng.uniform``, each leg the root of a sum of squares, cos(beta/2) by
+    the half-angle identity, and 1 / cos(beta/2) over the kept draws summed
+    one ``_ECRB_SLICE`` of draws at a time, slice after slice from 0."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(*ensemble.x_range, draws), rng.uniform(*ensemble.y_range, draws)
+    (tx_x, tx_y), (rx_x, rx_y), baseline = ensemble.tx_pos, ensemble.rx_pos, ensemble.baseline
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_tx = np.sqrt((x - tx_x) ** 2 + (y - tx_y) ** 2)
+        d_rx = np.sqrt((x - rx_x) ** 2 + (y - rx_y) ** 2)
+        s = d_tx + d_rx
+        cos_half = np.sqrt((s - baseline) * (s + baseline) / (4.0 * d_tx * d_rx))
+    ok = (d_tx > DEGENERATE_EPS) & (d_rx > DEGENERATE_EPS) & (cos_half > 1e-12)
+    if not ok.any():
+        raise SingularPatternError("all ensemble draws were degenerate")
+    total = 0.0
+    for lo in range(0, draws, _ECRB_SLICE):
+        part = slice(lo, lo + _ECRB_SLICE)
+        total += float((1.0 / cos_half[part][ok[part]]).sum())
+    kept = int(ok.sum())
+    return [math.sqrt(v) * (total / kept) for v in crb_vels], draws - kept
+
+
+# beside the transmitter, away from the segment it starts: about a fifth of
+# the draws lie within DEGENERATE_EPS of it
+DEGENERATE_BOX = ScenarioEnsemble(tx_pos=(-40.0, 0.0), rx_pos=(0.0, 40.0),
+                                  x_range=(-40.0 - 2e-6, -40.0), y_range=(-2e-6, 0.0))
+
+
+@pytest.mark.parametrize("draws", [1, _ECRB_SLICE - 1, _ECRB_SLICE, _ECRB_SLICE + 1, 123457])
+@pytest.mark.parametrize("ensemble", [ScenarioEnsemble(), DEGENERATE_BOX],
+                         ids=["default_box", "degenerate_box"])
+def test_ecrb_means_equal_the_plain_sum(ensemble, draws):
+    # the in-place slices, with or without a kept mask, sum the same terms
+    # in the same order as whole arrays do: bit for bit
+    seed = np.random.SeedSequence([draws, 1])
+    try:
+        want = ecrb_means_reference(ensemble, [1.0, 2.5], draws, seed)
+    except SingularPatternError:
+        with pytest.raises(SingularPatternError, match="all ensemble draws"):
+            _ecrb_means(ensemble, [1.0, 2.5], draws, seed)
+        return
+    assert _ecrb_means(ensemble, [1.0, 2.5], draws, seed) == want
+    if draws > 1:
+        assert (want[1] > 0) == (ensemble is DEGENERATE_BOX)
+    # each slice and mask stays as it was drawn after the next is drawn
+    drawn = [(c.copy(), k.copy()) for c, k in _ecrb_geometry(ensemble, draws, seed)]
+    for (c, k), (c0, k0) in zip(list(_ecrb_geometry(ensemble, draws, seed)), drawn):
+        assert c.tobytes() == c0.tobytes() and np.array_equal(k, k0)
 
 
 coordinate = st.floats(-1e4, 1e4)

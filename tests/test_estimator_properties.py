@@ -1,6 +1,7 @@
 """Property tests: the receiver against the dense-surface reference, the
-search's cell test, its direct DFTs against FFTs, its ball, the peak bins
-against the ``periodogram_2d`` argmax, and the delay stage's scaling."""
+search's cell test, its direct DFTs against FFTs, its climb against the
+term-by-term reference, its ball, the peak bins against the
+``periodogram_2d`` argmax, and the delay stage's scaling."""
 
 import math
 from unittest import mock
@@ -29,9 +30,11 @@ from bisac import (  # noqa: E402
 )
 from bisac.estimator import (  # noqa: E402
     _BALL_MARGIN, _SLACK, _centred, _curvature, _delay_stage, _grid_products, _lattice, _moments,
-    _newton, _start_cells,
+    _newton, _newton_step, _search, _start_cells,
 )
-from reference_chain import dense_maximum, reference_estimate  # noqa: E402
+from reference_chain import (  # noqa: E402
+    curvature_terms, dense_maximum, newton_step_terms, reference_estimate,
+)
 from test_estimator import assert_peak_bins_match_surface  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
@@ -135,7 +138,7 @@ def test_cell_bound_covers_every_row_of_its_cell(grid, log_cell, data):
     assume(extent @ half <= np.pi / 2)
     where = np.array([data.draw(st.floats(-1.0, 1.0)) for _ in range(2)])
     centre = x0 + where * half
-    z = abs(_moments(grid[None], centre[None], *_centred(rows, cols), 1, np.arange(1))[0, 0, 0])
+    z = abs(_moments(grid[None], centre[None], 1, np.arange(1))[0, 0, 0])
     slack = 2 * _SLACK * np.abs(grid).sum()
     assert z + slack >= math.sqrt(power) * math.cos(extent @ half)
 
@@ -182,6 +185,44 @@ def test_grid_products_equal_the_gathered_product(shape, index, order, chunk_byt
     assert got.tobytes() == (left @ stack[index]).tobytes()
 
 
+def same_bits(got, want):
+    """Equal bit for bit, a NaN matching any NaN."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# extents of one pilot come often: their axis has zero moments of order >= 1
+extents = st.integers(1, 3) | st.integers(1, 40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=extents, cols=extents, seed=st.integers(0, 2**32 - 1),
+       snr_db=st.floats(-20.0, 60.0), scale=st.sampled_from([0.0, 1.0, 1e-3, 1e5]))
+@example(rows=1, cols=9, seed=1, snr_db=20.0, scale=1.0)
+@example(rows=7, cols=1, seed=2, snr_db=20.0, scale=1.0)
+@example(rows=4, cols=5, seed=3, snr_db=20.0, scale=0.0)
+def test_climb_equals_its_term_by_term_reference(rows, cols, seed, snr_db, scale):
+    # kappa and c3 of the Leibniz tables and the Newton steps of the flat
+    # moments equal the reference one derivative and one term at a time, bit
+    # for bit: at the certified maximum (a ball) and at points anywhere, on
+    # single-row and single-column grids and the zero grid too
+    assume(rows * cols > 1)
+    rng = np.random.default_rng(seed)
+    k, l = np.arange(rows)[:, None], np.arange(cols)
+    delay, doppler = rng.uniform(size=2)
+    noise = rng.standard_normal((rows, cols, 2)) @ np.array([1.0, 1j]) * 10.0 ** (-snr_db / 20)
+    grid = scale * (np.exp(2j * np.pi * (doppler * l - delay * k)) + noise)
+    points = np.vstack([_search(grid[None])[0], rng.uniform(0.0, 2 * np.pi, (7, 2))])
+    stack, index = np.broadcast_to(grid, (8, rows, cols)), np.arange(8)
+    extent = np.array([(rows - 1) / 2, (cols - 1) / 2])
+    slack = _SLACK * np.abs(grid).sum() * rng.uniform(0.5, 2.0, 8)
+    m = _moments(stack, points, 4, index)
+    for got, want in zip(_curvature(m, extent, slack), curvature_terms(m, extent, slack)):
+        assert same_bits(got, want)
+    m = _moments(stack, points, 3, index)
+    assert same_bits(_newton_step(m, rows > 1, cols > 1), newton_step_terms(m, rows > 1, cols > 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid=target_grids(), data=st.data())
 def test_ball_bounds_the_periodogram_around_a_newton_point(grid, data):
@@ -189,10 +230,9 @@ def test_ball_bounds_the_periodogram_around_a_newton_point(grid, data):
     # at random points of it and along its rim
     assume(grid.size > 1)
     rows, cols = grid.shape
-    k, l = _centred(rows, cols)
     (start, *_), _ = dense_maximum(grid) or (np.zeros((1, 2)), None)
     point, moved = _newton(grid[None], start[None], np.full(2, 0.1), np.arange(1))
-    m = _moments(grid[None], point, k, l, 4, np.arange(1))
+    m = _moments(grid[None], point, 4, np.arange(1))
     extent = np.array([(rows - 1) / 2, (cols - 1) / 2])
     slack = _SLACK * np.abs(grid).sum()
     (kappa,), (third,) = _curvature(m, extent, np.array([slack]))
@@ -206,7 +246,7 @@ def test_ball_bounds_the_periodogram_around_a_newton_point(grid, data):
     y[:32] /= np.abs(y[:32]).sum(axis=1, keepdims=True)
     y[32:] /= 2
     steps = np.divide(y * radius, extent, out=np.zeros_like(y), where=extent > 0)
-    z = np.abs(_moments(np.broadcast_to(grid, (64,) + grid.shape), point + steps, k, l, 1,
+    z = np.abs(_moments(np.broadcast_to(grid, (64,) + grid.shape), point + steps, 1,
                         np.arange(64)))
     peak = abs(m[0, 0, 0])
     assert np.all(z[:, 0, 0] ** 2 <= peak**2 + 2 * slack * peak + 4 * slack**2)

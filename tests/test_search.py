@@ -1,10 +1,11 @@
 """The certified search of the continuous periodogram: the brute-force
 maximum on random grids, never below Newton's method from the surface
-argmax, start samples equal to the dense start-grid transform's, and no
-dependence on the FFT sizes."""
+argmax, start samples equal to the dense start-grid transform's, no
+dependence on the grid's scale or on the FFT sizes."""
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from bisac import (  # noqa: E402
 )
 from bisac import estimator  # noqa: E402
 from bisac.estimator import (  # noqa: E402
-    _SLACK, _centred, _kept_floor, _moments, _newton, _search, _start_cells, _start_samples,
+    _SLACK, _kept_floor, _moments, _newton, _search, _start_cells, _start_samples,
 )
 from bisac.harness import _block_errors, _trial_block, simulate_trial  # noqa: E402
 from reference_chain import block_trials, dense_maximum  # noqa: E402
@@ -32,8 +33,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::bisac.sim.IsiWarning")
 
 def modulus(grid, point):
     """|z| of a grid at (theta, phi)."""
-    return abs(_moments(grid[None], np.array([point]), *_centred(*grid.shape), 1,
-                        np.arange(1))[0, 0, 0])
+    return abs(_moments(grid[None], np.array([point]), 1, np.arange(1))[0, 0, 0])
 
 
 def strategy_grid(rows, cols, seed, targets, snr_db, kind):
@@ -167,6 +167,38 @@ def test_grid_past_half_the_largest_float_stays_at_the_origin():
     assert pos[0].tolist() == [0.0, 0.0] and not found[0] and split[0] == 0
     alone = _search(tone[None])
     assert pos[1:].tobytes() == alone[0].tobytes() and found[1] and split[1] == alone[2][0]
+
+
+def tone_grid():
+    """A 6 x 5 single-tone grid."""
+    k, l = np.arange(6)[:, None], np.arange(5)
+    return np.exp(2j * np.pi * (-0.3 * k + 0.2 * l))
+
+
+@pytest.mark.parametrize("exponent", [300, -300])
+def test_search_commutes_with_a_power_of_two(exponent):
+    # a grid far from unit scale is searched as a copy scaled by a power of
+    # two, which every step commutes with: the unscaled grid's point, flag
+    # and split count, bit for bit, and the caller's grid is left as it was
+    grid = tone_grid()
+    scaled = np.ldexp(grid.view(float), exponent).view(complex)
+    before = scaled.copy()
+    assert [a.tobytes() for a in _search(scaled[None])] == [
+        a.tobytes() for a in _search(grid[None])]
+    assert scaled.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("total", [1e77, 1e100, 1e-90])
+def test_far_scaled_grid_ends_certified_without_a_warning(total):
+    # P = |z|^2 and the ball's M^2 s^4 square and fourth-power a grid's scale:
+    # unscaled, these grids overflowed or underflowed into uncertified points
+    # after hundreds of split cells, with RuntimeWarnings
+    grid = tone_grid() * (total / tone_grid().size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos, found, split = _search(np.stack([grid, tone_grid()]))
+    assert found.all() and split[0] == split[1] < 20
+    assert np.abs(pos[0] - pos[1]).max() < 1e-12
 
 
 def sweep_config(fft, snr_db=20.0, strides=(2, 1)):

@@ -200,6 +200,20 @@ def test_one_gather_path_in_the_search():
     assert none_tests | defaults == set()
 
 
+def test_curvature_adds_its_leibniz_terms_a_term_at_a_time():
+    # _curvature sums the nine derivatives together, one Leibniz term of all
+    # of them per pass over its import-time tables: no generator, nested
+    # function or loop of its own over the terms of a (p, q)
+    func = functions(Path(bisac.__file__).parent / "estimator.py")["_curvature"]
+    inner = (ast.FunctionDef, ast.Lambda, ast.GeneratorExp, ast.While)
+    assert not any(isinstance(node, inner) for node in ast.walk(func) if node is not func)
+    loops = [node for node in ast.walk(func) if isinstance(node, (ast.For, ast.comprehension))]
+    assert {node.iter.id for node in loops if isinstance(node.iter, ast.Name)} == {
+        "_LEIBNIZ", "_DERIVATIVES"}
+    assert all(isinstance(node.iter, ast.Name) for node in loops)
+    assert names_in(func) & {"sum", "comb", "range"} == set()
+
+
 def test_every_dataclass_is_frozen():
     # a value type changes only through its constructor or dataclasses.replace,
     # both of which run its checks
